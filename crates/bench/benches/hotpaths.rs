@@ -9,9 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::{pack, Layout, TypeBuilder};
-use fusedpack_gpu::{
-    BufferPool, DataMode, DevPtr, FixedRuns, Gpu, GpuArch, HostLink, MemPool, StreamId,
-};
+use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::{run_exchange_chaos, specfem::specfem3d_oc, ExchangeConfig};
 use std::hint::black_box;
@@ -161,9 +159,9 @@ fn bench_staging_pool_mixed(c: &mut Criterion) {
 
 /// The fixed-stride gather tier against the generic per-segment loop on
 /// the same uniform layout: 4096 16-byte runs at a 24-byte stride (a
-/// blocklen-2 double vector). `uniform` dispatches to the const-width
-/// `[u8; 16]` inner loop; `generic_loop` walks the same plan through the
-/// segment-iterator path.
+/// blocklen-2 double vector). `pack_uniform` dispatches to the
+/// const-width `[u8; 16]` inner loop; `pack_generic_loop` walks the
+/// segment table. The `mempool_*` rows run the plan-driven pool gather.
 fn bench_gather_tier(c: &mut Criterion) {
     let layout = Layout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
     let count = 1u64;
@@ -185,28 +183,27 @@ fn bench_gather_tier(c: &mut Criterion) {
     });
 
     // The same tier inside the device pools (what the cluster's staged
-    // copies hit): gather 4096 runs into a contiguous region of one pool.
+    // copies hit): gather 4096 runs into a contiguous region of one pool,
+    // through the plan-driven gather that shares the host kernels above.
     let span = layout.footprint(count).max(1);
     let total = layout.total_bytes(count);
     let mut pool = MemPool::new(span + total + 64, DataMode::Full);
     let region = pool.alloc(span, 64);
     let packed = pool.alloc(total, 64);
-    let runs = FixedRuns {
-        first: region.addr + plan.first,
-        stride: plan.stride,
-        len: plan.len,
-        runs: plan.runs,
-    };
-    g.bench_function("mempool_gather_uniform", |b| {
-        b.iter(|| black_box(pool.gather_uniform(black_box(runs), packed.addr)))
+    g.bench_function("mempool_gather", |b| {
+        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
     });
-    g.bench_function("mempool_gather_iter", |b| {
-        b.iter(|| {
-            black_box(pool.gather_iter(
-                layout.abs_segments(black_box(region.addr), count),
-                packed.addr,
-            ))
-        })
+
+    // A timing-only gather of one specfem3D_oc(512) element (512 Generic
+    // segments), the per-message copy every ModelOnly serve request makes:
+    // the plan answers with `total_bytes` and never reads the segment table.
+    let oc = Layout::of(&specfem3d_oc(512).desc);
+    let mut model = MemPool::new(1 << 30, DataMode::ModelOnly);
+    let user = model.alloc(oc.footprint(1), 64);
+    let staged = model.alloc(oc.total_bytes(1), 64);
+    g.throughput(Throughput::Bytes(oc.total_bytes(1)));
+    g.bench_function("mempool_gather_model_only_specfem3d_oc", |b| {
+        b.iter(|| black_box(model.gather(black_box(&oc), user.addr, 1, staged.addr)))
     });
     g.finish();
 }
@@ -242,30 +239,16 @@ fn bench_block_uniform_tier(c: &mut Criterion) {
         b.iter(|| pack::unpack_block_uniform(black_box(&packed), &plan, &mut out))
     });
 
-    // The same tier inside the device pools: the >32-byte dispatch arm of
-    // the strided gather (what the cluster's staged copies hit for
-    // BlockUniform plans) against the segment-iterator walk.
+    // The same tier inside the device pools: the plan-driven gather runs
+    // the chunked block kernel above on pool memory (what the cluster's
+    // staged copies hit for BlockUniform plans).
     let span = layout.footprint(count).max(1);
     let total = layout.total_bytes(count);
     let mut pool = MemPool::new(span + total + 64, DataMode::Full);
     let region = pool.alloc(span, 64);
     let packed = pool.alloc(total, 64);
-    let runs = FixedRuns {
-        first: region.addr + plan.first,
-        stride: plan.stride,
-        len: plan.len,
-        runs: plan.runs,
-    };
-    g.bench_function("mempool_gather_block", |b| {
-        b.iter(|| black_box(pool.gather_uniform(black_box(runs), packed.addr)))
-    });
-    g.bench_function("mempool_gather_iter", |b| {
-        b.iter(|| {
-            black_box(pool.gather_iter(
-                layout.abs_segments(black_box(region.addr), count),
-                packed.addr,
-            ))
-        })
+    g.bench_function("mempool_gather", |b| {
+        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
     });
     g.finish();
 }

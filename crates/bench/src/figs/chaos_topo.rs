@@ -206,6 +206,7 @@ mod tests {
     /// the in-process version of the CI `chaos-topo` `--shards` diff.
     #[test]
     fn faulted_cell_is_identical_across_shards() {
+        let _settings = super::super::lock_settings();
         let plan = || {
             FaultPlan::new(cell_seed(42, 0, 0))
                 .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))

@@ -121,6 +121,18 @@ pub fn shards() -> u32 {
     SHARDS.load(Ordering::SeqCst) as u32
 }
 
+/// Serializes the unit tests that change the process-wide settings above.
+/// `cargo test` runs tests on parallel threads, so without it one test's
+/// reset can land between another test's two runs.
+#[cfg(test)]
+pub(crate) fn lock_settings() -> std::sync::MutexGuard<'static, ()> {
+    static SETTINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that panicked while holding the lock leaves only `()` behind.
+    SETTINGS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The *Proposed* scheme for one (platform, workload) cell, honouring the
 /// CLI threshold mode: the 512 KB default, a fixed `--threshold BYTES`, or
 /// `--threshold auto` (model-predicted from the workload's average block

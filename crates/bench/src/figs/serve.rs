@@ -167,6 +167,7 @@ mod tests {
     /// report (both tables) is identical across worker counts.
     #[test]
     fn report_is_identical_across_jobs() {
+        let _settings = super::super::lock_settings();
         super::super::set_serve_requests(2_000);
         exec::set_jobs(1);
         let sequential = run();
@@ -187,6 +188,7 @@ mod tests {
     /// its peaks describe the host process, not the simulation).
     #[test]
     fn report_is_identical_across_shards() {
+        let _settings = super::super::lock_settings();
         super::super::set_serve_requests(2_000);
         super::super::set_shards(1);
         let single = run();

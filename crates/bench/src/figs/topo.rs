@@ -174,6 +174,7 @@ mod tests {
     /// in-process version of that check.
     #[test]
     fn report_is_identical_across_jobs() {
+        let _settings = super::super::lock_settings();
         exec::set_jobs(1);
         let sequential = run();
         exec::set_jobs(4);
@@ -188,6 +189,7 @@ mod tests {
     /// `--shards 4` CSV diff.
     #[test]
     fn report_is_identical_across_shards() {
+        let _settings = super::super::lock_settings();
         super::super::set_shards(1);
         let single = run();
         super::super::set_shards(4);

@@ -3,12 +3,12 @@
 //! contiguity/uniformity *classification*, and a precomputed copy plan.
 //!
 //! This is stage 2 of the datatype pipeline (`TypeDesc` → [`LayoutIr`] →
-//! `CompiledLayout`). Everything downstream — `gpu::pack/unpack`, the
-//! uniform-stride tier, `MemPool` gather/scatter, the scheduler's shape
-//! accounting — consumes the compiled form instead of re-deriving
-//! structure per call site: resolving the copy tier for a message is one
-//! [`CompiledLayout::plan_for`] call (a classification match plus one
-//! multiply), not a fresh scan of the segment table.
+//! `CompiledLayout`). Everything downstream — host `pack`/`unpack`, the
+//! GPU `MemPool` gather/scatter (which run the same kernels), the
+//! scheduler's shape accounting — consumes the compiled form instead of
+//! re-deriving structure per call site: resolving the copy tier for a
+//! message is one [`CompiledLayout::plan_for`] call (a classification
+//! match plus one multiply), not a fresh scan of the segment table.
 //!
 //! Classification ladder, fastest first:
 //!
@@ -340,23 +340,15 @@ impl CompiledLayout {
     }
 
     /// Absolute `(address, len)` segments for `count` elements based at
-    /// `base`, in pack order. This is the gather/scatter plan handed to the
-    /// memory pools.
+    /// `base`, in pack order: the segment list the generic copy tier walks,
+    /// spelled out for byte-level checks.
     pub fn absolute_segments(&self, base: u64, count: u64) -> Vec<(u64, u64)> {
-        self.abs_segments(base, count).collect()
-    }
-
-    /// Iterator form of [`Self::absolute_segments`]: yields the same
-    /// `(address, len)` plan in the same order without materialising a
-    /// `Vec` — the allocation-free path for per-message gather/scatter.
-    pub fn abs_segments(&self, base: u64, count: u64) -> AbsSegments<'_> {
-        AbsSegments {
-            layout: self,
-            base,
-            count,
-            elem: 0,
-            seg: 0,
-        }
+        (0..count)
+            .flat_map(|i| {
+                let elem = base + i * self.extent;
+                self.segments.iter().map(move |s| (elem + s.offset, s.len))
+            })
+            .collect()
     }
 
     /// The footprint in bytes that `count` elements occupy in memory
@@ -374,46 +366,6 @@ impl CompiledLayout {
         (count - 1) * self.extent + reach.max(self.extent)
     }
 }
-
-/// Borrowing iterator over the absolute `(address, len)` gather/scatter
-/// plan of `count` extent-tiled elements. See [`CompiledLayout::abs_segments`].
-#[derive(Debug, Clone)]
-pub struct AbsSegments<'a> {
-    layout: &'a CompiledLayout,
-    base: u64,
-    count: u64,
-    elem: u64,
-    seg: usize,
-}
-
-impl Iterator for AbsSegments<'_> {
-    type Item = (u64, u64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u64, u64)> {
-        if self.elem >= self.count || self.layout.segments.is_empty() {
-            return None;
-        }
-        let s = self.layout.segments[self.seg];
-        let addr = self.base + self.elem * self.layout.extent + s.offset;
-        self.seg += 1;
-        if self.seg == self.layout.segments.len() {
-            self.seg = 0;
-            self.elem += 1;
-        }
-        Some((addr, s.len))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let per_elem = self.layout.segments.len();
-        let done = self.elem as usize * per_elem + self.seg;
-        let total = self.count as usize * per_elem;
-        let left = total - done;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for AbsSegments<'_> {}
 
 #[cfg(test)]
 mod tests {

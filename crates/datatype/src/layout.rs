@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use crate::compile::{AbsSegments, CompiledLayout};
+pub use crate::compile::CompiledLayout;
 
 /// The committed form of a datatype (alias of [`CompiledLayout`], the
 /// historical name used throughout the workspace).
@@ -109,21 +109,6 @@ mod tests {
 
         let packed = Layout::of(&TypeBuilder::contiguous(4, TypeBuilder::int()));
         assert!(packed.is_contiguous_for(10));
-    }
-
-    #[test]
-    fn abs_segments_iterator_matches_vec_form() {
-        let t = TypeBuilder::vector(2, 1, 3, TypeBuilder::int());
-        let l = Layout::of(&t);
-        for count in [0u64, 1, 2, 7] {
-            let it = l.abs_segments(1000, count);
-            assert_eq!(it.len() as u64, l.total_blocks(count));
-            assert_eq!(
-                it.collect::<Vec<_>>(),
-                l.absolute_segments(1000, count),
-                "count={count}"
-            );
-        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!
 //! The compiled layout is the lingua franca of the whole workspace: the
 //! GPU kernel cost model consumes its [`shape`](layout::Layout::shape),
-//! the memory pools consume its absolute segments and copy plans, and the
-//! fusion scheduler carries cached layout references in its request
-//! objects.
+//! the GPU memory pools execute its copy plan through the same [`pack`]
+//! kernels as the host, and the fusion scheduler carries cached layout
+//! references in its request objects.
 
 pub mod builder;
 pub mod cache;
@@ -39,5 +39,5 @@ pub use cache::{
 };
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};
-pub use layout::{AbsSegments, Layout, Segment, UniformPlan};
+pub use layout::{Layout, Segment, UniformPlan};
 pub use typedesc::{Primitive, TypeDesc};

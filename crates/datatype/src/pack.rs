@@ -1,8 +1,9 @@
-//! Host-side reference pack/unpack.
+//! Pack/unpack: the workspace's one set of copy kernels.
 //!
-//! The ground truth for every packing engine in the workspace: tests verify
-//! the simulated GPU gather/scatter paths and the wire protocols against
-//! these functions, and the CPU-driven (GDRCopy) paths use them directly.
+//! Host packing calls these directly, and the simulated GPU memory pools
+//! (`gpu::MemPool` gather/scatter) execute every copy plan through them,
+//! so a copy tier exists once. Tests check the wire protocols' delivered
+//! bytes against them.
 
 use crate::compile::CopyPlan;
 use crate::layout::{Layout, UniformPlan};

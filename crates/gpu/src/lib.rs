@@ -9,9 +9,11 @@
 //!
 //! ## What is modelled vs. real
 //!
-//! * **Bytes are real.** [`mem::MemPool`] holds actual memory; pack/unpack/
-//!   copy operations really move the bytes (unless [`mem::DataMode::ModelOnly`]
-//!   is selected for timing-only benchmark runs).
+//! * **Bytes are real.** [`mem::MemPool`] holds actual memory; its
+//!   gather/scatter execute a compiled layout's copy plan through the same
+//!   kernels as host `pack`/`unpack`, so the bytes really move (unless
+//!   [`mem::DataMode::ModelOnly`] is selected for timing-only runs, where
+//!   a copy only reports its byte count).
 //! * **Time is modelled.** Kernel durations come from [`kernel`]'s cost
 //!   model, whose constants (in [`arch::GpuArch`]) are calibrated against the
 //!   paper's Fig. 1 (kernel launch ≈ 5–10 µs dominating µs-scale packing
@@ -37,6 +39,6 @@ pub use device::{Gpu, KernelTiming};
 pub use fused::{FusedLaunch, FusedTiming, FusedWork, PartitionPolicy};
 pub use gdr::GdrWindow;
 pub use kernel::SegmentStats;
-pub use mem::{DataMode, DevPtr, FixedRuns, MemPool};
+pub use mem::{DataMode, DevPtr, MemPool};
 pub use staging::{BufferPool, PoolStats};
 pub use stream::{EventRecord, Stream, StreamId};

@@ -1,0 +1,155 @@
+//! Differential test of the plan-driven pool copies.
+//!
+//! `MemPool`'s gather and scatter — within one pool and across two —
+//! execute a compiled layout's copy plan through the host pack kernels.
+//! For random datatype trees at counts 1–3 they must produce exactly the
+//! bytes host `pack_into`/`unpack` produce, leave every byte outside the
+//! copy (the layout's gaps, the rest of the pool) untouched, and in
+//! `ModelOnly` mode return `total_bytes(count)` without writing anything.
+
+#[path = "../../datatype/tests/common/mod.rs"]
+mod common;
+
+use common::arb_type;
+use fusedpack_datatype::pack::{pack_into, unpack};
+use fusedpack_datatype::CompiledLayout;
+use fusedpack_gpu::{DataMode, DevPtr, MemPool};
+use fusedpack_sim::Pcg32;
+use proptest::prelude::*;
+
+const SENTINEL: u8 = 0xEE;
+
+fn random_bytes(rng: &mut Pcg32, len: u64) -> Vec<u8> {
+    let mut bytes = vec![0u8; len as usize];
+    rng.fill_bytes(&mut bytes);
+    bytes
+}
+
+/// A sentinel-filled pool holding an element region of `fp` bytes and a
+/// packed region of `total` bytes, in either order, with a few bytes of
+/// slack around both. Returns `(pool, elements, packed)`.
+fn pool_with_regions(fp: u64, total: u64, packed_first: bool) -> (MemPool, DevPtr, DevPtr) {
+    let mut pool = MemPool::new(fp + total + 16, DataMode::Full);
+    let all = DevPtr {
+        addr: 0,
+        len: pool.capacity(),
+    };
+    pool.write(all, &vec![SENTINEL; all.len as usize]);
+    pool.alloc(3, 1);
+    let (elems, packed) = if packed_first {
+        let packed = pool.alloc(total, 1);
+        (pool.alloc(fp, 1), packed)
+    } else {
+        let elems = pool.alloc(fp, 1);
+        (elems, pool.alloc(total, 1))
+    };
+    (pool, elems, packed)
+}
+
+/// Every byte of the pool, for before/after comparisons.
+fn image(pool: &MemPool) -> Vec<u8> {
+    pool.read(DevPtr {
+        addr: 0,
+        len: pool.capacity(),
+    })
+    .to_vec()
+}
+
+/// `after` equals `before` except inside `region`, which holds `want`.
+fn assert_only_region_changed(before: &[u8], after: &[u8], region: DevPtr, want: &[u8]) {
+    let (lo, hi) = (region.addr as usize, region.end() as usize);
+    assert_eq!(&after[lo..hi], want, "copied bytes differ from host");
+    assert_eq!(&after[..lo], &before[..lo], "bytes before the copy moved");
+    assert_eq!(&after[hi..], &before[hi..], "bytes after the copy moved");
+}
+
+proptest! {
+    // Cheap cases (small pools), so run more of them than the default.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Within one pool: gather equals host `pack_into`, scatter equals
+    /// host `unpack` (gap bytes keep their sentinel), nothing else moves.
+    #[test]
+    fn pool_copies_match_host_pack(
+        t in arb_type(2),
+        count in 1u64..4,
+        seed in 0u64..500,
+        packed_first in any::<bool>(),
+    ) {
+        let layout = CompiledLayout::of(&t);
+        let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
+        let mut rng = Pcg32::seeded(seed);
+
+        // Gather.
+        let elements = random_bytes(&mut rng, fp);
+        let mut packed_want = vec![0u8; total as usize];
+        pack_into(&elements, &layout, count, &mut packed_want);
+        let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
+        pool.write(elems, &elements);
+        let before = image(&pool);
+        prop_assert_eq!(pool.gather(&layout, elems.addr, count, packed.addr), total);
+        assert_only_region_changed(&before, &image(&pool), packed, &packed_want);
+
+        // Scatter a fresh packed image into sentinel-filled elements.
+        let payload = random_bytes(&mut rng, total);
+        let mut elements_want = vec![SENTINEL; fp as usize];
+        unpack(&payload, &layout, count, &mut elements_want);
+        let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
+        pool.write(packed, &payload);
+        let before = image(&pool);
+        prop_assert_eq!(pool.scatter(packed.addr, &layout, elems.addr, count), total);
+        assert_only_region_changed(&before, &image(&pool), elems, &elements_want);
+    }
+
+    /// Across two pools: `gather_into` another pool's region and
+    /// `scatter_from` it back agree with host pack/unpack byte for byte.
+    #[test]
+    fn cross_pool_copies_match_host_pack(
+        t in arb_type(2),
+        count in 1u64..4,
+        seed in 0u64..500,
+    ) {
+        let layout = CompiledLayout::of(&t);
+        let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
+        let mut rng = Pcg32::seeded(seed);
+
+        let elements = random_bytes(&mut rng, fp);
+        let mut packed_want = vec![0u8; total as usize];
+        pack_into(&elements, &layout, count, &mut packed_want);
+        let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
+        let (mut host, _, staged) = pool_with_regions(0, total, false);
+        dev.write(elems, &elements);
+        let (dev_before, host_before) = (image(&dev), image(&host));
+        let n = dev.gather_into(&layout, elems.addr, count, host.bytes_mut(staged));
+        prop_assert_eq!(n, total);
+        prop_assert_eq!(image(&dev), dev_before);
+        assert_only_region_changed(&host_before, &image(&host), staged, &packed_want);
+
+        let payload = random_bytes(&mut rng, total);
+        let mut elements_want = vec![SENTINEL; fp as usize];
+        unpack(&payload, &layout, count, &mut elements_want);
+        let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
+        host.write(staged, &payload);
+        let before = image(&dev);
+        let n = dev.scatter_from(host.read(staged), &layout, elems.addr, count);
+        prop_assert_eq!(n, total);
+        assert_only_region_changed(&before, &image(&dev), elems, &elements_want);
+    }
+
+    /// Timing-only pools count bytes in O(1) and write nothing.
+    #[test]
+    fn model_only_copies_count_without_writing(t in arb_type(2), count in 1u64..4) {
+        let layout = CompiledLayout::of(&t);
+        let total = layout.total_bytes(count);
+        let mut pool = MemPool::new(1 << 40, DataMode::ModelOnly);
+        let elems = pool.alloc(layout.footprint(count), 64);
+        let packed = pool.alloc(total, 64);
+        prop_assert_eq!(pool.gather(&layout, elems.addr, count, packed.addr), total);
+        prop_assert_eq!(pool.scatter(packed.addr, &layout, elems.addr, count), total);
+        let mut out = vec![SENTINEL; total as usize];
+        prop_assert_eq!(pool.gather_into(&layout, elems.addr, count, &mut out), total);
+        prop_assert!(out.iter().all(|&b| b == SENTINEL), "ModelOnly gather wrote bytes");
+        prop_assert_eq!(pool.scatter_from(&out, &layout, elems.addr, count), total);
+        prop_assert!(pool.read(elems).is_empty());
+    }
+}

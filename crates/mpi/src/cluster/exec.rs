@@ -218,7 +218,6 @@ impl Cluster {
         pack: bool,
         blocking: bool,
     ) {
-        use super::CopyTier;
         use fusedpack_gpu::SegmentStats;
         let (layout, src_ptr, dst_ptr) = {
             let rank = &mut self.ranks[r];
@@ -229,37 +228,13 @@ impl Cluster {
         // Data movement within device memory, dispatched on the copy plan
         // the layout compiler classified at commit time.
         if pack {
-            match super::copy_tier_for(&layout, src_ptr.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    self.gpus[r]
-                        .mem
-                        .copy_within(src_ptr.addr, dst_ptr.addr, bytes);
-                }
-                CopyTier::Runs(plan) => {
-                    self.gpus[r].mem.gather_uniform(plan, dst_ptr.addr);
-                }
-                CopyTier::Generic => {
-                    self.gpus[r]
-                        .mem
-                        .gather_iter(layout.abs_segments(src_ptr.addr, count), dst_ptr.addr);
-                }
-            }
+            self.gpus[r]
+                .mem
+                .gather(&layout, src_ptr.addr, count, dst_ptr.addr);
         } else {
-            match super::copy_tier_for(&layout, dst_ptr.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    self.gpus[r]
-                        .mem
-                        .copy_within(src_ptr.addr, dst_ptr.addr, bytes);
-                }
-                CopyTier::Runs(plan) => {
-                    self.gpus[r].mem.scatter_uniform(src_ptr.addr, plan);
-                }
-                CopyTier::Generic => {
-                    self.gpus[r]
-                        .mem
-                        .scatter_iter(src_ptr.addr, layout.abs_segments(dst_ptr.addr, count));
-                }
-            }
+            self.gpus[r]
+                .mem
+                .scatter(src_ptr.addr, &layout, dst_ptr.addr, count);
         }
         if blocking {
             // MPI_Pack/MPI_Unpack: the library parses the datatype and

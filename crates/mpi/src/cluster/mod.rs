@@ -21,7 +21,7 @@ use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Uid};
-use fusedpack_gpu::{BufferPool, DataMode, FixedRuns, Gpu, MemPool};
+use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
 use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
@@ -46,40 +46,6 @@ pub(crate) use shardrun::PendingTransmit;
 /// timing wheel's (time, key) pop order — and therefore the entire run —
 /// is byte-identical whether one queue or many drain it.
 pub(crate) const KEY_RANK_SHIFT: u32 = 42;
-
-/// The copy tier the cluster's data planes dispatch on, resolved from the
-/// layout's compile-time [`fusedpack_datatype::CopyPlan`] by
-/// [`copy_tier_for`]. `Contiguous` is one flat memcpy; `Runs` carries the
-/// fixed-stride plan anchored at the absolute base address (the GPU
-/// dispatch internally picks const-generic widths for small runs and the
-/// chunked block-uniform loop for large ones); `Generic` walks segments.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CopyTier {
-    Contiguous { bytes: u64 },
-    Runs(FixedRuns),
-    Generic,
-}
-
-/// Resolve the copy tier for `(layout, base, count)` from the plan the
-/// layout compiler classified at commit time — no per-call-site
-/// re-detection.
-pub(crate) fn copy_tier_for(
-    layout: &fusedpack_datatype::Layout,
-    base: u64,
-    count: u64,
-) -> CopyTier {
-    use fusedpack_datatype::CopyPlan;
-    match layout.plan_for(count) {
-        CopyPlan::Memcpy { bytes } => CopyTier::Contiguous { bytes },
-        CopyPlan::BlockUniform(p) | CopyPlan::FixedRuns(p) => CopyTier::Runs(FixedRuns {
-            first: base + p.first,
-            stride: p.stride,
-            len: p.len,
-            runs: p.runs,
-        }),
-        CopyPlan::Generic => CopyTier::Generic,
-    }
-}
 
 /// Rendezvous sub-protocol for large messages (§IV-B1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

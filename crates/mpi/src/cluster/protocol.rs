@@ -6,7 +6,7 @@ use super::{Cluster, Event, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
-use fusedpack_gpu::MemPool;
+use fusedpack_gpu::DataMode;
 use fusedpack_net::rdma::CTRL_BYTES;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
@@ -681,17 +681,14 @@ impl Cluster {
         }
     }
 
-    /// Apply a pack's data movement: gather the user buffer's segments into
-    /// the staging buffer. The gather plan streams straight off the layout
-    /// (`abs_segments`), never materialising a segment `Vec`.
+    /// Apply a pack's data movement: gather the user buffer into the
+    /// staging buffer through the layout's copy plan (a byte count only,
+    /// in timing-only runs).
     pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
-        let (layout, base, count, staging) = {
-            let s = &self.ranks[r].sends[sid.0];
-            (s.layout.clone(), s.user_buf.addr, s.count, s.staging)
-        };
-        let (dst, dst_off) = match staging {
-            StagingLoc::Gpu(p) => (&mut self.staging_mems[r], p.addr),
-            StagingLoc::Host(p) => (&mut self.host_mems[r], p.addr),
+        let s = &self.ranks[r].sends[sid.0];
+        let out = match s.staging {
+            StagingLoc::Gpu(p) => self.staging_mems[r].bytes_mut(p),
+            StagingLoc::Host(p) => self.host_mems[r].bytes_mut(p),
             StagingLoc::UserGpu(_) => return, // contiguous: nothing to move
             StagingLoc::None => {
                 // Unreachable by construction (begin_pack assigns staging
@@ -702,34 +699,18 @@ impl Cluster {
                 return;
             }
         };
-        match super::copy_tier_for(&layout, base, count) {
-            super::CopyTier::Contiguous { bytes } => {
-                MemPool::copy_between(&self.gpus[r].mem, base, dst, dst_off, bytes);
-            }
-            super::CopyTier::Runs(plan) => {
-                MemPool::gather_between_uniform(&self.gpus[r].mem, plan, dst, dst_off);
-            }
-            super::CopyTier::Generic => {
-                MemPool::gather_between_iter(
-                    &self.gpus[r].mem,
-                    layout.abs_segments(base, count),
-                    dst,
-                    dst_off,
-                );
-            }
-        }
+        self.gpus[r]
+            .mem
+            .gather_into(&s.layout, s.user_buf.addr, s.count, out);
     }
 
     /// Apply an unpack's data movement: scatter staging into the user
     /// buffer.
     pub(crate) fn apply_unpack_movement(&mut self, r: usize, rid: RecvId) {
-        let (layout, base, count, staging) = {
-            let op = &self.ranks[r].recvs[rid.0];
-            (op.layout.clone(), op.user_buf.addr, op.count, op.staging)
-        };
-        let (src, src_off) = match staging {
-            StagingLoc::Gpu(p) => (&self.staging_mems[r], p.addr),
-            StagingLoc::Host(p) => (&self.host_mems[r], p.addr),
+        let op = &self.ranks[r].recvs[rid.0];
+        let data = match op.staging {
+            StagingLoc::Gpu(p) => self.staging_mems[r].read(p),
+            StagingLoc::Host(p) => self.host_mems[r].read(p),
             StagingLoc::UserGpu(_) => return, // contiguous: payload landed in place
             StagingLoc::None => {
                 debug_assert!(false, "unpack movement without staging");
@@ -737,21 +718,32 @@ impl Cluster {
                 return;
             }
         };
-        match super::copy_tier_for(&layout, base, count) {
-            super::CopyTier::Contiguous { bytes } => {
-                MemPool::copy_between(src, src_off, &mut self.gpus[r].mem, base, bytes);
-            }
-            super::CopyTier::Runs(plan) => {
-                MemPool::scatter_between_uniform(src, src_off, &mut self.gpus[r].mem, plan);
-            }
-            super::CopyTier::Generic => {
-                MemPool::scatter_between_iter(
-                    src,
-                    src_off,
-                    &mut self.gpus[r].mem,
-                    layout.abs_segments(base, count),
-                );
-            }
+        self.gpus[r]
+            .mem
+            .scatter_from(data, &op.layout, op.user_buf.addr, op.count);
+    }
+
+    /// Apply a DirectIPC receive's data movement: gather the peer GPU's
+    /// buffer at `origin` into a pooled bounce buffer and scatter it into
+    /// the local user buffer. The sender's layout is taken to equal the
+    /// receiver's committed layout — valid for MPI's matched-signature
+    /// transfers; a full implementation would ship the sender's
+    /// cached-layout handle in the RTS, as [24] does for its IPC cache
+    /// exchange. Timing-only runs move nothing and take no buffer.
+    pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {
+        if self.data_mode == DataMode::ModelOnly {
+            return;
         }
+        let op = &self.ranks[r].recvs[rid.0];
+        let len = op.layout.total_bytes(op.count) as usize;
+        let mut packed = self.buf_pool.take(len);
+        packed.resize(len, 0);
+        self.gpus[src]
+            .mem
+            .gather_into(&op.layout, origin, op.count, &mut packed);
+        self.gpus[r]
+            .mem
+            .scatter_from(&packed, &op.layout, op.user_buf.addr, op.count);
+        self.buf_pool.put(packed);
     }
 }

@@ -278,50 +278,7 @@ impl FusionEngine {
         cx.charge(lookup_cost(), Bucket::Sync);
         // Apply the data movement now (visible at the completion event):
         // gather from the peer GPU, scatter into the local user buffer.
-        // The sender's layout is taken to equal the receiver's committed
-        // layout — valid for MPI's matched-signature transfers; a full
-        // implementation would ship the sender's cached-layout handle in
-        // the RTS, as [24] does for its IPC cache exchange.
-        {
-            let (layout, count, user_buf) = {
-                let op = &cx.cl.ranks[r].recvs[rid.0];
-                (op.layout.clone(), op.count, op.user_buf)
-            };
-            use crate::cluster::{copy_tier_for, CopyTier};
-            let mut packed = cx.cl.buf_pool.take(layout.total_bytes(count) as usize);
-            match copy_tier_for(&layout, origin, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into([(origin, bytes)], &mut packed);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[src].mem.gather_into_uniform(plan, &mut packed);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into(layout.abs_segments(origin, count), &mut packed);
-                }
-            }
-            match copy_tier_for(&layout, user_buf.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[r]
-                        .mem
-                        .scatter_from_slice_iter(&packed, [(user_buf.addr, bytes)]);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_uniform(&packed, plan);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_iter(
-                        &packed,
-                        layout.abs_segments(user_buf.addr, count),
-                    );
-                }
-            }
-            cx.cl.buf_pool.put(packed);
-        }
+        cx.cl.apply_ipc_movement(r, rid, src, origin);
         match self.enqueue_ipc(cx, rid.0, origin) {
             Ok(uid) => {
                 cx.recv_mut(rid).fusion_uid = Some(uid);
@@ -361,54 +318,10 @@ impl FusionEngine {
     fn ipc_staged_fallback(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         let r = cx.r;
         cx.charge(lookup_cost(), Bucket::Sync);
-        let (layout, count, user_buf, bytes, blocks) = {
-            let op = &cx.cl.ranks[r].recvs[rid.0];
-            (
-                op.layout.clone(),
-                op.count,
-                op.user_buf,
-                op.packed_bytes,
-                op.blocks,
-            )
-        };
+        let (bytes, blocks) = cx.recv_meta(rid);
         // Data movement, visible at completion: same gather/scatter as the
         // zero-copy path, via the staged bounce buffer.
-        {
-            use crate::cluster::{copy_tier_for, CopyTier};
-            let mut packed = cx.cl.buf_pool.take(layout.total_bytes(count) as usize);
-            match copy_tier_for(&layout, origin, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into([(origin, bytes)], &mut packed);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[src].mem.gather_into_uniform(plan, &mut packed);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[src]
-                        .mem
-                        .gather_into(layout.abs_segments(origin, count), &mut packed);
-                }
-            }
-            match copy_tier_for(&layout, user_buf.addr, count) {
-                CopyTier::Contiguous { bytes } => {
-                    cx.cl.gpus[r]
-                        .mem
-                        .scatter_from_slice_iter(&packed, [(user_buf.addr, bytes)]);
-                }
-                CopyTier::Runs(plan) => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_uniform(&packed, plan);
-                }
-                CopyTier::Generic => {
-                    cx.cl.gpus[r].mem.scatter_from_slice_iter(
-                        &packed,
-                        layout.abs_segments(user_buf.addr, count),
-                    );
-                }
-            }
-            cx.cl.buf_pool.put(packed);
-        }
+        cx.cl.apply_ipc_movement(r, rid, src, origin);
         // Timing: the bounce rides the intra-node link, then a synchronous
         // scatter kernel lands it in the user buffer.
         let at = cx.cl.ranks[r].cpu;
