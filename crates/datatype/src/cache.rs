@@ -19,11 +19,23 @@
 //!   is pinned and never evicted.
 //! * **Handles survive eviction** — the commit→handle binding is
 //!   permanent, like an `MPI_Datatype`. Eviction drops only the compiled
-//!   artifact; a later `acquire` recompiles from the retained descriptor
-//!   and re-inserts (counted as a miss).
+//!   artifact; a later `acquire` (or a re-commit of the same type)
+//!   fetches it again under the same handle and re-inserts it (counted as
+//!   a miss).
+//! * **Keys are checked** — the structural hash only picks a bucket; a hit
+//!   also requires the committed descriptor to equal the stored one, so two
+//!   colliding descriptors never share a handle or a layout.
 //! * **Telemetry** — per-shard hit/miss/eviction counters plus resident
 //!   bytes and high-water marks, surfaced as [`LayoutCacheStats`] in
 //!   `RunReport` and as `Payload::LayoutCacheHealth` instants.
+//!
+//! Everything above is the *modelled* cache and stays per rank. The host
+//! work behind a miss is not: every [`LayoutCache`] fetches its layouts
+//! from a [`LayoutTable`], which a cluster shares across all its ranks, so
+//! each distinct descriptor is compiled once per cluster however many
+//! ranks commit it. A rank gets its own copy of the table's layout, never
+//! the table's `Arc`: pinning counts `Arc` references, and a shared `Arc`
+//! would pin a layout in every rank's cache at once.
 //!
 //! The cache also carries the *cost model* for layout processing: schemes
 //! that cache layouts (CPU-GPU-Hybrid, the proposed fusion design) pay the
@@ -38,21 +50,11 @@ use fusedpack_sim::Duration;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Handle to a committed datatype (the engine's `MPI_Datatype`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeHandle(pub u64);
-
-/// Legacy aggregate counters (commit/lookup granularity), kept for the
-/// pre-shard API. [`LayoutCacheStats`] is the full per-shard view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub commits: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub lookups: u64,
-}
 
 /// Per-shard cache health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,10 +187,66 @@ impl Default for LayoutCacheConfig {
     }
 }
 
+/// A thread-safe table of compiled layouts, shared by every
+/// [`LayoutCache`] of one cluster: the host-side compile-once store
+/// behind the per-rank modelled caches. It never evicts and keeps no
+/// model state, so sharing it changes no handle, counter or cost.
+#[derive(Debug, Default)]
+pub struct LayoutTable {
+    inner: Mutex<TableInner>,
+}
+
+#[derive(Debug, Default)]
+struct TableInner {
+    /// structural key → every distinct descriptor seen under that key
+    /// (more than one only on a hash collision) with its layout.
+    entries: HashMap<u64, Vec<(TypeDesc, Arc<CompiledLayout>)>>,
+    compiles: u64,
+}
+
+impl LayoutTable {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A private copy of `desc`'s compiled layout (`key` is its structural
+    /// key). The first request for a descriptor compiles it under the
+    /// lock, so concurrent ranks never compile the same type twice; later
+    /// requests copy the stored layout.
+    fn layout_of(&self, key: u64, desc: &TypeDesc) -> CompiledLayout {
+        let stored = {
+            let mut inner = self
+                .inner
+                .lock()
+                .expect("layout table poisoned: a compile panicked");
+            let TableInner { entries, compiles } = &mut *inner;
+            let chain = entries.entry(key).or_default();
+            match chain.iter().find(|(d, _)| d == desc) {
+                Some((_, layout)) => Arc::clone(layout),
+                None => {
+                    *compiles += 1;
+                    let layout = Arc::new(CompiledLayout::of(desc));
+                    chain.push((desc.clone(), Arc::clone(&layout)));
+                    layout
+                }
+            }
+        };
+        (*stored).clone()
+    }
+
+    /// Calls to [`CompiledLayout::of`] this table has made: one per
+    /// distinct descriptor, however many caches committed it.
+    pub fn compiles(&self) -> u64 {
+        self.inner
+            .lock()
+            .expect("layout table poisoned: a compile panicked")
+            .compiles
+    }
+}
+
 /// One resident compiled layout.
 #[derive(Debug)]
 struct CachedEntry {
-    handle: TypeHandle,
     layout: Arc<CompiledLayout>,
     /// LRU tick of the most recent touch (globally unique, so eviction
     /// order is total and deterministic).
@@ -197,15 +255,15 @@ struct CachedEntry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// structural hash → resident entry.
-    entries: HashMap<u64, CachedEntry>,
+    /// Resident entries by handle.
+    entries: HashMap<TypeHandle, CachedEntry>,
     stats: LayoutShardStats,
 }
 
 /// The commit→handle binding, permanent like an `MPI_Datatype`. Keeps the
-/// (cheap, `Arc`-shared) descriptor so an evicted layout can be recompiled
-/// on demand.
-#[derive(Debug, Clone)]
+/// (cheap, `Arc`-shared) descriptor so an evicted layout can be fetched
+/// again on demand.
+#[derive(Debug)]
 struct HandleInfo {
     shard: usize,
     key: u64,
@@ -218,12 +276,14 @@ pub struct LayoutCache {
     shards: Vec<Shard>,
     shard_mask: u64,
     shard_capacity: usize,
-    by_handle: HashMap<u64, HandleInfo>,
+    by_handle: HashMap<TypeHandle, HandleInfo>,
+    /// structural key → handles committed under it (more than one only on
+    /// a hash collision).
+    by_key: HashMap<u64, Vec<TypeHandle>>,
+    table: Arc<LayoutTable>,
     next: u64,
     tick: u64,
     commits: u64,
-    commit_hits: u64,
-    commit_misses: u64,
     lookups: u64,
 }
 
@@ -238,23 +298,36 @@ impl LayoutCache {
         Self::default()
     }
 
+    /// A cache with its own private [`LayoutTable`].
     pub fn with_config(config: LayoutCacheConfig) -> Self {
+        Self::with_table(config, Arc::default())
+    }
+
+    /// A cache that fetches compiled layouts from `table`, which other
+    /// caches may share.
+    pub fn with_table(config: LayoutCacheConfig, table: Arc<LayoutTable>) -> Self {
         let shards = config.shards.max(1).next_power_of_two();
         LayoutCache {
             shards: (0..shards).map(|_| Shard::default()).collect(),
             shard_mask: shards as u64 - 1,
             shard_capacity: config.shard_capacity.max(1),
             by_handle: HashMap::new(),
+            by_key: HashMap::new(),
+            table,
             next: 0,
             tick: 0,
             commits: 0,
-            commit_hits: 0,
-            commit_misses: 0,
             lookups: 0,
         }
     }
 
     fn structural_key(desc: &TypeDesc) -> u64 {
+        #[cfg(test)]
+        {
+            if let Some(key) = tests::FORCED_KEY.with(std::cell::Cell::get) {
+                return key;
+            }
+        }
         let mut hasher = DefaultHasher::new();
         desc.hash(&mut hasher);
         hasher.finish()
@@ -270,38 +343,61 @@ impl LayoutCache {
     pub fn commit(&mut self, desc: &TypeDesc) -> (TypeHandle, Duration) {
         self.commits += 1;
         let key = Self::structural_key(desc);
-        let shard_idx = (key & self.shard_mask) as usize;
         let tick = self.touch_tick();
-        let hit = {
-            let shard = &mut self.shards[shard_idx];
-            match shard.entries.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_use = tick;
-                    shard.stats.hits += 1;
-                    Some(entry.handle)
-                }
-                None => None,
+        let known = self.by_key.get(&key).and_then(|handles| {
+            handles
+                .iter()
+                .copied()
+                .find(|h| self.by_handle[h].desc == *desc)
+        });
+        let handle = match known {
+            Some(handle) => handle,
+            None => {
+                let handle = TypeHandle(self.next);
+                self.next += 1;
+                self.by_handle.insert(
+                    handle,
+                    HandleInfo {
+                        shard: (key & self.shard_mask) as usize,
+                        key,
+                        desc: desc.clone(),
+                    },
+                );
+                self.by_key.entry(key).or_default().push(handle);
+                handle
             }
         };
-        if let Some(handle) = hit {
-            self.commit_hits += 1;
+        if self.touch_resident(handle, tick).is_some() {
             return (handle, lookup_cost());
         }
-        self.commit_misses += 1;
-        let layout = Arc::new(CompiledLayout::of(desc));
-        let cost = flatten_cost(layout.num_blocks());
-        let handle = TypeHandle(self.next);
-        self.next += 1;
-        self.by_handle.insert(
-            handle.0,
-            HandleInfo {
-                shard: shard_idx,
-                key,
-                desc: desc.clone(),
-            },
-        );
-        self.insert(shard_idx, key, handle, layout, tick);
-        (handle, cost)
+        let layout = self.fetch(handle, tick);
+        (handle, flatten_cost(layout.num_blocks()))
+    }
+
+    /// Hit path: bump a resident entry's LRU tick and its shard's hit
+    /// counter. `None` if the handle's layout is not resident.
+    ///
+    /// Panics on a handle this cache never issued.
+    fn touch_resident(&mut self, handle: TypeHandle, tick: u64) -> Option<Arc<CompiledLayout>> {
+        let info = self
+            .by_handle
+            .get(&handle)
+            .unwrap_or_else(|| panic!("uncommitted datatype {handle:?}"));
+        let shard = &mut self.shards[info.shard];
+        let entry = shard.entries.get_mut(&handle)?;
+        entry.last_use = tick;
+        shard.stats.hits += 1;
+        Some(Arc::clone(&entry.layout))
+    }
+
+    /// Miss path: fetch the layout from the table and make it resident
+    /// under `handle`.
+    fn fetch(&mut self, handle: TypeHandle, tick: u64) -> Arc<CompiledLayout> {
+        let info = &self.by_handle[&handle];
+        let shard_idx = info.shard;
+        let layout = Arc::new(self.table.layout_of(info.key, &info.desc));
+        self.insert(shard_idx, handle, Arc::clone(&layout), tick);
+        layout
     }
 
     /// Insert a compiled layout into its shard, counting the miss,
@@ -309,7 +405,6 @@ impl LayoutCache {
     fn insert(
         &mut self,
         shard_idx: usize,
-        key: u64,
         handle: TypeHandle,
         layout: Arc<CompiledLayout>,
         tick: u64,
@@ -318,9 +413,8 @@ impl LayoutCache {
         let shard = &mut self.shards[shard_idx];
         let bytes = layout.resident_bytes();
         shard.entries.insert(
-            key,
+            handle,
             CachedEntry {
-                handle,
                 layout,
                 last_use: tick,
             },
@@ -337,12 +431,12 @@ impl LayoutCache {
             let victim = shard
                 .entries
                 .iter()
-                .filter(|(k, e)| **k != key && Arc::strong_count(&e.layout) == 1)
+                .filter(|(h, e)| **h != handle && Arc::strong_count(&e.layout) == 1)
                 .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
+                .map(|(h, _)| *h);
             match victim {
-                Some(vkey) => {
-                    let evicted = shard.entries.remove(&vkey).expect("victim present");
+                Some(vh) => {
+                    let evicted = shard.entries.remove(&vh).expect("victim present");
                     shard.stats.evictions += 1;
                     shard.stats.resident_entries -= 1;
                     shard.stats.resident_bytes -= evicted.layout.resident_bytes();
@@ -357,32 +451,15 @@ impl LayoutCache {
     /// Resolve a handle to its compiled layout: the cost-free per-message
     /// path (schemes charge `lookup_cost` separately where the paper's
     /// model says so). Counts a shard hit; if the entry was evicted,
-    /// recompiles from the retained descriptor and counts a miss.
+    /// fetches it again for the retained descriptor and counts a miss.
     ///
     /// Panics on a handle this cache never issued.
     pub fn acquire(&mut self, handle: TypeHandle) -> Arc<CompiledLayout> {
-        // Only the Copy fields here: cloning the retained descriptor on
-        // the per-message hit path would deep-copy its block tables.
-        let info = self
-            .by_handle
-            .get(&handle.0)
-            .unwrap_or_else(|| panic!("uncommitted datatype {handle:?}"));
-        let (shard_idx, key) = (info.shard, info.key);
         let tick = self.touch_tick();
-        {
-            let shard = &mut self.shards[shard_idx];
-            if let Some(entry) = shard.entries.get_mut(&key) {
-                entry.last_use = tick;
-                shard.stats.hits += 1;
-                return Arc::clone(&entry.layout);
-            }
+        match self.touch_resident(handle, tick) {
+            Some(layout) => layout,
+            None => self.fetch(handle, tick),
         }
-        // Evicted: recompile from the retained descriptor and re-insert
-        // under the original handle (the only path that pays the clone).
-        let desc = self.by_handle[&handle.0].desc.clone();
-        let layout = Arc::new(CompiledLayout::of(&desc));
-        self.insert(shard_idx, key, handle, Arc::clone(&layout), tick);
-        layout
     }
 
     /// Look up a committed layout. Returns the layout and the lookup cost.
@@ -394,21 +471,11 @@ impl LayoutCache {
     /// Peek without charging a lookup or touching LRU state (for
     /// assertions/tests). `None` for unknown *or evicted* handles.
     pub fn peek(&self, handle: TypeHandle) -> Option<&Arc<CompiledLayout>> {
-        let info = self.by_handle.get(&handle.0)?;
+        let info = self.by_handle.get(&handle)?;
         self.shards[info.shard]
             .entries
-            .get(&info.key)
+            .get(&handle)
             .map(|e| &e.layout)
-    }
-
-    /// Legacy commit/lookup-granularity counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            commits: self.commits,
-            hits: self.commit_hits,
-            misses: self.commit_misses,
-            lookups: self.lookups,
-        }
     }
 
     /// Full per-shard health snapshot.
@@ -434,6 +501,13 @@ impl LayoutCache {
 mod tests {
     use super::*;
     use crate::builder::TypeBuilder;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Replaces every structural key computed on this thread, so a
+        /// test can force a hash collision.
+        pub(super) static FORCED_KEY: Cell<Option<u64>> = const { Cell::new(None) };
+    }
 
     #[test]
     fn identical_types_share_an_entry() {
@@ -445,8 +519,8 @@ mod tests {
         assert_eq!(ha, hb);
         assert!(cost_b < cost_a, "second commit is a cache hit");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.layout_stats().hits(), 1);
+        assert_eq!(cache.layout_stats().misses(), 1);
     }
 
     #[test]
@@ -459,6 +533,29 @@ mod tests {
     }
 
     #[test]
+    fn colliding_keys_keep_descriptors_apart() {
+        FORCED_KEY.with(|k| k.set(Some(7)));
+        let table = Arc::new(LayoutTable::new());
+        let mut a = LayoutCache::with_table(LayoutCacheConfig::default(), Arc::clone(&table));
+        let mut b = LayoutCache::with_table(LayoutCacheConfig::default(), Arc::clone(&table));
+        let (t0, t1) = (distinct_type(0), distinct_type(1));
+        // Cache `a` sees both descriptors under one key: its own lookup
+        // must not hand t1 the handle of t0.
+        let (h0, _) = a.commit(&t0);
+        let (h1, _) = a.commit(&t1);
+        assert_ne!(h0, h1);
+        assert_eq!(*a.acquire(h0), CompiledLayout::of(&t0));
+        assert_eq!(*a.acquire(h1), CompiledLayout::of(&t1));
+        assert_eq!(a.layout_stats().misses(), 2);
+        // Cache `b` commits only t1: the table holds t0 first under the
+        // same key and must still answer with t1's layout.
+        let (g1, _) = b.commit(&t1);
+        assert_eq!(*b.acquire(g1), CompiledLayout::of(&t1));
+        assert_eq!(table.compiles(), 2);
+        FORCED_KEY.with(|k| k.set(None));
+    }
+
+    #[test]
     fn get_returns_committed_layout() {
         let mut cache = LayoutCache::new();
         let t = TypeBuilder::indexed(&[(0, 2), (5, 3)], TypeBuilder::int());
@@ -466,7 +563,7 @@ mod tests {
         let (layout, cost) = cache.get(h);
         assert_eq!(layout.num_blocks(), 2);
         assert_eq!(cost, lookup_cost());
-        assert_eq!(cache.stats().lookups, 1);
+        assert_eq!(cache.layout_stats().lookups, 1);
     }
 
     #[test]
@@ -521,6 +618,19 @@ mod tests {
         assert!(cache.peek(h0).is_some(), "recompile re-inserts");
         // The recompile shows up as a second miss for that shard.
         assert_eq!(cache.layout_stats().misses(), 4);
+    }
+
+    #[test]
+    fn recommit_after_eviction_keeps_the_handle() {
+        let mut cache = tiny_cache();
+        let (h0, _) = cache.commit(&distinct_type(0));
+        cache.commit(&distinct_type(1));
+        cache.commit(&distinct_type(2));
+        assert!(cache.peek(h0).is_none(), "h0 was evicted");
+        let (again, cost) = cache.commit(&distinct_type(0));
+        assert_eq!(again, h0);
+        assert!(cost > lookup_cost(), "re-commit of an evicted type misses");
+        assert!(cache.peek(h0).is_some());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod typedesc;
 
 pub use builder::TypeBuilder;
 pub use cache::{
-    CacheStats, LayoutCache, LayoutCacheConfig, LayoutCacheStats, LayoutShardStats, TypeHandle,
+    LayoutCache, LayoutCacheConfig, LayoutCacheStats, LayoutShardStats, LayoutTable, TypeHandle,
 };
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};

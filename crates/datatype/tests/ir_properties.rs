@@ -8,16 +8,18 @@
 //! segment lists and on the packed images every copy tier produces.
 //!
 //! Also here: the LRU pinning law — the sharded cache must never evict a
-//! compiled layout while an in-flight request still holds its `Arc`.
+//! compiled layout while an in-flight request still holds its `Arc` — and
+//! the law that sharing one layout table between caches changes nothing
+//! they model.
 
 mod common;
 
 use common::arb_type;
-use fusedpack_datatype::cache::{LayoutCache, LayoutCacheConfig, TypeHandle};
+use fusedpack_datatype::cache::{LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
 use fusedpack_datatype::flatten::{flatten, flatten_reference};
 use fusedpack_datatype::ir::LayoutIr;
 use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
-use fusedpack_datatype::{CompiledLayout, TypeBuilder};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,5 +116,83 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Sharing is invisible to the model: caches on one shared table and
+    /// caches on private tables, driven through the same commits,
+    /// acquires and pin drops (capacity 2 per shard, so eviction fires),
+    /// return the same handles, costs and layouts and report identical
+    /// stats. No cache ever holds another cache's `Arc`, so a pin in one
+    /// cannot block eviction in another. The shared table compiles each
+    /// distinct descriptor exactly once.
+    #[test]
+    fn shared_table_is_invisible_to_the_model(
+        types in prop::collection::vec(arb_type(2), 1..6),
+        ops in prop::collection::vec((0u8..3, 0usize..3, 0usize..64), 1..80),
+    ) {
+        const K: usize = 3;
+        let config = LayoutCacheConfig { shards: 2, shard_capacity: 2 };
+        let table = Arc::new(LayoutTable::new());
+        let mut shared: Vec<LayoutCache> = (0..K)
+            .map(|_| LayoutCache::with_table(config, Arc::clone(&table)))
+            .collect();
+        let mut private: Vec<LayoutCache> =
+            (0..K).map(|_| LayoutCache::with_config(config)).collect();
+        // Per cache: (handle, type index) per commit, and the pins held on
+        // each side.
+        let mut committed: Vec<Vec<(TypeHandle, usize)>> = vec![Vec::new(); K];
+        type Pin = (TypeHandle, Arc<CompiledLayout>, Arc<CompiledLayout>);
+        let mut pins: Vec<Vec<Pin>> = (0..K).map(|_| Vec::new()).collect();
+        for (op, k, pick) in ops {
+            match op {
+                0 => {
+                    let t = pick % types.len();
+                    let (hs, cs) = shared[k].commit(&types[t]);
+                    let (hp, cp) = private[k].commit(&types[t]);
+                    prop_assert_eq!(hs, hp);
+                    prop_assert_eq!(cs, cp);
+                    committed[k].push((hs, t));
+                }
+                1 if !committed[k].is_empty() => {
+                    let (h, t) = committed[k][pick % committed[k].len()];
+                    let (ls, lp) = (shared[k].acquire(h), private[k].acquire(h));
+                    let want = CompiledLayout::of(&types[t]);
+                    prop_assert_eq!(&*ls, &want);
+                    prop_assert_eq!(&*lp, &want);
+                    pins[k].push((h, ls, lp));
+                }
+                2 if !pins[k].is_empty() => {
+                    let i = pick % pins[k].len();
+                    pins[k].swap_remove(i);
+                }
+                _ => {}
+            }
+            for c in 0..K {
+                prop_assert_eq!(shared[c].layout_stats(), private[c].layout_stats());
+                for (h, held, _) in &pins[c] {
+                    let resident = shared[c].peek(*h);
+                    prop_assert!(
+                        resident.is_some_and(|r| Arc::ptr_eq(r, held)),
+                        "pinned {h:?} left cache {c}"
+                    );
+                    for o in (0..K).filter(|&o| o != c) {
+                        for (oh, _) in &committed[o] {
+                            let theirs = shared[o].peek(*oh);
+                            prop_assert!(
+                                !theirs.is_some_and(|r| Arc::ptr_eq(r, held)),
+                                "cache {o} holds cache {c}'s pinned layout"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let mut distinct: Vec<&TypeDesc> = Vec::new();
+        for &(_, t) in committed.iter().flatten() {
+            if !distinct.contains(&&*types[t]) {
+                distinct.push(&types[t]);
+            }
+        }
+        prop_assert_eq!(table.compiles(), distinct.len() as u64);
     }
 }

@@ -42,9 +42,9 @@ impl Cluster {
                     let (_, cost) = rank.ddt_cache.get(handle);
                     rank.cpu += cost;
                     if rank.types.len() <= slot.0 {
-                        rank.types.resize(slot.0 + 1, handle);
+                        rank.types.resize(slot.0 + 1, None);
                     }
-                    rank.types[slot.0] = handle;
+                    rank.types[slot.0] = Some(handle);
                 }
                 AppOp::Irecv {
                     buf,
@@ -132,7 +132,7 @@ impl Cluster {
         let rid = {
             let rank = &mut self.ranks[r];
             rank.cpu += self.platform.mpi_call;
-            let layout = rank.ddt_cache.acquire(rank.types[ty.0]);
+            let layout = rank.layout(ty);
             let packed_bytes = layout.total_bytes(count);
             let blocks = layout.total_blocks(count);
             let rid = RecvId(rank.recvs.len());
@@ -177,7 +177,7 @@ impl Cluster {
         let sid = {
             let rank = &mut self.ranks[r];
             rank.cpu += self.platform.mpi_call;
-            let layout = rank.ddt_cache.acquire(rank.types[ty.0]);
+            let layout = rank.layout(ty);
             let packed_bytes = layout.total_bytes(count);
             let blocks = layout.total_blocks(count);
             let sid = SendId(rank.sends.len());
@@ -221,7 +221,7 @@ impl Cluster {
         use fusedpack_gpu::SegmentStats;
         let (layout, src_ptr, dst_ptr) = {
             let rank = &mut self.ranks[r];
-            let layout = rank.ddt_cache.acquire(rank.types[ty.0]);
+            let layout = rank.layout(ty);
             (layout, rank.bufs[src.0], rank.bufs[dst.0])
         };
         let stats = SegmentStats::new(layout.total_bytes(count), layout.total_blocks(count));

@@ -21,6 +21,7 @@ use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Uid};
+use fusedpack_datatype::LayoutTable;
 use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
@@ -226,6 +227,10 @@ impl ClusterBuilder {
         // Each rank occupies the next GPU slot on its node, in add order.
         let mut endpoints = Vec::new();
         let mut node_slots: HashMap<u32, u32> = HashMap::new();
+        // One compile-once table for the whole cluster: ranks committing
+        // the same descriptor share its host compile, while each rank's
+        // cache keeps its own modelled state.
+        let layout_table = Arc::new(LayoutTable::new());
 
         for (idx, (node, program)) in self.ranks.into_iter().enumerate() {
             let slot = node_slots.entry(node).or_insert(0);
@@ -241,7 +246,8 @@ impl ClusterBuilder {
             if !self.gdrcopy {
                 gpu.gdr = fusedpack_gpu::GdrWindow::unavailable();
             }
-            let mut rank = RankState::new(RankId(idx as u32), node, program);
+            let mut rank =
+                RankState::new(RankId(idx as u32), node, program, Arc::clone(&layout_table));
             // Allocate and initialize declared buffers.
             for decl in rank.program.buffers.clone() {
                 let ptr = gpu.mem.alloc(decl.len, 64);
@@ -344,6 +350,7 @@ impl ClusterBuilder {
             outboxes: Vec::new(),
             shard_stats: ShardStats::default(),
             absorbed_pool: fusedpack_gpu::PoolStats::default(),
+            layout_table,
         }
     }
 }
@@ -423,6 +430,8 @@ pub struct Cluster {
     /// Buffer-pool counters absorbed from shard-local pools at recompose,
     /// folded into [`Cluster::staging_pool_stats`].
     pub(crate) absorbed_pool: fusedpack_gpu::PoolStats,
+    /// The compile-once layout table every rank's cache shares.
+    pub(crate) layout_table: Arc<LayoutTable>,
 }
 
 /// Results of a completed run.
@@ -470,6 +479,11 @@ pub struct RunReport {
     /// these counters never perturb timing — they report how much flatten
     /// work the cache amortized.
     pub layout_cache: fusedpack_datatype::LayoutCacheStats,
+    /// Host compiles behind those caches: `CompiledLayout::of` calls made
+    /// by the cluster's shared layout table, one per distinct committed
+    /// descriptor. Unlike `layout_cache.misses()`, which the model counts
+    /// per rank, this is real host work; no report renders it.
+    pub layout_compiles: u64,
 }
 
 impl RunReport {
@@ -621,6 +635,7 @@ impl Cluster {
                 .unwrap_or_default(),
             shard: self.shard_stats,
             layout_cache,
+            layout_compiles: self.layout_table.compiles(),
         }
     }
 

@@ -4,14 +4,15 @@ use crate::breakdown::Breakdown;
 use crate::cluster::RankId;
 use crate::lifecycle::{RequeueLadder, Stage};
 use crate::message::WireMsg;
-use crate::program::Program;
+use crate::program::{Program, TypeSlot};
 use crate::sendrecv::{PackState, RecvOp, SendOp};
 use fusedpack_core::{Scheduler, Uid};
-use fusedpack_datatype::{LayoutCache, TypeHandle};
+use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
 use fusedpack_gpu::DevPtr;
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which operation a fusion UID belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,11 +60,14 @@ pub(crate) struct RankState {
     pub done: bool,
     /// Buffer id → device pointer in the rank's user pool.
     pub bufs: Vec<DevPtr>,
-    /// Type slot → committed cache handle. Each message resolves its
-    /// compiled layout through [`LayoutCache::acquire`] (cost-free, counts
-    /// a cache hit) and pins the `Arc` in its request for its lifetime, so
-    /// the LRU can never evict a layout still in flight.
-    pub types: Vec<TypeHandle>,
+    /// Type slot → committed cache handle (`None`: never committed). Each
+    /// message resolves its compiled layout through [`RankState::layout`]
+    /// (cost-free, counts a cache hit) and pins the `Arc` in its request
+    /// for its lifetime, so the LRU can never evict a layout still in
+    /// flight.
+    pub types: Vec<Option<TypeHandle>>,
+    /// This rank's modelled layout cache; its compiles go through the
+    /// cluster's shared [`LayoutTable`].
     pub ddt_cache: LayoutCache,
     pub sends: Vec<SendOp>,
     pub recvs: Vec<RecvOp>,
@@ -104,7 +108,7 @@ pub(crate) struct RankState {
 }
 
 impl RankState {
-    pub fn new(id: RankId, node: u32, program: Program) -> Self {
+    pub fn new(id: RankId, node: u32, program: Program, layouts: Arc<LayoutTable>) -> Self {
         RankState {
             id,
             node,
@@ -115,7 +119,7 @@ impl RankState {
             done: false,
             bufs: Vec::new(),
             types: Vec::new(),
-            ddt_cache: LayoutCache::new(),
+            ddt_cache: LayoutCache::with_table(LayoutCacheConfig::default(), layouts),
             sends: Vec::new(),
             recvs: Vec::new(),
             unexpected: Vec::new(),
@@ -134,6 +138,19 @@ impl RankState {
             wait_span: None,
             key_counter: 0,
         }
+    }
+
+    /// The compiled layout committed to `slot`, acquired for one message.
+    ///
+    /// Panics if the program never committed that slot.
+    pub fn layout(&mut self, slot: TypeSlot) -> Arc<CompiledLayout> {
+        let handle = self
+            .types
+            .get(slot.0)
+            .copied()
+            .flatten()
+            .unwrap_or_else(|| panic!("uncommitted type slot {} on rank {}", slot.0, self.id.0));
+        self.ddt_cache.acquire(handle)
     }
 
     /// Are all outstanding requests finished (Waitall condition)?

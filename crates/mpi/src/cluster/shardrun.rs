@@ -271,6 +271,7 @@ impl Cluster {
                     ..ShardStats::default()
                 },
                 absorbed_pool: fusedpack_gpu::PoolStats::default(),
+                layout_table: Arc::clone(&self.layout_table),
             });
         }
         out.reverse();

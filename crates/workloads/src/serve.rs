@@ -365,7 +365,7 @@ mod tests {
         let out = run_serve(&cfg);
         let lc = &out.layout_cache;
         // One commit-miss per rank, then every per-message acquire hits.
-        assert_eq!(lc.misses(), 2, "one compile per rank");
+        assert_eq!(lc.misses(), 2, "one modelled miss per rank");
         assert!(lc.hits() >= out.requests, "each message acquires");
         assert!(
             lc.hit_rate() >= 0.99,
