@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FusionConfig, FusionOp, Scheduler};
-use fusedpack_datatype::{pack, Layout, TypeBuilder};
+use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{fused, DataMode, DevPtr, GpuArch, HostLink, SegmentStats};
 use fusedpack_sim::{EventQueue, Time};
 use std::hint::black_box;
@@ -14,13 +14,13 @@ fn bench_flatten(c: &mut Criterion) {
     let blocks: Vec<(u64, u64)> = (0..4000u64).map(|i| (i * 3, 1)).collect();
     let ty = TypeBuilder::indexed(&blocks, TypeBuilder::float());
     c.bench_function("datatype/flatten_4000_blocks", |b| {
-        b.iter(|| Layout::of(black_box(&ty)))
+        b.iter(|| CompiledLayout::of(black_box(&ty)))
     });
 }
 
 fn bench_host_pack(c: &mut Criterion) {
     let ty = TypeBuilder::vector(256, 64, 96, TypeBuilder::double());
-    let layout = Layout::of(&ty);
+    let layout = CompiledLayout::of(&ty);
     let src = vec![7u8; layout.footprint(1) as usize];
     let mut dst = vec![0u8; layout.total_bytes(1) as usize];
     let mut g = c.benchmark_group("datatype/host_pack");
@@ -42,7 +42,7 @@ fn bench_fused_timing(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let layout = Arc::new(Layout::of(&TypeBuilder::vector(
+    let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
         16,
         8,
         12,

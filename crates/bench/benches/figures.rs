@@ -107,8 +107,9 @@ fn bench_extensions(c: &mut Criterion) {
     g.bench_function("ipc/direct_ipc_intra_node", |b| {
         b.iter(|| figs::ipc::intra_node_latency(SchemeKind::fusion_default(), &w, 16))
     });
+    let cfg = figs::RunConfig::default();
     g.bench_function("approaches/all_four", |b| {
-        b.iter(|| figs::approaches::measure(&w))
+        b.iter(|| figs::approaches::measure(&cfg, &w))
     });
     g.finish();
 }

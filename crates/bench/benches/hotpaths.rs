@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
-use fusedpack_datatype::{pack, Layout, TypeBuilder};
+use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::{run_exchange_chaos, specfem::specfem3d_oc, ExchangeConfig};
@@ -16,15 +16,15 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// (label, layout, element count) for the three pack/unpack shapes.
-fn shapes() -> Vec<(&'static str, Layout, u64)> {
+fn shapes() -> Vec<(&'static str, CompiledLayout, u64)> {
     // Sparse: 512 single-float blocks scattered with gaps.
     let sparse_blocks: Vec<(u64, u64)> = (0..512u64).map(|i| (i * 5, 1)).collect();
-    let sparse = Layout::of(&TypeBuilder::indexed(&sparse_blocks, TypeBuilder::float()));
+    let sparse = CompiledLayout::of(&TypeBuilder::indexed(&sparse_blocks, TypeBuilder::float()));
     // Dense: strided vector, 64-double blocks at a 96-double stride.
-    let dense = Layout::of(&TypeBuilder::vector(64, 64, 96, TypeBuilder::double()));
+    let dense = CompiledLayout::of(&TypeBuilder::vector(64, 64, 96, TypeBuilder::double()));
     // Contiguous: small unbroken elements, many of them — the shape where
     // the whole-buffer memcpy fast path replaces 1024 tiny copies.
-    let contig = Layout::of(&TypeBuilder::contiguous(16, TypeBuilder::double()));
+    let contig = CompiledLayout::of(&TypeBuilder::contiguous(16, TypeBuilder::double()));
     vec![
         ("sparse", sparse, 4),
         ("dense", dense, 4),
@@ -163,7 +163,7 @@ fn bench_staging_pool_mixed(c: &mut Criterion) {
 /// const-width `[u8; 16]` inner loop; `pack_generic_loop` walks the
 /// segment table. The `mempool_*` rows run the plan-driven pool gather.
 fn bench_gather_tier(c: &mut Criterion) {
-    let layout = Layout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
+    let layout = CompiledLayout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
     let count = 1u64;
     let plan = layout.uniform_for(count).expect("vector is uniform");
     let src = vec![7u8; layout.footprint(count) as usize];
@@ -197,7 +197,7 @@ fn bench_gather_tier(c: &mut Criterion) {
     // A timing-only gather of one specfem3D_oc(512) element (512 Generic
     // segments), the per-message copy every ModelOnly serve request makes:
     // the plan answers with `total_bytes` and never reads the segment table.
-    let oc = Layout::of(&specfem3d_oc(512).desc);
+    let oc = CompiledLayout::of(&specfem3d_oc(512).desc);
     let mut model = MemPool::new(1 << 30, DataMode::ModelOnly);
     let user = model.alloc(oc.footprint(1), 64);
     let staged = model.alloc(oc.total_bytes(1), 64);
@@ -217,7 +217,7 @@ fn bench_gather_tier(c: &mut Criterion) {
 /// wider runs converge to memory bandwidth on every path.
 fn bench_block_uniform_tier(c: &mut Criterion) {
     use fusedpack_datatype::CopyPlan;
-    let layout = Layout::of(&TypeBuilder::vector(2048, 9, 15, TypeBuilder::double()));
+    let layout = CompiledLayout::of(&TypeBuilder::vector(2048, 9, 15, TypeBuilder::double()));
     let count = 1u64;
     let plan = match layout.plan_for(count) {
         CopyPlan::BlockUniform(p) => p,
@@ -257,7 +257,7 @@ fn bench_block_uniform_tier(c: &mut Criterion) {
 /// each (flushing whenever it fires), a final sync-point flush, then
 /// completion signalling and retirement for every request — the per-epoch
 /// hot path the fusion scheme adds on top of the progress engine.
-fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<Layout>) -> u64 {
+fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<CompiledLayout>) -> u64 {
     let mut launches = 0u64;
     let mut t = Time(0);
     let mut uids: Vec<Uid> = Vec::with_capacity(64);
@@ -304,7 +304,7 @@ fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<Layout>) -
 fn bench_scheduler(c: &mut Criterion) {
     // 16 KB packed per request across 2 blocks: 64 requests cross the
     // 512 KB default threshold twice per cycle.
-    let layout = Arc::new(Layout::of(&TypeBuilder::vector(
+    let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
         2,
         8 * 1024,
         8 * 1024 + 64,

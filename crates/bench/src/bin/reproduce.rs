@@ -22,9 +22,9 @@
 //!                   cell's grid coordinates, and fault decisions ride
 //!                   per-rank/keyed streams, so the chaos reports are
 //!                   byte-identical across runs, --jobs, and --shards.
-//! --jobs N:         run sweep cells on N worker threads (default: the
-//!                   FUSEDPACK_JOBS env var, then all available cores).
-//!                   Tables and CSVs are byte-identical for every N.
+//! --jobs N:         run sweep cells on N worker threads (default: all
+//!                   available cores). Tables and CSVs are byte-identical
+//!                   for every N.
 //! --shards N:       split each simulation's event loop over N worker
 //!                   shards (time-window synchronized; clamped per
 //!                   cluster). Simulation results are byte-identical for
@@ -39,12 +39,17 @@
 //!                   mpi::breakdown ledger. With no EXPERIMENT given,
 //!                   only the trace runs.
 //! ```
+//!
+//! The flags fill one [`RunConfig`] that every experiment of the run
+//! reads; nothing is configured through process-global state.
 
-use fusedpack_bench::{exec, figs, run_experiment, EXPERIMENTS};
+use fusedpack_bench::figs::ThresholdMode;
+use fusedpack_bench::{exec, run_experiment, RunConfig, EXPERIMENTS};
 use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cfg = RunConfig::default();
     let mut csv_dir: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut timings = false;
@@ -73,25 +78,17 @@ fn main() {
                         eprintln!("--jobs requires a positive integer");
                         std::process::exit(2);
                     });
-                exec::set_jobs(n);
+                cfg.jobs = n;
             }
             "--threshold" => {
                 let v = it.next().unwrap_or_else(|| {
                     eprintln!("--threshold requires \"auto\" or a byte count");
                     std::process::exit(2);
                 });
-                let mode = if v == "auto" {
-                    figs::ThresholdMode::Auto
-                } else {
-                    match v.parse::<u64>() {
-                        Ok(b) if b > 0 => figs::ThresholdMode::Fixed(b),
-                        _ => {
-                            eprintln!("--threshold requires \"auto\" or a positive byte count");
-                            std::process::exit(2);
-                        }
-                    }
-                };
-                figs::set_threshold_mode(mode);
+                cfg.threshold = parse_threshold(&v).unwrap_or_else(|| {
+                    eprintln!("--threshold requires \"auto\" or a positive byte count");
+                    std::process::exit(2);
+                });
             }
             "--seed" => {
                 let n = it
@@ -101,7 +98,7 @@ fn main() {
                         eprintln!("--seed requires a non-negative integer");
                         std::process::exit(2);
                     });
-                figs::set_chaos_seed(n);
+                cfg.chaos_seed = n;
             }
             "--requests" => {
                 let n = it
@@ -111,7 +108,7 @@ fn main() {
                         eprintln!("--requests requires a positive count (k/m suffixes ok)");
                         std::process::exit(2);
                     });
-                figs::set_serve_requests(n);
+                cfg.serve_requests = n;
             }
             "--shards" => {
                 let n = it
@@ -122,7 +119,7 @@ fn main() {
                         eprintln!("--shards requires a positive integer");
                         std::process::exit(2);
                     });
-                figs::set_shards(n);
+                cfg.shards = n;
             }
             "--timings" => timings = true,
             "--help" | "-h" => {
@@ -166,7 +163,7 @@ fn main() {
     let mut out = stdout.lock();
     for name in &selected {
         let start = std::time::Instant::now();
-        let tables = run_experiment(name);
+        let tables = run_experiment(name, &cfg);
         for table in &tables {
             let _ = writeln!(out, "{}", table.render());
             if let Some(dir) = &csv_dir {
@@ -180,15 +177,27 @@ fn main() {
             "   ({name} regenerated in {:.2}s)\n",
             start.elapsed().as_secs_f64()
         );
+        // Drained either way, so the log holds one experiment at a time.
+        let cells = cfg.take_timings();
         if timings {
-            print_timings(&mut out, name, &exec::take_timings());
-        } else {
-            let _ = exec::take_timings(); // keep the registry bounded
+            print_timings(&mut out, name, cfg.jobs, &cells);
         }
     }
 }
 
+/// Parse a `--threshold` value: "auto" or a positive byte count.
+fn parse_threshold(v: &str) -> Option<ThresholdMode> {
+    if v == "auto" {
+        return Some(ThresholdMode::Auto);
+    }
+    v.parse::<u64>()
+        .ok()
+        .filter(|&b| b > 0)
+        .map(ThresholdMode::Fixed)
+}
+
 /// Parse a request count with an optional `k`/`m` suffix ("50k", "1m").
+/// A count that overflows `u64` once scaled is rejected.
 fn parse_requests(v: &str) -> Option<u64> {
     let (digits, mult) = match v.strip_suffix(['k', 'K']) {
         Some(d) => (d, 1_000),
@@ -201,11 +210,11 @@ fn parse_requests(v: &str) -> Option<u64> {
         .parse::<u64>()
         .ok()
         .filter(|&n| n > 0)
-        .map(|n| n * mult)
+        .and_then(|n| n.checked_mul(mult))
 }
 
 /// Render the executor's per-cell wall-clock report for one experiment.
-fn print_timings(out: &mut impl Write, name: &str, timings: &[exec::CellTiming]) {
+fn print_timings(out: &mut impl Write, name: &str, jobs: usize, timings: &[exec::CellTiming]) {
     if timings.is_empty() {
         let _ = writeln!(out, "   [timings: {name} ran no sweep cells]\n");
         return;
@@ -215,7 +224,7 @@ fn print_timings(out: &mut impl Write, name: &str, timings: &[exec::CellTiming])
         out,
         "   [timings: {name}, {} cells on {} worker(s), cell-time total {:.2}s]",
         timings.len(),
-        exec::jobs(),
+        jobs,
         total.as_secs_f64()
     );
     for t in timings {
@@ -268,5 +277,44 @@ fn write_trace(path: &str) {
     if !report.is_ok() {
         eprintln!("trace does not reconcile with mpi::breakdown");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn requests_accept_suffixes() {
+        assert_eq!(parse_requests("50000"), Some(50_000));
+        assert_eq!(parse_requests("50k"), Some(50_000));
+        assert_eq!(parse_requests("2M"), Some(2_000_000));
+        assert_eq!(parse_requests("0"), None);
+        assert_eq!(parse_requests("k"), None);
+        assert_eq!(parse_requests("-5k"), None);
+    }
+
+    #[test]
+    fn requests_reject_overflow_instead_of_wrapping() {
+        assert_eq!(parse_requests("18446744073709552k"), None);
+        assert_eq!(parse_requests("18446744073710m"), None);
+        assert_eq!(
+            parse_requests("18446744073709551k"),
+            Some(18_446_744_073_709_551_000)
+        );
+        assert_eq!(parse_requests("18446744073709551615"), Some(u64::MAX));
+    }
+
+    #[test]
+    fn threshold_accepts_auto_and_every_positive_count() {
+        assert_eq!(parse_threshold("auto"), Some(ThresholdMode::Auto));
+        assert_eq!(parse_threshold("4096"), Some(ThresholdMode::Fixed(4096)));
+        assert_eq!(
+            parse_threshold("18446744073709551615"),
+            Some(ThresholdMode::Fixed(u64::MAX))
+        );
+        assert_eq!(parse_threshold("0"), None);
+        assert_eq!(parse_threshold("18446744073709551616"), None);
+        assert_eq!(parse_threshold("Auto"), None);
     }
 }

@@ -8,19 +8,17 @@
 //! and CSVs are byte-identical to a sequential run regardless of the
 //! worker count or scheduling jitter.
 //!
-//! The pool size comes from, in priority order: [`set_jobs`] (the
-//! `reproduce --jobs N` flag), the `FUSEDPACK_JOBS` environment variable,
-//! and finally `std::thread::available_parallelism`. `jobs == 1` runs the
+//! The pool size is the run's [`RunConfig::jobs`] (the `reproduce
+//! --jobs N` flag; all available cores by default). `jobs == 1` runs the
 //! cells inline on the calling thread — the reference behaviour the
 //! determinism CI job diffs against.
 //!
-//! Each cell's wall-clock time is recorded in a process-global timings
-//! registry (drained by `reproduce --timings`) and, when a telemetry
-//! recorder is attached via [`set_telemetry`], emitted as a
-//! `Payload::SweepCell` span on the worker's lane.
+//! Each cell's wall-clock time is appended, in cell-index order, to the
+//! run's own timing log, which `reproduce --timings` drains with
+//! [`RunConfig::take_timings`]. The executor keeps no state between
+//! sweeps.
 
-use fusedpack_sim::Time;
-use fusedpack_telemetry::{Lane, Payload, Telemetry};
+use crate::figs::RunConfig;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -60,104 +58,35 @@ pub struct CellTiming {
     pub wall: Duration,
 }
 
-/// 0 = unset (fall back to env / available cores).
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-static TIMINGS: Mutex<Vec<CellTiming>> = Mutex::new(Vec::new());
-static TELEMETRY: Mutex<Option<Telemetry>> = Mutex::new(None);
-
-/// Fix the worker-pool size (0 restores the default resolution order).
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The worker-pool size [`sweep`] will use.
-pub fn jobs() -> usize {
-    let n = JOBS.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
-    }
-    if let Ok(v) = std::env::var("FUSEDPACK_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Attach a telemetry recorder: every subsequent cell emits a
-/// `SweepCell` span (rank = worker index, wall-clock nanoseconds since
-/// the first attached recorder's epoch).
-pub fn set_telemetry(t: Telemetry) {
-    *TELEMETRY.lock() = Some(t);
-}
-
-/// Drain and return all cell timings recorded since the last call.
-pub fn take_timings() -> Vec<CellTiming> {
-    std::mem::take(&mut *TIMINGS.lock())
-}
-
 /// A completed cell awaiting reassembly: (index, value, label, worker,
-/// start instant, wall time).
-type Finished<T> = (usize, T, String, usize, Instant, Duration);
+/// wall time).
+type Finished<T> = (usize, T, String, usize, Duration);
 
-fn epoch() -> Instant {
-    static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
-    *EPOCH.lock().get_or_insert_with(Instant::now)
-}
-
-fn record_cell(
-    experiment: &str,
-    label: String,
-    index: usize,
-    worker: usize,
-    t0: Instant,
-    wall: Duration,
-) {
-    if let Some(t) = TELEMETRY.lock().as_ref() {
-        let start = t0.duration_since(epoch()).as_nanos() as u64;
-        t.for_rank(worker as u32).span(
-            Lane::Host,
-            Time(start),
-            Time(start + wall.as_nanos() as u64),
-            || Payload::SweepCell {
-                index: index as u64,
-                worker: worker as u32,
-            },
-        );
-    }
-    TIMINGS.lock().push(CellTiming {
+/// Run `cells` and return their results in cell-index order.
+///
+/// With `cfg.jobs == 1` (or a single cell) the cells run inline,
+/// sequentially, on the calling thread. Otherwise a crossbeam scope
+/// spawns `min(jobs, cells)` workers that claim cells from a shared
+/// atomic cursor; results are reassembled by index afterwards, so the
+/// output is identical either way.
+pub fn sweep<T: Send + 'static>(cfg: &RunConfig, experiment: &str, cells: Vec<Cell<T>>) -> Vec<T> {
+    let n = cells.len();
+    let workers = cfg.jobs.min(n);
+    let record = |index, label, worker, wall| CellTiming {
         experiment: experiment.to_string(),
         label,
         index,
         worker,
         wall,
-    });
-}
-
-/// Run `cells` and return their results in cell-index order.
-///
-/// With `jobs() == 1` (or a single cell) the cells run inline,
-/// sequentially, on the calling thread. Otherwise a crossbeam scope
-/// spawns `min(jobs, cells)` workers that claim cells from a shared
-/// atomic cursor; results are reassembled by index afterwards, so the
-/// output is identical either way.
-pub fn sweep<T: Send + 'static>(experiment: &str, cells: Vec<Cell<T>>) -> Vec<T> {
-    let n = cells.len();
-    let workers = jobs().min(n);
-    let _ = epoch(); // pin the telemetry epoch before any cell runs
+    };
 
     if workers <= 1 {
         let mut out = Vec::with_capacity(n);
         for (index, cell) in cells.into_iter().enumerate() {
             let t0 = Instant::now();
-            let value = (cell.job)();
-            let wall = t0.elapsed();
-            record_cell(experiment, cell.label, index, 0, t0, wall);
-            out.push(value);
+            out.push((cell.job)());
+            let timing = record(index, cell.label, 0, t0.elapsed());
+            cfg.timings.lock().push(timing);
         }
         return out;
     }
@@ -184,8 +113,7 @@ pub fn sweep<T: Send + 'static>(experiment: &str, cells: Vec<Cell<T>>) -> Vec<T>
                     let t0 = Instant::now();
                     let value = (cell.job)();
                     let wall = t0.elapsed();
-                    done.lock()
-                        .push((index, value, cell.label, worker, t0, wall));
+                    done.lock().push((index, value, cell.label, worker, wall));
                 })
             })
             .collect();
@@ -201,8 +129,9 @@ pub fn sweep<T: Send + 'static>(experiment: &str, cells: Vec<Cell<T>>) -> Vec<T>
     // Record timings in cell-index order so the --timings report is as
     // deterministic in shape as the tables themselves.
     let mut out = Vec::with_capacity(n);
-    for (index, value, label, worker, t0, wall) in finished {
-        record_cell(experiment, label, index, worker, t0, wall);
+    let mut timings = cfg.timings.lock();
+    for (index, value, label, worker, wall) in finished {
+        timings.push(record(index, label, worker, wall));
         out.push(value);
     }
     out
@@ -218,58 +147,44 @@ mod tests {
             .collect()
     }
 
+    fn with_jobs(jobs: usize) -> RunConfig {
+        RunConfig {
+            jobs,
+            ..RunConfig::default()
+        }
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let want: Vec<usize> = (0..40).map(|i| i * i).collect();
-        set_jobs(1);
-        assert_eq!(sweep("t", cells(40)), want);
-        set_jobs(4);
-        assert_eq!(sweep("t", cells(40)), want, "parallel must preserve order");
-        set_jobs(0);
-        let _ = take_timings();
+        assert_eq!(sweep(&with_jobs(1), "t", cells(40)), want);
+        assert_eq!(
+            sweep(&with_jobs(4), "t", cells(40)),
+            want,
+            "parallel must preserve order"
+        );
     }
 
     #[test]
     fn more_workers_than_cells_is_fine() {
-        set_jobs(16);
-        assert_eq!(sweep("t", cells(3)), vec![0, 1, 4]);
-        assert!(sweep::<usize>("t", Vec::new()).is_empty());
-        set_jobs(0);
-        let _ = take_timings();
+        let cfg = with_jobs(16);
+        assert_eq!(sweep(&cfg, "t", cells(3)), vec![0, 1, 4]);
+        assert!(sweep::<usize>(&cfg, "t", Vec::new()).is_empty());
     }
 
     #[test]
     fn timings_are_recorded_in_index_order() {
-        set_jobs(4);
-        let _ = take_timings();
-        let _ = sweep("timed", cells(8));
-        let timings: Vec<CellTiming> = take_timings()
-            .into_iter()
-            .filter(|t| t.experiment == "timed")
-            .collect();
-        assert_eq!(timings.len(), 8);
-        for (i, t) in timings.iter().enumerate() {
-            assert_eq!(t.index, i);
-            assert_eq!(t.label, format!("cell{i}"));
+        for jobs in [1, 4] {
+            let cfg = with_jobs(jobs);
+            let _ = sweep(&cfg, "timed", cells(8));
+            let timings = cfg.take_timings();
+            assert_eq!(timings.len(), 8, "jobs={jobs}");
+            for (i, t) in timings.iter().enumerate() {
+                assert_eq!(t.experiment, "timed");
+                assert_eq!(t.index, i);
+                assert_eq!(t.label, format!("cell{i}"));
+            }
+            assert!(cfg.take_timings().is_empty(), "take drains the log");
         }
-        set_jobs(0);
-    }
-
-    #[test]
-    fn telemetry_span_per_cell() {
-        let tele = Telemetry::with_capacity(64);
-        set_telemetry(tele.clone());
-        set_jobs(2);
-        let _ = sweep("spans", cells(5));
-        set_jobs(0);
-        let _ = take_timings();
-        let snap = tele.snapshot();
-        let spans: Vec<_> = snap
-            .events
-            .iter()
-            .filter(|e| matches!(e.payload, Payload::SweepCell { .. }))
-            .collect();
-        assert!(spans.len() >= 5, "one span per cell, got {}", spans.len());
-        assert!(spans.iter().all(|e| e.is_span()));
     }
 }

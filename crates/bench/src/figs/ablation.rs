@@ -14,6 +14,7 @@
 //!    on shapes from balanced to pathologically skewed.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::figs::{latency, HALO_MSGS};
 use crate::table::{ratio, us, Table};
 use fusedpack_gpu::{FusedWork, PartitionPolicy, SegmentStats};
@@ -31,7 +32,7 @@ pub fn lassen_zero_launch() -> Platform {
     p
 }
 
-pub fn run() -> Vec<Table> {
+pub fn run(cfg: &RunConfig) -> Vec<Table> {
     let w = specfem3d_cm(2000);
 
     // Ablation 1: launch cost.
@@ -55,7 +56,7 @@ pub fn run() -> Vec<Table> {
             }));
         }
     }
-    let t1_lats = exec::sweep("ablation", t1_cells);
+    let t1_lats = exec::sweep(cfg, "ablation", t1_cells);
     for (pair, (name, _)) in t1_lats.chunks(2).zip(&t1_platforms) {
         let (f, s) = (pair[0], pair[1]);
         t1.push_row(vec![(*name).into(), us(f), us(s), ratio(s, f)]);
@@ -94,7 +95,10 @@ pub fn run() -> Vec<Table> {
             })
         })
         .collect();
-    for (out, (label, _)) in exec::sweep("ablation", t2_cells).iter().zip(&t2_points) {
+    for (out, (label, _)) in exec::sweep(cfg, "ablation", t2_cells)
+        .iter()
+        .zip(&t2_points)
+    {
         let stats = out
             .sched
             .as_ref()

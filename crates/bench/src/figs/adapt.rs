@@ -10,6 +10,7 @@
 //! choice end-to-end.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_core::ThresholdTuner;
 use fusedpack_mpi::SchemeKind;
@@ -56,7 +57,7 @@ fn phase_totals(out: &PhaseShiftOutcome) -> (Duration, Duration) {
     (p1, p2)
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let thresholds = ThresholdTuner::default_grid();
     let mut t = Table::new(
         "Adaptive fusion: sparse->dense phase shift (specfem3D_cm -> NAS_MG, 16 ops, Lassen)",
@@ -83,7 +84,7 @@ pub fn run() -> Table {
     cells.push(Cell::new("adaptive", || {
         measure(SchemeKind::fusion_adaptive())
     }));
-    let outcomes = exec::sweep("adapt", cells);
+    let outcomes = exec::sweep(cfg, "adapt", cells);
 
     for (out, &threshold) in outcomes.iter().zip(&thresholds) {
         let (p1, p2) = phase_totals(out);

@@ -7,6 +7,7 @@
 //! GPU-Sync runtime and the proposed fusion runtime.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{ClusterBuilder, Program, SchemeKind};
@@ -27,7 +28,7 @@ fn run_pair(p0: Program, p1: Program, scheme: SchemeKind) -> Duration {
 }
 
 /// Measure all four rows for one workload, one sweep cell per algorithm.
-pub fn measure(workload: &Workload) -> Vec<(&'static str, Duration)> {
+pub fn measure(cfg: &RunConfig, workload: &Workload) -> Vec<(&'static str, Duration)> {
     let (a1p0, a1p1, _) = algorithm1_programs(workload, N_MSGS, 3);
     let (a2p0, a2p1, _) = algorithm2_programs(workload, N_MSGS, 3);
     let ((i0, _), (i1, _)) = bulk_exchange_programs(workload, N_MSGS, 1, 3);
@@ -50,11 +51,11 @@ pub fn measure(workload: &Workload) -> Vec<(&'static str, Duration)> {
         .collect();
     labels
         .into_iter()
-        .zip(exec::sweep("approaches", cells))
+        .zip(exec::sweep(cfg, "approaches", cells))
         .collect()
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut t = Table::new(
         "SIII / Fig. 4: three approaches to non-contiguous transfer (specfem3D_cm x16, Lassen)",
         &["approach", "latency (us)", "syncs per iteration"],
@@ -68,7 +69,7 @@ pub fn run() -> Table {
         "32 (runtime)",
         "0 (fused polling)",
     ];
-    for ((name, lat), s) in measure(&w).into_iter().zip(syncs) {
+    for ((name, lat), s) in measure(cfg, &w).into_iter().zip(syncs) {
         t.push_row(vec![name.into(), us(lat), s.into()]);
     }
     t
@@ -80,7 +81,7 @@ mod tests {
 
     #[test]
     fn ordering_matches_the_papers_analysis() {
-        let rows = measure(&specfem3d_cm(2000));
+        let rows = measure(&RunConfig::default(), &specfem3d_cm(2000));
         let (a1, a2, a3_sync, a3_fused) = (rows[0].1, rows[1].1, rows[2].1, rows[3].1);
         assert!(a2 < a1, "one sync ({a2}) beats per-call syncs ({a1})");
         assert!(

@@ -16,7 +16,7 @@
 //! byte-identical across runs and `--jobs` counts.
 
 use crate::exec::{self, Cell};
-use crate::figs::chaos_seed;
+use crate::figs::RunConfig;
 use crate::table::{ratio, us, Table};
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::SchemeKind;
@@ -73,8 +73,8 @@ fn config(scheme: SchemeKind, workload: fusedpack_workloads::Workload) -> Exchan
     cfg
 }
 
-pub fn run() -> Table {
-    let master = chaos_seed();
+pub fn run(cfg: &RunConfig) -> Table {
+    let master = cfg.chaos_seed;
     let mut t = Table::new(
         format!(
             "Chaos: fault-site x drop-rate grid, checksum vs fault-free run (Lassen, x{N_MSGS}, seed {master})"
@@ -117,9 +117,9 @@ pub fn run() -> Table {
     let mut cells: Vec<Cell<ChaosOutcome>> = Vec::new();
     for (wname, w) in &workloads {
         for (sname, scheme) in &schemes {
-            let cfg = config(scheme.clone(), w.clone());
+            let exchange = config(scheme.clone(), w.clone());
             cells.push(Cell::new(format!("{wname}/{sname}/baseline"), move || {
-                run_exchange_chaos(&cfg, None)
+                run_exchange_chaos(&exchange, None)
             }));
             for (pi, (pname, sites)) in PROFILES.iter().enumerate() {
                 for (ri, &rate) in RATES.iter().enumerate() {
@@ -136,17 +136,17 @@ pub fn run() -> Table {
                     for &site in *sites {
                         plan = plan.with(site, FaultSpec::with_probability(rate));
                     }
-                    let cfg = config(scheme.clone(), w.clone());
+                    let exchange = config(scheme.clone(), w.clone());
                     cells.push(Cell::new(
                         format!("{wname}/{sname}/{pname}@{rate}"),
-                        move || run_exchange_chaos(&cfg, Some(plan.clone())),
+                        move || run_exchange_chaos(&exchange, Some(plan.clone())),
                     ));
                 }
             }
         }
     }
 
-    let outcomes = exec::sweep("chaos", cells);
+    let outcomes = exec::sweep(cfg, "chaos", cells);
 
     // Walk the outcomes in the same construction order.
     let mut it = outcomes.into_iter();

@@ -18,7 +18,7 @@
 //! all three.
 
 use crate::exec::{self, Cell};
-use crate::figs::chaos_seed;
+use crate::figs::RunConfig;
 use crate::table::{ratio, us, Table};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
@@ -65,8 +65,14 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
 }
 
 /// One grid cell: the torus halo on the Lassen-like fat tree with an
-/// optional fabric fault plan, at `grid`^3 ranks and the CLI shard count.
-pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloChaosOutcome {
+/// optional fabric fault plan, at `grid`^3 ranks on `shards` event-loop
+/// shards.
+pub fn measure(
+    grid: u32,
+    scheme: SchemeKind,
+    plan: Option<FaultPlan>,
+    shards: u32,
+) -> HaloChaosOutcome {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
     let mut cfg = HaloConfig::new(
@@ -77,15 +83,16 @@ pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloCh
         N_MSGS,
     )
     .with_topology(topo)
-    .with_shards(super::shards());
+    .with_shards(shards);
     if let Some(plan) = plan {
         cfg = cfg.with_fault_plan(plan);
     }
     run_halo_chaos(&cfg)
 }
 
-pub fn run() -> Table {
-    let master = chaos_seed();
+pub fn run(cfg: &RunConfig) -> Table {
+    let master = cfg.chaos_seed;
+    let shards = cfg.shards;
     let mut t = Table::new(
         format!(
             "Chaos-topo: per-hop fault profiles on the {GRID}^3 torus halo, \
@@ -116,18 +123,18 @@ pub fn run() -> Table {
     for (si, (sname, scheme)) in schemes().into_iter().enumerate() {
         let s = scheme.clone();
         cells.push(Cell::new(format!("{sname}/baseline"), move || {
-            measure(GRID, s.clone(), None)
+            measure(GRID, s.clone(), None, shards)
         }));
         for (pi, &(pname, site, rate)) in PROFILES.iter().enumerate() {
             let plan = FaultPlan::new(cell_seed(master, si, pi))
                 .with(site, FaultSpec::with_probability(rate));
             let s = scheme.clone();
             cells.push(Cell::new(format!("{sname}/{pname}"), move || {
-                measure(GRID, s.clone(), Some(plan.clone()))
+                measure(GRID, s.clone(), Some(plan.clone()), shards)
             }));
         }
     }
-    let outcomes = exec::sweep("chaos-topo", cells);
+    let outcomes = exec::sweep(cfg, "chaos-topo", cells);
 
     let mut it = outcomes.into_iter();
     for (sname, _) in schemes() {
@@ -190,12 +197,12 @@ mod tests {
     /// around them, and reproduce the fault-free checksum.
     #[test]
     fn hop_down_cell_reroutes_and_preserves_bytes() {
-        let base = measure(4, SchemeKind::fusion_default(), None);
+        let base = measure(4, SchemeKind::fusion_default(), None, 1);
         assert_eq!(base.clamps.count, 0, "{:?}", base.clamps);
         assert!(base.faults.is_clean() && base.fabric.injected() == 0);
         let plan = FaultPlan::new(cell_seed(42, 0, 2))
             .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
-        let out = measure(4, SchemeKind::fusion_default(), Some(plan));
+        let out = measure(4, SchemeKind::fusion_default(), Some(plan), 1);
         assert!(out.fabric.downs > 0, "{}", out.fabric);
         assert!(out.fabric.reroutes > 0, "{}", out.fabric);
         assert_eq!(out.checksum, base.checksum, "reroute corrupted data");
@@ -206,17 +213,14 @@ mod tests {
     /// the in-process version of the CI `chaos-topo` `--shards` diff.
     #[test]
     fn faulted_cell_is_identical_across_shards() {
-        let _settings = super::super::lock_settings();
-        let plan = || {
-            FaultPlan::new(cell_seed(42, 0, 0))
+        let cell = |shards| {
+            let plan = FaultPlan::new(cell_seed(42, 0, 0))
                 .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))
-                .with(FaultSite::HopDown, FaultSpec::with_probability(0.02))
+                .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
+            measure(4, SchemeKind::fusion_default(), Some(plan), shards)
         };
-        super::super::set_shards(1);
-        let single = measure(4, SchemeKind::fusion_default(), Some(plan()));
-        super::super::set_shards(4);
-        let sharded = measure(4, SchemeKind::fusion_default(), Some(plan()));
-        super::super::set_shards(1);
+        let single = cell(1);
+        let sharded = cell(4);
         assert!(sharded.shard_barriers > 0, "sharding engaged");
         assert_eq!(single.latency, sharded.latency);
         assert_eq!(single.faults, sharded.faults);

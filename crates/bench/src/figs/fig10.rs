@@ -6,7 +6,7 @@
 //! still beats both kernel-driven baselines.
 
 use crate::exec::{self, Cell};
-use crate::figs::{gpu_driven_schemes, latency, proposed};
+use crate::figs::{gpu_driven_schemes, latency, proposed, RunConfig};
 use crate::table::{us, Table};
 use fusedpack_net::Platform;
 use fusedpack_workloads::milc::milc_su3_zdown;
@@ -17,10 +17,10 @@ pub const BUFFER_COUNTS: &[usize] = &[1, 2, 4, 8, 16];
 /// spot).
 pub const LATTICE: u64 = 4;
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut schemes = gpu_driven_schemes();
     // Honour `reproduce --threshold` for the Proposed column.
-    schemes[0] = proposed(&Platform::lassen(), &milc_su3_zdown(LATTICE));
+    schemes[0] = proposed(cfg, &Platform::lassen(), &milc_su3_zdown(LATTICE));
 
     let mut headers: Vec<String> = vec!["#buffers".into()];
     headers.extend(schemes.iter().map(|s| format!("{} (us)", s.label())));
@@ -46,7 +46,7 @@ pub fn run() -> Table {
             }));
         }
     }
-    let all = exec::sweep("fig10", cells);
+    let all = exec::sweep(cfg, "fig10", cells);
 
     for (lats, &n) in all.chunks(schemes.len()).zip(BUFFER_COUNTS) {
         let mut row = vec![n.to_string()];

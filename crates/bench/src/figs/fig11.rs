@@ -2,6 +2,7 @@
 //! two nodes, ABCI): (Un)Pack / Launching / Scheduling / Sync. / Comm.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{Breakdown, SchemeKind};
@@ -49,7 +50,7 @@ pub fn traced_run() -> (Telemetry, Vec<Breakdown>) {
     (telemetry, breakdowns)
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut t = Table::new(
         "Fig. 11: cost breakdown of GPU-driven designs (MILC x16, ABCI; us per iteration, both ranks)",
         &[
@@ -72,7 +73,7 @@ pub fn run() -> Table {
             Cell::new(label, move || breakdown_for(scheme))
         })
         .collect();
-    let breakdowns = exec::sweep("fig11", cells);
+    let breakdowns = exec::sweep(cfg, "fig11", cells);
 
     for (scheme, b) in schemes().into_iter().zip(breakdowns) {
         t.push_row(vec![

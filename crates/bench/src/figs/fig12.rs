@@ -2,7 +2,7 @@
 //! four application workloads on Lassen, sweeping the input size.
 
 use crate::exec::{self, Cell};
-use crate::figs::{gpu_driven_schemes, latency, tuned_fusion, HALO_MSGS};
+use crate::figs::{gpu_driven_schemes, latency, proposed, tuned_fusion, RunConfig, HALO_MSGS};
 use crate::table::{us, Table};
 #[cfg(test)]
 use fusedpack_mpi::SchemeKind;
@@ -48,7 +48,7 @@ pub fn panels() -> Vec<(&'static str, Vec<(String, Workload)>)> {
 /// Every (panel, size) row is one sweep cell; the tuned-threshold grid
 /// search stays sequential *inside* its row's cell, so the executor sees a
 /// flat list of 24 equally-shaped jobs.
-pub fn run_on(platform: &Platform, fig_name: &str) -> Vec<Table> {
+pub fn run_on(cfg: &RunConfig, platform: &Platform, fig_name: &str) -> Vec<Table> {
     let schemes = gpu_driven_schemes();
     let experiment = if fig_name.contains("13") {
         "fig13"
@@ -61,16 +61,15 @@ pub fn run_on(platform: &Platform, fig_name: &str) -> Vec<Table> {
     for (panel, workloads) in &all_panels {
         for (label, w) in workloads {
             let platform = platform.clone();
-            let schemes = schemes.clone();
+            let mut schemes = schemes.clone();
+            // Honour `reproduce --threshold` for the Proposed column.
+            schemes[0] = proposed(cfg, &platform, w);
             let label = label.clone();
             let w = w.clone();
             cells.push(Cell::new(format!("{panel}/{label}"), move || {
                 let mut row = vec![label, format!("{}KB", w.packed_bytes() / 1024)];
                 let (tuned, _threshold) = tuned_fusion(&platform, &w, HALO_MSGS);
                 row.push(us(latency(&platform, tuned, &w, HALO_MSGS)));
-                // Honour `reproduce --threshold` for the Proposed column.
-                let mut schemes = schemes;
-                schemes[0] = crate::figs::proposed(&platform, &w);
                 for s in &schemes {
                     row.push(us(latency(&platform, s.clone(), &w, HALO_MSGS)));
                 }
@@ -78,7 +77,7 @@ pub fn run_on(platform: &Platform, fig_name: &str) -> Vec<Table> {
             }));
         }
     }
-    let mut rows = exec::sweep(experiment, cells).into_iter();
+    let mut rows = exec::sweep(cfg, experiment, cells).into_iter();
 
     let mut tables = Vec::new();
     for (panel, workloads) in &all_panels {
@@ -98,8 +97,8 @@ pub fn run_on(platform: &Platform, fig_name: &str) -> Vec<Table> {
     tables
 }
 
-pub fn run() -> Vec<Table> {
-    run_on(&Platform::lassen(), "Fig. 12")
+pub fn run(cfg: &RunConfig) -> Vec<Table> {
+    run_on(cfg, &Platform::lassen(), "Fig. 12")
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! *every* workload; and GPU-Async edges out GPU-Sync on dense layouts
 //! because the slower wire leaves more room for overlap.
 
+use crate::figs::RunConfig;
 #[cfg(test)]
 use crate::figs::{latency, HALO_MSGS};
 use crate::table::Table;
@@ -13,8 +14,8 @@ use crate::table::Table;
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 
-pub fn run() -> Vec<Table> {
-    super::fig12::run_on(&Platform::abci(), "Fig. 13")
+pub fn run(cfg: &RunConfig) -> Vec<Table> {
+    super::fig12::run_on(cfg, &Platform::abci(), "Fig. 13")
 }
 
 #[cfg(test)]

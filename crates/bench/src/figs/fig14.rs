@@ -2,6 +2,7 @@
 //! normalized to SpectrumMPI (higher is better).
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::figs::{latency, HALO_MSGS};
 use crate::table::Table;
 use fusedpack_mpi::SchemeKind;
@@ -23,7 +24,7 @@ pub fn workloads() -> Vec<Workload> {
     vec![specfem3d_cm(2048), nas_mg_y(128)]
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let libs = libraries();
 
     let mut headers: Vec<String> = vec!["workload".into(), "size".into()];
@@ -49,7 +50,7 @@ pub fn run() -> Table {
             }));
         }
     }
-    let all = exec::sweep("fig14", cells);
+    let all = exec::sweep(cfg, "fig14", cells);
 
     for (lats, w) in all.chunks(libs.len()).zip(workloads()) {
         let base = lats[0];

@@ -4,6 +4,7 @@
 
 use crate::exec::{self, Cell};
 use crate::figs::latency;
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_core::ThresholdTuner;
 use fusedpack_mpi::SchemeKind;
@@ -16,7 +17,7 @@ pub const INPUT_SIZES: &[u64] = &[1024, 4096, 16384];
 /// 32 continuous Isend/Irecv operations per rank, as in the paper's Fig. 8.
 pub const N_MSGS: usize = 32;
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let thresholds = ThresholdTuner::default_grid();
 
     let mut headers: Vec<String> = vec!["threshold".into()];
@@ -59,7 +60,7 @@ pub fn run() -> Table {
             latency(&platform, SchemeKind::fusion_adaptive(), &w, N_MSGS)
         }));
     }
-    let lats = exec::sweep("fig8", cells);
+    let lats = exec::sweep(cfg, "fig8", cells);
 
     for (row_lats, &threshold) in lats.chunks(INPUT_SIZES.len()).zip(&thresholds) {
         let mut row = vec![format!("{}KB", threshold / 1024)];
@@ -101,7 +102,7 @@ mod tests {
 
     #[test]
     fn table_has_full_grid_plus_adaptive() {
-        let t = run();
+        let t = run(&RunConfig::default());
         assert_eq!(t.rows.len(), ThresholdTuner::default_grid().len() + 1);
         assert_eq!(t.headers.len(), 1 + INPUT_SIZES.len());
         assert_eq!(t.rows.last().expect("rows")[0], "adaptive");

@@ -2,7 +2,7 @@
 //! (specfem3D_cm) on Lassen, sweeping the number of exchanged buffers.
 
 use crate::exec::{self, Cell};
-use crate::figs::{gpu_driven_schemes, latency, proposed};
+use crate::figs::{gpu_driven_schemes, latency, proposed, RunConfig};
 use crate::table::{ratio, us, Table};
 use fusedpack_net::Platform;
 use fusedpack_workloads::specfem::specfem3d_cm;
@@ -13,10 +13,10 @@ pub const BUFFER_COUNTS: &[usize] = &[1, 2, 4, 8, 16];
 /// Boundary points per message (sparse, thousands of blocks).
 pub const POINTS: u64 = 2000;
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut schemes = gpu_driven_schemes();
     // Honour `reproduce --threshold` for the Proposed column.
-    schemes[0] = proposed(&Platform::lassen(), &specfem3d_cm(POINTS));
+    schemes[0] = proposed(cfg, &Platform::lassen(), &specfem3d_cm(POINTS));
 
     let mut headers: Vec<String> = vec!["#buffers".into()];
     headers.extend(schemes.iter().map(|s| format!("{} (us)", s.label())));
@@ -41,7 +41,7 @@ pub fn run() -> Table {
             }));
         }
     }
-    let all = exec::sweep("fig9", cells);
+    let all = exec::sweep(cfg, "fig9", cells);
 
     for (lats, &n) in all.chunks(schemes.len()).zip(BUFFER_COUNTS) {
         let mut row = vec![n.to_string()];

@@ -8,6 +8,7 @@
 //! fusion on vs. off (staged pack→NVLink→unpack) vs. the baselines.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{ratio, us, Table};
 use fusedpack_core::FusionConfig;
 use fusedpack_gpu::DataMode;
@@ -65,7 +66,7 @@ pub fn intra_node_latency(scheme: SchemeKind, workload: &Workload, n_msgs: usize
     report.lap_makespan(1)
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut t = Table::new(
         "Extension: fused DirectIPC for intra-node transfers (specfem3D_cm x16, one Lassen node)",
         &["scheme", "latency (us)", "vs DirectIPC"],
@@ -94,7 +95,7 @@ pub fn run() -> Table {
             Cell::new(*label, move || intra_node_latency(scheme, &w, 16))
         })
         .collect();
-    let lats = exec::sweep("ipc", cells);
+    let lats = exec::sweep(cfg, "ipc", cells);
     let base = lats[0];
     for ((label, _), &lat) in schemes.iter().zip(&lats) {
         t.push_row(vec![(*label).into(), us(lat), ratio(lat, base)]);

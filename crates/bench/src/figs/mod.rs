@@ -18,11 +18,12 @@ pub mod serve;
 pub mod table2;
 pub mod topo;
 
+use crate::exec::CellTiming;
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 use fusedpack_sim::Duration;
 use fusedpack_workloads::{run_exchange, ExchangeConfig, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 
 /// The paper's §V-C stress level: 16 buffers each way = 32 non-blocking
 /// operations per rank.
@@ -41,104 +42,60 @@ pub enum ThresholdMode {
     Fixed(u64),
 }
 
-// Encoded in one atomic so sweep worker threads see a consistent value:
-// 0 = default, u64::MAX = auto, anything else = fixed bytes.
-static THRESHOLD_MODE: AtomicU64 = AtomicU64::new(0);
-
-/// Set the process-wide threshold mode (called once by the `reproduce`
-/// binary before any experiment runs).
-pub fn set_threshold_mode(mode: ThresholdMode) {
-    let enc = match mode {
-        ThresholdMode::Default => 0,
-        ThresholdMode::Auto => u64::MAX,
-        ThresholdMode::Fixed(b) => {
-            assert!(b != 0 && b != u64::MAX, "unrepresentable threshold {b}");
-            b
-        }
-    };
-    THRESHOLD_MODE.store(enc, Ordering::SeqCst);
+/// Everything one reproduction run is parameterized by (the `reproduce`
+/// flags), passed by reference to the experiments and the sweep executor.
+/// Two runs with different configurations share nothing, so they can
+/// execute concurrently.
+#[derive(Debug)]
+pub struct RunConfig {
+    /// Sweep worker threads (`--jobs`); 1 runs every cell inline.
+    pub jobs: usize,
+    /// The *Proposed* columns' fusion threshold (`--threshold`).
+    pub threshold: ThresholdMode,
+    /// Master seed of the chaos experiments' fault plans (`--seed`).
+    /// Per-cell plans derive from it and the cell's grid coordinates, so
+    /// a report is byte-identical across runs and `--jobs` counts.
+    pub chaos_seed: u64,
+    /// Requests the serve experiment replays per cell (`--requests`).
+    pub serve_requests: u64,
+    /// Event-loop worker shards per simulation for the cluster-scale
+    /// experiments (`--shards`). Each cluster clamps the request to what
+    /// its layout supports; reports are byte-identical at any value.
+    pub shards: u32,
+    /// Per-cell wall-clock timings of this run's sweeps, in cell-index
+    /// order per sweep (drained by `reproduce --timings`).
+    pub(crate) timings: Mutex<Vec<CellTiming>>,
 }
 
-/// The currently selected threshold mode.
-pub fn threshold_mode() -> ThresholdMode {
-    match THRESHOLD_MODE.load(Ordering::SeqCst) {
-        0 => ThresholdMode::Default,
-        u64::MAX => ThresholdMode::Auto,
-        b => ThresholdMode::Fixed(b),
+impl Default for RunConfig {
+    /// All available cores, the 512 KB threshold, seed 42, 200k serve
+    /// requests (enough steady-state laps for a stable p999 without making
+    /// `reproduce all` crawl) and one shard.
+    fn default() -> Self {
+        RunConfig {
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threshold: ThresholdMode::Default,
+            chaos_seed: 42,
+            serve_requests: 200_000,
+            shards: 1,
+            timings: Mutex::default(),
+        }
     }
 }
 
-/// Master seed for the chaos experiment's fault plans (the `reproduce
-/// --seed` flag). Per-cell plans are derived deterministically from this
-/// and the cell's grid coordinates, so the report is byte-identical across
-/// runs and `--jobs` counts for a given seed.
-static CHAOS_SEED: AtomicU64 = AtomicU64::new(42);
-
-/// Set the chaos master seed (called once by the `reproduce` binary).
-pub fn set_chaos_seed(seed: u64) {
-    CHAOS_SEED.store(seed, Ordering::SeqCst);
-}
-
-/// The current chaos master seed.
-pub fn chaos_seed() -> u64 {
-    CHAOS_SEED.load(Ordering::SeqCst)
-}
-
-/// Default request count for the serve experiment: enough steady-state
-/// laps for a stable p999 without making `reproduce all` crawl.
-pub const SERVE_REQUESTS_DEFAULT: u64 = 200_000;
-
-/// Total requests the serve experiment replays per cell (the `reproduce
-/// --requests` flag).
-static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(SERVE_REQUESTS_DEFAULT);
-
-/// Set the serve request count (called once by the `reproduce` binary).
-pub fn set_serve_requests(requests: u64) {
-    assert!(requests > 0, "serve needs at least one request");
-    SERVE_REQUESTS.store(requests, Ordering::SeqCst);
-}
-
-/// The current serve request count.
-pub fn serve_requests() -> u64 {
-    SERVE_REQUESTS.load(Ordering::SeqCst)
-}
-
-/// Event-loop worker shards per simulation for the cluster-scale
-/// experiments (the `reproduce --shards` flag). Each cluster clamps the
-/// request to what its layout supports; reports are byte-identical at any
-/// value — the CI smoke job diffs `--shards 1` vs `--shards 4` CSVs.
-static SHARDS: AtomicU64 = AtomicU64::new(1);
-
-/// Set the per-simulation shard count (called once by the `reproduce`
-/// binary before any experiment runs).
-pub fn set_shards(shards: u32) {
-    assert!(shards >= 1, "at least one shard");
-    SHARDS.store(shards as u64, Ordering::SeqCst);
-}
-
-/// The current per-simulation shard count.
-pub fn shards() -> u32 {
-    SHARDS.load(Ordering::SeqCst) as u32
-}
-
-/// Serializes the unit tests that change the process-wide settings above.
-/// `cargo test` runs tests on parallel threads, so without it one test's
-/// reset can land between another test's two runs.
-#[cfg(test)]
-pub(crate) fn lock_settings() -> std::sync::MutexGuard<'static, ()> {
-    static SETTINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A test that panicked while holding the lock leaves only `()` behind.
-    SETTINGS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+impl RunConfig {
+    /// Drain and return every cell timing recorded since the last call.
+    pub fn take_timings(&self) -> Vec<CellTiming> {
+        std::mem::take(&mut *self.timings.lock())
+    }
 }
 
 /// The *Proposed* scheme for one (platform, workload) cell, honouring the
-/// CLI threshold mode: the 512 KB default, a fixed `--threshold BYTES`, or
-/// `--threshold auto` (model-predicted from the workload's average block
-/// size on this platform's GPU).
-pub fn proposed(platform: &Platform, workload: &Workload) -> SchemeKind {
-    match threshold_mode() {
+/// run's threshold mode: the 512 KB default, a fixed `--threshold BYTES`,
+/// or `--threshold auto` (model-predicted from the workload's average
+/// block size on this platform's GPU).
+pub fn proposed(cfg: &RunConfig, platform: &Platform, workload: &Workload) -> SchemeKind {
+    match cfg.threshold {
         ThresholdMode::Default => SchemeKind::fusion_default(),
         ThresholdMode::Fixed(b) => SchemeKind::fusion_with_threshold(b),
         ThresholdMode::Auto => SchemeKind::fusion_with_threshold(
@@ -200,4 +157,33 @@ pub mod sizes {
     pub const MILC: &[u64] = &[4, 6, 8, 12, 16, 24];
     /// NAS_MG grid extents (dense, medium→large).
     pub const NAS: &[u64] = &[64, 128, 192, 256, 384, 512];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fusedpack_workloads::specfem::specfem3d_cm;
+
+    /// The `threshold` field is what `proposed` resolves, mode by mode.
+    #[test]
+    fn threshold_field_reaches_proposed() {
+        let platform = Platform::lassen();
+        let w = specfem3d_cm(2000);
+        let predicted = fusedpack_core::predict_threshold(&platform.arch, w.avg_block_bytes());
+        for (mode, want) in [
+            (ThresholdMode::Default, 512 * 1024),
+            (ThresholdMode::Fixed(4096), 4096),
+            (ThresholdMode::Fixed(u64::MAX), u64::MAX),
+            (ThresholdMode::Auto, predicted),
+        ] {
+            let cfg = RunConfig {
+                threshold: mode,
+                ..RunConfig::default()
+            };
+            match proposed(&cfg, &platform, &w) {
+                SchemeKind::Fusion(c) => assert_eq!(c.threshold_bytes, want, "{mode:?}"),
+                other => panic!("{mode:?} resolved to {other:?}"),
+            }
+        }
+    }
 }

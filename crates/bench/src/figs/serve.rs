@@ -12,6 +12,7 @@
 //! `--jobs` counts — the CI smoke job diffs `--jobs 1` vs `--jobs 4`.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
@@ -45,14 +46,14 @@ pub fn gaps() -> Vec<(&'static str, u64)> {
     vec![("saturating", 0), ("2us", 2_000), ("20us", 20_000)]
 }
 
-/// Run one (scheme, gap) cell with the CLI-selected request count and
-/// shard count.
-pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64) -> ServeOutcome {
+/// Run one (scheme, gap) cell replaying `requests` requests on `shards`
+/// event-loop shards.
+pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64, shards: u32) -> ServeOutcome {
     run_serve(
         &ServeConfig::new(Platform::lassen(), scheme, specfem3d_oc(POINTS), requests)
             .with_gap_ns(gap_ns)
             .with_size_mix(SIZE_MIX.to_vec())
-            .with_shards(super::shards()),
+            .with_shards(shards),
     )
 }
 
@@ -61,8 +62,9 @@ pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64) -> ServeOutcome {
 /// `--jobs` *and* `--shards`; the queue-health peaks describe the process
 /// that ran the simulation (per-shard slabs sum/max differently than one
 /// global queue), so they live in their own non-diffed table.
-pub fn run() -> Vec<Table> {
-    let requests = super::serve_requests();
+pub fn run(cfg: &RunConfig) -> Vec<Table> {
+    let requests = cfg.serve_requests;
+    let shards = cfg.shards;
     let mut t = Table::new(
         format!(
             "Serve: sustained load, {requests} requests through a long-lived cluster \
@@ -119,11 +121,11 @@ pub fn run() -> Vec<Table> {
         for (glabel, gap) in gaps() {
             let scheme = scheme.clone();
             cells.push(Cell::new(format!("{slabel}/{glabel}"), move || {
-                measure(scheme, gap, requests)
+                measure(scheme, gap, requests, shards)
             }));
         }
     }
-    let outcomes = exec::sweep("serve", cells);
+    let outcomes = exec::sweep(cfg, "serve", cells);
 
     let per_scheme = gaps().len();
     for (si, (slabel, _)) in schemes().iter().enumerate() {
@@ -167,15 +169,16 @@ mod tests {
     /// report (both tables) is identical across worker counts.
     #[test]
     fn report_is_identical_across_jobs() {
-        let _settings = super::super::lock_settings();
-        super::super::set_serve_requests(2_000);
-        exec::set_jobs(1);
-        let sequential = run();
-        exec::set_jobs(4);
-        let parallel = run();
-        exec::set_jobs(0);
-        let _ = exec::take_timings();
-        super::super::set_serve_requests(super::super::SERVE_REQUESTS_DEFAULT);
+        let sequential = run(&RunConfig {
+            jobs: 1,
+            serve_requests: 2_000,
+            ..RunConfig::default()
+        });
+        let parallel = run(&RunConfig {
+            jobs: 4,
+            serve_requests: 2_000,
+            ..RunConfig::default()
+        });
         assert_eq!(sequential.len(), parallel.len());
         for (a, b) in sequential.iter().zip(&parallel) {
             assert_eq!(a.render(), b.render());
@@ -188,15 +191,16 @@ mod tests {
     /// its peaks describe the host process, not the simulation).
     #[test]
     fn report_is_identical_across_shards() {
-        let _settings = super::super::lock_settings();
-        super::super::set_serve_requests(2_000);
-        super::super::set_shards(1);
-        let single = run();
-        super::super::set_shards(4);
-        let sharded = run();
-        super::super::set_shards(1);
-        let _ = exec::take_timings();
-        super::super::set_serve_requests(super::super::SERVE_REQUESTS_DEFAULT);
+        let single = run(&RunConfig {
+            shards: 1,
+            serve_requests: 2_000,
+            ..RunConfig::default()
+        });
+        let sharded = run(&RunConfig {
+            shards: 4,
+            serve_requests: 2_000,
+            ..RunConfig::default()
+        });
         assert_eq!(single[0].render(), sharded[0].render());
         assert_eq!(single[0].to_csv(), sharded[0].to_csv());
         // The layout-cache table is pure merged-counter bookkeeping, so it
@@ -209,7 +213,7 @@ mod tests {
     /// rate is ≥ 99% once warmup's single compile per rank is behind it.
     #[test]
     fn layout_cache_hit_rate_exceeds_99_percent() {
-        let out = measure(SchemeKind::fusion_default(), 0, 2_000);
+        let out = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
         assert!(
             out.layout_cache.hit_rate() >= 0.99,
             "hit rate {}",
@@ -221,8 +225,8 @@ mod tests {
     /// Fusion's throughput advantage survives sustained load.
     #[test]
     fn fusion_sustains_higher_throughput_when_saturated() {
-        let fused = measure(SchemeKind::fusion_default(), 0, 2_000);
-        let gpu = measure(SchemeKind::GpuSync, 0, 2_000);
+        let fused = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
+        let gpu = measure(SchemeKind::GpuSync, 0, 2_000, 1);
         assert!(
             fused.throughput_rps > gpu.throughput_rps,
             "fused {:.0} req/s should beat GPU-based {:.0} req/s",
@@ -236,7 +240,7 @@ mod tests {
     /// 2048-point batches must show up above the median.
     #[test]
     fn mixed_sizes_produce_a_latency_tail() {
-        let out = measure(SchemeKind::fusion_default(), 0, 4_000);
+        let out = measure(SchemeKind::fusion_default(), 0, 4_000, 1);
         assert!(
             out.p999 > out.p50,
             "mixed sizes should spread the tail: p50 {} vs p999 {}",

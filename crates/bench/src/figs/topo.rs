@@ -13,6 +13,7 @@
 //! baseline harder.
 
 use crate::exec::{self, Cell};
+use crate::figs::RunConfig;
 use crate::table::{us, Table};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
@@ -67,9 +68,9 @@ pub fn schemes() -> Vec<(&'static str, SchemeKind)> {
     ]
 }
 
-/// Run the 512-rank halo for one machine × scheme cell, on the
-/// CLI-selected shard count.
-pub fn measure(machine: &Machine, scheme: SchemeKind) -> HaloOutcome {
+/// Run the 512-rank halo for one machine × scheme cell on `shards`
+/// event-loop shards.
+pub fn measure(machine: &Machine, scheme: SchemeKind, shards: u32) -> HaloOutcome {
     run_halo(
         &HaloConfig::new(
             machine.platform.clone(),
@@ -79,11 +80,11 @@ pub fn measure(machine: &Machine, scheme: SchemeKind) -> HaloOutcome {
             N_MSGS,
         )
         .with_topology(machine.topology.clone())
-        .with_shards(super::shards()),
+        .with_shards(shards),
     )
 }
 
-pub fn run() -> Table {
+pub fn run(cfg: &RunConfig) -> Table {
     let mut t = Table::new(
         format!(
             "Topo: 3-D halo exchange, {}^3 torus ({} ranks), Lassen-like fat tree vs ABCI-like dragonfly",
@@ -104,17 +105,18 @@ pub fn run() -> Table {
          contrast is the larger fused-design win on the ABCI-like machine",
     );
 
+    let shards = cfg.shards;
     let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
     for machine in machines() {
         let machine = Arc::new(machine);
         for (label, scheme) in schemes() {
             let machine = machine.clone();
             cells.push(Cell::new(format!("{}/{label}", machine.label), move || {
-                measure(&machine, scheme)
+                measure(&machine, scheme, shards)
             }));
         }
     }
-    let outcomes = exec::sweep("topo", cells);
+    let outcomes = exec::sweep(cfg, "topo", cells);
 
     let per_machine = schemes().len();
     for (mi, machine) in machines().iter().enumerate() {
@@ -148,8 +150,8 @@ mod tests {
     fn fusion_wins_on_both_machines_and_wins_bigger_on_abci() {
         let mut speedups = Vec::new();
         for machine in machines() {
-            let fused = measure(&machine, SchemeKind::fusion_default());
-            let gpu = measure(&machine, SchemeKind::GpuSync);
+            let fused = measure(&machine, SchemeKind::fusion_default(), 1);
+            let gpu = measure(&machine, SchemeKind::GpuSync, 1);
             assert!(
                 fused.latency < gpu.latency,
                 "{}: Proposed {} should beat GPU-based {}",
@@ -174,13 +176,14 @@ mod tests {
     /// in-process version of that check.
     #[test]
     fn report_is_identical_across_jobs() {
-        let _settings = super::super::lock_settings();
-        exec::set_jobs(1);
-        let sequential = run();
-        exec::set_jobs(4);
-        let parallel = run();
-        exec::set_jobs(0);
-        let _ = exec::take_timings();
+        let sequential = run(&RunConfig {
+            jobs: 1,
+            ..RunConfig::default()
+        });
+        let parallel = run(&RunConfig {
+            jobs: 4,
+            ..RunConfig::default()
+        });
         assert_eq!(sequential.render(), parallel.render());
     }
 
@@ -189,13 +192,14 @@ mod tests {
     /// `--shards 4` CSV diff.
     #[test]
     fn report_is_identical_across_shards() {
-        let _settings = super::super::lock_settings();
-        super::super::set_shards(1);
-        let single = run();
-        super::super::set_shards(4);
-        let sharded = run();
-        super::super::set_shards(1);
-        let _ = exec::take_timings();
+        let single = run(&RunConfig {
+            shards: 1,
+            ..RunConfig::default()
+        });
+        let sharded = run(&RunConfig {
+            shards: 4,
+            ..RunConfig::default()
+        });
         assert_eq!(single.render(), sharded.render());
         assert_eq!(single.to_csv(), sharded.to_csv());
     }

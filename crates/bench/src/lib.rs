@@ -2,7 +2,8 @@
 //!
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§V). Each module exposes a `run()` returning a renderable
-//! [`table::Table`]; the `reproduce` binary prints them and writes CSVs,
+//! [`table::Table`], parameterized by a [`RunConfig`] when it sweeps or
+//! honours a `reproduce` flag; the binary prints the tables and writes CSVs,
 //! and the Criterion benches exercise representative cells so `cargo
 //! bench` covers every figure.
 //!
@@ -30,6 +31,7 @@ pub mod exec;
 pub mod figs;
 pub mod table;
 
+pub use figs::RunConfig;
 pub use table::Table;
 
 /// All experiment names accepted by the `reproduce` binary.
@@ -53,26 +55,26 @@ pub const EXPERIMENTS: &[&str] = &[
     "serve",
 ];
 
-/// Run one experiment by name.
-pub fn run_experiment(name: &str) -> Vec<Table> {
+/// Run one experiment by name under `cfg`.
+pub fn run_experiment(name: &str, cfg: &RunConfig) -> Vec<Table> {
     match name {
         "table2" => vec![figs::table2::run()],
         "fig1" => vec![figs::fig1::run()],
-        "fig8" => vec![figs::fig8::run()],
-        "fig9" => vec![figs::fig9::run()],
-        "fig10" => vec![figs::fig10::run()],
-        "fig11" => vec![figs::fig11::run()],
-        "fig12" => figs::fig12::run(),
-        "fig13" => figs::fig13::run(),
-        "fig14" => vec![figs::fig14::run()],
-        "ablation" => figs::ablation::run(),
-        "adapt" => vec![figs::adapt::run()],
-        "ipc" => vec![figs::ipc::run()],
-        "approaches" => vec![figs::approaches::run()],
-        "chaos" => vec![figs::chaos::run()],
-        "chaos-topo" => vec![figs::chaos_topo::run()],
-        "topo" => vec![figs::topo::run()],
-        "serve" => figs::serve::run(),
+        "fig8" => vec![figs::fig8::run(cfg)],
+        "fig9" => vec![figs::fig9::run(cfg)],
+        "fig10" => vec![figs::fig10::run(cfg)],
+        "fig11" => vec![figs::fig11::run(cfg)],
+        "fig12" => figs::fig12::run(cfg),
+        "fig13" => figs::fig13::run(cfg),
+        "fig14" => vec![figs::fig14::run(cfg)],
+        "ablation" => figs::ablation::run(cfg),
+        "adapt" => vec![figs::adapt::run(cfg)],
+        "ipc" => vec![figs::ipc::run(cfg)],
+        "approaches" => vec![figs::approaches::run(cfg)],
+        "chaos" => vec![figs::chaos::run(cfg)],
+        "chaos-topo" => vec![figs::chaos_topo::run(cfg)],
+        "topo" => vec![figs::topo::run(cfg)],
+        "serve" => figs::serve::run(cfg),
         other => panic!("unknown experiment {other:?}; known: {EXPERIMENTS:?}"),
     }
 }

@@ -13,7 +13,7 @@
 //! cargo run --release --bin reproduce -- fig8 approaches --csv results/golden
 //! ```
 
-use fusedpack_bench::run_experiment;
+use fusedpack_bench::{run_experiment, RunConfig};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{FlatLink, Platform};
 use fusedpack_workloads::specfem::specfem3d_cm;
@@ -30,7 +30,7 @@ fn golden_path(file: &str) -> std::path::PathBuf {
 /// Regenerate `experiment` and require its single table to match the
 /// committed snapshot byte for byte (same slug, same CSV bytes).
 fn assert_matches_golden(experiment: &str, golden_file: &str) {
-    let tables = run_experiment(experiment);
+    let tables = run_experiment(experiment, &RunConfig::default());
     assert_eq!(tables.len(), 1, "{experiment} renders one table");
     let table = &tables[0];
 

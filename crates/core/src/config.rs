@@ -2,10 +2,9 @@
 
 use fusedpack_gpu::PartitionPolicy;
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the fusion scheduler.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FusionConfig {
     /// Launch a fused kernel once this many payload bytes are pending —
     /// the heuristic threshold of §IV-C. The paper observes ~512 KB to be
@@ -32,7 +31,6 @@ pub struct FusionConfig {
     /// batched requests (see [`fusedpack_gpu::PartitionPolicy`]). The
     /// default reproduces the paper's work-proportional split; the
     /// adaptive scheme uses the cost-guided variant.
-    #[serde(default)]
     pub partition: PartitionPolicy,
 }
 

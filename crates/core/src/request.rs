@@ -1,18 +1,17 @@
 //! Fusion request objects — the entries of the request list (§IV-A1).
 
-use fusedpack_datatype::{Layout, LayoutClass};
+use fusedpack_datatype::{CompiledLayout, LayoutClass};
 use fusedpack_gpu::{DevPtr, FusedWork, SegmentStats};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Unique request identifier handed back to the progress engine. The paper
 /// uses a negative UID to signal rejection; this engine uses
 /// `Result<Uid, EnqueueError>` instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Uid(pub u64);
 
 /// The operation a request asks the fused kernel to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionOp {
     /// Gather a non-contiguous origin buffer into a contiguous target.
     Pack,
@@ -30,7 +29,7 @@ pub enum FusionOp {
 /// cooperative group finishes its request — here it is advanced by the
 /// kernel-completion events of the simulation, which stand in for those
 /// device-visible flag writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// Slot is free.
     Idle,
@@ -53,7 +52,7 @@ pub struct FusionRequest {
     /// Buffer written by the kernel.
     pub target: DevPtr,
     /// Cached data layout entry (scheme of \[24\]).
-    pub layout: Arc<Layout>,
+    pub layout: Arc<CompiledLayout>,
     /// Number of datatype elements.
     pub count: u64,
     /// Shape summary, resolved once at enqueue from the compiled layout
@@ -74,7 +73,7 @@ pub struct FusionRequest {
 impl FusionRequest {
     /// Resolve the memoized shape and class for `(layout, count)` — the
     /// single construction-time classification every later read reuses.
-    pub fn classify(layout: &Layout, count: u64) -> (SegmentStats, LayoutClass) {
+    pub fn classify(layout: &CompiledLayout, count: u64) -> (SegmentStats, LayoutClass) {
         let (bytes, blocks) = layout.shape(count);
         (
             SegmentStats::new(bytes, blocks),
@@ -119,7 +118,7 @@ mod tests {
     use fusedpack_datatype::TypeBuilder;
 
     fn req() -> FusionRequest {
-        let layout = Arc::new(Layout::of(&TypeBuilder::vector(
+        let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
             4,
             2,
             5,

@@ -8,7 +8,7 @@
 //! slots.
 
 use crate::request::{FusionOp, FusionRequest, Status, Uid};
-use fusedpack_datatype::Layout;
+use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::DevPtr;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ impl RequestRing {
         op: FusionOp,
         origin: DevPtr,
         target: DevPtr,
-        layout: Arc<Layout>,
+        layout: Arc<CompiledLayout>,
         count: u64,
         bw_cap: Option<f64>,
     ) -> Result<Uid, EnqueueError> {
@@ -157,8 +157,8 @@ mod tests {
     use super::*;
     use fusedpack_datatype::TypeBuilder;
 
-    fn layout() -> Arc<Layout> {
-        Arc::new(Layout::of(&TypeBuilder::vector(
+    fn layout() -> Arc<CompiledLayout> {
+        Arc::new(CompiledLayout::of(&TypeBuilder::vector(
             2,
             1,
             2,

@@ -21,7 +21,7 @@ use crate::adapt::{AdaptiveThreshold, FlushFeedback};
 use crate::config::FusionConfig;
 use crate::request::{FusionOp, FusionRequest, Status, Uid};
 use crate::ring::{EnqueueError, RequestRing};
-use fusedpack_datatype::{Layout, LayoutClass};
+use fusedpack_datatype::{CompiledLayout, LayoutClass};
 use fusedpack_gpu::{DevPtr, FusedLaunch, FusedWork, Gpu, GpuArch, StreamId};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{FlushReasonTag, Lane, Payload, Telemetry};
@@ -185,7 +185,7 @@ impl Scheduler {
         op: FusionOp,
         origin: DevPtr,
         target: DevPtr,
-        layout: Arc<Layout>,
+        layout: Arc<CompiledLayout>,
         count: u64,
         bw_cap: Option<f64>,
     ) -> (Result<Uid, EnqueueError>, Duration) {
@@ -509,10 +509,10 @@ mod tests {
         )
     }
 
-    fn layout(bytes_per_elem: u64) -> Arc<Layout> {
+    fn layout(bytes_per_elem: u64) -> Arc<CompiledLayout> {
         // bytes_per_elem across 2 blocks.
         let half = bytes_per_elem / 2;
-        Arc::new(Layout::of(&TypeBuilder::vector(
+        Arc::new(CompiledLayout::of(&TypeBuilder::vector(
             2,
             half,
             half + 8,

@@ -4,14 +4,14 @@
 //! backpressure-requeue ladder the fault-injection paths exercise.
 
 use fusedpack_core::{EnqueueError, FusionOp, RequestRing, Status, Uid};
-use fusedpack_datatype::{Layout, TypeBuilder};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder};
 use fusedpack_gpu::DevPtr;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-fn layout() -> Arc<Layout> {
-    Arc::new(Layout::of(&TypeBuilder::vector(
+fn layout() -> Arc<CompiledLayout> {
+    Arc::new(CompiledLayout::of(&TypeBuilder::vector(
         2,
         1,
         2,

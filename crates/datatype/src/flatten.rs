@@ -11,9 +11,8 @@
 //! normalized once (which already coalesces everything the rewrite rules
 //! can see) and the leaf runs are emitted through the coalescing
 //! [`Emitter`], which mops up any cross-node adjacency the node-local
-//! rules could not. The pre-IR direct tree walk is kept as
-//! [`flatten_reference`] — the independent ground truth the IR property
-//! tests compare against.
+//! rules could not. The pre-IR direct tree walk lives on in the crate's
+//! property tests as the independent ground truth they compare against.
 
 use crate::ir::LayoutIr;
 use crate::layout::Segment;
@@ -27,25 +26,14 @@ pub fn flatten(desc: &TypeDesc) -> Vec<Segment> {
 
 /// Emit the coalesced segment list of a normalized IR. The IR's exact
 /// post-rewrite run count sizes the buffer precisely (coalescing can only
-/// shrink it) — unlike the legacy `leaf_block_upper_bound` clamp, which
-/// over-reserved by the full pre-coalesce leaf count on pathological
-/// nested types (e.g. a deeply nested `contiguous` that flattens to one
-/// run).
+/// shrink it), so pathological nested types (e.g. a deeply nested
+/// `contiguous` that flattens to one run) are never over-reserved by
+/// their pre-coalesce leaf count.
 pub(crate) fn emit_ir_segments(ir: &LayoutIr) -> Vec<Segment> {
     let cap = usize::try_from(ir.run_count()).unwrap_or(usize::MAX);
     let mut out = Vec::with_capacity(cap.min(1 << 16));
     let mut emitter = Emitter { out: &mut out };
     ir.for_each_run(|offset, len| emitter.emit(offset, len));
-    out
-}
-
-/// Flatten one element of `desc` by walking the constructor tree directly
-/// (the pre-IR implementation). Kept as an independently-derived reference
-/// for property tests; production code uses [`flatten`].
-pub fn flatten_reference(desc: &TypeDesc) -> Vec<Segment> {
-    let mut out = Vec::with_capacity(desc.leaf_block_upper_bound().min(1 << 16) as usize);
-    let mut emitter = Emitter { out: &mut out };
-    walk(desc, 0, &mut emitter);
     out
 }
 
@@ -66,139 +54,6 @@ impl Emitter<'_> {
             }
         }
         self.out.push(Segment { offset, len });
-    }
-}
-
-fn walk(desc: &TypeDesc, base: u64, em: &mut Emitter<'_>) {
-    match desc {
-        TypeDesc::Named(p) => em.emit(base, p.size()),
-        TypeDesc::Contiguous { count, child } => {
-            let ext = child.extent();
-            // Like `walk_block`: the single-run shortcut also needs the
-            // child to tile gaplessly (`size == extent`), otherwise a
-            // `resized` child's padding must separate the copies.
-            if child.is_contiguous() && child.size() == ext {
-                em.emit(base, count * child.size());
-            } else {
-                for i in 0..*count {
-                    walk(child, base + i * ext, em);
-                }
-            }
-        }
-        TypeDesc::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let ext = child.extent();
-            walk_strided(child, base, *count, *blocklen, stride * ext, ext, em);
-        }
-        TypeDesc::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child,
-        } => {
-            let ext = child.extent();
-            walk_strided(child, base, *count, *blocklen, *stride_bytes, ext, em);
-        }
-        TypeDesc::Indexed { blocks, child } => {
-            let ext = child.extent();
-            for &(disp, len) in blocks.iter() {
-                walk_block(child, base + disp * ext, len, ext, em);
-            }
-        }
-        TypeDesc::Hindexed { blocks, child } => {
-            let ext = child.extent();
-            for &(disp, len) in blocks.iter() {
-                walk_block(child, base + disp, len, ext, em);
-            }
-        }
-        TypeDesc::IndexedBlock {
-            displacements,
-            blocklen,
-            child,
-        } => {
-            let ext = child.extent();
-            for &disp in displacements.iter() {
-                walk_block(child, base + disp * ext, *blocklen, ext, em);
-            }
-        }
-        TypeDesc::Struct { fields } => {
-            for (disp, count, child) in fields.iter() {
-                let ext = child.extent();
-                walk_block(child, base + disp, *count, ext, em);
-            }
-        }
-        TypeDesc::Subarray {
-            sizes,
-            subsizes,
-            starts,
-            child,
-        } => {
-            walk_subarray(sizes, subsizes, starts, child, base, 0, 0, em);
-        }
-        TypeDesc::Resized { child, .. } => walk(child, base, em),
-    }
-}
-
-/// `count` blocks of `blocklen` children, block starts `stride_bytes` apart.
-fn walk_strided(
-    child: &TypeDesc,
-    base: u64,
-    count: u64,
-    blocklen: u64,
-    stride_bytes: u64,
-    child_ext: u64,
-    em: &mut Emitter<'_>,
-) {
-    for i in 0..count {
-        walk_block(child, base + i * stride_bytes, blocklen, child_ext, em);
-    }
-}
-
-/// One run of `count` consecutive children at `base`.
-fn walk_block(child: &TypeDesc, base: u64, count: u64, child_ext: u64, em: &mut Emitter<'_>) {
-    if child.is_contiguous() && child.size() == child_ext {
-        em.emit(base, count * child.size());
-    } else {
-        for i in 0..count {
-            walk(child, base + i * child_ext, em);
-        }
-    }
-}
-
-/// Row-major traversal of an n-dimensional subarray.
-#[allow(clippy::too_many_arguments)]
-fn walk_subarray(
-    sizes: &[u64],
-    subsizes: &[u64],
-    starts: &[u64],
-    child: &TypeDesc,
-    base: u64,
-    dim: usize,
-    index_offset: u64,
-    em: &mut Emitter<'_>,
-) {
-    let ext = child.extent();
-    if dim == sizes.len() - 1 {
-        // Innermost dimension: one contiguous run of `subsizes[dim]` children.
-        let elem = index_offset * sizes[dim] + starts[dim];
-        walk_block(child, base + elem * ext, subsizes[dim], ext, em);
-        return;
-    }
-    for i in 0..subsizes[dim] {
-        walk_subarray(
-            sizes,
-            subsizes,
-            starts,
-            child,
-            base,
-            dim + 1,
-            (index_offset * sizes[dim]) + starts[dim] + i,
-            em,
-        );
     }
 }
 

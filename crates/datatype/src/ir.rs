@@ -36,7 +36,7 @@
 //! ([`crate::compile`]) can classify a layout by *looking at the nodes*
 //! instead of pattern-matching constructor trees, and the exact
 //! post-rewrite run count ([`LayoutIr::run_count`]) sizes the segment
-//! buffer precisely — no more `leaf_block_upper_bound` over-reservation
+//! buffer precisely — no over-reservation by the pre-coalesce leaf count
 //! on pathological nested types.
 
 use crate::typedesc::TypeDesc;
@@ -701,10 +701,9 @@ mod tests {
 
     #[test]
     fn run_count_is_exact_not_an_upper_bound() {
-        // leaf_block_upper_bound for this shape is 8 (4 blocks x 2 doubles);
-        // the IR knows each block coalesces into one run.
+        // 4 blocks x 2 doubles = 8 leaf primitives before coalescing; the
+        // IR knows each block coalesces into one run.
         let t = TypeBuilder::vector(4, 2, 5, TypeBuilder::double());
-        assert_eq!(t.leaf_block_upper_bound(), 8);
         assert_eq!(LayoutIr::normalize(&t).run_count(), 4);
     }
 

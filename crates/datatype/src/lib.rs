@@ -19,7 +19,7 @@
 //!    [`LayoutCache`] keyed by structural hash, with per-shard telemetry.
 //!
 //! The compiled layout is the lingua franca of the whole workspace: the
-//! GPU kernel cost model consumes its [`shape`](layout::Layout::shape),
+//! GPU kernel cost model consumes its [`shape`](CompiledLayout::shape),
 //! the GPU memory pools execute its copy plan through the same [`pack`]
 //! kernels as the host, and the fusion scheduler carries cached layout
 //! references in its request objects.
@@ -39,5 +39,5 @@ pub use cache::{
 };
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};
-pub use layout::{Layout, Segment, UniformPlan};
+pub use layout::{Segment, UniformPlan};
 pub use typedesc::{Primitive, TypeDesc};

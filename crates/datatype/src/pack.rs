@@ -5,12 +5,13 @@
 //! so a copy tier exists once. Tests check the wire protocols' delivered
 //! bytes against them.
 
+use crate::compile::CompiledLayout;
 use crate::compile::CopyPlan;
-use crate::layout::{Layout, UniformPlan};
+use crate::layout::UniformPlan;
 
 /// Pack `count` elements laid out per `layout` starting at `src\[0\]` into a
 /// contiguous buffer. Returns the packed bytes.
-pub fn pack(src: &[u8], layout: &Layout, count: u64) -> Vec<u8> {
+pub fn pack(src: &[u8], layout: &CompiledLayout, count: u64) -> Vec<u8> {
     let mut dst = vec![0u8; layout.total_bytes(count) as usize];
     pack_into(src, layout, count, &mut dst);
     dst
@@ -26,7 +27,7 @@ pub fn pack(src: &[u8], layout: &Layout, count: u64) -> Vec<u8> {
 /// loop of chunked inner copies; fixed-run layouts (equal small runs) take
 /// const-generic fixed-width moves; everything else runs the generic
 /// segment loop driven by the layout's prefix sums.
-pub fn pack_into(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
+pub fn pack_into(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         dst.len() as u64,
         layout.total_bytes(count),
@@ -137,7 +138,7 @@ fn scatter_fixed<const N: usize>(src: &[u8], plan: &UniformPlan, dst: &mut [u8])
 
 /// The generic segment loop behind [`pack_into`], without the contiguous
 /// fast path. Public so tests and benches can compare the two directly.
-pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
+pub fn pack_into_generic(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         dst.len() as u64,
         layout.total_bytes(count),
@@ -161,7 +162,7 @@ pub fn pack_into_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]
 /// starting at `dst\[0\]`. Bytes outside the layout's segments are untouched.
 ///
 /// Like [`pack_into`], fully contiguous layouts reduce to one `memcpy`.
-pub fn unpack(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
+pub fn unpack(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         src.len() as u64,
         layout.total_bytes(count),
@@ -202,7 +203,7 @@ pub fn unpack_uniform(src: &[u8], plan: &UniformPlan, dst: &mut [u8]) {
 
 /// The generic segment loop behind [`unpack`], without the contiguous fast
 /// path. Public so tests and benches can compare the two directly.
-pub fn unpack_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
+pub fn unpack_generic(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut [u8]) {
     assert_eq!(
         src.len() as u64,
         layout.total_bytes(count),
@@ -226,14 +227,14 @@ pub fn unpack_generic(src: &[u8], layout: &Layout, count: u64, dst: &mut [u8]) {
 mod tests {
     use super::*;
     use crate::builder::TypeBuilder;
-    use crate::layout::Layout;
+    use crate::compile::CompiledLayout;
     use proptest::prelude::*;
 
     #[test]
     fn pack_vector_selects_blocks_in_order() {
         // 2 blocks of 2 bytes, stride 4 bytes.
         let t = TypeBuilder::vector(2, 2, 4, TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let src: Vec<u8> = (0..8).collect();
         assert_eq!(pack(&src, &l, 1), vec![0, 1, 4, 5]);
     }
@@ -241,7 +242,7 @@ mod tests {
     #[test]
     fn pack_multiple_elements_tiles_by_extent() {
         let t = TypeBuilder::vector(2, 1, 2, TypeBuilder::byte()); // segs (0,1),(2,1), extent 3
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let src: Vec<u8> = (10..19).collect();
         // elements at 0 and 3: bytes 10,12 then 13,15
         assert_eq!(pack(&src, &l, 2), vec![10, 12, 13, 15]);
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn unpack_restores_scattered_positions() {
         let t = TypeBuilder::indexed(&[(1, 2), (5, 1)], TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let packed = vec![7, 8, 9];
         let mut dst = vec![0u8; l.footprint(1) as usize];
         unpack(&packed, &l, 1, &mut dst);
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn unpack_leaves_gaps_untouched() {
         let t = TypeBuilder::vector(2, 1, 3, TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let mut dst = vec![0xEE; 6];
         unpack(&[1, 2], &l, 1, &mut dst);
         assert_eq!(dst, vec![1, 0xEE, 0xEE, 2, 0xEE, 0xEE]);
@@ -270,7 +271,7 @@ mod tests {
     #[should_panic(expected = "destination size mismatch")]
     fn pack_into_checks_sizes() {
         let t = TypeBuilder::contiguous(4, TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let mut small = vec![0u8; 2];
         pack_into(&[0u8; 4], &l, 1, &mut small);
     }
@@ -278,7 +279,7 @@ mod tests {
     #[test]
     fn contiguous_pack_is_single_memcpy_of_prefix() {
         let t = TypeBuilder::contiguous(4, TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         assert!(l.is_contiguous_for(3));
         let src: Vec<u8> = (0..16).collect();
         // 3 elements: exactly the first 12 bytes, in order.
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn contiguous_unpack_copies_prefix_and_leaves_tail() {
         let t = TypeBuilder::contiguous(4, TypeBuilder::byte());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         let mut dst = vec![0xEE; 10];
         unpack(&[1, 2, 3, 4, 5, 6, 7, 8], &l, 2, &mut dst);
         assert_eq!(dst, vec![1, 2, 3, 4, 5, 6, 7, 8, 0xEE, 0xEE]);
@@ -298,7 +299,7 @@ mod tests {
     fn contiguous_single_element_with_padded_extent_uses_fast_path() {
         // Contiguous element, extent > size: fast path legal only for count 1.
         let t = TypeBuilder::subarray(&[3, 3], &[1, 3], &[0, 0], TypeBuilder::int());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         assert!(l.is_contiguous_for(1));
         assert!(!l.is_contiguous_for(2));
         let src: Vec<u8> = (0..72).collect();
@@ -314,7 +315,7 @@ mod tests {
     fn block_uniform_tier_matches_generic() {
         // 6 runs of 72 bytes every 120: BlockUniform (chunk + 8B tail).
         let t = TypeBuilder::vector(6, 9, 15, TypeBuilder::double());
-        let l = Layout::of(&t);
+        let l = CompiledLayout::of(&t);
         assert!(matches!(
             l.plan_for(1),
             crate::compile::CopyPlan::BlockUniform(_)
@@ -376,7 +377,7 @@ mod tests {
         /// unpack(pack(x)) restores exactly the bytes the layout touches.
         #[test]
         fn pack_unpack_roundtrip(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
-            let l = Layout::of(&t);
+            let l = CompiledLayout::of(&t);
             let fp = l.footprint(count) as usize;
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
             let mut src = vec![0u8; fp];
@@ -398,7 +399,7 @@ mod tests {
         /// pack(unpack(y)) is the identity on packed buffers.
         #[test]
         fn unpack_pack_roundtrip(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
-            let l = Layout::of(&t);
+            let l = CompiledLayout::of(&t);
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
             let mut packed = vec![0u8; l.total_bytes(count) as usize];
             rng.fill_bytes(&mut packed);
@@ -412,7 +413,7 @@ mod tests {
         /// Packed size equals type size x count for arbitrary types.
         #[test]
         fn packed_size_is_type_size(t in arb_type(), count in 1u64..5) {
-            let l = Layout::of(&t);
+            let l = CompiledLayout::of(&t);
             let src = vec![0u8; l.footprint(count) as usize];
             prop_assert_eq!(pack(&src, &l, count).len() as u64, t.size() * count);
         }
@@ -421,7 +422,7 @@ mod tests {
         /// segment loop produce identical bytes for arbitrary layouts.
         #[test]
         fn pack_fast_path_matches_generic(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
-            let l = Layout::of(&t);
+            let l = CompiledLayout::of(&t);
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
             let mut src = vec![0u8; l.footprint(count) as usize];
             rng.fill_bytes(&mut src);
@@ -436,7 +437,7 @@ mod tests {
         /// Same guarantee on the unpack side, including untouched gap bytes.
         #[test]
         fn unpack_fast_path_matches_generic(t in arb_type(), count in 1u64..4, seed in 0u64..1000) {
-            let l = Layout::of(&t);
+            let l = CompiledLayout::of(&t);
             let mut rng = fusedpack_sim::Pcg32::seeded(seed);
             let mut packed = vec![0u8; l.total_bytes(count) as usize];
             rng.fill_bytes(&mut packed);

@@ -6,11 +6,10 @@
 //! bounds are not supported (asserted at construction), which loses no
 //! generality for the halo-exchange layouts this workspace models.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// MPI primitive (named) types, with their sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
     /// `MPI_BYTE` / `MPI_CHAR`
     Byte,
@@ -195,58 +194,6 @@ impl TypeDesc {
         }
     }
 
-    /// Number of leaf contiguous blocks one element flattens into, *before*
-    /// adjacent-segment coalescing (an upper bound). Saturating: deeply
-    /// nested constructors can overflow a product of counts long before
-    /// they describe a representable layout, and this bound must stay a
-    /// bound, not a panic. Pre-sizing uses the *exact* post-normalize run
-    /// count from [`crate::ir::LayoutIr::run_count`] instead.
-    pub fn leaf_block_upper_bound(&self) -> u64 {
-        match self {
-            TypeDesc::Named(_) => 1,
-            TypeDesc::Contiguous { count, child } => {
-                count.saturating_mul(child.leaf_block_upper_bound())
-            }
-            TypeDesc::Vector {
-                count,
-                blocklen,
-                child,
-                ..
-            }
-            | TypeDesc::Hvector {
-                count,
-                blocklen,
-                child,
-                ..
-            } => count
-                .saturating_mul(*blocklen)
-                .saturating_mul(child.leaf_block_upper_bound()),
-            TypeDesc::Indexed { blocks, child } | TypeDesc::Hindexed { blocks, child } => blocks
-                .iter()
-                .map(|&(_, len)| len)
-                .fold(0u64, u64::saturating_add)
-                .saturating_mul(child.leaf_block_upper_bound()),
-            TypeDesc::IndexedBlock {
-                displacements,
-                blocklen,
-                child,
-            } => (displacements.len() as u64)
-                .saturating_mul(*blocklen)
-                .saturating_mul(child.leaf_block_upper_bound()),
-            TypeDesc::Struct { fields } => fields
-                .iter()
-                .map(|(_, count, child)| count.saturating_mul(child.leaf_block_upper_bound()))
-                .fold(0u64, u64::saturating_add),
-            TypeDesc::Subarray {
-                subsizes, child, ..
-            } => subsizes
-                .iter()
-                .fold(1u64, |acc, &s| acc.saturating_mul(s))
-                .saturating_mul(child.leaf_block_upper_bound()),
-            TypeDesc::Resized { child, .. } => child.leaf_block_upper_bound(),
-        }
-    }
-
     /// Is this a (possibly nested) fully contiguous type?
     pub fn is_contiguous(&self) -> bool {
         self.size() == self.true_extent()
@@ -330,15 +277,6 @@ mod tests {
         let t = TypeBuilder::resized(64, inner.clone());
         assert_eq!(t.size(), inner.size());
         assert_eq!(t.extent(), 64);
-    }
-
-    #[test]
-    fn leaf_block_bound_counts_blocks() {
-        let t = TypeBuilder::vector(4, 2, 5, TypeBuilder::double());
-        // 4 blocks x 2 doubles each = 8 leaf primitives max.
-        assert_eq!(t.leaf_block_upper_bound(), 8);
-        let nested = TypeBuilder::vector(3, 1, 2, t);
-        assert_eq!(nested.leaf_block_upper_bound(), 24);
     }
 
     #[test]

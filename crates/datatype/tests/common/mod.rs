@@ -1,8 +1,12 @@
 //! Random datatype trees for property tests, shared by the datatype
 //! crate's tests and by the GPU pool's differential copy test (which
-//! includes this file by path).
+//! includes this file by path), plus the pre-IR tree walk
+//! ([`flatten_reference`]) those tests use as an independent oracle.
 
-use fusedpack_datatype::{TypeBuilder, TypeDesc};
+// Each including test binary uses a different subset of these helpers.
+#![allow(dead_code)]
+
+use fusedpack_datatype::{Segment, TypeBuilder, TypeDesc};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -85,4 +89,177 @@ pub fn arb_type(depth: u32) -> BoxedStrategy<Arc<TypeDesc>> {
             .prop_map(|(pad, c)| { TypeBuilder::resized(c.extent() + pad, c) }),
     ]
     .boxed()
+}
+
+/// Flatten one element of `desc` by walking the constructor tree directly
+/// (the pre-IR implementation of `flatten`), coalescing adjacent segments
+/// as they are emitted. An independently derived ground truth for the
+/// canonical-IR path production uses.
+pub fn flatten_reference(desc: &TypeDesc) -> Vec<Segment> {
+    let mut out = Vec::with_capacity(leaf_block_upper_bound(desc).min(1 << 16) as usize);
+    walk(desc, 0, &mut out);
+    out
+}
+
+/// Number of leaf contiguous blocks one element flattens into, *before*
+/// adjacent-segment coalescing (an upper bound). Saturating: deeply nested
+/// constructors can overflow a product of counts long before they describe
+/// a representable layout, and this bound must stay a bound, not a panic.
+pub fn leaf_block_upper_bound(desc: &TypeDesc) -> u64 {
+    match desc {
+        TypeDesc::Named(_) => 1,
+        TypeDesc::Contiguous { count, child } => {
+            count.saturating_mul(leaf_block_upper_bound(child))
+        }
+        TypeDesc::Vector {
+            count,
+            blocklen,
+            child,
+            ..
+        }
+        | TypeDesc::Hvector {
+            count,
+            blocklen,
+            child,
+            ..
+        } => count
+            .saturating_mul(*blocklen)
+            .saturating_mul(leaf_block_upper_bound(child)),
+        TypeDesc::Indexed { blocks, child } | TypeDesc::Hindexed { blocks, child } => blocks
+            .iter()
+            .map(|&(_, len)| len)
+            .fold(0u64, u64::saturating_add)
+            .saturating_mul(leaf_block_upper_bound(child)),
+        TypeDesc::IndexedBlock {
+            displacements,
+            blocklen,
+            child,
+        } => (displacements.len() as u64)
+            .saturating_mul(*blocklen)
+            .saturating_mul(leaf_block_upper_bound(child)),
+        TypeDesc::Struct { fields } => fields
+            .iter()
+            .map(|(_, count, child)| count.saturating_mul(leaf_block_upper_bound(child)))
+            .fold(0u64, u64::saturating_add),
+        TypeDesc::Subarray {
+            subsizes, child, ..
+        } => subsizes
+            .iter()
+            .fold(1u64, |acc, &s| acc.saturating_mul(s))
+            .saturating_mul(leaf_block_upper_bound(child)),
+        TypeDesc::Resized { child, .. } => leaf_block_upper_bound(child),
+    }
+}
+
+/// Emit a segment, coalescing with the previous one when contiguous.
+fn emit(out: &mut Vec<Segment>, offset: u64, len: u64) {
+    if len == 0 {
+        return;
+    }
+    if let Some(last) = out.last_mut() {
+        if last.offset + last.len == offset {
+            last.len += len;
+            return;
+        }
+    }
+    out.push(Segment { offset, len });
+}
+
+fn walk(desc: &TypeDesc, base: u64, out: &mut Vec<Segment>) {
+    match desc {
+        TypeDesc::Named(p) => emit(out, base, p.size()),
+        TypeDesc::Contiguous { count, child } => walk_block(child, base, *count, out),
+        TypeDesc::Vector {
+            count,
+            blocklen,
+            stride,
+            child,
+        } => {
+            let stride_bytes = stride * child.extent();
+            for i in 0..*count {
+                walk_block(child, base + i * stride_bytes, *blocklen, out);
+            }
+        }
+        TypeDesc::Hvector {
+            count,
+            blocklen,
+            stride_bytes,
+            child,
+        } => {
+            for i in 0..*count {
+                walk_block(child, base + i * stride_bytes, *blocklen, out);
+            }
+        }
+        TypeDesc::Indexed { blocks, child } => {
+            let ext = child.extent();
+            for &(disp, len) in blocks.iter() {
+                walk_block(child, base + disp * ext, len, out);
+            }
+        }
+        TypeDesc::Hindexed { blocks, child } => {
+            for &(disp, len) in blocks.iter() {
+                walk_block(child, base + disp, len, out);
+            }
+        }
+        TypeDesc::IndexedBlock {
+            displacements,
+            blocklen,
+            child,
+        } => {
+            let ext = child.extent();
+            for &disp in displacements.iter() {
+                walk_block(child, base + disp * ext, *blocklen, out);
+            }
+        }
+        TypeDesc::Struct { fields } => {
+            for (disp, count, child) in fields.iter() {
+                walk_block(child, base + disp, *count, out);
+            }
+        }
+        TypeDesc::Subarray {
+            sizes,
+            subsizes,
+            starts,
+            child,
+        } => walk_subarray(sizes, subsizes, starts, child, base, 0, 0, out),
+        TypeDesc::Resized { child, .. } => walk(child, base, out),
+    }
+}
+
+/// One run of `count` consecutive children at `base`. A child that tiles
+/// gaplessly (`size == extent`) is one segment; otherwise (e.g. a `resized`
+/// child's padding) the copies stay separate.
+fn walk_block(child: &TypeDesc, base: u64, count: u64, out: &mut Vec<Segment>) {
+    let ext = child.extent();
+    if child.is_contiguous() && child.size() == ext {
+        emit(out, base, count * child.size());
+    } else {
+        for i in 0..count {
+            walk(child, base + i * ext, out);
+        }
+    }
+}
+
+/// Row-major traversal of an n-dimensional subarray.
+#[allow(clippy::too_many_arguments)]
+fn walk_subarray(
+    sizes: &[u64],
+    subsizes: &[u64],
+    starts: &[u64],
+    child: &TypeDesc,
+    base: u64,
+    dim: usize,
+    index_offset: u64,
+    out: &mut Vec<Segment>,
+) {
+    if dim == sizes.len() - 1 {
+        // Innermost dimension: one contiguous run of `subsizes[dim]` children.
+        let elem = index_offset * sizes[dim] + starts[dim];
+        walk_block(child, base + elem * child.extent(), subsizes[dim], out);
+        return;
+    }
+    for i in 0..subsizes[dim] {
+        let index = index_offset * sizes[dim] + starts[dim] + i;
+        walk_subarray(sizes, subsizes, starts, child, base, dim + 1, index, out);
+    }
 }

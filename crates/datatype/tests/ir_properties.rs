@@ -2,7 +2,7 @@
 //!
 //! Two independent implementations exist on purpose: the canonical-IR
 //! path (`normalize` → rewrite → `compile`) that production uses, and the
-//! pre-IR direct tree walk kept as `flatten_reference`. These tests
+//! pre-IR direct tree walk kept here as `common::flatten_reference`. These tests
 //! generate random nested type trees — including shapes none of the unit
 //! tests cover — and require the two to agree byte-for-byte, both on the
 //! segment lists and on the packed images every copy tier produces.
@@ -14,15 +14,25 @@
 
 mod common;
 
-use common::arb_type;
+use common::{arb_type, flatten_reference, leaf_block_upper_bound};
 use fusedpack_datatype::cache::{LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
-use fusedpack_datatype::flatten::{flatten, flatten_reference};
+use fusedpack_datatype::flatten::flatten;
 use fusedpack_datatype::ir::LayoutIr;
 use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
 use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The leaf-block bound counts pre-coalesce primitives.
+#[test]
+fn leaf_block_bound_counts_blocks() {
+    let t = TypeBuilder::vector(4, 2, 5, TypeBuilder::double());
+    // 4 blocks x 2 doubles each = 8 leaf primitives max.
+    assert_eq!(leaf_block_upper_bound(&t), 8);
+    let nested = TypeBuilder::vector(3, 1, 2, t);
+    assert_eq!(leaf_block_upper_bound(&nested), 24);
+}
 
 proptest! {
     /// The IR-routed flatten and the legacy tree walk emit identical
@@ -74,7 +84,7 @@ proptest! {
         let ir = LayoutIr::normalize(&t);
         let segs = flatten(&t);
         prop_assert!(ir.run_count() >= segs.len() as u64);
-        prop_assert!(ir.run_count() <= t.leaf_block_upper_bound());
+        prop_assert!(ir.run_count() <= leaf_block_upper_bound(&t));
         let mut bytes = 0u64;
         ir.for_each_run(|_, len| bytes += len);
         prop_assert_eq!(bytes, t.size());

@@ -14,10 +14,9 @@
 //! of launch/synchronization overhead to kernel body time and wire time.
 
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Cost-model constants for one GPU architecture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuArch {
     /// Human-readable name ("Tesla V100").
     pub name: &'static str,

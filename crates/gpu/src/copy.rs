@@ -7,10 +7,9 @@
 //! carries `cudaMemcpy` staging traffic and GDRCopy load/stores.
 
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Direction/route of a DMA copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CopyPath {
     /// Host memory → device memory over the host link.
     H2D,
@@ -21,7 +20,7 @@ pub enum CopyPath {
 }
 
 /// The CPU↔GPU interconnect of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostLink {
     /// Human-readable name ("NVLink2", "PCIe Gen3 x16").
     pub name: &'static str,

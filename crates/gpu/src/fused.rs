@@ -24,14 +24,13 @@
 use crate::arch::GpuArch;
 use crate::kernel::{self, SegmentStats};
 use fusedpack_sim::{Duration, Time};
-use serde::{Deserialize, Serialize};
 
 /// How a fused kernel's thread blocks are divided among its requests.
 ///
 /// The CUDA implementation's cooperative-group partitioning step is free to
 /// pick any split; the choice decides which request gates the kernel when
 /// the batch oversubscribes the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionPolicy {
     /// Equal split regardless of per-request work: `C / n` blocks each
     /// (at least one). The naive baseline — skewed batches starve their

@@ -15,10 +15,9 @@
 use crate::copy::HostLink;
 use crate::kernel::SegmentStats;
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// CPU load/store window onto GPU memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GdrWindow {
     /// Is the gdrcopy kernel module / NVLink load-store path available?
     /// (The paper notes GDRCopy "may not be available in all HPC systems".)

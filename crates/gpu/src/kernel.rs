@@ -28,10 +28,9 @@
 
 use crate::arch::GpuArch;
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Shape summary of a non-contiguous layout processed by one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Total payload bytes moved.
     pub total_bytes: u64,

@@ -19,10 +19,9 @@
 //! [`pack::pack_into`]/[`pack::unpack`] kernels.
 
 use fusedpack_datatype::{pack, CompiledLayout};
-use serde::{Deserialize, Serialize};
 
 /// Whether a pool carries real bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataMode {
     /// Real backing storage; copies move bytes.
     Full,
@@ -31,7 +30,7 @@ pub enum DataMode {
 }
 
 /// A pointer into a [`MemPool`]: offset and length in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevPtr {
     pub addr: u64,
     pub len: u64,

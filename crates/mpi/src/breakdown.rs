@@ -13,11 +13,10 @@
 //!    no local kernel or CPU work outstanding, waiting on the wire.
 
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Accumulated per-rank cost buckets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     pub pack: Duration,
     pub launch: Duration,

@@ -26,13 +26,11 @@ use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
 use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
-use fusedpack_sim::trace::Trace;
 use fusedpack_sim::{
     ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Mailbox, Pcg32,
     RetryPolicy, ShardStats, Slab, Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -61,7 +59,7 @@ pub enum RndvProtocol {
 }
 
 /// A rank (one process driving one GPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RankId(pub u32);
 
 /// Internal simulation events.
@@ -91,7 +89,6 @@ pub struct ClusterBuilder {
     scheme: SchemeKind,
     data_mode: DataMode,
     gdrcopy: bool,
-    trace_capacity: usize,
     telemetry: Option<Telemetry>,
     rndv: RndvProtocol,
     faults: Option<FaultPlan>,
@@ -108,7 +105,6 @@ impl ClusterBuilder {
             scheme,
             data_mode: DataMode::Full,
             gdrcopy: true,
-            trace_capacity: 0,
             telemetry: None,
             rndv: RndvProtocol::default(),
             faults: None,
@@ -168,17 +164,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Keep a structured trace of up to `capacity` protocol and scheduling
-    /// events (debugging aid; see [`Cluster::trace`]). A convenience over
-    /// [`ClusterBuilder::telemetry`] with a capacity-capped recorder.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attach an external telemetry recorder: every layer of the stack
     /// (scheduler, GPUs, NICs, protocol engine, accounting) records typed
-    /// events into it. Takes precedence over [`ClusterBuilder::with_trace`].
+    /// events into it.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -210,11 +198,7 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         assert!(!self.ranks.is_empty(), "need at least one rank");
         let num_nodes = self.ranks.iter().map(|&(n, _)| n).max().expect("ranks") + 1;
-        let telemetry = match self.telemetry {
-            Some(t) => t,
-            None if self.trace_capacity > 0 => Telemetry::with_capacity(self.trace_capacity),
-            None => Telemetry::disabled(),
-        };
+        let telemetry = self.telemetry.unwrap_or_else(Telemetry::disabled);
         // The single construction-time dispatch: scheme → strategy object.
         let engine = crate::registry::engine_for(&self.scheme, &self.platform);
 
@@ -828,34 +812,8 @@ impl Cluster {
     }
 
     /// The telemetry handle this cluster records into (disabled unless the
-    /// builder attached one via [`ClusterBuilder::telemetry`] or
-    /// [`ClusterBuilder::with_trace`]).
+    /// builder attached one via [`ClusterBuilder::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// A legacy flat trace view, synthesized from the typed telemetry
-    /// timeline (empty unless tracing was enabled at build time). Events
-    /// are ordered by time; components group the payload categories
-    /// (`fusion` for scheduler decisions, `wire` for protocol/network
-    /// traffic, `gpu`, `pack`, `sync`, `bucket`, `marker`).
-    pub fn trace(&self) -> Trace {
-        let snap = self.telemetry.snapshot();
-        let mut events = snap.events;
-        events.sort_by_key(|e| (e.start, e.rank));
-        let mut trace = Trace::enabled(events.len().max(1));
-        for e in &events {
-            let component = match e.payload.category() {
-                "sched" => "fusion",
-                "net" => "wire",
-                other => other,
-            };
-            let message = match e.dur {
-                Some(d) => format!("rank {}: {:?} (+{} ns)", e.rank, e.payload, d.as_nanos()),
-                None => format!("rank {}: {:?}", e.rank, e.payload),
-            };
-            trace.record(e.start, component, message);
-        }
-        trace
     }
 }

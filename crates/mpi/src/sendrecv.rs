@@ -10,7 +10,7 @@
 //! concurrently with packing.
 
 use fusedpack_core::Uid;
-use fusedpack_datatype::Layout;
+use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::DevPtr;
 use std::sync::Arc;
 
@@ -73,7 +73,7 @@ pub struct SendOp {
     pub dst: RankId,
     pub tag: u32,
     pub user_buf: DevPtr,
-    pub layout: Arc<Layout>,
+    pub layout: Arc<CompiledLayout>,
     pub count: u64,
     pub packed_bytes: u64,
     pub blocks: u64,
@@ -93,7 +93,7 @@ pub struct RecvOp {
     pub src: RankId,
     pub tag: u32,
     pub user_buf: DevPtr,
-    pub layout: Arc<Layout>,
+    pub layout: Arc<CompiledLayout>,
     pub count: u64,
     pub packed_bytes: u64,
     pub blocks: u64,
@@ -134,7 +134,7 @@ mod tests {
             dst: RankId(1),
             tag: 0,
             user_buf: DevPtr { addr: 0, len: 64 },
-            layout: Arc::new(Layout::of(&TypeBuilder::int())),
+            layout: Arc::new(CompiledLayout::of(&TypeBuilder::int())),
             count: 1,
             packed_bytes: 4,
             blocks: 1,

@@ -4,7 +4,7 @@
 //! bit-identical to one with no plan at all.
 
 use fusedpack_core::FusionConfig;
-use fusedpack_datatype::{Layout, TypeBuilder, TypeDesc};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{
     AppOp, BufId, ClusterBuilder, Program, RankId, RunReport, SchemeKind, TypeSlot,
@@ -27,7 +27,7 @@ fn run_chaos_pair(
     same_node: bool,
     plan: Option<FaultPlan>,
 ) -> (RunReport, Vec<Vec<u8>>, u64) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     let count = 2u64;
     let len = layout.footprint(count).max(1);
 
@@ -84,7 +84,7 @@ fn run_chaos_pair(
 }
 
 fn verify_received(desc: &Arc<TypeDesc>, received: &[Vec<u8>], len: u64) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     for (i, got) in received.iter().enumerate() {
         let mut want = vec![0u8; len as usize];
         Pcg32::new(900 + i as u64, 0).fill_bytes(&mut want);
@@ -107,7 +107,7 @@ fn run_chaos_ring(
     shards: u32,
 ) -> (RunReport, Vec<Vec<Vec<u8>>>) {
     const RANKS: u32 = 4;
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     let count = 2u64;
     let len = layout.footprint(count).max(1);
 

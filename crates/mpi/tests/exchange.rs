@@ -1,7 +1,7 @@
 //! End-to-end exchange tests: every scheme must move the right bytes, and
 //! the relative performance of the schemes must match the paper's ordering.
 
-use fusedpack_datatype::{Layout, TypeBuilder, TypeDesc};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
 use fusedpack_net::Platform;
@@ -18,7 +18,7 @@ fn exchange_programs(
     n_msgs: usize,
     laps: usize,
 ) -> (Program, Program, Vec<BufId>, Vec<BufId>) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     let buf_len = layout.footprint(count).max(1);
 
     let build = |seed_base: u64, peer: RankId| {
@@ -82,7 +82,7 @@ fn run_and_verify(
     count: u64,
     n_msgs: usize,
 ) -> fusedpack_mpi::cluster::RunReport {
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let buf_len = layout.footprint(count).max(1);
     let (p0, p1, _s0, r1) = exchange_programs(&desc, count, n_msgs, 1);
     let mut cluster = ClusterBuilder::new(platform, scheme)
@@ -155,7 +155,7 @@ fn unexpected_messages_are_matched_late() {
     // Rank 1 sends *before* posting its receives, so rank 0's RTS/eager
     // messages race ahead and land in the unexpected queue.
     let desc = sparse_type();
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let count = 2u64;
     let n = 3usize;
     let buf_len = layout.footprint(count).max(1);
@@ -413,8 +413,8 @@ fn mixed_datatypes_in_one_epoch() {
     // indexed type and a dense vector, both directions, under fusion.
     let sparse = sparse_type();
     let dense = dense_type();
-    let l_sparse = Layout::of(&sparse);
-    let l_dense = Layout::of(&dense);
+    let l_sparse = CompiledLayout::of(&sparse);
+    let l_dense = CompiledLayout::of(&dense);
     let count = 2u64;
     let len_sparse = l_sparse.footprint(count).max(1);
     let len_dense = l_dense.footprint(count).max(1);

@@ -2,13 +2,14 @@
 //! fallback, and degraded-system operation (no GDRCopy).
 
 use fusedpack_core::FusionConfig;
-use fusedpack_datatype::{Layout, TypeBuilder, TypeDesc};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{
     AppOp, BufId, ClusterBuilder, Program, RankId, RunReport, SchemeKind, TypeSlot,
 };
 use fusedpack_net::Platform;
 use fusedpack_sim::Pcg32;
+use fusedpack_telemetry::Telemetry;
 use std::sync::Arc;
 
 fn sparse_type(points: u64) -> Arc<TypeDesc> {
@@ -25,7 +26,7 @@ fn run_pair(
     same_node: bool,
     gdrcopy: bool,
 ) -> (RunReport, Vec<Vec<u8>>, u64) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     let count = 2u64;
     let len = layout.footprint(count).max(1);
 
@@ -82,7 +83,7 @@ fn run_pair(
 }
 
 fn verify_received(desc: &Arc<TypeDesc>, received: &[Vec<u8>], len: u64) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     for (i, got) in received.iter().enumerate() {
         let mut want = vec![0u8; len as usize];
         Pcg32::new(900 + i as u64, 0).fill_bytes(&mut want);
@@ -188,7 +189,7 @@ fn fusion_without_direct_ipc_config_roundtrip() {
 #[test]
 fn trace_records_fusion_and_wire_events() {
     let desc = sparse_type(200);
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let len = layout.footprint(1).max(1);
     let build = |peer: RankId| {
         let mut p = Program::new();
@@ -216,21 +217,19 @@ fn trace_records_fusion_and_wire_events() {
         p
     };
     let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
-        .with_trace(256)
+        .telemetry(Telemetry::with_capacity(256))
         .add_rank(0, build(RankId(1)))
         .add_rank(1, build(RankId(0)))
         .build();
     cluster.run();
-    let trace = cluster.trace();
-    assert!(!trace.is_empty());
-    assert!(
-        !trace.for_component("fusion").is_empty(),
-        "fused launches traced"
-    );
-    assert!(!trace.for_component("wire").is_empty(), "deliveries traced");
-    // Timestamps are monotone.
-    let times: Vec<_> = trace.events().map(|e| e.time).collect();
-    assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    let mut events = cluster.telemetry().snapshot().events;
+    assert!(!events.is_empty());
+    let recorded = |category: &str| events.iter().any(|e| e.payload.category() == category);
+    assert!(recorded("sched"), "fused launches traced");
+    assert!(recorded("net"), "deliveries traced");
+    // Start times are monotone once sorted.
+    events.sort_by_key(|e| (e.start, e.rank));
+    assert!(events.windows(2).all(|w| w[0].start <= w[1].start));
 }
 
 #[test]
@@ -239,7 +238,7 @@ fn untraced_cluster_records_nothing() {
     let (report, _, _) = run_pair(SchemeKind::fusion_default(), &desc, 2, false, true);
     let _ = report;
     // Build directly to inspect the trace.
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let len = layout.footprint(2).max(1);
     let mut p = Program::new();
     let _ = p.buffer(len, BufInit::Zero);
@@ -247,7 +246,7 @@ fn untraced_cluster_records_nothing() {
         .add_rank(0, p)
         .build();
     cluster.run();
-    assert!(cluster.trace().is_empty());
+    assert!(cluster.telemetry().snapshot().events.is_empty());
 }
 
 #[test]
@@ -256,7 +255,7 @@ fn explicit_pack_unpack_roundtrip_on_one_rank() {
     // buffer into a packed one and MPI_Unpack it into a third; the third
     // must match the first on every layout segment.
     let desc = sparse_type(120);
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let count = 2u64;
     let len = layout.footprint(count).max(1);
     let packed_len = layout.total_bytes(count).max(1);
@@ -318,7 +317,7 @@ fn run_pair_rndv(
     desc: &Arc<TypeDesc>,
     n: usize,
 ) -> (RunReport, Vec<Vec<u8>>, u64) {
-    let layout = Layout::of(desc);
+    let layout = CompiledLayout::of(desc);
     let count = 2u64;
     let len = layout.footprint(count).max(1);
     let build = |seed: u64, peer: RankId| {

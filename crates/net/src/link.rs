@@ -5,10 +5,9 @@
 //! link queue behind each other, modelling wire occupancy.
 
 use fusedpack_sim::{Duration, FifoResource, Time};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a link type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSpec {
     pub name: &'static str,
     /// One-way bandwidth, bytes/s.

@@ -10,10 +10,9 @@ use crate::link::{Link, LinkSpec};
 use crate::topology::{RouteKey, RouteTiming, TopoNet};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// One node's host channel adapter.

@@ -10,13 +10,12 @@ use crate::error::NetError;
 use crate::nic::Nic;
 use crate::topology::{RouteKey, TopoNet};
 use fusedpack_sim::Time;
-use serde::{Deserialize, Serialize};
 
 /// Size of a control packet (RTS/CTS/FIN) on the wire.
 pub const CTRL_BYTES: u64 = 64;
 
 /// Which one-sided verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RdmaVerb {
     Write,
     Read,

@@ -50,7 +50,6 @@ use super::{HopId, HopKind, RouteKey, Topology, TopologyHandle};
 use crate::error::NetError;
 use crate::link::Link;
 use fusedpack_sim::{Duration, FaultPlan, FaultSite, Time};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Consecutive flapped traversals that mark a hop down.
@@ -119,7 +118,7 @@ impl Default for HopHealth {
 }
 
 /// Aggregate fabric-health counters for one cluster's run report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricHealth {
     /// Transient hop errors injected (head delayed, streak deepened).
     pub flaps: u64,

@@ -41,11 +41,10 @@ pub use hierarchy::{Dragonfly, Fabric, FatTree, Hierarchy, NvlinkIsland};
 use crate::error::NetError;
 use crate::link::LinkSpec;
 use fusedpack_sim::Duration;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One communication endpoint: a GPU slot on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     pub node: u32,
     /// GPU index within the node's island.

@@ -43,12 +43,11 @@
 
 use crate::clock::Duration;
 use crate::rng::Pcg32;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A named injection point in the simulated stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// `Nic::post_send(_gdr)`: the completion (CQE) for a posted send is
     /// delayed past the normal wire latency.
@@ -160,7 +159,7 @@ impl fmt::Display for FaultSite {
 }
 
 /// Per-site injection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Probability that a decision at this site fires, in `[0, 1]`.
     pub probability: f64,
@@ -441,7 +440,7 @@ impl FaultPlan {
 }
 
 /// Aggregate outcome of a faulted run, reported in `RunReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Faults the plan injected.
     pub injected: u64,
@@ -508,7 +507,7 @@ impl fmt::Display for FaultSummary {
 
 /// Bounded exponential backoff with deterministic jitter and a per-op
 /// deadline, driving retransmission in the transfer protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts before the sender stops waiting for clean delivery
     /// (includes the first transmission).

@@ -24,7 +24,6 @@ pub mod rng;
 pub mod shard;
 pub mod slab;
 pub mod stats;
-pub mod trace;
 
 pub use clock::{Duration, Time};
 pub use event::{ClampStats, EventQueue, WheelStats};

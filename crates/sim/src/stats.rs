@@ -5,7 +5,6 @@
 //! usual summary statistics used when printing table rows.
 
 use crate::clock::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Collects duration samples and produces summary statistics.
 #[derive(Debug, Clone, Default)]
@@ -16,7 +15,7 @@ pub struct Accumulator {
 }
 
 /// Summary of a sample set, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub count: usize,
     pub mean_ns: f64,

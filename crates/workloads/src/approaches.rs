@@ -183,7 +183,7 @@ pub fn algorithm2_programs(
 mod tests {
     use super::*;
     use crate::specfem::specfem3d_cm;
-    use fusedpack_datatype::Layout;
+    use fusedpack_datatype::CompiledLayout;
     use fusedpack_gpu::DataMode;
     use fusedpack_mpi::{ClusterBuilder, SchemeKind};
     use fusedpack_net::Platform;
@@ -203,7 +203,7 @@ mod tests {
             .build();
         let report = cluster.run();
         // Verify rank 1 received rank 0's data.
-        let layout = Layout::of(&workload.desc);
+        let layout = CompiledLayout::of(&workload.desc);
         let len = workload.footprint().max(1);
         for (i, &rbuf) in bufs1.recv_user.iter().enumerate() {
             let got = cluster.rank_buffer(fusedpack_mpi::RankId(1), rbuf);

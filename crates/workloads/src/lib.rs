@@ -65,12 +65,12 @@ impl Workload {
 
     /// Contiguous blocks per message (before coalescing).
     pub fn blocks(&self) -> u64 {
-        fusedpack_datatype::Layout::of(&self.desc).total_blocks(self.count)
+        fusedpack_datatype::CompiledLayout::of(&self.desc).total_blocks(self.count)
     }
 
     /// Memory footprint of one message's user buffer.
     pub fn footprint(&self) -> u64 {
-        fusedpack_datatype::Layout::of(&self.desc).footprint(self.count)
+        fusedpack_datatype::CompiledLayout::of(&self.desc).footprint(self.count)
     }
 
     /// Average contiguous-block size in bytes — the input of

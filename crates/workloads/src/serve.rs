@@ -155,7 +155,7 @@ fn percentile(sorted: &[Duration], num: u64, den: u64) -> Duration {
 /// arrival gap, timed individually.
 fn serve_program(cfg: &ServeConfig, seed: u64, peer: RankId) -> Program {
     let counts = cfg.counts();
-    let layout = fusedpack_datatype::Layout::of(&cfg.workload.desc);
+    let layout = fusedpack_datatype::CompiledLayout::of(&cfg.workload.desc);
     let max_count = counts.iter().copied().max().unwrap_or(1);
     let buf_len = layout.footprint(max_count).max(1);
     let mut p = Program::new();

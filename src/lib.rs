@@ -56,7 +56,7 @@ pub use fusedpack_workloads as workloads;
 /// The names most programs need.
 pub mod prelude {
     pub use fusedpack_core::{FusionConfig, Scheduler};
-    pub use fusedpack_datatype::{Layout, TypeBuilder};
+    pub use fusedpack_datatype::{CompiledLayout, TypeBuilder};
     pub use fusedpack_gpu::DataMode;
     pub use fusedpack_mpi::{
         AppOp, BufId, BufInit, Cluster, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot,

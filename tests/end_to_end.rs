@@ -51,7 +51,7 @@ fn expected_send_buffer(rank: u32, len: u64) -> Vec<u8> {
 
 fn verify_ring(platform: Platform, scheme: SchemeKind, workload: &Workload) {
     let world = 4u32;
-    let layout = Layout::of(&workload.desc);
+    let layout = CompiledLayout::of(&workload.desc);
     let len = workload.footprint().max(1);
     let mut builder = ClusterBuilder::new(platform, scheme);
     for (rank, program) in ring_programs(world, workload).into_iter().enumerate() {

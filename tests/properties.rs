@@ -59,7 +59,7 @@ fn exchange_preserves_bytes(
     n_msgs: usize,
     platform: Platform,
 ) -> Result<(), TestCaseError> {
-    let layout = Layout::of(&desc);
+    let layout = CompiledLayout::of(&desc);
     let len = layout.footprint(count).max(1);
 
     let build = |seed: u64, peer: RankId| {
