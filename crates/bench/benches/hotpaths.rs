@@ -11,7 +11,8 @@ use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
-use fusedpack_workloads::{run_exchange_chaos, specfem::specfem3d_oc, ExchangeConfig};
+use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
+use fusedpack_workloads::{run_exchange_chaos, ExchangeConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -157,21 +158,24 @@ fn bench_staging_pool_mixed(c: &mut Criterion) {
     g.finish();
 }
 
-/// The fixed-stride gather tier against the generic per-segment loop on
-/// the same uniform layout: 4096 16-byte runs at a 24-byte stride (a
-/// blocklen-2 double vector). `pack_uniform` dispatches to the
-/// const-width `[u8; 16]` inner loop; `pack_generic_loop` walks the
-/// segment table. The `mempool_*` rows run the plan-driven pool gather.
+/// The small-run copy tier against the generic per-segment loop on a
+/// uniform layout: 4096 16-byte runs at a 24-byte stride (a blocklen-2
+/// double vector). `pack_uniform`/`unpack_uniform` run the layout's plan —
+/// the indexed rung, whose const-width 16-byte moves walk the offset table
+/// (the rows keep the names of the fixed-stride tier it replaced);
+/// `pack_generic_loop` walks the segment table. The `mempool_*` rows run
+/// the plan-driven pool gather.
 fn bench_gather_tier(c: &mut Criterion) {
+    use fusedpack_datatype::CopyPlan;
     let layout = CompiledLayout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
     let count = 1u64;
-    let plan = layout.uniform_for(count).expect("vector is uniform");
+    assert_eq!(layout.plan_for(count), CopyPlan::IndexedRuns { width: 16 });
     let src = vec![7u8; layout.footprint(count) as usize];
     let mut dst = vec![0u8; layout.total_bytes(count) as usize];
     let mut g = c.benchmark_group("hotpaths/gather_tier");
     g.throughput(Throughput::Bytes(layout.total_bytes(count)));
     g.bench_function("pack_uniform", |b| {
-        b.iter(|| pack::pack_into_uniform(black_box(&src), &plan, &mut dst))
+        b.iter(|| pack::pack_into(black_box(&src), &layout, count, &mut dst))
     });
     g.bench_function("pack_generic_loop", |b| {
         b.iter(|| pack::pack_into_generic(black_box(&src), &layout, count, &mut dst))
@@ -179,7 +183,7 @@ fn bench_gather_tier(c: &mut Criterion) {
     g.bench_function("unpack_uniform", |b| {
         let packed = vec![9u8; layout.total_bytes(count) as usize];
         let mut out = vec![0u8; layout.footprint(count) as usize];
-        b.iter(|| pack::unpack_uniform(black_box(&packed), &plan, &mut out))
+        b.iter(|| pack::unpack(black_box(&packed), &layout, count, &mut out))
     });
 
     // The same tier inside the device pools (what the cluster's staged
@@ -194,9 +198,10 @@ fn bench_gather_tier(c: &mut Criterion) {
         b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
     });
 
-    // A timing-only gather of one specfem3D_oc(512) element (512 Generic
-    // segments), the per-message copy every ModelOnly serve request makes:
-    // the plan answers with `total_bytes` and never reads the segment table.
+    // A timing-only gather of one specfem3D_oc(512) element (512 4-byte
+    // runs), the per-message copy every ModelOnly serve request makes: the
+    // plan answers with `total_bytes` and reads neither the segment table
+    // nor the offset table.
     let oc = CompiledLayout::of(&specfem3d_oc(512).desc);
     let mut model = MemPool::new(1 << 30, DataMode::ModelOnly);
     let user = model.alloc(oc.footprint(1), 64);
@@ -204,6 +209,42 @@ fn bench_gather_tier(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(oc.total_bytes(1)));
     g.bench_function("mempool_gather_model_only_specfem3d_oc", |b| {
         b.iter(|| black_box(model.gather(black_box(&oc), user.addr, 1, staged.addr)))
+    });
+    g.finish();
+}
+
+/// The indexed rung on the paper's sparse case: one specfem3D_cm(512)
+/// element, three fields of 512 4-byte boundary values whose starts sit
+/// an irregular 8–16 bytes apart (1536 runs, no constant stride). `pack` and `unpack` run the
+/// plan (4-byte moves over the offset table), `pack_generic_loop` the
+/// per-segment walk it replaced, and `mempool_gather` the same plan on
+/// pool memory.
+fn bench_indexed_runs(c: &mut Criterion) {
+    use fusedpack_datatype::CopyPlan;
+    let layout = CompiledLayout::of(&specfem3d_cm(512).desc);
+    let count = 1u64;
+    assert_eq!(layout.plan_for(count), CopyPlan::IndexedRuns { width: 4 });
+    let (span, total) = (layout.footprint(count), layout.total_bytes(count));
+    let src = vec![7u8; span as usize];
+    let mut dst = vec![0u8; total as usize];
+    let mut g = c.benchmark_group("hotpaths/indexed_runs");
+    g.throughput(Throughput::Bytes(total));
+    g.bench_function("pack", |b| {
+        b.iter(|| pack::pack_into(black_box(&src), &layout, count, &mut dst))
+    });
+    g.bench_function("pack_generic_loop", |b| {
+        b.iter(|| pack::pack_into_generic(black_box(&src), &layout, count, &mut dst))
+    });
+    g.bench_function("unpack", |b| {
+        let packed = vec![9u8; total as usize];
+        let mut out = vec![0u8; span as usize];
+        b.iter(|| pack::unpack(black_box(&packed), &layout, count, &mut out))
+    });
+    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
+    let region = pool.alloc(span, 64);
+    let packed = pool.alloc(total, 64);
+    g.bench_function("mempool_gather", |b| {
+        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
     });
     g.finish();
 }
@@ -644,6 +685,7 @@ criterion_group!(
     bench_staging_pool,
     bench_staging_pool_mixed,
     bench_gather_tier,
+    bench_indexed_runs,
     bench_block_uniform_tier,
     bench_scheduler,
     bench_fault_hooks,

@@ -150,13 +150,12 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.total_bytes, 192);
         assert_eq!(s.num_blocks, 12);
-        // Uniform within one element, but extent (136) ≠ runs × stride
-        // (160): the pattern breaks across the 3 elements, so the
-        // count-resolved plan degrades to the generic walk.
-        assert_eq!(r.class(), LayoutClass::Generic);
+        // Equal 16-byte runs: the offset table tiles by extent, so the
+        // count-resolved plan is the indexed rung for 3 elements and 1.
+        assert_eq!(r.class(), LayoutClass::IndexedRuns);
         let (stats, class) = FusionRequest::classify(&r.layout, 1);
         assert_eq!(stats.num_blocks, 4);
-        assert_eq!(class, LayoutClass::FixedRuns, "single element is uniform");
+        assert_eq!(class, LayoutClass::IndexedRuns);
     }
 
     #[test]

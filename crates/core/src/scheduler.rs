@@ -84,7 +84,7 @@ pub struct SchedStats {
     pub degraded_flushes: u64,
     /// Accepted enqueues per copy-plan class, indexed by
     /// [`LayoutClass::index`] in ladder order (contiguous, block-uniform,
-    /// fixed-runs, generic). Sums to `enqueued`.
+    /// indexed-runs, generic). Sums to `enqueued`.
     pub class_counts: [u64; LayoutClass::COUNT],
 }
 

@@ -18,19 +18,32 @@
 //!   stride with *large* runs (> [`FIXED_RUN_WIDTH_MAX`] bytes): a
 //!   fixed-stride loop of chunked inner copies (SIMD-friendly, no
 //!   per-run table walk).
-//! * [`LayoutClass::FixedRuns`] — equal-length *small* runs at a
-//!   constant stride: const-generic fixed-width moves (the PR-7 tier).
-//! * [`LayoutClass::Generic`] — irregular; the segment-table walk with
-//!   precomputed prefix sums.
+//! * [`LayoutClass::IndexedRuns`] — equal-length *small* runs
+//!   (≤ [`FIXED_RUN_WIDTH_MAX`] bytes) at any offsets, strided or
+//!   irregular: fixed-width moves driven by a `u32` offset table built
+//!   here, once. Sparse gathers such as specfem3D's thousands of 4-byte
+//!   boundary points land here. The table is an `Arc<[u32]>`, so the
+//!   per-rank copies a shared [`crate::LayoutTable`] hands out share one
+//!   allocation. An element whose runs end past `u32::MAX` gets no table.
+//! * [`LayoutClass::Generic`] — everything else (mixed or wide irregular
+//!   runs); the segment-table walk with precomputed prefix sums.
 
 use crate::flatten::emit_ir_segments;
 use crate::ir::LayoutIr;
 use crate::layout::{Segment, UniformPlan};
 use crate::typedesc::TypeDesc;
+use std::sync::Arc;
 
-/// Run width (bytes) at or below which a uniform layout uses the
-/// const-generic fixed-width tier; above it, the chunked block tier.
+/// Run width (bytes) at or below which an equal-width layout uses the
+/// indexed fixed-width tier; above it, a constant stride takes the
+/// chunked block tier and anything else the generic walk.
 pub const FIXED_RUN_WIDTH_MAX: u64 = 32;
+
+/// Bytes of [`CompiledLayout::resident_bytes`] charged per layout on top of
+/// its segment and prefix-sum tables: the header of the compiled form as
+/// the cache model counts it. A constant, so the modelled cache footprint
+/// does not move when the host struct gains a field.
+pub const LAYOUT_HEADER_BYTES: u64 = 112;
 
 /// Commit-time classification of one element's memory shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,9 +53,10 @@ pub enum LayoutClass {
     /// Equal-length runs at constant stride, runs longer than
     /// [`FIXED_RUN_WIDTH_MAX`] bytes.
     BlockUniform,
-    /// Equal-length runs at constant stride, runs at most
-    /// [`FIXED_RUN_WIDTH_MAX`] bytes.
-    FixedRuns,
+    /// Equal-length runs of at most [`FIXED_RUN_WIDTH_MAX`] bytes at any
+    /// offsets, strided or not: fixed-width moves driven by a compact
+    /// offset table.
+    IndexedRuns,
     /// Irregular: generic segment walk.
     Generic,
 }
@@ -56,7 +70,7 @@ impl LayoutClass {
         match self {
             LayoutClass::Contiguous => "contiguous",
             LayoutClass::BlockUniform => "block_uniform",
-            LayoutClass::FixedRuns => "fixed_runs",
+            LayoutClass::IndexedRuns => "indexed_runs",
             LayoutClass::Generic => "generic",
         }
     }
@@ -67,7 +81,7 @@ impl LayoutClass {
         match self {
             LayoutClass::Contiguous => 0,
             LayoutClass::BlockUniform => 1,
-            LayoutClass::FixedRuns => 2,
+            LayoutClass::IndexedRuns => 2,
             LayoutClass::Generic => 3,
         }
     }
@@ -83,8 +97,9 @@ pub enum CopyPlan {
     /// Fixed-stride loop with chunked inner copies (runs >
     /// [`FIXED_RUN_WIDTH_MAX`] bytes).
     BlockUniform(UniformPlan),
-    /// Fixed-stride loop of const-generic fixed-width moves.
-    FixedRuns(UniformPlan),
+    /// Runs of `width` bytes at the offsets of the layout's
+    /// [`CompiledLayout::run_offsets`] table, elements tiled by extent.
+    IndexedRuns { width: u64 },
     /// Generic segment-table walk.
     Generic,
 }
@@ -98,7 +113,7 @@ impl CopyPlan {
         match self {
             CopyPlan::Memcpy { .. } => LayoutClass::Contiguous,
             CopyPlan::BlockUniform(_) => LayoutClass::BlockUniform,
-            CopyPlan::FixedRuns(_) => LayoutClass::FixedRuns,
+            CopyPlan::IndexedRuns { .. } => LayoutClass::IndexedRuns,
             CopyPlan::Generic => LayoutClass::Generic,
         }
     }
@@ -124,6 +139,11 @@ pub struct CompiledLayout {
     /// a constant stride apart (vectors, subarray rows, regular indexed
     /// types).
     uniform: Option<UniformInfo>,
+    /// Start of each run within one element, built once at compile time
+    /// when every segment has the same length ≤ [`FIXED_RUN_WIDTH_MAX`]
+    /// and the element's reach fits a `u32`. Shared, not copied, by
+    /// clones.
+    runs: Option<Arc<[u32]>>,
     /// The class this element's shape falls into.
     class: LayoutClass,
 }
@@ -174,6 +194,23 @@ fn classify_uniform(segments: &[Segment], extent: u64) -> Option<UniformInfo> {
     })
 }
 
+/// The run starts of a layout whose segments all share one width
+/// ≤ [`FIXED_RUN_WIDTH_MAX`], or `None` when widths differ, a run is wider,
+/// or a run ends past `u32::MAX`.
+fn run_table(segments: &[Segment]) -> Option<Arc<[u32]>> {
+    let width = segments.first()?.len;
+    if width == 0 || width > FIXED_RUN_WIDTH_MAX {
+        return None;
+    }
+    segments
+        .iter()
+        .map(|s| {
+            let fits = s.len == width && s.offset <= u64::from(u32::MAX) - width;
+            fits.then_some(s.offset as u32)
+        })
+        .collect()
+}
+
 fn prefix_sums(segments: &[Segment]) -> Vec<u64> {
     let mut off = 0u64;
     segments
@@ -186,17 +223,21 @@ fn prefix_sums(segments: &[Segment]) -> Vec<u64> {
         .collect()
 }
 
-fn classify(segments: &[Segment], size: u64, uniform: &Option<UniformInfo>) -> LayoutClass {
+fn classify(
+    segments: &[Segment],
+    size: u64,
+    uniform: &Option<UniformInfo>,
+    runs: &Option<Arc<[u32]>>,
+) -> LayoutClass {
     let contiguous =
         segments.len() == 1 && segments[0].offset == 0 && segments[0].len == size && size > 0;
     if contiguous {
-        LayoutClass::Contiguous
-    } else {
-        match uniform {
-            Some(u) if u.len > FIXED_RUN_WIDTH_MAX => LayoutClass::BlockUniform,
-            Some(_) => LayoutClass::FixedRuns,
-            None => LayoutClass::Generic,
-        }
+        return LayoutClass::Contiguous;
+    }
+    match (uniform, runs) {
+        (Some(u), _) if u.len > FIXED_RUN_WIDTH_MAX => LayoutClass::BlockUniform,
+        (_, Some(_)) => LayoutClass::IndexedRuns,
+        _ => LayoutClass::Generic,
     }
 }
 
@@ -222,10 +263,12 @@ impl CompiledLayout {
     fn from_parts(segments: Vec<Segment>, extent: u64) -> CompiledLayout {
         let size = segments.iter().map(|s| s.len).sum();
         let uniform = classify_uniform(&segments, extent);
-        let class = classify(&segments, size, &uniform);
+        let runs = run_table(&segments);
+        let class = classify(&segments, size, &uniform, &runs);
         CompiledLayout {
             packed_off: prefix_sums(&segments),
             uniform,
+            runs,
             class,
             segments,
             size,
@@ -242,6 +285,13 @@ impl CompiledLayout {
     /// (prefix sums of segment lengths), parallel to [`Self::segments`].
     pub fn packed_offsets(&self) -> &[u64] {
         &self.packed_off
+    }
+
+    /// Start of each run within one element, in pack order, for layouts
+    /// whose runs share one width ≤ [`FIXED_RUN_WIDTH_MAX`] (empty
+    /// otherwise): the table a [`CopyPlan::IndexedRuns`] plan walks.
+    pub fn run_offsets(&self) -> &[u32] {
+        self.runs.as_deref().unwrap_or_default()
     }
 
     /// Contiguous blocks per element.
@@ -265,11 +315,14 @@ impl CompiledLayout {
     }
 
     /// Approximate bytes this compiled layout keeps resident (cache
-    /// accounting). Deterministic: derived from lengths, not capacities.
+    /// accounting): [`LAYOUT_HEADER_BYTES`] plus the segment and prefix-sum
+    /// tables. Deterministic: derived from lengths, not capacities. The
+    /// run-offset table is a host copy accelerator, not part of the
+    /// modelled cache entry, so it is not counted.
     pub fn resident_bytes(&self) -> u64 {
-        (std::mem::size_of::<CompiledLayout>()
-            + self.segments.len() * std::mem::size_of::<Segment>()
-            + self.packed_off.len() * std::mem::size_of::<u64>()) as u64
+        LAYOUT_HEADER_BYTES
+            + (self.segments.len() * std::mem::size_of::<Segment>()
+                + self.packed_off.len() * std::mem::size_of::<u64>()) as u64
     }
 
     /// Resolve the copy plan for `count` elements: the single dispatch
@@ -281,10 +334,12 @@ impl CompiledLayout {
                 bytes: self.total_bytes(count),
             };
         }
-        match self.uniform_for(count) {
-            Some(p) if p.len > FIXED_RUN_WIDTH_MAX => CopyPlan::BlockUniform(p),
-            Some(p) => CopyPlan::FixedRuns(p),
-            None => CopyPlan::Generic,
+        match (self.uniform_for(count), &self.runs) {
+            (Some(p), _) if p.len > FIXED_RUN_WIDTH_MAX => CopyPlan::BlockUniform(p),
+            (_, Some(_)) => CopyPlan::IndexedRuns {
+                width: self.segments[0].len,
+            },
+            _ => CopyPlan::Generic,
         }
     }
 
@@ -372,19 +427,32 @@ mod tests {
     use super::*;
     use crate::builder::TypeBuilder;
 
+    fn segs(runs: &[(u64, u64)]) -> Vec<Segment> {
+        runs.iter()
+            .map(|&(offset, len)| Segment { offset, len })
+            .collect()
+    }
+
     #[test]
     fn classes_cover_the_ladder() {
         // Contiguous: one gapless run.
         let c = CompiledLayout::of(&TypeBuilder::contiguous(16, TypeBuilder::double()));
         assert_eq!(c.class(), LayoutClass::Contiguous);
 
-        // FixedRuns: small runs (8B) at constant stride.
-        let f = CompiledLayout::of(&TypeBuilder::vector(4, 1, 3, TypeBuilder::double()));
-        assert_eq!(f.class(), LayoutClass::FixedRuns);
-
         // BlockUniform: large runs (96B) at constant stride.
         let b = CompiledLayout::of(&TypeBuilder::vector(8, 12, 20, TypeBuilder::double()));
         assert_eq!(b.class(), LayoutClass::BlockUniform);
+
+        // IndexedRuns: small runs (8B) at constant stride...
+        let f = CompiledLayout::of(&TypeBuilder::vector(4, 1, 3, TypeBuilder::double()));
+        assert_eq!(f.class(), LayoutClass::IndexedRuns);
+        // ...and small equal runs at irregular offsets.
+        let i = CompiledLayout::of(&TypeBuilder::indexed(
+            &[(0, 1), (3, 1), (7, 1)],
+            TypeBuilder::float(),
+        ));
+        assert_eq!(i.class(), LayoutClass::IndexedRuns);
+        assert_eq!(i.run_offsets(), &[0, 12, 28]);
 
         // Generic: unequal run lengths.
         let g = CompiledLayout::of(&TypeBuilder::indexed(
@@ -392,6 +460,7 @@ mod tests {
             TypeBuilder::float(),
         ));
         assert_eq!(g.class(), LayoutClass::Generic);
+        assert!(g.run_offsets().is_empty());
     }
 
     #[test]
@@ -405,12 +474,8 @@ mod tests {
             &[0, 0],
             TypeBuilder::int(),
         ));
-        match col.plan_for(2) {
-            CopyPlan::FixedRuns(p) => {
-                assert_eq!((p.first, p.stride, p.len, p.runs), (0, 12, 4, 6));
-            }
-            other => panic!("expected FixedRuns, got {other:?}"),
-        }
+        assert_eq!(col.plan_for(2), CopyPlan::IndexedRuns { width: 4 });
+        assert_eq!(col.run_offsets(), &[0, 12, 24]);
 
         let wide = CompiledLayout::of(&TypeBuilder::vector(4, 8, 16, TypeBuilder::double()));
         match wide.plan_for(1) {
@@ -428,21 +493,91 @@ mod tests {
     }
 
     #[test]
-    fn vector_that_does_not_tile_degrades_to_generic_for_many() {
-        // vector(3,2,4,int): uniform per element but extent breaks tiling.
+    fn indexed_runs_tile_by_extent_where_the_stride_breaks() {
+        // vector(3,2,4,int): uniform per element but extent breaks the
+        // stride across elements; the offset table tiles by extent instead.
         let v = CompiledLayout::of(&TypeBuilder::vector(3, 2, 4, TypeBuilder::int()));
-        assert_eq!(v.class(), LayoutClass::FixedRuns);
-        assert!(matches!(v.plan_for(1), CopyPlan::FixedRuns(_)));
-        assert_eq!(v.plan_for(2), CopyPlan::Generic);
+        assert_eq!(v.class(), LayoutClass::IndexedRuns);
+        assert!(v.uniform_for(2).is_none());
+        assert_eq!(v.plan_for(1), CopyPlan::IndexedRuns { width: 8 });
+        assert_eq!(v.plan_for(2), CopyPlan::IndexedRuns { width: 8 });
+    }
+
+    #[test]
+    fn padded_small_contiguous_element_takes_indexed_runs_for_many() {
+        // One 12-byte run in a 36-byte extent: a memcpy for one element,
+        // the offset table (one entry) once elements leave gaps.
+        let t = TypeBuilder::subarray(&[3, 3], &[1, 3], &[0, 0], TypeBuilder::int());
+        let l = CompiledLayout::of(&t);
+        assert_eq!(l.class(), LayoutClass::Contiguous);
+        assert_eq!(l.plan_for(1), CopyPlan::Memcpy { bytes: 12 });
+        assert_eq!(l.plan_for(3), CopyPlan::IndexedRuns { width: 12 });
     }
 
     #[test]
     fn block_uniform_boundary_is_fixed_run_width_max() {
-        // Runs of exactly 32B stay in the fixed tier; 40B graduate.
+        // Runs of exactly 32B stay in the indexed tier; 40B graduate.
         let at = CompiledLayout::of(&TypeBuilder::vector(4, 4, 8, TypeBuilder::double()));
-        assert_eq!(at.class(), LayoutClass::FixedRuns);
+        assert_eq!(at.class(), LayoutClass::IndexedRuns);
         let over = CompiledLayout::of(&TypeBuilder::vector(4, 5, 8, TypeBuilder::double()));
         assert_eq!(over.class(), LayoutClass::BlockUniform);
+    }
+
+    #[test]
+    fn wide_irregular_runs_stay_generic() {
+        let l = CompiledLayout::from_segments(segs(&[(0, 40), (50, 40), (130, 40)]), 170);
+        assert_eq!(l.class(), LayoutClass::Generic);
+        assert_eq!(l.plan_for(2), CopyPlan::Generic);
+    }
+
+    #[test]
+    fn unequal_widths_stay_generic() {
+        let l = CompiledLayout::from_segments(segs(&[(0, 4), (8, 4), (20, 8)]), 28);
+        assert_eq!(l.class(), LayoutClass::Generic);
+        assert!(l.run_offsets().is_empty());
+    }
+
+    #[test]
+    fn empty_segment_list_compiles_and_copies_nothing() {
+        let l = CompiledLayout::from_segments(Vec::new(), 0);
+        assert_eq!(l.class(), LayoutClass::Generic);
+        assert_eq!(l.plan_for(3), CopyPlan::Generic);
+        assert_eq!(l.total_bytes(3), 0);
+        assert!(l.run_offsets().is_empty());
+    }
+
+    #[test]
+    fn reach_past_u32_stays_generic() {
+        // Descriptors only: nothing this large is ever allocated.
+        let edge = u64::from(u32::MAX);
+        let fits = CompiledLayout::from_segments(segs(&[(0, 4), (edge - 4, 4)]), edge);
+        assert_eq!(fits.class(), LayoutClass::IndexedRuns);
+        assert_eq!(fits.run_offsets(), &[0, u32::MAX - 4]);
+        let past = CompiledLayout::from_segments(segs(&[(0, 4), (edge - 3, 4)]), edge + 1);
+        assert_eq!(past.class(), LayoutClass::Generic);
+        assert_eq!(past.plan_for(1), CopyPlan::Generic);
+    }
+
+    #[test]
+    fn clones_share_the_run_table() {
+        let l = CompiledLayout::of(&TypeBuilder::indexed(
+            &[(0, 1), (3, 1), (7, 1)],
+            TypeBuilder::float(),
+        ));
+        let copy = l.clone();
+        assert!(std::ptr::eq(l.run_offsets(), copy.run_offsets()));
+    }
+
+    #[test]
+    fn resident_bytes_is_pinned() {
+        // Header constant + 5 segments x 16 B + 5 prefix sums x 8 B. The
+        // offset table is host-only and not counted.
+        let l = CompiledLayout::of(&TypeBuilder::indexed(
+            &[(0, 1), (3, 1), (7, 1), (12, 1), (18, 1)],
+            TypeBuilder::float(),
+        ));
+        assert_eq!(l.class(), LayoutClass::IndexedRuns);
+        assert_eq!(l.resident_bytes(), 112 + 5 * 16 + 5 * 8);
     }
 
     #[test]
@@ -459,7 +594,21 @@ mod tests {
     fn class_names_are_stable() {
         assert_eq!(LayoutClass::Contiguous.name(), "contiguous");
         assert_eq!(LayoutClass::BlockUniform.name(), "block_uniform");
-        assert_eq!(LayoutClass::FixedRuns.name(), "fixed_runs");
+        assert_eq!(LayoutClass::IndexedRuns.name(), "indexed_runs");
         assert_eq!(LayoutClass::Generic.name(), "generic");
+    }
+
+    #[test]
+    fn ladder_indices_are_dense() {
+        let ladder = [
+            LayoutClass::Contiguous,
+            LayoutClass::BlockUniform,
+            LayoutClass::IndexedRuns,
+            LayoutClass::Generic,
+        ];
+        for (i, class) in ladder.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
+        assert_eq!(ladder.len(), LayoutClass::COUNT);
     }
 }

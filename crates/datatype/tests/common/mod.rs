@@ -91,6 +91,36 @@ pub fn arb_type(depth: u32) -> BoxedStrategy<Arc<TypeDesc>> {
     .boxed()
 }
 
+/// Equal-width byte runs — the shape the indexed copy rung serves —
+/// returned with their width. Widths cover 1–32 bytes, so both the const
+/// arms (2/4/8/16/32) and the variable-width loop run. The 1–40 runs
+/// start at offset 0–7 and sit at irregular gaps of 1–23 bytes, or at one
+/// repeated gap (a constant stride). The extent is padded 0–15 bytes past
+/// the last run, so multi-element copies tile with and without slack.
+pub fn arb_equal_width_runs() -> BoxedStrategy<(Arc<TypeDesc>, u64)> {
+    (
+        1u64..=32,
+        prop::collection::vec(1u64..24, 1..40),
+        0u64..8,
+        0u64..16,
+        any::<bool>(),
+    )
+        .prop_map(|(width, gaps, first, pad, strided)| {
+            let mut disp = first;
+            let blocks: Vec<(u64, u64)> = gaps
+                .iter()
+                .map(|&gap| {
+                    let d = disp;
+                    disp += width + if strided { gaps[0] } else { gap };
+                    (d, width)
+                })
+                .collect();
+            let runs = TypeBuilder::hindexed(&blocks, TypeBuilder::byte());
+            (TypeBuilder::resized(runs.extent() + pad, runs), width)
+        })
+        .boxed()
+}
+
 /// Flatten one element of `desc` by walking the constructor tree directly
 /// (the pre-IR implementation of `flatten`), coalescing adjacent segments
 /// as they are emitted. An independently derived ground truth for the

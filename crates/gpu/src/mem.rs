@@ -7,7 +7,13 @@
 //! Pools run in one of two [`DataMode`]s:
 //!
 //! * `Full` — the pool holds real bytes and every copy moves them, so tests
-//!   can verify end-to-end pack/unpack correctness;
+//!   can verify end-to-end pack/unpack correctness. The byte vector starts
+//!   empty and [`MemPool::alloc`] grows it (geometrically, capped at the
+//!   capacity) to cover the allocation high-water mark, so a pool costs
+//!   memory for what it hands out, not for its declared capacity. An owner
+//!   that knows the high-water mark in advance backs it up front with
+//!   [`MemPool::reserve`]. Copies never grow the vector: touching bytes no
+//!   allocation ever covered panics;
 //! * `ModelOnly` — no backing storage; a copy returns its byte count in
 //!   O(1) and touches nothing. Benchmark sweeps use this to avoid
 //!   allocating gigabytes per iteration (timing is independent of the
@@ -62,23 +68,23 @@ pub struct MemPool {
     mode: DataMode,
     capacity: u64,
     cursor: u64,
+    /// Backing bytes of a `Full` pool: the first [`Self::peak`] bytes of
+    /// the address space (more after a [`Self::reserve`]), zero until
+    /// written. Empty in `ModelOnly` mode.
     bytes: Vec<u8>,
     /// High-water mark of allocations, for sizing diagnostics.
     peak: u64,
 }
 
 impl MemPool {
-    /// Create a pool of `capacity` bytes.
+    /// Create a pool of `capacity` bytes. No backing memory is reserved
+    /// until the first allocation.
     pub fn new(capacity: u64, mode: DataMode) -> Self {
-        let bytes = match mode {
-            DataMode::Full => vec![0u8; capacity as usize],
-            DataMode::ModelOnly => Vec::new(),
-        };
         MemPool {
             mode,
             capacity,
             cursor: 0,
-            bytes,
+            bytes: Vec::new(),
             peak: 0,
         }
     }
@@ -119,7 +125,57 @@ impl MemPool {
         );
         self.cursor = addr + len;
         self.peak = self.peak.max(self.cursor);
+        if self.mode == DataMode::Full {
+            self.back(self.peak as usize);
+        }
         DevPtr { addr, len }
+    }
+
+    /// Back the first `bytes` of a `Full` pool now (capped at the
+    /// capacity), zero-filled, so allocations below that mark never grow
+    /// the backing later. A caller that knows a pool's high-water mark in
+    /// advance (the cluster builder, for staging pools) pays for first
+    /// touch here rather than in the middle of a run. Allocation and the
+    /// check on never-allocated bytes are unchanged: reserved bytes become
+    /// accessible only once an allocation covers them.
+    pub fn reserve(&mut self, bytes: u64) {
+        if self.mode == DataMode::Full {
+            let end = bytes.min(self.capacity) as usize;
+            if end > self.bytes.len() {
+                self.bytes.reserve_exact(end - self.bytes.len());
+                self.bytes.resize(end, 0);
+            }
+        }
+    }
+
+    /// Extend the backing bytes to `end`, zero-filled. The allocation
+    /// grows at least geometrically (so a run of small allocations
+    /// reallocates O(log n) times) but never past the capacity, and only
+    /// the bytes up to `end` are written (so untouched capacity costs no
+    /// resident memory).
+    fn back(&mut self, end: usize) {
+        let len = self.bytes.len();
+        if end <= len {
+            return;
+        }
+        if end > self.bytes.capacity() {
+            let target = end
+                .max(2 * self.bytes.capacity())
+                .min(self.capacity as usize);
+            self.bytes.reserve_exact(target - len);
+        }
+        self.bytes.resize(end, 0);
+    }
+
+    /// The backing range of `ptr`, which must lie inside memory some
+    /// allocation has covered.
+    fn backed(&self, ptr: DevPtr) -> std::ops::Range<usize> {
+        assert!(
+            ptr.end() <= self.peak,
+            "access to {ptr:?} beyond the pool's allocated bytes (high-water mark {}B)",
+            self.peak
+        );
+        ptr.addr as usize..ptr.end() as usize
     }
 
     /// Release everything allocated so far (bulk free between iterations).
@@ -128,14 +184,18 @@ impl MemPool {
     }
 
     /// Read the bytes behind `ptr`. Empty in `ModelOnly` mode.
+    ///
+    /// Panics in `Full` mode if any byte of `ptr` was never allocated.
     pub fn read(&self, ptr: DevPtr) -> &[u8] {
         match self.mode {
-            DataMode::Full => &self.bytes[ptr.addr as usize..ptr.end() as usize],
+            DataMode::Full => &self.bytes[self.backed(ptr)],
             DataMode::ModelOnly => &[],
         }
     }
 
     /// Overwrite the bytes behind `ptr`.
+    ///
+    /// Panics in `Full` mode if any byte of `ptr` was never allocated.
     pub fn write(&mut self, ptr: DevPtr, data: &[u8]) {
         if self.mode == DataMode::ModelOnly {
             return;
@@ -147,14 +207,18 @@ impl MemPool {
             data.len(),
             ptr
         );
-        self.bytes[ptr.addr as usize..ptr.end() as usize].copy_from_slice(data);
+        let range = self.backed(ptr);
+        self.bytes[range].copy_from_slice(data);
     }
 
     /// The bytes behind `ptr`, writable: the destination of a
     /// [`Self::gather_into`] from another pool. Empty in `ModelOnly` mode.
     pub fn bytes_mut(&mut self, ptr: DevPtr) -> &mut [u8] {
         match self.mode {
-            DataMode::Full => &mut self.bytes[ptr.addr as usize..ptr.end() as usize],
+            DataMode::Full => {
+                let range = self.backed(ptr);
+                &mut self.bytes[range]
+            }
             DataMode::ModelOnly => &mut [],
         }
     }
@@ -272,6 +336,119 @@ mod tests {
     fn exhaustion_panics() {
         let mut p = MemPool::new(16, DataMode::Full);
         p.alloc(32, 1);
+    }
+
+    #[test]
+    fn full_pool_backs_only_its_high_water_mark() {
+        let mut p = MemPool::new(1 << 20, DataMode::Full);
+        assert_eq!(p.bytes.len(), 0, "nothing reserved before the first alloc");
+        let a = p.alloc(100, 1);
+        assert_eq!(p.bytes.len(), 100);
+        p.write(a, &[7; 100]);
+        let b = p.alloc(10, 64);
+        assert_eq!(b.addr, 128);
+        assert_eq!(p.bytes.len(), 138);
+        assert_eq!(p.read(a), &[7; 100][..], "growth keeps written bytes");
+        assert_eq!(p.read(b), &[0; 10][..], "new bytes read as zero");
+        // Reallocation is geometric, and never reserves past the capacity.
+        assert!(p.bytes.capacity() >= 200);
+        let big = p.alloc((1 << 20) - 256, 256);
+        assert_eq!(big.end(), 1 << 20);
+        assert_eq!(p.bytes.len(), 1 << 20);
+        assert_eq!(p.bytes.capacity(), 1 << 20);
+    }
+
+    #[test]
+    fn reset_reuses_backing_without_growth() {
+        let mut p = MemPool::new(256, DataMode::Full);
+        let a = p.alloc(64, 1);
+        p.write(a, &[1; 64]);
+        p.reset();
+        let b = p.alloc(32, 1);
+        assert_eq!(
+            p.bytes.len(),
+            64,
+            "backing follows the peak, not the cursor"
+        );
+        assert_eq!(p.read(b), &[1; 32][..], "reset does not clear bytes");
+    }
+
+    #[test]
+    fn reserve_backs_ahead_without_opening_access() {
+        let mut p = MemPool::new(256, DataMode::Full);
+        p.reserve(128);
+        assert_eq!(p.bytes.len(), 128);
+        let before = p.bytes.as_ptr();
+        let a = p.alloc(100, 1);
+        p.write(a, &[3; 100]);
+        assert_eq!(p.read(a), &[3; 100][..]);
+        assert_eq!(
+            p.bytes.as_ptr(),
+            before,
+            "allocating inside a reserve never moves it"
+        );
+        assert_eq!(p.bytes.len(), 128);
+        // Past the reserve, alloc grows as before; a reserve past the
+        // capacity stops at it.
+        p.alloc(50, 1);
+        assert_eq!(p.bytes.len(), 150);
+        p.reserve(1 << 20);
+        assert_eq!(p.bytes.len(), 256);
+        let mut m = MemPool::new(1 << 40, DataMode::ModelOnly);
+        m.reserve(1 << 40);
+        assert!(m.bytes.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the pool's allocated bytes")]
+    fn reserved_but_unallocated_bytes_stay_off_limits() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        p.reserve(64);
+        p.alloc(8, 1);
+        p.read(DevPtr { addr: 8, len: 1 });
+    }
+
+    #[test]
+    fn allocation_may_end_exactly_at_capacity() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        p.alloc(60, 1);
+        let last = p.alloc(4, 1);
+        assert_eq!(last.end(), 64);
+        p.write(last, &[9; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool exhausted: need 5B at 60, capacity 64B")]
+    fn one_byte_past_capacity_panics() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        p.alloc(60, 1);
+        p.alloc(5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the pool's allocated bytes")]
+    fn reading_unallocated_bytes_panics() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        let a = p.alloc(16, 1);
+        p.read(DevPtr {
+            addr: a.addr,
+            len: 17,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the pool's allocated bytes")]
+    fn writing_unallocated_bytes_panics() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        p.alloc(8, 1);
+        p.write(DevPtr { addr: 32, len: 4 }, &[0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the pool's allocated bytes")]
+    fn borrowing_unallocated_bytes_panics() {
+        let mut p = MemPool::new(64, DataMode::Full);
+        p.bytes_mut(DevPtr { addr: 0, len: 1 });
     }
 
     #[test]

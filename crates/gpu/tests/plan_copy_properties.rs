@@ -2,17 +2,19 @@
 //!
 //! `MemPool`'s gather and scatter — within one pool and across two —
 //! execute a compiled layout's copy plan through the host pack kernels.
-//! For random datatype trees at counts 1–3 they must produce exactly the
-//! bytes host `pack_into`/`unpack` produce, leave every byte outside the
+//! For random datatype trees at counts 1–3, and for equal-width run
+//! layouts (the indexed rung) of every width 1–32 at counts 1–4, they must
+//! produce exactly the bytes of the generic segment walk
+//! (`pack_into_generic`/`unpack_generic`), leave every byte outside the
 //! copy (the layout's gaps, the rest of the pool) untouched, and in
 //! `ModelOnly` mode return `total_bytes(count)` without writing anything.
 
 #[path = "../../datatype/tests/common/mod.rs"]
 mod common;
 
-use common::arb_type;
-use fusedpack_datatype::pack::{pack_into, unpack};
-use fusedpack_datatype::CompiledLayout;
+use common::{arb_equal_width_runs, arb_type};
+use fusedpack_datatype::pack::{pack_into_generic, unpack_generic};
+use fusedpack_datatype::{CompiledLayout, CopyPlan};
 use fusedpack_gpu::{DataMode, DevPtr, MemPool};
 use fusedpack_sim::Pcg32;
 use proptest::prelude::*;
@@ -27,14 +29,10 @@ fn random_bytes(rng: &mut Pcg32, len: u64) -> Vec<u8> {
 
 /// A sentinel-filled pool holding an element region of `fp` bytes and a
 /// packed region of `total` bytes, in either order, with a few bytes of
-/// slack around both. Returns `(pool, elements, packed)`.
+/// slack around both. The slack is allocated too, so the whole capacity
+/// is backed and checked. Returns `(pool, elements, packed)`.
 fn pool_with_regions(fp: u64, total: u64, packed_first: bool) -> (MemPool, DevPtr, DevPtr) {
     let mut pool = MemPool::new(fp + total + 16, DataMode::Full);
-    let all = DevPtr {
-        addr: 0,
-        len: pool.capacity(),
-    };
-    pool.write(all, &vec![SENTINEL; all.len as usize]);
     pool.alloc(3, 1);
     let (elems, packed) = if packed_first {
         let packed = pool.alloc(total, 1);
@@ -43,6 +41,12 @@ fn pool_with_regions(fp: u64, total: u64, packed_first: bool) -> (MemPool, DevPt
         let elems = pool.alloc(fp, 1);
         (elems, pool.alloc(total, 1))
     };
+    pool.alloc(pool.capacity() - pool.allocated(), 1);
+    let all = DevPtr {
+        addr: 0,
+        len: pool.capacity(),
+    };
+    pool.write(all, &vec![SENTINEL; all.len as usize]);
     (pool, elems, packed)
 }
 
@@ -63,12 +67,69 @@ fn assert_only_region_changed(before: &[u8], after: &[u8], region: DevPtr, want:
     assert_eq!(&after[hi..], &before[hi..], "bytes after the copy moved");
 }
 
+/// Gather then scatter `count` elements of `layout` within one pool, the
+/// packed region before or after the elements, against the generic walk.
+fn check_pool_copies(layout: &CompiledLayout, count: u64, seed: u64, packed_first: bool) {
+    let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
+    let mut rng = Pcg32::seeded(seed);
+
+    // Gather.
+    let elements = random_bytes(&mut rng, fp);
+    let mut packed_want = vec![0u8; total as usize];
+    pack_into_generic(&elements, layout, count, &mut packed_want);
+    let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
+    pool.write(elems, &elements);
+    let before = image(&pool);
+    assert_eq!(pool.gather(layout, elems.addr, count, packed.addr), total);
+    assert_only_region_changed(&before, &image(&pool), packed, &packed_want);
+
+    // Scatter a fresh packed image into sentinel-filled elements.
+    let payload = random_bytes(&mut rng, total);
+    let mut elements_want = vec![SENTINEL; fp as usize];
+    unpack_generic(&payload, layout, count, &mut elements_want);
+    let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
+    pool.write(packed, &payload);
+    let before = image(&pool);
+    assert_eq!(pool.scatter(packed.addr, layout, elems.addr, count), total);
+    assert_only_region_changed(&before, &image(&pool), elems, &elements_want);
+}
+
+/// `gather_into` another pool's region and `scatter_from` it back,
+/// against the generic walk.
+fn check_cross_pool_copies(layout: &CompiledLayout, count: u64, seed: u64) {
+    let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
+    let mut rng = Pcg32::seeded(seed);
+
+    let elements = random_bytes(&mut rng, fp);
+    let mut packed_want = vec![0u8; total as usize];
+    pack_into_generic(&elements, layout, count, &mut packed_want);
+    let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
+    let (mut host, _, staged) = pool_with_regions(0, total, false);
+    dev.write(elems, &elements);
+    let (dev_before, host_before) = (image(&dev), image(&host));
+    let n = dev.gather_into(layout, elems.addr, count, host.bytes_mut(staged));
+    assert_eq!(n, total);
+    assert_eq!(image(&dev), dev_before);
+    assert_only_region_changed(&host_before, &image(&host), staged, &packed_want);
+
+    let payload = random_bytes(&mut rng, total);
+    let mut elements_want = vec![SENTINEL; fp as usize];
+    unpack_generic(&payload, layout, count, &mut elements_want);
+    let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
+    host.write(staged, &payload);
+    let before = image(&dev);
+    let n = dev.scatter_from(host.read(staged), layout, elems.addr, count);
+    assert_eq!(n, total);
+    assert_only_region_changed(&before, &image(&dev), elems, &elements_want);
+}
+
 proptest! {
     // Cheap cases (small pools), so run more of them than the default.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Within one pool: gather equals host `pack_into`, scatter equals
-    /// host `unpack` (gap bytes keep their sentinel), nothing else moves.
+    /// Within one pool: gather equals the generic pack walk, scatter
+    /// equals the generic unpack walk (gap bytes keep their sentinel),
+    /// nothing else moves.
     #[test]
     fn pool_copies_match_host_pack(
         t in arb_type(2),
@@ -76,64 +137,37 @@ proptest! {
         seed in 0u64..500,
         packed_first in any::<bool>(),
     ) {
+        check_pool_copies(&CompiledLayout::of(&t), count, seed, packed_first);
+    }
+
+    /// The same within-pool and cross-pool checks on the indexed rung,
+    /// across every run width and padded extents.
+    #[test]
+    fn indexed_runs_pool_copies_match_generic_walk(
+        (t, width) in arb_equal_width_runs(),
+        count in 1u64..=4,
+        seed in 0u64..500,
+        packed_first in any::<bool>(),
+    ) {
         let layout = CompiledLayout::of(&t);
-        let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
-        let mut rng = Pcg32::seeded(seed);
-
-        // Gather.
-        let elements = random_bytes(&mut rng, fp);
-        let mut packed_want = vec![0u8; total as usize];
-        pack_into(&elements, &layout, count, &mut packed_want);
-        let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
-        pool.write(elems, &elements);
-        let before = image(&pool);
-        prop_assert_eq!(pool.gather(&layout, elems.addr, count, packed.addr), total);
-        assert_only_region_changed(&before, &image(&pool), packed, &packed_want);
-
-        // Scatter a fresh packed image into sentinel-filled elements.
-        let payload = random_bytes(&mut rng, total);
-        let mut elements_want = vec![SENTINEL; fp as usize];
-        unpack(&payload, &layout, count, &mut elements_want);
-        let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
-        pool.write(packed, &payload);
-        let before = image(&pool);
-        prop_assert_eq!(pool.scatter(packed.addr, &layout, elems.addr, count), total);
-        assert_only_region_changed(&before, &image(&pool), elems, &elements_want);
+        let plan = layout.plan_for(count);
+        prop_assert!(
+            plan == CopyPlan::IndexedRuns { width } || matches!(plan, CopyPlan::Memcpy { .. }),
+            "unexpected plan {:?} for width {}", plan, width
+        );
+        check_pool_copies(&layout, count, seed, packed_first);
+        check_cross_pool_copies(&layout, count, seed);
     }
 
     /// Across two pools: `gather_into` another pool's region and
-    /// `scatter_from` it back agree with host pack/unpack byte for byte.
+    /// `scatter_from` it back agree with the generic walk byte for byte.
     #[test]
     fn cross_pool_copies_match_host_pack(
         t in arb_type(2),
         count in 1u64..4,
         seed in 0u64..500,
     ) {
-        let layout = CompiledLayout::of(&t);
-        let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
-        let mut rng = Pcg32::seeded(seed);
-
-        let elements = random_bytes(&mut rng, fp);
-        let mut packed_want = vec![0u8; total as usize];
-        pack_into(&elements, &layout, count, &mut packed_want);
-        let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
-        let (mut host, _, staged) = pool_with_regions(0, total, false);
-        dev.write(elems, &elements);
-        let (dev_before, host_before) = (image(&dev), image(&host));
-        let n = dev.gather_into(&layout, elems.addr, count, host.bytes_mut(staged));
-        prop_assert_eq!(n, total);
-        prop_assert_eq!(image(&dev), dev_before);
-        assert_only_region_changed(&host_before, &image(&host), staged, &packed_want);
-
-        let payload = random_bytes(&mut rng, total);
-        let mut elements_want = vec![SENTINEL; fp as usize];
-        unpack(&payload, &layout, count, &mut elements_want);
-        let (mut dev, elems, _) = pool_with_regions(fp, 0, false);
-        host.write(staged, &payload);
-        let before = image(&dev);
-        let n = dev.scatter_from(host.read(staged), &layout, elems.addr, count);
-        prop_assert_eq!(n, total);
-        assert_only_region_changed(&before, &image(&dev), elems, &elements_want);
+        check_cross_pool_copies(&CompiledLayout::of(&t), count, seed);
     }
 
     /// Timing-only pools count bytes in O(1) and write nothing.

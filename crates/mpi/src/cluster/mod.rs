@@ -225,6 +225,11 @@ impl ClusterBuilder {
             // buffer simultaneously within one Waitall epoch; programs
             // over-declare via their buffer sizes, so size generously.
             let staging_bytes = 2 * user_bytes + (1 << 20);
+            // Full-mode staging pools are backed now, to what the
+            // program's largest epoch stages, so the run does not grow
+            // (and first-touch) them. Timing-only pools hold no bytes.
+            let staging_need =
+                (self.data_mode == DataMode::Full).then(|| program.staging_high_water());
 
             let mut gpu = self.platform.make_gpu(user_bytes, self.data_mode);
             if !self.gdrcopy {
@@ -257,8 +262,17 @@ impl ClusterBuilder {
             rank.tele = tele_r;
             ranks.push(rank);
             gpus.push(gpu);
-            staging_mems.push(MemPool::new(staging_bytes, self.data_mode));
-            host_mems.push(MemPool::new(staging_bytes, self.data_mode));
+            let (gpu_staging, host_staging) = engine.staging_pools();
+            for (pools, used) in [
+                (&mut staging_mems, gpu_staging),
+                (&mut host_mems, host_staging),
+            ] {
+                let mut pool = MemPool::new(staging_bytes, self.data_mode);
+                if let (true, Some(need)) = (used, staging_need) {
+                    pool.reserve(need);
+                }
+                pools.push(pool);
+            }
         }
 
         // NIC events are tagged with the lowest rank on the NIC's node so

@@ -58,6 +58,12 @@ pub(crate) trait SchemeEngine: Send + Sync {
         cl.platform.progress_poll
     }
 
+    /// Which of a rank's staging pools this engine allocates from, as
+    /// `(gpu, host)`. The cluster builder backs only those.
+    fn staging_pools(&self) -> (bool, bool) {
+        (true, false)
+    }
+
     /// Should a receive of this shape stage through host memory?
     fn host_recv_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
         let _ = (cl, r, bytes, blocks);

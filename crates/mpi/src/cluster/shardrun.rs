@@ -12,8 +12,11 @@
 //!    next-event time over all shard queues and δ is the *lookahead* —
 //!    the smallest latency any cross-shard effect must pay (the fastest
 //!    hop of the topology, or the internode wire latency in flat mode);
-//! 2. hands each shard to a persistent worker thread, which drains its
-//!    own timing wheel up to (excluding) `W + δ`;
+//! 2. hands every shard but the last to a persistent worker thread and
+//!    runs the last one itself; each drains its own timing wheel up to
+//!    (excluding) `W + δ`. Handoffs poll briefly before parking (see
+//!    [`recv_soon`]), so a round does not pay for waking a sleeping
+//!    thread;
 //! 3. at the barrier, applies the round's deferred routed transmits
 //!    against the master [`TopoNet`] and admits cross-shard deliveries
 //!    from the per-pair [`Mailbox`]es into destination queues.
@@ -336,14 +339,17 @@ impl Cluster {
 
         crossbeam::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<(usize, Cluster)>();
-            let mut cmd_txs: Vec<mpsc::SyncSender<(Cluster, Time)>> = Vec::with_capacity(n);
-            for s in 0..n {
+            // Shards 0..n-1 go to workers; the coordinator runs the last
+            // one itself instead of blocking while the others work.
+            let own = n - 1;
+            let mut cmd_txs: Vec<mpsc::SyncSender<(Cluster, Time)>> = Vec::with_capacity(own);
+            for s in 0..own {
                 let (tx, rx) = mpsc::sync_channel::<(Cluster, Time)>(1);
                 cmd_txs.push(tx);
                 let res_tx = res_tx.clone();
                 scope.spawn(move || {
                     let mut idle_since: Option<Instant> = None;
-                    while let Ok((mut cl, window_end)) = rx.recv() {
+                    while let Ok((mut cl, window_end)) = recv_soon(&rx) {
                         if let Some(t) = idle_since {
                             cl.shard_stats.stall_wall_ns += t.elapsed().as_nanos() as u64;
                         }
@@ -356,6 +362,7 @@ impl Cluster {
                 });
             }
             drop(res_tx);
+            let mut own_idle_since: Option<Instant> = None;
             loop {
                 // All shards are home between rounds: the earliest event
                 // anywhere opens the next window.
@@ -366,12 +373,18 @@ impl Cluster {
                 let Some(w) = w else { break };
                 let window_end = w + delta;
                 coord.barriers += 1;
-                for (s, slot) in slots.iter_mut().enumerate() {
+                for (s, slot) in slots[..own].iter_mut().enumerate() {
                     let cl = slot.take().expect("shard home");
                     cmd_txs[s].send((cl, window_end)).expect("worker alive");
                 }
-                for _ in 0..n {
-                    let (s, cl) = res_rx.recv().expect("worker alive");
+                let cl = slots[own].as_mut().expect("shard home");
+                if let Some(t) = own_idle_since {
+                    cl.shard_stats.stall_wall_ns += t.elapsed().as_nanos() as u64;
+                }
+                cl.run_window(window_end);
+                own_idle_since = Some(Instant::now());
+                for _ in 0..own {
+                    let (s, cl) = recv_soon(&res_rx).expect("worker alive");
                     slots[s] = Some(cl);
                 }
                 let t0 = Instant::now();
@@ -434,6 +447,28 @@ impl Cluster {
             wheel,
             wire_high_water,
         )
+    }
+}
+
+/// How long a handoff wait polls before it parks the thread.
+const HANDOFF_POLL: std::time::Duration = std::time::Duration::from_micros(100);
+
+/// Receive the next handoff, polling (and yielding the CPU) for up to
+/// [`HANDOFF_POLL`] before parking. A round lasts tens of microseconds, so
+/// the other side is usually about to send; parking instead makes every
+/// round pay a futex wake-up, whose cost on a virtualised host is both
+/// large and erratic.
+fn recv_soon<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if start.elapsed() < HANDOFF_POLL => {
+                std::thread::yield_now()
+            }
+            Err(mpsc::TryRecvError::Empty) => return rx.recv(),
+        }
     }
 }
 

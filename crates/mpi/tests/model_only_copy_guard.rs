@@ -7,8 +7,11 @@
 //! time grows with the segment count even though no byte moves.
 //!
 //! The guard runs two 2-rank Proposed exchanges that differ only in segment
-//! count: equal packed bytes, both Generic layouts, both rendezvous, one
-//! type with 64x the segments of the other. Same protocol path, so the
+//! count: equal packed bytes, both rendezvous, one type with 64x the
+//! segments of the other. The few-segment type has 1 KB runs (Generic);
+//! the many-segment type has 16-byte runs, so it compiles to the indexed
+//! rung, whose Full-mode copies walk an offset table — a ModelOnly copy
+//! must touch neither table. Same protocol path, so the
 //! simulations process the same number of events; interleaved same-process
 //! timing then requires the many-segment run to stay within 1.5x of the
 //! few-segment one. Measured on a 2-vCPU VM: 1.09x with O(1) copies (the
@@ -31,8 +34,9 @@ const MSGS: u32 = 16;
 const LAPS: usize = 160;
 
 /// `blocks` runs of equal length carrying `PACKED_BYTES` in total, with
-/// gaps cycling through 1, 2 and 3 floats so no constant stride exists
-/// (the layout compiler classifies it Generic).
+/// gaps cycling through 1, 2 and 3 floats so no constant stride exists.
+/// Runs wider than `FIXED_RUN_WIDTH_MAX` classify Generic; narrower ones
+/// IndexedRuns.
 fn irregular(blocks: u64) -> Arc<TypeDesc> {
     let blocklen = PACKED_BYTES / 4 / blocks;
     let mut disp = 0;
@@ -106,8 +110,8 @@ fn model_only_copy_cost_is_independent_of_segment_count() {
     let (lf, lm) = (CompiledLayout::of(&few), CompiledLayout::of(&many));
     assert_eq!(lf.size(), lm.size(), "equal packed bytes");
     assert!(PACKED_BYTES > Platform::lassen().eager_limit, "rendezvous");
-    assert_eq!(lf.class(), LayoutClass::Generic);
-    assert_eq!(lm.class(), LayoutClass::Generic);
+    assert_eq!(lf.class(), LayoutClass::Generic, "1 KB irregular runs");
+    assert_eq!(lm.class(), LayoutClass::IndexedRuns, "16 B irregular runs");
     assert_eq!(lm.num_blocks(), 64 * lf.num_blocks());
 
     // Same protocol path: the simulations differ only in virtual time.

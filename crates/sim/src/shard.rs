@@ -1,7 +1,8 @@
 //! Support types for time-window sharded execution.
 //!
-//! The sharded cluster loop (see `fusedpack-mpi`) partitions ranks across
-//! worker threads, each draining its own [`EventQueue`](crate::EventQueue)
+//! The sharded cluster loop (see `fusedpack-mpi`) partitions ranks into
+//! shards, run by worker threads and the coordinating thread, each
+//! draining its own [`EventQueue`](crate::EventQueue)
 //! up to a conservative window boundary. Two pieces live here because they
 //! are generic over the payload and belong with the engine, not the MPI
 //! layer:
@@ -142,8 +143,9 @@ pub struct ShardStats {
     /// Wall-clock nanoseconds the coordinator spent in barrier work
     /// (applying transmits, draining mailboxes, computing windows).
     pub barrier_wall_ns: u64,
-    /// Wall-clock nanoseconds workers spent stalled between finishing a
-    /// round and receiving the next (summed over workers).
+    /// Wall-clock nanoseconds shards spent stalled between finishing a
+    /// round and starting the next (summed over shards, the one the
+    /// coordinator runs included).
     pub stall_wall_ns: u64,
 }
 

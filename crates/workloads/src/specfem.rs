@@ -107,6 +107,20 @@ mod tests {
     }
 
     #[test]
+    fn both_variants_take_the_indexed_copy_rung() {
+        use fusedpack_datatype::{CompiledLayout, CopyPlan};
+        for w in [specfem3d_oc(512), specfem3d_cm(512)] {
+            let l = CompiledLayout::of(&w.desc);
+            assert_eq!(
+                l.plan_for(w.count),
+                CopyPlan::IndexedRuns { width: 4 },
+                "{}",
+                w.name
+            );
+        }
+    }
+
+    #[test]
     fn workloads_scale_with_points() {
         let small = specfem3d_oc(100);
         let large = specfem3d_oc(10_000);
