@@ -610,15 +610,14 @@ fn bench_topology(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded event loop's per-window coordination primitives, isolated
-/// from any simulation: computing the next window (min `peek_time` over
-/// every shard queue) and round-tripping cross-shard messages through the
-/// bounded mailboxes. One iteration is one barrier cycle over 4 shards
-/// with 64 in-flight cross-shard sends — the fixed cost a window barrier
-/// adds on top of the workers' useful event processing.
+/// The sharded event loop's per-window coordination, isolated from any
+/// simulation: computing the next window (min `peek_time` over every
+/// shard queue), ordering the round's deferred transmits canonically by
+/// `(time, key, seq)`, and admitting their deliveries into the
+/// destination wheels. One iteration is one barrier over 4 shards with 64
+/// deferred transmits — the fixed cost a window barrier adds on top of the
+/// workers' useful event processing and the transmits' own network time.
 fn bench_shard_barrier(c: &mut Criterion) {
-    use fusedpack_sim::Mailbox;
-
     const SHARDS: usize = 4;
     const MSGS: usize = 64;
     let mut g = c.benchmark_group("hotpaths/shard");
@@ -629,9 +628,9 @@ fn bench_shard_barrier(c: &mut Criterion) {
                 q.push_at(Time(s as u64 * 977 + i * 6151 % 65_536), i);
             }
         }
-        let mut boxes: Vec<Mailbox<(Time, u64, u64)>> =
-            (0..SHARDS * SHARDS).map(|_| Mailbox::default()).collect();
-        let mut scratch: Vec<(Time, u64, u64)> = Vec::new();
+        // (event time, event key, seq, destination shard), recorded by the
+        // shards in their own order.
+        let mut batch: Vec<(Time, u64, u64, usize)> = Vec::with_capacity(MSGS);
         b.iter(|| {
             // Window computation: min next-event time across all shards.
             let window = queues
@@ -639,35 +638,21 @@ fn bench_shard_barrier(c: &mut Criterion) {
                 .filter_map(|q| q.peek_time())
                 .min()
                 .unwrap_or(Time(u64::MAX));
-            // Outbox fill: every shard sends to every other shard.
-            for src in 0..SHARDS {
-                for dst in 0..SHARDS {
-                    if src == dst {
-                        continue;
-                    }
-                    for i in 0..(MSGS / (SHARDS - 1)) as u64 {
-                        boxes[src * SHARDS + dst].push((window, i, i * 31));
-                    }
-                }
+            // Each shard's transmits arrive in its own order; the barrier
+            // interleaves them canonically.
+            for i in 0..MSGS as u64 {
+                let shard = i as usize % SHARDS;
+                let key = ((shard as u64) << 42) | (MSGS as u64 - i);
+                batch.push((window, key, i, (shard + 1) % SHARDS));
             }
-            // Barrier drain: admit everything into the destination queues.
-            let mut admitted = 0u64;
-            for src in 0..SHARDS {
-                for dst in 0..SHARDS {
-                    if src == dst {
-                        continue;
-                    }
-                    scratch.clear();
-                    scratch.extend(boxes[src * SHARDS + dst].drain());
-                    admitted += scratch.len() as u64;
-                    for &(at, key, payload) in &scratch {
-                        queues[dst].push_at_key(at, key, payload);
-                    }
-                }
+            batch.sort_by_key(|&(t, key, seq, _)| (t, key, seq));
+            let admitted = batch.len() as u64;
+            for (at, key, payload, dst) in batch.drain(..) {
+                queues[dst].push_at_key(at, key, payload);
             }
-            // Keep the queues bounded: drain what the fill added.
+            // Keep the queues bounded: drain what the round added.
             for q in &mut queues {
-                for _ in 0..MSGS / (SHARDS - 1) * (SHARDS - 1) {
+                for _ in 0..MSGS / SHARDS {
                     let _ = q.pop();
                 }
             }

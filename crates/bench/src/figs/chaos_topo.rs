@@ -9,7 +9,8 @@
 //! fault-free run, and the fabric's self-healing counters: hops flapped /
 //! degraded / downed, ECMP reroutes, dual-rail failovers, and
 //! forced-delivery disconnects (the last rung, where no surviving route
-//! exists and the transfer is pushed through the flat wire model).
+//! exists and the transfer is forced over its pre-fault route, queueing
+//! behind live traffic on the same hops).
 //!
 //! Every plan is derived from the master `--seed` and the cell's grid
 //! coordinates (never from execution order), and the per-rank/keyed fault
@@ -116,7 +117,7 @@ pub fn run(cfg: &RunConfig) -> Table {
         "data: ok = receive-buffer checksum identical to the fault-free baseline; \
          flap/degr/down: hop fault injections; reroute/failover: ECMP re-resolutions \
          around dead hops and dual-rail NIC failovers; forced: transfers whose every \
-         surviving route died, delivered through the flat-wire rung",
+         surviving route died, forced over their pre-fault route",
     );
 
     let mut cells: Vec<Cell<HaloChaosOutcome>> = Vec::new();

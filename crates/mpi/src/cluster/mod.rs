@@ -24,11 +24,11 @@ use fusedpack_core::{SchedStats, Uid};
 use fusedpack_datatype::LayoutTable;
 use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
-use fusedpack_net::topology::{validate_endpoint, Endpoint, FabricEvent};
-use fusedpack_net::{FabricHealth, Link, Nic, TopoNet, TopologyHandle};
+use fusedpack_net::topology::{validate_endpoint, Endpoint};
+use fusedpack_net::{FabricHealth, FlatLink, Nic, TopoNet, TopologyHandle};
 use fusedpack_sim::{
-    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Mailbox, Pcg32,
-    RetryPolicy, ShardStats, Slab, Time, WheelStats,
+    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, RetryPolicy,
+    ShardStats, Slab, Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use std::collections::HashMap;
@@ -129,12 +129,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Route every transfer through an explicit topology instead of the
-    /// flat scalar-link model: each send resolves a hop sequence and
-    /// occupies every hop on it ([`fusedpack_net::TopoNet`]). Without this
-    /// call the legacy flat path runs untouched — an explicit
-    /// [`fusedpack_net::FlatLink`] is bit-identical to the default
-    /// (enforced by the bench golden guard).
+    /// Route every transfer through `topo`: each send resolves a hop
+    /// sequence and occupies every hop on it ([`fusedpack_net::TopoNet`]).
+    /// Without this call the cluster runs on
+    /// [`FlatLink::for_platform`] — one crossbar hop per node and one
+    /// outbound wire hop per node, built from the platform's link
+    /// constants.
     pub fn topology(mut self, topo: TopologyHandle) -> Self {
         self.topology = Some(topo);
         self
@@ -300,24 +300,24 @@ impl ClusterBuilder {
         // than its island holds) is a build-time error, not a runtime
         // fault: fail loudly with the typed error's message.
         let faults = self.faults;
-        let topo = self.topology.map(|t| {
-            for &ep in &endpoints {
-                if let Err(e) = validate_endpoint(t.as_ref(), ep) {
-                    panic!("cluster does not fit topology '{}': {e}", t.name());
-                }
+        let topo = self
+            .topology
+            .unwrap_or_else(|| Arc::new(FlatLink::for_platform(&self.platform, num_nodes)));
+        for &ep in &endpoints {
+            if let Err(e) = validate_endpoint(topo.as_ref(), ep) {
+                panic!("cluster does not fit topology '{}': {e}", topo.name());
             }
-            let mut net = TopoNet::new(t);
-            // Arm the fabric fault domain when the plan carries per-hop
-            // sites. Flat topologies have no path diversity (nothing to
-            // reroute around), so their single wire stays fault-free at
-            // the hop level — the link-scoped sites still apply.
-            if let Some(plan) = faults.as_ref() {
-                if plan.is_fabric_armed() && !net.topology().is_flat() {
-                    net.arm_faults(plan.clone());
-                }
+        }
+        let mut net = TopoNet::new(topo);
+        // Arm the fabric fault domain when the plan carries per-hop
+        // sites. Flat topologies have no path diversity (nothing to
+        // reroute around), so their single wire stays fault-free at the
+        // hop level — the link-scoped sites still apply.
+        if let Some(plan) = faults.as_ref() {
+            if plan.is_fabric_armed() && !net.topology().is_flat() {
+                net.arm_faults(plan.clone());
             }
-            net
-        });
+        }
 
         Cluster {
             platform: self.platform,
@@ -330,9 +330,8 @@ impl ClusterBuilder {
             host_mems: Ranged::from_vec(host_mems),
             nics: Ranged::from_vec(nics),
             rndv: self.rndv,
-            topo,
+            topo: Some(net),
             endpoints,
-            intra_links: HashMap::new(),
             buf_pool: BufferPool::new(),
             wire_slab: Slab::new(),
             telemetry,
@@ -341,11 +340,9 @@ impl ClusterBuilder {
             retry: self.retry,
             shards_requested: self.shards,
             cur_event: (Time::ZERO, 0),
-            defer_transmits: false,
             pending: Vec::new(),
             pending_seq: 0,
             rank_shard: Vec::new(),
-            outboxes: Vec::new(),
             shard_stats: ShardStats::default(),
             absorbed_pool: fusedpack_gpu::PoolStats::default(),
             layout_table,
@@ -375,14 +372,13 @@ pub struct Cluster {
     pub(crate) nics: Ranged<Nic>,
     /// Rendezvous sub-protocol.
     pub(crate) rndv: RndvProtocol,
-    /// Live topology network state (None: the legacy flat path runs with
-    /// zero overhead beyond one untaken branch per transport).
+    /// Live network state every transfer crosses. `None` only in a
+    /// sharded run's workers: the coordinator keeps the one network and
+    /// replays their transmits against it at window barriers.
     pub(crate) topo: Option<TopoNet>,
     /// Per-rank (node, gpu-slot) endpoints, validated against the
     /// topology at build time.
     pub(crate) endpoints: Vec<Endpoint>,
-    /// Lazily created intra-node GPU↔GPU links, keyed by (node, node).
-    pub(crate) intra_links: HashMap<(u32, u32), Link>,
     /// Freelist of staged payload buffers: eager/rendezvous copies and IPC
     /// gathers recycle their `Vec<u8>`s here instead of allocating per
     /// message.
@@ -406,23 +402,16 @@ pub struct Cluster {
     /// Worker shards requested via [`ClusterBuilder::shards`] (clamped at
     /// run time; 1 = the single-queue loop).
     pub(crate) shards_requested: u32,
-    /// (time, key) of the event currently being dispatched. Sharded topo
-    /// runs use it to order deferred transmits exactly as the single
-    /// queue would have executed them.
+    /// (time, key) of the event currently being dispatched. Sharded runs
+    /// use it to order deferred transmits exactly as the single queue
+    /// would have executed them.
     pub(crate) cur_event: (Time, u64),
-    /// Sharded topology mode: record wire transmits as
-    /// [`PendingTransmit`]s instead of executing them (the master network
-    /// lives with the coordinator between barriers).
-    pub(crate) defer_transmits: bool,
-    /// Deferred routed transmits for the current round.
+    /// Deferred transmits for the current round (sharded workers only).
     pub(crate) pending: Vec<PendingTransmit>,
     /// Monotone sequence disambiguating transmits within one dispatch.
     pub(crate) pending_seq: u64,
     /// Global rank → owning shard (empty outside sharded runs).
     pub(crate) rank_shard: Vec<u32>,
-    /// Outgoing cross-shard deliveries, one mailbox per destination
-    /// shard, drained by the coordinator at each barrier.
-    pub(crate) outboxes: Vec<Mailbox<(Time, u64, WireMsg)>>,
     /// Barrier/stall counters (all-zero for single-queue runs).
     pub(crate) shard_stats: ShardStats,
     /// Buffer-pool counters absorbed from shard-local pools at recompose,
@@ -465,11 +454,11 @@ pub struct RunReport {
     pub fault_summary: FaultSummary,
     /// Fabric-level fault-domain accounting (per-hop injections, health
     /// transitions, reroutes, rail failovers, forced deliveries). All-zero
-    /// unless a topology is attached and its fault domain armed.
+    /// unless the fabric's fault domain is armed.
     pub fabric: FabricHealth,
     /// Sharded-execution health: effective shard count, barriers crossed,
-    /// admitted/deferred message counts, mailbox spills, and wall-clock
-    /// barrier/stall time. All-zero for single-queue runs.
+    /// admitted/deferred message counts, and wall-clock barrier/stall
+    /// time. All-zero for single-queue runs.
     pub shard: ShardStats,
     /// Layout-compiler cache health, aggregated over every rank's sharded
     /// cache: commit/acquire hit counts, LRU evictions, and resident
@@ -677,31 +666,6 @@ impl Cluster {
         ((rank.id.0 as u64) << KEY_RANK_SHIFT) | c
     }
 
-    /// Park a wire message in the slab and schedule its delivery under a
-    /// pre-drawn canonical key. Deliveries addressed to a rank another
-    /// shard owns go to that shard's outbox instead, admitted by the
-    /// coordinator at the next window barrier.
-    pub(crate) fn push_deliver(&mut self, at: Time, key: u64, msg: WireMsg) {
-        let dst = msg.dst.0 as usize;
-        if !self.ranks.contains_index(dst) {
-            let shard = self.rank_shard[dst] as usize;
-            self.outboxes[shard].push((at, key, msg));
-            return;
-        }
-        let slab_key = self.wire_slab.insert(msg);
-        self.events.push_at_key(at, key, Event::Deliver(slab_key));
-    }
-
-    /// Fetch the intra-node link between two nodes' GPUs, creating it on
-    /// first use.
-    pub(crate) fn intra_link(&mut self, a: u32, b: u32) -> &mut Link {
-        let key = (a.min(b), a.max(b));
-        let spec = self.platform.gpu_gpu.clone();
-        self.intra_links
-            .entry(key)
-            .or_insert_with(|| Link::new(spec))
-    }
-
     // ---- fault-injection hooks ------------------------------------------
     //
     // Every hook early-outs on `faults == None` (one untaken branch) and,
@@ -732,25 +696,6 @@ impl Cluster {
         self.faults
             .as_mut()
             .map_or(Duration::ZERO, |plan| plan.spike(site, r as u32))
-    }
-
-    /// Drain fabric state transitions from `net` and emit them as
-    /// telemetry instants on the triggering sender's timeline.
-    pub(crate) fn emit_fabric_events(&mut self, net: &mut TopoNet, src: usize) {
-        for ev in net.drain_fabric_events() {
-            let tele = &self.ranks[src].tele;
-            match ev {
-                FabricEvent::HopDown { hop, at } => {
-                    tele.instant(Lane::Nic, at, || Payload::HopDown { hop });
-                }
-                FabricEvent::Rerouted { src, dst, at } => {
-                    tele.instant(Lane::Nic, at, || Payload::Rerouted { src, dst });
-                }
-                FabricEvent::RailFailover { hop, at } => {
-                    tele.instant(Lane::Nic, at, || Payload::RailFailover { hop });
-                }
-            }
-        }
     }
 
     /// Record a retry decision (telemetry + counters).
@@ -818,9 +763,9 @@ impl Cluster {
         s
     }
 
-    /// Per-hop FIFO order violations observed by the routed network
-    /// (always zero; asserted by the shard-window property tests). `None`
-    /// without a topology.
+    /// Per-hop FIFO order violations observed by the network (always
+    /// zero; asserted by the shard-window property tests). `Some` on every
+    /// built cluster.
     pub fn topo_order_violations(&self) -> Option<u64> {
         self.topo.as_ref().map(|net| net.order_violations())
     }

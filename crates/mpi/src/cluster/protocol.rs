@@ -12,75 +12,15 @@ use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
 
 impl Cluster {
-    /// Transport `bytes` from rank `src` to rank `dst`. Returns
-    /// `(delivered, initiator_completion)`. `gdr` caps inter-node bandwidth
-    /// by the NIC↔GPU path; intra-node transfers ride the GPU↔GPU link.
-    /// `event_key` is the transfer's canonical event key — the coordinate
-    /// an armed fabric fault domain keys its per-hop draws by.
-    pub(crate) fn transport(
-        &mut self,
-        src: usize,
-        dst: usize,
-        at: Time,
-        bytes: u64,
-        gdr: bool,
-        event_key: u64,
-    ) -> (Time, Time) {
-        if self.topo.is_some() {
-            if let Some(result) = self.transport_routed(src, dst, at, bytes, gdr, event_key) {
-                return result;
-            }
-            // Route resolution failed (absorbed, counted) or the fabric is
-            // disconnected (forced-delivery rung): fall through to the flat
-            // path so the transfer still completes and Waitall never wedges.
-        }
-        self.transport_flat(src, dst, at, bytes, gdr)
-    }
-
-    /// The flat (non-routed) wire model. Node lookups go through the
-    /// endpoint table — valid for *any* global rank, local or not, which
-    /// sharded runs rely on.
-    pub(crate) fn transport_flat(
-        &mut self,
-        src: usize,
-        dst: usize,
-        at: Time,
-        bytes: u64,
-        gdr: bool,
-    ) -> (Time, Time) {
-        let (src_node, dst_node) = (self.endpoints[src].node, self.endpoints[dst].node);
-        if src_node == dst_node {
-            let link = self.intra_link(src_node, dst_node);
-            let (start, delivered) = link.transmit(at, bytes);
-            // Intra-node transfers bypass the NIC, so the wire span is
-            // emitted here (the NIC emits its own for inter-node sends).
-            self.ranks[src]
-                .tele
-                .span(Lane::Nic, start, delivered, || Payload::WireTransfer {
-                    bytes,
-                });
-            (delivered, delivered)
-        } else {
-            let nic = &mut self.nics[src_node as usize];
-            let (_, delivered) = if gdr {
-                nic.post_send_gdr(at, bytes)
-            } else {
-                nic.post_send(at, bytes)
-            };
-            // Initiator completion (CQE/ACK) one wire latency later.
-            (delivered, delivered + nic.wire().latency)
-        }
-    }
-
     /// The single chokepoint for asynchronous wire traffic: transport the
     /// payload and schedule the arrival (and, when `complete` is set, the
     /// initiator-side CQE). The canonical keys for both events are drawn
     /// from the sender *before* any timing is computed, so the per-rank
     /// draw order is identical whether the transmit executes now
-    /// (single-queue and flat-sharded runs) or is recorded as a
-    /// [`super::PendingTransmit`] for the coordinator to apply at the
-    /// window barrier (topology-sharded runs). Returns the
-    /// `(delivered, completion)` times, or `None` when deferred.
+    /// (single-queue runs) or, in a sharded worker that holds no network,
+    /// is recorded as a [`super::PendingTransmit`] for the coordinator to
+    /// apply at the window barrier. Returns the `(delivered, completion)`
+    /// times, or `None` when deferred.
     pub(crate) fn wire_transmit(
         &mut self,
         src: usize,
@@ -92,7 +32,7 @@ impl Cluster {
     ) -> Option<(Time, Time)> {
         let deliver_key = self.next_key(src);
         let complete_key = complete.map(|sid| (sid, self.next_key(src)));
-        if self.defer_transmits {
+        if self.topo.is_none() {
             let (t_e, k_e) = self.cur_event;
             let seq = self.pending_seq;
             self.pending_seq += 1;
@@ -114,7 +54,12 @@ impl Cluster {
         let dst = msg.dst.0 as usize;
         let (delivered, completion) =
             self.transport_reliable(src, dst, at, bytes, gdr, deliver_key);
-        self.push_deliver(delivered.max(self.events.now()), deliver_key, msg);
+        let slab_key = self.wire_slab.insert(msg);
+        self.events.push_at_key(
+            delivered.max(self.events.now()),
+            deliver_key,
+            Event::Deliver(slab_key),
+        );
         if let Some((sid, key)) = complete_key {
             let rid = self.ranks[src].id;
             self.events.push_at_key(
@@ -130,8 +75,8 @@ impl Cluster {
     ///
     /// Under an armed fault plan the wire may drop, corrupt, or delay the
     /// payload, and the NIC may stall its completion. Every lost attempt
-    /// occupies the wire for its full serialization time
-    /// ([`fusedpack_net::Link::transmit_wasted`]); the sender detects the
+    /// occupies every hop of the route for its full serialization time
+    /// ([`fusedpack_net::TopoNet::transmit_wasted`]); the sender detects the
     /// loss — retransmission timeout for a drop, receiver NACK one RTT
     /// after delivery for a corruption — backs off with deterministic
     /// jitter, and retransmits. The policy's attempt and deadline budgets
@@ -210,38 +155,6 @@ impl Cluster {
                 self.fault_stats.added_latency += now.since(at);
             }
             return (delivered, completion);
-        }
-    }
-
-    /// Occupy the wire (or every hop of the route) with a payload that is
-    /// dropped mid-flight. Returns `(wire_clear, rtt)` — the inputs to the
-    /// retry protocol's loss-detection timing.
-    fn transport_wasted(
-        &mut self,
-        src: usize,
-        dst: usize,
-        now: Time,
-        bytes: u64,
-        gdr: bool,
-    ) -> (Time, fusedpack_sim::Duration) {
-        if self.topo.is_some() {
-            if let Some(result) = self.transport_routed_wasted(src, dst, now, bytes, gdr) {
-                return result;
-            }
-        }
-        let (src_node, dst_node) = (self.endpoints[src].node, self.endpoints[dst].node);
-        if src_node == dst_node {
-            let link = self.intra_link(src_node, dst_node);
-            let (start, clear) = link.transmit_wasted(now, bytes, None);
-            let rtt = link.spec().rtt();
-            self.ranks[src]
-                .tele
-                .span(Lane::Nic, start, clear, || Payload::WireTransfer { bytes });
-            (clear, rtt)
-        } else {
-            let nic = &mut self.nics[src_node as usize];
-            let (_, clear) = nic.post_send_wasted(now, bytes, gdr);
-            (clear, nic.wire().rtt())
         }
     }
 

@@ -5,32 +5,32 @@
 //! `run_sharded` partitions the cluster into N worker shards at node
 //! boundaries — each shard *is* a [`Cluster`] owning a contiguous range of
 //! ranks, their GPUs, staging pools, and the NICs of its nodes (the
-//! [`Ranged`](super::Ranged) wrappers keep global indexing working). The
+//! [`Ranged`](super::Ranged) wrappers keep global indexing working) — but
+//! no network: the one [`TopoNet`] stays with the coordinator. The
 //! coordinator repeatedly:
 //!
 //! 1. computes the next window `[W, W + δ)` where `W` is the minimum
 //!    next-event time over all shard queues and δ is the *lookahead* —
-//!    the smallest latency any cross-shard effect must pay (the fastest
-//!    hop of the topology, or the internode wire latency in flat mode);
+//!    the smallest latency any transmit must pay (see
+//!    [`Cluster::lookahead`]);
 //! 2. hands every shard but the last to a persistent worker thread and
 //!    runs the last one itself; each drains its own timing wheel up to
-//!    (excluding) `W + δ`. Handoffs poll briefly before parking (see
-//!    [`recv_soon`]), so a round does not pay for waking a sleeping
-//!    thread;
-//! 3. at the barrier, applies the round's deferred routed transmits
-//!    against the master [`TopoNet`] and admits cross-shard deliveries
-//!    from the per-pair [`Mailbox`]es into destination queues.
+//!    (excluding) `W + δ`, recording every transmit instead of executing
+//!    it. Handoffs poll briefly before parking (see [`recv_soon`]), so a
+//!    round does not pay for waking a sleeping thread;
+//! 3. at the barrier, applies the round's deferred transmits against the
+//!    master network and schedules their deliveries and completions into
+//!    the owning shards' queues.
 //!
 //! ## Why the result is byte-identical to the single queue
 //!
-//! Every event processed in a round has `t ≥ W`, so any effect it sends
-//! across shards lands at `t + δ ≥ W + δ` — at or past the window end,
-//! never inside a queue a worker is concurrently draining. Within a
-//! round, shards only touch disjoint state: rank/GPU/pool state is
-//! shard-local by construction, flat intra-node links and NICs are
-//! node-aligned, and *all* routed transmits are deferred (intra-node
-//! routes share node-local hops with inter-node ones, so topology state
-//! stays with the coordinator). Deferred transmits are applied in
+//! Every event processed in a round has `t ≥ W`, and every transmit it
+//! issues delivers (and completes) no sooner than `t + δ ≥ W + δ` — at
+//! or past the window end, so deferring it to the barrier never lands an
+//! effect inside a window a shard already drained. Within a round, shards
+//! only touch disjoint state: rank/GPU/pool state is shard-local by
+//! construction, NICs are node-aligned, and the network is touched only
+//! at barriers. Deferred transmits are applied in
 //! ascending (event time, event key, intra-dispatch seq) — exactly the
 //! order the single-queue loop executes them, because it dispatches
 //! events in (time, key) order and issues transmits in program order
@@ -55,8 +55,11 @@
 //! ## What disqualifies a run
 //!
 //! `effective_shards` clamps to 1 when ranks are not grouped contiguously
-//! by node, when there are fewer than two nodes, or when the lookahead is
-//! zero.
+//! by node, when there are fewer than two nodes, when the lookahead is
+//! zero, or when the fault plan arms [`FaultSite::IpcMapFail`] and ranks
+//! share a node: the staged DirectIPC fallback bounces the payload over
+//! the crossbar *synchronously*, inside the dispatch, and a worker has no
+//! network to time that on.
 
 use super::{Cluster, Event, Ranged, RankId};
 use crate::message::WireMsg;
@@ -64,14 +67,14 @@ use crate::sendrecv::SendId;
 use fusedpack_gpu::BufferPool;
 use fusedpack_net::TopoNet;
 use fusedpack_sim::{
-    ClampStats, Duration, EventQueue, FaultSummary, Mailbox, ShardStats, Slab, Time, WheelStats,
+    ClampStats, Duration, EventQueue, FaultSite, FaultSummary, ShardStats, Slab, Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A routed transmit recorded during a sharded round, applied at the
+/// A transmit recorded during a sharded round, applied at the
 /// barrier against the master [`TopoNet`] in the exact order the
 /// single-queue loop would have executed it.
 #[derive(Debug)]
@@ -101,14 +104,13 @@ pub(crate) struct PendingTransmit {
     pub dup: Option<u64>,
 }
 
-/// One shard's slice of the cluster: rank range and node range, both
-/// half-open, both aligned (every node's ranks land in exactly one shard).
+/// One shard's slice of the cluster: its half-open rank range and first
+/// node, aligned so every node's ranks land in exactly one shard.
 #[derive(Debug, Clone, Copy)]
 struct ShardSpec {
     rank_start: usize,
     rank_end: usize,
     node_start: usize,
-    node_end: usize,
 }
 
 impl Cluster {
@@ -129,19 +131,36 @@ impl Cluster {
         if self.lookahead() == Duration::ZERO {
             return 1;
         }
+        let ipc_faults = self
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.spec(FaultSite::IpcMapFail).probability > 0.0);
+        if ipc_faults && self.shares_a_node() {
+            return 1;
+        }
         req.min(num_nodes)
     }
 
-    /// The conservative lookahead δ: no effect of an event at `t` can
-    /// reach another shard before `t + δ`. Topology mode: the fastest
-    /// hop's latency (every route crosses at least one hop). Flat mode:
-    /// the internode first-byte latency (node-aligned shards make every
-    /// cross-shard delivery an internode one).
+    /// Whether some node hosts two ranks (so intra-node routes, and
+    /// DirectIPC between them, are in use).
+    fn shares_a_node(&self) -> bool {
+        let mut nodes: Vec<u32> = self.endpoints.iter().map(|ep| ep.node).collect();
+        nodes.sort_unstable();
+        nodes.windows(2).any(|w| w[0] == w[1])
+    }
+
+    /// The conservative lookahead δ: no transmit issued at `t` delivers or
+    /// completes before `t + δ`. Every transmit is deferred to a barrier,
+    /// so δ is the smallest latency of any route between two of the run's
+    /// ranks: a cross-node route crosses at least one fabric hop, an
+    /// intra-node one a crossbar hop — counted only when some node hosts
+    /// two ranks. On the default flat fabric that is the NIC wire's
+    /// latency for one rank per node.
     fn lookahead(&self) -> Duration {
-        match &self.topo {
-            Some(net) => net.min_hop_latency(),
-            None => self.platform.internode.latency,
-        }
+        self.topo
+            .as_ref()
+            .expect("the master cluster owns the network")
+            .min_route_latency(self.shares_a_node())
     }
 
     /// Drain this shard's queue up to (excluding) `window_end`.
@@ -183,7 +202,6 @@ impl Cluster {
                 rank_start,
                 rank_end: rank_cursor,
                 node_start,
-                node_end,
             });
         }
         debug_assert_eq!(rank_cursor, self.endpoints.len());
@@ -193,7 +211,7 @@ impl Cluster {
     /// Split the master cluster into per-shard clusters. The master is
     /// left hollow (empty vectors) until `recompose` puts everything
     /// back.
-    fn decompose(&mut self, specs: &[ShardSpec], defer_transmits: bool) -> Vec<Cluster> {
+    fn decompose(&mut self, specs: &[ShardSpec]) -> Vec<Cluster> {
         let shards = specs.len();
         let mut rank_shard = vec![0u32; self.endpoints.len()];
         for (s, spec) in specs.iter().enumerate() {
@@ -206,7 +224,6 @@ impl Cluster {
         let mut staging_mems = std::mem::take(&mut self.staging_mems).into_vec();
         let mut host_mems = std::mem::take(&mut self.host_mems).into_vec();
         let mut nics = std::mem::take(&mut self.nics).into_vec();
-        let mut intra_links = std::mem::take(&mut self.intra_links);
 
         // Redistribute the seeded events to their owner shards. Only
         // pre-run queues can be sharded: in-flight wire traffic has no
@@ -229,15 +246,6 @@ impl Cluster {
             let shard_staging = staging_mems.split_off(spec.rank_start);
             let shard_host = host_mems.split_off(spec.rank_start);
             let shard_nics = nics.split_off(spec.node_start);
-            // Intra-node links are keyed by (node, node); each belongs to
-            // the shard owning that node.
-            let node_range = spec.node_start as u32..spec.node_end as u32;
-            // HashMap::extract_if is 1.88+; the toolchain provides it even
-            // though the manifest MSRV trails behind.
-            #[allow(clippy::incompatible_msrv)]
-            let shard_intra: std::collections::HashMap<_, _> = intra_links
-                .extract_if(|&(a, _), _| node_range.contains(&a))
-                .collect();
             out.push(Cluster {
                 platform: self.platform.clone(),
                 engine: Arc::clone(&self.engine),
@@ -251,7 +259,6 @@ impl Cluster {
                 rndv: self.rndv,
                 topo: None,
                 endpoints: self.endpoints.clone(),
-                intra_links: shard_intra,
                 buf_pool: BufferPool::new(),
                 wire_slab: Slab::new(),
                 telemetry: self.telemetry.clone(),
@@ -264,11 +271,9 @@ impl Cluster {
                 retry: self.retry,
                 shards_requested: 1,
                 cur_event: (Time::ZERO, 0),
-                defer_transmits,
                 pending: Vec::new(),
                 pending_seq: 0,
                 rank_shard: rank_shard.clone(),
-                outboxes: (0..shards).map(|_| Mailbox::default()).collect(),
                 shard_stats: ShardStats {
                     shards: shards as u32,
                     ..ShardStats::default()
@@ -289,16 +294,9 @@ impl Cluster {
         let mut staging_mems = Vec::new();
         let mut host_mems = Vec::new();
         let mut nics = Vec::new();
-        for mut cl in states {
+        for cl in states {
             debug_assert!(cl.wire_slab.is_empty(), "shard leaked wire messages");
             debug_assert!(cl.pending.is_empty(), "shard leaked deferred transmits");
-            debug_assert!(
-                cl.outboxes.iter().all(|m| m.is_empty()),
-                "shard leaked outbox messages"
-            );
-            for mb in &cl.outboxes {
-                cl.shard_stats.mailbox_spills += mb.spill_count();
-            }
             let pool = cl.buf_pool.stats();
             self.absorbed_pool.hits += pool.hits;
             self.absorbed_pool.misses += pool.misses;
@@ -311,7 +309,6 @@ impl Cluster {
             staging_mems.extend(cl.staging_mems.into_vec());
             host_mems.extend(cl.host_mems.into_vec());
             nics.extend(cl.nics.into_vec());
-            self.intra_links.extend(cl.intra_links);
         }
         self.ranks = Ranged::from_vec(ranks);
         self.gpus = Ranged::from_vec(gpus);
@@ -325,17 +322,13 @@ impl Cluster {
         let specs = self.shard_plan(shards);
         let delta = self.lookahead();
         let mut master_net = self.topo.take();
-        let mut slots: Vec<Option<Cluster>> = self
-            .decompose(&specs, master_net.is_some())
-            .into_iter()
-            .map(Some)
-            .collect();
+        let mut slots: Vec<Option<Cluster>> =
+            self.decompose(&specs).into_iter().map(Some).collect();
         let n = slots.len();
         let mut coord = ShardStats {
             shards,
             ..ShardStats::default()
         };
-        let mut scratch: Vec<(Time, u64, WireMsg)> = Vec::new();
 
         crossbeam::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<(usize, Cluster)>();
@@ -388,20 +381,15 @@ impl Cluster {
                     slots[s] = Some(cl);
                 }
                 let t0 = Instant::now();
-                let applied = if master_net.is_some() {
-                    apply_pending(&mut slots, &mut master_net)
-                } else {
-                    0
-                };
+                let (applied, admitted) = apply_pending(&mut slots, &mut master_net);
                 coord.deferred_transmits += applied;
-                let admitted = drain_outboxes(&mut slots, &mut scratch);
                 coord.admitted_msgs += admitted;
                 coord.barrier_wall_ns += t0.elapsed().as_nanos() as u64;
                 let window_ns = window_end.as_nanos();
                 // Every shard observes fabric hop transitions at the same
                 // barrier, so the route epoch recorded here is identical
                 // at any shard count.
-                let route_epoch = master_net.as_ref().map_or(0, |n| n.route_epoch());
+                let route_epoch = master_net.as_ref().map_or(0, TopoNet::route_epoch);
                 self.telemetry
                     .instant(Lane::Host, window_end, || Payload::ShardBarrier {
                         window_ns,
@@ -489,14 +477,16 @@ fn event_origin(ev: &Event) -> usize {
 /// Apply every transmit deferred during the round against the master
 /// network, in ascending (event time, event key, intra-dispatch seq) —
 /// the exact order the single-queue loop issues them — then schedule the
-/// resulting Deliver/SendComplete events into the owning shards.
+/// resulting Deliver/SendComplete events into the owning shards. Returns
+/// `(applied, admitted)`: transmits replayed, and how many of their
+/// deliveries crossed into another shard.
 ///
 /// The master network is temporarily installed into the sending shard's
 /// `topo` slot so the replay runs the exact single-queue code path:
 /// the full retry ladder, keyed fault draws, fabric health transitions,
 /// and the forced-delivery rung all execute here, against shared fabric
 /// state, in canonical order.
-fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) -> u64 {
+fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) -> (u64, u64) {
     let mut batch: Vec<PendingTransmit> = Vec::new();
     for slot in slots.iter_mut() {
         let cl = slot.as_mut().expect("shard home");
@@ -506,12 +496,14 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
     }
     batch.sort_by_key(|p| (p.t_e, p.k_e, p.seq));
     let applied = batch.len() as u64;
+    let mut admitted = 0;
     for p in batch {
         let dst = p.msg.dst.0 as usize;
         let (src_shard, dst_shard) = {
             let map = &slots[0].as_ref().expect("shard home").rank_shard;
             (map[p.src] as usize, map[dst] as usize)
         };
+        admitted += u64::from(src_shard != dst_shard);
         let (delivered, completion) = {
             let cl = slots[src_shard].as_mut().expect("shard home");
             debug_assert!(cl.topo.is_none(), "shards never own a network");
@@ -548,30 +540,5 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
             }
         }
     }
-    applied
-}
-
-/// Admit every cross-shard delivery parked in an outbox into its
-/// destination shard's queue. `scratch` is reused across rounds so the
-/// hand-off itself never allocates in steady state.
-fn drain_outboxes(slots: &mut [Option<Cluster>], scratch: &mut Vec<(Time, u64, WireMsg)>) -> u64 {
-    let n = slots.len();
-    let mut admitted = 0u64;
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(slots[src].as_mut().expect("shard home").outboxes[dst].drain());
-            admitted += scratch.len() as u64;
-            let cl = slots[dst].as_mut().expect("shard home");
-            for (at, key, msg) in scratch.drain(..) {
-                let at = at.max(cl.events.now());
-                let slab_key = cl.wire_slab.insert(msg);
-                cl.events.push_at_key(at, key, Event::Deliver(slab_key));
-            }
-        }
-    }
-    admitted
+    (applied, admitted)
 }

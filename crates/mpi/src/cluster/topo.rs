@@ -1,35 +1,38 @@
-//! Topology-aware transport: sends resolved to routes through a
-//! [`TopoNet`] instead of the flat scalar links.
+//! The network path: every transfer resolves a route through the
+//! cluster's [`TopoNet`] — [`FlatLink`] unless the builder attached
+//! another topology — and occupies each hop on it.
 //!
-//! These are the routed twins of `protocol.rs`'s `transport` /
-//! `transport_reliable` wire paths. Semantics mirror the flat model
-//! exactly — intra-node transfers bypass the NIC (completion coincides
-//! with delivery), inter-node transfers charge NIC injection and complete
-//! one tail latency after delivery — so a single-hop [`FlatLink`] route
-//! reproduces the legacy timing bit-for-bit. Runtime route failures
-//! (impossible for endpoints validated at build time, but reachable under
-//! fault-replayed state) are absorbed in the PR-4 style: debug-assert,
-//! count as spurious, fall back to the flat path.
+//! Intra-node transfers bypass the NIC (no injection, no GPUDirect cap,
+//! completion coincides with delivery); inter-node transfers charge NIC
+//! injection and complete one tail latency after delivery. A pair the
+//! fabric has severed is forced over its pre-fault route by the network
+//! itself (DESIGN.md §12, "Self-healing"); the cluster counts the forced
+//! delivery. Route errors are impossible for endpoints validated at build
+//! time, so one is a bug and panics with the pair and the typed error.
+//!
+//! A sharded run's worker clusters hold no network: their transmits are
+//! recorded and replayed by the coordinator against the one master
+//! network (see `shardrun`).
 //!
 //! [`FlatLink`]: fusedpack_net::FlatLink
 
 use super::Cluster;
-use fusedpack_net::topology::RouteKey;
+use fusedpack_net::topology::{FabricEvent, RouteKey};
 use fusedpack_net::{FabricHealth, HopStats, NetError, TopoNet};
 use fusedpack_sim::{Duration, FaultSite, Time};
-use fusedpack_telemetry::{Lane, Payload};
+use fusedpack_telemetry::{Lane, Payload, Telemetry};
 
 impl Cluster {
     fn route_key(&self, src: usize, dst: usize) -> RouteKey {
         (self.endpoints[src], self.endpoints[dst])
     }
 
-    /// Routed analogue of `transport`: returns `(delivered,
-    /// initiator_completion)`, or `None` if no network is attached, route
-    /// resolution failed, or the fabric is disconnected (the caller falls
-    /// back to the flat path — the forced-delivery rung under a dead
-    /// fabric).
-    pub(crate) fn transport_routed(
+    /// Transport `bytes` from rank `src` to rank `dst`. Returns
+    /// `(delivered, initiator_completion)`. `gdr` caps inter-node bandwidth
+    /// by the NIC↔GPU path; intra-node transfers ride the GPU↔GPU hop.
+    /// `event_key` is the transfer's canonical event key — the coordinate
+    /// an armed fabric fault domain keys its per-hop draws by.
+    pub(crate) fn transport(
         &mut self,
         src: usize,
         dst: usize,
@@ -37,147 +40,115 @@ impl Cluster {
         bytes: u64,
         gdr: bool,
         event_key: u64,
-    ) -> Option<(Time, Time)> {
-        // Take/restore so the routed body can borrow the network mutably
-        // alongside `self` — the same body the sharded coordinator drives
-        // with the master network installed in this slot at barriers.
-        let mut net = self.topo.take()?;
-        let out = self.transport_routed_with(&mut net, src, dst, at, bytes, gdr, event_key);
-        self.topo = Some(net);
-        out
-    }
-
-    /// The routed transmit body, generic over where the network lives
-    /// (owned `self.topo` in single-queue runs, the coordinator's master
-    /// copy in sharded runs).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn transport_routed_with(
-        &mut self,
-        net: &mut TopoNet,
-        src: usize,
-        dst: usize,
-        at: Time,
-        bytes: u64,
-        gdr: bool,
-        event_key: u64,
-    ) -> Option<(Time, Time)> {
+    ) -> (Time, Time) {
         let key = self.route_key(src, dst);
-        let intra = self.endpoints[src].node == self.endpoints[dst].node;
-        let outcome = if intra {
-            // Intra-node transfers bypass the NIC: no injection overhead,
-            // no GPUDirect cap, completion == delivery.
-            net.transmit_keyed(at, key, bytes, None, event_key)
-                .map(|t| (t.start, t.delivered, t.delivered))
+        // Disjoint field borrows: the network and the rank state are used
+        // side by side without moving the network out of its slot.
+        let Cluster {
+            topo,
+            nics,
+            ranks,
+            fault_stats,
+            ..
+        } = self;
+        let net = topo
+            .as_mut()
+            .expect("transmits run where the network lives");
+        let tele = &ranks[src].tele;
+        let on_hop = |hop, start, wire_done| {
+            tele.span(Lane::Nic, start, wire_done, || Payload::HopTransfer {
+                hop,
+                bytes,
+            })
+        };
+        let (timing, completion) = if key.0.node == key.1.node {
+            let t = net
+                .transmit_with(at, key, bytes, None, event_key, on_hop)
+                .unwrap_or_else(|e| unroutable(src, dst, key, e));
+            // The NIC emits the wire span for inter-node sends;
+            // intra-node sends emit it here.
+            tele.span(Lane::Nic, t.start, t.delivered, || Payload::WireTransfer {
+                bytes,
+            });
+            (t, t.delivered)
         } else {
-            let node = self.endpoints[src].node as usize;
-            self.nics[node]
-                .post_send_routed_keyed(net, key, at, bytes, gdr, event_key)
-                .map(|t| (t.start, t.delivered, t.delivered + t.tail_latency))
+            let t = nics[key.0.node as usize]
+                .post_send_routed_keyed(net, key, at, bytes, gdr, event_key, on_hop)
+                .unwrap_or_else(|e| unroutable(src, dst, key, e));
+            (t, t.delivered + t.tail_latency)
         };
-        let out = match outcome {
-            Ok((start, delivered, completion)) => {
-                if intra {
-                    // The NIC emits the wire span for inter-node sends;
-                    // intra-node sends emit it here, as the flat path does.
-                    self.ranks[src].tele.span(Lane::Nic, start, delivered, || {
-                        Payload::WireTransfer { bytes }
-                    });
-                }
-                self.emit_hop_spans(net, src, bytes);
-                Some((delivered, completion))
-            }
-            Err(NetError::Disconnected { .. }) => {
-                // Last rung of the degradation ladder: the failures severed
-                // every surviving route for this pair. The transfer is
-                // forced through the flat wire model by the caller so the
-                // exchange still completes — absorbed, counted, visible.
-                self.fault_degraded(src, FaultSite::HopDown, "forced-delivery", at);
-                None
-            }
-            Err(e) => {
-                debug_assert!(false, "route resolution failed post-validation: {e}");
-                self.fault_stats.spurious += 1;
-                None
-            }
-        };
-        self.emit_fabric_events(net, src);
-        out
+        if timing.forced {
+            // Last rung of the degradation ladder: the failures severed
+            // every surviving route for this pair, and the network forced
+            // the transfer over its pre-fault route — absorbed, counted,
+            // visible.
+            fault_stats.degraded += 1;
+            tele.instant(Lane::Host, at, || Payload::Degraded {
+                site: FaultSite::HopDown,
+                action: "forced-delivery",
+            });
+        }
+        emit_fabric_events(net, tele);
+        (timing.delivered, completion)
     }
 
-    /// Routed analogue of the wasted (dropped-payload) transmit used by
-    /// the retry protocol: occupies every hop of the route, returns
-    /// `(wire_clear, route_rtt)`.
-    pub(crate) fn transport_routed_wasted(
+    /// Occupy every hop of the route with a payload that is dropped
+    /// mid-flight. Returns `(wire_clear, rtt)` — the inputs to the retry
+    /// protocol's loss-detection timing.
+    pub(crate) fn transport_wasted(
         &mut self,
         src: usize,
         dst: usize,
         now: Time,
         bytes: u64,
         gdr: bool,
-    ) -> Option<(Time, Duration)> {
-        let mut net = self.topo.take()?;
+    ) -> (Time, Duration) {
         let key = self.route_key(src, dst);
-        let intra = self.endpoints[src].node == self.endpoints[dst].node;
-        let outcome = if intra {
-            net.transmit_wasted(now, key, bytes, None)
-        } else {
-            let node = self.endpoints[src].node as usize;
-            self.nics[node].post_send_routed_wasted(&mut net, key, now, bytes, gdr)
-        };
-        let out = match outcome {
-            Ok((start, wire_clear)) => {
-                // The route is cached by the transmit above, so this
-                // cannot fail; fall back defensively anyway.
-                let rtt = net.route_rtt(key).ok();
-                if intra {
-                    self.ranks[src].tele.span(Lane::Nic, start, wire_clear, || {
-                        Payload::WireTransfer { bytes }
-                    });
-                }
-                self.emit_hop_spans(&net, src, bytes);
-                rtt.map(|rtt| (wire_clear, rtt))
-            }
-            // Disconnected fabric: the retry ladder's real transmit takes
-            // (and accounts) the forced-delivery rung; the wasted occupancy
-            // falls back to the flat wire silently.
-            Err(NetError::Disconnected { .. }) => None,
-            Err(e) => {
-                debug_assert!(false, "wasted route resolution failed: {e}");
-                self.fault_stats.spurious += 1;
-                None
-            }
-        };
-        self.emit_fabric_events(&mut net, src);
-        self.topo = Some(net);
-        out
-    }
-
-    /// Emit one [`Payload::HopTransfer`] span per hop of the most recent
-    /// routed transmit, on the sender's NIC lane. The reconciliation
-    /// proptest sums these against [`TopoNet::hop_stats`].
-    fn emit_hop_spans(&mut self, net: &TopoNet, src: usize, bytes: u64) {
-        let tele = &self.ranks[src].tele;
-        for &(hop, start, wire_done) in net.last_hops() {
+        let Cluster {
+            topo, nics, ranks, ..
+        } = self;
+        let net = topo
+            .as_mut()
+            .expect("transmits run where the network lives");
+        let tele = &ranks[src].tele;
+        let on_hop = |hop, start, wire_done| {
             tele.span(Lane::Nic, start, wire_done, || Payload::HopTransfer {
                 hop,
                 bytes,
-            });
-        }
+            })
+        };
+        let (_, wire_clear) = if key.0.node == key.1.node {
+            let (start, clear) = net
+                .transmit_wasted_with(now, key, bytes, None, on_hop)
+                .unwrap_or_else(|e| unroutable(src, dst, key, e));
+            tele.span(Lane::Nic, start, clear, || Payload::WireTransfer { bytes });
+            (start, clear)
+        } else {
+            nics[key.0.node as usize]
+                .post_send_routed_wasted(net, key, now, bytes, gdr, on_hop)
+                .unwrap_or_else(|e| unroutable(src, dst, key, e))
+        };
+        // The transmit above cached the route, so this cannot fail.
+        let rtt = net
+            .route_rtt(key)
+            .unwrap_or_else(|e| unroutable(src, dst, key, e));
+        emit_fabric_events(net, tele);
+        (wire_clear, rtt)
     }
 
-    /// Per-hop congestion counters of the topology network, if one is
-    /// attached (reports, reconciliation tests).
+    /// Per-hop congestion counters of the cluster's network (reports,
+    /// reconciliation tests). `Some` on every built cluster.
     pub fn topo_hop_stats(&self) -> Option<Vec<HopStats>> {
         self.topo.as_ref().map(TopoNet::hop_stats)
     }
 
-    /// Fabric-health counters of the attached topology network (`None`
-    /// without one; all-zero with one but no armed fault domain).
+    /// Fabric-health counters of the cluster's network (all-zero without
+    /// an armed fault domain). `Some` on every built cluster.
     pub fn fabric_health(&self) -> Option<FabricHealth> {
         self.topo.as_ref().map(TopoNet::fabric_health)
     }
 
-    /// The attached topology's display name, if any.
+    /// The cluster's topology display name (`flat` by default).
     pub fn topology_name(&self) -> Option<&'static str> {
         self.topo.as_ref().map(|net| net.topology().name())
     }
@@ -185,5 +156,51 @@ impl Cluster {
     /// The (node, gpu-slot) endpoint of a rank (tests and diagnostics).
     pub fn endpoint_of(&self, rank: super::RankId) -> Option<fusedpack_net::Endpoint> {
         self.endpoints.get(rank.0 as usize).copied()
+    }
+}
+
+/// Drain fabric state transitions from `net` and emit them as telemetry
+/// instants on the triggering sender's timeline.
+fn emit_fabric_events(net: &mut TopoNet, tele: &Telemetry) {
+    for ev in net.drain_fabric_events() {
+        match ev {
+            FabricEvent::HopDown { hop, at } => {
+                tele.instant(Lane::Nic, at, || Payload::HopDown { hop });
+            }
+            FabricEvent::Rerouted { src, dst, at } => {
+                tele.instant(Lane::Nic, at, || Payload::Rerouted { src, dst });
+            }
+            FabricEvent::RailFailover { hop, at } => {
+                tele.instant(Lane::Nic, at, || Payload::RailFailover { hop });
+            }
+        }
+    }
+}
+
+/// Every endpoint was validated against the topology when the cluster
+/// was built, so a route error is a simulator bug, not a fault to absorb.
+fn unroutable(src: usize, dst: usize, key: RouteKey, e: NetError) -> ! {
+    panic!(
+        "rank {src} -> rank {dst} ({:?} -> {:?}) has no route after build-time validation: {e:?}",
+        key.0, key.1
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ClusterBuilder, Program, SchemeKind};
+    use fusedpack_net::Platform;
+    use fusedpack_sim::Time;
+
+    #[test]
+    #[should_panic(expected = "rank 1 -> rank 1 (Endpoint { node: 1, gpu: 0 } -> \
+                               Endpoint { node: 1, gpu: 0 }) has no route after \
+                               build-time validation: SelfRoute { node: 1 }")]
+    fn a_route_error_panics_naming_the_pair_and_the_error() {
+        let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::GpuSync)
+            .add_rank(0, Program::new())
+            .add_rank(1, Program::new())
+            .build();
+        cluster.transport(1, 1, Time::ZERO, 64, false, 0);
     }
 }

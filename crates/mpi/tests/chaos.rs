@@ -201,9 +201,9 @@ fn every_fault_site_preserves_transferred_bytes() {
     // NIC-completion sites on the RPUT path are reachable.
     let desc = sparse_type(1500);
     for &site in &FaultSite::ALL {
-        // Fabric sites live on the per-hop topology path; the flat wire
-        // model has no hops to flap. They are exercised by the fabric tests
-        // below and the topology chaos grid.
+        // Fabric sites are not armed on the flat fabric (it has no path
+        // diversity to reroute over). They are exercised by the fabric
+        // tests below and the topology chaos grid.
         if site.is_fabric() {
             continue;
         }
@@ -381,8 +381,8 @@ fn hop_down_reroutes_around_dead_hops_and_preserves_bytes() {
 #[test]
 fn severed_fabric_forces_delivery_and_never_wedges() {
     // HopDown at probability 1.0 kills every hop a transfer touches; once
-    // no surviving route exists the forced-delivery rung pushes the bytes
-    // through the flat wire model — degraded and counted, never wedged.
+    // no surviving route exists the forced-delivery rung sends the bytes
+    // over the pair's pre-fault route — degraded and counted, never wedged.
     let desc = sparse_type(700);
     let topo = || -> TopologyHandle { Arc::new(Hierarchy::lassen_like(4)) };
     let (clean, clean_rx) = run_chaos_ring(&desc, 6, topo(), None, 1);
@@ -390,8 +390,10 @@ fn severed_fabric_forces_delivery_and_never_wedges() {
     let (faulty, rx) = run_chaos_ring(&desc, 6, topo(), Some(plan), 1);
     assert!(faulty.fabric.downs > 0, "{}", faulty.fabric);
     assert!(faulty.fabric.disconnects > 0, "{}", faulty.fabric);
-    assert!(
-        faulty.fault_summary.degraded > 0,
+    // Each forced send counts once as a disconnect and once as a
+    // degradation (HopDown is the only armed site).
+    assert_eq!(
+        faulty.fault_summary.degraded, faulty.fabric.disconnects,
         "forced deliveries are accounted as degradations: {:?}",
         faulty.fault_summary
     );

@@ -5,9 +5,11 @@
 //! lookup can genuinely fail — an endpoint outside the fabric, a GPU index
 //! beyond the node's island, a node with no path to its peer — and those
 //! states are classified here instead of panicking, mirroring the style of
-//! `fusedpack_mpi::TransferError`: reachable bad states get a variant, and
-//! callers on the hot path absorb them (falling back to the flat model and
-//! counting the event) rather than tearing the simulation down.
+//! `fusedpack_mpi::TransferError`: reachable bad states get a variant. The
+//! cluster validates every endpoint when it is built, so on its hot path
+//! an error is a bug and panics with the variant; a severed pair
+//! ([`NetError::Disconnected`]) is no error there — the network forces
+//! the transfer over its pre-fault route instead.
 
 use std::fmt;
 
@@ -28,8 +30,9 @@ pub enum NetError {
         /// GPUs per node in this topology.
         gpus_per_node: u32,
     },
-    /// The fabric graph has no path between two nodes (a misbuilt
-    /// topology: every shipped preset is connected by construction).
+    /// No path between two nodes survives: dead hops severed every route
+    /// (transmits then force the pair's pre-fault route), or the topology
+    /// is misbuilt (every shipped preset is connected by construction).
     Disconnected {
         /// Source node.
         src: u32,

@@ -1,8 +1,8 @@
 //! # fusedpack-net
 //!
 //! Interconnect models for the simulated GPU cluster: α–β links with FIFO
-//! serialization, NICs with per-message injection overhead, RDMA READ/WRITE
-//! verbs (the transport under the rendezvous RGET/RPUT protocols), and the
+//! serialization, routed topologies that realise every hop as such a link
+//! ([`TopoNet`]), NICs with per-message injection overhead, and the
 //! [`platform::Platform`] descriptions of the paper's two evaluation systems
 //! (Table II): LLNL **Lassen** (POWER9 + V100, NVLink2 everywhere) and
 //! **ABCI** (Xeon + V100, PCIe Gen3 to the host).
@@ -18,7 +18,6 @@ pub use error::NetError;
 pub use link::{Link, LinkSpec};
 pub use nic::{Nic, NodeId};
 pub use platform::Platform;
-pub use rdma::{RdmaEngine, RdmaOp, RdmaVerb};
 pub use topology::{
     Dragonfly, Endpoint, FabricEvent, FabricHealth, FatTree, FlatLink, Hierarchy, HopId, HopKind,
     HopSpec, HopState, HopStats, NvlinkIsland, RouteKey, RouteTiming, TopoNet, Topology,

@@ -89,6 +89,7 @@ impl Link {
         }
     }
 
+    #[inline]
     pub fn spec(&self) -> &LinkSpec {
         &self.spec
     }
@@ -107,6 +108,7 @@ impl Link {
 
     /// Transmit with an effective bandwidth cap below the link's nominal
     /// rate (e.g. GPUDirect reads limited by the PCIe path to the GPU).
+    #[inline]
     pub fn transmit_capped(&mut self, now: Time, bytes: u64, bw_cap: f64) -> (Time, Time) {
         let bw = self.spec.bw.min(bw_cap);
         let ser = Duration::from_secs_f64(bytes as f64 / bw);
@@ -120,6 +122,7 @@ impl Link {
     /// traffic still queues behind it; the sender only learns of the loss
     /// via its retransmission timeout (or the receiver's NACK).
     /// Returns `(first_byte_sent, wire_clear)` — there is no delivery.
+    #[inline]
     pub fn transmit_wasted(&mut self, now: Time, bytes: u64, bw_cap: Option<f64>) -> (Time, Time) {
         let bw = bw_cap.map_or(self.spec.bw, |cap| self.spec.bw.min(cap));
         let ser = Duration::from_secs_f64(bytes as f64 / bw);

@@ -13,8 +13,8 @@
 //! occupancy.
 //!
 //! A single-hop route degenerates to exactly `Link::transmit` /
-//! `transmit_capped`, which is what makes [`super::FlatLink`] bit-identical
-//! to the legacy scalar-link path.
+//! `transmit_capped`: on [`super::FlatLink`], the default fabric of every
+//! cluster, a send costs one α–β link crossing.
 //!
 //! ## Fabric fault domain
 //!
@@ -42,15 +42,29 @@
 //! [`Topology::route_avoiding`] (ECMP reroute, dual-rail failover).
 //! Reroutes and rail failovers are detected at re-resolution by comparing
 //! against the unrestricted route, counted in [`FabricHealth`], and
-//! surfaced as [`FabricEvent`]s for telemetry. When no surviving route
-//! exists the resolution returns [`NetError::Disconnected`] — the caller's
-//! last-resort degradation rung (forced delivery) takes over.
+//! surfaced as [`FabricEvent`]s for telemetry.
+//!
+//! ## Forced delivery
+//!
+//! Down is permanent, so a pair whose every route crosses a dead hop can
+//! never wait for a heal. Its transfers are *forced* over the pair's
+//! unrestricted pre-fault route ([`Topology::route`]) instead: through the
+//! same per-hop FIFO links, so they queue behind live traffic, at the
+//! degraded caps of the hops they cross, drawing no fault decisions (like
+//! [`TopoNet::transmit_wasted`]). Each forced send counts one
+//! [`FabricHealth::disconnects`] and is flagged in
+//! [`RouteTiming::forced`]. A forced transfer therefore costs at least what
+//! the same transfer would on a healthy fabric in the same occupancy
+//! state; it can never finish sooner. Transmits never return
+//! [`NetError::Disconnected`]; [`TopoNet::resolve`] still reports it for a
+//! severed pair.
 
 use super::{HopId, HopKind, RouteKey, Topology, TopologyHandle};
 use crate::error::NetError;
 use crate::link::Link;
 use fusedpack_sim::{Duration, FaultPlan, FaultSite, Time};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Consecutive flapped traversals that mark a hop down.
 pub const FLAP_DOWN_STREAK: i32 = 3;
@@ -73,6 +87,9 @@ pub struct RouteTiming {
     /// The final hop's first-byte latency — the piece a caller subtracts
     /// to recover "wire clear" from `delivered`.
     pub tail_latency: Duration,
+    /// The pair had no surviving route: the transfer was forced over its
+    /// pre-fault route (see the module docs).
+    pub forced: bool,
 }
 
 /// Aggregate per-hop counters for reports and reconciliation tests.
@@ -134,7 +151,7 @@ pub struct FabricHealth {
     pub reroutes: u64,
     /// Reroutes that failed over a dead NIC rail to a sibling rail.
     pub rail_failovers: u64,
-    /// Resolutions that found no surviving route (forced-delivery rung).
+    /// Sends forced over a severed pair's pre-fault route.
     pub disconnects: u64,
     /// Times the route cache was invalidated by a hop state transition.
     pub route_epoch: u64,
@@ -235,7 +252,122 @@ impl FabricFaults {
         self.events.push(FabricEvent::HopDown { hop, at });
         true
     }
+
+    /// One keyed transmit's head crosses `hop`: draw the hop's fault
+    /// decisions (none for a forced send, which only pays the state the
+    /// fabric is already in), delay the head by any flap spike, queue a
+    /// down transition, and return the hop's bandwidth factor.
+    fn cross(
+        &mut self,
+        hop: u32,
+        head: &mut Time,
+        event_key: u64,
+        forced: bool,
+        pending_down: &mut Vec<(u32, Time)>,
+    ) -> f64 {
+        if !forced {
+            let salt = u64::from(hop);
+            if self.plan.fires_keyed(FaultSite::HopDown, salt, event_key)
+                && self.hops[hop as usize].state != HopState::Down
+                && !pending_down.iter().any(|&(h, _)| h == hop)
+            {
+                pending_down.push((hop, *head));
+            }
+            if self
+                .plan
+                .fires_keyed(FaultSite::RailDegrade, salt, event_key)
+            {
+                let h = &mut self.hops[hop as usize];
+                if h.state == HopState::Up {
+                    h.state = HopState::Degraded;
+                    h.streak = 0;
+                    self.health.degrades += 1;
+                    self.health.hops_degraded += 1;
+                }
+            }
+            if self.plan.fires_keyed(FaultSite::HopFlap, salt, event_key) {
+                let spike = self.plan.spike_keyed(FaultSite::HopFlap, salt, event_key);
+                *head += spike;
+                self.health.flaps += 1;
+                self.health.added_latency_ns += spike.as_nanos();
+                let h = &mut self.hops[hop as usize];
+                h.streak = h.streak.min(0) - 1;
+                if h.streak <= -FLAP_DOWN_STREAK
+                    && h.state != HopState::Down
+                    && !pending_down.iter().any(|&(hid, _)| hid == hop)
+                {
+                    pending_down.push((hop, *head));
+                }
+            } else {
+                let h = &mut self.hops[hop as usize];
+                h.streak = h.streak.max(0) + 1;
+                if h.streak >= HEAL_STREAK && h.state == HopState::Degraded {
+                    h.state = HopState::Up;
+                    self.health.hops_degraded -= 1;
+                }
+            }
+        }
+        if self.hops[hop as usize].state == HopState::Degraded {
+            DEGRADE_BW_FACTOR
+        } else {
+            1.0
+        }
+    }
 }
+
+/// A cached route: an `(offset, len)` window into the route arena, and
+/// whether it is a severed pair's forced pre-fault route.
+#[derive(Debug, Clone, Copy, Default)]
+struct RouteRef {
+    off: u32,
+    len: u32,
+    forced: bool,
+}
+
+/// The route cache's hasher: one multiply-rotate per word (the FxHash
+/// step). Route lookups run on every send, and SipHash's DoS resistance
+/// buys nothing here.
+#[derive(Default)]
+struct RouteKeyHasher(u64);
+
+impl Hasher for RouteKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// A route cache key: the pair packed into two words, so a lookup hashes
+/// two multiply-rotates instead of four.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PairKey(u64, u64);
+
+impl PairKey {
+    fn of(key: RouteKey) -> Self {
+        let pack = |ep: super::Endpoint| (u64::from(ep.node) << 32) | u64::from(ep.gpu);
+        PairKey(pack(key.0), pack(key.1))
+    }
+}
+
+impl std::hash::Hash for PairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
+        state.write_u64(self.1);
+    }
+}
+
+/// `last_route` destination of a source that has resolved nothing yet
+/// (no endpoint packs to it: its gpu index would be `u32::MAX`).
+const NO_ROUTE: u64 = u64::MAX;
 
 /// A topology's live network state for one simulated cluster.
 #[derive(Debug)]
@@ -243,18 +375,25 @@ pub struct TopoNet {
     topo: TopologyHandle,
     /// One live link per entry of `topo.hops()`.
     links: Vec<Link>,
-    /// Resolved-route cache. Values are `(offset, len)` windows into
-    /// `route_arena` — `Copy`, so the steady-state per-send lookup is one
-    /// HashMap hit and two integers, with no refcount traffic and no
-    /// per-route allocation. Valid for the current route epoch only: a hop
-    /// going down clears the cache and the arena wholesale.
-    routes: HashMap<RouteKey, (u32, u32)>,
+    /// Resolved-route cache. Values are windows into `route_arena` —
+    /// `Copy`, so the steady-state per-send lookup is one HashMap hit,
+    /// with no refcount traffic and no per-route allocation. Valid for the
+    /// current route epoch only: a hop going down clears the cache and the
+    /// arena wholesale.
+    routes: HashMap<PairKey, RouteRef, BuildHasherDefault<RouteKeyHasher>>,
+    /// In front of `routes`: the route each source endpoint (indexed
+    /// `node * gpus_per_node + gpu`) resolved last, with its packed
+    /// destination. A sender talking to one peer at a time — a
+    /// request/response loop on the flat fabric — never hashes.
+    last_route: Vec<(u64, RouteRef)>,
+    gpus_per_node: u32,
     /// Bump arena holding every cached route's hop sequence back to back.
     /// Entries are referenced by offset, so the arena growing (and
     /// reallocating) never invalidates a cached route.
     route_arena: Vec<HopId>,
     /// Per-hop spans `(hop, start, wire_done)` of the most recent
-    /// transmit, for telemetry emission by the caller.
+    /// [`TopoNet::transmit_keyed`] / [`TopoNet::transmit_wasted`] (the
+    /// `_with` variants hand them to a callback instead).
     last_hops: Vec<(u32, Time, Time)>,
     /// Most recent transmit *start* per hop. Hops are FIFO resources, so
     /// starts must be non-decreasing per hop no matter how callers
@@ -276,10 +415,13 @@ impl TopoNet {
             .map(|h| Link::new(h.link_spec()))
             .collect();
         let last_starts = vec![Time::ZERO; links.len()];
+        let endpoints = topo.num_nodes() as usize * topo.gpus_per_node() as usize;
         TopoNet {
+            gpus_per_node: topo.gpus_per_node(),
+            last_route: vec![(NO_ROUTE, RouteRef::default()); endpoints],
             topo,
             links,
-            routes: HashMap::new(),
+            routes: HashMap::default(),
             route_arena: Vec::new(),
             last_hops: Vec::new(),
             last_starts,
@@ -322,6 +464,7 @@ impl TopoNet {
 
     /// Drain fabric state transitions accumulated since the last drain
     /// (for telemetry emission by the cluster layer).
+    #[inline]
     pub fn drain_fabric_events(&mut self) -> Vec<FabricEvent> {
         self.faults
             .as_mut()
@@ -341,9 +484,15 @@ impl TopoNet {
         let f = self.faults.as_mut().expect("just armed");
         if f.mark_down(hop.0, at) {
             f.health.route_epoch += 1;
-            self.routes.clear();
-            self.route_arena.clear();
+            self.clear_routes();
         }
+    }
+
+    /// Discard every cached route (a hop state transition changed them).
+    fn clear_routes(&mut self) {
+        self.routes.clear();
+        self.route_arena.clear();
+        self.last_route.fill((NO_ROUTE, RouteRef::default()));
     }
 
     /// Administratively degrade a hop to [`DEGRADE_BW_FACTOR`] of nominal
@@ -363,15 +512,23 @@ impl TopoNet {
         }
     }
 
-    /// Smallest first-byte latency of any hop in the fabric — the
-    /// conservative lookahead `δ` for time-window sharding: no effect of
-    /// an event can reach another rank's state sooner than one hop away.
-    /// Fault spikes and degradation only ever *add* delay, so the bound
-    /// stays conservative under chaos.
-    pub fn min_hop_latency(&self) -> Duration {
+    /// A lower bound on the latency of any route between two endpoints:
+    /// the smallest first-byte latency over the hops that can carry one.
+    /// A cross-node route crosses at least one fabric hop (every
+    /// [`HopKind`] but the node-local `NvlinkXbar` and `HostPath`); an
+    /// intra-node route crosses exactly one `NvlinkXbar` hop, so those
+    /// count only when `intra_node` routes are in use. Fault spikes and
+    /// degradation only ever *add* delay, so the bound holds under chaos —
+    /// the conservative lookahead `δ` of time-window sharding.
+    pub fn min_route_latency(&self, intra_node: bool) -> Duration {
         self.topo
             .hops()
             .iter()
+            .filter(|h| match h.kind {
+                HopKind::NvlinkXbar => intra_node,
+                HopKind::HostPath => false,
+                _ => true,
+            })
             .map(|h| h.latency)
             .min()
             .unwrap_or(Duration(0))
@@ -399,72 +556,111 @@ impl TopoNet {
 
     /// Resolve (and cache) the route for a pair. The returned slice
     /// borrows the route arena; copy it out if the caller needs to keep it
-    /// across further network calls. (Diagnostics path: reroute events
-    /// triggered here are stamped at `Time::ZERO`; transmits stamp them at
-    /// the transfer time.)
+    /// across further network calls. A severed pair reports
+    /// [`NetError::Disconnected`] (its transmits are forced; see the module
+    /// docs). (Diagnostics path: reroute events triggered here are stamped
+    /// at `Time::ZERO`; transmits stamp them at the transfer time.)
     pub fn resolve(&mut self, key: RouteKey) -> Result<&[HopId], NetError> {
-        let (off, len) = self.resolve_ref(key, Time::ZERO)?;
-        Ok(&self.route_arena[off as usize..(off + len) as usize])
+        let r = self.resolve_ref(key, Time::ZERO)?;
+        if r.forced {
+            return Err(NetError::Disconnected {
+                src: key.0.node,
+                dst: key.1.node,
+            });
+        }
+        Ok(&self.route_arena[r.off as usize..(r.off + r.len) as usize])
     }
 
-    /// The per-send resolution fast path: a `Copy` `(offset, len)` window
-    /// into the arena, so hop iteration and link mutation can proceed
-    /// without holding any borrow of the cache.
+    /// The per-send resolution fast path: a `Copy` window into the arena,
+    /// so hop iteration and link mutation can proceed without holding any
+    /// borrow of the cache.
     ///
     /// With dead hops present, cache misses re-resolve via
     /// [`Topology::route_avoiding`] and compare against the unrestricted
-    /// route to detect (and count) reroutes and rail failovers.
+    /// route to detect (and count) reroutes and rail failovers. A pair
+    /// with no surviving route caches its unrestricted route, flagged
+    /// forced.
     #[inline]
-    fn resolve_ref(&mut self, key: RouteKey, now: Time) -> Result<(u32, u32), NetError> {
-        if let Some(&window) = self.routes.get(&key) {
-            return Ok(window);
+    fn resolve_ref(&mut self, key: RouteKey, now: Time) -> Result<RouteRef, NetError> {
+        let pair = PairKey::of(key);
+        let gpus = self.gpus_per_node as usize;
+        let i = key.0.node as usize * gpus + key.0.gpu as usize;
+        let slot = ((key.0.gpu as usize) < gpus && i < self.last_route.len()).then_some(i);
+        if let Some(i) = slot {
+            let (dst, r) = self.last_route[i];
+            if dst == pair.1 {
+                return Ok(r);
+            }
         }
+        let r = match self.routes.get(&pair) {
+            Some(&r) => r,
+            None => self.resolve_miss(key, pair, now)?,
+        };
+        if let Some(i) = slot {
+            self.last_route[i] = (pair.1, r);
+        }
+        Ok(r)
+    }
+
+    /// Resolve a pair the cache does not hold, and cache it.
+    #[cold]
+    fn resolve_miss(
+        &mut self,
+        key: RouteKey,
+        pair: PairKey,
+        now: Time,
+    ) -> Result<RouteRef, NetError> {
+        let mut forced = false;
         let dead_empty = self.faults.as_ref().is_none_or(|f| f.dead.is_empty());
         let hops = if dead_empty {
             self.topo.route(key.0, key.1)?
         } else {
             let f = self.faults.as_mut().expect("dead set implies armed");
-            let routed = self.topo.route_avoiding(key.0, key.1, &f.dead);
-            let hops = match routed {
-                Ok(hops) => hops,
-                Err(e) => {
-                    if matches!(e, NetError::Disconnected { .. }) {
-                        f.health.disconnects += 1;
-                    }
-                    return Err(e);
-                }
-            };
-            // A reroute happened iff the unrestricted route would have
-            // crossed a dead hop; a failover iff that dead hop is a NIC
-            // rail (the dual-rail machines' sibling-rail path).
-            if let Ok(unrestricted) = self.topo.route(key.0, key.1) {
-                let crossed: Vec<u32> = unrestricted
-                    .iter()
-                    .map(|h| h.0)
-                    .filter(|h| f.dead.binary_search(h).is_ok())
-                    .collect();
-                if !crossed.is_empty() {
-                    f.health.reroutes += 1;
-                    f.events.push(FabricEvent::Rerouted {
-                        src: key.0.node,
-                        dst: key.1.node,
-                        at: now,
-                    });
-                    for h in crossed {
-                        if self.topo.hops()[h as usize].kind == HopKind::Rail {
-                            f.health.rail_failovers += 1;
-                            f.events.push(FabricEvent::RailFailover { hop: h, at: now });
+            match self.topo.route_avoiding(key.0, key.1, &f.dead) {
+                Ok(hops) => {
+                    // A reroute happened iff the unrestricted route would
+                    // have crossed a dead hop; a failover iff that dead hop
+                    // is a NIC rail (the dual-rail machines' sibling-rail
+                    // path).
+                    if let Ok(unrestricted) = self.topo.route(key.0, key.1) {
+                        let crossed: Vec<u32> = unrestricted
+                            .iter()
+                            .map(|h| h.0)
+                            .filter(|h| f.dead.binary_search(h).is_ok())
+                            .collect();
+                        if !crossed.is_empty() {
+                            f.health.reroutes += 1;
+                            f.events.push(FabricEvent::Rerouted {
+                                src: key.0.node,
+                                dst: key.1.node,
+                                at: now,
+                            });
+                            for h in crossed {
+                                if self.topo.hops()[h as usize].kind == HopKind::Rail {
+                                    f.health.rail_failovers += 1;
+                                    f.events.push(FabricEvent::RailFailover { hop: h, at: now });
+                                }
+                            }
                         }
                     }
+                    hops
                 }
+                Err(NetError::Disconnected { .. }) => {
+                    forced = true;
+                    self.topo.route(key.0, key.1)?
+                }
+                Err(e) => return Err(e),
             }
-            hops
         };
         let off = u32::try_from(self.route_arena.len()).expect("route arena fits u32 offsets");
         self.route_arena.extend_from_slice(&hops);
-        let window = (off, hops.len() as u32);
-        self.routes.insert(key, window);
-        Ok(window)
+        let r = RouteRef {
+            off,
+            len: hops.len() as u32,
+            forced,
+        };
+        self.routes.insert(pair, r);
+        Ok(r)
     }
 
     /// Hops currently packed in the route arena (diagnostics, benches).
@@ -474,10 +670,11 @@ impl TopoNet {
 
     /// Round-trip control latency along a pair's route (the analogue of
     /// `LinkSpec::rtt` for the retransmission protocol): twice the sum of
-    /// per-hop first-byte latencies.
+    /// per-hop first-byte latencies. A severed pair answers for its forced
+    /// route.
     pub fn route_rtt(&mut self, key: RouteKey) -> Result<Duration, NetError> {
-        let (off, len) = self.resolve_ref(key, Time::ZERO)?;
-        let one_way = self.route_arena[off as usize..(off + len) as usize]
+        let r = self.resolve_ref(key, Time::ZERO)?;
+        let one_way = self.route_arena[r.off as usize..(r.off + r.len) as usize]
             .iter()
             .fold(Duration(0), |acc, h| {
                 acc + self.links[h.0 as usize].spec().latency
@@ -488,10 +685,10 @@ impl TopoNet {
     /// Transmit `bytes` from `key.0` to `key.1` starting no earlier than
     /// `now`, optionally capped at `bw_cap` (e.g. the GPUDirect ceiling).
     ///
-    /// Per-hop spans are left in [`TopoNet::last_hops`] for the caller to
-    /// turn into telemetry. Equivalent to [`TopoNet::transmit_keyed`] with
-    /// event key 0 — callers with an armed fault domain should use the
-    /// keyed variant so per-hop draws decorrelate across transfers.
+    /// Per-hop spans are left in [`TopoNet::last_hops`]. Equivalent to
+    /// [`TopoNet::transmit_keyed`] with event key 0 — callers with an
+    /// armed fault domain should use the keyed variant so per-hop draws
+    /// decorrelate across transfers.
     pub fn transmit(
         &mut self,
         now: Time,
@@ -515,9 +712,35 @@ impl TopoNet {
         bw_cap: Option<f64>,
         event_key: u64,
     ) -> Result<RouteTiming, NetError> {
-        let (off, len) = self.resolve_ref(key, now)?;
-        debug_assert!(len > 0, "routes have at least one hop");
-        self.last_hops.clear();
+        let mut spans = std::mem::take(&mut self.last_hops);
+        spans.clear();
+        let out = self.transmit_with(now, key, bytes, bw_cap, event_key, |hop, start, done| {
+            spans.push((hop, start, done))
+        });
+        self.last_hops = spans;
+        out
+    }
+
+    /// [`TopoNet::transmit_keyed`] handing each hop's span `(hop, start,
+    /// wire_done)` to `on_hop` as it is timed instead of recording it —
+    /// the per-send path of the cluster, which turns spans straight into
+    /// telemetry (a no-op when telemetry is off).
+    ///
+    /// Only endpoint errors surface ([`NetError::NodeOutOfRange`],
+    /// [`NetError::GpuOutOfRange`], [`NetError::SelfRoute`]); a severed
+    /// pair is forced over its pre-fault route and flagged in
+    /// [`RouteTiming::forced`].
+    pub fn transmit_with(
+        &mut self,
+        now: Time,
+        key: RouteKey,
+        bytes: u64,
+        bw_cap: Option<f64>,
+        event_key: u64,
+        mut on_hop: impl FnMut(u32, Time, Time),
+    ) -> Result<RouteTiming, NetError> {
+        let route = self.resolve_ref(key, now)?;
+        debug_assert!(route.len > 0, "routes have at least one hop");
         let mut head = now;
         let mut stream_bw = bw_cap.unwrap_or(f64::INFINITY);
         let mut first_start = now;
@@ -525,54 +748,13 @@ impl TopoNet {
         let mut tail_latency = Duration(0);
         // Down transitions triggered mid-route are applied *after* the hop
         // loop: the triggering transfer still crosses, and the route
-        // arena/cache stay valid while the loop's (off, len) window is
-        // live.
+        // arena/cache stay valid while the loop's window is live.
         let mut pending_down: Vec<(u32, Time)> = Vec::new();
-        for i in 0..len {
-            let hop = self.route_arena[(off + i) as usize];
-            let nominal_bw = self.links[hop.0 as usize].spec().bw;
-            let mut hop_bw = nominal_bw;
+        for i in 0..route.len {
+            let hop = self.route_arena[(route.off + i) as usize];
+            let mut hop_bw = self.links[hop.0 as usize].spec().bw;
             if let Some(f) = self.faults.as_deref_mut() {
-                let salt = u64::from(hop.0);
-                if f.plan.fires_keyed(FaultSite::HopDown, salt, event_key)
-                    && f.hops[hop.0 as usize].state != HopState::Down
-                    && !pending_down.iter().any(|&(h, _)| h == hop.0)
-                {
-                    pending_down.push((hop.0, head));
-                }
-                if f.plan.fires_keyed(FaultSite::RailDegrade, salt, event_key) {
-                    let h = &mut f.hops[hop.0 as usize];
-                    if h.state == HopState::Up {
-                        h.state = HopState::Degraded;
-                        h.streak = 0;
-                        f.health.degrades += 1;
-                        f.health.hops_degraded += 1;
-                    }
-                }
-                if f.plan.fires_keyed(FaultSite::HopFlap, salt, event_key) {
-                    let spike = f.plan.spike_keyed(FaultSite::HopFlap, salt, event_key);
-                    head += spike;
-                    f.health.flaps += 1;
-                    f.health.added_latency_ns += spike.as_nanos();
-                    let h = &mut f.hops[hop.0 as usize];
-                    h.streak = h.streak.min(0) - 1;
-                    if h.streak <= -FLAP_DOWN_STREAK
-                        && h.state != HopState::Down
-                        && !pending_down.iter().any(|&(hid, _)| hid == hop.0)
-                    {
-                        pending_down.push((hop.0, head));
-                    }
-                } else {
-                    let h = &mut f.hops[hop.0 as usize];
-                    h.streak = h.streak.max(0) + 1;
-                    if h.streak >= HEAL_STREAK && h.state == HopState::Degraded {
-                        h.state = HopState::Up;
-                        f.health.hops_degraded -= 1;
-                    }
-                }
-                if f.hops[hop.0 as usize].state == HopState::Degraded {
-                    hop_bw = nominal_bw * DEGRADE_BW_FACTOR;
-                }
+                hop_bw *= f.cross(hop.0, &mut head, event_key, route.forced, &mut pending_down);
             }
             let link = &mut self.links[hop.0 as usize];
             // The body can never stream faster than the narrowest hop the
@@ -585,7 +767,7 @@ impl TopoNet {
                 hop.0,
                 start,
             );
-            self.last_hops.push((hop.0, start, done - latency));
+            on_hop(hop.0, start, done - latency);
             if i == 0 {
                 first_start = start;
             }
@@ -595,6 +777,10 @@ impl TopoNet {
             delivered = done;
             tail_latency = latency;
         }
+        if route.forced {
+            let f = self.faults.as_deref_mut().expect("forced implies armed");
+            f.health.disconnects += 1;
+        }
         if !pending_down.is_empty() {
             let f = self.faults.as_deref_mut().expect("pending implies armed");
             let mut transitioned = false;
@@ -603,23 +789,24 @@ impl TopoNet {
             }
             if transitioned {
                 f.health.route_epoch += 1;
-                self.routes.clear();
-                self.route_arena.clear();
+                self.clear_routes();
             }
         }
         Ok(RouteTiming {
             start: first_start,
             delivered,
             tail_latency,
+            forced: route.forced,
         })
     }
 
     /// Occupy the route with a transfer that never delivers (dropped
     /// mid-flight under fault injection). Returns `(first_byte_sent,
     /// last_wire_clear)`; later traffic on the same hops queues behind it.
-    /// Wasted occupancy rides the surviving route and respects degraded
-    /// bandwidth caps, but draws no hop faults of its own (it *is* the
-    /// fault path).
+    /// Wasted occupancy rides the surviving route (a severed pair's forced
+    /// one) and respects degraded bandwidth caps, but draws no hop faults
+    /// of its own (it *is* the fault path). Per-hop spans are left in
+    /// [`TopoNet::last_hops`].
     pub fn transmit_wasted(
         &mut self,
         now: Time,
@@ -627,14 +814,32 @@ impl TopoNet {
         bytes: u64,
         bw_cap: Option<f64>,
     ) -> Result<(Time, Time), NetError> {
-        let (off, len) = self.resolve_ref(key, now)?;
-        self.last_hops.clear();
+        let mut spans = std::mem::take(&mut self.last_hops);
+        spans.clear();
+        let out = self.transmit_wasted_with(now, key, bytes, bw_cap, |hop, start, clear| {
+            spans.push((hop, start, clear))
+        });
+        self.last_hops = spans;
+        out
+    }
+
+    /// [`TopoNet::transmit_wasted`] handing each hop's span to `on_hop`
+    /// instead of recording it.
+    pub fn transmit_wasted_with(
+        &mut self,
+        now: Time,
+        key: RouteKey,
+        bytes: u64,
+        bw_cap: Option<f64>,
+        mut on_hop: impl FnMut(u32, Time, Time),
+    ) -> Result<(Time, Time), NetError> {
+        let route = self.resolve_ref(key, now)?;
         let mut head = now;
         let mut stream_bw = bw_cap.unwrap_or(f64::INFINITY);
         let mut first_start = now;
         let mut wire_clear = now;
-        for i in 0..len {
-            let hop = self.route_arena[(off + i) as usize];
+        for i in 0..route.len {
+            let hop = self.route_arena[(route.off + i) as usize];
             let mut hop_bw = self.links[hop.0 as usize].spec().bw;
             if let Some(f) = self.faults.as_deref() {
                 if f.hops[hop.0 as usize].state == HopState::Degraded {
@@ -649,7 +854,7 @@ impl TopoNet {
                 hop.0,
                 start,
             );
-            self.last_hops.push((hop.0, start, clear));
+            on_hop(hop.0, start, clear);
             if i == 0 {
                 first_start = start;
             }
@@ -703,6 +908,7 @@ impl TopoNet {
 mod tests {
     use super::*;
     use crate::link::LinkSpec;
+    use crate::platform::Platform;
     use crate::topology::{Endpoint, FlatLink, Hierarchy};
     use fusedpack_sim::FaultSpec;
     use std::sync::Arc;
@@ -829,11 +1035,34 @@ mod tests {
     }
 
     #[test]
-    fn min_hop_latency_is_the_fabric_floor() {
-        let net = TopoNet::new(Arc::new(Hierarchy::lassen_like(32)));
-        let floor = net.min_hop_latency();
-        assert!(floor > Duration(0));
-        assert!(net.topology().hops().iter().all(|h| h.latency >= floor));
+    fn min_route_latency_bounds_every_route() {
+        for topo in [
+            Arc::new(Hierarchy::lassen_like(32)) as TopologyHandle,
+            Arc::new(Hierarchy::abci_like(32)),
+            Arc::new(FlatLink::for_platform(&Platform::lassen(), 32)),
+        ] {
+            let mut net = TopoNet::new(topo);
+            let cross = net.min_route_latency(false);
+            let any = net.min_route_latency(true);
+            assert!(any > Duration(0) && any <= cross);
+            for key in [
+                (Endpoint::new(0, 0), Endpoint::new(31, 1)),
+                (Endpoint::new(3, 2), Endpoint::new(4, 2)),
+                (Endpoint::new(5, 0), Endpoint::new(5, 3)),
+            ] {
+                let one_way = net.route_rtt(key).unwrap() / 2;
+                let bound = if key.0.node == key.1.node { any } else { cross };
+                assert!(one_way >= bound, "{key:?}: {one_way} < {bound}");
+            }
+        }
+        // The flat fabric keeps the NIC wire's window: 1.3 us across
+        // nodes, the 0.7 us crossbar only once ranks share a node.
+        let flat = TopoNet::new(Arc::new(FlatLink::for_platform(&Platform::lassen(), 2)));
+        assert_eq!(
+            flat.min_route_latency(false),
+            LinkSpec::ib_edr_dual().latency
+        );
+        assert_eq!(flat.min_route_latency(true), LinkSpec::nvlink2_75().latency);
     }
 
     #[test]
@@ -955,28 +1184,99 @@ mod tests {
         ));
         let key = (Endpoint::new(0, 0), Endpoint::new(7, 0));
         // Every traversal flaps every hop, so streaks hit -FLAP_DOWN_STREAK
-        // together and hops die route by route until node 0 is severed.
-        let mut disconnected = false;
+        // together and hops die route by route until node 0 is severed;
+        // from then on sends are forced, never refused.
+        let mut forced = false;
         for k in 0..32u64 {
-            match net.transmit_keyed(Time(0), key, 4096, None, k) {
-                Ok(t) => assert!(t.delivered > t.start),
-                Err(NetError::Disconnected { .. }) => {
-                    disconnected = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e:?}"),
+            let t = net.transmit_keyed(Time(0), key, 4096, None, k).unwrap();
+            assert!(t.delivered > t.start);
+            if t.forced {
+                forced = true;
+                break;
             }
         }
-        assert!(disconnected, "flap streaks must eventually sever the route");
+        assert!(forced, "flap streaks must eventually sever the route");
+        assert!(matches!(
+            net.resolve(key),
+            Err(NetError::Disconnected { src: 0, dst: 7 })
+        ));
         let health = net.fabric_health();
         assert!(health.flaps > 0);
         assert!(health.downs > 0, "streaks crossed the down threshold");
-        assert!(
-            health.disconnects > 0,
-            "severed pair reported, not panicked"
-        );
+        assert_eq!(health.disconnects, 1, "one forced send, one disconnect");
         assert!(health.added_latency_ns > 0, "spikes charged virtual time");
         assert!(health.route_epoch > 0);
+    }
+
+    /// Kill both of node 0's rails: every route out of node 0 crosses one.
+    fn severed_lassen(plan: FaultPlan) -> (TopoNet, RouteKey, Vec<HopId>) {
+        let mut net = TopoNet::new(Arc::new(Hierarchy::lassen_like(8)));
+        net.arm_faults(plan);
+        let key = (Endpoint::new(0, 0), Endpoint::new(7, 0));
+        let pre_fault = net.topology().route(key.0, key.1).unwrap();
+        let rails: Vec<HopId> = (0..net.topology().hops().len() as u32)
+            .map(HopId)
+            .filter(|h| net.topology().hops()[h.0 as usize].kind == HopKind::Rail)
+            .take(2)
+            .collect();
+        for &rail in &rails {
+            net.force_hop_down(rail, Time(0));
+        }
+        (net, key, pre_fault)
+    }
+
+    #[test]
+    fn forced_sends_ride_the_pre_fault_route_and_draw_nothing() {
+        let every_site = FaultPlan::new(3)
+            .with(FaultSite::HopFlap, FaultSpec::with_probability(1.0))
+            .with(FaultSite::RailDegrade, FaultSpec::with_probability(1.0))
+            .with(FaultSite::HopDown, FaultSpec::with_probability(1.0));
+        let (mut net, key, pre_fault) = severed_lassen(every_site);
+        let health = net.fabric_health();
+        let t = net.transmit_keyed(Time(0), key, 1000, None, 9).unwrap();
+        assert!(t.forced);
+        assert_eq!(net.last_hops().len(), pre_fault.len());
+        for (hop, &(crossed, _, _)) in pre_fault.iter().zip(net.last_hops()) {
+            assert_eq!(hop.0, crossed);
+            assert_eq!(net.bytes_on_hop(*hop), 1000, "hop {hop:?} carried it");
+        }
+        let total: u64 = net.hop_stats().iter().map(|h| h.bytes).sum();
+        assert_eq!(total, 1000 * pre_fault.len() as u64);
+        // No draw at any site, so no new flap, degrade or death.
+        let plan = &net.faults.as_ref().unwrap().plan;
+        for site in [
+            FaultSite::HopFlap,
+            FaultSite::RailDegrade,
+            FaultSite::HopDown,
+        ] {
+            assert_eq!(plan.decisions(site), 0, "{site:?} consulted");
+        }
+        let after = net.fabric_health();
+        assert_eq!(
+            after,
+            FabricHealth {
+                disconnects: health.disconnects + 1,
+                ..health
+            }
+        );
+        // Wasted occupancy of a severed pair rides the same route and
+        // counts no disconnect: only forced *sends* do.
+        net.transmit_wasted(Time(0), key, 500, None).unwrap();
+        assert_eq!(net.bytes_on_hop(pre_fault[0]), 1500);
+        assert_eq!(net.fabric_health().disconnects, after.disconnects);
+    }
+
+    #[test]
+    fn forced_sends_pay_degraded_caps() {
+        let (mut clean, key, pre_fault) = severed_lassen(FaultPlan::new(0));
+        let (mut slow, _, _) = severed_lassen(FaultPlan::new(0));
+        slow.force_hop_degrade(pre_fault[1]);
+        let fast = clean
+            .transmit_keyed(Time(0), key, 1 << 24, None, 1)
+            .unwrap();
+        let capped = slow.transmit_keyed(Time(0), key, 1 << 24, None, 1).unwrap();
+        assert!(fast.forced && capped.forced);
+        assert!(capped.delivered > fast.delivered);
     }
 
     #[test]

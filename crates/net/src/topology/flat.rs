@@ -1,19 +1,17 @@
-//! The legacy flat model expressed as a topology.
+//! The flat fabric: the default topology of every cluster.
 //!
-//! One shared GPU↔GPU crossbar hop per node (the lazily created
-//! `intra_link` of the pre-topology cluster) and one outbound wire hop per
-//! node (the NIC's tx link). Routes are at most one hop long, so the
-//! cut-through timing of [`super::TopoNet`] degenerates to exactly the old
-//! `Link::transmit` math — a cluster built with an explicit `FlatLink`
-//! must be bit-identical to one built with no topology at all (enforced by
-//! the golden-guard tests in `fusedpack-bench`).
+//! One shared GPU↔GPU crossbar hop per node and one outbound wire hop per
+//! node, built from a platform's scalar link constants. Routes are one
+//! hop long, so the cut-through timing of [`super::TopoNet`] degenerates
+//! to a single α–β `Link::transmit` — the timing every paper figure is
+//! pinned to (the goldens under `results/golden/`).
 
 use super::{Endpoint, HopId, HopKind, HopSpec, Topology};
 use crate::error::NetError;
 use crate::link::LinkSpec;
 
-/// Today's model: a scalar intra-node link per node and a scalar outbound
-/// wire per node. Hop table layout: `[xbar(node 0..n), tx(node 0..n)]`.
+/// One intra-node crossbar per node and one outbound wire per node. Hop
+/// table layout: `[xbar(node 0..n), tx(node 0..n)]`.
 #[derive(Debug, Clone)]
 pub struct FlatLink {
     num_nodes: u32,
@@ -83,7 +81,7 @@ impl Topology for FlatLink {
         if src.node == dst.node {
             Ok(vec![self.xbar(src.node)])
         } else {
-            // The legacy model charges only the sender's outbound wire.
+            // Only the sender's outbound wire is charged.
             Ok(vec![self.tx(src.node)])
         }
     }
@@ -108,8 +106,7 @@ mod tests {
         let r01 = t.route(Endpoint::new(2, 0), Endpoint::new(2, 1)).unwrap();
         let r23 = t.route(Endpoint::new(2, 2), Endpoint::new(2, 3)).unwrap();
         assert_eq!(r01.len(), 1);
-        // Every GPU pair on a node shares the node's single crossbar hop,
-        // matching the legacy one-intra-link-per-node model.
+        // Every GPU pair on a node shares the node's single crossbar hop.
         assert_eq!(r01, r23);
         assert_eq!(t.hops()[r01[0].0 as usize].kind, HopKind::NvlinkXbar);
     }
@@ -121,7 +118,7 @@ mod tests {
         let ba = t.route(Endpoint::new(3, 1), Endpoint::new(0, 0)).unwrap();
         assert_eq!(ab.len(), 1);
         assert_eq!(t.hops()[ab[0].0 as usize].kind, HopKind::TxWire);
-        // Directed: each node sends on its own wire (the legacy NIC model).
+        // Directed: each node sends on its own wire.
         assert_ne!(ab, ba);
         assert!(t.is_flat());
     }

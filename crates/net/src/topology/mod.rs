@@ -2,19 +2,19 @@
 //!
 //! The paper's central cross-machine result (Table II) is a *topology*
 //! contrast: NVLink-dense nodes behind a fat fabric (Lassen) vs PCIe nodes
-//! behind a flatter one (ABCI) change where kernel fusion pays off. This
-//! module replaces the simulator's single scalar link with a pluggable
-//! [`Topology`]: every send resolves a **route** — a sequence of hops, each
-//! an α–β link with its own FIFO — and concurrent transfers crossing a
-//! shared hop serialize on it deterministically.
+//! behind a flatter one (ABCI) change where kernel fusion pays off. Every
+//! cluster's network is a pluggable [`Topology`]: every send resolves a
+//! **route** — a sequence of hops, each an α–β link with its own FIFO —
+//! and concurrent transfers crossing a shared hop serialize on it
+//! deterministically. [`TopoNet`] is the one network path; there is no
+//! other transport.
 //!
 //! Three models ship:
 //!
-//! * [`FlatLink`] — today's model expressed as a topology: one shared
-//!   intra-node crossbar per node and one outbound wire per node.
-//!   Bit-identical to the legacy scalar-link code (enforced by tests), and
-//!   the default: a cluster built without an explicit topology never
-//!   touches this module.
+//! * [`FlatLink`] — the default when a cluster is built without an
+//!   explicit topology: one shared intra-node crossbar per node and one
+//!   outbound wire per node, from the platform's link constants. Every
+//!   paper figure runs on it.
 //! * [`Hierarchy`] with a [`FatTree`] fabric — NVLink islands inside the
 //!   node, multi-rail IB up to leaf switches, spines between leaves
 //!   (Lassen-like).
@@ -128,8 +128,8 @@ impl HopSpec {
 /// Implementations must be **deterministic** (the same `(src, dst)` pair
 /// always yields the same hop sequence, on any thread) and **symmetric**
 /// (`route(a, b)` is the reverse of `route(b, a)` over the same undirected
-/// hops — except [`FlatLink`], whose legacy per-node outbound wire is
-/// inherently directed; see [`Topology::is_flat`]).
+/// hops — except [`FlatLink`], whose per-node outbound wire is inherently
+/// directed; see [`Topology::is_flat`]).
 pub trait Topology: Send + Sync + std::fmt::Debug {
     /// Display name (report rows, diagnostics).
     fn name(&self) -> &'static str;
@@ -168,9 +168,8 @@ pub trait Topology: Send + Sync + std::fmt::Debug {
         Ok(route)
     }
 
-    /// `true` only for [`FlatLink`], whose inter-node routes replicate the
-    /// legacy directed per-node wire instead of shared undirected fabric
-    /// hops.
+    /// `true` only for [`FlatLink`], whose inter-node routes cross a
+    /// directed per-node wire instead of shared undirected fabric hops.
     fn is_flat(&self) -> bool {
         false
     }

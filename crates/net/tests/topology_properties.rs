@@ -11,7 +11,7 @@
 //!   hop by hop.
 //! * **Typed errors** — malformed endpoints produce [`NetError`] values,
 //!   never panics.
-//! * **Fault-domain safety** (PR 9) — with arbitrary hops forced down, a
+//! * **Fault-domain safety** — with arbitrary hops forced down, a
 //!   re-resolved route never traverses a downed hop (pairs with no
 //!   surviving path report `Disconnected`); byte and busy counters still
 //!   reconcile exactly across fail/reroute cycles; and the keyed fault
@@ -19,6 +19,9 @@
 //!   independent of evaluation order — the foundation of the end-to-end
 //!   `--shards N` byte-identity checks in `mpi/tests/chaos.rs` and the
 //!   bench chaos-topo grid.
+//! * **Forced delivery never beats a healthy fabric** — once hops die
+//!   until a pair is severed, its forced transfer completes no sooner than
+//!   the same transfer on the healthy route over the same occupancy.
 
 use fusedpack_net::topology::route::{FabricGraph, Router};
 use fusedpack_net::{Endpoint, Hierarchy, HopId, HopState, NetError, TopoNet, Topology};
@@ -230,7 +233,8 @@ proptest! {
     /// spans even as hops die mid-schedule and traffic reroutes: each
     /// surviving hop carried exactly the bytes of the transfers routed
     /// across it *at the time they ran*, and its occupancy equals the sum
-    /// of their wire spans. Severed pairs occupy nothing.
+    /// of their wire spans. Severed pairs' forced sends occupy their
+    /// pre-fault route, and their spans count like any other.
     #[test]
     fn hop_counters_reconcile_across_fail_reroute_cycles(
         transfers in proptest::collection::vec((distinct_pair(), 1u64..1_000_000), 4..24),
@@ -260,7 +264,6 @@ proptest! {
                             }
                         }
                     }
-                    Err(NetError::Disconnected { .. }) => {}
                     Err(e) => prop_assert!(false, "unexpected error {e}"),
                 }
             }
@@ -315,6 +318,51 @@ proptest! {
                 .collect();
             spikes_rev.reverse();
             prop_assert_eq!(spikes_fwd, spikes_rev);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Metamorphic: two networks carry the same prior traffic; in one,
+    /// hops on the pair's route die until the pair is severed. The severed
+    /// pair's transfer is forced, yet it completes no sooner than the same
+    /// transfer over the healthy network — dead hops never buy speed.
+    #[test]
+    fn forced_delivery_never_beats_the_healthy_route(
+        (a, b) in distinct_pair(),
+        prior in proptest::collection::vec((distinct_pair(), 1u64..1_000_000), 0..16),
+        bytes in 1u64..4_000_000,
+        at in 0u64..200_000,
+    ) {
+        for build in [Hierarchy::lassen_like as fn(u32) -> Hierarchy, Hierarchy::abci_like] {
+            let mut healthy = TopoNet::new(Arc::new(build(NODES)));
+            let mut severed = TopoNet::new(Arc::new(build(NODES)));
+            for (i, &(pair, n)) in prior.iter().enumerate() {
+                let t = Time(i as u64 * 1_000);
+                healthy.transmit(t, pair, n, None).unwrap();
+                severed.transmit(t, pair, n, None).unwrap();
+            }
+            // Kill the first hop of whatever route the pair would take
+            // next until none survives (both rails of a fat-tree node, a
+            // dragonfly host complex, a crossbar segment).
+            let mut kills = 0;
+            while let Ok(route) = severed.resolve((a, b)) {
+                let victim = route[0];
+                severed.force_hop_down(victim, Time(0));
+                kills += 1;
+                prop_assert!(kills <= 8, "pair {a:?}/{b:?} never severed");
+            }
+            let forced = severed.transmit(Time(at), (a, b), bytes, None).unwrap();
+            let fair = healthy.transmit(Time(at), (a, b), bytes, None).unwrap();
+            prop_assert!(forced.forced && !fair.forced);
+            prop_assert!(
+                forced.delivered >= fair.delivered,
+                "forced {:?} beat healthy {:?} for {:?}/{:?}",
+                forced.delivered, fair.delivered, a, b
+            );
+            prop_assert_eq!(severed.fabric_health().disconnects, 1);
         }
     }
 }

@@ -49,10 +49,10 @@ use std::fmt;
 /// A named injection point in the simulated stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// `Nic::post_send(_gdr)`: the completion (CQE) for a posted send is
-    /// delayed past the normal wire latency.
+    /// An inter-node send's NIC completion (CQE) is delayed past the
+    /// normal wire latency.
     NicTimeout,
-    /// `Nic::post_send(_gdr)`: a second, spurious completion is generated
+    /// An inter-node send's NIC generates a second, spurious completion
     /// for an already-completed send.
     NicDupCompletion,
     /// `Link::transmit`: the payload is lost on the wire; the sender only

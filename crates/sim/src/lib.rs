@@ -30,6 +30,6 @@ pub use event::{ClampStats, EventQueue, WheelStats};
 pub use fault::{splitmix64, FaultPlan, FaultSite, FaultSpec, FaultSummary, RetryPolicy};
 pub use resource::FifoResource;
 pub use rng::Pcg32;
-pub use shard::{Mailbox, ShardStats};
+pub use shard::ShardStats;
 pub use slab::Slab;
 pub use stats::{Accumulator, Summary};

@@ -38,8 +38,8 @@ const LAPS: usize = 2;
 struct Observed {
     events: u64,
     laps: Vec<Duration>,
-    /// `(bytes, wasted, busy ns)` per hop, in hop-table order (empty
-    /// without a topology).
+    /// `(bytes, wasted, busy ns)` per hop, in hop-table order (the flat
+    /// fabric's hops without a topology).
     per_hop: Vec<(u64, u64, u64)>,
 }
 
@@ -130,8 +130,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Topology-routed runs specifically: sharded per-hop *byte* totals
-    /// reconcile exactly with the single queue, hop by hop — no traffic
-    /// lost in a mailbox, none double-applied at a barrier.
+    /// reconcile exactly with the single queue, hop by hop — no transmit
+    /// lost between a shard and its barrier, none double-applied.
     #[test]
     fn per_hop_byte_totals_reconcile_exactly(
         grid in arb_grid(),

@@ -244,10 +244,10 @@ pub enum Payload {
         window_ns: u64,
         /// Cross-shard messages admitted into destination queues here.
         admitted: u64,
-        /// Deferred routed transmits applied against the shared fabric.
+        /// Deferred transmits applied against the shared fabric.
         applied: u64,
         /// Route-cache epoch of the shared fabric after this barrier's
-        /// transmits were applied (0 without a topology or fault domain).
+        /// transmits were applied (0 without an armed fault domain).
         /// Every shard observes a hop-state transition at the same barrier,
         /// so the epoch sequence is identical across shard counts.
         route_epoch: u64,

@@ -116,12 +116,14 @@ fn machines_shape_the_same_exchange_differently() {
     assert!(abci.latency > lassen.latency);
 }
 
-/// No topology attached: identical timing to the topology-free legacy
-/// path is covered by the golden-report guard; here just check the hop
-/// counters stay silent.
+/// No topology attached: the cluster runs on the flat fabric, whose
+/// routes are one hop long, so it accounts the traffic on its hops and
+/// crosses fewer of them than either machine model.
 #[test]
-fn flat_runs_report_no_hop_traffic() {
-    let out = run_halo(&small_cfg(None));
-    assert_eq!(out.hop_bytes, 0);
-    assert!(out.latency.as_nanos() > 0);
+fn flat_runs_account_one_hop_per_transfer() {
+    let flat = run_halo(&small_cfg(None));
+    let lassen = run_halo(&small_cfg(Some(lassen_topo(2))));
+    assert!(flat.hop_bytes > 0);
+    assert!(flat.hop_bytes < lassen.hop_bytes);
+    assert!(flat.latency.as_nanos() > 0);
 }
