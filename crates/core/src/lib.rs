@@ -11,7 +11,7 @@
 //!    *request status* / *response status* fields (the response side is
 //!    only ever advanced by kernel completions, standing in for the
 //!    GPU-written device flags of the CUDA implementation).
-//! 2. [`ring::RequestRing`] — the circular buffer with Head/Tail indexes.
+//! 2. [`ring::RequestRing`] — the bounded request list, O(1) per request.
 //!    Enqueueing into a full ring is *rejected* (the paper returns a
 //!    negative UID) so the progress engine can fall back to a non-fused
 //!    path.

@@ -19,7 +19,7 @@
 
 use crate::adapt::{AdaptiveThreshold, FlushFeedback};
 use crate::config::FusionConfig;
-use crate::request::{FusionOp, FusionRequest, Status, Uid};
+use crate::request::{FusionOp, Uid};
 use crate::ring::{EnqueueError, RequestRing};
 use fusedpack_datatype::{CompiledLayout, LayoutClass};
 use fusedpack_gpu::{DevPtr, FusedLaunch, FusedWork, Gpu, GpuArch, StreamId};
@@ -216,7 +216,7 @@ impl Scheduler {
 
     /// Are there pending (not yet fused) requests?
     pub fn has_pending(&self) -> bool {
-        self.ring.pending_bytes() > 0 || !self.ring.pending().is_empty()
+        self.ring.has_pending()
     }
 
     /// §IV-C scenario 2: pending bytes reached the fusion threshold.
@@ -227,6 +227,12 @@ impl Scheduler {
     /// Whether the ring is (nearly) full and should be drained.
     pub fn under_pressure(&self) -> bool {
         self.ring.occupied() + 1 >= self.ring.capacity()
+    }
+
+    /// Nothing in the ring: no live request and no pending bytes (the
+    /// run-end state of every rank).
+    pub fn is_idle(&self) -> bool {
+        self.ring.occupied() == 0 && self.ring.pending_bytes() == 0
     }
 
     /// Occupied ring slots (pending, busy, or completed-but-unretired).
@@ -251,16 +257,16 @@ impl Scheduler {
         stream: StreamId,
         reason: FlushReason,
     ) -> Option<FlushedBatch> {
-        let pending = self.ring.pending();
-        if pending.is_empty() {
+        let n = self.ring.pending_len().min(self.config.max_fused);
+        if n == 0 {
             return None;
         }
-        let batch: Vec<Uid> = pending.into_iter().take(self.config.max_fused).collect();
-        let mut works: Vec<FusedWork> = Vec::with_capacity(batch.len());
-        let mut unpacks: Vec<bool> = Vec::with_capacity(batch.len());
-        for &uid in &batch {
-            let req = self.ring.get_mut(uid).expect("pending request is live");
-            req.request_status = Status::Busy;
+        let mut batch: Vec<Uid> = Vec::with_capacity(n);
+        let mut works: Vec<FusedWork> = Vec::with_capacity(n);
+        let mut unpacks: Vec<bool> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let req = self.ring.launch_next().expect("n requests are pending");
+            batch.push(req.uid);
             unpacks.push(req.op == FusionOp::Unpack);
             works.push(req.work());
         }
@@ -362,20 +368,20 @@ impl Scheduler {
         stream: StreamId,
         reason: FlushReason,
     ) -> Option<FlushedBatch> {
-        let pending = self.ring.pending();
-        if pending.is_empty() {
+        let n = self.ring.pending_len().min(self.config.max_fused);
+        if n == 0 {
             return None;
         }
-        let batch: Vec<Uid> = pending.into_iter().take(self.config.max_fused).collect();
+        let mut batch: Vec<Uid> = Vec::with_capacity(n);
         let mut batch_bytes = 0u64;
         let mut batch_blocks = 0u64;
         let mut cpu = now;
         let mut first_start = None;
-        let mut request_done = Vec::with_capacity(batch.len());
+        let mut request_done = Vec::with_capacity(n);
         let mut done = now;
-        for &uid in &batch {
-            let req = self.ring.get_mut(uid).expect("pending request is live");
-            req.request_status = Status::Busy;
+        for _ in 0..n {
+            let req = self.ring.launch_next().expect("n requests are pending");
+            batch.push(req.uid);
             let work = req.work();
             batch_bytes += work.stats.total_bytes;
             batch_blocks += work.stats.num_blocks;
@@ -443,18 +449,10 @@ impl Scheduler {
     /// at the instant the request's cooperative group finishes).
     ///
     /// Returns `false` for an unknown UID — a duplicate or stale completion
-    /// (possible under fault injection) is dropped rather than fatal.
+    /// (possible under fault injection) is dropped rather than fatal — and
+    /// for a request that was never launched.
     pub fn signal_completion(&mut self, uid: Uid) -> bool {
-        let Some(req) = self.ring.get_mut(uid) else {
-            return false;
-        };
-        debug_assert_eq!(
-            req.request_status,
-            Status::Busy,
-            "completion for a request that was never launched"
-        );
-        req.response_status = Status::Completed;
-        true
+        self.ring.complete(uid)
     }
 
     /// ④ Progress-engine query at `now`: is `uid` complete? Returns the
@@ -467,13 +465,6 @@ impl Scheduler {
             ready: complete,
         });
         (complete, self.config.query_cost)
-    }
-
-    /// Read a live request (for the caller to apply data movement).
-    pub fn request(&self, uid: Uid) -> &FusionRequest {
-        self.ring
-            .get(uid)
-            .unwrap_or_else(|| panic!("unknown request {uid:?}"))
     }
 
     /// Consume a completed request at `now`, freeing its ring slot. Returns

@@ -46,7 +46,7 @@
 
 use crate::compile::CompiledLayout;
 use crate::typedesc::TypeDesc;
-use fusedpack_sim::Duration;
+use fusedpack_sim::{Duration, IntMap};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -256,7 +256,7 @@ struct CachedEntry {
 #[derive(Debug, Default)]
 struct Shard {
     /// Resident entries by handle.
-    entries: HashMap<TypeHandle, CachedEntry>,
+    entries: IntMap<TypeHandle, CachedEntry>,
     stats: LayoutShardStats,
 }
 
@@ -276,7 +276,7 @@ pub struct LayoutCache {
     shards: Vec<Shard>,
     shard_mask: u64,
     shard_capacity: usize,
-    by_handle: HashMap<TypeHandle, HandleInfo>,
+    by_handle: IntMap<TypeHandle, HandleInfo>,
     /// structural key → handles committed under it (more than one only on
     /// a hash collision).
     by_key: HashMap<u64, Vec<TypeHandle>>,
@@ -311,7 +311,7 @@ impl LayoutCache {
             shards: (0..shards).map(|_| Shard::default()).collect(),
             shard_mask: shards as u64 - 1,
             shard_capacity: config.shard_capacity.max(1),
-            by_handle: HashMap::new(),
+            by_handle: IntMap::default(),
             by_key: HashMap::new(),
             table,
             next: 0,

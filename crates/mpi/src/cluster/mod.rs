@@ -20,7 +20,7 @@ use crate::message::WireMsg;
 use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
-use fusedpack_core::{SchedStats, Uid};
+use fusedpack_core::{SchedStats, Scheduler, Uid};
 use fusedpack_datatype::LayoutTable;
 use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
@@ -564,6 +564,13 @@ impl Cluster {
                 rank.done,
                 "rank {:?} deadlocked at pc={} (blocked={})",
                 rank.id, rank.pc, rank.blocked
+            );
+            assert!(
+                rank.uid_map.is_empty() && rank.sched.as_ref().is_none_or(Scheduler::is_idle),
+                "rank {:?} leaked fusion requests: {} uids mapped, {:?} ring slots live",
+                rank.id,
+                rank.uid_map.len(),
+                rank.sched.as_ref().map(Scheduler::ring_occupied),
             );
         }
         debug_assert!(self.wire_slab.is_empty(), "wire messages leaked");

@@ -9,9 +9,8 @@ use crate::sendrecv::{PackState, RecvOp, SendOp};
 use fusedpack_core::{Scheduler, Uid};
 use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
 use fusedpack_gpu::DevPtr;
-use fusedpack_sim::{Duration, Time};
+use fusedpack_sim::{Duration, IntMap, Time};
 use fusedpack_telemetry::{SpanId, Telemetry};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which operation a fusion UID belongs to.
@@ -74,7 +73,7 @@ pub(crate) struct RankState {
     /// Unexpected-message queue (RTS/eager that arrived before the recv).
     pub unexpected: Vec<WireMsg>,
     /// Fusion UID → owning operation.
-    pub uid_map: HashMap<Uid, OpRef>,
+    pub uid_map: IntMap<Uid, OpRef>,
     /// Operations refused by a full request ring, re-enqueued in FIFO order
     /// as retirements free slots (the backpressure ladder).
     pub fusion_requeue: RequeueLadder<RequeuedOp>,
@@ -123,7 +122,7 @@ impl RankState {
             sends: Vec::new(),
             recvs: Vec::new(),
             unexpected: Vec::new(),
-            uid_map: HashMap::new(),
+            uid_map: IntMap::default(),
             fusion_requeue: RequeueLadder::new(),
             sched: None,
             next_stream: 0,

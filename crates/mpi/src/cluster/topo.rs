@@ -18,7 +18,7 @@
 
 use super::Cluster;
 use fusedpack_net::topology::{FabricEvent, RouteKey};
-use fusedpack_net::{FabricHealth, HopStats, NetError, TopoNet};
+use fusedpack_net::{HopStats, NetError, TopoNet};
 use fusedpack_sim::{Duration, FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 
@@ -140,17 +140,6 @@ impl Cluster {
     /// reconciliation tests). `Some` on every built cluster.
     pub fn topo_hop_stats(&self) -> Option<Vec<HopStats>> {
         self.topo.as_ref().map(TopoNet::hop_stats)
-    }
-
-    /// Fabric-health counters of the cluster's network (all-zero without
-    /// an armed fault domain). `Some` on every built cluster.
-    pub fn fabric_health(&self) -> Option<FabricHealth> {
-        self.topo.as_ref().map(TopoNet::fabric_health)
-    }
-
-    /// The cluster's topology display name (`flat` by default).
-    pub fn topology_name(&self) -> Option<&'static str> {
-        self.topo.as_ref().map(|net| net.topology().name())
     }
 
     /// The (node, gpu-slot) endpoint of a rank (tests and diagnostics).

@@ -62,9 +62,8 @@
 use super::{HopId, HopKind, RouteKey, Topology, TopologyHandle};
 use crate::error::NetError;
 use crate::link::Link;
-use fusedpack_sim::{Duration, FaultPlan, FaultSite, Time};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use fusedpack_sim::{Duration, FaultPlan, FaultSite, IntMap, Time};
+use std::hash::Hasher;
 
 /// Consecutive flapped traversals that mark a hop down.
 pub const FLAP_DOWN_STREAK: i32 = 3;
@@ -324,28 +323,6 @@ struct RouteRef {
     forced: bool,
 }
 
-/// The route cache's hasher: one multiply-rotate per word (the FxHash
-/// step). Route lookups run on every send, and SipHash's DoS resistance
-/// buys nothing here.
-#[derive(Default)]
-struct RouteKeyHasher(u64);
-
-impl Hasher for RouteKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
 /// A route cache key: the pair packed into two words, so a lookup hashes
 /// two multiply-rotates instead of four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,11 +353,11 @@ pub struct TopoNet {
     /// One live link per entry of `topo.hops()`.
     links: Vec<Link>,
     /// Resolved-route cache. Values are windows into `route_arena` —
-    /// `Copy`, so the steady-state per-send lookup is one HashMap hit,
+    /// `Copy`, so the steady-state per-send lookup is one [`IntMap`] hit,
     /// with no refcount traffic and no per-route allocation. Valid for the
     /// current route epoch only: a hop going down clears the cache and the
     /// arena wholesale.
-    routes: HashMap<PairKey, RouteRef, BuildHasherDefault<RouteKeyHasher>>,
+    routes: IntMap<PairKey, RouteRef>,
     /// In front of `routes`: the route each source endpoint (indexed
     /// `node * gpus_per_node + gpu`) resolved last, with its packed
     /// destination. A sender talking to one peer at a time — a
@@ -421,7 +398,7 @@ impl TopoNet {
             last_route: vec![(NO_ROUTE, RouteRef::default()); endpoints],
             topo,
             links,
-            routes: HashMap::default(),
+            routes: IntMap::default(),
             route_arena: Vec::new(),
             last_hops: Vec::new(),
             last_starts,

@@ -19,6 +19,7 @@
 pub mod clock;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod shard;
@@ -28,6 +29,7 @@ pub mod stats;
 pub use clock::{Duration, Time};
 pub use event::{ClampStats, EventQueue, WheelStats};
 pub use fault::{splitmix64, FaultPlan, FaultSite, FaultSpec, FaultSummary, RetryPolicy};
+pub use hash::{IntHasher, IntMap};
 pub use resource::FifoResource;
 pub use rng::Pcg32;
 pub use shard::ShardStats;

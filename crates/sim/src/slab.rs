@@ -12,12 +12,14 @@
 /// the event-wheel's intrusive slot lists.
 pub const NIL: u32 = u32::MAX;
 
+#[derive(Debug)]
 enum Entry<T> {
     Occupied(T),
     Free { next: u32 },
 }
 
 /// Vec-backed slab with free-list reuse and an occupancy high-water mark.
+#[derive(Debug)]
 pub struct Slab<T> {
     entries: Vec<Entry<T>>,
     free_head: u32,
