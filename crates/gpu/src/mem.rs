@@ -1,8 +1,8 @@
 //! Device (and host) memory pools.
 //!
 //! A [`MemPool`] is a flat address space with a bump allocator. Pools back
-//! both GPU device memory and host staging memory; pointers are plain
-//! `(addr, len)` pairs valid within one pool.
+//! GPU device memory; pointers are plain `(addr, len)` pairs valid within
+//! one pool.
 //!
 //! Pools run in one of two [`DataMode`]s:
 //!
@@ -10,14 +10,16 @@
 //!   can verify end-to-end pack/unpack correctness. The byte vector starts
 //!   empty and [`MemPool::alloc`] grows it (geometrically, capped at the
 //!   capacity) to cover the allocation high-water mark, so a pool costs
-//!   memory for what it hands out, not for its declared capacity. An owner
-//!   that knows the high-water mark in advance backs it up front with
-//!   [`MemPool::reserve`]. Copies never grow the vector: touching bytes no
-//!   allocation ever covered panics;
+//!   memory for what it hands out, not for its declared capacity. Copies
+//!   never grow the vector: touching bytes no allocation ever covered
+//!   panics;
 //! * `ModelOnly` — no backing storage; a copy returns its byte count in
 //!   O(1) and touches nothing. Benchmark sweeps use this to avoid
 //!   allocating gigabytes per iteration (timing is independent of the
-//!   data).
+//!   data). A cluster's staging pools are always `ModelOnly`: they are
+//!   address allocators only (the addresses a CTS advertises, and the
+//!   capacity check), while packed bytes travel in owned buffers from the
+//!   [`crate::BufferPool`].
 //!
 //! Copies are driven by a datatype's [`CompiledLayout`]: one gather and one
 //! scatter, each within one pool or between a pool and an outside buffer,
@@ -69,8 +71,7 @@ pub struct MemPool {
     capacity: u64,
     cursor: u64,
     /// Backing bytes of a `Full` pool: the first [`Self::peak`] bytes of
-    /// the address space (more after a [`Self::reserve`]), zero until
-    /// written. Empty in `ModelOnly` mode.
+    /// the address space, zero until written. Empty in `ModelOnly` mode.
     bytes: Vec<u8>,
     /// High-water mark of allocations, for sizing diagnostics.
     peak: u64,
@@ -111,6 +112,12 @@ impl MemPool {
         self.peak
     }
 
+    /// Bytes of backing storage the pool holds (zero in `ModelOnly` mode).
+    #[inline]
+    pub fn backed_bytes(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
     /// Allocate `len` bytes with `align` alignment (power of two).
     ///
     /// Panics if the pool is exhausted: pool sizing is a configuration
@@ -129,23 +136,6 @@ impl MemPool {
             self.back(self.peak as usize);
         }
         DevPtr { addr, len }
-    }
-
-    /// Back the first `bytes` of a `Full` pool now (capped at the
-    /// capacity), zero-filled, so allocations below that mark never grow
-    /// the backing later. A caller that knows a pool's high-water mark in
-    /// advance (the cluster builder, for staging pools) pays for first
-    /// touch here rather than in the middle of a run. Allocation and the
-    /// check on never-allocated bytes are unchanged: reserved bytes become
-    /// accessible only once an allocation covers them.
-    pub fn reserve(&mut self, bytes: u64) {
-        if self.mode == DataMode::Full {
-            let end = bytes.min(self.capacity) as usize;
-            if end > self.bytes.len() {
-                self.bytes.reserve_exact(end - self.bytes.len());
-                self.bytes.resize(end, 0);
-            }
-        }
     }
 
     /// Extend the backing bytes to `end`, zero-filled. The allocation
@@ -211,18 +201,6 @@ impl MemPool {
         self.bytes[range].copy_from_slice(data);
     }
 
-    /// The bytes behind `ptr`, writable: the destination of a
-    /// [`Self::gather_into`] from another pool. Empty in `ModelOnly` mode.
-    pub fn bytes_mut(&mut self, ptr: DevPtr) -> &mut [u8] {
-        match self.mode {
-            DataMode::Full => {
-                let range = self.backed(ptr);
-                &mut self.bytes[range]
-            }
-            DataMode::ModelOnly => &mut [],
-        }
-    }
-
     /// Gather `count` elements of `layout` based at `base` into the
     /// contiguous region at `dst` of this pool — the data movement a
     /// packing kernel performs. Returns the packed byte count.
@@ -254,9 +232,8 @@ impl MemPool {
         total
     }
 
-    /// [`Self::gather`] into a buffer outside this pool: another pool's
-    /// [`Self::bytes_mut`] region or a host vector. Fills the first
-    /// `layout.total_bytes(count)` bytes of `out`.
+    /// [`Self::gather`] into a buffer outside this pool (a pooled payload
+    /// buffer). Fills the first `layout.total_bytes(count)` bytes of `out`.
     pub fn gather_into(
         &self,
         layout: &CompiledLayout,
@@ -374,41 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn reserve_backs_ahead_without_opening_access() {
-        let mut p = MemPool::new(256, DataMode::Full);
-        p.reserve(128);
-        assert_eq!(p.bytes.len(), 128);
-        let before = p.bytes.as_ptr();
-        let a = p.alloc(100, 1);
-        p.write(a, &[3; 100]);
-        assert_eq!(p.read(a), &[3; 100][..]);
-        assert_eq!(
-            p.bytes.as_ptr(),
-            before,
-            "allocating inside a reserve never moves it"
-        );
-        assert_eq!(p.bytes.len(), 128);
-        // Past the reserve, alloc grows as before; a reserve past the
-        // capacity stops at it.
-        p.alloc(50, 1);
-        assert_eq!(p.bytes.len(), 150);
-        p.reserve(1 << 20);
-        assert_eq!(p.bytes.len(), 256);
-        let mut m = MemPool::new(1 << 40, DataMode::ModelOnly);
-        m.reserve(1 << 40);
-        assert!(m.bytes.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the pool's allocated bytes")]
-    fn reserved_but_unallocated_bytes_stay_off_limits() {
-        let mut p = MemPool::new(64, DataMode::Full);
-        p.reserve(64);
-        p.alloc(8, 1);
-        p.read(DevPtr { addr: 8, len: 1 });
-    }
-
-    #[test]
     fn allocation_may_end_exactly_at_capacity() {
         let mut p = MemPool::new(64, DataMode::Full);
         p.alloc(60, 1);
@@ -442,13 +384,6 @@ mod tests {
         let mut p = MemPool::new(64, DataMode::Full);
         p.alloc(8, 1);
         p.write(DevPtr { addr: 32, len: 4 }, &[0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the pool's allocated bytes")]
-    fn borrowing_unallocated_bytes_panics() {
-        let mut p = MemPool::new(64, DataMode::Full);
-        p.bytes_mut(DevPtr { addr: 0, len: 1 });
     }
 
     #[test]
@@ -521,7 +456,6 @@ mod tests {
         let mut p = MemPool::new(1 << 40, DataMode::ModelOnly); // 1 TiB, no alloc
         let ptr = p.alloc(1 << 30, 256);
         assert!(p.read(ptr).is_empty());
-        assert!(p.bytes_mut(ptr).is_empty());
         p.write(ptr, &[]); // no-op, no panic
         let l = layout(&[(0, 100), (200, 50)], 256);
         assert_eq!(p.gather(&l, 0, 4, 1 << 20), 600);
@@ -538,9 +472,11 @@ mod tests {
         let staged = host.alloc(5, 1);
         dev.write(src, &(0..16).collect::<Vec<u8>>());
         let l = layout(&[(1, 2), (8, 3)], 16);
-        let n = dev.gather_into(&l, src.addr, 1, host.bytes_mut(staged));
+        let mut packed = [0u8; 5];
+        let n = dev.gather_into(&l, src.addr, 1, &mut packed);
         assert_eq!(n, 5);
-        assert_eq!(host.read(staged), &[1, 2, 8, 9, 10]);
+        assert_eq!(packed, [1, 2, 8, 9, 10]);
+        host.write(staged, &packed);
 
         let mut dev2 = MemPool::new(64, DataMode::Full);
         let dst = dev2.alloc(16, 1);

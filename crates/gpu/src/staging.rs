@@ -1,12 +1,14 @@
-//! Reusable staging-buffer pool.
+//! Reusable payload-buffer pool.
 //!
-//! The data plane used to allocate a fresh `Vec<u8>` for every staged
-//! payload (eager copies, rendezvous staging reads, IPC gathers). A
+//! In `DataMode::Full` runs every payload the cluster moves is a pooled
+//! `Vec<u8>`: a staged message's packed bytes (taken at pack, returned
+//! after unpack), contiguous and RGET copies, and DirectIPC bounces. A
 //! [`BufferPool`] keeps a freelist of retired buffers behind a
 //! `parking_lot::Mutex` so those per-message allocations become
 //! acquire/release pairs: `take` hands out an **empty** vector whose
 //! capacity already covers the request whenever the freelist can satisfy
-//! it, and `put` returns the vector for the next message.
+//! it, and `put` returns the vector for the next message. A finished run
+//! has returned every buffer it took ([`PoolStats::outstanding`] is zero).
 //!
 //! The pool is cheap to clone (`Arc` inside), so one pool can be threaded
 //! through a whole cluster — or shared across clusters — without wiring
@@ -36,6 +38,22 @@ pub struct PoolStats {
     pub released: u64,
     /// Buffers dropped by `put` because the freelist was full.
     pub dropped: u64,
+}
+
+impl PoolStats {
+    /// Fold another pool's counters into these.
+    pub fn absorb(&mut self, other: &PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.released += other.released;
+        self.dropped += other.dropped;
+    }
+
+    /// Buffers taken and not yet returned. A buffer may go back to
+    /// another pool than the one it came from, so only totals balance.
+    pub fn outstanding(&self) -> i64 {
+        (self.hits + self.misses) as i64 - self.released as i64
+    }
 }
 
 /// A shared freelist of byte buffers. See the module docs.
@@ -157,6 +175,21 @@ mod tests {
         pool.put(Vec::new());
         assert_eq!(pool.free_len(), 0);
         assert_eq!(pool.stats().released, 0);
+    }
+
+    #[test]
+    fn outstanding_balances_across_pools() {
+        // A buffer taken from one pool and returned to another (a message
+        // crossing shards) balances only in the sum.
+        let (a, b) = (BufferPool::new(), BufferPool::new());
+        let buf = a.take(16);
+        assert_eq!(a.stats().outstanding(), 1);
+        b.put(buf);
+        assert_eq!(b.stats().outstanding(), -1);
+        let mut total = a.stats();
+        total.absorb(&b.stats());
+        assert_eq!(total.outstanding(), 0);
+        assert_eq!((total.misses, total.released), (1, 1));
     }
 
     #[test]

@@ -304,6 +304,10 @@ impl Cluster {
             rank.fusion_requeue.is_empty(),
             "backpressure requeue leaked past Waitall"
         );
+        debug_assert!(
+            rank.packed.is_empty() && rank.landed.is_empty(),
+            "payload buffers outlived their Waitall epoch"
+        );
         rank.sends.clear();
         rank.recvs.clear();
         self.staging_mems[r].reset();

@@ -221,15 +221,10 @@ impl ClusterBuilder {
             endpoints.push(Endpoint::new(node, *slot));
             *slot += 1;
             let user_bytes: u64 = program.buffers.iter().map(|b| b.len + 256).sum::<u64>() + 4096;
-            // Staging high-water estimate: every comm op may need a packed
+            // Staging address-space bound: every comm op may need a packed
             // buffer simultaneously within one Waitall epoch; programs
             // over-declare via their buffer sizes, so size generously.
             let staging_bytes = 2 * user_bytes + (1 << 20);
-            // Full-mode staging pools are backed now, to what the
-            // program's largest epoch stages, so the run does not grow
-            // (and first-touch) them. Timing-only pools hold no bytes.
-            let staging_need =
-                (self.data_mode == DataMode::Full).then(|| program.staging_high_water());
 
             let mut gpu = self.platform.make_gpu(user_bytes, self.data_mode);
             if !self.gdrcopy {
@@ -262,17 +257,11 @@ impl ClusterBuilder {
             rank.tele = tele_r;
             ranks.push(rank);
             gpus.push(gpu);
-            let (gpu_staging, host_staging) = engine.staging_pools();
-            for (pools, used) in [
-                (&mut staging_mems, gpu_staging),
-                (&mut host_mems, host_staging),
-            ] {
-                let mut pool = MemPool::new(staging_bytes, self.data_mode);
-                if let (true, Some(need)) = (used, staging_need) {
-                    pool.reserve(need);
-                }
-                pools.push(pool);
-            }
+            // Staging pools are address allocators in either data mode:
+            // packed bytes travel in owned `buf_pool` buffers (see the
+            // `protocol` module), so the pools back nothing.
+            staging_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
+            host_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
         }
 
         // NIC events are tagged with the lowest rank on the NIC's node so
@@ -363,10 +352,12 @@ pub struct Cluster {
     /// translates the global indices every protocol path uses.
     pub(crate) ranks: Ranged<RankState>,
     pub(crate) gpus: Ranged<Gpu>,
-    /// Device staging pools (packed buffers), reset at each Waitall exit.
+    /// Device staging address spaces, reset at each Waitall exit. They
+    /// hand out the addresses a CTS advertises and enforce the capacity;
+    /// they hold no bytes.
     pub(crate) staging_mems: Ranged<MemPool>,
-    /// Host staging pools (hybrid CPU path, naive libraries, bounce
-    /// buffers), reset with the device staging pools.
+    /// Host staging address spaces (hybrid CPU path, naive libraries),
+    /// reset with the device ones.
     pub(crate) host_mems: Ranged<MemPool>,
     /// One NIC per node, indexed by global node id.
     pub(crate) nics: Ranged<Nic>,
@@ -379,9 +370,9 @@ pub struct Cluster {
     /// Per-rank (node, gpu-slot) endpoints, validated against the
     /// topology at build time.
     pub(crate) endpoints: Vec<Endpoint>,
-    /// Freelist of staged payload buffers: eager/rendezvous copies and IPC
-    /// gathers recycle their `Vec<u8>`s here instead of allocating per
-    /// message.
+    /// Freelist of payload buffers: packed payloads (taken at pack,
+    /// returned at unpack), contiguous and RGET copies, and IPC bounces
+    /// recycle their `Vec<u8>`s here instead of allocating per message.
     pub(crate) buf_pool: BufferPool,
     /// In-flight wire messages, keyed by the `u32` inside
     /// [`Event::Deliver`]; recycled indices keep per-message storage off
@@ -573,7 +564,33 @@ impl Cluster {
                 rank.sched.as_ref().map(Scheduler::ring_occupied),
             );
         }
-        debug_assert!(self.wire_slab.is_empty(), "wire messages leaked");
+        // A message no receive ever matched (an erroneous program, not a
+        // leak) still holds its payload: recycle it.
+        for rank in self.ranks.iter_mut() {
+            for msg in &mut rank.unexpected {
+                self.buf_pool.put(std::mem::take(&mut msg.payload));
+            }
+        }
+        // Every other payload buffer taken from the pool went back: no
+        // operation still owns one, no message is still on the wire, and
+        // the pool's takes balance its releases (summed over shard-local
+        // pools).
+        for rank in self.ranks.iter() {
+            assert!(
+                rank.packed.is_empty() && rank.landed.is_empty(),
+                "rank {:?} leaked payload buffers: {} packed, {} landed",
+                rank.id,
+                rank.packed.len(),
+                rank.landed.len(),
+            );
+        }
+        assert!(self.wire_slab.is_empty(), "wire messages leaked");
+        let pool = self.staging_pool_stats();
+        assert_eq!(
+            pool.outstanding(),
+            0,
+            "payload buffers leaked from the pool: {pool:?}"
+        );
         // One end-of-run health snapshot; free when telemetry is disabled
         // (the closure never runs).
         self.telemetry
@@ -603,12 +620,16 @@ impl Cluster {
                 });
         }
         RunReport {
-            laps: self.ranks.iter().map(|r| r.laps.clone()).collect(),
+            laps: self
+                .ranks
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r.laps))
+                .collect(),
             breakdowns: self.ranks.iter().map(|r| r.breakdown).collect(),
             lap_breakdowns: self
                 .ranks
-                .iter()
-                .map(|r| r.lap_breakdowns.clone())
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r.lap_breakdowns))
                 .collect(),
             sched_stats: self
                 .ranks
@@ -763,11 +784,18 @@ impl Cluster {
     /// sharded run this is the merged total over every shard-local pool.
     pub fn staging_pool_stats(&self) -> fusedpack_gpu::PoolStats {
         let mut s = self.buf_pool.stats();
-        s.hits += self.absorbed_pool.hits;
-        s.misses += self.absorbed_pool.misses;
-        s.released += self.absorbed_pool.released;
-        s.dropped += self.absorbed_pool.dropped;
+        s.absorb(&self.absorbed_pool);
         s
+    }
+
+    /// Backing bytes held by every rank's staging pools: zero in either
+    /// data mode, since packed payloads live in pooled buffers.
+    pub fn staging_backed_bytes(&self) -> u64 {
+        self.staging_mems
+            .iter()
+            .chain(self.host_mems.iter())
+            .map(MemPool::backed_bytes)
+            .sum()
     }
 
     /// Per-hop FIFO order violations observed by the network (always

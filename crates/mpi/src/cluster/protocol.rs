@@ -1,5 +1,14 @@
 //! Wire protocols: eager, rendezvous RPUT handshake, tag matching, and
 //! payload delivery.
+//!
+//! In `DataMode::Full` a staged message's packed bytes are one pooled
+//! buffer that changes owner instead of being copied: the pack gathers
+//! into a buffer the send owns (`RankState::packed`), `try_issue` moves it
+//! into the [`WireMsg`], delivery moves it into the receive
+//! (`RankState::landed`), and the unpack scatters from it and recycles it.
+//! Staging pools only hand out the addresses a CTS advertises. Contiguous
+//! sends and RGET reads (which a replayed request may repeat) send pooled
+//! copies. Timing-only runs carry empty payloads and take no buffer.
 
 use super::schemes::PathCtx;
 use super::{Cluster, Event, RankId, RndvProtocol};
@@ -188,22 +197,37 @@ impl Cluster {
         self.wire_transmit(src, at, CTRL_BYTES, false, msg, None);
     }
 
-    /// Read the packed payload bytes behind a staging location into a
-    /// pooled buffer (recycled back into `buf_pool` once the payload is
-    /// deposited at the receiver).
-    pub(crate) fn read_staging(&self, r: usize, loc: StagingLoc) -> Vec<u8> {
-        let src: &[u8] = match loc {
-            StagingLoc::Gpu(p) => self.staging_mems[r].read(p),
-            StagingLoc::Host(p) => self.host_mems[r].read(p),
+    /// A pooled copy of send `sid`'s payload: the user buffer of a
+    /// contiguous send, the packed bytes of a staged one. Empty in
+    /// timing-only runs (and for an empty message), which take no buffer.
+    fn copy_payload(&self, r: usize, sid: SendId) -> Vec<u8> {
+        if self.data_mode == DataMode::ModelOnly {
+            return Vec::new();
+        }
+        let src: &[u8] = match self.ranks[r].sends[sid.0].staging {
             StagingLoc::UserGpu(p) => self.gpus[r].mem.read(p),
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
+                self.ranks[r].packed.get(&sid).map_or(&[], Vec::as_slice)
+            }
             StagingLoc::None => &[],
         };
         if src.is_empty() {
-            return Vec::new(); // model-only mode / ctrl messages
+            return Vec::new();
         }
         let mut buf = self.buf_pool.take(src.len());
         buf.extend_from_slice(src);
         buf
+    }
+
+    /// Send `sid`'s payload for the wire: a staged send hands over the
+    /// buffer it packed into, a contiguous one copies its user buffer.
+    fn take_payload(&mut self, r: usize, sid: SendId) -> Vec<u8> {
+        match self.ranks[r].sends[sid.0].staging {
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
+                self.ranks[r].packed.remove(&sid).unwrap_or_default()
+            }
+            StagingLoc::UserGpu(_) | StagingLoc::None => self.copy_payload(r, sid),
+        }
     }
 
     /// Put a send's payload on the wire as soon as both its pack and its
@@ -226,7 +250,6 @@ impl Cluster {
         self.ranks[r].sends[sid.0]
             .lifecycle
             .apply(LifecycleEvent::Issued);
-        let payload = self.read_staging(r, staging);
         let gdr_src = matches!(staging, StagingLoc::Gpu(_) | StagingLoc::UserGpu(_));
         let at = self.ranks[r].cpu;
         let src_id = self.ranks[r].id;
@@ -252,6 +275,7 @@ impl Cluster {
             // Local completion arrives as a Fin once the read drains.
             return;
         }
+        let payload = self.take_payload(r, sid);
         if eager {
             self.ranks[r]
                 .tele
@@ -287,7 +311,13 @@ impl Cluster {
                 self.ranks[r].sends[sid.0]
                     .lifecycle
                     .apply(LifecycleEvent::IssueRetracted);
-                self.buf_pool.put(payload);
+                // Hand the payload back: a staged send still owns it.
+                match staging {
+                    StagingLoc::Gpu(_) | StagingLoc::Host(_) if !payload.is_empty() => {
+                        self.ranks[r].packed.insert(sid, payload);
+                    }
+                    _ => self.buf_pool.put(payload),
+                }
                 return;
             };
             let gdr = gdr_src || !cts.host_staging;
@@ -405,8 +435,7 @@ impl Cluster {
                     self.buf_pool.put(msg.payload);
                     return;
                 }
-                self.deposit_payload(r, recv_id, &msg.payload);
-                self.buf_pool.put(msg.payload);
+                self.land_payload(r, recv_id, msg.payload);
                 self.ranks[r].recvs[recv_id.0]
                     .lifecycle
                     .apply(LifecycleEvent::DataArrived);
@@ -425,7 +454,7 @@ impl Cluster {
                     return;
                 };
                 let (staging, bytes, dst) = (send.staging, send.packed_bytes, msg.src);
-                let payload = self.read_staging(r, staging);
+                let payload = self.copy_payload(r, send_id);
                 let gdr = matches!(staging, StagingLoc::Gpu(_) | StagingLoc::UserGpu(_));
                 let at = self.events.now();
                 let src_id = self.ranks[r].id;
@@ -444,6 +473,10 @@ impl Cluster {
                 match self.ranks[r].sends.get_mut(send_id.0) {
                     Some(s) if !s.lifecycle.is_done() => {
                         s.lifecycle.apply(LifecycleEvent::Completed);
+                        // RGET: the read drained the packed buffer.
+                        if let Some(buf) = self.ranks[r].packed.remove(&send_id) {
+                            self.buf_pool.put(buf);
+                        }
                         let now = self.ranks[r].cpu;
                         self.check_unblock(r, now);
                     }
@@ -515,8 +548,7 @@ impl Cluster {
                 };
                 let staging = self.recv_staging_for(r, rid, bytes, blocks);
                 self.ranks[r].recvs[rid.0].staging = staging;
-                self.deposit_payload(r, rid, &msg.payload);
-                self.buf_pool.put(msg.payload);
+                self.land_payload(r, rid, msg.payload);
                 self.ranks[r].recvs[rid.0]
                     .lifecycle
                     .apply(LifecycleEvent::DataArrived);
@@ -551,20 +583,24 @@ impl Cluster {
         }
     }
 
-    /// Write an arrived payload into the receive staging buffer. A payload
-    /// with no staging to land in (a spurious delivery replayed by a fault)
-    /// is dropped and counted, not fatal.
-    fn deposit_payload(&mut self, r: usize, rid: RecvId, payload: &[u8]) {
+    /// Land an arrived payload in receive `rid`: a contiguous receive
+    /// writes it into its user buffer and recycles it, a staged one owns it
+    /// until its unpack. A payload with no staging to land in (a spurious
+    /// delivery replayed by a fault) is recycled and counted, not fatal.
+    fn land_payload(&mut self, r: usize, rid: RecvId, payload: Vec<u8>) {
         if payload.is_empty() {
-            return; // model-only mode
+            return; // timing-only: nothing was taken
         }
-        let op = &self.ranks[r].recvs[rid.0];
-        match op.staging {
-            StagingLoc::Gpu(p) => self.staging_mems[r].write(p, payload),
-            StagingLoc::Host(p) => self.host_mems[r].write(p, payload),
-            StagingLoc::UserGpu(p) => self.gpus[r].mem.write(p, payload),
+        match self.ranks[r].recvs[rid.0].staging {
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
+                let prev = self.ranks[r].landed.insert(rid, payload);
+                debug_assert!(prev.is_none(), "a receive landed two payloads");
+                return;
+            }
+            StagingLoc::UserGpu(p) => self.gpus[r].mem.write(p, &payload),
             StagingLoc::None => self.fault_stats.spurious += 1,
         }
+        self.buf_pool.put(payload);
     }
 
     /// RDMA initiator completion: the send is done.
@@ -594,14 +630,16 @@ impl Cluster {
         }
     }
 
-    /// Apply a pack's data movement: gather the user buffer into the
-    /// staging buffer through the layout's copy plan (a byte count only,
-    /// in timing-only runs).
+    /// Apply a pack's data movement: gather the user buffer through the
+    /// layout's copy plan into a pooled buffer the send owns until issue.
+    /// Timing-only runs move nothing and take no buffer.
     pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
+        if self.data_mode == DataMode::ModelOnly {
+            return;
+        }
         let s = &self.ranks[r].sends[sid.0];
-        let out = match s.staging {
-            StagingLoc::Gpu(p) => self.staging_mems[r].bytes_mut(p),
-            StagingLoc::Host(p) => self.host_mems[r].bytes_mut(p),
+        match s.staging {
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {}
             StagingLoc::UserGpu(_) => return, // contiguous: nothing to move
             StagingLoc::None => {
                 // Unreachable by construction (begin_pack assigns staging
@@ -611,29 +649,35 @@ impl Cluster {
                 self.fault_stats.spurious += 1;
                 return;
             }
-        };
+        }
+        let len = s.packed_bytes as usize;
+        if len == 0 {
+            return;
+        }
+        let mut packed = self.buf_pool.take(len);
+        packed.resize(len, 0);
         self.gpus[r]
             .mem
-            .gather_into(&s.layout, s.user_buf.addr, s.count, out);
+            .gather_into(&s.layout, s.user_buf.addr, s.count, &mut packed);
+        self.ranks[r].packed.insert(sid, packed);
     }
 
-    /// Apply an unpack's data movement: scatter staging into the user
-    /// buffer.
+    /// Apply an unpack's data movement: scatter the receive's landed
+    /// payload into its user buffer and return the buffer to the pool.
+    /// Runs once per staged receive, when its payload lands
+    /// ([`Cluster::begin_unpack`]); timing-only runs have nothing landed.
     pub(crate) fn apply_unpack_movement(&mut self, r: usize, rid: RecvId) {
-        let op = &self.ranks[r].recvs[rid.0];
-        let data = match op.staging {
-            StagingLoc::Gpu(p) => self.staging_mems[r].read(p),
-            StagingLoc::Host(p) => self.host_mems[r].read(p),
-            StagingLoc::UserGpu(_) => return, // contiguous: payload landed in place
-            StagingLoc::None => {
-                debug_assert!(false, "unpack movement without staging");
-                self.fault_stats.spurious += 1;
-                return;
-            }
+        if self.data_mode == DataMode::ModelOnly {
+            return;
+        }
+        let Some(data) = self.ranks[r].landed.remove(&rid) else {
+            return; // an empty message: nothing was taken
         };
+        let op = &self.ranks[r].recvs[rid.0];
         self.gpus[r]
             .mem
-            .scatter_from(data, &op.layout, op.user_buf.addr, op.count);
+            .scatter_from(&data, &op.layout, op.user_buf.addr, op.count);
+        self.buf_pool.put(data);
     }
 
     /// Apply a DirectIPC receive's data movement: gather the peer GPU's

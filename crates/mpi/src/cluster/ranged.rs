@@ -59,6 +59,10 @@ impl<T> Ranged<T> {
         self.items.iter()
     }
 
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.items.iter_mut()
+    }
+
     /// Unwrap the backing storage (recompose path).
     pub fn into_vec(self) -> Vec<T> {
         self.items

@@ -5,7 +5,7 @@ use crate::cluster::RankId;
 use crate::lifecycle::{RequeueLadder, Stage};
 use crate::message::WireMsg;
 use crate::program::{Program, TypeSlot};
-use crate::sendrecv::{PackState, RecvOp, SendOp};
+use crate::sendrecv::{PackState, RecvId, RecvOp, SendId, SendOp};
 use fusedpack_core::{Scheduler, Uid};
 use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
 use fusedpack_gpu::DevPtr;
@@ -70,6 +70,14 @@ pub(crate) struct RankState {
     pub ddt_cache: LayoutCache,
     pub sends: Vec<SendOp>,
     pub recvs: Vec<RecvOp>,
+    /// Packed payload a staged send owns, from its pack until the wire
+    /// takes it at issue (RGET: until the receiver's read drains it).
+    /// `DataMode::Full` only: timing-only runs never insert, so the map
+    /// costs them nothing.
+    pub packed: IntMap<SendId, Vec<u8>>,
+    /// Payload a staged receive owns, from delivery until its unpack
+    /// scatters from it and returns it to the pool. `DataMode::Full` only.
+    pub landed: IntMap<RecvId, Vec<u8>>,
     /// Unexpected-message queue (RTS/eager that arrived before the recv).
     pub unexpected: Vec<WireMsg>,
     /// Fusion UID → owning operation.
@@ -108,6 +116,9 @@ pub(crate) struct RankState {
 
 impl RankState {
     pub fn new(id: RankId, node: u32, program: Program, layouts: Arc<LayoutTable>) -> Self {
+        // Lap records are sized from the program, so a run never grows
+        // them one lap at a time.
+        let laps = program.lap_count();
         RankState {
             id,
             node,
@@ -121,6 +132,8 @@ impl RankState {
             ddt_cache: LayoutCache::with_table(LayoutCacheConfig::default(), layouts),
             sends: Vec::new(),
             recvs: Vec::new(),
+            packed: IntMap::default(),
+            landed: IntMap::default(),
             unexpected: Vec::new(),
             uid_map: IntMap::default(),
             fusion_requeue: RequeueLadder::new(),
@@ -128,10 +141,10 @@ impl RankState {
             next_stream: 0,
             app_kernels_done: Time::ZERO,
             breakdown: Breakdown::default(),
-            laps: Vec::new(),
+            laps: Vec::with_capacity(laps),
             lap_start: Time::ZERO,
             breakdown_at_reset: Breakdown::default(),
-            lap_breakdowns: Vec::new(),
+            lap_breakdowns: Vec::with_capacity(laps),
             wait_anchor: Time::ZERO,
             tele: Telemetry::disabled(),
             wait_span: None,

@@ -71,7 +71,7 @@ impl FusionEngine {
                     // The per-request completion flag never lands; the
                     // progress engine's watchdog re-polls the ring and
                     // rescues the request one spike later. Data movement is
-                    // unaffected (it was applied at enqueue).
+                    // unaffected (it was applied before the enqueue).
                     let spike = cx.cl.fault_spike(r, FaultSite::FusedFlagLost);
                     cx.cl.fault_recovered(spike);
                     done += spike;
@@ -115,12 +115,6 @@ impl FusionEngine {
             };
             (staging, op.user_buf, op.layout.clone(), op.count)
         };
-        // Unpack data movement is applied at enqueue time: the payload is
-        // already in staging, and results only become visible at the
-        // completion event.
-        if !is_send {
-            cx.cl.apply_unpack_movement(r, RecvId(idx));
-        }
         let now = cx.cl.ranks[r].cpu;
         let sched = cx.cl.ranks[r].sched.as_mut().expect("fusion scheme");
         let (res, cost) = sched.enqueue(now, op, origin, target, layout, count, None);

@@ -61,10 +61,6 @@ impl SchemeEngine for HybridEngine {
         cx.finish_unpack(rid);
     }
 
-    fn staging_pools(&self) -> (bool, bool) {
-        (true, true)
-    }
-
     /// The receiver stages through host memory exactly when the CPU path
     /// will do the unpack (GDRCopy store loop).
     fn host_recv_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {

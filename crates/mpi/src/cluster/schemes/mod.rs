@@ -58,12 +58,6 @@ pub(crate) trait SchemeEngine: Send + Sync {
         cl.platform.progress_poll
     }
 
-    /// Which of a rank's staging pools this engine allocates from, as
-    /// `(gpu, host)`. The cluster builder backs only those.
-    fn staging_pools(&self) -> (bool, bool) {
-        (true, false)
-    }
-
     /// Should a receive of this shape stage through host memory?
     fn host_recv_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
         let _ = (cl, r, bytes, blocks);
@@ -188,6 +182,11 @@ impl Cluster {
 
     /// Start unpacking for a receive whose payload just landed in staging.
     /// Contiguous payloads already landed in the user buffer.
+    ///
+    /// A staged receive's data movement happens here, exactly once, before
+    /// the engine models the unpack: no engine path (a requeued fusion
+    /// enqueue, a synchronous fallback) can consume the landed buffer
+    /// twice or not at all.
     pub(crate) fn begin_unpack(&mut self, r: usize, rid: RecvId) {
         if matches!(self.ranks[r].recvs[rid.0].staging, StagingLoc::UserGpu(_)) {
             let rank = &mut self.ranks[r];
@@ -199,6 +198,7 @@ impl Cluster {
             self.check_unblock(r, now);
             return;
         }
+        self.apply_unpack_movement(r, rid);
         let engine = self.engine.clone();
         engine.begin_unpack(&mut PathCtx { cl: self, r }, rid);
     }
@@ -267,15 +267,9 @@ impl Cluster {
             });
     }
 
-    /// Mark a receive fully complete.
+    /// Mark a receive fully complete. Its data movement already happened
+    /// (`begin_unpack` for staged receives, the IPC paths for DirectIPC).
     fn finish_unpack(&mut self, r: usize, rid: RecvId) {
-        // Non-fusion schemes apply the scatter here (fusion and DirectIPC
-        // applied it at enqueue). DirectIPC receives never have staging.
-        if self.ranks[r].recvs[rid.0].fusion_uid.is_none()
-            && self.ranks[r].recvs[rid.0].ipc_send_id.is_none()
-        {
-            self.apply_unpack_movement(r, rid);
-        }
         let rank = &mut self.ranks[r];
         rank.recvs[rid.0]
             .lifecycle

@@ -60,10 +60,6 @@ impl SchemeEngine for NaiveEngine {
         cx.schedule(done, Event::UnpackDone(rank_id, rid));
     }
 
-    fn staging_pools(&self) -> (bool, bool) {
-        (false, true)
-    }
-
     /// Both emulated libraries always bounce through host staging.
     fn host_recv_staging(&self, _cl: &Cluster, _r: usize, _bytes: u64, _blocks: u64) -> bool {
         true

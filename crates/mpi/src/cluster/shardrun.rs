@@ -297,11 +297,7 @@ impl Cluster {
         for cl in states {
             debug_assert!(cl.wire_slab.is_empty(), "shard leaked wire messages");
             debug_assert!(cl.pending.is_empty(), "shard leaked deferred transmits");
-            let pool = cl.buf_pool.stats();
-            self.absorbed_pool.hits += pool.hits;
-            self.absorbed_pool.misses += pool.misses;
-            self.absorbed_pool.released += pool.released;
-            self.absorbed_pool.dropped += pool.dropped;
+            self.absorbed_pool.absorb(&cl.buf_pool.stats());
             self.fault_stats.merge(&cl.fault_stats);
             self.shard_stats.merge(&cl.shard_stats);
             ranks.extend(cl.ranks.into_vec());

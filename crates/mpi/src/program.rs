@@ -116,6 +116,9 @@ pub enum AppOp {
 pub struct Program {
     pub buffers: Vec<BufDecl>,
     pub ops: Vec<AppOp>,
+    /// `RecordLap` ops added through [`Program::push`]: the cluster sizes
+    /// each rank's lap records from it, so a run never grows them.
+    laps: usize,
 }
 
 impl Program {
@@ -130,8 +133,14 @@ impl Program {
     }
 
     pub fn push(&mut self, op: AppOp) -> &mut Self {
+        self.laps += usize::from(matches!(op, AppOp::RecordLap));
         self.ops.push(op);
         self
+    }
+
+    /// Laps the program records (its `RecordLap` ops).
+    pub fn lap_count(&self) -> usize {
+        self.laps
     }
 
     /// Number of Isend/Irecv operations (for sizing diagnostics).
@@ -140,43 +149,6 @@ impl Program {
             .iter()
             .filter(|op| matches!(op, AppOp::Isend { .. } | AppOp::Irecv { .. }))
             .count()
-    }
-
-    /// The most staging bytes one `Waitall` epoch of this program holds at
-    /// once: every Isend and Irecv whose data is not one contiguous run
-    /// stages its packed payload, 64-byte aligned, until the epoch's
-    /// `Waitall` frees them all. The cluster builder backs each rank's
-    /// staging pools to this mark; an engine that stages more (a replayed
-    /// fault, say) still grows them on demand.
-    pub(crate) fn staging_high_water(&self) -> u64 {
-        // Per type slot: packed bytes per element, whether one element is
-        // contiguous, and its extent (`CompiledLayout::is_contiguous_for`).
-        let mut types: Vec<Option<(u64, bool, u64)>> = Vec::new();
-        let (mut epoch, mut high) = (0u64, 0u64);
-        for op in &self.ops {
-            match op {
-                AppOp::Commit { slot, desc } => {
-                    if types.len() <= slot.0 {
-                        types.resize(slot.0 + 1, None);
-                    }
-                    types[slot.0] = Some((desc.size(), desc.is_contiguous(), desc.extent()));
-                }
-                AppOp::Isend { ty, count, .. } | AppOp::Irecv { ty, count, .. } => {
-                    let Some(&Some((size, contiguous, extent))) = types.get(ty.0) else {
-                        continue;
-                    };
-                    if !(contiguous && (*count <= 1 || extent == size)) {
-                        epoch += (size * count).max(1).next_multiple_of(64);
-                    }
-                }
-                AppOp::Waitall => {
-                    high = high.max(epoch);
-                    epoch = 0;
-                }
-                _ => {}
-            }
-        }
-        high.max(epoch)
     }
 }
 
@@ -222,51 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn staging_high_water_is_the_largest_epoch() {
+    fn lap_count_counts_record_laps() {
         let mut p = Program::new();
-        let buf = p.buffer(4096, BufInit::Zero);
-        p.push(AppOp::Commit {
-            slot: TypeSlot(0),
-            desc: TypeBuilder::vector(4, 1, 2, TypeBuilder::int()), // 16 B packed
-        });
-        p.push(AppOp::Commit {
-            slot: TypeSlot(1),
-            desc: TypeBuilder::int(),
-        });
-        let op = |send: bool, ty: usize, count: u64| {
-            let ty = TypeSlot(ty);
-            if send {
-                AppOp::Isend {
-                    buf,
-                    ty,
-                    count,
-                    dst: RankId(1),
-                    tag: 0,
-                }
-            } else {
-                AppOp::Irecv {
-                    buf,
-                    ty,
-                    count,
-                    src: RankId(1),
-                    tag: 0,
-                }
-            }
-        };
-        // Epoch 1: two strided messages, 64 B and 128 B after alignment,
-        // plus a contiguous one that goes in place (counted, it would make
-        // this epoch the larger).
-        p.push(op(false, 0, 1));
-        p.push(op(true, 0, 5));
-        p.push(op(true, 1, 100));
-        p.push(AppOp::Waitall);
-        // Epoch 2: one strided message of 16 * 9 = 144 B, 192 B aligned:
-        // without the alignment this epoch would be the larger.
-        p.push(op(true, 0, 9));
-        p.push(AppOp::Waitall);
-        assert_eq!(p.staging_high_water(), 192);
-        // An epoch left open at the end of the program counts too.
-        p.push(op(true, 0, 64));
-        assert_eq!(p.staging_high_water(), 1024);
+        p.push(AppOp::ResetTimer).push(AppOp::RecordLap);
+        p.push(AppOp::Waitall).push(AppOp::RecordLap);
+        assert_eq!(p.lap_count(), 2);
     }
 }

@@ -1,0 +1,284 @@
+//! Packed payloads move by ownership, and every byte still arrives.
+//!
+//! A staged message's packed bytes are one pooled buffer that changes
+//! owner (send → wire → receive) instead of being copied, and the staging
+//! pools only hand out addresses. Two checks guard that:
+//!
+//! * a byte-verified matrix: random datatype trees (the shared
+//!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
+//!   2 GPUs — so both the wire and, for the fused schemes, DirectIPC run —
+//!   through every registered scheme, under RPUT and RGET, with and
+//!   without a fault plan, at 1 and 2 shards. Every receive buffer, gap
+//!   bytes included, must equal host `pack` → `unpack` of the send buffer
+//!   into zeros. The cluster itself asserts at run end that no operation
+//!   still owns a payload and that the pool's takes balance its releases;
+//! * a deterministic work counter: a Full-mode halo on a 4³ torus backs
+//!   zero staging bytes, and takes exactly one pooled buffer per staged
+//!   send plus one per DirectIPC bounce.
+
+#[path = "../../datatype/tests/common/mod.rs"]
+mod common;
+
+use common::arb_type;
+use fusedpack_datatype::pack::{pack, unpack};
+use fusedpack_datatype::{CompiledLayout, TypeDesc};
+use fusedpack_gpu::DataMode;
+use fusedpack_mpi::{
+    AppOp, BufId, BufInit, ClusterBuilder, Program, RankId, RndvProtocol, SchemeRegistry, TypeSlot,
+};
+use fusedpack_net::Platform;
+use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
+use fusedpack_workloads::halo::halo_programs;
+use fusedpack_workloads::specfem::specfem3d_cm;
+use fusedpack_workloads::HaloGrid;
+use proptest::prelude::*;
+use std::sync::Arc;
+
+/// 2 nodes × 2 GPUs.
+const NODES: u32 = 2;
+const GPUS: u32 = 2;
+const RANKS: u32 = NODES * GPUS;
+const LAPS: usize = 2;
+/// Largest buffer a message may span, to keep the matrix fast in debug.
+const MAX_FOOTPRINT: u64 = 96 * 1024;
+
+/// One message shape per peer: an eager-sized and a rendezvous-sized
+/// count of the same type (the eager limit is 8 KiB).
+fn counts(layout: &CompiledLayout) -> Vec<u64> {
+    let size = layout.total_bytes(1).max(1);
+    vec![1, 8 * 1024 / size + 1]
+}
+
+/// A random type whose rendezvous-sized message stays under
+/// [`MAX_FOOTPRINT`].
+fn random_type(rng: &mut TestRng) -> Arc<TypeDesc> {
+    loop {
+        let desc = arb_type(2).generate(rng);
+        let layout = CompiledLayout::of(&desc);
+        if layout.total_bytes(1) > 0
+            && counts(&layout)
+                .iter()
+                .all(|&c| layout.footprint(c) <= MAX_FOOTPRINT)
+        {
+            return desc;
+        }
+    }
+}
+
+/// One message of a rank's program: its peer, tag (the index of its
+/// count), element count, and send and receive buffers.
+#[derive(Clone, Copy)]
+struct Msg {
+    peer: u32,
+    tag: u32,
+    count: u64,
+    send: BufId,
+    recv: BufId,
+}
+
+/// Every rank's program: `LAPS` rounds of receive-from-all, send-to-all,
+/// `Waitall`, with one message per peer and count.
+fn all_to_all(desc: &Arc<TypeDesc>) -> Vec<(Program, Vec<Msg>)> {
+    let layout = CompiledLayout::of(desc);
+    (0..RANKS)
+        .map(|r| {
+            let mut p = Program::new();
+            let mut msgs = Vec::new();
+            for peer in (0..RANKS).filter(|&q| q != r) {
+                for (tag, &count) in counts(&layout).iter().enumerate() {
+                    let len = layout.footprint(count).max(1);
+                    let seed = 1000 * u64::from(r) + 10 * u64::from(peer) + tag as u64;
+                    msgs.push(Msg {
+                        peer,
+                        tag: tag as u32,
+                        count,
+                        send: p.buffer(len, BufInit::Random(seed)),
+                        recv: p.buffer(len, BufInit::Zero),
+                    });
+                }
+            }
+            p.push(AppOp::Commit {
+                slot: TypeSlot(0),
+                desc: desc.clone(),
+            });
+            for _ in 0..LAPS {
+                p.push(AppOp::ResetTimer);
+                for m in &msgs {
+                    p.push(AppOp::Irecv {
+                        buf: m.recv,
+                        ty: TypeSlot(0),
+                        count: m.count,
+                        src: RankId(m.peer),
+                        tag: m.tag,
+                    });
+                }
+                for m in &msgs {
+                    p.push(AppOp::Isend {
+                        buf: m.send,
+                        ty: TypeSlot(0),
+                        count: m.count,
+                        dst: RankId(m.peer),
+                        tag: m.tag,
+                    });
+                }
+                p.push(AppOp::Waitall);
+                p.push(AppOp::RecordLap);
+            }
+            (p, msgs)
+        })
+        .collect()
+}
+
+/// The wire and ring faults that reach payload ownership: retried
+/// transfers, duplicated completions, and refused ring enqueues (which
+/// requeue or fall back to the synchronous path).
+fn fault_plan(seed: u64) -> FaultPlan {
+    [
+        (FaultSite::LinkDrop, 0.1),
+        (FaultSite::LinkCorrupt, 0.1),
+        (FaultSite::NicDupCompletion, 0.2),
+        (FaultSite::RingExhausted, 0.2),
+    ]
+    .into_iter()
+    .fold(FaultPlan::new(seed), |plan, (site, p)| {
+        plan.with(site, FaultSpec::with_probability(p))
+    })
+}
+
+#[test]
+fn every_scheme_delivers_host_pack_unpack_bytes() {
+    let mut rng = TestRng::new(0x0b1e_c7ed);
+    for case in 0..2 {
+        let desc = random_type(&mut rng);
+        let layout = CompiledLayout::of(&desc);
+        for scheme in SchemeRegistry::global().all() {
+            for rndv in [RndvProtocol::Rput, RndvProtocol::Rget] {
+                for faults in [false, true] {
+                    for shards in [1, 2] {
+                        let label = format!(
+                            "case {case} ({desc:?}) {} {rndv:?} faults={faults} shards={shards}",
+                            scheme.name
+                        );
+                        let programs = all_to_all(&desc);
+                        let mut builder = ClusterBuilder::new(Platform::lassen(), scheme.make())
+                            .rendezvous(rndv)
+                            .shards(shards);
+                        if faults {
+                            builder = builder.fault_plan(fault_plan(case + 7));
+                        }
+                        let mut msgs = Vec::new();
+                        for (r, (program, m)) in programs.into_iter().enumerate() {
+                            builder = builder.add_rank(r as u32 / GPUS, program);
+                            msgs.push(m);
+                        }
+                        let mut cluster = builder.build();
+                        let report = cluster.run();
+                        assert_eq!(report.lap_count(), LAPS, "{label}");
+                        assert_eq!(report.shard.shards.max(1), shards, "{label}");
+                        assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
+                        assert_eq!(cluster.staging_backed_bytes(), 0, "{label}");
+                        let pool = cluster.staging_pool_stats();
+                        assert_eq!(pool.outstanding(), 0, "{label}: {pool:?}");
+                        for (r, mine) in msgs.iter().enumerate() {
+                            for m in mine {
+                                let sent = msgs[m.peer as usize]
+                                    .iter()
+                                    .find(|s| s.peer == r as u32 && s.tag == m.tag)
+                                    .expect("the peer's matching send");
+                                let sent = cluster.rank_buffer(RankId(m.peer), sent.send);
+                                let mut want = vec![0u8; sent.len()];
+                                let packed = pack(&sent, &layout, m.count);
+                                unpack(&packed, &layout, m.count, &mut want);
+                                let got = cluster.rank_buffer(RankId(r as u32), m.recv);
+                                assert!(
+                                    got == want,
+                                    "{label}: rank {r} from {}, count {}",
+                                    m.peer,
+                                    m.count
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_full_mode_halo_backs_no_staging_and_takes_one_buffer_per_message() {
+    let grid = HaloGrid::new_3d(4, 4, 4);
+    let workload = specfem3d_cm(64);
+    let gpus = Platform::lassen().gpus_per_node;
+    let programs = halo_programs(&grid, &workload, 1, 2, 42);
+    let node = |r: u32| r / gpus;
+    // Off-node sends pack into a pooled buffer; on-node ones go DirectIPC
+    // and the receiver bounces the payload through one.
+    let (mut staged, mut bounced) = (0u64, 0u64);
+    for (r, (program, _)) in programs.iter().enumerate() {
+        for op in &program.ops {
+            if let AppOp::Isend { dst, .. } = op {
+                if node(r as u32) == node(dst.0) {
+                    bounced += 1;
+                } else {
+                    staged += 1;
+                }
+            }
+        }
+    }
+    assert!(staged > 0 && bounced > 0);
+    let mut builder = ClusterBuilder::new(
+        Platform::lassen(),
+        SchemeRegistry::global().create("proposed"),
+    )
+    .data_mode(DataMode::Full);
+    for (r, (program, _)) in programs.into_iter().enumerate() {
+        builder = builder.add_rank(node(r as u32), program);
+    }
+    let mut cluster = builder.build();
+    assert_eq!(
+        cluster.staging_backed_bytes(),
+        0,
+        "the build backs no staging"
+    );
+    cluster.run();
+    assert_eq!(
+        cluster.staging_backed_bytes(),
+        0,
+        "the run backs no staging"
+    );
+    let pool = cluster.staging_pool_stats();
+    assert_eq!(pool.hits + pool.misses, staged + bounced, "{pool:?}");
+    assert_eq!(pool.released, staged + bounced, "{pool:?}");
+}
+
+#[test]
+fn an_unmatched_eager_message_does_not_leak_its_payload() {
+    // Rank 0 sends one strided eager message that rank 1 never receives:
+    // the payload sits in rank 1's unexpected queue when the run ends.
+    let desc =
+        fusedpack_datatype::TypeBuilder::vector(8, 1, 2, fusedpack_datatype::TypeBuilder::int());
+    let mut sender = Program::new();
+    let buf = sender.buffer(64, BufInit::Random(3));
+    sender.push(AppOp::Commit {
+        slot: TypeSlot(0),
+        desc,
+    });
+    sender.push(AppOp::Isend {
+        buf,
+        ty: TypeSlot(0),
+        count: 1,
+        dst: RankId(1),
+        tag: 0,
+    });
+    sender.push(AppOp::Waitall);
+    let mut cluster = ClusterBuilder::new(
+        Platform::lassen(),
+        SchemeRegistry::global().create("gpu-sync"),
+    )
+    .add_rank(0, sender)
+    .add_rank(1, Program::new())
+    .build();
+    cluster.run();
+    assert_eq!(cluster.staging_pool_stats().outstanding(), 0);
+}

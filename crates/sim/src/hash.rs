@@ -1,7 +1,7 @@
 //! The hasher for the simulator's integer-keyed maps.
 //!
-//! Request UIDs, type handles and route keys are small integers the
-//! program mints itself, looked up on every request or send. SipHash's
+//! Request UIDs, type handles, route keys and operation indices are small
+//! integers the program mints itself, looked up on every request or send. SipHash's
 //! resistance to crafted collisions buys nothing for keys no outside input
 //! chooses, so these maps hash with one multiply-rotate per word (the
 //! FxHash step) instead. Keep the default hasher for keys read from input.
@@ -26,6 +26,10 @@ impl Hasher for IntHasher {
 
     fn write_u64(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
     }
 }
 
