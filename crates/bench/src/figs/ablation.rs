@@ -99,10 +99,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .zip(&t2_points)
     {
-        let stats = out
-            .sched
-            .as_ref()
-            .expect("fusion scheme always has sched stats");
+        let stats = out.report.sched_stats[0].expect("fusion scheme always has sched stats");
         t2.push_row(vec![
             (*label).into(),
             us(out.latency),

@@ -48,6 +48,7 @@ pub fn measure(scheme: SchemeKind) -> PhaseShiftOutcome {
         &phase_b(),
         N_MSGS,
         LAPS_PER_PHASE,
+        None,
     )
 }
 
@@ -103,8 +104,7 @@ pub fn run(cfg: &RunConfig) -> Table {
         us(adaptive.total),
         us(p1),
         us(p2),
-        adaptive
-            .sched
+        adaptive.report.sched_stats[0]
             .map(|s| s.threshold_adjusts.to_string())
             .unwrap_or_else(|| "-".into()),
     ]);
@@ -115,7 +115,6 @@ pub fn run(cfg: &RunConfig) -> Table {
 mod tests {
     use super::*;
     use fusedpack_telemetry::{Payload, Telemetry};
-    use fusedpack_workloads::run_phase_shift_traced;
 
     #[test]
     fn adaptive_matches_best_static_on_phase_change() {
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn threshold_adjust_instants_reconcile_with_sched_stats() {
         let telemetry = Telemetry::enabled();
-        let out = run_phase_shift_traced(
+        let out = run_phase_shift(
             Platform::lassen(),
             SchemeKind::fusion_adaptive(),
             &phase_a(),
@@ -152,7 +151,7 @@ mod tests {
             LAPS_PER_PHASE,
             Some(&telemetry),
         );
-        let stats = out.sched.expect("adaptive sched stats");
+        let stats = out.report.sched_stats[0].expect("adaptive sched stats");
         let snap = telemetry.snapshot();
         let rank0_adjusts = snap
             .events

@@ -23,7 +23,7 @@ use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::{
-    nas::nas_mg_y, run_exchange_chaos, specfem::specfem3d_oc, ChaosOutcome, ExchangeConfig,
+    nas::nas_mg_y, run_exchange, specfem::specfem3d_oc, ExchangeConfig, ExchangeOutcome,
 };
 
 /// Fault-site groups, one table row per (profile, rate).
@@ -66,10 +66,15 @@ fn cell_seed(master: u64, w: usize, s: usize, p: usize, r: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-fn config(scheme: SchemeKind, workload: fusedpack_workloads::Workload) -> ExchangeConfig {
+fn config(
+    scheme: SchemeKind,
+    workload: fusedpack_workloads::Workload,
+    plan: Option<FaultPlan>,
+) -> ExchangeConfig {
     let mut cfg = ExchangeConfig::new(Platform::lassen(), scheme, workload, N_MSGS);
     // Real bytes: the checksum is the point of this experiment.
     cfg.mode = DataMode::Full;
+    cfg.fault_plan = plan;
     cfg
 }
 
@@ -114,12 +119,12 @@ pub fn run(cfg: &RunConfig) -> Table {
     // Flat cell list: for each (workload, scheme) a fault-free baseline,
     // then every (profile, rate) cell. The sweep executor reassembles in
     // this order regardless of --jobs.
-    let mut cells: Vec<Cell<ChaosOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for (wname, w) in &workloads {
         for (sname, scheme) in &schemes {
-            let exchange = config(scheme.clone(), w.clone());
+            let exchange = config(scheme.clone(), w.clone(), None);
             cells.push(Cell::new(format!("{wname}/{sname}/baseline"), move || {
-                run_exchange_chaos(&exchange, None)
+                run_exchange(&exchange)
             }));
             for (pi, (pname, sites)) in PROFILES.iter().enumerate() {
                 for (ri, &rate) in RATES.iter().enumerate() {
@@ -136,10 +141,10 @@ pub fn run(cfg: &RunConfig) -> Table {
                     for &site in *sites {
                         plan = plan.with(site, FaultSpec::with_probability(rate));
                     }
-                    let exchange = config(scheme.clone(), w.clone());
+                    let exchange = config(scheme.clone(), w.clone(), Some(plan));
                     cells.push(Cell::new(
                         format!("{wname}/{sname}/{pname}@{rate}"),
-                        move || run_exchange_chaos(&exchange, Some(plan.clone())),
+                        move || run_exchange(&exchange),
                     ));
                 }
             }
@@ -154,15 +159,15 @@ pub fn run(cfg: &RunConfig) -> Table {
         for (sname, _) in &schemes {
             let base = it.next().expect("baseline outcome");
             assert!(
-                base.clamps.count == 0,
+                base.report.event_clamps.count == 0,
                 "chaos baseline for {wname}/{sname} is not clamp-free: {:?} — \
                  the fault-free reference cannot be trusted",
-                base.clamps
+                base.report.event_clamps
             );
             assert!(
-                base.faults.is_clean(),
+                base.report.fault_summary.is_clean(),
                 "fault-free baseline recorded fault activity: {:?}",
-                base.faults
+                base.report.fault_summary
             );
             t.push_row(vec![
                 (*wname).into(),
@@ -175,12 +180,12 @@ pub fn run(cfg: &RunConfig) -> Table {
                 "0".into(),
                 "0".into(),
                 "0".into(),
-                base.sched
-                    .map_or_else(|| "-".into(), |s| s.threshold_adjusts.to_string()),
+                adjusts(&base),
             ]);
             for (pname, _) in PROFILES {
                 for &rate in RATES {
                     let out = it.next().expect("chaos outcome");
+                    let faults = out.report.fault_summary;
                     t.push_row(vec![
                         (*wname).into(),
                         (*sname).into(),
@@ -193,17 +198,22 @@ pub fn run(cfg: &RunConfig) -> Table {
                         } else {
                             "DIFF".into()
                         },
-                        out.faults.injected.to_string(),
-                        out.faults.retried.to_string(),
-                        out.faults.degraded.to_string(),
-                        out.sched
-                            .map_or_else(|| "-".into(), |s| s.threshold_adjusts.to_string()),
+                        faults.injected.to_string(),
+                        faults.retried.to_string(),
+                        faults.degraded.to_string(),
+                        adjusts(&out),
                     ]);
                 }
             }
         }
     }
     t
+}
+
+/// Rank 0's committed threshold adjustments, `-` for a scheme without a
+/// fusion scheduler.
+fn adjusts(out: &ExchangeOutcome) -> String {
+    out.report.sched_stats[0].map_or_else(|| "-".into(), |s| s.threshold_adjusts.to_string())
 }
 
 #[cfg(test)]
@@ -224,11 +234,13 @@ mod tests {
     fn wire_faults_recover_with_identical_bytes() {
         // One representative cell end to end: a seeded wire profile must
         // inject, recover, and reproduce the fault-free checksum.
-        let base = run_exchange_chaos(
-            &config(SchemeKind::fusion_default(), specfem3d_oc(800)),
+        let base = run_exchange(&config(
+            SchemeKind::fusion_default(),
+            specfem3d_oc(800),
             None,
-        );
-        assert_eq!(base.clamps.count, 0, "{:?}", base.clamps);
+        ));
+        assert_eq!(base.report.event_clamps.count, 0);
+        assert!(base.checksum.is_some(), "the chaos grid moves real bytes");
         let mut plan = FaultPlan::new(cell_seed(42, 0, 0, 0, 1));
         for site in [
             FaultSite::LinkDrop,
@@ -237,11 +249,13 @@ mod tests {
         ] {
             plan = plan.with(site, FaultSpec::with_probability(0.1));
         }
-        let out = run_exchange_chaos(
-            &config(SchemeKind::fusion_default(), specfem3d_oc(800)),
+        let out = run_exchange(&config(
+            SchemeKind::fusion_default(),
+            specfem3d_oc(800),
             Some(plan),
-        );
-        assert!(out.faults.injected > 0, "{:?}", out.faults);
+        ));
+        let faults = out.report.fault_summary;
+        assert!(faults.injected > 0, "{faults:?}");
         assert_eq!(out.checksum, base.checksum, "recovery corrupted data");
         assert!(out.latency >= base.latency, "faults cannot speed a run up");
     }
@@ -257,14 +271,20 @@ mod tests {
         // degraded path to fire reliably on the per-(site, rank) streams.
         plan = plan.with(FaultSite::FusedLaunchFail, FaultSpec::with_probability(0.6));
         plan = plan.with(FaultSite::FusedFlagLost, FaultSpec::with_probability(0.3));
-        let out = run_exchange_chaos(
-            &config(SchemeKind::fusion_adaptive(), w.clone()),
+        let out = run_exchange(&config(
+            SchemeKind::fusion_adaptive(),
+            w.clone(),
             Some(plan),
-        );
-        assert!(out.faults.degraded > 0, "{:?}", out.faults);
-        let base = run_exchange_chaos(&config(SchemeKind::fusion_adaptive(), w), None);
-        let faulty = out.sched.expect("adaptive stats").threshold_adjusts;
-        let clean = base.sched.expect("adaptive stats").threshold_adjusts;
+        ));
+        let faults = out.report.fault_summary;
+        assert!(faults.degraded > 0, "{faults:?}");
+        let base = run_exchange(&config(SchemeKind::fusion_adaptive(), w, None));
+        let adjusts = |o: &ExchangeOutcome| {
+            o.report.sched_stats[0]
+                .expect("adaptive stats")
+                .threshold_adjusts
+        };
+        let (faulty, clean) = (adjusts(&out), adjusts(&base));
         assert!(
             faulty >= clean,
             "fault-induced collapse should move the controller at least as much: {faulty} vs {clean}"

@@ -21,11 +21,12 @@
 use crate::exec::{self, Cell};
 use crate::figs::RunConfig;
 use crate::table::{ratio, us, Table};
+use fusedpack_gpu::DataMode;
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo_chaos, HaloChaosOutcome, HaloConfig, HaloGrid};
+use fusedpack_workloads::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
 use std::sync::Arc;
 
 /// Torus extent per dimension (matches `reproduce topo`).
@@ -65,15 +66,10 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One grid cell: the torus halo on the Lassen-like fat tree with an
-/// optional fabric fault plan, at `grid`^3 ranks on `shards` event-loop
-/// shards.
-pub fn measure(
-    grid: u32,
-    scheme: SchemeKind,
-    plan: Option<FaultPlan>,
-    shards: u32,
-) -> HaloChaosOutcome {
+/// One grid cell: the torus halo with real bytes on the Lassen-like fat
+/// tree with an optional fabric fault plan, at `grid`^3 ranks on `shards`
+/// event-loop shards.
+pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u32) -> HaloOutcome {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
     let mut cfg = HaloConfig::new(
@@ -85,10 +81,9 @@ pub fn measure(
     )
     .with_topology(topo)
     .with_shards(shards);
-    if let Some(plan) = plan {
-        cfg = cfg.with_fault_plan(plan);
-    }
-    run_halo_chaos(&cfg)
+    cfg.mode = DataMode::Full;
+    cfg.fault_plan = plan;
+    run_halo(&cfg)
 }
 
 pub fn run(cfg: &RunConfig) -> Table {
@@ -120,7 +115,7 @@ pub fn run(cfg: &RunConfig) -> Table {
          surviving route died, forced over their pre-fault route",
     );
 
-    let mut cells: Vec<Cell<HaloChaosOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
     for (si, (sname, scheme)) in schemes().into_iter().enumerate() {
         let s = scheme.clone();
         cells.push(Cell::new(format!("{sname}/baseline"), move || {
@@ -140,17 +135,18 @@ pub fn run(cfg: &RunConfig) -> Table {
     let mut it = outcomes.into_iter();
     for (sname, _) in schemes() {
         let base = it.next().expect("baseline outcome");
+        let report = &base.report;
         assert!(
-            base.clamps.count == 0,
+            report.event_clamps.count == 0,
             "chaos-topo baseline for {sname} is not clamp-free: {:?} — \
              the fault-free reference cannot be trusted",
-            base.clamps
+            report.event_clamps
         );
         assert!(
-            base.faults.is_clean() && base.fabric.injected() == 0,
+            report.fault_summary.is_clean() && report.fabric.injected() == 0,
             "fault-free baseline recorded fault activity: {:?} / {}",
-            base.faults,
-            base.fabric
+            report.fault_summary,
+            report.fabric
         );
         t.push_row(vec![
             sname.into(),
@@ -167,6 +163,7 @@ pub fn run(cfg: &RunConfig) -> Table {
         ]);
         for &(pname, _, _) in PROFILES {
             let out = it.next().expect("chaos-topo outcome");
+            let fabric = &out.report.fabric;
             t.push_row(vec![
                 sname.into(),
                 pname.into(),
@@ -177,12 +174,12 @@ pub fn run(cfg: &RunConfig) -> Table {
                 } else {
                     "DIFF".into()
                 },
-                out.fabric.flaps.to_string(),
-                out.fabric.degrades.to_string(),
-                out.fabric.downs.to_string(),
-                out.fabric.reroutes.to_string(),
-                out.fabric.rail_failovers.to_string(),
-                out.faults.degraded.to_string(),
+                fabric.flaps.to_string(),
+                fabric.degrades.to_string(),
+                fabric.downs.to_string(),
+                fabric.reroutes.to_string(),
+                fabric.rail_failovers.to_string(),
+                out.report.fault_summary.degraded.to_string(),
             ]);
         }
     }
@@ -199,13 +196,16 @@ mod tests {
     #[test]
     fn hop_down_cell_reroutes_and_preserves_bytes() {
         let base = measure(4, SchemeKind::fusion_default(), None, 1);
-        assert_eq!(base.clamps.count, 0, "{:?}", base.clamps);
-        assert!(base.faults.is_clean() && base.fabric.injected() == 0);
+        let report = &base.report;
+        assert_eq!(report.event_clamps.count, 0, "{:?}", report.event_clamps);
+        assert!(report.fault_summary.is_clean() && report.fabric.injected() == 0);
+        assert!(base.checksum.is_some(), "the chaos grid moves real bytes");
         let plan = FaultPlan::new(cell_seed(42, 0, 2))
             .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
         let out = measure(4, SchemeKind::fusion_default(), Some(plan), 1);
-        assert!(out.fabric.downs > 0, "{}", out.fabric);
-        assert!(out.fabric.reroutes > 0, "{}", out.fabric);
+        let fabric = &out.report.fabric;
+        assert!(fabric.downs > 0, "{fabric}");
+        assert!(fabric.reroutes > 0, "{fabric}");
         assert_eq!(out.checksum, base.checksum, "reroute corrupted data");
         assert!(out.latency >= base.latency, "faults cannot speed a run up");
     }
@@ -222,10 +222,10 @@ mod tests {
         };
         let single = cell(1);
         let sharded = cell(4);
-        assert!(sharded.shard_barriers > 0, "sharding engaged");
+        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
         assert_eq!(single.latency, sharded.latency);
-        assert_eq!(single.faults, sharded.faults);
-        assert_eq!(single.fabric, sharded.fabric);
+        assert_eq!(single.report.fault_summary, sharded.report.fault_summary);
+        assert_eq!(single.report.fabric, sharded.report.fabric);
         assert_eq!(single.checksum, sharded.checksum);
     }
 }

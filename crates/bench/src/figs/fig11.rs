@@ -4,13 +4,10 @@
 use crate::exec::{self, Cell};
 use crate::figs::RunConfig;
 use crate::table::{us, Table};
-use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{Breakdown, SchemeKind};
 use fusedpack_net::Platform;
 use fusedpack_telemetry::Telemetry;
-use fusedpack_workloads::{
-    milc::milc_su3_zdown, run_exchange, run_exchange_traced, ExchangeConfig,
-};
+use fusedpack_workloads::{milc::milc_su3_zdown, run_exchange, ExchangeConfig};
 
 /// Medium MILC lattice: enough work that every bucket is visible.
 pub const LATTICE: u64 = 8;
@@ -23,15 +20,7 @@ pub fn schemes() -> Vec<SchemeKind> {
 
 /// The configuration of one Fig. 11 cell.
 pub fn config(scheme: SchemeKind) -> ExchangeConfig {
-    ExchangeConfig {
-        platform: Platform::abci(),
-        scheme,
-        workload: milc_su3_zdown(LATTICE),
-        n_msgs: N_MSGS,
-        warmup_laps: 1,
-        measured_laps: 1,
-        mode: DataMode::ModelOnly,
-    }
+    ExchangeConfig::new(Platform::abci(), scheme, milc_su3_zdown(LATTICE), N_MSGS)
 }
 
 /// Measure the per-iteration breakdown for one scheme.
@@ -46,8 +35,9 @@ pub fn breakdown_for(scheme: SchemeKind) -> Breakdown {
 /// timeline can be reconciled against with [`fusedpack_telemetry::reconcile`].
 pub fn traced_run() -> (Telemetry, Vec<Breakdown>) {
     let telemetry = Telemetry::enabled();
-    let (_, breakdowns) = run_exchange_traced(&config(SchemeKind::fusion_default()), &telemetry);
-    (telemetry, breakdowns)
+    let mut cfg = config(SchemeKind::fusion_default());
+    cfg.telemetry = Some(telemetry.clone());
+    (telemetry, run_exchange(&cfg).report.breakdowns)
 }
 
 pub fn run(cfg: &RunConfig) -> Table {

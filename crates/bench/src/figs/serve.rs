@@ -142,11 +142,11 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             health.push_row(vec![
                 (*slabel).into(),
                 (*glabel).into(),
-                out.wire_high_water.to_string(),
-                out.wheel.slab_high_water.to_string(),
-                out.wheel.overflow_hits.to_string(),
+                out.report.wire_high_water.to_string(),
+                out.report.wheel.slab_high_water.to_string(),
+                out.report.wheel.overflow_hits.to_string(),
             ]);
-            let lc = &out.layout_cache;
+            let lc = &out.report.layout_cache;
             cache.push_row(vec![
                 (*slabel).into(),
                 (*glabel).into(),
@@ -214,12 +214,9 @@ mod tests {
     #[test]
     fn layout_cache_hit_rate_exceeds_99_percent() {
         let out = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
-        assert!(
-            out.layout_cache.hit_rate() >= 0.99,
-            "hit rate {}",
-            out.layout_cache.hit_rate()
-        );
-        assert_eq!(out.layout_cache.evictions(), 0);
+        let lc = &out.report.layout_cache;
+        assert!(lc.hit_rate() >= 0.99, "hit rate {}", lc.hit_rate());
+        assert_eq!(lc.evictions(), 0);
     }
 
     /// Fusion's throughput advantage survives sustained load.

@@ -159,7 +159,7 @@ mod tests {
                 fused.latency,
                 gpu.latency
             );
-            assert_eq!(fused.ranks, 512);
+            assert_eq!(fused.report.laps.len(), 512);
             assert!(fused.hop_bytes > 0, "topology traffic accounted");
             speedups.push(gpu.latency.as_nanos() as f64 / fused.latency.as_nanos() as f64);
         }

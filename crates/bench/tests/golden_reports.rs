@@ -106,7 +106,10 @@ fn explicit_flat_topology_is_bit_identical_to_default() {
         "FlatLink must not move timing"
     );
     assert_eq!(default.lap_latencies, flat.lap_latencies);
-    assert_eq!(default.events, flat.events);
+    assert_eq!(
+        default.report.events_processed,
+        flat.report.events_processed
+    );
     assert!(
         default.hop_bytes > 0,
         "the default fabric accounts its hops"

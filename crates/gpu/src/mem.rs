@@ -187,18 +187,25 @@ impl MemPool {
     ///
     /// Panics in `Full` mode if any byte of `ptr` was never allocated.
     pub fn write(&mut self, ptr: DevPtr, data: &[u8]) {
-        if self.mode == DataMode::ModelOnly {
-            return;
-        }
-        assert_eq!(
-            data.len() as u64,
-            ptr.len,
+        assert!(
+            self.mode == DataMode::ModelOnly || data.len() as u64 == ptr.len,
             "write length mismatch: {} vs {:?}",
             data.len(),
             ptr
         );
+        self.write_with(ptr, |bytes| bytes.copy_from_slice(data));
+    }
+
+    /// Let `fill` write the bytes behind `ptr` in place, with no staging
+    /// copy. `fill` does not run in `ModelOnly` mode.
+    ///
+    /// Panics in `Full` mode if any byte of `ptr` was never allocated.
+    pub fn write_with(&mut self, ptr: DevPtr, fill: impl FnOnce(&mut [u8])) {
+        if self.mode == DataMode::ModelOnly {
+            return;
+        }
         let range = self.backed(ptr);
-        self.bytes[range].copy_from_slice(data);
+        fill(&mut self.bytes[range]);
     }
 
     /// Gather `count` elements of `layout` based at `base` into the

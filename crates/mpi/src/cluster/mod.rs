@@ -206,8 +206,6 @@ impl ClusterBuilder {
         let mut gpus = Vec::new();
         let mut staging_mems = Vec::new();
         let mut host_mems = Vec::new();
-        // One scratch buffer reused across every random-init declaration.
-        let mut init_scratch = Vec::new();
         // Each rank occupies the next GPU slot on its node, in add order.
         let mut endpoints = Vec::new();
         let mut node_slots: HashMap<u32, u32> = HashMap::new();
@@ -232,20 +230,13 @@ impl ClusterBuilder {
             }
             let mut rank =
                 RankState::new(RankId(idx as u32), node, program, Arc::clone(&layout_table));
-            // Allocate and initialize declared buffers.
-            for decl in rank.program.buffers.clone() {
+            // Allocate and initialize declared buffers; random bytes go
+            // straight into the pool (timing-only pools skip the fill).
+            for decl in &rank.program.buffers {
                 let ptr = gpu.mem.alloc(decl.len, 64);
-                match decl.init {
-                    BufInit::Zero => {}
-                    BufInit::Random(seed) => {
-                        if self.data_mode == DataMode::Full {
-                            let mut rng = Pcg32::new(seed, idx as u64);
-                            init_scratch.clear();
-                            init_scratch.resize(decl.len as usize, 0);
-                            rng.fill_bytes(&mut init_scratch);
-                            gpu.mem.write(ptr, &init_scratch);
-                        }
-                    }
+                if let BufInit::Random(seed) = decl.init {
+                    gpu.mem
+                        .write_with(ptr, |bytes| Pcg32::new(seed, idx as u64).fill_bytes(bytes));
                 }
                 rank.bufs.push(ptr);
             }
@@ -654,11 +645,16 @@ impl Cluster {
         }
     }
 
-    /// Read back a rank's buffer (tests verify end-to-end transfers).
+    /// Borrow a rank's buffer (empty in `ModelOnly` mode): the receive
+    /// digest of the workload drivers reads it without a copy.
+    pub fn rank_bytes(&self, rank: RankId, buf: crate::program::BufId) -> &[u8] {
+        let ptr = self.ranks[rank.0 as usize].bufs[buf.0];
+        self.gpus[rank.0 as usize].mem.read(ptr)
+    }
+
+    /// Copy out a rank's buffer (tests verify end-to-end transfers).
     pub fn rank_buffer(&self, rank: RankId, buf: crate::program::BufId) -> Vec<u8> {
-        let r = &self.ranks[rank.0 as usize];
-        let ptr = r.bufs[buf.0];
-        self.gpus[rank.0 as usize].mem.read(ptr).to_vec()
+        self.rank_bytes(rank, buf).to_vec()
     }
 
     fn dispatch(&mut self, t: Time, ev: Event) {

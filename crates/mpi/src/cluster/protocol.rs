@@ -680,24 +680,26 @@ impl Cluster {
         self.buf_pool.put(data);
     }
 
-    /// Apply a DirectIPC receive's data movement: gather the peer GPU's
-    /// buffer at `origin` into a pooled bounce buffer and scatter it into
-    /// the local user buffer. The sender's layout is taken to equal the
-    /// receiver's committed layout — valid for MPI's matched-signature
-    /// transfers; a full implementation would ship the sender's
-    /// cached-layout handle in the RTS, as [24] does for its IPC cache
-    /// exchange. Timing-only runs move nothing and take no buffer.
+    /// Apply a DirectIPC receive's data movement: gather the sender's
+    /// buffer at `origin` through the send's own layout and count into a
+    /// pooled bounce buffer, then scatter it into the local user buffer
+    /// through the receive's. The two layouts may differ: MPI matches type
+    /// signatures, not layouts. The send is reached through the receive's
+    /// `ipc_send_id`; same-node ranks always share a shard, so its state is
+    /// local. Timing-only runs move nothing and take no buffer.
     pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {
         if self.data_mode == DataMode::ModelOnly {
             return;
         }
         let op = &self.ranks[r].recvs[rid.0];
-        let len = op.layout.total_bytes(op.count) as usize;
+        let sid = op.ipc_send_id.expect("a DirectIPC receive names its send");
+        let send = &self.ranks[src].sends[sid.0];
+        let len = send.layout.total_bytes(send.count) as usize;
         let mut packed = self.buf_pool.take(len);
         packed.resize(len, 0);
         self.gpus[src]
             .mem
-            .gather_into(&op.layout, origin, op.count, &mut packed);
+            .gather_into(&send.layout, origin, send.count, &mut packed);
         self.gpus[r]
             .mem
             .scatter_from(&packed, &op.layout, op.user_buf.addr, op.count);

@@ -12,6 +12,10 @@
 //!   bytes included, must equal host `pack` → `unpack` of the send buffer
 //!   into zeros. The cluster itself asserts at run end that no operation
 //!   still owns a payload and that the pool's takes balance its releases;
+//! * a mixed-layout pair: a strided send received as a contiguous type of
+//!   the same signature, through every scheme, with the ranks on one node
+//!   (DirectIPC for the fused schemes) and on two; each receive must equal
+//!   host `pack` → `unpack` of the send, whichever layout each side uses;
 //! * a deterministic work counter: a Full-mode halo on a 4³ torus backs
 //!   zero staging bytes, and takes exactly one pooled buffer per staged
 //!   send plus one per DirectIPC bounce.
@@ -200,6 +204,69 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_send_and_receive_layouts_deliver_the_sent_bytes() {
+    // 4 messages of one vector(64, 8, 32, double) each way, received as
+    // contiguous(512, double): equal signatures, different layouts.
+    const MSGS: u32 = 4;
+    let double = fusedpack_datatype::TypeBuilder::double;
+    let send_ty = fusedpack_datatype::TypeBuilder::vector(64, 8, 32, double());
+    let recv_ty = fusedpack_datatype::TypeBuilder::contiguous(512, double());
+    let (send_layout, recv_layout) = (CompiledLayout::of(&send_ty), CompiledLayout::of(&recv_ty));
+    assert_eq!(send_layout.total_bytes(1), recv_layout.total_bytes(1));
+    let program = |desc: &Arc<TypeDesc>, init: fn(u32) -> BufInit, send: bool| {
+        let mut p = Program::new();
+        let len = CompiledLayout::of(desc).footprint(1);
+        let bufs: Vec<BufId> = (0..MSGS).map(|i| p.buffer(len, init(i))).collect();
+        p.push(AppOp::Commit {
+            slot: TypeSlot(0),
+            desc: desc.clone(),
+        });
+        for (i, &buf) in bufs.iter().enumerate() {
+            let (ty, count, tag) = (TypeSlot(0), 1, i as u32);
+            p.push(if send {
+                AppOp::Isend {
+                    buf,
+                    ty,
+                    count,
+                    dst: RankId(1),
+                    tag,
+                }
+            } else {
+                AppOp::Irecv {
+                    buf,
+                    ty,
+                    count,
+                    src: RankId(0),
+                    tag,
+                }
+            });
+        }
+        p.push(AppOp::Waitall);
+        (p, bufs)
+    };
+    for scheme in SchemeRegistry::global().all() {
+        for nodes in [1, 2] {
+            let label = format!("{} on {nodes} node(s)", scheme.name);
+            let (sender, sent) = program(&send_ty, |i| BufInit::Random(40 + u64::from(i)), true);
+            let (receiver, recvd) = program(&recv_ty, |_| BufInit::Zero, false);
+            let mut cluster = ClusterBuilder::new(Platform::lassen(), scheme.make())
+                .data_mode(DataMode::Full)
+                .add_rank(0, sender)
+                .add_rank(nodes - 1, receiver)
+                .build();
+            cluster.run();
+            for (&s, &r) in sent.iter().zip(&recvd) {
+                let got = cluster.rank_buffer(RankId(1), r);
+                let mut want = vec![0u8; got.len()];
+                let packed = pack(&cluster.rank_buffer(RankId(0), s), &send_layout, 1);
+                unpack(&packed, &recv_layout, 1, &mut want);
+                assert!(got == want, "{label}: message {}", s.0);
             }
         }
     }

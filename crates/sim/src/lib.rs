@@ -4,7 +4,7 @@
 //! crate in the `fusedpack` workspace to model a GPU cluster: virtual time in
 //! nanoseconds, an event queue with stable FIFO ordering for simultaneous
 //! events, FIFO resources (streams, links, copy engines), a seedable RNG, and
-//! statistics accumulators.
+//! fast hashing of program-minted keys and of byte buffers.
 //!
 //! The engine is intentionally generic: it knows nothing about GPUs or MPI.
 //! Higher layers define their own event payload type and drive the loop.
@@ -24,14 +24,12 @@ pub mod resource;
 pub mod rng;
 pub mod shard;
 pub mod slab;
-pub mod stats;
 
 pub use clock::{Duration, Time};
 pub use event::{ClampStats, EventQueue, WheelStats};
 pub use fault::{splitmix64, FaultPlan, FaultSite, FaultSpec, FaultSummary, RetryPolicy};
-pub use hash::{IntHasher, IntMap};
+pub use hash::{digest, IntHasher, IntMap};
 pub use resource::FifoResource;
 pub use rng::Pcg32;
 pub use shard::ShardStats;
 pub use slab::Slab;
-pub use stats::{Accumulator, Summary};

@@ -1,13 +1,20 @@
-//! The benchmark driver: one call per (platform, scheme, workload) cell.
+//! The benchmark drivers: one call per (platform, scheme, workload) cell.
+//!
+//! Every driver takes the same path: build a cluster from its config, run
+//! it, and measure the run through one helper. An outcome keeps only what
+//! it derives — lap latencies and their mean, averaged breakdowns,
+//! percentiles, hop totals, the receive digest — and carries the run's
+//! [`RunReport`] for everything else (events, scheduler statistics,
+//! faults, clamps, fabric health, shard barriers, per-rank breakdowns).
 
 use crate::bulk::{bulk_exchange_programs, phase_shift_programs};
 use crate::Workload;
-use fusedpack_core::SchedStats;
 use fusedpack_gpu::DataMode;
-use fusedpack_mpi::{Breakdown, ClusterBuilder, RankId, SchemeKind};
+use fusedpack_mpi::{Breakdown, BufId, Cluster, ClusterBuilder, RankId, RunReport, SchemeKind};
 use fusedpack_net::Platform;
-use fusedpack_sim::{ClampStats, Duration, FaultPlan, FaultSummary};
+use fusedpack_sim::{digest, Duration, FaultPlan};
 use fusedpack_telemetry::Telemetry;
+use std::ops::Range;
 
 /// Configuration of one exchange measurement.
 #[derive(Clone)]
@@ -21,15 +28,22 @@ pub struct ExchangeConfig {
     pub warmup_laps: usize,
     /// Iterations measured.
     pub measured_laps: usize,
-    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real.
+    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
+    /// outcome's checksum covers them).
     pub mode: DataMode,
+    /// Fault plan armed on the cluster (the chaos harness). `None` runs
+    /// fault-free.
+    pub fault_plan: Option<FaultPlan>,
+    /// Live recorder the cluster's events land in (tagged per rank);
+    /// `None` records nothing.
+    pub telemetry: Option<Telemetry>,
 }
 
 impl ExchangeConfig {
     /// The defaults used by the figure harnesses: one warm-up iteration,
     /// one measured iteration (the simulation is deterministic, so the
     /// paper's 500-iteration averaging collapses to a single warm lap),
-    /// timing-only memory.
+    /// timing-only memory, no faults, no recorder.
     pub fn new(platform: Platform, scheme: SchemeKind, workload: Workload, n_msgs: usize) -> Self {
         ExchangeConfig {
             platform,
@@ -39,11 +53,13 @@ impl ExchangeConfig {
             warmup_laps: 1,
             measured_laps: 1,
             mode: DataMode::ModelOnly,
+            fault_plan: None,
+            telemetry: None,
         }
     }
 }
 
-/// Results of one measurement.
+/// Results of one exchange measurement.
 #[derive(Debug, Clone)]
 pub struct ExchangeOutcome {
     /// Mean makespan of the measured iterations — the paper's reported
@@ -54,153 +70,54 @@ pub struct ExchangeOutcome {
     /// Per-iteration cost buckets, summed over both ranks and averaged
     /// over measured iterations (Fig. 11).
     pub breakdown: Breakdown,
-    /// Fusion scheduler statistics (rank 0), if the scheme fuses.
-    pub sched: Option<SchedStats>,
-    /// Total kernel launches across both GPUs over the whole run.
-    pub kernels: u64,
+    /// Digest of both ranks' receive buffers (rank 0's first); `Some` only
+    /// in `DataMode::Full`. A faulty run recovered correctly iff its
+    /// checksum equals the fault-free run's.
+    pub checksum: Option<u64>,
+    /// The whole run's report.
+    pub report: RunReport,
 }
 
 /// Run one bulk-exchange measurement.
 pub fn run_exchange(cfg: &ExchangeConfig) -> ExchangeOutcome {
-    run_exchange_with(cfg, None).0
-}
-
-/// Run one bulk-exchange measurement with a live telemetry recorder.
-///
-/// The recorder is shared: the cluster's events land in the caller's
-/// `Telemetry` handle (tagged per rank internally). Also returns the
-/// per-rank whole-run [`Breakdown`]s — the external ledger a caller can
-/// [`fusedpack_telemetry::reconcile`] the recorded timeline against.
-pub fn run_exchange_traced(
-    cfg: &ExchangeConfig,
-    telemetry: &Telemetry,
-) -> (ExchangeOutcome, Vec<Breakdown>) {
-    run_exchange_with(cfg, Some(telemetry))
-}
-
-fn run_exchange_with(
-    cfg: &ExchangeConfig,
-    telemetry: Option<&Telemetry>,
-) -> (ExchangeOutcome, Vec<Breakdown>) {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let ((p0, _), (p1, _)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(cfg.mode)
-        .add_rank(0, p0)
-        .add_rank(1, p1);
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
-
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-
-    // Sum both ranks' per-lap breakdowns over the measured laps, averaged.
-    let mut breakdown = Breakdown::default();
-    for rank_laps in &report.lap_breakdowns {
-        for lap in rank_laps.iter().skip(cfg.warmup_laps) {
-            breakdown += *lap;
-        }
-    }
-    let breakdown = if cfg.measured_laps > 0 {
-        scale_breakdown(&breakdown, cfg.measured_laps as u64)
-    } else {
-        breakdown
-    };
-
-    let outcome = ExchangeOutcome {
-        latency: mean,
-        lap_latencies: measured,
-        breakdown,
-        sched: report.sched_stats[0],
-        kernels: report.kernels_launched.iter().sum(),
-    };
-    (outcome, report.breakdowns)
-}
-
-/// Results of one fault-injected (or fault-free reference) measurement.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// Mean makespan of the measured iterations.
-    pub latency: Duration,
-    /// Individual measured-iteration makespans.
-    pub lap_latencies: Vec<Duration>,
-    /// Fusion scheduler statistics (rank 0), if the scheme fuses.
-    pub sched: Option<SchedStats>,
-    /// What the fault plan did to this run.
-    pub faults: FaultSummary,
-    /// Past-event clamps the event queue had to repair. Must be zero on a
-    /// fault-free run — the chaos report fails its baseline otherwise.
-    pub clamps: ClampStats,
-    /// FNV-1a over both ranks' receive buffers (rank 0's first), the
-    /// end-to-end data-integrity fingerprint. Only meaningful with
-    /// `DataMode::Full`; a faulty run recovered correctly iff its checksum
-    /// equals the fault-free run's.
-    pub checksum: u64,
-}
-
-/// Run one bulk-exchange measurement under an optional fault plan,
-/// returning latency plus integrity evidence (checksum, fault summary,
-/// clamp stats). Pass `cfg.mode = DataMode::Full` so the checksum covers
-/// real bytes.
-pub fn run_exchange_chaos(cfg: &ExchangeConfig, plan: Option<FaultPlan>) -> ChaosOutcome {
     let laps = cfg.warmup_laps + cfg.measured_laps;
     let ((p0, b0), (p1, b1)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(cfg.mode)
-        .add_rank(0, p0)
-        .add_rank(1, p1);
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
+    let mut cluster = builder(
+        &cfg.platform,
+        &cfg.scheme,
+        cfg.mode,
+        cfg.fault_plan.as_ref(),
+        cfg.telemetry.as_ref(),
+    )
+    .add_rank(0, p0)
+    .add_rank(1, p1)
+    .build();
+    let recv = [(RankId(0), b0.recv), (RankId(1), b1.recv)]
+        .into_iter()
+        .flat_map(|(rank, bufs)| bufs.into_iter().map(move |buf| (rank, buf)));
+    let m = measure(&mut cluster, cfg.warmup_laps..laps, recv);
 
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for (rank, bufs) in [(RankId(0), &b0), (RankId(1), &b1)] {
-        for &buf in &bufs.recv {
-            for byte in cluster.rank_buffer(rank, buf) {
-                checksum ^= byte as u64;
-                checksum = checksum.wrapping_mul(0x0100_0000_01b3);
-            }
+    // Sum both ranks' per-lap breakdowns over the measured laps, averaged.
+    let mut sum = Breakdown::default();
+    for rank_laps in &m.report.lap_breakdowns {
+        for lap in rank_laps.iter().skip(cfg.warmup_laps) {
+            sum += *lap;
         }
     }
-
-    if report.event_clamps.count > 0 {
-        // A clamp means the simulator rewrote a computed timestamp —
-        // harmless for liveness but a red flag for timing fidelity. Shout
-        // on stderr so table/CSV bytes stay stable.
-        eprintln!(
-            "WARNING: {} event clamp(s) (total skew {}) during a chaos cell — \
-             timing fidelity is degraded",
-            report.event_clamps.count, report.event_clamps.total_skew
-        );
-    }
-
-    ChaosOutcome {
-        latency: mean,
-        lap_latencies: measured,
-        sched: report.sched_stats[0],
-        faults: report.fault_summary,
-        clamps: report.event_clamps,
-        checksum,
+    let div = cfg.measured_laps.max(1) as u64;
+    let breakdown = Breakdown {
+        pack: sum.pack / div,
+        launch: sum.launch / div,
+        scheduling: sum.scheduling / div,
+        sync: sum.sync / div,
+        comm: sum.comm / div,
+    };
+    ExchangeOutcome {
+        latency: m.latency,
+        lap_latencies: m.laps,
+        breakdown,
+        checksum: m.checksum,
+        report: m.report,
     }
 }
 
@@ -213,27 +130,15 @@ pub struct PhaseShiftOutcome {
     pub total: Duration,
     /// Per-lap makespans, phase 1 laps first.
     pub lap_latencies: Vec<Duration>,
-    /// Fusion scheduler statistics (rank 0), if the scheme fuses.
-    pub sched: Option<SchedStats>,
+    /// The whole run's report.
+    pub report: RunReport,
 }
 
 /// Run a bulk exchange whose datatype shifts from workload `a` to workload
 /// `b` after `laps_per_phase` iterations (see
-/// [`crate::bulk::phase_shift_programs`]).
+/// [`crate::bulk::phase_shift_programs`]), recording into `telemetry` when
+/// one is given.
 pub fn run_phase_shift(
-    platform: Platform,
-    scheme: SchemeKind,
-    a: &Workload,
-    b: &Workload,
-    n_msgs: usize,
-    laps_per_phase: usize,
-) -> PhaseShiftOutcome {
-    run_phase_shift_traced(platform, scheme, a, b, n_msgs, laps_per_phase, None)
-}
-
-/// [`run_phase_shift`] with an optional live telemetry recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_shift_traced(
     platform: Platform,
     scheme: SchemeKind,
     a: &Workload,
@@ -243,32 +148,83 @@ pub fn run_phase_shift_traced(
     telemetry: Option<&Telemetry>,
 ) -> PhaseShiftOutcome {
     let (p0, p1) = phase_shift_programs(a, b, n_msgs, laps_per_phase, 7);
-    let mut builder = ClusterBuilder::new(platform, scheme)
-        .data_mode(DataMode::ModelOnly)
+    let mut cluster = builder(&platform, &scheme, DataMode::ModelOnly, None, telemetry)
         .add_rank(0, p0)
-        .add_rank(1, p1);
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
-
-    let laps = 2 * laps_per_phase;
-    let lap_latencies: Vec<Duration> = (0..laps).map(|i| report.lap_makespan(i)).collect();
+        .add_rank(1, p1)
+        .build();
+    let m = measure(&mut cluster, 0..2 * laps_per_phase, []);
     PhaseShiftOutcome {
-        total: lap_latencies.iter().copied().sum(),
-        lap_latencies,
-        sched: report.sched_stats[0],
+        total: m.laps.iter().copied().sum(),
+        lap_latencies: m.laps,
+        report: m.report,
     }
 }
 
-fn scale_breakdown(b: &Breakdown, div: u64) -> Breakdown {
-    Breakdown {
-        pack: b.pack / div,
-        launch: b.launch / div,
-        scheduling: b.scheduling / div,
-        sync: b.sync / div,
-        comm: b.comm / div,
+/// A cluster builder armed with the settings the driver configs share.
+pub(crate) fn builder(
+    platform: &Platform,
+    scheme: &SchemeKind,
+    mode: DataMode,
+    fault_plan: Option<&FaultPlan>,
+    telemetry: Option<&Telemetry>,
+) -> ClusterBuilder {
+    let mut builder = ClusterBuilder::new(platform.clone(), scheme.clone()).data_mode(mode);
+    if let Some(plan) = fault_plan {
+        builder = builder.fault_plan(plan.clone());
+    }
+    if let Some(t) = telemetry {
+        builder = builder.telemetry(t.clone());
+    }
+    builder
+}
+
+/// What [`measure`] reads off one run.
+pub(crate) struct Measured {
+    /// Mean of `laps`.
+    pub latency: Duration,
+    /// Makespans of the measured laps, in order.
+    pub laps: Vec<Duration>,
+    /// Digest of the receive buffers; `None` in `DataMode::ModelOnly`.
+    pub checksum: Option<u64>,
+    pub report: RunReport,
+}
+
+/// Run `cluster` and measure it: the makespans of the laps in `measured`
+/// and their mean, and in `DataMode::Full` the digest of the `recv`
+/// buffers, read in place in the order given.
+pub(crate) fn measure(
+    cluster: &mut Cluster,
+    measured: Range<usize>,
+    recv: impl IntoIterator<Item = (RankId, BufId)>,
+) -> Measured {
+    let report = cluster.run();
+    if report.event_clamps.count > 0 {
+        // A clamp means the simulator rewrote a computed timestamp —
+        // harmless for liveness but a red flag for timing fidelity. Shout
+        // on stderr so table/CSV bytes stay stable.
+        eprintln!(
+            "WARNING: {} event clamp(s) (total skew {}) — timing fidelity is degraded",
+            report.event_clamps.count, report.event_clamps.total_skew
+        );
+    }
+    let laps: Vec<Duration> = measured.map(|i| report.lap_makespan(i)).collect();
+    let latency = if laps.is_empty() {
+        Duration::ZERO
+    } else {
+        laps.iter().copied().sum::<Duration>() / laps.len() as u64
+    };
+    let checksum = (cluster.mode() == DataMode::Full).then(|| {
+        let cluster = &*cluster;
+        digest(
+            recv.into_iter()
+                .map(|(rank, buf)| cluster.rank_bytes(rank, buf)),
+        )
+    });
+    Measured {
+        latency,
+        laps,
+        checksum,
+        report,
     }
 }
 
@@ -344,8 +300,9 @@ mod tests {
             &nas_mg_y(384),
             16,
             6,
+            None,
         );
-        let stats = out.sched.expect("adaptive fusion keeps sched stats");
+        let stats = out.report.sched_stats[0].expect("adaptive fusion keeps sched stats");
         assert!(stats.kernels_launched > 0);
         assert!(
             stats.threshold_adjusts > 0,
@@ -367,16 +324,41 @@ mod tests {
             &nas_mg_y(384),
             8,
             2,
+            None,
         );
-        assert_eq!(out.sched.expect("fusion stats").threshold_adjusts, 0);
+        assert_eq!(
+            out.report.sched_stats[0]
+                .expect("fusion stats")
+                .threshold_adjusts,
+            0
+        );
     }
 
     #[test]
     fn outcome_carries_diagnostics() {
         let out = run(SchemeKind::fusion_default(), specfem3d_oc(500), 8);
-        let stats = out.sched.expect("fusion stats");
+        let stats = out.report.sched_stats[0].expect("fusion stats");
         assert!(stats.enqueued >= 16, "8 packs + 8 unpacks per rank");
-        assert!(out.kernels > 0);
+        assert!(out.report.kernels_launched.iter().sum::<u64>() > 0);
         assert!(out.breakdown.total().as_nanos() > 0);
+    }
+
+    #[test]
+    fn checksum_is_reported_only_for_real_bytes() {
+        let mut cfg = ExchangeConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_oc(200),
+            4,
+        );
+        assert_eq!(
+            run_exchange(&cfg).checksum,
+            None,
+            "ModelOnly moves no bytes"
+        );
+        cfg.mode = DataMode::Full;
+        let full = run_exchange(&cfg);
+        assert!(full.checksum.is_some());
+        assert_eq!(full.checksum, run_exchange(&cfg).checksum, "deterministic");
     }
 }

@@ -14,12 +14,12 @@
 //! size 2 the +/- neighbors are the same rank, and the opposite-direction
 //! tags are exactly what keeps those two streams apart.
 
-use crate::Workload;
+use crate::{driver, Workload};
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
-use fusedpack_net::{FabricHealth, Platform, TopologyHandle};
-use fusedpack_sim::{ClampStats, Duration, FaultPlan, FaultSummary};
+use fusedpack_mpi::{AppOp, BufId, Program, RankId, RunReport, SchemeKind, TypeSlot};
+use fusedpack_net::{Platform, TopologyHandle};
+use fusedpack_sim::{Duration, FaultPlan};
 use fusedpack_telemetry::Telemetry;
 
 /// A Cartesian process grid. Dimensions of size 1 are inactive (a 2-D
@@ -202,6 +202,9 @@ pub struct HaloConfig {
     pub n_msgs: usize,
     pub warmup_laps: usize,
     pub measured_laps: usize,
+    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
+    /// outcome's checksum covers them).
+    pub mode: DataMode,
     /// Route transfers through a topology; `None` runs the cluster's
     /// default flat fabric ([`fusedpack_net::FlatLink`]).
     pub topology: Option<TopologyHandle>,
@@ -212,9 +215,14 @@ pub struct HaloConfig {
     /// Fault plan armed on the cluster (the chaos harness). `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
+    /// Live recorder the cluster's events land in (tagged per rank);
+    /// `None` records nothing.
+    pub telemetry: Option<Telemetry>,
 }
 
 impl HaloConfig {
+    /// One warm-up and one measured lap, timing-only memory on the flat
+    /// fabric, single-queue, no faults, no recorder.
     pub fn new(
         platform: Platform,
         scheme: SchemeKind,
@@ -230,9 +238,11 @@ impl HaloConfig {
             n_msgs,
             warmup_laps: 1,
             measured_laps: 1,
+            mode: DataMode::ModelOnly,
             topology: None,
             shards: 1,
             fault_plan: None,
+            telemetry: None,
         }
     }
 
@@ -245,11 +255,6 @@ impl HaloConfig {
         self.shards = shards.max(1);
         self
     }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
 }
 
 /// Results of one halo measurement.
@@ -258,10 +263,6 @@ pub struct HaloOutcome {
     /// Mean makespan of the measured iterations across all ranks.
     pub latency: Duration,
     pub lap_latencies: Vec<Duration>,
-    /// Ranks that ran.
-    pub ranks: u32,
-    /// Simulation events processed (scale diagnostics).
-    pub events: u64,
     /// Busiest hop's total occupancy.
     pub busiest_hop_busy: Duration,
     /// Bytes summed over every hop of the fabric (the flat one when no
@@ -270,149 +271,48 @@ pub struct HaloOutcome {
     /// Hop-level start-time order violations observed by the network
     /// (must stay zero under sharding).
     pub order_violations: u64,
-    /// Window barriers the sharded coordinator ran (zero single-queue).
-    pub shard_barriers: u64,
+    /// Digest of every rank's receive buffers in (rank, neighbor, message)
+    /// order; `Some` only in `DataMode::Full`. A faulty run recovered
+    /// correctly iff its checksum equals the fault-free run's.
+    pub checksum: Option<u64>,
+    /// The whole run's report.
+    pub report: RunReport,
 }
 
 /// Run one halo-exchange measurement.
 pub fn run_halo(cfg: &HaloConfig) -> HaloOutcome {
-    run_halo_with(cfg, None)
-}
-
-/// [`run_halo`] with a live telemetry recorder (reconciliation tests).
-pub fn run_halo_traced(cfg: &HaloConfig, telemetry: &Telemetry) -> HaloOutcome {
-    run_halo_with(cfg, Some(telemetry))
-}
-
-fn run_halo_with(cfg: &HaloConfig, telemetry: Option<&Telemetry>) -> HaloOutcome {
     let laps = cfg.warmup_laps + cfg.measured_laps;
     let programs = halo_programs(&cfg.grid, &cfg.workload, cfg.n_msgs, laps, 7);
     let gpus_per_node = cfg.platform.gpus_per_node.max(1);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::ModelOnly)
-        .shards(cfg.shards);
+    let mut builder = driver::builder(
+        &cfg.platform,
+        &cfg.scheme,
+        cfg.mode,
+        cfg.fault_plan.as_ref(),
+        cfg.telemetry.as_ref(),
+    )
+    .shards(cfg.shards);
     if let Some(topo) = &cfg.topology {
         builder = builder.topology(topo.clone());
     }
-    if let Some(plan) = &cfg.fault_plan {
-        builder = builder.fault_plan(plan.clone());
-    }
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t.clone());
-    }
-    for (rank, (program, _)) in programs.into_iter().enumerate() {
-        builder = builder.add_rank(rank as u32 / gpus_per_node, program);
-    }
-    let mut cluster = builder.build();
-    let report = cluster.run();
-
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-    let (busiest, bytes) = cluster
-        .topo_hop_stats()
-        .map(|stats| {
-            (
-                stats.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
-                stats.iter().map(|h| h.bytes).sum(),
-            )
-        })
-        .unwrap_or((Duration::ZERO, 0));
-
-    HaloOutcome {
-        latency: mean,
-        lap_latencies: measured,
-        ranks: cfg.grid.ranks(),
-        events: report.events_processed,
-        busiest_hop_busy: busiest,
-        hop_bytes: bytes,
-        order_violations: cluster.topo_order_violations().unwrap_or(0),
-        shard_barriers: report.shard.barriers,
-    }
-}
-
-/// Results of one fault-injected (or fault-free reference) halo run.
-#[derive(Debug, Clone)]
-pub struct HaloChaosOutcome {
-    /// Mean makespan of the measured iterations.
-    pub latency: Duration,
-    /// What the fault plan did to this run (flat sites + forced
-    /// deliveries).
-    pub faults: FaultSummary,
-    /// Fabric fault-domain accounting: per-hop injections, health
-    /// transitions, reroutes, rail failovers, forced-delivery
-    /// disconnects. All-zero without an armed fabric plan.
-    pub fabric: FabricHealth,
-    /// Past-event clamps the event queue repaired. Must be zero on the
-    /// fault-free baseline.
-    pub clamps: ClampStats,
-    /// FNV-1a over every rank's receive buffers in (rank, neighbor,
-    /// message) order — the end-to-end data-integrity fingerprint. A
-    /// faulty run recovered correctly iff its checksum equals the
-    /// fault-free baseline's.
-    pub checksum: u64,
-    /// Window barriers the sharded coordinator ran (zero single-queue).
-    pub shard_barriers: u64,
-}
-
-/// Run one halo exchange with real bytes ([`DataMode::Full`]) under the
-/// config's optional fault plan, returning latency plus integrity
-/// evidence. The topo-chaos grid compares each cell's checksum against a
-/// fault-free baseline run of the same config.
-pub fn run_halo_chaos(cfg: &HaloConfig) -> HaloChaosOutcome {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let programs = halo_programs(&cfg.grid, &cfg.workload, cfg.n_msgs, laps, 7);
-    let gpus_per_node = cfg.platform.gpus_per_node.max(1);
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::Full)
-        .shards(cfg.shards);
-    if let Some(topo) = &cfg.topology {
-        builder = builder.topology(topo.clone());
-    }
-    if let Some(plan) = &cfg.fault_plan {
-        builder = builder.fault_plan(plan.clone());
-    }
-    let mut rbufs = Vec::new();
+    let mut recv = Vec::new();
     for (rank, (program, bufs)) in programs.into_iter().enumerate() {
-        builder = builder.add_rank(rank as u32 / gpus_per_node, program);
-        rbufs.push(bufs.recv);
+        let rank = rank as u32;
+        builder = builder.add_rank(rank / gpus_per_node, program);
+        recv.extend(bufs.recv.into_iter().flatten().map(|b| (RankId(rank), b)));
     }
     let mut cluster = builder.build();
-    let report = cluster.run();
+    let m = driver::measure(&mut cluster, cfg.warmup_laps..laps, recv);
 
-    let measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
-    let mean = if measured.is_empty() {
-        Duration::ZERO
-    } else {
-        measured.iter().copied().sum::<Duration>() / measured.len() as u64
-    };
-
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for (rank, neighbors) in rbufs.iter().enumerate() {
-        for bufs in neighbors {
-            for &buf in bufs {
-                for byte in cluster.rank_buffer(RankId(rank as u32), buf) {
-                    checksum ^= byte as u64;
-                    checksum = checksum.wrapping_mul(0x0100_0000_01b3);
-                }
-            }
-        }
-    }
-
-    HaloChaosOutcome {
-        latency: mean,
-        faults: report.fault_summary,
-        fabric: report.fabric,
-        clamps: report.event_clamps,
-        checksum,
-        shard_barriers: report.shard.barriers,
+    let hops = cluster.topo_hop_stats().unwrap_or_default();
+    HaloOutcome {
+        latency: m.latency,
+        lap_latencies: m.laps,
+        busiest_hop_busy: hops.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
+        hop_bytes: hops.iter().map(|h| h.bytes).sum(),
+        order_violations: cluster.topo_order_violations().unwrap_or(0),
+        checksum: m.checksum,
+        report: m.report,
     }
 }
 
@@ -471,7 +371,7 @@ mod tests {
             2,
         );
         let out = run_halo(&cfg);
-        assert_eq!(out.ranks, 8);
+        assert_eq!(out.report.laps.len(), 8);
         assert!(out.latency.as_nanos() > 0);
         assert!(out.hop_bytes > 0, "the default flat fabric accounts hops");
     }
@@ -506,10 +406,16 @@ mod tests {
             }
             let single = run_halo(&cfg);
             let sharded = run_halo(&cfg.clone().with_shards(2));
-            assert!(sharded.shard_barriers > 0, "sharding engaged (topo={topo})");
+            assert!(
+                sharded.report.shard.barriers > 0,
+                "sharding engaged (topo={topo})"
+            );
             assert_eq!(single.latency, sharded.latency, "topo={topo}");
             assert_eq!(single.lap_latencies, sharded.lap_latencies, "topo={topo}");
-            assert_eq!(single.events, sharded.events, "topo={topo}");
+            assert_eq!(
+                single.report.events_processed, sharded.report.events_processed,
+                "topo={topo}"
+            );
             assert_eq!(single.hop_bytes, sharded.hop_bytes, "topo={topo}");
             assert_eq!(
                 single.busiest_hop_busy, sharded.busiest_hop_busy,
@@ -517,5 +423,24 @@ mod tests {
             );
             assert_eq!(sharded.order_violations, 0, "topo={topo}");
         }
+    }
+
+    #[test]
+    fn full_mode_checksum_is_equal_at_one_and_two_shards() {
+        let mut cfg = HaloConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_cm(200),
+            HaloGrid::new_3d(2, 2, 2),
+            2,
+        );
+        assert_eq!(run_halo(&cfg).checksum, None, "ModelOnly moves no bytes");
+        cfg.mode = DataMode::Full;
+        let single = run_halo(&cfg);
+        let sharded = run_halo(&cfg.clone().with_shards(2));
+        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
+        assert!(single.checksum.is_some());
+        assert_eq!(single.checksum, sharded.checksum);
+        assert_eq!(single.lap_latencies, sharded.lap_latencies);
     }
 }

@@ -13,8 +13,10 @@
 //!
 //! Plus the communication drivers: [`bulk::bulk_exchange_programs`] (N buffers per
 //! neighbor, Figs. 9/10), the 3-D halo exchange with 32 non-blocking
-//! operations (Figs. 12/13), and [`driver::run_exchange`], the single entry
-//! point the benchmark harness uses.
+//! operations (Figs. 12/13), and one entry point per shape the benchmark
+//! harness runs: [`run_exchange`], [`run_halo`], [`run_phase_shift`] and
+//! [`run_serve`]. Each outcome carries the run's
+//! [`fusedpack_mpi::RunReport`].
 
 pub mod approaches;
 pub mod bulk;
@@ -28,12 +30,9 @@ pub mod specfem;
 
 pub use bulk::{bulk_exchange_programs, phase_shift_programs};
 pub use driver::{
-    run_exchange, run_exchange_chaos, run_exchange_traced, run_phase_shift, run_phase_shift_traced,
-    ChaosOutcome, ExchangeConfig, ExchangeOutcome, PhaseShiftOutcome,
+    run_exchange, run_phase_shift, ExchangeConfig, ExchangeOutcome, PhaseShiftOutcome,
 };
-pub use halo::{
-    run_halo, run_halo_chaos, run_halo_traced, HaloChaosOutcome, HaloConfig, HaloGrid, HaloOutcome,
-};
+pub use halo::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
 pub use serve::{run_serve, ServeConfig, ServeOutcome};
 
 use fusedpack_datatype::TypeDesc;

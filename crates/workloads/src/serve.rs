@@ -16,12 +16,12 @@
 //! laps. Everything is virtual-time deterministic: the same config yields
 //! byte-identical outcomes on any host and any `--jobs` count.
 
-use crate::Workload;
-use fusedpack_gpu::{DataMode, PoolStats};
+use crate::{driver, Workload};
+use fusedpack_gpu::DataMode;
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, ClusterBuilder, Program, RankId, SchemeKind, TypeSlot};
+use fusedpack_mpi::{AppOp, BufId, Program, RankId, RunReport, SchemeKind, TypeSlot};
 use fusedpack_net::{Platform, TopologyHandle};
-use fusedpack_sim::{Duration, WheelStats};
+use fusedpack_sim::Duration;
 
 /// Configuration of one sustained-load run.
 #[derive(Clone)]
@@ -112,8 +112,6 @@ pub struct ServeOutcome {
     pub requests: u64,
     /// Measured laps (after warm-up discard).
     pub laps: usize,
-    /// Virtual end-to-end time of the whole run.
-    pub elapsed: Duration,
     /// Sustained request throughput over the whole run, requests per
     /// virtual second (think time included — this is offered-load
     /// throughput, not peak service rate).
@@ -123,20 +121,10 @@ pub struct ServeOutcome {
     pub p99: Duration,
     pub p999: Duration,
     pub max: Duration,
-    /// Event-queue timing-wheel health over the whole run.
-    pub wheel: WheelStats,
-    /// Peak in-flight wire messages (slab occupancy high-water).
-    pub wire_high_water: u32,
-    /// Staging buffer-pool recycling counters.
-    pub pool: PoolStats,
-    /// Simulation events processed.
-    pub events: u64,
-    /// Window barriers the sharded coordinator ran (zero single-queue).
-    pub shard_barriers: u64,
-    /// Layout-compiler cache health merged over both ranks: after the
-    /// single commit per rank, every per-message acquire is a hit, so the
-    /// hit rate converges to ~100% under sustained load.
-    pub layout_cache: fusedpack_datatype::LayoutCacheStats,
+    /// The whole run's report: wheel health, wire high-water, layout
+    /// cache (after the single commit per rank every per-message acquire
+    /// hits, so the hit rate converges to ~100% under sustained load).
+    pub report: RunReport,
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice: the smallest
@@ -205,8 +193,7 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeOutcome {
     assert!(cfg.batch >= 1 && cfg.requests >= 1);
     let p0 = serve_program(cfg, 7, RankId(1));
     let p1 = serve_program(cfg, 1007, RankId(0));
-    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
-        .data_mode(DataMode::ModelOnly)
+    let mut builder = driver::builder(&cfg.platform, &cfg.scheme, DataMode::ModelOnly, None, None)
         .shards(cfg.shards)
         .add_rank(0, p0)
         .add_rank(1, p1);
@@ -214,37 +201,28 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeOutcome {
         builder = builder.topology(topo.clone());
     }
     let mut cluster = builder.build();
-    let report = cluster.run();
-
     let laps = cfg.laps();
-    let mut measured: Vec<Duration> = (cfg.warmup_laps..laps)
-        .map(|i| report.lap_makespan(i))
-        .collect();
+    let m = driver::measure(&mut cluster, cfg.warmup_laps..laps, []);
+    let mut measured = m.laps;
     measured.sort_unstable();
 
-    let elapsed = Duration(report.end_time.0);
+    let elapsed_ns = m.report.end_time.0;
     let served = 2 * cfg.batch as u64 * laps as u64;
-    let throughput_rps = if elapsed.as_nanos() == 0 {
+    let throughput_rps = if elapsed_ns == 0 {
         0.0
     } else {
-        served as f64 / (elapsed.as_nanos() as f64 / 1.0e9)
+        served as f64 / (elapsed_ns as f64 / 1.0e9)
     };
 
     ServeOutcome {
         requests: served,
         laps: measured.len(),
-        elapsed,
         throughput_rps,
         p50: percentile(&measured, 50, 100),
         p99: percentile(&measured, 99, 100),
         p999: percentile(&measured, 999, 1000),
         max: measured.last().copied().unwrap_or(Duration::ZERO),
-        wheel: report.wheel,
-        wire_high_water: report.wire_high_water,
-        pool: cluster.staging_pool_stats(),
-        events: report.events_processed,
-        shard_barriers: report.shard.barriers,
-        layout_cache: report.layout_cache,
+        report: m.report,
     }
 }
 
@@ -278,9 +256,9 @@ mod tests {
         assert!(out.throughput_rps > 0.0);
         assert!(out.p50 <= out.p99 && out.p99 <= out.p999 && out.p999 <= out.max);
         assert!(out.p50.as_nanos() > 0);
-        assert!(out.events > 0);
+        assert!(out.report.events_processed > 0);
         assert!(
-            out.wheel.slab_high_water > 0,
+            out.report.wheel.slab_high_water > 0,
             "a long run must exercise the event slab"
         );
     }
@@ -317,12 +295,15 @@ mod tests {
         .with_gap_ns(2_000);
         let a = run_serve(&cfg);
         let b = run_serve(&cfg);
-        assert_eq!(a.elapsed, b.elapsed);
+        assert_eq!(a.report.end_time, b.report.end_time);
         assert_eq!(a.p50, b.p50);
         assert_eq!(a.p999, b.p999);
-        assert_eq!(a.wire_high_water, b.wire_high_water);
-        assert_eq!(a.wheel.slab_high_water, b.wheel.slab_high_water);
-        assert_eq!(a.events, b.events);
+        assert_eq!(a.report.wire_high_water, b.report.wire_high_water);
+        assert_eq!(
+            a.report.wheel.slab_high_water,
+            b.report.wheel.slab_high_water
+        );
+        assert_eq!(a.report.events_processed, b.report.events_processed);
     }
 
     #[test]
@@ -336,22 +317,23 @@ mod tests {
         .with_gap_ns(2_000);
         let single = run_serve(&cfg);
         let sharded = run_serve(&cfg.clone().with_shards(2));
-        assert!(sharded.shard_barriers > 0, "sharding engaged");
-        assert_eq!(single.elapsed, sharded.elapsed);
+        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
+        assert_eq!(single.report.end_time, sharded.report.end_time);
         assert_eq!(single.p50, sharded.p50);
         assert_eq!(single.p99, sharded.p99);
         assert_eq!(single.p999, sharded.p999);
         assert_eq!(single.max, sharded.max);
-        assert_eq!(single.events, sharded.events);
+        assert_eq!(
+            single.report.events_processed,
+            sharded.report.events_processed
+        );
         assert_eq!(single.requests, sharded.requests);
         // Cache counters are virtual-time-free bookkeeping, but they must
         // still merge to the same totals at any shard count.
-        assert_eq!(single.layout_cache.hits(), sharded.layout_cache.hits());
-        assert_eq!(single.layout_cache.misses(), sharded.layout_cache.misses());
-        assert_eq!(
-            single.layout_cache.evictions(),
-            sharded.layout_cache.evictions()
-        );
+        let (a, b) = (&single.report.layout_cache, &sharded.report.layout_cache);
+        assert_eq!(a.hits(), b.hits());
+        assert_eq!(a.misses(), b.misses());
+        assert_eq!(a.evictions(), b.evictions());
     }
 
     #[test]
@@ -363,7 +345,7 @@ mod tests {
             2_000,
         );
         let out = run_serve(&cfg);
-        let lc = &out.layout_cache;
+        let lc = &out.report.layout_cache;
         // One commit-miss per rank, then every per-message acquire hits.
         assert_eq!(lc.misses(), 2, "one modelled miss per rank");
         assert!(lc.hits() >= out.requests, "each message acquires");
@@ -392,6 +374,7 @@ mod tests {
             specfem3d_oc(200),
             6_000,
         ));
+        let (long, short) = (&long.report, &short.report);
         assert_eq!(
             long.wire_high_water, short.wire_high_water,
             "wire-slab peak must not scale with run length"

@@ -39,7 +39,8 @@ fn main() {
             workload.clone(),
             16,
         ));
-        results.push((label, out.latency, out.kernels));
+        let kernels = out.report.kernels_launched.iter().sum();
+        results.push((label, out.latency, kernels));
     }
 
     let best = results.iter().map(|&(_, l, _)| l).min().expect("non-empty");

@@ -53,6 +53,12 @@ pub use fusedpack_sim as sim;
 pub use fusedpack_telemetry as telemetry;
 pub use fusedpack_workloads as workloads;
 
+/// The README's Rust examples, compiled as doc-tests (and run, unless
+/// marked `no_run`), so they keep up with the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The names most programs need.
 pub mod prelude {
     pub use fusedpack_core::{FusionConfig, Scheduler};
@@ -64,7 +70,5 @@ pub mod prelude {
     pub use fusedpack_net::Platform;
     pub use fusedpack_sim::{Duration, Time};
     pub use fusedpack_telemetry::Telemetry;
-    pub use fusedpack_workloads::{
-        run_exchange, run_exchange_traced, ExchangeConfig, ExchangeOutcome, Workload,
-    };
+    pub use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome, Workload};
 }

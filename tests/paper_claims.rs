@@ -165,7 +165,10 @@ fn kernel_launch_counts_match_design() {
             w.clone(),
             16,
         ))
-        .kernels
+        .report
+        .kernels_launched
+        .iter()
+        .sum::<u64>()
     };
     // 2 laps x 2 ranks x 32 ops.
     assert_eq!(kernels(SchemeKind::GpuSync), 128);
