@@ -112,12 +112,6 @@ impl MemPool {
         self.peak
     }
 
-    /// Bytes of backing storage the pool holds (zero in `ModelOnly` mode).
-    #[inline]
-    pub fn backed_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
     /// Allocate `len` bytes with `align` alignment (power of two).
     ///
     /// Panics if the pool is exhausted: pool sizing is a configuration
@@ -469,6 +463,8 @@ mod tests {
         assert_eq!(p.scatter(1 << 20, &l, 0, 4), 600);
         assert_eq!(p.gather_into(&l, 0, 4, &mut []), 600);
         assert_eq!(p.scatter_from(&[], &l, 0, 4), 600);
+        assert!(p.bytes.is_empty(), "a ModelOnly pool never backs a byte");
+        assert_eq!(p.bytes.capacity(), 0, "nor reserves one");
     }
 
     #[test]

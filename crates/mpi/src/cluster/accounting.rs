@@ -1,33 +1,9 @@
 //! Cost accounting: the Fig.-11 breakdown buckets and the charge helpers
 //! every path — control plane and data plane alike — funnels through.
 
-use super::rank::WaitKind;
 use super::Cluster;
 use fusedpack_sim::{Duration, Time};
-use fusedpack_telemetry::{Lane, Payload};
-
-/// Breakdown bucket selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Bucket {
-    Pack,
-    Launch,
-    Scheduling,
-    Sync,
-    Comm,
-}
-
-impl Bucket {
-    /// The telemetry-crate mirror of this bucket.
-    pub(crate) fn tele(self) -> fusedpack_telemetry::Bucket {
-        match self {
-            Bucket::Pack => fusedpack_telemetry::Bucket::Pack,
-            Bucket::Launch => fusedpack_telemetry::Bucket::Launch,
-            Bucket::Scheduling => fusedpack_telemetry::Bucket::Scheduling,
-            Bucket::Sync => fusedpack_telemetry::Bucket::Sync,
-            Bucket::Comm => fusedpack_telemetry::Bucket::Comm,
-        }
-    }
-}
+use fusedpack_telemetry::{Bucket, Lane, Payload, WaitKindTag};
 
 impl Cluster {
     /// Charge CPU time to a rank and a breakdown bucket.
@@ -71,8 +47,8 @@ impl Cluster {
                 .tele
                 .span(Lane::Accounting, start, start + d, || {
                     Payload::BucketCharge {
-                        bucket: bucket.tele(),
-                        label: bucket.tele().label(),
+                        bucket,
+                        label: bucket.label(),
                     }
                 });
         }
@@ -84,7 +60,7 @@ impl Cluster {
     pub(crate) fn account_wait(&mut self, r: usize, up_to: Time) {
         let anchor = self.ranks[r].wait_anchor;
         if let Some((kind, delta)) = self.ranks[r].take_wait(up_to) {
-            if kind == WaitKind::Network {
+            if kind == WaitKindTag::Network {
                 self.bucket_add_at(r, Bucket::Comm, anchor, delta);
             }
         }

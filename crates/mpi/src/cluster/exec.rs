@@ -1,13 +1,12 @@
 //! Program execution: stepping ranks through their [`AppOp`] sequences.
 
-use super::accounting::Bucket;
 use super::schemes::PathCtx;
 use super::{Cluster, Event, RankId};
 use crate::lifecycle::RequestLifecycle;
 use crate::program::AppOp;
 use crate::sendrecv::{RecvId, RecvOp, SendId, SendOp, StagingLoc};
 use fusedpack_sim::Time;
-use fusedpack_telemetry::{Lane, Payload, WaitKindTag};
+use fusedpack_telemetry::{Bucket, Lane, Payload, WaitKindTag};
 
 impl Cluster {
     /// Execute ops for rank `r` starting no earlier than `t`, until it
@@ -147,7 +146,6 @@ impl Cluster {
                 blocks,
                 staging: StagingLoc::None,
                 lifecycle: RequestLifecycle::recv(),
-                fusion_uid: None,
                 ipc_send_id: None,
             });
             rid
@@ -194,7 +192,6 @@ impl Cluster {
                 staging: StagingLoc::None,
                 lifecycle: RequestLifecycle::send(),
                 cts: None,
-                fusion_uid: None,
             });
             sid
         };
@@ -242,7 +239,7 @@ impl Cluster {
             let rank = &mut self.ranks[r];
             rank.cpu +=
                 self.platform.mpi_call + fusedpack_datatype::cache::parse_cost(stats.num_blocks);
-            self.sync_kernel_public(r, stats);
+            self.sync_kernel(r, stats, Bucket::Pack);
         } else {
             // Application kernel: launch on a round-robin stream, return.
             let stream = {

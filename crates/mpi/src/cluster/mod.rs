@@ -784,16 +784,6 @@ impl Cluster {
         s
     }
 
-    /// Backing bytes held by every rank's staging pools: zero in either
-    /// data mode, since packed payloads live in pooled buffers.
-    pub fn staging_backed_bytes(&self) -> u64 {
-        self.staging_mems
-            .iter()
-            .chain(self.host_mems.iter())
-            .map(MemPool::backed_bytes)
-            .sum()
-    }
-
     /// Per-hop FIFO order violations observed by the network (always
     /// zero; asserted by the shard-window property tests). `Some` on every
     /// built cluster.

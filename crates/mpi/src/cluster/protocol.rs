@@ -487,7 +487,24 @@ impl Cluster {
     }
 
     /// A matchable message met its posted receive.
+    ///
+    /// Panics if the message's packed size differs from the receive's:
+    /// MPI requires matching type signatures, and a staged unpack (or a
+    /// DirectIPC load) of the wrong size would truncate or overrun.
     pub(crate) fn match_message(&mut self, r: usize, rid: RecvId, msg: WireMsg, now: Time) {
+        let (WireKind::Rts { packed_bytes, .. } | WireKind::Eager { packed_bytes, .. }) = msg.kind
+        else {
+            unreachable!("only matchable kinds reach match_message")
+        };
+        let expected = self.ranks[r].recvs[rid.0].packed_bytes;
+        assert!(
+            packed_bytes == expected,
+            "message size mismatch: rank {} -> rank {} tag {}: sent {packed_bytes} packed \
+             bytes, the receive expects {expected}",
+            msg.src.0,
+            msg.dst.0,
+            msg.tag,
+        );
         self.ranks[r].cpu = self.ranks[r].cpu.max(now) + self.platform.mpi_call;
         match msg.kind {
             WireKind::Rts {
@@ -569,14 +586,14 @@ impl Cluster {
                 len: bytes,
             });
         }
-        self.alloc_recv_staging(r, bytes, blocks)
+        self.alloc_staging(r, bytes, blocks)
     }
 
-    /// Choose where the receiver stages the packed payload.
-    fn alloc_recv_staging(&mut self, r: usize, bytes: u64, blocks: u64) -> StagingLoc {
-        let engine = self.engine.clone();
-        let host = engine.host_recv_staging(self, r, bytes, blocks);
-        if host {
+    /// Allocate a staging buffer for a packed message of this shape, on
+    /// the host or the GPU as the scheme's [`super::SchemeEngine::host_staging`]
+    /// rule picks (the same rule for sends and receives).
+    pub(crate) fn alloc_staging(&mut self, r: usize, bytes: u64, blocks: u64) -> StagingLoc {
+        if self.engine.host_staging(self, r, bytes, blocks) {
             StagingLoc::Host(self.host_mems[r].alloc(bytes.max(1), 64))
         } else {
             StagingLoc::Gpu(self.staging_mems[r].alloc(bytes.max(1), 64))
@@ -621,37 +638,15 @@ impl Cluster {
         self.check_unblock(r, now);
     }
 
-    /// Allocate a sender-side staging buffer.
-    pub(crate) fn alloc_send_staging(&mut self, r: usize, bytes: u64, host: bool) -> StagingLoc {
-        if host {
-            StagingLoc::Host(self.host_mems[r].alloc(bytes.max(1), 64))
-        } else {
-            StagingLoc::Gpu(self.staging_mems[r].alloc(bytes.max(1), 64))
-        }
-    }
-
-    /// Apply a pack's data movement: gather the user buffer through the
-    /// layout's copy plan into a pooled buffer the send owns until issue.
-    /// Timing-only runs move nothing and take no buffer.
+    /// Apply a staged send's data movement: gather the user buffer
+    /// through the layout's copy plan into a pooled buffer the send owns
+    /// until issue. Runs once per staged send, when it is staged
+    /// ([`Cluster::begin_pack`]); timing-only runs move nothing and take
+    /// no buffer.
     pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
-        if self.data_mode == DataMode::ModelOnly {
-            return;
-        }
         let s = &self.ranks[r].sends[sid.0];
-        match s.staging {
-            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {}
-            StagingLoc::UserGpu(_) => return, // contiguous: nothing to move
-            StagingLoc::None => {
-                // Unreachable by construction (begin_pack assigns staging
-                // before any movement); under fault injection a stale
-                // event is absorbed rather than aborting the exchange.
-                debug_assert!(false, "pack movement without staging");
-                self.fault_stats.spurious += 1;
-                return;
-            }
-        }
         let len = s.packed_bytes as usize;
-        if len == 0 {
+        if self.data_mode == DataMode::ModelOnly || len == 0 {
             return;
         }
         let mut packed = self.buf_pool.take(len);

@@ -10,37 +10,21 @@ use fusedpack_core::{Scheduler, Uid};
 use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
 use fusedpack_gpu::DevPtr;
 use fusedpack_sim::{Duration, IntMap, Time};
-use fusedpack_telemetry::{SpanId, Telemetry};
+use fusedpack_telemetry::{SpanId, Telemetry, WaitKindTag};
 use std::sync::Arc;
 
-/// Which operation a fusion UID belongs to.
+/// One request of the fused kernel: the three operation kinds that share
+/// the fusion ring (§IV-A2). It names the operation a fusion UID belongs
+/// to, and an operation parked by the ring-exhaustion backpressure ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpRef {
-    Send(usize),
-    Recv(usize),
-}
-
-/// An operation parked by the ring-exhaustion backpressure ladder, waiting
-/// for a retirement to free a slot before it re-enqueues (FIFO per rank).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RequeuedOp {
-    /// Send index awaiting a pack slot.
+pub(crate) enum FusedOp {
+    /// Pack of send index `.0`.
     Pack(usize),
-    /// Recv index awaiting an unpack slot.
+    /// Unpack of recv index `.0`.
     Unpack(usize),
-    /// Recv index awaiting a DirectIPC slot (origin: sender's device
+    /// DirectIPC load for recv index `rid` (origin: sender's device
     /// address advertised in the RTS).
     DirectIpc { rid: usize, origin: u64 },
-}
-
-/// What a blocked rank is waiting on (for the Fig. 11 `Comm.` bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitKind {
-    /// A local kernel/DMA is still running — its time is already accounted
-    /// in the `pack` bucket.
-    LocalKernel,
-    /// Pure network wait: observed communication time.
-    Network,
 }
 
 /// One rank's full runtime state: its program cursor, virtual CPU clock,
@@ -81,10 +65,10 @@ pub(crate) struct RankState {
     /// Unexpected-message queue (RTS/eager that arrived before the recv).
     pub unexpected: Vec<WireMsg>,
     /// Fusion UID → owning operation.
-    pub uid_map: IntMap<Uid, OpRef>,
+    pub uid_map: IntMap<Uid, FusedOp>,
     /// Operations refused by a full request ring, re-enqueued in FIFO order
     /// as retirements free slots (the backpressure ladder).
-    pub fusion_requeue: RequeueLadder<RequeuedOp>,
+    pub fusion_requeue: RequeueLadder<FusedOp>,
     /// Fusion scheduler — installed by the engine's `make_scheduler` hook,
     /// so it exists exactly for the fusion schemes (`Fusion` and
     /// `FusionAdaptive`) and is `None` for every other design.
@@ -172,7 +156,7 @@ impl RankState {
     }
 
     /// Classify what a blocked rank is waiting on *right now*.
-    pub fn classify_wait(&self) -> WaitKind {
+    pub fn classify_wait(&self) -> WaitKindTag {
         let kernel_in_flight = self
             .sends
             .iter()
@@ -181,9 +165,9 @@ impl RankState {
                 r.lifecycle.stage() == Stage::Active && r.lifecycle.pack() == PackState::InFlight
             });
         if kernel_in_flight {
-            WaitKind::LocalKernel
+            WaitKindTag::LocalKernel
         } else {
-            WaitKind::Network
+            WaitKindTag::Network
         }
     }
 
@@ -191,7 +175,7 @@ impl RankState {
     /// current instant), then move the anchor to `up_to`. The caller
     /// ([`super::Cluster::account_wait`]) charges the breakdown bucket so
     /// the charge also lands in telemetry.
-    pub fn take_wait(&mut self, up_to: Time) -> Option<(WaitKind, Duration)> {
+    pub fn take_wait(&mut self, up_to: Time) -> Option<(WaitKindTag, Duration)> {
         let taken = if self.blocked && up_to > self.wait_anchor {
             Some((self.classify_wait(), up_to.since(self.wait_anchor)))
         } else {

@@ -2,18 +2,20 @@
 //! pack/unpack/DirectIPC requests enqueue into the per-rank fusion
 //! scheduler ring and launch as one cooperative fused kernel per flush
 //! (§IV-A2 ②), with the RTS/CTS handshake overlapping the packing.
+//!
+//! All three request kinds take one path, [`FusionEngine::submit`]:
+//! enqueue, register the UID and flush if due — or, when the ring refuses,
+//! the backpressure ladder (pressure flush, park, synchronous fallback).
 
-use super::super::accounting::Bucket;
-use super::super::rank::{OpRef, RequeuedOp};
+use super::super::rank::FusedOp;
 use super::{Event, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
-use crate::message::WireKind;
 use crate::sendrecv::{RecvId, SendId, StagingLoc};
 use fusedpack_core::{EnqueueError, FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::cache::lookup_cost;
-use fusedpack_gpu::{Gpu, SegmentStats, StreamId};
+use fusedpack_gpu::{DevPtr, Gpu, SegmentStats, StreamId};
 use fusedpack_sim::{FaultSite, Time};
-use fusedpack_telemetry::Telemetry;
+use fusedpack_telemetry::{Bucket, Telemetry};
 
 pub(crate) struct FusionEngine {
     cfg: FusionConfig,
@@ -86,79 +88,75 @@ impl FusionEngine {
         cx.cl.ranks[r].sched = Some(sched);
     }
 
-    /// Enqueue a fusion request for a send (pack) or recv (unpack).
-    fn enqueue(
-        &self,
-        cx: &mut PathCtx<'_>,
-        op: FusionOp,
-        idx: usize,
-        is_send: bool,
-    ) -> Result<Uid, EnqueueError> {
+    /// Launch now if a flush is due: the pending bytes reached the
+    /// threshold (§IV-C scenario 2) or, on the receive side, no receive
+    /// still awaits data, so no later arrival can fuse with this batch
+    /// (scenario 1 from the receiver's perspective).
+    fn flush_if_due(&self, cx: &mut PathCtx<'_>, recv_side: bool) {
         let r = cx.r;
-        // Injected exhaustion reports `RingFull` without touching the ring;
-        // the caller's backpressure ladder recovers exactly as it would
-        // from a genuinely full ring.
-        let at = cx.cl.ranks[r].cpu;
-        if cx.cl.fault_fires(r, FaultSite::RingExhausted, at) {
-            return Err(EnqueueError::RingFull);
+        if cx.cl.ranks[r]
+            .sched
+            .as_ref()
+            .expect("fusion scheme")
+            .threshold_reached()
+        {
+            self.flush(cx, FlushReason::ThresholdReached);
+        } else if recv_side && !cx.cl.ranks[r].recvs_awaiting_data() {
+            self.flush(cx, FlushReason::SyncPoint);
         }
-        let (origin, target, layout, count) = if is_send {
-            let s = &cx.cl.ranks[r].sends[idx];
-            let StagingLoc::Gpu(staging) = s.staging else {
-                panic!("fusion pack staging must be on the GPU");
-            };
-            (s.user_buf, staging, s.layout.clone(), s.count)
-        } else {
-            let op = &cx.cl.ranks[r].recvs[idx];
-            let StagingLoc::Gpu(staging) = op.staging else {
-                panic!("fusion unpack staging must be on the GPU");
-            };
-            (staging, op.user_buf, op.layout.clone(), op.count)
-        };
-        let now = cx.cl.ranks[r].cpu;
-        let sched = cx.cl.ranks[r].sched.as_mut().expect("fusion scheme");
-        let (res, cost) = sched.enqueue(now, op, origin, target, layout, count, None);
-        cx.charge(cost, Bucket::Scheduling);
-        res
     }
 
-    /// Enqueue the DirectIPC fusion request for receive `rid` (shared by
-    /// [`FusionEngine::begin_direct_ipc`] and the backpressure requeue
-    /// drain).
-    fn enqueue_ipc(
-        &self,
-        cx: &mut PathCtx<'_>,
-        rid: usize,
-        origin: u64,
-    ) -> Result<Uid, EnqueueError> {
+    /// Put a new request into the ring and launch if due; a refused
+    /// enqueue runs the backpressure ladder. Its data movement already
+    /// happened.
+    fn submit(&self, cx: &mut PathCtx<'_>, op: FusedOp) {
+        match self.enqueue(cx, op) {
+            Ok(uid) => {
+                mark_started(cx, op, Some(uid));
+                self.flush_if_due(cx, !matches!(op, FusedOp::Pack(_)));
+            }
+            Err(EnqueueError::RingFull) => self.backpressure(cx, op),
+        }
+    }
+
+    /// Enqueue `op`'s fusion request: a pack reads the user buffer into
+    /// GPU staging, an unpack the reverse, and a DirectIPC load reads the
+    /// peer's buffer over the GPU↔GPU link into the user buffer.
+    fn enqueue(&self, cx: &mut PathCtx<'_>, op: FusedOp) -> Result<Uid, EnqueueError> {
         let r = cx.r;
+        // Injected exhaustion reports `RingFull` without touching the ring;
+        // the backpressure ladder recovers exactly as it would from a
+        // genuinely full ring.
         let now = cx.cl.ranks[r].cpu;
         if cx.cl.fault_fires(r, FaultSite::RingExhausted, now) {
             return Err(EnqueueError::RingFull);
         }
-        let link_bw = cx.cl.platform.gpu_gpu.bw;
-        let (origin_ptr, target, layout, count) = {
-            let op = &cx.cl.ranks[r].recvs[rid];
-            (
-                fusedpack_gpu::DevPtr {
-                    addr: origin,
-                    len: op.user_buf.len,
-                },
-                op.user_buf,
-                op.layout.clone(),
-                op.count,
-            )
+        let rank = &cx.cl.ranks[r];
+        let (layout, count, user_buf, staging) = match op {
+            FusedOp::Pack(i) => {
+                let s = &rank.sends[i];
+                (&s.layout, s.count, s.user_buf, s.staging)
+            }
+            FusedOp::Unpack(i) | FusedOp::DirectIpc { rid: i, .. } => {
+                let o = &rank.recvs[i];
+                (&o.layout, o.count, o.user_buf, o.staging)
+            }
         };
+        let (kind, origin, target, bw_cap) = match op {
+            FusedOp::Pack(_) => (FusionOp::Pack, user_buf, gpu_staging(staging), None),
+            FusedOp::Unpack(_) => (FusionOp::Unpack, gpu_staging(staging), user_buf, None),
+            FusedOp::DirectIpc { origin, .. } => {
+                let origin = DevPtr {
+                    addr: origin,
+                    len: user_buf.len,
+                };
+                let link_bw = Some(cx.cl.platform.gpu_gpu.bw);
+                (FusionOp::DirectIpc, origin, user_buf, link_bw)
+            }
+        };
+        let layout = layout.clone();
         let sched = cx.cl.ranks[r].sched.as_mut().expect("fusion scheme");
-        let (res, cost) = sched.enqueue(
-            now,
-            FusionOp::DirectIpc,
-            origin_ptr,
-            target,
-            layout,
-            count,
-            Some(link_bw),
-        );
+        let (res, cost) = sched.enqueue(now, kind, origin, target, layout, count, bw_cap);
         cx.charge(cost, Bucket::Scheduling);
         res
     }
@@ -169,26 +167,22 @@ impl FusionEngine {
     /// busy and start draining. Step two, park the operation in the rank's
     /// FIFO requeue ladder, to re-enqueue from
     /// [`FusionEngine::drain_requeue`] once a retirement frees a slot.
-    /// Returns `false` — caller falls back to the paper's synchronous path —
-    /// only when the ring is *empty*, so no retirement will ever drain the
-    /// queue (an injected exhaustion); a genuinely full ring always has
-    /// occupants on their way to retirement, keeping the requeue live.
-    fn backpressure(&self, cx: &mut PathCtx<'_>, op: RequeuedOp) -> bool {
+    /// Only when the ring is *empty*, so no retirement will ever drain the
+    /// queue (an injected exhaustion), does the operation take the last
+    /// rung instead; a genuinely full ring always has occupants on their
+    /// way to retirement, keeping the requeue live.
+    fn backpressure(&self, cx: &mut PathCtx<'_>, op: FusedOp) {
         self.flush(cx, FlushReason::RingPressure);
         let r = cx.r;
-        let occupied = cx.cl.ranks[r]
-            .sched
-            .as_ref()
-            .expect("fusion scheme")
-            .ring_occupied();
-        if occupied == 0 {
-            return false;
+        if ring_occupied(cx) == 0 {
+            self.fallback_sync(cx, op);
+            return;
         }
         let now = cx.cl.ranks[r].cpu;
         cx.cl
             .fault_degraded(r, FaultSite::RingExhausted, "requeue", now);
         cx.cl.ranks[r].fusion_requeue.park(op);
-        true
+        mark_started(cx, op, None);
     }
 
     /// Re-enqueue operations parked by the backpressure ladder, in FIFO
@@ -198,30 +192,17 @@ impl FusionEngine {
         let r = cx.r;
         let mut enqueued = false;
         while let Some(op) = cx.cl.ranks[r].fusion_requeue.take_next() {
-            let res = match op {
-                RequeuedOp::Pack(i) => self.enqueue(cx, FusionOp::Pack, i, true),
-                RequeuedOp::Unpack(i) => self.enqueue(cx, FusionOp::Unpack, i, false),
-                RequeuedOp::DirectIpc { rid, origin } => self.enqueue_ipc(cx, rid, origin),
-            };
-            match res {
+            match self.enqueue(cx, op) {
                 Ok(uid) => {
-                    register_uid(cx, op, uid);
+                    mark_started(cx, op, Some(uid));
                     enqueued = true;
                 }
+                // Nothing will ever retire: last-rung sync fallback keeps
+                // the rank live.
+                Err(EnqueueError::RingFull) if ring_occupied(cx) == 0 => self.fallback_sync(cx, op),
                 Err(EnqueueError::RingFull) => {
-                    let occupied = cx.cl.ranks[r]
-                        .sched
-                        .as_ref()
-                        .expect("fusion scheme")
-                        .ring_occupied();
-                    if occupied == 0 {
-                        // Nothing will ever retire: last-rung sync fallback
-                        // keeps the rank live.
-                        self.fallback_sync(cx, op);
-                    } else {
-                        cx.cl.ranks[r].fusion_requeue.park_front(op);
-                        break;
-                    }
+                    cx.cl.ranks[r].fusion_requeue.park_front(op);
+                    break;
                 }
             }
         }
@@ -238,240 +219,83 @@ impl FusionEngine {
         }
     }
 
-    /// Last rung of the backpressure ladder: process a parked operation
-    /// with the synchronous kernel scheme (the paper's negative-UID path).
-    fn fallback_sync(&self, cx: &mut PathCtx<'_>, op: RequeuedOp) {
-        match op {
-            RequeuedOp::Pack(i) => {
-                let (bytes, blocks) = {
-                    let s = &cx.cl.ranks[cx.r].sends[i];
-                    (s.packed_bytes, s.blocks)
-                };
-                cx.sync_kernel(SegmentStats::new(bytes, blocks), Bucket::Pack);
-                cx.cl.ranks[cx.r].sends[i]
-                    .lifecycle
-                    .apply(LifecycleEvent::PackFinished);
-                cx.try_issue(SendId(i));
+    /// Last rung of the backpressure ladder: process an operation with the
+    /// synchronous kernel scheme (the paper's negative-UID path).
+    fn fallback_sync(&self, cx: &mut PathCtx<'_>, op: FusedOp) {
+        let (bytes, blocks) = match op {
+            FusedOp::Pack(i) => {
+                let (bytes, blocks, _) = cx.send_meta(SendId(i));
+                (bytes, blocks)
             }
-            RequeuedOp::Unpack(i) | RequeuedOp::DirectIpc { rid: i, .. } => {
-                let (bytes, blocks) = {
-                    let op = &cx.cl.ranks[cx.r].recvs[i];
-                    (op.packed_bytes, op.blocks)
-                };
-                cx.sync_kernel(SegmentStats::new(bytes, blocks), Bucket::Pack);
-                cx.finish_unpack(RecvId(i));
-            }
-        }
-    }
-
-    /// Fuse a DirectIPC request on the receiver: its cooperative groups
-    /// will load the sender's buffer over NVLink/PCIe straight into the
-    /// local user buffer — no staging, no wire payload.
-    fn begin_direct_ipc(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
-        let r = cx.r;
-        cx.charge(lookup_cost(), Bucket::Sync);
-        // Apply the data movement now (visible at the completion event):
-        // gather from the peer GPU, scatter into the local user buffer.
-        cx.cl.apply_ipc_movement(r, rid, src, origin);
-        match self.enqueue_ipc(cx, rid.0, origin) {
-            Ok(uid) => {
-                cx.recv_mut(rid).fusion_uid = Some(uid);
-                cx.recv_mut(rid)
-                    .lifecycle
-                    .apply(LifecycleEvent::PackStarted);
-                cx.cl.ranks[r].uid_map.insert(uid, OpRef::Recv(rid.0));
-                let sched = cx.cl.ranks[r].sched.as_ref().expect("fusion");
-                if sched.threshold_reached() {
-                    self.flush(cx, FlushReason::ThresholdReached);
-                } else if !cx.cl.ranks[r].recvs_awaiting_data() {
-                    self.flush(cx, FlushReason::SyncPoint);
-                }
-            }
-            Err(EnqueueError::RingFull) => {
-                let parked = self.backpressure(cx, RequeuedOp::DirectIpc { rid: rid.0, origin });
-                if parked {
-                    cx.recv_mut(rid)
-                        .lifecycle
-                        .apply(LifecycleEvent::PackStarted);
-                } else {
-                    // Fallback: a standalone link-capped kernel, synchronous.
-                    let (bytes, blocks) = cx.recv_meta(rid);
-                    let stats = SegmentStats::new(bytes, blocks);
-                    cx.sync_kernel(stats, Bucket::Pack);
-                    cx.finish_unpack(rid);
-                }
-            }
-        }
-    }
-
-    /// DirectIPC degraded path: the peer's buffer could not be mapped, so
-    /// the payload is staged — gathered on the sender's GPU into a pooled
-    /// bounce buffer, bounced over the GPU↔GPU link, and scattered by a
-    /// synchronous kernel — before the receive completes through the normal
-    /// IPC path (Fin to the sender).
-    fn ipc_staged_fallback(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
-        let r = cx.r;
-        cx.charge(lookup_cost(), Bucket::Sync);
-        let (bytes, blocks) = cx.recv_meta(rid);
-        // Data movement, visible at completion: same gather/scatter as the
-        // zero-copy path, via the staged bounce buffer.
-        cx.cl.apply_ipc_movement(r, rid, src, origin);
-        // Timing: the bounce rides the intra-node link, then a synchronous
-        // scatter kernel lands it in the user buffer.
-        let at = cx.cl.ranks[r].cpu;
-        let (delivered, _) = cx.cl.transport(src, r, at, bytes, false, 0);
-        cx.cl
-            .bucket_add_at(r, Bucket::Comm, at, delivered.since(at));
-        cx.cl.ranks[r].cpu = cx.cl.ranks[r].cpu.max(delivered);
+            FusedOp::Unpack(i) | FusedOp::DirectIpc { rid: i, .. } => cx.recv_meta(RecvId(i)),
+        };
         cx.sync_kernel(SegmentStats::new(bytes, blocks), Bucket::Pack);
-        cx.finish_unpack(rid);
-        // This receive may have been the one the zero-copy path counts on
-        // to trigger the last-arrival flush — without it, earlier fused
-        // DirectIPC requests would linger in the scheduler forever.
-        let sched = cx.cl.ranks[r].sched.as_ref().expect("fusion scheme");
-        if sched.has_pending() {
-            if sched.threshold_reached() {
-                self.flush(cx, FlushReason::ThresholdReached);
-            } else if !cx.cl.ranks[r].recvs_awaiting_data() {
-                self.flush(cx, FlushReason::SyncPoint);
-            }
-        }
+        complete(cx, op);
     }
 }
 
-/// Register a successfully re-enqueued operation exactly as its original
-/// `begin_*` path would have.
-fn register_uid(cx: &mut PathCtx<'_>, op: RequeuedOp, uid: Uid) {
-    let r = cx.r;
+/// The GPU staging buffer of a fused (un)pack.
+fn gpu_staging(staging: StagingLoc) -> DevPtr {
+    let StagingLoc::Gpu(p) = staging else {
+        panic!("fusion (un)pack staging must be on the GPU");
+    };
+    p
+}
+
+/// Occupied slots of the rank's ring: the backpressure ladder's liveness
+/// guard.
+fn ring_occupied(cx: &PathCtx<'_>) -> usize {
+    cx.cl.ranks[cx.r]
+        .sched
+        .as_ref()
+        .expect("fusion scheme")
+        .ring_occupied()
+}
+
+/// Mark `op`'s (un)pack in flight, and register its UID when the ring took
+/// it (a parked operation has none yet).
+fn mark_started(cx: &mut PathCtx<'_>, op: FusedOp, uid: Option<Uid>) {
+    let rank = &mut cx.cl.ranks[cx.r];
     match op {
-        RequeuedOp::Pack(i) => {
-            cx.cl.ranks[r].sends[i].fusion_uid = Some(uid);
-            cx.cl.ranks[r].sends[i]
+        FusedOp::Pack(i) => &mut rank.sends[i].lifecycle,
+        FusedOp::Unpack(i) | FusedOp::DirectIpc { rid: i, .. } => &mut rank.recvs[i].lifecycle,
+    }
+    .apply(LifecycleEvent::PackStarted);
+    if let Some(uid) = uid {
+        rank.uid_map.insert(uid, op);
+    }
+}
+
+/// `op`'s (un)pack finished: a send may issue, a receive completes.
+fn complete(cx: &mut PathCtx<'_>, op: FusedOp) {
+    match op {
+        FusedOp::Pack(i) => {
+            cx.send_mut(SendId(i))
                 .lifecycle
-                .apply(LifecycleEvent::PackStarted);
-            cx.cl.ranks[r].uid_map.insert(uid, OpRef::Send(i));
+                .apply(LifecycleEvent::PackFinished);
+            cx.try_issue(SendId(i));
         }
-        RequeuedOp::Unpack(i) | RequeuedOp::DirectIpc { rid: i, .. } => {
-            cx.cl.ranks[r].recvs[i].fusion_uid = Some(uid);
-            cx.cl.ranks[r].recvs[i]
-                .lifecycle
-                .apply(LifecycleEvent::PackStarted);
-            cx.cl.ranks[r].uid_map.insert(uid, OpRef::Recv(i));
-        }
+        FusedOp::Unpack(i) | FusedOp::DirectIpc { rid: i, .. } => cx.finish_unpack(RecvId(i)),
     }
 }
 
 impl SchemeEngine for FusionEngine {
     fn begin_pack(&self, cx: &mut PathCtx<'_>, sid: SendId) {
-        let r = cx.r;
-        let (bytes, blocks, eager) = cx.send_meta(sid);
-        let stats = SegmentStats::new(bytes, blocks);
+        let (_, _, eager) = cx.send_meta(sid);
         cx.charge(lookup_cost(), Bucket::Sync);
-        let dst = cx.cl.ranks[r].sends[sid.0].dst;
-        // Endpoint table, not rank state: `dst` may live on another shard.
-        let same_node = cx.cl.endpoints[r].node == cx.cl.endpoints[dst.0 as usize].node;
-        if self.cfg.enable_direct_ipc && same_node {
-            // DirectIPC (the zero-copy scheme of [24], fused as a third
-            // operation kind): no packing at all on the sender — advertise
-            // the source buffer in the RTS and wait for the receiver's
-            // fused load to finish (Fin).
-            let (tag, origin, bytes) = {
-                let s = &cx.cl.ranks[r].sends[sid.0];
-                (s.tag, s.user_buf.addr, s.packed_bytes)
-            };
-            let lc = &mut cx.cl.ranks[r].sends[sid.0].lifecycle;
-            lc.apply(LifecycleEvent::PackFinished);
-            lc.apply(LifecycleEvent::RtsSent);
-            lc.apply(LifecycleEvent::Issued);
-            cx.cl.send_ctrl(
-                r,
-                dst,
-                tag,
-                WireKind::Rts {
-                    send_id: sid,
-                    packed_bytes: bytes,
-                    ipc_origin: Some(origin),
-                    rget: false,
-                },
-            );
-            return;
-        }
-        let staging = cx.cl.alloc_send_staging(r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(r, sid);
         // RPUT: RTS goes out before packing happens (§IV-B1), overlapping
         // the handshake with the fused kernel.
         cx.send_rts_or_issue(sid, eager);
-        match self.enqueue(cx, FusionOp::Pack, sid.0, true) {
-            Ok(uid) => {
-                cx.send_mut(sid).fusion_uid = Some(uid);
-                cx.send_mut(sid)
-                    .lifecycle
-                    .apply(LifecycleEvent::PackStarted);
-                cx.cl.ranks[r].uid_map.insert(uid, OpRef::Send(sid.0));
-                if cx.cl.ranks[r]
-                    .sched
-                    .as_ref()
-                    .expect("fusion")
-                    .threshold_reached()
-                {
-                    self.flush(cx, FlushReason::ThresholdReached);
-                }
-            }
-            Err(EnqueueError::RingFull) => {
-                // Backpressure ladder: force a pressure flush and park the
-                // pack until a retirement frees a slot.
-                if self.backpressure(cx, RequeuedOp::Pack(sid.0)) {
-                    cx.send_mut(sid)
-                        .lifecycle
-                        .apply(LifecycleEvent::PackStarted);
-                } else {
-                    // Last rung — the paper's fallback path (negative UID):
-                    // process this message with the synchronous kernel
-                    // scheme.
-                    cx.sync_kernel(stats, Bucket::Pack);
-                    cx.send_mut(sid)
-                        .lifecycle
-                        .apply(LifecycleEvent::PackFinished);
-                    cx.try_issue(sid);
-                }
-            }
-        }
+        self.submit(cx, FusedOp::Pack(sid.0));
     }
 
     fn begin_unpack(&self, cx: &mut PathCtx<'_>, rid: RecvId) {
-        let r = cx.r;
-        let (bytes, blocks) = cx.recv_meta(rid);
         cx.charge(lookup_cost(), Bucket::Sync);
-        match self.enqueue(cx, FusionOp::Unpack, rid.0, false) {
-            Ok(uid) => {
-                cx.recv_mut(rid).fusion_uid = Some(uid);
-                cx.recv_mut(rid)
-                    .lifecycle
-                    .apply(LifecycleEvent::PackStarted);
-                cx.cl.ranks[r].uid_map.insert(uid, OpRef::Recv(rid.0));
-                let sched = cx.cl.ranks[r].sched.as_ref().expect("fusion");
-                if sched.threshold_reached() {
-                    self.flush(cx, FlushReason::ThresholdReached);
-                } else if !cx.cl.ranks[r].recvs_awaiting_data() {
-                    // No more arrivals can fuse with this batch: launching
-                    // now is the paper's scenario 1 from the receiver's
-                    // perspective.
-                    self.flush(cx, FlushReason::SyncPoint);
-                }
-            }
-            Err(EnqueueError::RingFull) => {
-                if self.backpressure(cx, RequeuedOp::Unpack(rid.0)) {
-                    cx.recv_mut(rid)
-                        .lifecycle
-                        .apply(LifecycleEvent::PackStarted);
-                } else {
-                    let stats = SegmentStats::new(bytes, blocks);
-                    cx.sync_kernel(stats, Bucket::Pack);
-                    cx.finish_unpack(rid);
-                }
-            }
-        }
+        self.submit(cx, FusedOp::Unpack(rid.0));
+    }
+
+    fn direct_ipc(&self) -> bool {
+        self.cfg.enable_direct_ipc
     }
 
     fn make_scheduler(&self, gpu: &Gpu, tele: Telemetry) -> Option<Scheduler> {
@@ -514,19 +338,11 @@ impl SchemeEngine for FusionEngine {
         cx.cl.charge_at(r, eff, query_cost, Bucket::Sync);
         cx.cl.charge(r, complete_cost, Bucket::Scheduling);
 
-        let Some(opref) = cx.cl.ranks[r].uid_map.remove(&uid) else {
+        let Some(op) = cx.cl.ranks[r].uid_map.remove(&uid) else {
             cx.cl.fault_stats.spurious += 1;
             return;
         };
-        match opref {
-            OpRef::Send(i) => {
-                cx.cl.ranks[r].sends[i]
-                    .lifecycle
-                    .apply(LifecycleEvent::PackFinished);
-                cx.try_issue(SendId(i));
-            }
-            OpRef::Recv(i) => cx.finish_unpack(RecvId(i)),
-        }
+        complete(cx, op);
         // The retirement freed a ring slot: operations parked by the
         // backpressure ladder can now re-enqueue.
         if !cx.cl.ranks[r].fusion_requeue.is_empty() {
@@ -534,17 +350,44 @@ impl SchemeEngine for FusionEngine {
         }
     }
 
+    /// Fuse a DirectIPC request on the receiver: its cooperative groups
+    /// will load the sender's buffer over NVLink/PCIe straight into the
+    /// local user buffer — no staging, no wire payload.
+    ///
+    /// Degraded path: if the peer's buffer cannot be mapped, the payload
+    /// is staged — gathered on the sender's GPU into a pooled bounce
+    /// buffer, bounced over the GPU↔GPU link, and scattered by a
+    /// synchronous kernel — before the receive completes through the
+    /// normal IPC path (Fin to the sender).
     fn on_ipc_rts(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         let r = cx.r;
         let at = cx.cl.ranks[r].cpu;
-        if cx.cl.fault_fires(r, FaultSite::IpcMapFail, at) {
-            // Degradation ladder: the IPC handle would not map — stage the
-            // copy through a pooled bounce buffer instead.
+        let map_failed = cx.cl.fault_fires(r, FaultSite::IpcMapFail, at);
+        if map_failed {
             cx.cl
                 .fault_degraded(r, FaultSite::IpcMapFail, "staged-copy", at);
-            self.ipc_staged_fallback(cx, rid, src, origin);
-        } else {
-            self.begin_direct_ipc(cx, rid, src, origin);
         }
+        cx.charge(lookup_cost(), Bucket::Sync);
+        // Apply the data movement now (visible at the completion event):
+        // gather from the peer GPU, scatter into the local user buffer.
+        cx.cl.apply_ipc_movement(r, rid, src, origin);
+        let op = FusedOp::DirectIpc { rid: rid.0, origin };
+        if !map_failed {
+            self.submit(cx, op);
+            return;
+        }
+        // Timing: the bounce rides the intra-node link, then a synchronous
+        // scatter kernel lands it in the user buffer.
+        let (bytes, _) = cx.recv_meta(rid);
+        let at = cx.cl.ranks[r].cpu;
+        let (delivered, _) = cx.cl.transport(src, r, at, bytes, false, 0);
+        cx.cl
+            .bucket_add_at(r, Bucket::Comm, at, delivered.since(at));
+        cx.cl.ranks[r].cpu = cx.cl.ranks[r].cpu.max(delivered);
+        self.fallback_sync(cx, op);
+        // This receive may have been the one the zero-copy path counts on
+        // to trigger the last-arrival flush — without it, earlier fused
+        // DirectIPC requests would linger in the scheduler forever.
+        self.flush_if_due(cx, true);
     }
 }

@@ -2,13 +2,13 @@
 //! `cudaEventRecord`/`cudaEventQuery` completion detection. No layout
 //! cache.
 
-use super::super::accounting::Bucket;
 use super::{Cluster, Event, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
 use crate::sendrecv::{PackState, RecvId, SendId};
 use fusedpack_datatype::cache::parse_cost;
 use fusedpack_gpu::{SegmentStats, StreamId};
 use fusedpack_sim::{Duration, Time};
+use fusedpack_telemetry::Bucket;
 
 /// Number of streams the GPU-Async scheme \[23\] multiplexes kernels over.
 const ASYNC_STREAMS: u32 = 4;
@@ -52,9 +52,6 @@ impl SchemeEngine for GpuAsyncEngine {
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
         cx.charge(ASYNC_TASK_COST, Bucket::Scheduling);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
         let done = launch_async_kernel(cx, stats);
         cx.send_mut(sid)
             .lifecycle

@@ -1,12 +1,12 @@
 //! GPU-Sync \[8, 22\]: specialized pack/unpack kernel + blocking
 //! `cudaStreamSynchronize` per message. No layout cache.
 
-use super::super::accounting::Bucket;
 use super::{PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_datatype::cache::parse_cost;
 use fusedpack_gpu::SegmentStats;
+use fusedpack_telemetry::Bucket;
 
 pub(crate) struct GpuSyncEngine;
 
@@ -15,9 +15,6 @@ impl SchemeEngine for GpuSyncEngine {
         let (bytes, blocks, eager) = cx.send_meta(sid);
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
         cx.sync_kernel(stats, Bucket::Pack);
         cx.send_mut(sid)
             .lifecycle

@@ -3,7 +3,6 @@
 //! (MVAPICH2-GDR) variant is the same engine with more conservative
 //! hybrid limits.
 
-use super::super::accounting::Bucket;
 use super::{Cluster, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
 use crate::scheme::HybridPolicy;
@@ -11,6 +10,7 @@ use crate::sendrecv::{RecvId, SendId};
 use fusedpack_datatype::cache::lookup_cost;
 use fusedpack_gpu::SegmentStats;
 use fusedpack_net::platform::Platform;
+use fusedpack_telemetry::Bucket;
 
 pub(crate) struct HybridEngine {
     policy: HybridPolicy,
@@ -29,17 +29,10 @@ impl SchemeEngine for HybridEngine {
         let (bytes, blocks, eager) = cx.send_meta(sid);
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(lookup_cost(), Bucket::Sync);
-        let cpu_path = self.policy.use_cpu_path(bytes, blocks) && cx.cl.gpus[cx.r].gdr.available;
-        if cpu_path {
-            let staging = cx.cl.alloc_send_staging(cx.r, bytes, true);
-            cx.send_mut(sid).staging = staging;
-            cx.cl.apply_pack_movement(cx.r, sid);
+        if cx.cl.ranks[cx.r].sends[sid.0].staging.is_host() {
             let cost = cx.cl.gpus[cx.r].gdr.read_time(stats);
             cx.charge(cost, Bucket::Pack);
         } else {
-            let staging = cx.cl.alloc_send_staging(cx.r, bytes, false);
-            cx.send_mut(sid).staging = staging;
-            cx.cl.apply_pack_movement(cx.r, sid);
             cx.sync_kernel(stats, Bucket::Pack);
         }
         cx.send_mut(sid)
@@ -61,9 +54,10 @@ impl SchemeEngine for HybridEngine {
         cx.finish_unpack(rid);
     }
 
-    /// The receiver stages through host memory exactly when the CPU path
-    /// will do the unpack (GDRCopy store loop).
-    fn host_recv_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
+    /// A message stages through host memory exactly when the CPU path
+    /// does its (un)pack: the GDRCopy load loop on the sender, the store
+    /// loop on the receiver.
+    fn host_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
         self.policy.use_cpu_path(bytes, blocks) && cl.gpus[r].gdr.available
     }
 }

@@ -2,11 +2,16 @@
 //! design.
 //!
 //! Every scheme must answer two calls: [`SchemeEngine::begin_pack`] when an
-//! `Isend` with a non-contiguous GPU buffer starts, and
+//! `Isend` with a non-contiguous GPU buffer has been staged, and
 //! [`SchemeEngine::begin_unpack`] when a payload lands in receive staging.
-//! The differences between the paper's designs live entirely inside the
-//! engine modules below — the control plane ([`Cluster`]'s protocol,
-//! matching, and retry logic) never branches on the scheme again after
+//! Engines only model time: the control plane stages and gathers a staged
+//! send once before the engine sees it ([`Cluster::begin_pack`]), and
+//! scatters a landed receive once before its unpack
+//! ([`Cluster::begin_unpack`]). Two hooks steer the control plane:
+//! [`SchemeEngine::host_staging`] picks host or GPU staging for both
+//! directions, and [`SchemeEngine::direct_ipc`] turns same-node sends into
+//! DirectIPC RTSs. Past those, the control plane ([`Cluster`]'s protocol,
+//! matching, and retry logic) never branches on the scheme after
 //! construction ([`crate::registry::engine_for`]).
 //!
 //! | module | engine | paper design |
@@ -29,7 +34,6 @@ pub(crate) use gpu_sync::GpuSyncEngine;
 pub(crate) use hybrid::HybridEngine;
 pub(crate) use naive::NaiveEngine;
 
-use super::accounting::Bucket;
 use super::{Cluster, Event};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::WireKind;
@@ -38,15 +42,16 @@ use fusedpack_core::{Scheduler, Uid};
 use fusedpack_datatype::cache::lookup_cost;
 use fusedpack_gpu::{Gpu, SegmentStats, StreamId};
 use fusedpack_sim::{Duration, Time};
-use fusedpack_telemetry::{Lane, Payload, Telemetry, WaitKindTag};
+use fusedpack_telemetry::{Bucket, Lane, Payload, Telemetry, WaitKindTag};
 
 /// The data-plane strategy object: everything that differs between the
 /// paper's schemes, behind one trait. Engines are stateless (per-message
 /// state lives in the ops, per-rank state in [`super::rank::RankState`])
 /// and shared by all ranks of a cluster.
 pub(crate) trait SchemeEngine: Send + Sync {
-    /// Start packing for a non-contiguous send (contiguous sends never
-    /// reach the engine — they go in place from the user buffer).
+    /// Start packing for a non-contiguous send whose staging is assigned
+    /// and whose bytes are gathered (contiguous sends never reach the
+    /// engine — they go in place from the user buffer).
     fn begin_pack(&self, cx: &mut PathCtx<'_>, sid: SendId);
 
     /// Start unpacking for a receive whose payload just landed in staging.
@@ -58,9 +63,19 @@ pub(crate) trait SchemeEngine: Send + Sync {
         cl.platform.progress_poll
     }
 
-    /// Should a receive of this shape stage through host memory?
-    fn host_recv_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
+    /// Should a message of this shape stage through host memory? One rule
+    /// for both directions: it picks a staged send's and a staged
+    /// receive's buffer alike.
+    fn host_staging(&self, cl: &Cluster, r: usize, bytes: u64, blocks: u64) -> bool {
         let _ = (cl, r, bytes, blocks);
+        false
+    }
+
+    /// Do same-node sends go DirectIPC (the receiver loads the sender's
+    /// buffer, no staging on either side)? The control plane then sends
+    /// the RTS itself and the engine sees the receive in
+    /// [`SchemeEngine::on_ipc_rts`].
+    fn direct_ipc(&self) -> bool {
         false
     }
 
@@ -154,17 +169,15 @@ impl PathCtx<'_> {
 
 impl Cluster {
     /// Start packing for a send. Contiguous layouts short-circuit here
-    /// (send in place over GPUDirect); everything else is the engine's.
+    /// (send in place over GPUDirect), and so do same-node sends under a
+    /// DirectIPC engine (no packing at all: the RTS advertises the source
+    /// buffer). Every other send is staged and gathered here, exactly
+    /// once, before the engine models the pack.
     pub(crate) fn begin_pack(&mut self, r: usize, sid: SendId) {
-        let (bytes, contiguous, user_buf) = {
-            let s = &self.ranks[r].sends[sid.0];
-            (
-                s.packed_bytes,
-                s.layout.is_contiguous_for(s.count),
-                s.user_buf,
-            )
-        };
-        if contiguous {
+        let s = &self.ranks[r].sends[sid.0];
+        let (bytes, blocks, eager, dst, tag, user_buf) =
+            (s.packed_bytes, s.blocks, s.eager, s.dst, s.tag, s.user_buf);
+        if s.layout.is_contiguous_for(s.count) {
             self.charge(r, lookup_cost(), Bucket::Sync);
             let send = &mut self.ranks[r].sends[sid.0];
             send.staging = StagingLoc::UserGpu(fusedpack_gpu::DevPtr {
@@ -172,10 +185,32 @@ impl Cluster {
                 len: bytes,
             });
             send.lifecycle.apply(LifecycleEvent::PackFinished);
-            let eager = self.ranks[r].sends[sid.0].eager;
             self.send_rts_or_issue(r, sid, eager);
             return;
         }
+        // Endpoint table, not rank state: `dst` may live on another shard.
+        if self.engine.direct_ipc() && self.endpoints[r].node == self.endpoints[dst.0 as usize].node
+        {
+            // DirectIPC (the zero-copy scheme of [24], fused as a third
+            // operation kind): advertise the source buffer in the RTS and
+            // wait for the receiver's fused load to finish (Fin).
+            self.charge(r, lookup_cost(), Bucket::Sync);
+            let lc = &mut self.ranks[r].sends[sid.0].lifecycle;
+            lc.apply(LifecycleEvent::PackFinished);
+            lc.apply(LifecycleEvent::RtsSent);
+            lc.apply(LifecycleEvent::Issued);
+            let rts = WireKind::Rts {
+                send_id: sid,
+                packed_bytes: bytes,
+                ipc_origin: Some(user_buf.addr),
+                rget: false,
+            };
+            self.send_ctrl(r, dst, tag, rts);
+            return;
+        }
+        let staging = self.alloc_staging(r, bytes, blocks);
+        self.ranks[r].sends[sid.0].staging = staging;
+        self.apply_pack_movement(r, sid);
         let engine = self.engine.clone();
         engine.begin_pack(&mut PathCtx { cl: self, r }, sid);
     }
@@ -233,15 +268,9 @@ impl Cluster {
         engine.on_fusion_done(&mut PathCtx { cl: self, r }, uid, t);
     }
 
-    /// [`Cluster::sync_kernel`] for callers outside this module (explicit
-    /// `MPI_Pack`/`MPI_Unpack` execution).
-    pub(crate) fn sync_kernel_public(&mut self, r: usize, stats: SegmentStats) {
-        self.sync_kernel(r, stats, Bucket::Pack);
-    }
-
     /// Synchronous kernel execution: launch, then block the CPU until the
     /// kernel completes (`cudaStreamSynchronize`) — the GPU-Sync pattern.
-    fn sync_kernel(&mut self, r: usize, stats: SegmentStats, kernel_bucket: Bucket) {
+    pub(crate) fn sync_kernel(&mut self, r: usize, stats: SegmentStats, kernel_bucket: Bucket) {
         let at = self.ranks[r].cpu;
         let k = self.gpus[r].launch_kernel(at, StreamId(0), stats);
         let arch = &self.gpus[r].arch;

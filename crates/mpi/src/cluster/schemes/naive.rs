@@ -1,7 +1,6 @@
 //! Production-library naive path (SpectrumMPI / OpenMPI): one staged
 //! `cudaMemcpyAsync` per contiguous block, through host memory.
 
-use super::super::accounting::Bucket;
 use super::{Cluster, Event, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
 use crate::scheme::NaiveFlavor;
@@ -9,6 +8,7 @@ use crate::sendrecv::{RecvId, SendId};
 use fusedpack_datatype::cache::parse_cost;
 use fusedpack_gpu::SegmentStats;
 use fusedpack_sim::{Duration, Time};
+use fusedpack_telemetry::Bucket;
 
 pub(crate) struct NaiveEngine {
     pub(crate) flavor: NaiveFlavor,
@@ -37,9 +37,6 @@ impl SchemeEngine for NaiveEngine {
         let (bytes, blocks, _eager) = cx.send_meta(sid);
         let stats = SegmentStats::new(bytes, blocks);
         cx.charge(parse_cost(blocks), Bucket::Sync);
-        let staging = cx.cl.alloc_send_staging(cx.r, bytes, true);
-        cx.send_mut(sid).staging = staging;
-        cx.cl.apply_pack_movement(cx.r, sid);
         let done = staged_copies(cx, stats, self.flavor);
         cx.send_mut(sid)
             .lifecycle
@@ -61,7 +58,7 @@ impl SchemeEngine for NaiveEngine {
     }
 
     /// Both emulated libraries always bounce through host staging.
-    fn host_recv_staging(&self, _cl: &Cluster, _r: usize, _bytes: u64, _blocks: u64) -> bool {
+    fn host_staging(&self, _cl: &Cluster, _r: usize, _bytes: u64, _blocks: u64) -> bool {
         true
     }
 }

@@ -24,7 +24,6 @@
 
 pub mod breakdown;
 pub mod cluster;
-pub mod error;
 pub mod lifecycle;
 pub mod message;
 pub mod program;
@@ -34,7 +33,6 @@ pub mod sendrecv;
 
 pub use breakdown::Breakdown;
 pub use cluster::{Cluster, ClusterBuilder, RankId, RndvProtocol, RunReport};
-pub use error::TransferError;
 pub use lifecycle::{LifecycleEvent, RequestLifecycle, RequeueLadder, Role, Stage};
 pub use program::{AppOp, BufId, BufInit, Program, TypeSlot};
 pub use registry::{SchemeDescriptor, SchemeRegistry};

@@ -9,7 +9,6 @@
 //! proposed design's whole point is that the RTS/CTS handshake runs
 //! concurrently with packing.
 
-use fusedpack_core::Uid;
 use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::DevPtr;
 use std::sync::Arc;
@@ -83,7 +82,6 @@ pub struct SendOp {
     /// `data_issued`/`completed` flag scatter).
     pub lifecycle: RequestLifecycle,
     pub cts: Option<CtsInfo>,
-    pub fusion_uid: Option<Uid>,
 }
 
 /// One in-flight receive.
@@ -101,7 +99,6 @@ pub struct RecvOp {
     /// Protocol + unpacking progress (replaces the old `state`/`unpack`
     /// enum pair).
     pub lifecycle: RequestLifecycle,
-    pub fusion_uid: Option<Uid>,
     /// Set when this receive is served by a fused DirectIPC request; the
     /// receiver must notify this send with a `Fin` on completion.
     pub ipc_send_id: Option<SendId>,
@@ -142,7 +139,6 @@ mod tests {
             staging: StagingLoc::None,
             lifecycle: RequestLifecycle::send(),
             cts: None,
-            fusion_uid: None,
         }
     }
 

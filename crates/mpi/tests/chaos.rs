@@ -318,19 +318,30 @@ fn failed_cooperative_launches_degrade_to_serial_kernels() {
 fn injected_ring_exhaustion_stays_live_with_a_tiny_ring() {
     // Exhaustion injected on top of a 2-slot ring: the backpressure ladder
     // (forced flush + requeue + sync fallback when the ring is empty) must
-    // keep every rank live.
+    // keep every rank live. Across nodes the ladder carries packs and
+    // unpacks; on one node, DirectIPC loads.
     let cfg = FusionConfig {
         ring_capacity: 2,
         max_fused: 2,
         ..FusionConfig::default()
     };
+    assert!(cfg.enable_direct_ipc);
     let desc = sparse_type(400);
-    let plan = FaultPlan::new(3).with(FaultSite::RingExhausted, FaultSpec::with_probability(0.3));
-    let (report, received, len) =
-        run_chaos_pair(SchemeKind::Fusion(cfg), &desc, 8, false, Some(plan));
-    verify_received(&desc, &received, len);
-    assert!(report.fault_summary.injected > 0);
-    assert_eq!(report.lap_count(), 1);
+    for same_node in [false, true] {
+        let plan =
+            FaultPlan::new(3).with(FaultSite::RingExhausted, FaultSpec::with_probability(0.3));
+        let (report, received, len) = run_chaos_pair(
+            SchemeKind::Fusion(cfg.clone()),
+            &desc,
+            8,
+            same_node,
+            Some(plan),
+        );
+        verify_received(&desc, &received, len);
+        assert!(report.fault_summary.injected > 0, "same_node={same_node}");
+        assert!(report.fault_summary.degraded > 0, "same_node={same_node}");
+        assert_eq!(report.lap_count(), 1, "same_node={same_node}");
+    }
 }
 
 #[test]

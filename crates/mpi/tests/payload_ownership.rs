@@ -2,7 +2,7 @@
 //!
 //! A staged message's packed bytes are one pooled buffer that changes
 //! owner (send → wire → receive) instead of being copied, and the staging
-//! pools only hand out addresses. Two checks guard that:
+//! pools only hand out addresses. These checks guard that:
 //!
 //! * a byte-verified matrix: random datatype trees (the shared
 //!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
@@ -16,9 +16,12 @@
 //!   the same signature, through every scheme, with the ranks on one node
 //!   (DirectIPC for the fused schemes) and on two; each receive must equal
 //!   host `pack` → `unpack` of the send, whichever layout each side uses;
-//! * a deterministic work counter: a Full-mode halo on a 4³ torus backs
-//!   zero staging bytes, and takes exactly one pooled buffer per staged
-//!   send plus one per DirectIPC bounce.
+//! * a deterministic work counter: a Full-mode halo on a 4³ torus takes
+//!   exactly one pooled buffer per staged send plus one per DirectIPC
+//!   bounce;
+//! * a size check: a message whose packed size differs from its
+//!   receive's panics when it is matched, over the wire and DirectIPC, in
+//!   either data mode, instead of truncating or overrunning the unpack.
 
 #[path = "../../datatype/tests/common/mod.rs"]
 mod common;
@@ -180,7 +183,6 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         assert_eq!(report.lap_count(), LAPS, "{label}");
                         assert_eq!(report.shard.shards.max(1), shards, "{label}");
                         assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
-                        assert_eq!(cluster.staging_backed_bytes(), 0, "{label}");
                         let pool = cluster.staging_pool_stats();
                         assert_eq!(pool.outstanding(), 0, "{label}: {pool:?}");
                         for (r, mine) in msgs.iter().enumerate() {
@@ -273,7 +275,7 @@ fn mixed_send_and_receive_layouts_deliver_the_sent_bytes() {
 }
 
 #[test]
-fn a_full_mode_halo_backs_no_staging_and_takes_one_buffer_per_message() {
+fn a_full_mode_halo_takes_one_pooled_buffer_per_message() {
     let grid = HaloGrid::new_3d(4, 4, 4);
     let workload = specfem3d_cm(64);
     let gpus = Platform::lassen().gpus_per_node;
@@ -303,17 +305,7 @@ fn a_full_mode_halo_backs_no_staging_and_takes_one_buffer_per_message() {
         builder = builder.add_rank(node(r as u32), program);
     }
     let mut cluster = builder.build();
-    assert_eq!(
-        cluster.staging_backed_bytes(),
-        0,
-        "the build backs no staging"
-    );
     cluster.run();
-    assert_eq!(
-        cluster.staging_backed_bytes(),
-        0,
-        "the run backs no staging"
-    );
     let pool = cluster.staging_pool_stats();
     assert_eq!(pool.hits + pool.misses, staged + bounced, "{pool:?}");
     assert_eq!(pool.released, staged + bounced, "{pool:?}");
@@ -348,4 +340,70 @@ fn an_unmatched_eager_message_does_not_leak_its_payload() {
     .build();
     cluster.run();
     assert_eq!(cluster.staging_pool_stats().outstanding(), 0);
+}
+
+/// Rank 0 sends `send_count` elements of a strided int vector (32 packed
+/// bytes each) with tag 7; rank 1, on node `nodes - 1`, receives
+/// `recv_count` of them.
+fn run_mismatched_pair(scheme: &str, mode: DataMode, nodes: u32, send_count: u64, recv_count: u64) {
+    let desc =
+        fusedpack_datatype::TypeBuilder::vector(8, 1, 2, fusedpack_datatype::TypeBuilder::int());
+    let footprint = CompiledLayout::of(&desc).footprint(send_count.max(recv_count));
+    let program = |send: bool| {
+        let mut p = Program::new();
+        let buf = p.buffer(footprint, BufInit::Random(5));
+        p.push(AppOp::Commit {
+            slot: TypeSlot(0),
+            desc: desc.clone(),
+        });
+        p.push(if send {
+            AppOp::Isend {
+                buf,
+                ty: TypeSlot(0),
+                count: send_count,
+                dst: RankId(1),
+                tag: 7,
+            }
+        } else {
+            AppOp::Irecv {
+                buf,
+                ty: TypeSlot(0),
+                count: recv_count,
+                src: RankId(0),
+                tag: 7,
+            }
+        });
+        p.push(AppOp::Waitall);
+        p
+    };
+    ClusterBuilder::new(Platform::lassen(), SchemeRegistry::global().create(scheme))
+        .data_mode(mode)
+        .add_rank(0, program(true))
+        .add_rank(nodes - 1, program(false))
+        .build()
+        .run();
+}
+
+#[test]
+#[should_panic(
+    expected = "message size mismatch: rank 0 -> rank 1 tag 7: sent 32768 packed bytes, the receive expects 16384"
+)]
+fn a_rendezvous_message_larger_than_its_receive_panics_at_match_in_model_only() {
+    run_mismatched_pair("gpu-sync", DataMode::ModelOnly, 2, 1024, 512);
+}
+
+#[test]
+#[should_panic(
+    expected = "message size mismatch: rank 0 -> rank 1 tag 7: sent 64 packed bytes, the receive expects 96"
+)]
+fn an_eager_message_smaller_than_its_receive_panics_at_match_in_full() {
+    run_mismatched_pair("gpu-sync", DataMode::Full, 2, 2, 3);
+}
+
+#[test]
+#[should_panic(
+    expected = "message size mismatch: rank 0 -> rank 1 tag 7: sent 96 packed bytes, the receive expects 64"
+)]
+fn a_direct_ipc_message_larger_than_its_receive_panics_at_match_in_full() {
+    run_mismatched_pair("proposed", DataMode::Full, 1, 3, 2);
 }

@@ -4,12 +4,11 @@
 //! resolve: one scalar link per node pair. With hierarchical topologies a
 //! lookup can genuinely fail — an endpoint outside the fabric, a GPU index
 //! beyond the node's island, a node with no path to its peer — and those
-//! states are classified here instead of panicking, mirroring the style of
-//! `fusedpack_mpi::TransferError`: reachable bad states get a variant. The
-//! cluster validates every endpoint when it is built, so on its hot path
-//! an error is a bug and panics with the variant; a severed pair
-//! ([`NetError::Disconnected`]) is no error there — the network forces
-//! the transfer over its pre-fault route instead.
+//! states are classified here instead of panicking: reachable bad states
+//! get a variant. The cluster validates every endpoint when it is built,
+//! so on its hot path an error is a bug and panics with the variant; a
+//! severed pair ([`NetError::Disconnected`]) is no error there — the
+//! network forces the transfer over its pre-fault route instead.
 
 use std::fmt;
 

@@ -58,12 +58,14 @@ impl FlushReasonTag {
     }
 }
 
-/// Mirror of the mpi crate's wait classification.
+/// What a blocked rank is waiting on: the mpi crate's wait
+/// classification, which decides the Fig. 11 `Comm.` bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitKindTag {
-    /// Waiting on a local kernel / device operation.
+    /// A local kernel / DMA is still running — its time is already
+    /// accounted in the `pack` bucket.
     LocalKernel,
-    /// Waiting on the network.
+    /// Pure network wait: observed communication time.
     Network,
 }
 
