@@ -1,16 +1,23 @@
 //! Pack/unpack: the workspace's one set of copy kernels.
 //!
 //! Host packing calls these directly, and the simulated GPU memory pools
-//! (`gpu::MemPool` gather/scatter) execute every copy plan through them,
-//! so a copy tier exists once. Tests check the wire protocols' delivered
-//! bytes against them.
+//! (`gpu::MemPool` gather/scatter/copy) execute every copy plan through
+//! them, so a copy tier exists once. Tests check the wire protocols'
+//! delivered bytes against them.
 //!
 //! One kernel pair per [`CopyPlan`]: a `memcpy`, the chunked fixed-stride
 //! block loop, the indexed fixed-width loop over the layout's `u32`
 //! offset table, and the generic segment walk
 //! ([`pack_into_generic`]/[`unpack_generic`]), which stays public as the
-//! reference the faster tiers are tested and benchmarked against. All of
-//! them are safe code; every run is a bounds-checked slice copy.
+//! reference the faster tiers are tested and benchmarked against.
+//!
+//! [`copy`] moves elements of one layout straight into elements of
+//! another, with no packed image between them — the single pass of a
+//! DirectIPC kernel, which loads the peer's buffer and stores it in the
+//! receiver's layout. It zips the two sides' run lists ([`copy_zip`],
+//! public as the reference), or their offset tables when both are
+//! indexed runs of one width. All of them are safe code; every run is a
+//! bounds-checked slice copy.
 
 use crate::compile::CompiledLayout;
 use crate::compile::CopyPlan;
@@ -239,6 +246,144 @@ pub fn unpack_generic(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut
             dst[lo..hi].copy_from_slice(&src[po..po + seg.len as usize]);
         }
     }
+}
+
+/// Copy `src_count` elements of `src_layout` starting at `src\[0\]` to
+/// `dst_count` elements of `dst_layout` starting at `dst\[0\]`, with no
+/// packed intermediate: `dst` ends up as [`pack`] of `src` followed by
+/// [`unpack`] into `dst` would leave it. Bytes in the destination
+/// layout's gaps are untouched.
+///
+/// A contiguous side reduces to one [`pack_into`] or [`unpack`]. Two
+/// indexed-runs layouts of one run width — one layout on both sides
+/// included, the halo's case — zip their offset tables with fixed-width
+/// moves. Anything else takes [`copy_zip`].
+///
+/// Panics if the two sides' packed sizes differ.
+pub fn copy(
+    src: &[u8],
+    src_layout: &CompiledLayout,
+    src_count: u64,
+    dst: &mut [u8],
+    dst_layout: &CompiledLayout,
+    dst_count: u64,
+) {
+    let total = src_layout.total_bytes(src_count);
+    assert_eq!(
+        total,
+        dst_layout.total_bytes(dst_count),
+        "packed size mismatch"
+    );
+    let n = total as usize;
+    match (
+        src_layout.plan_for(src_count),
+        dst_layout.plan_for(dst_count),
+    ) {
+        (CopyPlan::Memcpy { .. }, _) => unpack(&src[..n], dst_layout, dst_count, dst),
+        (_, CopyPlan::Memcpy { .. }) => pack_into(src, src_layout, src_count, &mut dst[..n]),
+        (CopyPlan::IndexedRuns { width }, CopyPlan::IndexedRuns { width: w }) if width == w => {
+            let from = (src, src_layout.run_offsets(), src_layout.extent() as usize);
+            let to = (dst, dst_layout.run_offsets(), dst_layout.extent() as usize);
+            let runs = n / width as usize;
+            match width {
+                2 => zip_indexed(from, to, runs, 2),
+                4 => zip_indexed(from, to, runs, 4),
+                8 => zip_indexed(from, to, runs, 8),
+                16 => zip_indexed(from, to, runs, 16),
+                32 => zip_indexed(from, to, runs, 32),
+                w => zip_indexed(from, to, runs, w as usize),
+            }
+        }
+        _ => copy_zip(src, src_layout, src_count, dst, dst_layout, dst_count),
+    }
+}
+
+/// [`copy_zip`] for two indexed-runs layouts of one run width `w`: the
+/// k-th run of the source lands in the k-th run of the destination, so
+/// the two offset tables zip directly, a stretch at a time up to the next
+/// element boundary on either side. Each side is `(bytes, run offsets,
+/// extent)`.
+#[inline(always)]
+fn zip_indexed(
+    from: (&[u8], &[u32], usize),
+    to: (&mut [u8], &[u32], usize),
+    runs: usize,
+    w: usize,
+) {
+    let ((src, s_offs, s_extent), (dst, d_offs, d_extent)) = (from, to);
+    let (mut s_base, mut s_at, mut d_base, mut d_at) = (0, 0, 0, 0);
+    let mut left = runs;
+    while left > 0 {
+        let n = (s_offs.len() - s_at).min(d_offs.len() - d_at);
+        let (elem, out) = (&src[s_base..], &mut dst[d_base..]);
+        let mut s_steps = s_offs[s_at..s_at + n].chunks_exact(RUNS_PER_STEP);
+        let mut d_steps = d_offs[d_at..d_at + n].chunks_exact(RUNS_PER_STEP);
+        for (ss, ds) in (&mut s_steps).zip(&mut d_steps) {
+            for (&s, &d) in ss.iter().zip(ds) {
+                let (s, d) = (s as usize, d as usize);
+                out[d..d + w].copy_from_slice(&elem[s..s + w]);
+            }
+        }
+        for (&s, &d) in s_steps.remainder().iter().zip(d_steps.remainder()) {
+            let (s, d) = (s as usize, d as usize);
+            out[d..d + w].copy_from_slice(&elem[s..s + w]);
+        }
+        (s_at, d_at, left) = (s_at + n, d_at + n, left - n);
+        if s_at == s_offs.len() {
+            (s_base, s_at) = (s_base + s_extent, 0);
+        }
+        if d_at == d_offs.len() {
+            (d_base, d_at) = (d_base + d_extent, 0);
+        }
+    }
+}
+
+/// The general case of [`copy`]: walk both sides' runs in pack order at
+/// once, each step moving the overlap of the current source run and the
+/// current destination run. Public so tests and benches can drive it on
+/// layouts [`copy`] would send down a faster path.
+///
+/// Panics if the two sides' packed sizes differ.
+pub fn copy_zip(
+    src: &[u8],
+    src_layout: &CompiledLayout,
+    src_count: u64,
+    dst: &mut [u8],
+    dst_layout: &CompiledLayout,
+    dst_count: u64,
+) {
+    assert_eq!(
+        src_layout.total_bytes(src_count),
+        dst_layout.total_bytes(dst_count),
+        "packed size mismatch"
+    );
+    let mut to = runs(dst_layout, dst_count);
+    let Some((mut d, mut d_len)) = to.next() else {
+        return;
+    };
+    for (mut s, mut s_len) in runs(src_layout, src_count) {
+        while s_len > 0 {
+            if d_len == 0 {
+                (d, d_len) = to.next().expect("equal packed sizes");
+            }
+            let n = s_len.min(d_len);
+            dst[d..d + n].copy_from_slice(&src[s..s + n]);
+            (s, s_len, d, d_len) = (s + n, s_len - n, d + n, d_len - n);
+        }
+    }
+}
+
+/// The non-empty `(offset, len)` runs of `count` elements of `layout`,
+/// in pack order.
+fn runs(layout: &CompiledLayout, count: u64) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let extent = layout.extent() as usize;
+    (0..count as usize).flat_map(move |i| {
+        layout
+            .segments()
+            .iter()
+            .filter(|seg| seg.len > 0)
+            .map(move |seg| (i * extent + seg.offset as usize, seg.len as usize))
+    })
 }
 
 #[cfg(test)]

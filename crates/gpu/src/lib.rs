@@ -39,6 +39,6 @@ pub use device::{Gpu, KernelTiming};
 pub use fused::{FusedLaunch, FusedTiming, FusedWork, PartitionPolicy};
 pub use gdr::GdrWindow;
 pub use kernel::SegmentStats;
-pub use mem::{DataMode, DevPtr, MemPool};
+pub use mem::{DataMode, DevPtr, Elements, MemPool};
 pub use staging::{BufferPool, PoolStats};
 pub use stream::{EventRecord, Stream, StreamId};

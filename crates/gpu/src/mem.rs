@@ -23,8 +23,10 @@
 //!
 //! Copies are driven by a datatype's [`CompiledLayout`]: one gather and one
 //! scatter, each within one pool or between a pool and an outside buffer,
-//! all executing the layout's copy plan through the host
-//! [`pack::pack_into`]/[`pack::unpack`] kernels.
+//! executing the layout's copy plan through the host
+//! [`pack::pack_into`]/[`pack::unpack`] kernels, and one layout-to-layout
+//! copy from one pool into another ([`MemPool::copy_to`], the DirectIPC
+//! load) through [`pack::copy`], with no packed image between the two.
 
 use fusedpack_datatype::{pack, CompiledLayout};
 
@@ -61,6 +63,25 @@ impl DevPtr {
     #[inline]
     pub fn end(self) -> u64 {
         self.addr + self.len
+    }
+}
+
+/// `count` elements of a layout based at `base`: one side of a
+/// [`MemPool::copy_to`].
+#[derive(Debug, Clone, Copy)]
+pub struct Elements<'a> {
+    pub layout: &'a CompiledLayout,
+    pub base: u64,
+    pub count: u64,
+}
+
+impl<'a> Elements<'a> {
+    pub fn new(layout: &'a CompiledLayout, base: u64, count: u64) -> Self {
+        Elements {
+            layout,
+            base,
+            count,
+        }
     }
 }
 
@@ -251,6 +272,28 @@ impl MemPool {
             layout,
             count,
             &mut out[..total as usize],
+        );
+        total
+    }
+
+    /// Copy the elements `from` of this pool to the elements `to` of
+    /// `dst`, run to run with no packed intermediate — the data movement of
+    /// a DirectIPC kernel, which loads a peer GPU's buffer and stores it in
+    /// the receiver's layout in one pass. The two layouts may differ; their
+    /// packed sizes must not. Bytes in `to`'s gaps are untouched. Returns
+    /// the packed byte count.
+    pub fn copy_to(&self, from: Elements<'_>, dst: &mut MemPool, to: Elements<'_>) -> u64 {
+        let total = from.layout.total_bytes(from.count);
+        if self.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
+            return total;
+        }
+        pack::copy(
+            &self.bytes[from.base as usize..],
+            from.layout,
+            from.count,
+            &mut dst.bytes[to.base as usize..],
+            to.layout,
+            to.count,
         );
         total
     }
@@ -463,6 +506,9 @@ mod tests {
         assert_eq!(p.scatter(1 << 20, &l, 0, 4), 600);
         assert_eq!(p.gather_into(&l, 0, 4, &mut []), 600);
         assert_eq!(p.scatter_from(&[], &l, 0, 4), 600);
+        let mut q = MemPool::new(1 << 40, DataMode::ModelOnly);
+        let elems = Elements::new(&l, 0, 4);
+        assert_eq!(p.copy_to(elems, &mut q, elems), 600);
         assert!(p.bytes.is_empty(), "a ModelOnly pool never backs a byte");
         assert_eq!(p.bytes.capacity(), 0, "nor reserves one");
     }
@@ -487,6 +533,32 @@ mod tests {
         let v = dev2.read(dst);
         assert_eq!(&v[3..5], &[1, 2]);
         assert_eq!(&v[10..13], &[8, 9, 10]);
+    }
+
+    #[test]
+    fn copy_to_moves_runs_between_layouts_and_keeps_gaps() {
+        let mut peer = MemPool::new(64, DataMode::Full);
+        let src = peer.alloc(16, 1);
+        peer.write(src, &(0..16).collect::<Vec<u8>>());
+        let mut local = MemPool::new(64, DataMode::Full);
+        let dst = local.alloc(24, 1);
+        local.write(dst, &[0xEE; 24]);
+        // 2 + 3 bytes out of the peer's element, into 1 + 4 of the local one.
+        let (from, to) = (layout(&[(1, 2), (8, 3)], 16), layout(&[(0, 1), (6, 4)], 12));
+        let n = peer.copy_to(
+            Elements::new(&from, src.addr, 1),
+            &mut local,
+            Elements::new(&to, dst.addr + 2, 1),
+        );
+        assert_eq!(n, 5);
+        let v = local.read(dst);
+        assert_eq!(v[2], 1);
+        assert_eq!(&v[8..12], &[2, 8, 9, 10]);
+        assert!(v[..2]
+            .iter()
+            .chain(&v[3..8])
+            .chain(&v[12..])
+            .all(|&b| b == 0xEE));
     }
 
     #[test]

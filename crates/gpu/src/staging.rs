@@ -2,13 +2,18 @@
 //!
 //! In `DataMode::Full` runs every payload the cluster moves is a pooled
 //! `Vec<u8>`: a staged message's packed bytes (taken at pack, returned
-//! after unpack), contiguous and RGET copies, and DirectIPC bounces. A
-//! [`BufferPool`] keeps a freelist of retired buffers behind a
-//! `parking_lot::Mutex` so those per-message allocations become
-//! acquire/release pairs: `take` hands out an **empty** vector whose
-//! capacity already covers the request whenever the freelist can satisfy
-//! it, and `put` returns the vector for the next message. A finished run
-//! has returned every buffer it took ([`PoolStats::outstanding`] is zero).
+//! after unpack), and contiguous and RGET copies. A [`BufferPool`] keeps a
+//! freelist of retired buffers behind a `parking_lot::Mutex` so those
+//! per-message allocations become acquire/release pairs: `take(len)` hands
+//! out a buffer of length `len` for the caller to overwrite, and `put`
+//! returns it for the next message. Nothing is zero-filled except a fresh
+//! allocation and growth past a recycled buffer's old length, so a pack
+//! into a recycled buffer writes its payload once. A finished run has returned
+//! every buffer it took ([`PoolStats::outstanding`] is zero).
+//!
+//! The freelist is a LIFO stack with no cap: the pool allocates only when
+//! it is empty, so it never holds more buffers than the run's own peak of
+//! buffers in flight, and steady-state traffic allocates nothing.
 //!
 //! The pool is cheap to clone (`Arc` inside), so one pool can be threaded
 //! through a whole cluster — or shared across clusters — without wiring
@@ -16,10 +21,6 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// How many retired buffers the freelist retains; beyond this, `put`
-/// drops the buffer instead (bounds worst-case memory held by idle pools).
-const MAX_FREE: usize = 64;
 
 #[derive(Debug, Default)]
 struct PoolInner {
@@ -36,8 +37,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned via `put`.
     pub released: u64,
-    /// Buffers dropped by `put` because the freelist was full.
-    pub dropped: u64,
 }
 
 impl PoolStats {
@@ -46,7 +45,6 @@ impl PoolStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.released += other.released;
-        self.dropped += other.dropped;
     }
 
     /// Buffers taken and not yet returned. A buffer may go back to
@@ -67,47 +65,33 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Acquire an empty buffer with capacity at least `len`. Prefers the
-    /// largest retired buffer (the freelist is kept sorted by capacity) so
-    /// steady-state traffic stops allocating once the high-water mark is
-    /// reached.
+    /// Acquire a buffer of length `len`, the most recently returned one
+    /// when the freelist has any. Its bytes are unspecified (a recycled
+    /// buffer keeps its last payload): the caller overwrites all of them.
+    /// A recycled buffer too small for `len` grows, and counts as a miss.
     pub fn take(&self, len: usize) -> Vec<u8> {
-        let mut inner = self.inner.lock();
-        match inner.free.pop() {
-            Some(mut buf) => {
-                if buf.capacity() >= len {
-                    inner.stats.hits += 1;
-                } else {
-                    inner.stats.misses += 1;
-                    buf.reserve(len);
-                }
-                buf
+        let popped = {
+            let mut inner = self.inner.lock();
+            let popped = inner.free.pop();
+            match &popped {
+                Some(buf) if buf.capacity() >= len => inner.stats.hits += 1,
+                _ => inner.stats.misses += 1,
             }
-            None => {
-                inner.stats.misses += 1;
-                Vec::with_capacity(len)
-            }
-        }
+            popped
+        };
+        let mut buf = popped.unwrap_or_default();
+        buf.resize(len, 0);
+        buf
     }
 
-    /// Return a buffer to the freelist. The contents are cleared; capacity
-    /// is kept for reuse.
-    pub fn put(&self, mut buf: Vec<u8>) {
+    /// Return a buffer to the freelist, contents and capacity kept.
+    pub fn put(&self, buf: Vec<u8>) {
         if buf.capacity() == 0 {
             return; // nothing worth keeping (ModelOnly payloads)
         }
-        buf.clear();
         let mut inner = self.inner.lock();
         inner.stats.released += 1;
-        if inner.free.len() >= MAX_FREE {
-            inner.stats.dropped += 1;
-            return;
-        }
-        // Keep the freelist sorted so `pop` hands out the largest buffer.
-        let pos = inner
-            .free
-            .partition_point(|b| b.capacity() <= buf.capacity());
-        inner.free.insert(pos, buf);
+        inner.free.push(buf);
     }
 
     /// Counters since construction.
@@ -126,18 +110,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn take_put_take_reuses_capacity() {
+    fn take_put_take_reuses_the_allocation() {
         let pool = BufferPool::new();
         let mut a = pool.take(100);
-        assert!(a.is_empty() && a.capacity() >= 100);
-        a.extend_from_slice(&[1, 2, 3]);
-        let cap = a.capacity();
+        assert_eq!(a.len(), 100, "take hands out the requested length");
+        a[..3].copy_from_slice(&[1, 2, 3]);
+        let ptr = a.as_ptr();
         pool.put(a);
         let b = pool.take(50);
-        assert!(b.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(b.capacity(), cap, "same backing allocation");
+        assert_eq!(b.len(), 50);
+        assert_eq!(b.as_ptr(), ptr, "same backing allocation");
+        assert_eq!(&b[..3], &[1, 2, 3], "recycled bytes are not cleared");
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.released), (1, 1, 1));
+    }
+
+    #[test]
+    fn growth_past_the_old_length_reads_zero() {
+        let pool = BufferPool::new();
+        let mut a = pool.take(64);
+        a.fill(0xEE);
+        pool.put(a);
+        let mut short = pool.take(8);
+        assert_eq!(short, [0xEE; 8]);
+        short.fill(0xAA);
+        pool.put(short);
+        let long = pool.take(32);
+        assert_eq!(pool.stats().hits, 2, "within capacity: no allocation");
+        assert_eq!(&long[..8], &[0xAA; 8]);
+        assert_eq!(&long[8..], &[0; 24]);
     }
 
     #[test]
@@ -145,28 +146,38 @@ mod tests {
         let pool = BufferPool::new();
         pool.put(Vec::with_capacity(8));
         let b = pool.take(1024);
-        assert!(b.capacity() >= 1024);
+        assert_eq!(b.len(), 1024);
         assert_eq!(pool.stats().misses, 1);
+        assert_eq!(pool.free_len(), 0, "the small buffer grew, no new one");
     }
 
     #[test]
-    fn largest_buffer_is_handed_out_first() {
+    fn the_last_buffer_returned_is_handed_out_first() {
         let pool = BufferPool::new();
-        pool.put(Vec::with_capacity(16));
         pool.put(Vec::with_capacity(256));
-        pool.put(Vec::with_capacity(64));
+        pool.put(Vec::with_capacity(16));
+        assert_eq!(pool.take(8).capacity(), 16);
         assert_eq!(pool.take(200).capacity(), 256);
-        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.stats().hits, 2);
     }
 
     #[test]
-    fn freelist_is_bounded() {
+    fn the_freelist_keeps_every_returned_buffer() {
         let pool = BufferPool::new();
-        for _ in 0..(MAX_FREE + 10) {
-            pool.put(Vec::with_capacity(8));
+        let bufs: Vec<Vec<u8>> = (0..200).map(|_| pool.take(8)).collect();
+        for buf in bufs {
+            pool.put(buf);
         }
-        assert_eq!(pool.free_len(), MAX_FREE);
-        assert_eq!(pool.stats().dropped, 10);
+        assert_eq!(pool.free_len(), 200);
+        for _ in 0..200 {
+            pool.put(pool.take(8));
+        }
+        let s = pool.stats();
+        assert_eq!(
+            (s.misses, s.hits),
+            (200, 200),
+            "a warm lap allocates nothing"
+        );
     }
 
     #[test]
@@ -198,7 +209,7 @@ mod tests {
         let clone = pool.clone();
         pool.put(Vec::with_capacity(32));
         assert_eq!(clone.free_len(), 1);
-        let _ = clone.take(4);
+        assert_eq!(clone.take(4).len(), 4);
         assert_eq!(pool.free_len(), 0);
     }
 }

@@ -8,14 +8,15 @@
 //! (`RankState::landed`), and the unpack scatters from it and recycles it.
 //! Staging pools only hand out the addresses a CTS advertises. Contiguous
 //! sends and RGET reads (which a replayed request may repeat) send pooled
-//! copies. Timing-only runs carry empty payloads and take no buffer.
+//! copies, and DirectIPC copies layout to layout with no buffer at all.
+//! Timing-only runs carry empty payloads and take no buffer.
 
 use super::schemes::PathCtx;
 use super::{Cluster, Event, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
-use fusedpack_gpu::DataMode;
+use fusedpack_gpu::{DataMode, Elements};
 use fusedpack_net::rdma::CTRL_BYTES;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
@@ -215,7 +216,7 @@ impl Cluster {
             return Vec::new();
         }
         let mut buf = self.buf_pool.take(src.len());
-        buf.extend_from_slice(src);
+        buf.copy_from_slice(src);
         buf
     }
 
@@ -650,7 +651,6 @@ impl Cluster {
             return;
         }
         let mut packed = self.buf_pool.take(len);
-        packed.resize(len, 0);
         self.gpus[r]
             .mem
             .gather_into(&s.layout, s.user_buf.addr, s.count, &mut packed);
@@ -675,13 +675,13 @@ impl Cluster {
         self.buf_pool.put(data);
     }
 
-    /// Apply a DirectIPC receive's data movement: gather the sender's
-    /// buffer at `origin` through the send's own layout and count into a
-    /// pooled bounce buffer, then scatter it into the local user buffer
-    /// through the receive's. The two layouts may differ: MPI matches type
-    /// signatures, not layouts. The send is reached through the receive's
-    /// `ipc_send_id`; same-node ranks always share a shard, so its state is
-    /// local. Timing-only runs move nothing and take no buffer.
+    /// Apply a DirectIPC receive's data movement: copy the sender's
+    /// elements at `origin` (the send's layout and count) straight into the
+    /// local user buffer (the receive's), in one pass with no bounce buffer.
+    /// The layouts may differ: MPI matches type signatures, not layouts.
+    /// The send is reached through the receive's `ipc_send_id`; same-node
+    /// ranks share a shard, so its state is local, and a rank never routes
+    /// to itself. Timing-only runs move nothing.
     pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {
         if self.data_mode == DataMode::ModelOnly {
             return;
@@ -689,15 +689,11 @@ impl Cluster {
         let op = &self.ranks[r].recvs[rid.0];
         let sid = op.ipc_send_id.expect("a DirectIPC receive names its send");
         let send = &self.ranks[src].sends[sid.0];
-        let len = send.layout.total_bytes(send.count) as usize;
-        let mut packed = self.buf_pool.take(len);
-        packed.resize(len, 0);
-        self.gpus[src]
-            .mem
-            .gather_into(&send.layout, origin, send.count, &mut packed);
-        self.gpus[r]
-            .mem
-            .scatter_from(&packed, &op.layout, op.user_buf.addr, op.count);
-        self.buf_pool.put(packed);
+        let (peer, local) = self.gpus.pair_mut(src, r);
+        peer.mem.copy_to(
+            Elements::new(&send.layout, origin, send.count),
+            &mut local.mem,
+            Elements::new(&op.layout, op.user_buf.addr, op.count),
+        );
     }
 }

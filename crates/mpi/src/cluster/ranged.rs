@@ -63,6 +63,20 @@ impl<T> Ranged<T> {
         self.items.iter_mut()
     }
 
+    /// Two distinct entries at once, by global index:
+    /// `(&mut self[a], &mut self[b])`. Panics if `a == b`.
+    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut T, &mut T) {
+        assert_ne!(a, b, "pair_mut needs two distinct indices");
+        let (i, j) = (a - self.base, b - self.base);
+        if i < j {
+            let (lo, hi) = self.items.split_at_mut(j);
+            (&mut lo[i], &mut hi[0])
+        } else {
+            let (lo, hi) = self.items.split_at_mut(i);
+            (&mut hi[0], &mut lo[j])
+        }
+    }
+
     /// Unwrap the backing storage (recompose path).
     pub fn into_vec(self) -> Vec<T> {
         self.items
@@ -114,5 +128,19 @@ mod tests {
         r[1] += 10;
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![1, 12, 3]);
         assert_eq!(r.into_vec(), vec![1, 12, 3]);
+    }
+
+    #[test]
+    fn pair_mut_borrows_two_entries_in_either_order() {
+        let mut r = Ranged::with_base(5, vec![1, 2, 3]);
+        let (a, b) = r.pair_mut(7, 5);
+        (*a, *b) = (*b * 10, *a * 10);
+        assert_eq!(r.into_vec(), vec![30, 2, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct indices")]
+    fn pair_mut_refuses_one_index_twice() {
+        Ranged::from_vec(vec![1, 2]).pair_mut(1, 1);
     }
 }

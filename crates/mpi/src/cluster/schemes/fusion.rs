@@ -355,10 +355,10 @@ impl SchemeEngine for FusionEngine {
     /// local user buffer — no staging, no wire payload.
     ///
     /// Degraded path: if the peer's buffer cannot be mapped, the payload
-    /// is staged — gathered on the sender's GPU into a pooled bounce
-    /// buffer, bounced over the GPU↔GPU link, and scattered by a
-    /// synchronous kernel — before the receive completes through the
-    /// normal IPC path (Fin to the sender).
+    /// is timed as a staged bounce — over the GPU↔GPU link, then a
+    /// synchronous scatter kernel — before the receive completes through
+    /// the normal IPC path (Fin to the sender). Either way the bytes move
+    /// by one layout-to-layout copy (`Cluster::apply_ipc_movement`).
     fn on_ipc_rts(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         let r = cx.r;
         let at = cx.cl.ranks[r].cpu;
@@ -369,7 +369,7 @@ impl SchemeEngine for FusionEngine {
         }
         cx.charge(lookup_cost(), Bucket::Sync);
         // Apply the data movement now (visible at the completion event):
-        // gather from the peer GPU, scatter into the local user buffer.
+        // the peer GPU's elements straight into the local user buffer.
         cx.cl.apply_ipc_movement(r, rid, src, origin);
         let op = FusedOp::DirectIpc { rid: rid.0, origin };
         if !map_failed {

@@ -2,7 +2,8 @@
 //!
 //! A staged message's packed bytes are one pooled buffer that changes
 //! owner (send → wire → receive) instead of being copied, and the staging
-//! pools only hand out addresses. These checks guard that:
+//! pools only hand out addresses; a DirectIPC message copies layout to
+//! layout and takes no buffer. These checks guard that:
 //!
 //! * a byte-verified matrix: random datatype trees (the shared
 //!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
@@ -12,13 +13,17 @@
 //!   bytes included, must equal host `pack` → `unpack` of the send buffer
 //!   into zeros. The cluster itself asserts at run end that no operation
 //!   still owns a payload and that the pool's takes balance its releases;
+//! * independent send and receive types: two random trees of one packed
+//!   size, exchanged all-to-all through every scheme with the 4 ranks on
+//!   one node (all DirectIPC for the fused schemes) and on two; each
+//!   receive must equal host `pack` of the send in its type → `unpack` in
+//!   the receive's;
 //! * a mixed-layout pair: a strided send received as a contiguous type of
 //!   the same signature, through every scheme, with the ranks on one node
-//!   (DirectIPC for the fused schemes) and on two; each receive must equal
-//!   host `pack` → `unpack` of the send, whichever layout each side uses;
+//!   (DirectIPC for the fused schemes) and on two;
 //! * a deterministic work counter: a Full-mode halo on a 4³ torus takes
-//!   exactly one pooled buffer per staged send plus one per DirectIPC
-//!   bounce;
+//!   exactly one pooled buffer per staged send and none per DirectIPC
+//!   message, and allocates none after its first lap;
 //! * a size check: a message whose packed size differs from its
 //!   receive's panics when it is matched, over the wire and DirectIPC, in
 //!   either data mode, instead of truncating or overrunning the unpack.
@@ -30,8 +35,10 @@ use common::arb_type;
 use fusedpack_datatype::pack::{pack, unpack};
 use fusedpack_datatype::{CompiledLayout, TypeDesc};
 use fusedpack_gpu::DataMode;
+use fusedpack_gpu::PoolStats;
 use fusedpack_mpi::{
-    AppOp, BufId, BufInit, ClusterBuilder, Program, RankId, RndvProtocol, SchemeRegistry, TypeSlot,
+    AppOp, BufId, BufInit, Cluster, ClusterBuilder, Program, RankId, RndvProtocol, SchemeRegistry,
+    TypeSlot,
 };
 use fusedpack_net::Platform;
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
@@ -50,10 +57,17 @@ const LAPS: usize = 2;
 const MAX_FOOTPRINT: u64 = 96 * 1024;
 
 /// One message shape per peer: an eager-sized and a rendezvous-sized
-/// count of the same type (the eager limit is 8 KiB).
-fn counts(layout: &CompiledLayout) -> Vec<u64> {
+/// count of the same type (the eager limit is 8 KiB), the same on both
+/// sides.
+fn counts(layout: &CompiledLayout) -> Vec<(u64, u64)> {
     let size = layout.total_bytes(1).max(1);
-    vec![1, 8 * 1024 / size + 1]
+    [1, 8 * 1024 / size + 1].map(|c| (c, c)).to_vec()
+}
+
+/// Do `count` elements of every `(layout, count)` stay under
+/// [`MAX_FOOTPRINT`]?
+fn fits(sides: &[(&CompiledLayout, u64)]) -> bool {
+    sides.iter().all(|(l, c)| l.footprint(*c) <= MAX_FOOTPRINT)
 }
 
 /// A random type whose rendezvous-sized message stays under
@@ -62,59 +76,93 @@ fn random_type(rng: &mut TestRng) -> Arc<TypeDesc> {
     loop {
         let desc = arb_type(2).generate(rng);
         let layout = CompiledLayout::of(&desc);
-        if layout.total_bytes(1) > 0
-            && counts(&layout)
-                .iter()
-                .all(|&c| layout.footprint(c) <= MAX_FOOTPRINT)
+        if layout.total_bytes(1) > 0 && counts(&layout).iter().all(|&(c, _)| fits(&[(&layout, c)]))
         {
             return desc;
         }
     }
 }
 
+/// Two independently drawn types and the `(send, receive)` counts that
+/// give both sides one packed size: the least common multiple of the
+/// element sizes (eager), and its smallest multiple past the eager limit
+/// (rendezvous).
+fn random_type_pair(rng: &mut TestRng) -> (Arc<TypeDesc>, Arc<TypeDesc>, Vec<(u64, u64)>) {
+    loop {
+        let (send, recv) = (arb_type(2).generate(rng), arb_type(2).generate(rng));
+        let (sl, rl) = (CompiledLayout::of(&send), CompiledLayout::of(&recv));
+        let (ss, rs) = (sl.total_bytes(1), rl.total_bytes(1));
+        if ss == 0 || rs == 0 {
+            continue;
+        }
+        let (mut a, mut b) = (ss, rs);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        let lcm = ss / a * rs;
+        let counts: Vec<(u64, u64)> = [1, 8 * 1024 / lcm + 1]
+            .map(|k| (k * lcm / ss, k * lcm / rs))
+            .to_vec();
+        if counts.iter().all(|&(c, d)| fits(&[(&sl, c), (&rl, d)])) {
+            return (send, recv, counts);
+        }
+    }
+}
+
 /// One message of a rank's program: its peer, tag (the index of its
-/// count), element count, and send and receive buffers.
+/// count pair), element counts on each side, and send and receive
+/// buffers.
 #[derive(Clone, Copy)]
 struct Msg {
     peer: u32,
     tag: u32,
-    count: u64,
+    send_count: u64,
+    recv_count: u64,
     send: BufId,
     recv: BufId,
 }
 
 /// Every rank's program: `LAPS` rounds of receive-from-all, send-to-all,
-/// `Waitall`, with one message per peer and count.
-fn all_to_all(desc: &Arc<TypeDesc>) -> Vec<(Program, Vec<Msg>)> {
-    let layout = CompiledLayout::of(desc);
+/// `Waitall`, with one message per peer and count pair, sent as
+/// `send_ty` and received as `recv_ty`.
+fn all_to_all(
+    send_ty: &Arc<TypeDesc>,
+    recv_ty: &Arc<TypeDesc>,
+    counts: &[(u64, u64)],
+) -> Vec<(Program, Vec<Msg>)> {
+    let (send_layout, recv_layout) = (CompiledLayout::of(send_ty), CompiledLayout::of(recv_ty));
     (0..RANKS)
         .map(|r| {
             let mut p = Program::new();
             let mut msgs = Vec::new();
             for peer in (0..RANKS).filter(|&q| q != r) {
-                for (tag, &count) in counts(&layout).iter().enumerate() {
-                    let len = layout.footprint(count).max(1);
+                for (tag, &(send_count, recv_count)) in counts.iter().enumerate() {
                     let seed = 1000 * u64::from(r) + 10 * u64::from(peer) + tag as u64;
+                    let send_len = send_layout.footprint(send_count).max(1);
+                    let recv_len = recv_layout.footprint(recv_count).max(1);
                     msgs.push(Msg {
                         peer,
                         tag: tag as u32,
-                        count,
-                        send: p.buffer(len, BufInit::Random(seed)),
-                        recv: p.buffer(len, BufInit::Zero),
+                        send_count,
+                        recv_count,
+                        send: p.buffer(send_len, BufInit::Random(seed)),
+                        recv: p.buffer(recv_len, BufInit::Zero),
                     });
                 }
             }
-            p.push(AppOp::Commit {
-                slot: TypeSlot(0),
-                desc: desc.clone(),
-            });
+            for (slot, desc) in [send_ty, recv_ty].into_iter().enumerate() {
+                p.push(AppOp::Commit {
+                    slot: TypeSlot(slot),
+                    desc: desc.clone(),
+                });
+            }
             for _ in 0..LAPS {
                 p.push(AppOp::ResetTimer);
                 for m in &msgs {
                     p.push(AppOp::Irecv {
                         buf: m.recv,
-                        ty: TypeSlot(0),
-                        count: m.count,
+                        ty: TypeSlot(1),
+                        count: m.recv_count,
                         src: RankId(m.peer),
                         tag: m.tag,
                     });
@@ -123,7 +171,7 @@ fn all_to_all(desc: &Arc<TypeDesc>) -> Vec<(Program, Vec<Msg>)> {
                     p.push(AppOp::Isend {
                         buf: m.send,
                         ty: TypeSlot(0),
-                        count: m.count,
+                        count: m.send_count,
                         dst: RankId(m.peer),
                         tag: m.tag,
                     });
@@ -134,6 +182,39 @@ fn all_to_all(desc: &Arc<TypeDesc>) -> Vec<(Program, Vec<Msg>)> {
             (p, msgs)
         })
         .collect()
+}
+
+/// Every receive of an [`all_to_all`] run, gap bytes included, equals
+/// host `pack` of its send in `send` → `unpack` in `recv` into zeros.
+fn assert_delivered(
+    cluster: &Cluster,
+    msgs: &[Vec<Msg>],
+    send: &CompiledLayout,
+    recv: &CompiledLayout,
+    label: &str,
+) {
+    for (r, mine) in msgs.iter().enumerate() {
+        for m in mine {
+            let sent = msgs[m.peer as usize]
+                .iter()
+                .find(|s| s.peer == r as u32 && s.tag == m.tag)
+                .expect("the peer's matching send");
+            let packed = pack(
+                cluster.rank_bytes(RankId(m.peer), sent.send),
+                send,
+                sent.send_count,
+            );
+            let got = cluster.rank_bytes(RankId(r as u32), m.recv);
+            let mut want = vec![0u8; got.len()];
+            unpack(&packed, recv, m.recv_count, &mut want);
+            assert!(
+                got == want,
+                "{label}: rank {r} from {}, count {}",
+                m.peer,
+                m.recv_count
+            );
+        }
+    }
 }
 
 /// The wire and ring faults that reach payload ownership: retried
@@ -166,7 +247,7 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                             "case {case} ({desc:?}) {} {rndv:?} faults={faults} shards={shards}",
                             scheme.name
                         );
-                        let programs = all_to_all(&desc);
+                        let programs = all_to_all(&desc, &desc, &counts(&layout));
                         let mut builder = ClusterBuilder::new(Platform::lassen(), scheme.make())
                             .rendezvous(rndv)
                             .shards(shards);
@@ -185,27 +266,39 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
                         let pool = cluster.staging_pool_stats();
                         assert_eq!(pool.outstanding(), 0, "{label}: {pool:?}");
-                        for (r, mine) in msgs.iter().enumerate() {
-                            for m in mine {
-                                let sent = msgs[m.peer as usize]
-                                    .iter()
-                                    .find(|s| s.peer == r as u32 && s.tag == m.tag)
-                                    .expect("the peer's matching send");
-                                let sent = cluster.rank_buffer(RankId(m.peer), sent.send);
-                                let mut want = vec![0u8; sent.len()];
-                                let packed = pack(&sent, &layout, m.count);
-                                unpack(&packed, &layout, m.count, &mut want);
-                                let got = cluster.rank_buffer(RankId(r as u32), m.recv);
-                                assert!(
-                                    got == want,
-                                    "{label}: rank {r} from {}, count {}",
-                                    m.peer,
-                                    m.count
-                                );
-                            }
-                        }
+                        assert_delivered(&cluster, &msgs, &layout, &layout, &label);
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn independent_send_and_receive_types_deliver_the_sent_bytes() {
+    let mut rng = TestRng::new(0x5e_0d_7e);
+    for case in 0..2 {
+        let (send_ty, recv_ty, counts) = random_type_pair(&mut rng);
+        let (send, recv) = (CompiledLayout::of(&send_ty), CompiledLayout::of(&recv_ty));
+        for scheme in SchemeRegistry::global().all() {
+            for nodes in [1, 2] {
+                let label = format!(
+                    "case {case} ({send_ty:?} as {recv_ty:?}, counts {counts:?}) {} on {nodes} \
+                     node(s)",
+                    scheme.name
+                );
+                let mut builder = ClusterBuilder::new(Platform::lassen(), scheme.make());
+                let mut msgs = Vec::new();
+                for (r, (program, m)) in all_to_all(&send_ty, &recv_ty, &counts)
+                    .into_iter()
+                    .enumerate()
+                {
+                    builder = builder.add_rank(r as u32 * nodes / RANKS, program);
+                    msgs.push(m);
+                }
+                let mut cluster = builder.build();
+                assert_eq!(cluster.run().lap_count(), LAPS, "{label}");
+                assert_delivered(&cluster, &msgs, &send, &recv, &label);
             }
         }
     }
@@ -274,28 +367,26 @@ fn mixed_send_and_receive_layouts_deliver_the_sent_bytes() {
     }
 }
 
-#[test]
-fn a_full_mode_halo_takes_one_pooled_buffer_per_message() {
+/// Run a Full-mode `proposed` halo of `laps` laps on a 4³ torus: its pool
+/// counters, and how many of its sends go off-node (staged) and on-node
+/// (DirectIPC).
+fn halo_pool(laps: usize) -> (PoolStats, u64, u64) {
     let grid = HaloGrid::new_3d(4, 4, 4);
-    let workload = specfem3d_cm(64);
     let gpus = Platform::lassen().gpus_per_node;
-    let programs = halo_programs(&grid, &workload, 1, 2, 42);
+    let programs = halo_programs(&grid, &specfem3d_cm(64), 1, laps, 42);
     let node = |r: u32| r / gpus;
-    // Off-node sends pack into a pooled buffer; on-node ones go DirectIPC
-    // and the receiver bounces the payload through one.
-    let (mut staged, mut bounced) = (0u64, 0u64);
+    let (mut staged, mut direct) = (0u64, 0u64);
     for (r, (program, _)) in programs.iter().enumerate() {
         for op in &program.ops {
             if let AppOp::Isend { dst, .. } = op {
                 if node(r as u32) == node(dst.0) {
-                    bounced += 1;
+                    direct += 1;
                 } else {
                     staged += 1;
                 }
             }
         }
     }
-    assert!(staged > 0 && bounced > 0);
     let mut builder = ClusterBuilder::new(
         Platform::lassen(),
         SchemeRegistry::global().create("proposed"),
@@ -306,9 +397,23 @@ fn a_full_mode_halo_takes_one_pooled_buffer_per_message() {
     }
     let mut cluster = builder.build();
     cluster.run();
-    let pool = cluster.staging_pool_stats();
-    assert_eq!(pool.hits + pool.misses, staged + bounced, "{pool:?}");
-    assert_eq!(pool.released, staged + bounced, "{pool:?}");
+    (cluster.staging_pool_stats(), staged, direct)
+}
+
+#[test]
+fn a_full_mode_halo_takes_one_pooled_buffer_per_message() {
+    // Off-node sends pack into a pooled buffer; on-node ones go DirectIPC,
+    // which copies layout to layout and takes none.
+    let (two, staged, direct) = halo_pool(2);
+    assert!(staged > 0 && direct > 0);
+    assert_eq!(two.hits + two.misses, staged, "{two:?}");
+    assert_eq!(two.released, staged, "{two:?}");
+    // Every buffer the first lap allocates serves the later laps: twice
+    // the laps, twice the takes, and not one more allocation.
+    let (four, staged4, _) = halo_pool(4);
+    assert_eq!(staged4, 2 * staged);
+    assert_eq!(four.hits + four.misses, staged4, "{four:?}");
+    assert_eq!(four.misses, two.misses, "{four:?} vs {two:?}");
 }
 
 #[test]
