@@ -33,9 +33,13 @@
 //! work behind a miss is not: every [`LayoutCache`] fetches its layouts
 //! from a [`LayoutTable`], which a cluster shares across all its ranks, so
 //! each distinct descriptor is compiled once per cluster however many
-//! ranks commit it. A rank gets its own copy of the table's layout, never
-//! the table's `Arc`: pinning counts `Arc` references, and a shared `Arc`
-//! would pin a layout in every rank's cache at once.
+//! ranks commit it, and its tables are stored once: a rank gets its own
+//! outer `Arc` around a clone of the table's layout, and the clone shares
+//! the segment, prefix-sum and run-offset tables (see
+//! [`CompiledLayout`]), so it costs three reference counts, not a copy of
+//! each table. The outer `Arc` stays per rank because pinning counts its
+//! references: a shared one would pin a layout in every rank's cache at
+//! once.
 //!
 //! The cache also carries the *cost model* for layout processing: schemes
 //! that cache layouts (CPU-GPU-Hybrid, the proposed fusion design) pay the
@@ -209,10 +213,11 @@ impl LayoutTable {
         Self::default()
     }
 
-    /// A private copy of `desc`'s compiled layout (`key` is its structural
-    /// key). The first request for a descriptor compiles it under the
-    /// lock, so concurrent ranks never compile the same type twice; later
-    /// requests copy the stored layout.
+    /// A clone of `desc`'s compiled layout (`key` is its structural key)
+    /// that shares the stored layout's tables. The first request for a
+    /// descriptor compiles it under the lock, so concurrent ranks never
+    /// compile the same type twice; later requests clone the stored
+    /// layout, which bumps three reference counts and copies no table.
     fn layout_of(&self, key: u64, desc: &TypeDesc) -> CompiledLayout {
         let stored = {
             let mut inner = self
@@ -553,6 +558,22 @@ mod tests {
         assert_eq!(*b.acquire(g1), CompiledLayout::of(&t1));
         assert_eq!(table.compiles(), 2);
         FORCED_KEY.with(|k| k.set(None));
+    }
+
+    #[test]
+    fn caches_on_one_table_share_its_storage_but_not_its_arc() {
+        let table = Arc::new(LayoutTable::new());
+        let mut a = LayoutCache::with_table(LayoutCacheConfig::default(), Arc::clone(&table));
+        let mut b = LayoutCache::with_table(LayoutCacheConfig::default(), Arc::clone(&table));
+        let t = TypeBuilder::indexed(&[(0, 1), (3, 1), (7, 1)], TypeBuilder::float());
+        let (ha, _) = a.commit(&t);
+        let (hb, _) = b.commit(&t);
+        let (la, lb) = (a.acquire(ha), b.acquire(hb));
+        assert!(!Arc::ptr_eq(&la, &lb), "pinning must stay per cache");
+        assert!(std::ptr::eq(la.segments(), lb.segments()));
+        assert!(std::ptr::eq(la.packed_offsets(), lb.packed_offsets()));
+        assert!(std::ptr::eq(la.run_offsets(), lb.run_offsets()));
+        assert_eq!(table.compiles(), 1);
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //!   (≤ [`FIXED_RUN_WIDTH_MAX`] bytes) at any offsets, strided or
 //!   irregular: fixed-width moves driven by a `u32` offset table built
 //!   here, once. Sparse gathers such as specfem3D's thousands of 4-byte
-//!   boundary points land here. The table is an `Arc<[u32]>`, so the
-//!   per-rank copies a shared [`crate::LayoutTable`] hands out share one
-//!   allocation. An element whose runs end past `u32::MAX` gets no table.
+//!   boundary points land here. An element whose runs end past `u32::MAX`
+//!   gets no table.
 //! * [`LayoutClass::Generic`] — everything else (mixed or wide irregular
 //!   runs); the segment-table walk with precomputed prefix sums.
+//!
+//! The three tables (segments, prefix sums, run offsets) are `Arc` slices:
+//! a clone shares them, so the per-rank layouts a shared
+//! [`crate::LayoutTable`] hands out cost three reference counts each, not a
+//! copy of every table.
 
 use crate::flatten::emit_ir_segments;
 use crate::ir::LayoutIr;
@@ -123,13 +127,15 @@ impl CopyPlan {
 /// stores and every fusion request references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledLayout {
-    /// Segments of one element, in pack (traversal) order.
-    segments: Vec<Segment>,
+    /// Segments of one element, in pack (traversal) order. Shared, not
+    /// copied, by clones.
+    segments: Arc<[Segment]>,
     /// Prefix sums of segment lengths: `packed_off[j]` is the byte offset
     /// of segment `j` within the *packed* image of one element. Computed
     /// once at compile time so pack/unpack loops don't re-derive running
-    /// cursors (and can jump straight to any segment).
-    packed_off: Vec<u64>,
+    /// cursors (and can jump straight to any segment). Shared, not copied,
+    /// by clones.
+    packed_off: Arc<[u64]>,
     /// Payload bytes per element.
     size: u64,
     /// Extent (tiling stride) per element.
@@ -211,7 +217,7 @@ fn run_table(segments: &[Segment]) -> Option<Arc<[u32]>> {
         .collect()
 }
 
-fn prefix_sums(segments: &[Segment]) -> Vec<u64> {
+fn prefix_sums(segments: &[Segment]) -> Arc<[u64]> {
     let mut off = 0u64;
     segments
         .iter()
@@ -270,7 +276,7 @@ impl CompiledLayout {
             uniform,
             runs,
             class,
-            segments,
+            segments: segments.into(),
             size,
             extent,
         }
@@ -559,12 +565,14 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_run_table() {
+    fn clones_share_every_table() {
         let l = CompiledLayout::of(&TypeBuilder::indexed(
             &[(0, 1), (3, 1), (7, 1)],
             TypeBuilder::float(),
         ));
         let copy = l.clone();
+        assert!(std::ptr::eq(l.segments(), copy.segments()));
+        assert!(std::ptr::eq(l.packed_offsets(), copy.packed_offsets()));
         assert!(std::ptr::eq(l.run_offsets(), copy.run_offsets()));
     }
 

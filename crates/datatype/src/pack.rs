@@ -14,10 +14,11 @@
 //! [`copy`] moves elements of one layout straight into elements of
 //! another, with no packed image between them — the single pass of a
 //! DirectIPC kernel, which loads the peer's buffer and stores it in the
-//! receiver's layout. It zips the two sides' run lists ([`copy_zip`],
-//! public as the reference), or their offset tables when both are
-//! indexed runs of one width. All of them are safe code; every run is a
-//! bounds-checked slice copy.
+//! receiver's layout. It zips the two sides' offset tables when both are
+//! indexed runs of one width, and otherwise packs one side and unpacks
+//! into the other, each through its own plan's tier; [`copy_zip`], which
+//! zips the two run lists, stays public as the reference. All of them
+//! are safe code; every run is a bounds-checked slice copy.
 
 use crate::compile::CompiledLayout;
 use crate::compile::CopyPlan;
@@ -257,7 +258,10 @@ pub fn unpack_generic(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut
 /// A contiguous side reduces to one [`pack_into`] or [`unpack`]. Two
 /// indexed-runs layouts of one run width — one layout on both sides
 /// included, the halo's case — zip their offset tables with fixed-width
-/// moves. Anything else takes [`copy_zip`].
+/// moves. Any other pair goes through a packed image, [`pack`] then
+/// [`unpack`]: each side runs its own plan's tier, which beats zipping
+/// the two run lists ([`copy_zip`], kept as the reference) by a
+/// variable-length move per run.
 ///
 /// Panics if the two sides' packed sizes differ.
 pub fn copy(
@@ -294,7 +298,12 @@ pub fn copy(
                 w => zip_indexed(from, to, runs, w as usize),
             }
         }
-        _ => copy_zip(src, src_layout, src_count, dst, dst_layout, dst_count),
+        _ => unpack(
+            &pack(src, src_layout, src_count),
+            dst_layout,
+            dst_count,
+            dst,
+        ),
     }
 }
 
@@ -338,10 +347,10 @@ fn zip_indexed(
     }
 }
 
-/// The general case of [`copy`]: walk both sides' runs in pack order at
+/// The reference for [`copy`]: walk both sides' runs in pack order at
 /// once, each step moving the overlap of the current source run and the
-/// current destination run. Public so tests and benches can drive it on
-/// layouts [`copy`] would send down a faster path.
+/// current destination run. Public so tests and benches can check and
+/// time [`copy`]'s tiers against it.
 ///
 /// Panics if the two sides' packed sizes differ.
 pub fn copy_zip(

@@ -8,11 +8,16 @@
 //!
 //! * `Full` — the pool holds real bytes and every copy moves them, so tests
 //!   can verify end-to-end pack/unpack correctness. The byte vector starts
-//!   empty and [`MemPool::alloc`] grows it (geometrically, capped at the
-//!   capacity) to cover the allocation high-water mark, so a pool costs
-//!   memory for what it hands out, not for its declared capacity. Copies
-//!   never grow the vector: touching bytes no allocation ever covered
-//!   panics;
+//!   empty and allocations extend it to cover the allocation high-water
+//!   mark, so a pool costs memory for what it hands out, not for its
+//!   declared capacity. A cluster build reserves each GPU pool once, for
+//!   the span of its program's buffers ([`MemPool::reserve_for`]), so the
+//!   buffers never reallocate it, and writes each buffer once:
+//!   [`MemPool::alloc`] zero-fills (padding and zero-initialized buffers)
+//!   and [`MemPool::alloc_with`] hands the new bytes to a fill (a random
+//!   buffer's generator) with no zero-fill first. Without a reservation
+//!   the vector grows geometrically, capped at the capacity. Copies never
+//!   grow the vector: touching bytes no allocation ever covered panics;
 //! * `ModelOnly` — no backing storage; a copy returns its byte count in
 //!   O(1) and touches nothing. Benchmark sweeps use this to avoid
 //!   allocating gigabytes per iteration (timing is independent of the
@@ -26,9 +31,14 @@
 //! executing the layout's copy plan through the host
 //! [`pack::pack_into`]/[`pack::unpack`] kernels, and one layout-to-layout
 //! copy from one pool into another ([`MemPool::copy_to`], the DirectIPC
-//! load) through [`pack::copy`], with no packed image between the two.
+//! load) through [`pack::copy`], with no packed image between the two
+//! when a side is contiguous or both are indexed runs of one width.
 
 use fusedpack_datatype::{pack, CompiledLayout};
+
+/// Bytes [`MemPool::alloc_with`] hands its fill at a time: a multiple of
+/// 4 (whole generator draws) small enough to stay in L1.
+const FILL_PIECE: usize = 4096;
 
 /// Whether a pool carries real bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,13 +143,71 @@ impl MemPool {
         self.peak
     }
 
-    /// Allocate `len` bytes with `align` alignment (power of two).
+    /// Reserve backing, in one allocation, for allocations of `lens` bytes
+    /// at `align` made in order from the current cursor (capped at the
+    /// capacity), so making them never reallocates the pool. Nothing is
+    /// written. A no-op in `ModelOnly` mode.
+    pub fn reserve_for(&mut self, lens: impl IntoIterator<Item = u64>, align: u64) {
+        if self.mode == DataMode::ModelOnly {
+            return;
+        }
+        let end = lens
+            .into_iter()
+            .fold(self.cursor, |at, len| align_up(at, align) + len)
+            .min(self.capacity) as usize;
+        self.bytes
+            .reserve_exact(end.saturating_sub(self.bytes.len()));
+    }
+
+    /// Allocate `len` bytes with `align` alignment (power of two). In
+    /// `Full` mode, bytes no earlier allocation covered read as zero;
+    /// bytes reused after [`Self::reset`] keep their contents.
     ///
     /// Panics if the pool is exhausted: pool sizing is a configuration
     /// decision made by the workload driver, so exhaustion is a bug there.
     pub fn alloc(&mut self, len: u64, align: u64) -> DevPtr {
+        let ptr = self.bump(len, align);
+        if self.mode == DataMode::Full {
+            self.back(ptr.end() as usize);
+        }
+        ptr
+    }
+
+    /// Allocate like [`Self::alloc`], but let `fill` write every byte of
+    /// the allocation, each written once: new bytes are not zero-filled
+    /// first (only the alignment padding before them is). `fill` sees the
+    /// allocation in address order, as consecutive 4 KiB pieces (the last
+    /// one shorter), so a fill that splits cleanly at multiples of 4 bytes,
+    /// such as [`fusedpack_sim::Pcg32::fill_bytes`], writes what one fill
+    /// of the whole would. `fill` does not run in `ModelOnly` mode.
+    ///
+    /// Panics if the pool is exhausted, like [`Self::alloc`].
+    pub fn alloc_with(&mut self, len: u64, align: u64, mut fill: impl FnMut(&mut [u8])) -> DevPtr {
+        let ptr = self.bump(len, align);
+        if self.mode == DataMode::ModelOnly {
+            return ptr;
+        }
+        let (start, end) = (ptr.addr as usize, ptr.end() as usize);
+        self.make_room(end);
+        self.back(start);
+        // Each piece is written into a stack buffer, then into the pool:
+        // over bytes a reset left backed, or appended past the end.
+        let mut buf = [0u8; FILL_PIECE];
+        for at in (start..end).step_by(FILL_PIECE) {
+            let piece = &mut buf[..FILL_PIECE.min(end - at)];
+            fill(piece);
+            let backed = self.bytes.len().min(at + piece.len()) - at;
+            self.bytes[at..at + backed].copy_from_slice(&piece[..backed]);
+            self.bytes.extend_from_slice(&piece[backed..]);
+        }
+        ptr
+    }
+
+    /// Claim the next `len` bytes at `align`; moves the cursor and the
+    /// high-water mark, backs nothing.
+    fn bump(&mut self, len: u64, align: u64) -> DevPtr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let addr = (self.cursor + align - 1) & !(align - 1);
+        let addr = align_up(self.cursor, align);
         assert!(
             addr + len <= self.capacity,
             "pool exhausted: need {len}B at {addr}, capacity {}B",
@@ -147,29 +215,29 @@ impl MemPool {
         );
         self.cursor = addr + len;
         self.peak = self.peak.max(self.cursor);
-        if self.mode == DataMode::Full {
-            self.back(self.peak as usize);
-        }
         DevPtr { addr, len }
     }
 
-    /// Extend the backing bytes to `end`, zero-filled. The allocation
-    /// grows at least geometrically (so a run of small allocations
-    /// reallocates O(log n) times) but never past the capacity, and only
-    /// the bytes up to `end` are written (so untouched capacity costs no
-    /// resident memory).
+    /// Extend the backing bytes to `end`, zero-filled. Only the bytes up
+    /// to `end` are written (so untouched capacity costs no resident
+    /// memory).
     fn back(&mut self, end: usize) {
-        let len = self.bytes.len();
-        if end <= len {
-            return;
+        if end > self.bytes.len() {
+            self.make_room(end);
+            self.bytes.resize(end, 0);
         }
+    }
+
+    /// Make the backing allocation hold `end` bytes. Growth past a
+    /// reservation is at least geometric (so a run of small allocations
+    /// reallocates O(log n) times) but never past the capacity.
+    fn make_room(&mut self, end: usize) {
         if end > self.bytes.capacity() {
             let target = end
                 .max(2 * self.bytes.capacity())
                 .min(self.capacity as usize);
-            self.bytes.reserve_exact(target - len);
+            self.bytes.reserve_exact(target - self.bytes.len());
         }
-        self.bytes.resize(end, 0);
     }
 
     /// The backing range of `ptr`, which must lie inside memory some
@@ -277,9 +345,9 @@ impl MemPool {
     }
 
     /// Copy the elements `from` of this pool to the elements `to` of
-    /// `dst`, run to run with no packed intermediate — the data movement of
-    /// a DirectIPC kernel, which loads a peer GPU's buffer and stores it in
-    /// the receiver's layout in one pass. The two layouts may differ; their
+    /// `dst` through [`pack::copy`] — the data movement of a DirectIPC
+    /// kernel, which loads a peer GPU's buffer and stores it in the
+    /// receiver's layout in one pass. The two layouts may differ; their
     /// packed sizes must not. Bytes in `to`'s gaps are untouched. Returns
     /// the packed byte count.
     pub fn copy_to(&self, from: Elements<'_>, dst: &mut MemPool, to: Elements<'_>) -> u64 {
@@ -321,6 +389,11 @@ impl MemPool {
     }
 }
 
+/// `at` rounded up to a multiple of `align` (a power of two).
+fn align_up(at: u64, align: u64) -> u64 {
+    (at + align - 1) & !(align - 1)
+}
+
 /// Borrow one pool's bytes twice: shared from `read`, exclusive from
 /// `write`, each view ending where the other begins (or at the end of the
 /// pool). A copy whose source and destination overlap runs off the end of
@@ -340,6 +413,7 @@ fn split(bytes: &mut [u8], read: u64, write: u64) -> (&[u8], &mut [u8]) {
 mod tests {
     use super::*;
     use fusedpack_datatype::Segment;
+    use fusedpack_sim::Pcg32;
 
     #[test]
     fn alloc_respects_alignment_and_bounds() {
@@ -377,6 +451,59 @@ mod tests {
         assert_eq!(big.end(), 1 << 20);
         assert_eq!(p.bytes.len(), 1 << 20);
         assert_eq!(p.bytes.capacity(), 1 << 20);
+    }
+
+    #[test]
+    fn a_pool_reserved_for_its_buffers_writes_each_once_without_reallocating() {
+        // Random buffers (even index) around zero ones, lengths that leave
+        // alignment padding and cross fill pieces.
+        let lens = [100u64, 5000, 1, 8192, 4099, 37];
+        let stream = |i: usize| Pcg32::new(40 + i as u64, i as u64);
+        let mut p = MemPool::new(1 << 20, DataMode::Full);
+        p.reserve_for(lens, 64);
+        let (base, reserved) = (p.bytes.as_ptr(), p.bytes.capacity());
+        let ptrs: Vec<DevPtr> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| match i % 2 {
+                0 => {
+                    let mut rng = stream(i);
+                    p.alloc_with(len, 64, |piece| rng.fill_bytes(piece))
+                }
+                _ => p.alloc(len, 64),
+            })
+            .collect();
+        assert_eq!(p.bytes.as_ptr(), base, "the pool reallocated");
+        assert_eq!(p.bytes.capacity(), reserved);
+        assert_eq!(p.bytes.len() as u64, p.peak());
+        assert!(reserved as u64 >= p.peak());
+        let mut covered = vec![false; p.bytes.len()];
+        for (i, ptr) in ptrs.iter().enumerate() {
+            let mut want = vec![0u8; ptr.len as usize];
+            if i % 2 == 0 {
+                stream(i).fill_bytes(&mut want);
+            }
+            assert_eq!(p.read(*ptr), &want[..], "buffer {i}");
+            covered[ptr.addr as usize..ptr.end() as usize].fill(true);
+        }
+        let mut padding = p.bytes.iter().zip(&covered).filter(|(_, &c)| !c);
+        assert!(padding.clone().count() > 0);
+        assert!(padding.all(|(&b, _)| b == 0), "padding is zero");
+    }
+
+    #[test]
+    fn alloc_with_overwrites_bytes_a_reset_left_backed() {
+        let mut p = MemPool::new(1 << 16, DataMode::Full);
+        let a = p.alloc(5000, 1);
+        p.write(a, &[1; 5000]);
+        p.reset();
+        // Straddles the backed end: pieces land in place, then append.
+        let b = p.alloc_with(9000, 64, |piece| piece.fill(7));
+        assert_eq!(p.read(b), &[7; 9000][..]);
+        assert_eq!(p.bytes.len(), 9000);
+        let mut model = MemPool::new(1 << 16, DataMode::ModelOnly);
+        let m = model.alloc_with(9000, 64, |_| panic!("ModelOnly pools are not filled"));
+        assert_eq!(m, b);
     }
 
     #[test]

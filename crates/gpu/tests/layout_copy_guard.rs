@@ -21,6 +21,13 @@
 //! ([`fusedpack_datatype::pack::copy_zip`]) read 0.13x here, so losing
 //! the fixed-width zip trips either check.
 //!
+//! A third row sends a generic tree (blocks of one and two floats, the
+//! same packed size) into the specfem element. No table zip applies, so
+//! the copy packs the tree and unpacks into the element, each side through
+//! its own plan: at least 0.8x of gather → buffer → scatter (measured
+//! 0.97–0.98x; the difference is the packed image's allocation). Zipping
+//! the two run lists instead read 0.46x (10.6 µs against 4.5 µs).
+//!
 //! The layout is rebuilt here with the same recipe as
 //! `fusedpack_workloads::specfem::specfem3d_cm` (this crate cannot depend
 //! on the workloads crate); the guard needs its shape, not its exact
@@ -61,6 +68,22 @@ fn specfem_cm(seed: u64) -> Arc<TypeDesc> {
         (stride, 1, field.clone()),
         (2 * stride, 1, field),
     ])
+}
+
+/// A generic tree of the same packed size as [`specfem_cm`]: `POINTS`
+/// blocks of one and two floats in turn, 2–4 floats apart.
+fn mixed_runs(seed: u64) -> Arc<TypeDesc> {
+    let mut rng = Pcg32::new(seed, 0x5eef);
+    let mut disp = 0u64;
+    let blocks: Vec<(u64, u64)> = (0..POINTS)
+        .map(|i| {
+            let block = (disp, 1 + i % 2);
+            disp += block.1 + 1 + rng.next_below(3) as u64;
+            block
+        })
+        .collect();
+    let field = TypeBuilder::indexed(&blocks, TypeBuilder::float());
+    TypeBuilder::structure(&[(0, 1, field.clone()), (field.extent(), 1, field)])
 }
 
 /// A Full pool holding one random element of `layout`.
@@ -129,9 +152,15 @@ fn one_pass_copies_beat_gather_buffer_scatter() {
     assert_ne!(send, other);
     assert_eq!(send.total_bytes(1), other.total_bytes(1));
 
+    let mixed = CompiledLayout::of(&mixed_runs(0xc3));
+    assert_eq!(mixed.plan_for(1), CopyPlan::Generic);
+    assert_eq!(mixed.total_bytes(1), send.total_bytes(1));
+
     let (same_ns, staged_same_ns) = time_pair(&send, &send);
     let (zip_ns, staged_zip_ns) = time_pair(&send, &other);
+    let (tree_ns, staged_tree_ns) = time_pair(&mixed, &send);
     let (same, zip) = (staged_same_ns / same_ns, staged_zip_ns / zip_ns);
+    let tree = staged_tree_ns / tree_ns;
     assert!(
         same >= 1.1,
         "shared-layout copy took {same_ns:.0} ns vs {staged_same_ns:.0} ns through a bounce \
@@ -141,5 +170,10 @@ fn one_pass_copies_beat_gather_buffer_scatter() {
         zip >= 1.05,
         "offset-table zip took {zip_ns:.0} ns vs {staged_zip_ns:.0} ns through a bounce buffer \
          ({zip:.2}x < 1.05x)"
+    );
+    assert!(
+        tree >= 0.8,
+        "generic-tree copy took {tree_ns:.0} ns vs {staged_tree_ns:.0} ns through a bounce \
+         buffer ({tree:.2}x < 0.8x)"
     );
 }

@@ -16,7 +16,7 @@ pub(crate) mod schemes;
 mod shardrun;
 mod topo;
 
-use crate::message::WireMsg;
+use crate::message::{WireKind, WireMsg};
 use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
@@ -230,14 +230,21 @@ impl ClusterBuilder {
             }
             let mut rank =
                 RankState::new(RankId(idx as u32), node, program, Arc::clone(&layout_table));
-            // Allocate and initialize declared buffers; random bytes go
-            // straight into the pool (timing-only pools skip the fill).
+            // Allocate and initialize declared buffers in one reservation
+            // of the pool, writing each byte once: random bytes go straight
+            // from the generator into the pool, and only zero buffers and
+            // padding are zero-filled (timing-only pools skip both).
+            gpu.mem
+                .reserve_for(rank.program.buffers.iter().map(|decl| decl.len), 64);
             for decl in &rank.program.buffers {
-                let ptr = gpu.mem.alloc(decl.len, 64);
-                if let BufInit::Random(seed) = decl.init {
-                    gpu.mem
-                        .write_with(ptr, |bytes| Pcg32::new(seed, idx as u64).fill_bytes(bytes));
-                }
+                let ptr = match decl.init {
+                    BufInit::Random(seed) => {
+                        let mut rng = Pcg32::new(seed, idx as u64);
+                        gpu.mem
+                            .alloc_with(decl.len, 64, |piece| rng.fill_bytes(piece))
+                    }
+                    BufInit::Zero => gpu.mem.alloc(decl.len, 64),
+                };
                 rank.bufs.push(ptr);
             }
             let tele_r = telemetry.for_rank(idx as u32);
@@ -556,10 +563,15 @@ impl Cluster {
             );
         }
         // A message no receive ever matched (an erroneous program, not a
-        // leak) still holds its payload: recycle it.
+        // leak) still holds its payload: recycle it. An unmatched eager
+        // message's send completed, and its bytes did reach the
+        // destination: count them as delivered there.
         for rank in self.ranks.iter_mut() {
-            for msg in &mut rank.unexpected {
-                self.buf_pool.put(std::mem::take(&mut msg.payload));
+            for msg in std::mem::take(&mut rank.unexpected) {
+                if let WireKind::Eager { packed_bytes, .. } = msg.kind {
+                    rank.count_delivered(msg.src, packed_bytes);
+                }
+                self.buf_pool.put(msg.payload);
             }
         }
         // Every other payload buffer taken from the pool went back: no
@@ -576,6 +588,13 @@ impl Cluster {
             );
         }
         assert!(self.wire_slab.is_empty(), "wire messages leaked");
+        // Conservation: per directed pair, the packed bytes of completed
+        // sends equal the bytes delivered (see the `accounting` module).
+        assert_eq!(
+            self.conservation_imbalance(),
+            0,
+            "bytes not conserved: some rank pair's completed sends and deliveries differ"
+        );
         let pool = self.staging_pool_stats();
         assert_eq!(
             pool.outstanding(),

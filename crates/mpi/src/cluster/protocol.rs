@@ -297,9 +297,7 @@ impl Cluster {
             };
             self.wire_transmit(r, at, bytes + CTRL_BYTES, gdr_src, msg, None);
             // Eager sends complete locally once injected.
-            self.ranks[r].sends[sid.0]
-                .lifecycle
-                .apply(LifecycleEvent::Completed);
+            self.complete_send(r, sid);
             let now = self.ranks[r].cpu;
             self.check_unblock(r, now);
         } else {
@@ -471,9 +469,9 @@ impl Cluster {
             WireKind::Fin { send_id } => {
                 // Guard: a duplicated Fin (or one outliving its epoch) is
                 // absorbed.
-                match self.ranks[r].sends.get_mut(send_id.0) {
+                match self.ranks[r].sends.get(send_id.0) {
                     Some(s) if !s.lifecycle.is_done() => {
-                        s.lifecycle.apply(LifecycleEvent::Completed);
+                        self.complete_send(r, send_id);
                         // RGET: the read drained the packed buffer.
                         if let Some(buf) = self.ranks[r].packed.remove(&send_id) {
                             self.buf_pool.put(buf);
@@ -605,7 +603,19 @@ impl Cluster {
     /// writes it into its user buffer and recycles it, a staged one owns it
     /// until its unpack. A payload with no staging to land in (a spurious
     /// delivery replayed by a fault) is recycled and counted, not fatal.
+    /// Every other delivery is counted for the run-end conservation check:
+    /// the payload's bytes, or in a timing-only run (no payload moves) the
+    /// receive's packed size.
     fn land_payload(&mut self, r: usize, rid: RecvId, payload: Vec<u8>) {
+        let op = &self.ranks[r].recvs[rid.0];
+        if !matches!(op.staging, StagingLoc::None) {
+            let bytes = match self.data_mode {
+                DataMode::Full => payload.len() as u64,
+                DataMode::ModelOnly => op.packed_bytes,
+            };
+            let src = op.src;
+            self.ranks[r].count_delivered(src, bytes);
+        }
         if payload.is_empty() {
             return; // timing-only: nothing was taken
         }
@@ -628,8 +638,8 @@ impl Cluster {
         self.ranks[r].cpu = eff + self.platform.progress_poll;
         // Guard: a duplicated CQE — possibly landing after Waitall already
         // freed the epoch's requests — is absorbed, not double-applied.
-        match self.ranks[r].sends.get_mut(sid.0) {
-            Some(s) if !s.lifecycle.is_done() => s.lifecycle.apply(LifecycleEvent::Completed),
+        match self.ranks[r].sends.get(sid.0) {
+            Some(s) if !s.lifecycle.is_done() => self.complete_send(r, sid),
             _ => {
                 self.fault_stats.spurious += 1;
                 return;
@@ -681,19 +691,19 @@ impl Cluster {
     /// The layouts may differ: MPI matches type signatures, not layouts.
     /// The send is reached through the receive's `ipc_send_id`; same-node
     /// ranks share a shard, so its state is local, and a rank never routes
-    /// to itself. Timing-only runs move nothing.
+    /// to itself. Timing-only runs move nothing. The copied byte count is
+    /// the delivery the run-end conservation check counts.
     pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {
-        if self.data_mode == DataMode::ModelOnly {
-            return;
-        }
         let op = &self.ranks[r].recvs[rid.0];
         let sid = op.ipc_send_id.expect("a DirectIPC receive names its send");
         let send = &self.ranks[src].sends[sid.0];
         let (peer, local) = self.gpus.pair_mut(src, r);
-        peer.mem.copy_to(
+        let copied = peer.mem.copy_to(
             Elements::new(&send.layout, origin, send.count),
             &mut local.mem,
             Elements::new(&op.layout, op.user_buf.addr, op.count),
         );
+        let src = op.src;
+        self.ranks[r].count_delivered(src, copied);
     }
 }

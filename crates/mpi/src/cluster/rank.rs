@@ -96,6 +96,10 @@ pub(crate) struct RankState {
     /// globally unique, mode-independent tiebreaker (see
     /// [`super::Cluster::next_key`]).
     pub key_counter: u64,
+    /// This rank's term of the run-end conservation check: completed
+    /// sends add, deliveries subtract, each keyed by its directed pair
+    /// (see the `accounting` module).
+    pub conservation: u64,
 }
 
 impl RankState {
@@ -133,6 +137,7 @@ impl RankState {
             tele: Telemetry::disabled(),
             wait_span: None,
             key_counter: 0,
+            conservation: 0,
         }
     }
 

@@ -16,6 +16,18 @@ pub struct Pcg32 {
 
 const PCG_MULT: u64 = 6364136223846793005;
 
+/// Interleaved streams [`Pcg32::fill_bytes`] steps at once: lane `i` holds
+/// the state `i` draws ahead, and every lane jumps `LANES` draws per step,
+/// so the lanes' outputs, read in lane order, are the scalar stream.
+const LANES: usize = 8;
+
+/// The PCG output permutation (XSH-RR) of one state.
+#[inline(always)]
+fn output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    xorshifted.rotate_right((state >> 59) as u32)
+}
+
 impl Pcg32 {
     /// Create a generator from a seed and a stream id. Different stream ids
     /// give independent sequences from the same seed.
@@ -38,9 +50,7 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        output(old)
     }
 
     pub fn next_u64(&mut self) -> u64 {
@@ -77,13 +87,39 @@ impl Pcg32 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fill a byte slice with pseudo-random data.
+    /// Fill a byte slice with pseudo-random data: the little-endian bytes
+    /// of successive [`Self::next_u32`] draws, the last draw cut short when
+    /// the length is not a multiple of 4. The generator ends where that
+    /// many scalar draws leave it, so fills split at multiples of 4 bytes
+    /// equal one fill of the whole.
+    ///
+    /// Whole 32-byte blocks step [`LANES`] interleaved states at once: the
+    /// scalar recurrence is one serial multiply-add per draw, while the
+    /// lanes' multiplies are independent. Each lane jumps `LANES` draws
+    /// per block by the composed map `s ↦ a⁸·s + c·(a⁷ + … + a + 1)`.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u32().to_le_bytes());
+        let mut blocks = buf.chunks_exact_mut(4 * LANES);
+        if blocks.len() > 0 {
+            let (mut mult, mut inc) = (1u64, 0u64);
+            let mut lanes = [0u64; LANES];
+            for lane in &mut lanes {
+                *lane = self.state.wrapping_mul(mult).wrapping_add(inc);
+                mult = mult.wrapping_mul(PCG_MULT);
+                inc = inc.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+            }
+            for block in &mut blocks {
+                for (word, lane) in block.chunks_exact_mut(4).zip(&mut lanes) {
+                    word.copy_from_slice(&output(*lane).to_le_bytes());
+                    *lane = lane.wrapping_mul(mult).wrapping_add(inc);
+                }
+            }
+            self.state = lanes[0];
         }
-        let rem = chunks.into_remainder();
+        let mut words = blocks.into_remainder().chunks_exact_mut(4);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u32().to_le_bytes());
+        }
+        let rem = words.into_remainder();
         if !rem.is_empty() {
             let word = self.next_u32().to_le_bytes();
             rem.copy_from_slice(&word[..rem.len()]);
@@ -102,6 +138,7 @@ impl Pcg32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -171,6 +208,51 @@ mod tests {
             if len >= 8 {
                 assert!(buf.iter().any(|&b| b != 0), "very unlikely all-zero fill");
             }
+        }
+    }
+
+    /// The scalar reference: one `next_u32` per 4 bytes, the last draw
+    /// cut short.
+    fn scalar_fill(rng: &mut Pcg32, buf: &mut [u8]) {
+        for chunk in buf.chunks_mut(4) {
+            let word = rng.next_u32().to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+    }
+
+    proptest! {
+        /// Every length 0..=300 (whole lane blocks, a word tail and a
+        /// byte tail) fills the scalar stream and leaves the generator
+        /// where the scalar draws do.
+        #[test]
+        fn lane_fill_is_the_scalar_stream(seed in 0u64..u64::MAX, stream in 0u64..u64::MAX) {
+            for len in 0..=300usize {
+                let (mut lane, mut scalar) = (Pcg32::new(seed, stream), Pcg32::new(seed, stream));
+                let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                lane.fill_bytes(&mut got);
+                scalar_fill(&mut scalar, &mut want);
+                prop_assert_eq!(&got, &want, "length {}", len);
+                prop_assert_eq!(lane.next_u32(), scalar.next_u32());
+            }
+        }
+
+        /// Fills split at multiples of 4 bytes equal one fill of the whole,
+        /// with the same next draw afterwards.
+        #[test]
+        fn split_fills_equal_one_fill(
+            seed in 0u64..u64::MAX,
+            words in 0usize..80,
+            tail in 0usize..120,
+        ) {
+            let (mut whole, mut split) = (Pcg32::seeded(seed), Pcg32::seeded(seed));
+            let len = 4 * words + tail;
+            let (mut one, mut two) = (vec![0u8; len], vec![0u8; len]);
+            whole.fill_bytes(&mut one);
+            let (head, rest) = two.split_at_mut(4 * words);
+            split.fill_bytes(head);
+            split.fill_bytes(rest);
+            prop_assert_eq!(one, two);
+            prop_assert_eq!(whole.next_u32(), split.next_u32());
         }
     }
 
