@@ -107,13 +107,10 @@ pub fn run(cfg: &RunConfig) -> Table {
         ("specfem3D_oc", specfem3d_oc(2400)),
         ("NAS_MG_y", nas_mg_y(64)),
     ];
-    let registry = fusedpack_mpi::SchemeRegistry::global();
-    let schemes: Vec<(&str, SchemeKind)> = ["proposed", "proposed-adaptive"]
-        .iter()
-        .map(|name| {
-            let d = registry.get(name).expect("registered scheme");
-            (d.label, d.make())
-        })
+    let schemes: Vec<(&str, SchemeKind)> = fusedpack_mpi::SchemeRegistry::global()
+        .by_names(&["proposed", "proposed-adaptive"])
+        .into_iter()
+        .map(|scheme| (scheme.label(), scheme))
         .collect();
 
     // Flat cell list: for each (workload, scheme) a fault-free baseline,

@@ -106,13 +106,12 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             "arrival gap",
             "hits",
             "misses",
-            "evictions",
             "hit rate (%)",
             "resident (B)",
         ],
     )
     .with_note(
-        "acquire counters of the sharded layout cache, merged over ranks; \
+        "commit and acquire counters of each rank's layout cache, merged over ranks; \
          cost-free in virtual time and byte-identical across --jobs and --shards",
     );
 
@@ -152,7 +151,6 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
                 (*glabel).into(),
                 lc.hits().to_string(),
                 lc.misses().to_string(),
-                lc.evictions().to_string(),
                 format!("{:.3}", lc.hit_rate() * 100.0),
                 lc.resident_bytes().to_string(),
             ]);
@@ -216,7 +214,6 @@ mod tests {
         let out = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
         let lc = &out.report.layout_cache;
         assert!(lc.hit_rate() >= 0.99, "hit rate {}", lc.hit_rate());
-        assert_eq!(lc.evictions(), 0);
     }
 
     /// Fusion's throughput advantage survives sustained load.

@@ -65,10 +65,6 @@ impl RequestRing {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Live requests: pending, busy, or completed but not yet retired.
     pub fn occupied(&self) -> usize {
         self.slots.len()

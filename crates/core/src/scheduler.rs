@@ -224,11 +224,6 @@ impl Scheduler {
         self.ring.pending_bytes() >= self.config.threshold_bytes
     }
 
-    /// Whether the ring is (nearly) full and should be drained.
-    pub fn under_pressure(&self) -> bool {
-        self.ring.occupied() + 1 >= self.ring.capacity()
-    }
-
     /// Nothing in the ring: no live request and no pending bytes (the
     /// run-end state of every rank).
     pub fn is_idle(&self) -> bool {
@@ -257,6 +252,41 @@ impl Scheduler {
         stream: StreamId,
         reason: FlushReason,
     ) -> Option<FlushedBatch> {
+        self.flush_batch(now, gpu, stream, reason, false)
+    }
+
+    /// ② (degraded) Drain the oldest pending requests with one *non-fused*
+    /// kernel launch per request — the recovery ladder taken when the
+    /// cooperative launch fails under fault injection. Serial launches on
+    /// one stream: the CPU pays a driver call per request and the kernels
+    /// run FIFO, exactly the pre-fusion baseline the paper improves on.
+    ///
+    /// The returned batch is shaped like a fused one (`uids` aligned with
+    /// `launch.request_done`), so completion signalling, retirement, and
+    /// data-movement handling are unchanged downstream. The fused-batch
+    /// counters (`bytes_fused`, `requests_fused`, `batch_min`/`batch_max`)
+    /// are left untouched.
+    pub fn flush_degraded(
+        &mut self,
+        now: Time,
+        gpu: &mut Gpu,
+        stream: StreamId,
+        reason: FlushReason,
+    ) -> Option<FlushedBatch> {
+        self.flush_batch(now, gpu, stream, reason, true)
+    }
+
+    /// The one body of [`Scheduler::flush`] and
+    /// [`Scheduler::flush_degraded`]: take the batch, launch it fused or
+    /// one kernel per request, count it, and feed the adaptive controller.
+    fn flush_batch(
+        &mut self,
+        now: Time,
+        gpu: &mut Gpu,
+        stream: StreamId,
+        reason: FlushReason,
+        degraded: bool,
+    ) -> Option<FlushedBatch> {
         let n = self.ring.pending_len().min(self.config.max_fused);
         if n == 0 {
             return None;
@@ -270,160 +300,78 @@ impl Scheduler {
             unpacks.push(req.op == FusionOp::Unpack);
             works.push(req.work());
         }
-        let launch = gpu.launch_fused_policy(now, stream, &works, self.config.partition);
-        let mut batch_bytes = 0u64;
-        let mut batch_blocks = 0u64;
-        for w in &works {
-            self.stats.bytes_fused += w.stats.total_bytes;
-            batch_bytes += w.stats.total_bytes;
-            batch_blocks += w.stats.num_blocks;
-        }
-        self.stats.kernels_launched += 1;
-        self.stats.requests_fused += batch.len() as u64;
-        let n = batch.len() as u64;
-        self.stats.batch_min = if self.stats.batch_min == 0 {
-            n
+        let batch_bytes: u64 = works.iter().map(|w| w.stats.total_bytes).sum();
+        let batch_blocks: u64 = works.iter().map(|w| w.stats.num_blocks).sum();
+        let n = n as u64;
+        let (launch, launch_cpu) = if degraded {
+            self.stats.kernels_launched += n;
+            self.stats.degraded_flushes += 1;
+            (
+                serial_launch(now, gpu, stream, &works),
+                gpu.arch.launch_cpu * n,
+            )
         } else {
-            self.stats.batch_min.min(n)
+            self.stats.kernels_launched += 1;
+            self.stats.requests_fused += n;
+            self.stats.bytes_fused += batch_bytes;
+            self.stats.batch_min = if self.stats.batch_min == 0 {
+                n
+            } else {
+                self.stats.batch_min.min(n)
+            };
+            self.stats.batch_max = self.stats.batch_max.max(n);
+            let launch = gpu.launch_fused_policy(now, stream, &works, self.config.partition);
+            (launch, gpu.arch.launch_cpu)
         };
-        self.stats.batch_max = self.stats.batch_max.max(n);
         match reason {
             FlushReason::SyncPoint => self.stats.flushes_sync += 1,
             FlushReason::ThresholdReached => self.stats.flushes_threshold += 1,
             FlushReason::RingPressure => self.stats.flushes_pressure += 1,
         }
         if self.tele.is_enabled() {
-            let requests = batch.len() as u32;
+            let requests = n as u32;
             self.tele
                 .instant(Lane::Host, now, || Payload::FlushDecision {
                     reason: reason.tag(),
                     requests,
                     bytes: batch_bytes,
                 });
-            self.tele
-                .span(Lane::Stream(stream.0), launch.start, launch.done, || {
-                    Payload::FusedExec {
-                        requests,
-                        bytes: batch_bytes,
-                        reason: reason.tag(),
-                    }
-                });
-            for ((&uid, w), (&done, &unpack)) in batch
-                .iter()
-                .zip(&works)
-                .zip(launch.request_done.iter().zip(&unpacks))
-            {
+            if !degraded {
                 self.tele
-                    .span(Lane::Stream(stream.0), launch.start, done, || {
-                        Payload::PackSpan {
-                            uid: uid.0,
-                            bytes: w.stats.total_bytes,
-                            unpack,
+                    .span(Lane::Stream(stream.0), launch.start, launch.done, || {
+                        Payload::FusedExec {
+                            requests,
+                            bytes: batch_bytes,
+                            reason: reason.tag(),
                         }
                     });
+                for ((&uid, w), (&done, &unpack)) in batch
+                    .iter()
+                    .zip(&works)
+                    .zip(launch.request_done.iter().zip(&unpacks))
+                {
+                    self.tele
+                        .span(Lane::Stream(stream.0), launch.start, done, || {
+                            Payload::PackSpan {
+                                uid: uid.0,
+                                bytes: w.stats.total_bytes,
+                                unpack,
+                            }
+                        });
+                }
             }
         }
-        if let Some(adapt) = self.adapt.as_mut() {
-            let feedback = FlushFeedback {
-                reason,
-                requests: batch.len() as u64,
-                bytes: batch_bytes,
-                blocks: batch_blocks,
-                body: launch.done - launch.start,
-                launch: gpu.arch.launch_cpu,
-            };
-            if let Some(next) = adapt.observe(self.config.threshold_bytes, &feedback) {
-                let old = self.config.threshold_bytes;
-                self.config.threshold_bytes = next;
-                self.stats.threshold_adjusts += 1;
-                self.tele
-                    .instant(Lane::Host, now, || Payload::ThresholdAdjust {
-                        old_bytes: old,
-                        new_bytes: next,
-                    });
-                self.tele
-                    .counter(now, "fusion_threshold_bytes", next as f64);
-            }
-        }
-        Some(FlushedBatch {
-            reason,
-            uids: batch,
-            launch,
-        })
-    }
-
-    /// ② (degraded) Drain the oldest pending requests with one *non-fused*
-    /// kernel launch per request — the recovery ladder taken when the
-    /// cooperative launch fails under fault injection. Serial launches on
-    /// one stream: the CPU pays a driver call per request and the kernels
-    /// run FIFO, exactly the pre-fusion baseline the paper improves on.
-    ///
-    /// The returned batch is shaped like a fused one (`uids` aligned with
-    /// `launch.request_done`), so completion signalling, retirement, and
-    /// data-movement handling are unchanged downstream.
-    pub fn flush_degraded(
-        &mut self,
-        now: Time,
-        gpu: &mut Gpu,
-        stream: StreamId,
-        reason: FlushReason,
-    ) -> Option<FlushedBatch> {
-        let n = self.ring.pending_len().min(self.config.max_fused);
-        if n == 0 {
-            return None;
-        }
-        let mut batch: Vec<Uid> = Vec::with_capacity(n);
-        let mut batch_bytes = 0u64;
-        let mut batch_blocks = 0u64;
-        let mut cpu = now;
-        let mut first_start = None;
-        let mut request_done = Vec::with_capacity(n);
-        let mut done = now;
-        for _ in 0..n {
-            let req = self.ring.launch_next().expect("n requests are pending");
-            batch.push(req.uid);
-            let work = req.work();
-            batch_bytes += work.stats.total_bytes;
-            batch_blocks += work.stats.num_blocks;
-            let k = gpu.launch_kernel(cpu, stream, work.stats);
-            cpu = k.cpu_release;
-            first_start.get_or_insert(k.start);
-            request_done.push(k.done);
-            done = done.max(k.done);
-        }
-        let launch = FusedLaunch {
-            cpu_release: cpu,
-            start: first_start.unwrap_or(now),
-            request_done,
-            done,
-        };
-        self.stats.kernels_launched += batch.len() as u64;
-        self.stats.degraded_flushes += 1;
-        match reason {
-            FlushReason::SyncPoint => self.stats.flushes_sync += 1,
-            FlushReason::ThresholdReached => self.stats.flushes_threshold += 1,
-            FlushReason::RingPressure => self.stats.flushes_pressure += 1,
-        }
-        if self.tele.is_enabled() {
-            let requests = batch.len() as u32;
-            self.tele
-                .instant(Lane::Host, now, || Payload::FlushDecision {
-                    reason: reason.tag(),
-                    requests,
-                    bytes: batch_bytes,
-                });
-        }
-        // The controller still observes the flush: serial per-request
+        // The controller observes degraded flushes too: serial per-request
         // kernels collapse the measured pack bandwidth, which is exactly
         // the signal that should push the threshold around under faults.
         if let Some(adapt) = self.adapt.as_mut() {
             let feedback = FlushFeedback {
                 reason,
-                requests: batch.len() as u64,
+                requests: n,
                 bytes: batch_bytes,
                 blocks: batch_blocks,
                 body: launch.done - launch.start,
-                launch: gpu.arch.launch_cpu * batch.len() as u64,
+                launch: launch_cpu,
             };
             if let Some(next) = adapt.observe(self.config.threshold_bytes, &feedback) {
                 let old = self.config.threshold_bytes;
@@ -481,6 +429,28 @@ impl Scheduler {
         });
         self.tele.counter(now, "ring_occupancy", occupancy as f64);
         self.config.complete_cost
+    }
+}
+
+/// Launch `works` as one plain kernel each, back to back on `stream`,
+/// shaped like a fused launch.
+fn serial_launch(now: Time, gpu: &mut Gpu, stream: StreamId, works: &[FusedWork]) -> FusedLaunch {
+    let mut cpu = now;
+    let mut first_start = None;
+    let mut request_done = Vec::with_capacity(works.len());
+    let mut done = now;
+    for work in works {
+        let k = gpu.launch_kernel(cpu, stream, work.stats);
+        cpu = k.cpu_release;
+        first_start.get_or_insert(k.start);
+        request_done.push(k.done);
+        done = done.max(k.done);
+    }
+    FusedLaunch {
+        cpu_release: cpu,
+        start: first_start.unwrap_or(now),
+        request_done,
+        done,
     }
 }
 
@@ -609,7 +579,6 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         enqueue(&mut s, 128);
-        assert!(s.under_pressure(), "one free slot left");
         enqueue(&mut s, 128);
         let (res, _) = s.enqueue(
             Time(0),
@@ -680,8 +649,14 @@ mod tests {
             .iter()
             .all(|&t| t <= batch.launch.done));
         assert_eq!(g.kernels_launched(), 4, "one plain kernel per request");
-        assert_eq!(g.fusion_counters().0, 0, "nothing fused");
-        assert_eq!(s.stats().degraded_flushes, 1);
+        let stats = s.stats();
+        assert_eq!(stats.degraded_flushes, 1);
+        assert_eq!(stats.kernels_launched, 4);
+        assert_eq!(stats.flushes_sync, 1);
+        // Nothing was fused, so the fused-batch counters stay untouched.
+        assert_eq!(stats.requests_fused, 0, "nothing fused");
+        assert_eq!(stats.bytes_fused, 0);
+        assert_eq!((stats.batch_min, stats.batch_max), (0, 0));
         assert!(!s.has_pending());
         // Completion/retire protocol unchanged downstream.
         for &uid in &batch.uids {

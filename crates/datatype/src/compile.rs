@@ -28,9 +28,8 @@
 //!   runs); the segment-table walk with precomputed prefix sums.
 //!
 //! The three tables (segments, prefix sums, run offsets) are `Arc` slices:
-//! a clone shares them, so the per-rank layouts a shared
-//! [`crate::LayoutTable`] hands out cost three reference counts each, not a
-//! copy of every table.
+//! a clone shares them, so it costs three reference counts, not a copy of
+//! every table.
 
 use crate::flatten::emit_ir_segments;
 use crate::ir::LayoutIr;

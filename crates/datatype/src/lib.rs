@@ -14,9 +14,9 @@
 //!    ("flattening on the fly", Träff et al.), packed-offset prefix sums,
 //!    a contiguity/uniformity [`LayoutClass`], and the precomputed
 //!    [`CopyPlan`] every pack/unpack engine dispatches on.
-//! 3. **Cache** ([`cache`]): compiled layouts are cached following the
-//!    scheme of Chu et al. \[24\] in a sharded, LRU-bounded
-//!    [`LayoutCache`] keyed by structural hash, with per-shard telemetry.
+//! 3. **Cache** ([`cache`]): following the scheme of Chu et al. \[24\], a
+//!    [`LayoutTable`] interns each distinct descriptor once by structural
+//!    hash, and each rank's [`LayoutCache`] counts its commits and hits.
 //!
 //! The compiled layout is the lingua franca of the whole workspace: the
 //! GPU kernel cost model consumes its [`shape`](CompiledLayout::shape),
@@ -34,9 +34,7 @@ pub mod pack;
 pub mod typedesc;
 
 pub use builder::TypeBuilder;
-pub use cache::{
-    LayoutCache, LayoutCacheConfig, LayoutCacheStats, LayoutShardStats, LayoutTable, TypeHandle,
-};
+pub use cache::{LayoutCache, LayoutCacheStats, LayoutTable};
 pub use compile::{CompiledLayout, CopyPlan, LayoutClass, FIXED_RUN_WIDTH_MAX};
 pub use ir::{IrNode, LayoutIr};
 pub use layout::{Segment, UniformPlan};

@@ -1,4 +1,4 @@
-//! DMA copies and the CPU↔GPU interconnect.
+//! The CPU↔GPU interconnect.
 //!
 //! [`HostLink`] describes the processor-to-GPU interconnect — the key
 //! hardware difference between the paper's two platforms (Table II):
@@ -7,17 +7,6 @@
 //! carries `cudaMemcpy` staging traffic and GDRCopy load/stores.
 
 use fusedpack_sim::Duration;
-
-/// Direction/route of a DMA copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CopyPath {
-    /// Host memory → device memory over the host link.
-    H2D,
-    /// Device memory → host memory over the host link.
-    D2H,
-    /// Within one device (HBM to HBM).
-    D2D,
-}
 
 /// The CPU↔GPU interconnect of one node.
 #[derive(Debug, Clone)]

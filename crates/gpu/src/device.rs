@@ -1,4 +1,4 @@
-//! The GPU device: memory + streams + copy engines + launch API.
+//! The GPU device: memory + streams + launch API.
 //!
 //! All methods are *passive*: they take the instant at which the host CPU
 //! issues the operation and return the timing of everything that follows.
@@ -11,16 +11,16 @@
 //! model at the completion instant.
 
 use crate::arch::GpuArch;
-use crate::copy::{CopyPath, HostLink};
+use crate::copy::HostLink;
 use crate::fused::{self, FusedLaunch};
 use crate::gdr::GdrWindow;
 use crate::kernel::{self, SegmentStats};
 use crate::mem::{DataMode, MemPool};
 use crate::stream::{Stream, StreamId};
-use fusedpack_sim::{Duration, FifoResource, Time};
+use fusedpack_sim::Time;
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 
-/// Timing of one kernel launch or async copy.
+/// Timing of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTiming {
     /// When the launching CPU becomes free again (launch call returned).
@@ -39,11 +39,7 @@ pub struct Gpu {
     pub gdr: GdrWindow,
     host_link: HostLink,
     streams: Vec<Stream>,
-    copy_engine_h2d: FifoResource,
-    copy_engine_d2h: FifoResource,
     kernels_launched: u64,
-    fused_launched: u64,
-    requests_fused: u64,
     telemetry: Telemetry,
 }
 
@@ -65,11 +61,7 @@ impl Gpu {
             gdr,
             host_link,
             streams: vec![Stream::new(); num_streams],
-            copy_engine_h2d: FifoResource::new(),
-            copy_engine_d2h: FifoResource::new(),
             kernels_launched: 0,
-            fused_launched: 0,
-            requests_fused: 0,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -94,18 +86,8 @@ impl Gpu {
         self.kernels_launched
     }
 
-    /// Fused launches and the number of requests they carried.
-    pub fn fusion_counters(&self) -> (u64, u64) {
-        (self.fused_launched, self.requests_fused)
-    }
-
     fn stream_mut(&mut self, stream: StreamId) -> &mut Stream {
         &mut self.streams[stream.0 as usize]
-    }
-
-    /// Reference to a stream (for event recording / queries).
-    pub fn stream(&self, stream: StreamId) -> &Stream {
-        &self.streams[stream.0 as usize]
     }
 
     /// Launch a standalone pack/unpack kernel at `at` on `stream`.
@@ -141,34 +123,12 @@ impl Gpu {
         }
     }
 
-    /// Launch one *fused* kernel covering `works` requests at `at`.
+    /// Launch one *fused* kernel covering `works` requests at `at`, its
+    /// thread blocks partitioned across the requests by `policy`.
     ///
     /// Costs a single CPU-side launch; per-request completion instants are
     /// returned individually (the cooperative groups signal their response
     /// status as they finish — no kernel-boundary synchronization).
-    pub fn launch_fused(
-        &mut self,
-        at: Time,
-        stream: StreamId,
-        works: &[SegmentStats],
-    ) -> FusedLaunch {
-        let works: Vec<fused::FusedWork> = works.iter().map(|&w| w.into()).collect();
-        self.launch_fused_capped(at, stream, &works)
-    }
-
-    /// [`Gpu::launch_fused`] with per-request bandwidth caps (DirectIPC
-    /// requests bounded by the peer link).
-    pub fn launch_fused_capped(
-        &mut self,
-        at: Time,
-        stream: StreamId,
-        works: &[fused::FusedWork],
-    ) -> FusedLaunch {
-        self.launch_fused_policy(at, stream, works, fused::PartitionPolicy::WeightedByWork)
-    }
-
-    /// [`Gpu::launch_fused_capped`] with an explicit cooperative-group
-    /// block-partitioning policy.
     pub fn launch_fused_policy(
         &mut self,
         at: Time,
@@ -181,8 +141,6 @@ impl Gpu {
         let timing = fused::fused_timing_policy(&self.arch, works, policy);
         let (start, done) = self.stream_mut(stream).submit(ready, timing.total);
         self.kernels_launched += 1;
-        self.fused_launched += 1;
-        self.requests_fused += works.len() as u64;
         self.telemetry
             .span(Lane::Host, at, cpu_release, || Payload::KernelLaunch {
                 fused: true,
@@ -194,65 +152,14 @@ impl Gpu {
             done,
         }
     }
-
-    /// `cudaMemcpyAsync`: issue an async copy of `bytes` along `path` at
-    /// `at` on `stream`. The copy occupies both the per-direction DMA engine
-    /// and the stream (so later kernels on the stream wait for it).
-    pub fn memcpy_async(
-        &mut self,
-        at: Time,
-        stream: StreamId,
-        bytes: u64,
-        path: CopyPath,
-    ) -> KernelTiming {
-        let cpu_release = at + self.arch.memcpy_async_call;
-        let ready = cpu_release + self.arch.launch_gpu_delay;
-        let wire = match path {
-            CopyPath::H2D | CopyPath::D2H => self.host_link.transfer_time(bytes),
-            CopyPath::D2D => Duration::from_secs_f64(bytes as f64 / (self.arch.mem_bw / 2.0)),
-        };
-        let dur = self.arch.dma_setup + wire;
-        // Serialize on the DMA engine first, then mirror into the stream so
-        // stream-ordered work behind the copy waits for it.
-        let engine = match path {
-            CopyPath::H2D => &mut self.copy_engine_h2d,
-            CopyPath::D2H | CopyPath::D2D => &mut self.copy_engine_d2h,
-        };
-        let (eng_start, eng_done) = engine.acquire(ready, dur);
-        let lane = Lane::Stream(stream.0);
-        let stream = self.stream_mut(stream);
-        let (_, done) = stream.submit(eng_start, eng_done - eng_start);
-        let kind = match path {
-            CopyPath::H2D => "h2d",
-            CopyPath::D2H => "d2h",
-            CopyPath::D2D => "d2d",
-        };
-        self.telemetry
-            .span(lane, eng_start, done, || Payload::Memcpy { bytes, kind });
-        KernelTiming {
-            cpu_release,
-            start: eng_start,
-            done,
-        }
-    }
-
-    /// Reset per-iteration state (streams, engines, counters) while keeping
-    /// memory contents and allocations.
-    pub fn reset_timing(&mut self) {
-        for s in &mut self.streams {
-            s.reset();
-        }
-        self.copy_engine_h2d.reset();
-        self.copy_engine_d2h.reset();
-        self.kernels_launched = 0;
-        self.fused_launched = 0;
-        self.requests_fused = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::PartitionPolicy;
+
+    const WEIGHTED: PartitionPolicy = PartitionPolicy::WeightedByWork;
 
     fn gpu() -> Gpu {
         Gpu::new(
@@ -293,13 +200,12 @@ mod tests {
     #[test]
     fn fused_launch_pays_one_cpu_launch() {
         let mut g = gpu();
-        let works = vec![SegmentStats::new(4096, 16); 8];
-        let f = g.launch_fused(Time(0), StreamId(0), &works);
+        let works = vec![SegmentStats::new(4096, 16).into(); 8];
+        let f = g.launch_fused_policy(Time(0), StreamId(0), &works, WEIGHTED);
         assert_eq!(f.cpu_release, Time(0) + g.arch.launch_cpu);
         assert_eq!(f.request_done.len(), 8);
         assert!(f.request_done.iter().all(|&t| t <= f.done));
-        let (fused, reqs) = g.fusion_counters();
-        assert_eq!((fused, reqs), (1, 8));
+        assert_eq!(g.kernels_launched(), 1);
     }
 
     #[test]
@@ -316,42 +222,13 @@ mod tests {
             last_done = k.done;
         }
         let mut g2 = gpu();
-        let f = g2.launch_fused(Time(0), StreamId(0), &[stats; 8]);
+        let works = vec![stats.into(); 8];
+        let f = g2.launch_fused_policy(Time(0), StreamId(0), &works, WEIGHTED);
         assert!(
             f.done.as_nanos() * 3 < last_done.as_nanos(),
             "fused {:?} should be >3x faster than serial singles {:?}",
             f.done,
             last_done
         );
-    }
-
-    #[test]
-    fn memcpy_serializes_on_engine_and_stream() {
-        let mut g = gpu();
-        let a = g.memcpy_async(Time(0), StreamId(0), 1 << 20, CopyPath::D2H);
-        let b = g.memcpy_async(a.cpu_release, StreamId(1), 1 << 20, CopyPath::D2H);
-        assert_eq!(b.start, a.done, "same engine serializes across streams");
-        // A kernel behind the copy on stream 0 waits for it.
-        let k = g.launch_kernel(b.cpu_release, StreamId(0), SegmentStats::new(64, 1));
-        assert!(k.start >= a.done);
-    }
-
-    #[test]
-    fn h2d_and_d2h_engines_are_independent() {
-        let mut g = gpu();
-        let a = g.memcpy_async(Time(0), StreamId(0), 8 << 20, CopyPath::H2D);
-        let b = g.memcpy_async(a.cpu_release, StreamId(1), 8 << 20, CopyPath::D2H);
-        assert!(b.start < a.done, "opposite directions overlap");
-    }
-
-    #[test]
-    fn reset_timing_clears_counters_but_not_memory() {
-        let mut g = gpu();
-        let ptr = g.mem.alloc(4, 1);
-        g.mem.write(ptr, &[1, 2, 3, 4]);
-        g.launch_kernel(Time(0), StreamId(0), SegmentStats::new(64, 1));
-        g.reset_timing();
-        assert_eq!(g.kernels_launched(), 0);
-        assert_eq!(g.mem.read(ptr), &[1, 2, 3, 4]);
     }
 }

@@ -70,7 +70,7 @@ pub struct FusedTiming {
 }
 
 /// Absolute-time view of a fused launch as returned by
-/// [`crate::device::Gpu::launch_fused`].
+/// [`crate::device::Gpu::launch_fused_policy`].
 #[derive(Debug, Clone)]
 pub struct FusedLaunch {
     /// When the launching CPU becomes free again.

@@ -2,10 +2,10 @@
 //!
 //! A calibrated model of an NVIDIA GPU as seen by a communication runtime:
 //! device memory (real bytes, so packing correctness is testable), CUDA-like
-//! streams and events, a kernel *cost model* (launch overhead, startup time,
+//! streams, a kernel *cost model* (launch overhead, startup time,
 //! strided-access memory efficiency, SM occupancy), fused kernels that
-//! partition thread blocks across many requests via cooperative groups, a
-//! DMA copy engine, and a GDRCopy-style CPU load/store window.
+//! partition thread blocks across many requests via cooperative groups, and
+//! a GDRCopy-style CPU load/store window.
 //!
 //! ## What is modelled vs. real
 //!
@@ -34,11 +34,11 @@ pub mod staging;
 pub mod stream;
 
 pub use arch::GpuArch;
-pub use copy::{CopyPath, HostLink};
+pub use copy::HostLink;
 pub use device::{Gpu, KernelTiming};
 pub use fused::{FusedLaunch, FusedTiming, FusedWork, PartitionPolicy};
 pub use gdr::GdrWindow;
 pub use kernel::SegmentStats;
 pub use mem::{DataMode, DevPtr, Elements, MemPool};
 pub use staging::{BufferPool, PoolStats};
-pub use stream::{EventRecord, Stream, StreamId};
+pub use stream::{Stream, StreamId};

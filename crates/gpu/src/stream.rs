@@ -1,10 +1,7 @@
-//! CUDA-like streams and events.
+//! CUDA-like streams.
 //!
-//! A stream is a FIFO of device work: kernels and copies submitted to the
-//! same stream execute back-to-back in submission order. Events mark a point
-//! in a stream; querying an event answers "has the stream reached this
-//! point?" — the mechanism the GPU-Async baseline \[23\] uses in place of
-//! blocking synchronization.
+//! A stream is a FIFO of device work: kernels submitted to the same stream
+//! execute back-to-back in submission order.
 
 use fusedpack_sim::{Duration, FifoResource, Time};
 
@@ -28,51 +25,6 @@ impl Stream {
     pub fn submit(&mut self, ready: Time, dur: Duration) -> (Time, Time) {
         self.fifo.acquire(ready, dur)
     }
-
-    /// When all currently submitted work completes.
-    pub fn drained_at(&self) -> Time {
-        self.fifo.busy_until()
-    }
-
-    /// Is the stream idle at `now`?
-    pub fn is_idle_at(&self, now: Time) -> bool {
-        self.fifo.is_idle_at(now)
-    }
-
-    /// Record an event at the current tail of the stream: the event
-    /// "completes" when all previously submitted work has drained.
-    pub fn record_event(&self) -> EventRecord {
-        EventRecord {
-            completes_at: self.fifo.busy_until(),
-        }
-    }
-
-    /// Total device time consumed by work on this stream.
-    pub fn busy_time(&self) -> Duration {
-        self.fifo.busy_time()
-    }
-
-    pub fn reset(&mut self) {
-        self.fifo.reset();
-    }
-}
-
-/// A recorded event: a point in a stream's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRecord {
-    completes_at: Time,
-}
-
-impl EventRecord {
-    /// `cudaEventQuery`: has the stream passed the recorded point by `now`?
-    pub fn is_complete_at(&self, now: Time) -> bool {
-        now >= self.completes_at
-    }
-
-    /// The instant the event completes.
-    pub fn completes_at(&self) -> Time {
-        self.completes_at
-    }
 }
 
 #[cfg(test)]
@@ -86,27 +38,6 @@ mod tests {
         let (b0, b1) = s.submit(Time(10), Duration(50));
         assert_eq!((a0, a1), (Time(0), Time(100)));
         assert_eq!((b0, b1), (Time(100), Time(150)));
-        assert_eq!(s.drained_at(), Time(150));
-    }
-
-    #[test]
-    fn event_records_stream_tail() {
-        let mut s = Stream::new();
-        s.submit(Time(0), Duration(100));
-        let ev = s.record_event();
-        assert_eq!(ev.completes_at(), Time(100));
-        assert!(!ev.is_complete_at(Time(99)));
-        assert!(ev.is_complete_at(Time(100)));
-        // Work submitted after the record does not delay the event.
-        s.submit(Time(0), Duration(1000));
-        assert!(ev.is_complete_at(Time(100)));
-    }
-
-    #[test]
-    fn event_on_idle_stream_is_immediately_complete() {
-        let s = Stream::new();
-        let ev = s.record_event();
-        assert!(ev.is_complete_at(Time(0)));
     }
 
     #[test]

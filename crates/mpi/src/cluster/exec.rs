@@ -32,18 +32,17 @@ impl Cluster {
             match op {
                 AppOp::Commit { slot, desc } => {
                     let rank = &mut self.ranks[r];
-                    let (handle, cost) = rank.ddt_cache.commit(&desc);
+                    let (layout, cost) = rank.ddt_cache.commit(&desc);
                     rank.cpu += cost;
                     // The commit-time lookup validates the compiled layout
-                    // (and charges the same lookup cost the pre-handle code
-                    // paid); the slot stores only the handle — messages
-                    // acquire the layout per use.
-                    let (_, cost) = rank.ddt_cache.get(handle);
+                    // and charges one lookup; messages acquire the slot's
+                    // layout per use.
+                    let (layout, cost) = rank.ddt_cache.get(&layout);
                     rank.cpu += cost;
                     if rank.types.len() <= slot.0 {
                         rank.types.resize(slot.0 + 1, None);
                     }
-                    rank.types[slot.0] = Some(handle);
+                    rank.types[slot.0] = Some(layout);
                 }
                 AppOp::Irecv {
                     buf,

@@ -92,7 +92,6 @@ pub struct ClusterBuilder {
     telemetry: Option<Telemetry>,
     rndv: RndvProtocol,
     faults: Option<FaultPlan>,
-    retry: RetryPolicy,
     topology: Option<TopologyHandle>,
     shards: u32,
     ranks: Vec<(u32, Program)>,
@@ -108,7 +107,6 @@ impl ClusterBuilder {
             telemetry: None,
             rndv: RndvProtocol::default(),
             faults: None,
-            retry: RetryPolicy::default_transfer(),
             topology: None,
             shards: 1,
             ranks: Vec::new(),
@@ -153,14 +151,6 @@ impl ClusterBuilder {
     /// probability zero leaves the run bit-identical to a fault-free one.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Override the retry/backoff/deadline policy used to recover from
-    /// injected wire and NIC faults (default:
-    /// [`RetryPolicy::default_transfer`]).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -324,7 +314,7 @@ impl ClusterBuilder {
             telemetry,
             faults,
             fault_stats: FaultSummary::default(),
-            retry: self.retry,
+            retry: RetryPolicy::default_transfer(),
             shards_requested: self.shards,
             cur_event: (Time::ZERO, 0),
             pending: Vec::new(),
@@ -449,8 +439,8 @@ pub struct RunReport {
     /// admitted/deferred message counts, and wall-clock barrier/stall
     /// time. All-zero for single-queue runs.
     pub shard: ShardStats,
-    /// Layout-compiler cache health, aggregated over every rank's sharded
-    /// cache: commit/acquire hit counts, LRU evictions, and resident
+    /// Layout-compiler cache health, aggregated over every rank's cache:
+    /// commit/acquire hit counts, first-commit misses, and resident
     /// compiled-plan bytes. Acquires are cost-free in virtual time, so
     /// these counters never perturb timing — they report how much flatten
     /// work the cache amortized.
@@ -624,9 +614,7 @@ impl Cluster {
                 .instant(Lane::Host, end_time, || Payload::LayoutCacheHealth {
                     hits: lc.hits(),
                     misses: lc.misses(),
-                    evictions: lc.evictions(),
                     resident_bytes: lc.resident_bytes(),
-                    high_water_bytes: lc.high_water_bytes(),
                 });
         }
         RunReport {

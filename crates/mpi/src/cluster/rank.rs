@@ -7,7 +7,7 @@ use crate::message::WireMsg;
 use crate::program::{Program, TypeSlot};
 use crate::sendrecv::{PackState, RecvId, RecvOp, SendId, SendOp};
 use fusedpack_core::{Scheduler, Uid};
-use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutCacheConfig, LayoutTable, TypeHandle};
+use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutTable};
 use fusedpack_gpu::DevPtr;
 use fusedpack_sim::{Duration, IntMap, Time};
 use fusedpack_telemetry::{SpanId, Telemetry, WaitKindTag};
@@ -43,13 +43,11 @@ pub(crate) struct RankState {
     pub done: bool,
     /// Buffer id → device pointer in the rank's user pool.
     pub bufs: Vec<DevPtr>,
-    /// Type slot → committed cache handle (`None`: never committed). Each
-    /// message resolves its compiled layout through [`RankState::layout`]
-    /// (cost-free, counts a cache hit) and pins the `Arc` in its request
-    /// for its lifetime, so the LRU can never evict a layout still in
-    /// flight.
-    pub types: Vec<Option<TypeHandle>>,
-    /// This rank's modelled layout cache; its compiles go through the
+    /// Type slot → committed compiled layout (`None`: never committed).
+    /// Each message resolves its layout through [`RankState::layout`]
+    /// (cost-free, counts a cache hit).
+    pub types: Vec<Option<Arc<CompiledLayout>>>,
+    /// This rank's modelled layout cache; it interns through the
     /// cluster's shared [`LayoutTable`].
     pub ddt_cache: LayoutCache,
     pub sends: Vec<SendOp>,
@@ -117,7 +115,7 @@ impl RankState {
             done: false,
             bufs: Vec::new(),
             types: Vec::new(),
-            ddt_cache: LayoutCache::with_table(LayoutCacheConfig::default(), layouts),
+            ddt_cache: LayoutCache::with_table(layouts),
             sends: Vec::new(),
             recvs: Vec::new(),
             packed: IntMap::default(),
@@ -145,13 +143,12 @@ impl RankState {
     ///
     /// Panics if the program never committed that slot.
     pub fn layout(&mut self, slot: TypeSlot) -> Arc<CompiledLayout> {
-        let handle = self
+        let layout = self
             .types
             .get(slot.0)
-            .copied()
-            .flatten()
+            .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("uncommitted type slot {} on rank {}", slot.0, self.id.0));
-        self.ddt_cache.acquire(handle)
+        self.ddt_cache.acquire(layout)
     }
 
     /// Are all outstanding requests finished (Waitall condition)?

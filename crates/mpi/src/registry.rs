@@ -24,12 +24,8 @@ use std::sync::Arc;
 pub struct SchemeDescriptor {
     /// Stable CLI/registry name (kebab-case).
     pub name: &'static str,
-    /// Display label matching the paper's legends.
-    pub label: &'static str,
     /// One-line description of the design.
     pub summary: &'static str,
-    /// Does this scheme keep a layout cache (Table I)?
-    pub has_layout_cache: bool,
     make: fn() -> SchemeKind,
 }
 
@@ -44,58 +40,42 @@ impl SchemeDescriptor {
 static ENTRIES: &[SchemeDescriptor] = &[
     SchemeDescriptor {
         name: "gpu-sync",
-        label: "GPU-Sync",
         summary: "pack kernel + cudaStreamSynchronize per message [8, 22]",
-        has_layout_cache: false,
         make: || SchemeKind::GpuSync,
     },
     SchemeDescriptor {
         name: "gpu-async",
-        label: "GPU-Async",
         summary: "multi-stream pack kernels with event record/query completion [23]",
-        has_layout_cache: false,
         make: || SchemeKind::GpuAsync,
     },
     SchemeDescriptor {
         name: "cpu-gpu-hybrid",
-        label: "CPU-GPU-Hybrid",
         summary: "GDRCopy CPU path for dense/small layouts, cached-layout kernels otherwise [24]",
-        has_layout_cache: true,
         make: || SchemeKind::CpuGpuHybrid,
     },
     SchemeDescriptor {
         name: "proposed",
-        label: "Proposed",
         summary: "the paper's dynamic kernel fusion at the default 512 KB threshold",
-        has_layout_cache: true,
         make: SchemeKind::fusion_default,
     },
     SchemeDescriptor {
         name: "proposed-adaptive",
-        label: "Proposed-Adaptive",
         summary: "kernel fusion + online threshold control + cost-guided partitioning",
-        has_layout_cache: true,
         make: SchemeKind::fusion_adaptive,
     },
     SchemeDescriptor {
         name: "spectrum-mpi",
-        label: "SpectrumMPI",
         summary: "naive per-block staged copies, IBM Spectrum MPI constants",
-        has_layout_cache: false,
         make: || SchemeKind::NaiveCopy(NaiveFlavor::SpectrumMpi),
     },
     SchemeDescriptor {
         name: "open-mpi",
-        label: "OpenMPI",
         summary: "naive per-block staged copies, OpenMPI + UCX constants",
-        has_layout_cache: false,
         make: || SchemeKind::NaiveCopy(NaiveFlavor::OpenMpi),
     },
     SchemeDescriptor {
         name: "mvapich2-gdr",
-        label: "MVAPICH2-GDR",
         summary: "adaptive per-message choice between the hybrid CPU path and GPU-Sync",
-        has_layout_cache: true,
         make: || SchemeKind::Adaptive,
     },
 ];
@@ -201,9 +181,8 @@ mod tests {
     fn every_descriptor_round_trips() {
         let reg = SchemeRegistry::global();
         for d in reg.all() {
-            let scheme = reg.create(d.name);
-            assert_eq!(scheme.label(), d.label, "{}", d.name);
-            assert_eq!(scheme.has_layout_cache(), d.has_layout_cache, "{}", d.name);
+            let found = reg.get(d.name).expect("registered name");
+            assert!(std::ptr::eq(found, d), "{}", d.name);
         }
     }
 
@@ -213,7 +192,7 @@ mod tests {
         for (i, a) in reg.all().iter().enumerate() {
             for b in &reg.all()[i + 1..] {
                 assert_ne!(a.name, b.name);
-                assert_ne!(a.label, b.label);
+                assert_ne!(a.make().label(), b.make().label());
             }
         }
     }

@@ -49,6 +49,21 @@ fn halo_compiles_its_type_once_per_cluster() {
     }
 }
 
+/// The 4³ halo's merged cache counters, pinned: one miss and one
+/// commit-time lookup hit per rank, one acquire hit per message (12 per
+/// rank), and one specfem3D_cm(64) layout resident per rank. These are the
+/// values the earlier sharded LRU cache reported, at either shard count.
+#[test]
+fn halo_cache_counters_are_pinned_at_any_shard_count() {
+    for shards in [1, 2] {
+        let lc = halo_report(shards).layout_cache;
+        assert_eq!(lc.hits(), 832, "shards {shards}");
+        assert_eq!(lc.misses(), 64, "shards {shards}");
+        assert_eq!(lc.resident_bytes(), 302_080, "shards {shards}");
+        assert_eq!((lc.commits(), lc.lookups()), (64, 64), "shards {shards}");
+    }
+}
+
 /// A 2-rank request/response loop in the shape of `reproduce serve`:
 /// batches of sends and receives of one committed type.
 #[test]

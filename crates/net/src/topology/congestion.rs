@@ -163,21 +163,6 @@ impl FabricHealth {
     pub fn injected(&self) -> u64 {
         self.flaps + self.degrades + self.downs
     }
-
-    /// Fold another cluster's counters into this one. Counters sum;
-    /// `route_epoch` takes the max (it is a version, not a tally).
-    pub fn merge(&mut self, other: &FabricHealth) {
-        self.flaps += other.flaps;
-        self.degrades += other.degrades;
-        self.downs += other.downs;
-        self.hops_down += other.hops_down;
-        self.hops_degraded += other.hops_degraded;
-        self.reroutes += other.reroutes;
-        self.rail_failovers += other.rail_failovers;
-        self.disconnects += other.disconnects;
-        self.route_epoch = self.route_epoch.max(other.route_epoch);
-        self.added_latency_ns += other.added_latency_ns;
-    }
 }
 
 impl std::fmt::Display for FabricHealth {

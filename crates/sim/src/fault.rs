@@ -550,20 +550,10 @@ impl RetryPolicy {
     }
 
     /// Backoff before retry attempt `attempt` (1-based: the wait after the
-    /// first failed transmission is `backoff(1, ..)`). Exponential growth
-    /// capped at `backoff_max`, with deterministic jitter drawn from `rng`
-    /// mapping the nominal value to `[1/2, 3/2)` of itself.
-    pub fn backoff(&self, attempt: u32, rng: &mut Pcg32) -> Duration {
-        let nominal = self.nominal(attempt);
-        if nominal == 0 {
-            return Duration::ZERO;
-        }
-        let jittered = nominal / 2 + rng.next_u64() % nominal.max(1);
-        Duration::from_nanos(jittered)
-    }
-
-    /// Stateless variant of [`RetryPolicy::backoff`]: jitter derives from
-    /// `(seed, key, attempt)` via [`splitmix64`] instead of a shared RNG
+    /// first failed transmission is `backoff_keyed(1, ..)`). Exponential
+    /// growth capped at `backoff_max`, with deterministic jitter mapping
+    /// the nominal value to `[1/2, 3/2)` of itself. The jitter derives
+    /// from `(seed, key, attempt)` via [`splitmix64`], not a shared RNG
     /// stream, so concurrent retry ladders on different event-loop shards
     /// draw identical backoffs to the single-queue loop.
     pub fn backoff_keyed(&self, attempt: u32, seed: u64, key: u64) -> Duration {
@@ -796,7 +786,6 @@ mod tests {
     #[test]
     fn backoff_grows_caps_and_jitters_in_range() {
         let pol = RetryPolicy::default_transfer();
-        let mut rng = Pcg32::seeded(17);
         let mut prev_nominal = 0u64;
         for attempt in 1..=8 {
             let nominal = pol
@@ -806,22 +795,19 @@ mod tests {
                 .min(pol.backoff_max.as_nanos());
             assert!(nominal >= prev_nominal, "monotone until the cap");
             prev_nominal = nominal;
-            let b = pol.backoff(attempt, &mut rng).as_nanos();
-            assert!(
-                b >= nominal / 2 && b < nominal / 2 + nominal,
-                "attempt {attempt}: backoff {b} outside jitter window of {nominal}"
-            );
-            let bk = pol.backoff_keyed(attempt, 42, 1234).as_nanos();
-            assert!(
-                bk >= nominal / 2 && bk < nominal / 2 + nominal,
-                "attempt {attempt}: keyed backoff {bk} outside jitter window of {nominal}"
-            );
+            for key in 0..64 {
+                let b = pol.backoff_keyed(attempt, 42, key).as_nanos();
+                assert!(
+                    b >= nominal / 2 && b < nominal / 2 + nominal,
+                    "attempt {attempt}: backoff {b} outside jitter window of {nominal}"
+                );
+            }
         }
-        // Deterministic for a fixed rng state / fixed coordinates.
-        let mut r1 = Pcg32::seeded(23);
-        let mut r2 = Pcg32::seeded(23);
-        assert_eq!(pol.backoff(3, &mut r1), pol.backoff(3, &mut r2));
+        // Deterministic for fixed coordinates, jittered across keys.
         assert_eq!(pol.backoff_keyed(3, 9, 81), pol.backoff_keyed(3, 9, 81));
+        let draws: std::collections::HashSet<_> =
+            (0..16).map(|key| pol.backoff_keyed(3, 9, key)).collect();
+        assert!(draws.len() > 1, "jitter varies with the key");
     }
 
     #[test]

@@ -227,14 +227,12 @@ pub enum Payload {
         events: u64,
     },
     /// End-of-run layout-compiler cache snapshot, aggregated over every
-    /// rank's sharded cache: acquire hits/misses, LRU evictions, resident
-    /// compiled bytes, and the residency high-water mark.
+    /// rank's cache: commit and acquire hits, first-commit misses, and
+    /// resident compiled bytes.
     LayoutCacheHealth {
         hits: u64,
         misses: u64,
-        evictions: u64,
         resident_bytes: u64,
-        high_water_bytes: u64,
     },
     /// A sharded run crossed a conservative window barrier: the
     /// coordinator admitted cross-shard messages and applied deferred
@@ -478,15 +476,11 @@ impl Payload {
             Payload::LayoutCacheHealth {
                 hits,
                 misses,
-                evictions,
                 resident_bytes,
-                high_water_bytes,
             } => vec![
                 ("hits", ArgValue::U64(hits)),
                 ("misses", ArgValue::U64(misses)),
-                ("evictions", ArgValue::U64(evictions)),
                 ("resident_bytes", ArgValue::U64(resident_bytes)),
-                ("high_water_bytes", ArgValue::U64(high_water_bytes)),
             ],
             Payload::ShardBarrier {
                 window_ns,

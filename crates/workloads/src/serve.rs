@@ -333,7 +333,7 @@ mod tests {
         let (a, b) = (&single.report.layout_cache, &sharded.report.layout_cache);
         assert_eq!(a.hits(), b.hits());
         assert_eq!(a.misses(), b.misses());
-        assert_eq!(a.evictions(), b.evictions());
+        assert_eq!(a.resident_bytes(), b.resident_bytes());
     }
 
     #[test]
@@ -354,8 +354,7 @@ mod tests {
             "sustained load must amortize compilation: {}",
             lc.hit_rate()
         );
-        assert_eq!(lc.evictions(), 0, "one resident layout, nothing to evict");
-        assert!(lc.resident_bytes() > 0 && lc.high_water_bytes() >= lc.resident_bytes());
+        assert!(lc.resident_bytes() > 0);
     }
 
     #[test]
