@@ -9,7 +9,10 @@
 //!   shares one across all its ranks. It keys each descriptor by the
 //!   structural hash of its type tree, checks equality on a collision, and
 //!   compiles each distinct descriptor once, however many ranks commit it.
-//!   It hands out that one `Arc<CompiledLayout>` with a dense id.
+//!   It hands out that one `Arc<CompiledLayout>` with a dense id. A
+//!   descriptor `Arc` the table has seen before is found by its address,
+//!   with no hash of the tree: ranks built from one program generator
+//!   commit the same `Arc`.
 //! * [`LayoutCache`] is one rank's *modelled* cache: the set of ids that
 //!   rank has committed, plus its counters. A rank's first commit of a
 //!   type is a miss and pays [`flatten_cost`]; a re-commit is a hit and
@@ -29,7 +32,7 @@
 
 use crate::compile::CompiledLayout;
 use crate::typedesc::TypeDesc;
-use fusedpack_sim::Duration;
+use fusedpack_sim::{Duration, IntMap};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -120,11 +123,15 @@ pub struct LayoutTable {
 
 #[derive(Debug, Default)]
 struct TableInner {
+    /// Address of every descriptor `Arc` interned → that `Arc` and its id.
+    /// Holding the `Arc` keeps the address from being reused for another
+    /// descriptor while the table lives.
+    by_addr: IntMap<usize, (Arc<TypeDesc>, usize)>,
     /// structural key → ids of every distinct descriptor seen under that
     /// key (more than one only on a hash collision).
     by_key: HashMap<u64, Vec<usize>>,
     /// id → descriptor and its compiled layout.
-    entries: Vec<(TypeDesc, Arc<CompiledLayout>)>,
+    entries: Vec<(Arc<TypeDesc>, Arc<CompiledLayout>)>,
 }
 
 impl LayoutTable {
@@ -151,22 +158,35 @@ impl LayoutTable {
     }
 
     /// `desc`'s dense id (0, 1, 2, … in first-intern order) and its one
-    /// shared compiled layout. The first request for a descriptor compiles
-    /// it under the lock, so concurrent ranks never compile the same type
-    /// twice.
-    pub(crate) fn intern(&self, desc: &TypeDesc) -> (usize, Arc<CompiledLayout>) {
-        let key = Self::structural_key(desc);
+    /// shared compiled layout. An `Arc` interned before is found by its
+    /// address; any other is keyed by its structure, so distinct `Arc`s of
+    /// equal trees share one id. The first request for a descriptor
+    /// compiles it under the lock, so concurrent ranks never compile the
+    /// same type twice.
+    pub(crate) fn intern(&self, desc: &Arc<TypeDesc>) -> (usize, Arc<CompiledLayout>) {
+        let addr = Arc::as_ptr(desc) as usize;
         let mut inner = self.lock();
-        let TableInner { by_key, entries } = &mut *inner;
-        let ids = by_key.entry(key).or_default();
-        if let Some(&id) = ids.iter().find(|&&id| entries[id].0 == *desc) {
-            return (id, Arc::clone(&entries[id].1));
+        if let Some(&(_, id)) = inner.by_addr.get(&addr) {
+            return (id, Arc::clone(&inner.entries[id].1));
         }
-        let id = entries.len();
-        let layout = Arc::new(CompiledLayout::of(desc));
-        entries.push((desc.clone(), Arc::clone(&layout)));
-        ids.push(id);
-        (id, layout)
+        let key = Self::structural_key(desc);
+        let TableInner {
+            by_addr,
+            by_key,
+            entries,
+        } = &mut *inner;
+        let ids = by_key.entry(key).or_default();
+        let id = match ids.iter().find(|&&id| *entries[id].0 == **desc) {
+            Some(&id) => id,
+            None => {
+                let id = entries.len();
+                entries.push((Arc::clone(desc), Arc::new(CompiledLayout::of(desc))));
+                ids.push(id);
+                id
+            }
+        };
+        by_addr.insert(addr, (Arc::clone(desc), id));
+        (id, Arc::clone(&entries[id].1))
     }
 
     /// Calls to [`CompiledLayout::of`] this table has made: one per
@@ -202,7 +222,7 @@ impl LayoutCache {
 
     /// Commit a type: its compiled layout plus the CPU cost incurred, a
     /// flatten on this rank's first commit of the type and a lookup after.
-    pub fn commit(&mut self, desc: &TypeDesc) -> (Arc<CompiledLayout>, Duration) {
+    pub fn commit(&mut self, desc: &Arc<TypeDesc>) -> (Arc<CompiledLayout>, Duration) {
         self.stats.commits += 1;
         let (id, layout) = self.table.intern(desc);
         if id >= self.committed.len() {
@@ -309,6 +329,29 @@ mod tests {
         assert!(Arc::ptr_eq(&l1, &l1_again));
         assert_eq!(table.compiles(), 2);
         FORCED_KEY.with(|k| k.set(None));
+    }
+
+    #[test]
+    fn a_recommitted_arc_is_found_by_address_and_an_equal_one_by_structure() {
+        let table = LayoutTable::new();
+        let t = distinct_type(0);
+        FORCED_KEY.with(|k| k.set(Some(7)));
+        let (id, layout) = table.intern(&t);
+        // Under another structural key the tree would be a new entry: the
+        // same `Arc` must not be hashed again.
+        FORCED_KEY.with(|k| k.set(Some(9)));
+        let (again, layout_again) = table.intern(&t);
+        assert_eq!(again, id);
+        assert!(Arc::ptr_eq(&layout, &layout_again));
+        // A distinct `Arc` of an equal tree goes through the structural
+        // key and still finds the entry.
+        FORCED_KEY.with(|k| k.set(Some(7)));
+        let copy = Arc::new((*t).clone());
+        assert_eq!(table.intern(&copy).0, id);
+        FORCED_KEY.with(|k| k.set(Some(9)));
+        assert_eq!(table.intern(&copy).0, id, "and its address is kept");
+        FORCED_KEY.with(|k| k.set(None));
+        assert_eq!(table.compiles(), 1);
     }
 
     #[test]

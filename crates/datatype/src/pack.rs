@@ -250,18 +250,19 @@ pub fn unpack_generic(src: &[u8], layout: &CompiledLayout, count: u64, dst: &mut
 }
 
 /// Copy `src_count` elements of `src_layout` starting at `src\[0\]` to
-/// `dst_count` elements of `dst_layout` starting at `dst\[0\]`, with no
-/// packed intermediate: `dst` ends up as [`pack`] of `src` followed by
-/// [`unpack`] into `dst` would leave it. Bytes in the destination
-/// layout's gaps are untouched.
+/// `dst_count` elements of `dst_layout` starting at `dst\[0\]`: `dst`
+/// ends up as [`pack`] of `src` followed by [`unpack`] into `dst` would
+/// leave it. Bytes in the destination layout's gaps are untouched.
 ///
 /// A contiguous side reduces to one [`pack_into`] or [`unpack`]. Two
 /// indexed-runs layouts of one run width — one layout on both sides
 /// included, the halo's case — zip their offset tables with fixed-width
-/// moves. Any other pair goes through a packed image, [`pack`] then
-/// [`unpack`]: each side runs its own plan's tier, which beats zipping
-/// the two run lists ([`copy_zip`], kept as the reference) by a
-/// variable-length move per run.
+/// moves, with no packed image. Any other pair goes through a packed
+/// image in `scratch`, [`pack_into`] then [`unpack`]: each side runs its
+/// own plan's tier, which beats zipping the two run lists ([`copy_zip`],
+/// kept as the reference) by a variable-length move per run. `scratch`
+/// is the caller's, so a caller that keeps it allocates the image once;
+/// its contents on entry do not matter.
 ///
 /// Panics if the two sides' packed sizes differ.
 pub fn copy(
@@ -271,6 +272,7 @@ pub fn copy(
     dst: &mut [u8],
     dst_layout: &CompiledLayout,
     dst_count: u64,
+    scratch: &mut Vec<u8>,
 ) {
     let total = src_layout.total_bytes(src_count);
     assert_eq!(
@@ -298,12 +300,14 @@ pub fn copy(
                 w => zip_indexed(from, to, runs, w as usize),
             }
         }
-        _ => unpack(
-            &pack(src, src_layout, src_count),
-            dst_layout,
-            dst_count,
-            dst,
-        ),
+        _ => {
+            if scratch.len() < n {
+                scratch.resize(n, 0);
+            }
+            let image = &mut scratch[..n];
+            pack_into(src, src_layout, src_count, image);
+            unpack(image, dst_layout, dst_count, dst);
+        }
     }
 }
 

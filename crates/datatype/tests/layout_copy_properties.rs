@@ -101,7 +101,9 @@ proptest! {
         unpack(&pack(&src, &send, send_count), &recv, recv_count, &mut want);
 
         let mut got = vec![SENTINEL; len];
-        copy(&src, &send, send_count, &mut got, &recv, recv_count);
+        // A caller's scratch may hold anything, of any length.
+        let mut scratch = vec![SENTINEL; seed as usize % 64];
+        copy(&src, &send, send_count, &mut got, &recv, recv_count, &mut scratch);
         prop_assert!(got == want, "copy differs from pack -> unpack");
         let mut zipped = vec![SENTINEL; len];
         copy_zip(&src, &send, send_count, &mut zipped, &recv, recv_count);
@@ -119,7 +121,7 @@ proptest! {
         let mut want = vec![SENTINEL; src.len()];
         unpack(&pack(&src, &send, send_count), &send, send_count, &mut want);
         let mut got = vec![SENTINEL; src.len()];
-        copy(&src, &send, send_count, &mut got, &send, send_count);
+        copy(&src, &send, send_count, &mut got, &send, send_count, &mut scratch);
         prop_assert!(got == want, "same-layout copy differs from pack -> unpack");
     }
 }
@@ -128,5 +130,5 @@ proptest! {
 #[should_panic(expected = "packed size mismatch")]
 fn copy_refuses_unequal_packed_sizes() {
     let t = CompiledLayout::of(&TypeBuilder::contiguous(4, TypeBuilder::byte()));
-    copy(&[0; 8], &t, 2, &mut [0; 8], &t, 1);
+    copy(&[0; 8], &t, 2, &mut [0; 8], &t, 1, &mut Vec::new());
 }

@@ -76,11 +76,6 @@ impl Gpu {
         &self.host_link
     }
 
-    #[inline]
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Total kernel launches so far (single + fused).
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched

@@ -7,7 +7,10 @@
 //! Pools run in one of two [`DataMode`]s:
 //!
 //! * `Full` — the pool holds real bytes and every copy moves them, so tests
-//!   can verify end-to-end pack/unpack correctness. The byte vector starts
+//!   can verify end-to-end pack/unpack correctness. While a cluster runs,
+//!   its copy engine owns each rank's GPU pool (moved out of the `Gpu` at
+//!   the start of the run and back at the end) and makes every copy; the
+//!   event loop only submits the copies. The byte vector starts
 //!   empty and allocations extend it to cover the allocation high-water
 //!   mark, so a pool costs memory for what it hands out, not for its
 //!   declared capacity. A cluster build reserves each GPU pool once, for
@@ -32,7 +35,8 @@
 //! [`pack::pack_into`]/[`pack::unpack`] kernels, and one layout-to-layout
 //! copy from one pool into another ([`MemPool::copy_to`], the DirectIPC
 //! load) through [`pack::copy`], with no packed image between the two
-//! when a side is contiguous or both are indexed runs of one width.
+//! when a side is contiguous or both are indexed runs of one width (any
+//! other pair packs through a scratch buffer the caller keeps).
 
 use fusedpack_datatype::{pack, CompiledLayout};
 
@@ -348,9 +352,16 @@ impl MemPool {
     /// `dst` through [`pack::copy`] — the data movement of a DirectIPC
     /// kernel, which loads a peer GPU's buffer and stores it in the
     /// receiver's layout in one pass. The two layouts may differ; their
-    /// packed sizes must not. Bytes in `to`'s gaps are untouched. Returns
-    /// the packed byte count.
-    pub fn copy_to(&self, from: Elements<'_>, dst: &mut MemPool, to: Elements<'_>) -> u64 {
+    /// packed sizes must not. Bytes in `to`'s gaps are untouched. A pair
+    /// of layouts with no table zip packs through `scratch`, which the
+    /// caller keeps from copy to copy. Returns the packed byte count.
+    pub fn copy_to(
+        &self,
+        from: Elements<'_>,
+        dst: &mut MemPool,
+        to: Elements<'_>,
+        scratch: &mut Vec<u8>,
+    ) -> u64 {
         let total = from.layout.total_bytes(from.count);
         if self.mode == DataMode::ModelOnly || dst.mode == DataMode::ModelOnly {
             return total;
@@ -362,6 +373,7 @@ impl MemPool {
             &mut dst.bytes[to.base as usize..],
             to.layout,
             to.count,
+            scratch,
         );
         total
     }
@@ -635,7 +647,7 @@ mod tests {
         assert_eq!(p.scatter_from(&[], &l, 0, 4), 600);
         let mut q = MemPool::new(1 << 40, DataMode::ModelOnly);
         let elems = Elements::new(&l, 0, 4);
-        assert_eq!(p.copy_to(elems, &mut q, elems), 600);
+        assert_eq!(p.copy_to(elems, &mut q, elems, &mut Vec::new()), 600);
         assert!(p.bytes.is_empty(), "a ModelOnly pool never backs a byte");
         assert_eq!(p.bytes.capacity(), 0, "nor reserves one");
     }
@@ -676,6 +688,7 @@ mod tests {
             Elements::new(&from, src.addr, 1),
             &mut local,
             Elements::new(&to, dst.addr + 2, 1),
+            &mut Vec::new(),
         );
         assert_eq!(n, 5);
         let v = local.read(dst);

@@ -2,8 +2,13 @@
 //!
 //! In `DataMode::Full` runs every payload the cluster moves is a pooled
 //! `Vec<u8>`: a staged message's packed bytes (taken at pack, returned
-//! after unpack), and contiguous and RGET copies. A [`BufferPool`] keeps a
-//! freelist of retired buffers behind a `parking_lot::Mutex` so those
+//! after unpack), and contiguous and RGET copies. The cluster's copy
+//! engine owns one [`BufferPool`] for the whole run and is its only user:
+//! its pack, read and duplicate jobs take buffers and its unpack, write
+//! and recycle jobs put them back, on the engine's thread and in job
+//! order, so a run's takes and puts, and its counters, are the same
+//! whether the engine runs beside the event loop or inline. The pool keeps
+//! a freelist of retired buffers behind a `parking_lot::Mutex` so those
 //! per-message allocations become acquire/release pairs: `take(len)` hands
 //! out a buffer of length `len` for the caller to overwrite, and `put`
 //! returns it for the next message. Nothing is zero-filled except a fresh

@@ -23,10 +23,11 @@
 //!
 //! A third row sends a generic tree (blocks of one and two floats, the
 //! same packed size) into the specfem element. No table zip applies, so
-//! the copy packs the tree and unpacks into the element, each side through
-//! its own plan: at least 0.8x of gather → buffer → scatter (measured
-//! 0.97–0.98x; the difference is the packed image's allocation). Zipping
-//! the two run lists instead read 0.46x (10.6 µs against 4.5 µs).
+//! the copy packs the tree into the caller's scratch and unpacks it into
+//! the element, each side through its own plan: the same work as gather
+//! → buffer → scatter, so at least 0.9x of it (measured 0.97–1.01x, where
+//! a fresh packed image per copy read 0.95–0.96x). Zipping the two run
+//! lists instead read 0.46x (10.6 µs against 4.5 µs).
 //!
 //! The layout is rebuilt here with the same recipe as
 //! `fusedpack_workloads::specfem::specfem3d_cm` (this crate cannot depend
@@ -118,8 +119,9 @@ fn time_pair(send: &CompiledLayout, recv: &CompiledLayout) -> (f64, f64) {
     let from = Elements::new(send, src.addr, 1);
     let to = Elements::new(recv, dst.addr, 1);
     let mut bounce = vec![0u8; send.total_bytes(1) as usize];
+    let mut scratch = Vec::new();
     let mut copy = || {
-        black_box(&peer).copy_to(from, &mut one, to);
+        black_box(&peer).copy_to(from, &mut one, to, &mut scratch);
     };
     let mut staged = || {
         black_box(&peer).gather_into(send, src.addr, 1, &mut bounce);
@@ -172,8 +174,8 @@ fn one_pass_copies_beat_gather_buffer_scatter() {
          ({zip:.2}x < 1.05x)"
     );
     assert!(
-        tree >= 0.8,
+        tree >= 0.9,
         "generic-tree copy took {tree_ns:.0} ns vs {staged_tree_ns:.0} ns through a bounce \
-         buffer ({tree:.2}x < 0.8x)"
+         buffer ({tree:.2}x < 0.9x)"
     );
 }

@@ -5,6 +5,7 @@ use super::{Cluster, Event, RankId};
 use crate::lifecycle::RequestLifecycle;
 use crate::program::AppOp;
 use crate::sendrecv::{RecvId, RecvOp, SendId, SendOp, StagingLoc};
+use fusedpack_gpu::DataMode;
 use fusedpack_sim::Time;
 use fusedpack_telemetry::{Bucket, Lane, Payload, WaitKindTag};
 
@@ -222,15 +223,16 @@ impl Cluster {
         };
         let stats = SegmentStats::new(layout.total_bytes(count), layout.total_blocks(count));
         // Data movement within device memory, dispatched on the copy plan
-        // the layout compiler classified at commit time.
-        if pack {
-            self.gpus[r]
-                .mem
-                .gather(&layout, src_ptr.addr, count, dst_ptr.addr);
-        } else {
-            self.gpus[r]
-                .mem
-                .scatter(src_ptr.addr, &layout, dst_ptr.addr, count);
+        // the layout compiler classified at commit time: the elements are
+        // `src` of a pack and `dst` of an unpack.
+        if self.data_mode == DataMode::Full {
+            let (elems, packed) = if pack {
+                (src_ptr.addr, dst_ptr.addr)
+            } else {
+                (dst_ptr.addr, src_ptr.addr)
+            };
+            let elems = self.copies.elems(r, &layout, elems, count);
+            self.copies.explicit(elems, packed, pack);
         }
         if blocking {
             // MPI_Pack/MPI_Unpack: the library parses the datatype and

@@ -8,7 +8,9 @@
 //! scheduler statistics.
 
 mod accounting;
+mod copy;
 mod exec;
+mod handoff;
 mod protocol;
 mod ranged;
 mod rank;
@@ -22,18 +24,20 @@ use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Scheduler, Uid};
 use fusedpack_datatype::LayoutTable;
-use fusedpack_gpu::{BufferPool, DataMode, Gpu, MemPool};
+use fusedpack_gpu::{DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint};
 use fusedpack_net::{FabricHealth, FlatLink, Nic, TopoNet, TopologyHandle};
 use fusedpack_sim::{
-    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, RetryPolicy,
-    ShardStats, Slab, Time, WheelStats,
+    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, ShardStats, Slab,
+    Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+pub(crate) use copy::{CopyQueue, JobSender};
+pub use copy::{CopyStats, PayloadHandle};
 pub(crate) use ranged::Ranged;
 pub(crate) use rank::RankState;
 pub(crate) use schemes::SchemeEngine;
@@ -246,8 +250,8 @@ impl ClusterBuilder {
             ranks.push(rank);
             gpus.push(gpu);
             // Staging pools are address allocators in either data mode:
-            // packed bytes travel in owned `buf_pool` buffers (see the
-            // `protocol` module), so the pools back nothing.
+            // packed bytes travel in payloads the copy engine holds (see
+            // the `copy` module), so the pools back nothing.
             staging_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
             host_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
         }
@@ -309,19 +313,17 @@ impl ClusterBuilder {
             rndv: self.rndv,
             topo: Some(net),
             endpoints,
-            buf_pool: BufferPool::new(),
+            copies: CopyQueue::default(),
             wire_slab: Slab::new(),
             telemetry,
             faults,
             fault_stats: FaultSummary::default(),
-            retry: RetryPolicy::default_transfer(),
             shards_requested: self.shards,
             cur_event: (Time::ZERO, 0),
             pending: Vec::new(),
             pending_seq: 0,
             rank_shard: Vec::new(),
             shard_stats: ShardStats::default(),
-            absorbed_pool: fusedpack_gpu::PoolStats::default(),
             layout_table,
         }
     }
@@ -358,10 +360,10 @@ pub struct Cluster {
     /// Per-rank (node, gpu-slot) endpoints, validated against the
     /// topology at build time.
     pub(crate) endpoints: Vec<Endpoint>,
-    /// Freelist of payload buffers: packed payloads (taken at pack,
-    /// returned at unpack), contiguous and RGET copies, and IPC bounces
-    /// recycle their `Vec<u8>`s here instead of allocating per message.
-    pub(crate) buf_pool: BufferPool,
+    /// The event loop's side of the copy engine, which owns every byte a
+    /// `Full` run moves: jobs go through it, and it hands out the payload
+    /// handles the protocol carries (see the `copy` module).
+    pub(crate) copies: CopyQueue,
     /// In-flight wire messages, keyed by the `u32` inside
     /// [`Event::Deliver`]; recycled indices keep per-message storage off
     /// the global allocator.
@@ -373,11 +375,6 @@ pub struct Cluster {
     pub(crate) faults: Option<FaultPlan>,
     /// Injection/recovery accounting for the final [`RunReport`].
     pub(crate) fault_stats: FaultSummary,
-    /// Retry/backoff/deadline policy for recovering injected wire faults.
-    /// Backoff jitter is keyed ([`RetryPolicy::backoff_keyed`]) by the
-    /// transfer's canonical event key, so retries draw identical jitter at
-    /// any shard count.
-    pub(crate) retry: RetryPolicy,
     /// Worker shards requested via [`ClusterBuilder::shards`] (clamped at
     /// run time; 1 = the single-queue loop).
     pub(crate) shards_requested: u32,
@@ -393,9 +390,6 @@ pub struct Cluster {
     pub(crate) rank_shard: Vec<u32>,
     /// Barrier/stall counters (all-zero for single-queue runs).
     pub(crate) shard_stats: ShardStats,
-    /// Buffer-pool counters absorbed from shard-local pools at recompose,
-    /// folded into [`Cluster::staging_pool_stats`].
-    pub(crate) absorbed_pool: fusedpack_gpu::PoolStats,
     /// The compile-once layout table every rank's cache shares.
     pub(crate) layout_table: Arc<LayoutTable>,
 }
@@ -450,6 +444,10 @@ pub struct RunReport {
     /// descriptor. Unlike `layout_cache.misses()`, which the model counts
     /// per rank, this is real host work; no report renders it.
     pub layout_compiles: u64,
+    /// Copy-engine work: jobs run by kind (all zero in timing-only
+    /// runs), the engine's busy host time, and the time the event loop
+    /// waited for room in its job queue.
+    pub copy: CopyStats,
 }
 
 impl RunReport {
@@ -494,9 +492,34 @@ impl Cluster {
     }
 
     fn run_single(&mut self) -> RunReport {
+        self.with_copy_worker(|cl, jobs| {
+            cl.drain_queue(jobs);
+            cl.recycle_unexpected();
+        });
+        let end_time = self.events.now();
+        let events_processed = self.events.processed();
+        let event_clamps = self.events.clamp_stats();
+        let wheel = self.events.wheel_stats();
+        let wire_high_water = self.wire_slab.high_water();
+        self.finish_report(
+            end_time,
+            events_processed,
+            event_clamps,
+            wheel,
+            wire_high_water,
+        )
+    }
+
+    /// The single-queue event loop: dispatch every event in order, and
+    /// after each dispatch send its copy jobs to the worker. Stops early
+    /// only when the worker has stopped, whose panic the caller re-raises.
+    fn drain_queue(&mut self, jobs: JobSender) {
         let mut clamps_seen = self.events.clamp_stats();
         while let Some((t, ev)) = self.events.pop() {
             self.dispatch(t, ev);
+            if jobs.is_some_and(|tx| !self.copies.flush(tx)) {
+                return;
+            }
             // Surface any past-event clamp the dispatch just caused: it
             // rewrote a computed timestamp, which deserves a visible mark
             // on the timeline, not a silent repair.
@@ -510,18 +533,21 @@ impl Cluster {
                 clamps_seen = clamps_now;
             }
         }
-        let end_time = self.events.now();
-        let events_processed = self.events.processed();
-        let event_clamps = self.events.clamp_stats();
-        let wheel = self.events.wheel_stats();
-        let wire_high_water = self.wire_slab.high_water();
-        self.finish_report(
-            end_time,
-            events_processed,
-            event_clamps,
-            wheel,
-            wire_high_water,
-        )
+    }
+
+    /// A message no receive ever matched (an erroneous program, not a
+    /// leak) still holds its payload: recycle it, before the copy engine
+    /// stops. An unmatched eager message's send completed, and its bytes
+    /// did reach the destination: count them as delivered there.
+    pub(crate) fn recycle_unexpected(&mut self) {
+        for rank in self.ranks.iter_mut() {
+            for msg in std::mem::take(&mut rank.unexpected) {
+                if let WireKind::Eager { packed_bytes, .. } = msg.kind {
+                    rank.count_delivered(msg.src, packed_bytes);
+                }
+                self.copies.recycle(msg.payload);
+            }
+        }
     }
 
     /// Post-run assertions, the end-of-run health snapshot, and report
@@ -552,22 +578,10 @@ impl Cluster {
                 rank.sched.as_ref().map(Scheduler::ring_occupied),
             );
         }
-        // A message no receive ever matched (an erroneous program, not a
-        // leak) still holds its payload: recycle it. An unmatched eager
-        // message's send completed, and its bytes did reach the
-        // destination: count them as delivered there.
-        for rank in self.ranks.iter_mut() {
-            for msg in std::mem::take(&mut rank.unexpected) {
-                if let WireKind::Eager { packed_bytes, .. } = msg.kind {
-                    rank.count_delivered(msg.src, packed_bytes);
-                }
-                self.buf_pool.put(msg.payload);
-            }
-        }
-        // Every other payload buffer taken from the pool went back: no
+        // Every payload buffer the copy engine took went back: no
         // operation still owns one, no message is still on the wire, and
-        // the pool's takes balance its releases (summed over shard-local
-        // pools).
+        // the engine's pool takes balance its releases (summed over
+        // shard-local engines).
         for rank in self.ranks.iter() {
             assert!(
                 rank.packed.is_empty() && rank.landed.is_empty(),
@@ -649,6 +663,7 @@ impl Cluster {
             shard: self.shard_stats,
             layout_cache,
             layout_compiles: self.layout_table.compiles(),
+            copy: self.copies.stats(),
         }
     }
 
@@ -782,13 +797,11 @@ impl Cluster {
         self.fault_stats
     }
 
-    /// Acquire/release counters of the staged-payload buffer pool
+    /// Acquire/release counters of the copy engine's payload-buffer pool
     /// (diagnostics: steady-state traffic should be all hits). After a
-    /// sharded run this is the merged total over every shard-local pool.
+    /// sharded run this is the merged total over every shard's engine.
     pub fn staging_pool_stats(&self) -> fusedpack_gpu::PoolStats {
-        let mut s = self.buf_pool.stats();
-        s.absorb(&self.absorbed_pool);
-        s
+        self.copies.pool_stats()
     }
 
     /// Per-hop FIFO order violations observed by the network (always

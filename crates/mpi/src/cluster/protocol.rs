@@ -1,24 +1,28 @@
 //! Wire protocols: eager, rendezvous RPUT handshake, tag matching, and
 //! payload delivery.
 //!
-//! In `DataMode::Full` a staged message's packed bytes are one pooled
-//! buffer that changes owner instead of being copied: the pack gathers
-//! into a buffer the send owns (`RankState::packed`), `try_issue` moves it
-//! into the [`WireMsg`], delivery moves it into the receive
-//! (`RankState::landed`), and the unpack scatters from it and recycles it.
-//! Staging pools only hand out the addresses a CTS advertises. Contiguous
-//! sends and RGET reads (which a replayed request may repeat) send pooled
-//! copies, and DirectIPC copies layout to layout with no buffer at all.
-//! Timing-only runs carry empty payloads and take no buffer.
+//! The protocol never touches bytes. In `DataMode::Full` it submits copy
+//! jobs to the cluster's copy engine (the `copy` module), which owns every
+//! GPU pool and payload buffer for the run, and carries a
+//! [`PayloadHandle`] for each payload. A staged message's packed bytes are
+//! one payload that changes owner instead of being copied: the pack job
+//! fills a payload the send owns (`RankState::packed`), `try_issue` moves
+//! its handle into the [`WireMsg`], delivery moves it into the receive
+//! (`RankState::landed`), and the unpack job scatters from it and recycles
+//! it. Staging pools only hand out the addresses a CTS advertises.
+//! Contiguous sends and RGET reads (which a replayed request may repeat)
+//! send a copy made by a read or duplicate job, and DirectIPC copies
+//! layout to layout with no payload at all. Timing-only runs submit no
+//! job and carry empty handles.
 
 use super::schemes::PathCtx;
-use super::{Cluster, Event, RankId, RndvProtocol};
+use super::{Cluster, Event, PayloadHandle, RankId, RndvProtocol};
 use crate::lifecycle::LifecycleEvent;
 use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
-use fusedpack_gpu::{DataMode, Elements};
+use fusedpack_gpu::DataMode;
 use fusedpack_net::rdma::CTRL_BYTES;
-use fusedpack_sim::{FaultSite, Time};
+use fusedpack_sim::{FaultSite, RetryPolicy, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
 
 impl Cluster {
@@ -89,10 +93,11 @@ impl Cluster {
     /// ([`fusedpack_net::TopoNet::transmit_wasted`]); the sender detects the
     /// loss — retransmission timeout for a drop, receiver NACK one RTT
     /// after delivery for a corruption — backs off with deterministic
-    /// jitter, and retransmits. The policy's attempt and deadline budgets
-    /// bound the loop; once exhausted the transfer is forced through the
-    /// reliable slow path (counted as `deadline_exceeded`), so a Waitall
-    /// can never wedge on an unlucky seed.
+    /// jitter, and retransmits. The attempt and deadline budgets of
+    /// [`RetryPolicy::default_transfer`] bound the loop; once exhausted
+    /// the transfer is forced through the reliable slow path (counted as
+    /// `deadline_exceeded`), so a Waitall can never wedge on an unlucky
+    /// seed.
     ///
     /// `event_key` is the transfer's pre-drawn Deliver key: unique per
     /// transfer and identical across shard counts, it keys both the backoff
@@ -111,7 +116,7 @@ impl Cluster {
         if self.faults.is_none() {
             return self.transport(src, dst, at, bytes, gdr, event_key);
         }
-        let policy = self.retry;
+        let policy = RetryPolicy::default_transfer();
         let jitter_seed = self.faults.as_ref().map_or(0, |p| p.seed());
         let deadline = at + policy.deadline;
         let mut now = at;
@@ -193,36 +198,31 @@ impl Cluster {
             dst,
             tag,
             kind,
-            payload: Vec::new(),
+            payload: PayloadHandle::default(),
         };
         self.wire_transmit(src, at, CTRL_BYTES, false, msg, None);
     }
 
-    /// A pooled copy of send `sid`'s payload: the user buffer of a
-    /// contiguous send, the packed bytes of a staged one. Empty in
-    /// timing-only runs (and for an empty message), which take no buffer.
-    fn copy_payload(&self, r: usize, sid: SendId) -> Vec<u8> {
+    /// A copy of send `sid`'s payload: the user buffer of a contiguous
+    /// send, the packed bytes of a staged one. Empty in timing-only runs
+    /// (and for an empty message), which submit no job.
+    fn copy_payload(&mut self, r: usize, sid: SendId) -> PayloadHandle {
         if self.data_mode == DataMode::ModelOnly {
-            return Vec::new();
+            return PayloadHandle::default();
         }
-        let src: &[u8] = match self.ranks[r].sends[sid.0].staging {
-            StagingLoc::UserGpu(p) => self.gpus[r].mem.read(p),
-            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
-                self.ranks[r].packed.get(&sid).map_or(&[], Vec::as_slice)
-            }
-            StagingLoc::None => &[],
-        };
-        if src.is_empty() {
-            return Vec::new();
+        match self.ranks[r].sends[sid.0].staging {
+            StagingLoc::UserGpu(p) => self.copies.read(r, p),
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => match self.ranks[r].packed.get(&sid) {
+                Some(packed) => self.copies.dup(packed),
+                None => PayloadHandle::default(),
+            },
+            StagingLoc::None => PayloadHandle::default(),
         }
-        let mut buf = self.buf_pool.take(src.len());
-        buf.copy_from_slice(src);
-        buf
     }
 
     /// Send `sid`'s payload for the wire: a staged send hands over the
-    /// buffer it packed into, a contiguous one copies its user buffer.
-    fn take_payload(&mut self, r: usize, sid: SendId) -> Vec<u8> {
+    /// payload it packed into, a contiguous one copies its user buffer.
+    fn take_payload(&mut self, r: usize, sid: SendId) -> PayloadHandle {
         match self.ranks[r].sends[sid.0].staging {
             StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
                 self.ranks[r].packed.remove(&sid).unwrap_or_default()
@@ -315,7 +315,7 @@ impl Cluster {
                     StagingLoc::Gpu(_) | StagingLoc::Host(_) if !payload.is_empty() => {
                         self.ranks[r].packed.insert(sid, payload);
                     }
-                    _ => self.buf_pool.put(payload),
+                    _ => self.copies.recycle(payload),
                 }
                 return;
             };
@@ -378,7 +378,7 @@ impl Cluster {
         self.account_wait(r, eff);
         self.ranks[r].cpu = eff + self.platform.progress_poll;
         {
-            let (peer, tag, bytes) = (msg.src.0, msg.tag, msg.payload.len() as u64);
+            let (peer, tag, bytes) = (msg.src.0, msg.tag, msg.payload.len());
             self.ranks[r]
                 .tele
                 .instant(Lane::Host, t, || Payload::Deliver { peer, tag, bytes });
@@ -424,14 +424,14 @@ impl Cluster {
             WireKind::RdmaData { send_id, recv_id } => {
                 // Guard: only a receive still awaiting its payload may
                 // consume one; duplicates and stale deliveries recycle the
-                // buffer and are counted.
+                // payload and are counted.
                 let live = self.ranks[r]
                     .recvs
                     .get(recv_id.0)
                     .is_some_and(|op| op.lifecycle.awaiting_data());
                 if !live {
                     self.fault_stats.spurious += 1;
-                    self.buf_pool.put(msg.payload);
+                    self.copies.recycle(msg.payload);
                     return;
                 }
                 self.land_payload(r, recv_id, msg.payload);
@@ -472,9 +472,9 @@ impl Cluster {
                 match self.ranks[r].sends.get(send_id.0) {
                     Some(s) if !s.lifecycle.is_done() => {
                         self.complete_send(r, send_id);
-                        // RGET: the read drained the packed buffer.
-                        if let Some(buf) = self.ranks[r].packed.remove(&send_id) {
-                            self.buf_pool.put(buf);
+                        // RGET: the read drained the packed payload.
+                        if let Some(packed) = self.ranks[r].packed.remove(&send_id) {
+                            self.copies.recycle(packed);
                         }
                         let now = self.ranks[r].cpu;
                         self.check_unblock(r, now);
@@ -606,11 +606,11 @@ impl Cluster {
     /// Every other delivery is counted for the run-end conservation check:
     /// the payload's bytes, or in a timing-only run (no payload moves) the
     /// receive's packed size.
-    fn land_payload(&mut self, r: usize, rid: RecvId, payload: Vec<u8>) {
+    fn land_payload(&mut self, r: usize, rid: RecvId, payload: PayloadHandle) {
         let op = &self.ranks[r].recvs[rid.0];
         if !matches!(op.staging, StagingLoc::None) {
             let bytes = match self.data_mode {
-                DataMode::Full => payload.len() as u64,
+                DataMode::Full => payload.len(),
                 DataMode::ModelOnly => op.packed_bytes,
             };
             let src = op.src;
@@ -623,12 +623,13 @@ impl Cluster {
             StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
                 let prev = self.ranks[r].landed.insert(rid, payload);
                 debug_assert!(prev.is_none(), "a receive landed two payloads");
-                return;
             }
-            StagingLoc::UserGpu(p) => self.gpus[r].mem.write(p, &payload),
-            StagingLoc::None => self.fault_stats.spurious += 1,
+            StagingLoc::UserGpu(p) => self.copies.write(payload, r, p),
+            StagingLoc::None => {
+                self.fault_stats.spurious += 1;
+                self.copies.recycle(payload);
+            }
         }
-        self.buf_pool.put(payload);
     }
 
     /// RDMA initiator completion: the send is done.
@@ -649,60 +650,56 @@ impl Cluster {
         self.check_unblock(r, now);
     }
 
-    /// Apply a staged send's data movement: gather the user buffer
-    /// through the layout's copy plan into a pooled buffer the send owns
+    /// Submit a staged send's data movement: a pack job gathers the user
+    /// buffer through the layout's copy plan into a payload the send owns
     /// until issue. Runs once per staged send, when it is staged
-    /// ([`Cluster::begin_pack`]); timing-only runs move nothing and take
-    /// no buffer.
+    /// ([`Cluster::begin_pack`]); timing-only runs submit nothing.
     pub(crate) fn apply_pack_movement(&mut self, r: usize, sid: SendId) {
         let s = &self.ranks[r].sends[sid.0];
-        let len = s.packed_bytes as usize;
+        let len = s.packed_bytes;
         if self.data_mode == DataMode::ModelOnly || len == 0 {
             return;
         }
-        let mut packed = self.buf_pool.take(len);
-        self.gpus[r]
-            .mem
-            .gather_into(&s.layout, s.user_buf.addr, s.count, &mut packed);
+        let from = self.copies.elems(r, &s.layout, s.user_buf.addr, s.count);
+        let packed = self.copies.pack(from, len);
         self.ranks[r].packed.insert(sid, packed);
     }
 
-    /// Apply an unpack's data movement: scatter the receive's landed
-    /// payload into its user buffer and return the buffer to the pool.
-    /// Runs once per staged receive, when its payload lands
+    /// Submit an unpack's data movement: an unpack job scatters the
+    /// receive's landed payload into its user buffer and recycles it. Runs
+    /// once per staged receive, when its payload lands
     /// ([`Cluster::begin_unpack`]); timing-only runs have nothing landed.
     pub(crate) fn apply_unpack_movement(&mut self, r: usize, rid: RecvId) {
         if self.data_mode == DataMode::ModelOnly {
             return;
         }
-        let Some(data) = self.ranks[r].landed.remove(&rid) else {
+        let Some(payload) = self.ranks[r].landed.remove(&rid) else {
             return; // an empty message: nothing was taken
         };
         let op = &self.ranks[r].recvs[rid.0];
-        self.gpus[r]
-            .mem
-            .scatter_from(&data, &op.layout, op.user_buf.addr, op.count);
-        self.buf_pool.put(data);
+        let to = self.copies.elems(r, &op.layout, op.user_buf.addr, op.count);
+        self.copies.unpack(payload, to);
     }
 
-    /// Apply a DirectIPC receive's data movement: copy the sender's
-    /// elements at `origin` (the send's layout and count) straight into the
-    /// local user buffer (the receive's), in one pass with no bounce buffer.
-    /// The layouts may differ: MPI matches type signatures, not layouts.
-    /// The send is reached through the receive's `ipc_send_id`; same-node
-    /// ranks share a shard, so its state is local, and a rank never routes
-    /// to itself. Timing-only runs move nothing. The copied byte count is
-    /// the delivery the run-end conservation check counts.
+    /// Submit a DirectIPC receive's data movement: a copy job moves the
+    /// sender's elements at `origin` (the send's layout and count) straight
+    /// into the local user buffer (the receive's), in one pass with no
+    /// bounce buffer. The layouts may differ: MPI matches type signatures,
+    /// not layouts. The send is reached through the receive's
+    /// `ipc_send_id`; same-node ranks share a shard, so its state is local,
+    /// and a rank never routes to itself. Timing-only runs submit nothing.
+    /// The packed byte count is the delivery the run-end conservation
+    /// check counts.
     pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {
         let op = &self.ranks[r].recvs[rid.0];
         let sid = op.ipc_send_id.expect("a DirectIPC receive names its send");
         let send = &self.ranks[src].sends[sid.0];
-        let (peer, local) = self.gpus.pair_mut(src, r);
-        let copied = peer.mem.copy_to(
-            Elements::new(&send.layout, origin, send.count),
-            &mut local.mem,
-            Elements::new(&op.layout, op.user_buf.addr, op.count),
-        );
+        let copied = send.layout.total_bytes(send.count);
+        if self.data_mode == DataMode::Full {
+            let from = self.copies.elems(src, &send.layout, origin, send.count);
+            let to = self.copies.elems(r, &op.layout, op.user_buf.addr, op.count);
+            self.copies.copy(from, to);
+        }
         let src = op.src;
         self.ranks[r].count_delivered(src, copied);
     }

@@ -1,7 +1,7 @@
 //! Per-rank runtime state.
 
 use crate::breakdown::Breakdown;
-use crate::cluster::RankId;
+use crate::cluster::{PayloadHandle, RankId};
 use crate::lifecycle::{RequeueLadder, Stage};
 use crate::message::WireMsg;
 use crate::program::{Program, TypeSlot};
@@ -56,10 +56,10 @@ pub(crate) struct RankState {
     /// takes it at issue (RGET: until the receiver's read drains it).
     /// `DataMode::Full` only: timing-only runs never insert, so the map
     /// costs them nothing.
-    pub packed: IntMap<SendId, Vec<u8>>,
-    /// Payload a staged receive owns, from delivery until its unpack
-    /// scatters from it and returns it to the pool. `DataMode::Full` only.
-    pub landed: IntMap<RecvId, Vec<u8>>,
+    pub packed: IntMap<SendId, PayloadHandle>,
+    /// Payload a staged receive owns, from delivery until its unpack job
+    /// scatters from it and recycles it. `DataMode::Full` only.
+    pub landed: IntMap<RecvId, PayloadHandle>,
     /// Unexpected-message queue (RTS/eager that arrived before the recv).
     pub unexpected: Vec<WireMsg>,
     /// Fusion UID → owning operation.

@@ -358,7 +358,7 @@ impl SchemeEngine for FusionEngine {
     /// is timed as a staged bounce — over the GPU↔GPU link, then a
     /// synchronous scatter kernel — before the receive completes through
     /// the normal IPC path (Fin to the sender). Either way the bytes move
-    /// by one layout-to-layout copy (`Cluster::apply_ipc_movement`).
+    /// by one layout-to-layout copy job (`Cluster::apply_ipc_movement`).
     fn on_ipc_rts(&self, cx: &mut PathCtx<'_>, rid: RecvId, src: usize, origin: u64) {
         let r = cx.r;
         let at = cx.cl.ranks[r].cpu;
@@ -368,8 +368,8 @@ impl SchemeEngine for FusionEngine {
                 .fault_degraded(r, FaultSite::IpcMapFail, "staged-copy", at);
         }
         cx.charge(lookup_cost(), Bucket::Sync);
-        // Apply the data movement now (visible at the completion event):
-        // the peer GPU's elements straight into the local user buffer.
+        // Submit the data movement now (done by the end of the run): the
+        // peer GPU's elements straight into the local user buffer.
         cx.cl.apply_ipc_movement(r, rid, src, origin);
         let op = FusedOp::DirectIpc { rid: rid.0, origin };
         if !map_failed {

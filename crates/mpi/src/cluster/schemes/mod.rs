@@ -4,10 +4,10 @@
 //! Every scheme must answer two calls: [`SchemeEngine::begin_pack`] when an
 //! `Isend` with a non-contiguous GPU buffer has been staged, and
 //! [`SchemeEngine::begin_unpack`] when a payload lands in receive staging.
-//! Engines only model time: the control plane stages and gathers a staged
-//! send once before the engine sees it ([`Cluster::begin_pack`]), and
-//! scatters a landed receive once before its unpack
-//! ([`Cluster::begin_unpack`]). Two hooks steer the control plane:
+//! Engines only model time: the control plane stages a staged send and
+//! submits its gather to the copy engine once before the engine sees it
+//! ([`Cluster::begin_pack`]), and submits a landed receive's scatter once
+//! before its unpack ([`Cluster::begin_unpack`]). Two hooks steer the control plane:
 //! [`SchemeEngine::host_staging`] picks host or GPU staging for both
 //! directions, and [`SchemeEngine::direct_ipc`] turns same-node sends into
 //! DirectIPC RTSs. Past those, the control plane ([`Cluster`]'s protocol,
@@ -171,8 +171,9 @@ impl Cluster {
     /// Start packing for a send. Contiguous layouts short-circuit here
     /// (send in place over GPUDirect), and so do same-node sends under a
     /// DirectIPC engine (no packing at all: the RTS advertises the source
-    /// buffer). Every other send is staged and gathered here, exactly
-    /// once, before the engine models the pack.
+    /// buffer). Every other send is staged here and its gather submitted
+    /// to the copy engine, exactly once, before the engine models the
+    /// pack.
     pub(crate) fn begin_pack(&mut self, r: usize, sid: SendId) {
         let s = &self.ranks[r].sends[sid.0];
         let (bytes, blocks, eager, dst, tag, user_buf) =
@@ -218,10 +219,10 @@ impl Cluster {
     /// Start unpacking for a receive whose payload just landed in staging.
     /// Contiguous payloads already landed in the user buffer.
     ///
-    /// A staged receive's data movement happens here, exactly once, before
-    /// the engine models the unpack: no engine path (a requeued fusion
-    /// enqueue, a synchronous fallback) can consume the landed buffer
-    /// twice or not at all.
+    /// A staged receive's data movement is submitted here, exactly once,
+    /// before the engine models the unpack: no engine path (a requeued
+    /// fusion enqueue, a synchronous fallback) can consume the landed
+    /// payload twice or not at all.
     pub(crate) fn begin_unpack(&mut self, r: usize, rid: RecvId) {
         if matches!(self.ranks[r].recvs[rid.0].staging, StagingLoc::UserGpu(_)) {
             let rank = &mut self.ranks[r];

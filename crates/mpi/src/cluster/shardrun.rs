@@ -61,10 +61,10 @@
 //! the crossbar *synchronously*, inside the dispatch, and a worker has no
 //! network to time that on.
 
-use super::{Cluster, Event, Ranged, RankId};
+use super::handoff::recv_soon;
+use super::{Cluster, CopyQueue, Event, Ranged, RankId};
 use crate::message::WireMsg;
 use crate::sendrecv::SendId;
-use fusedpack_gpu::BufferPool;
 use fusedpack_net::TopoNet;
 use fusedpack_sim::{
     ClampStats, Duration, EventQueue, FaultSite, FaultSummary, ShardStats, Slab, Time, WheelStats,
@@ -259,7 +259,7 @@ impl Cluster {
                 rndv: self.rndv,
                 topo: None,
                 endpoints: self.endpoints.clone(),
-                buf_pool: BufferPool::new(),
+                copies: CopyQueue::default(),
                 wire_slab: Slab::new(),
                 telemetry: self.telemetry.clone(),
                 // Each shard carries a clone of the plan: rank-scoped
@@ -268,7 +268,6 @@ impl Cluster {
                 // sequences) and keyed decisions are stateless.
                 faults: self.faults.clone(),
                 fault_stats: FaultSummary::default(),
-                retry: self.retry,
                 shards_requested: 1,
                 cur_event: (Time::ZERO, 0),
                 pending: Vec::new(),
@@ -278,11 +277,13 @@ impl Cluster {
                     shards: shards as u32,
                     ..ShardStats::default()
                 },
-                absorbed_pool: fusedpack_gpu::PoolStats::default(),
                 layout_table: Arc::clone(&self.layout_table),
             });
         }
         out.reverse();
+        for shard in &mut out {
+            shard.start_inline_copies();
+        }
         out
     }
 
@@ -297,7 +298,7 @@ impl Cluster {
         for cl in states {
             debug_assert!(cl.wire_slab.is_empty(), "shard leaked wire messages");
             debug_assert!(cl.pending.is_empty(), "shard leaked deferred transmits");
-            self.absorbed_pool.absorb(&cl.buf_pool.stats());
+            self.copies.absorb(&cl.copies);
             self.fault_stats.merge(&cl.fault_stats);
             self.shard_stats.merge(&cl.shard_stats);
             ranks.extend(cl.ranks.into_vec());
@@ -399,6 +400,10 @@ impl Cluster {
         .expect("shard worker panicked");
 
         let mut states: Vec<Cluster> = slots.into_iter().map(|c| c.expect("shard home")).collect();
+        for cl in &mut states {
+            cl.recycle_unexpected();
+            cl.stop_inline_copies();
+        }
         // Queue aggregates across shards, gathered before recompose.
         let mut end_time = Time::ZERO;
         let mut events_processed = 0u64;
@@ -431,28 +436,6 @@ impl Cluster {
             wheel,
             wire_high_water,
         )
-    }
-}
-
-/// How long a handoff wait polls before it parks the thread.
-const HANDOFF_POLL: std::time::Duration = std::time::Duration::from_micros(100);
-
-/// Receive the next handoff, polling (and yielding the CPU) for up to
-/// [`HANDOFF_POLL`] before parking. A round lasts tens of microseconds, so
-/// the other side is usually about to send; parking instead makes every
-/// round pay a futex wake-up, whose cost on a virtualised host is both
-/// large and erratic.
-fn recv_soon<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
-    let start = Instant::now();
-    loop {
-        match rx.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
-            Err(mpsc::TryRecvError::Empty) if start.elapsed() < HANDOFF_POLL => {
-                std::thread::yield_now()
-            }
-            Err(mpsc::TryRecvError::Empty) => return rx.recv(),
-        }
     }
 }
 
@@ -493,13 +476,19 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
     batch.sort_by_key(|p| (p.t_e, p.k_e, p.seq));
     let applied = batch.len() as u64;
     let mut admitted = 0;
-    for p in batch {
+    for mut p in batch {
         let dst = p.msg.dst.0 as usize;
         let (src_shard, dst_shard) = {
             let map = &slots[0].as_ref().expect("shard home").rank_shard;
             (map[p.src] as usize, map[dst] as usize)
         };
-        admitted += u64::from(src_shard != dst_shard);
+        if src_shard != dst_shard {
+            admitted += 1;
+            // The payload moves to the engine of the shard it lands in.
+            let payload = std::mem::take(&mut p.msg.payload);
+            let (from, to) = pair_mut(slots, src_shard, dst_shard);
+            p.msg.payload = from.copies.hand_over(payload, &mut to.copies);
+        }
         let (delivered, completion) = {
             let cl = slots[src_shard].as_mut().expect("shard home");
             debug_assert!(cl.topo.is_none(), "shards never own a network");
@@ -537,4 +526,19 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
         }
     }
     (applied, admitted)
+}
+
+/// Two distinct shards at once, both home.
+fn pair_mut(slots: &mut [Option<Cluster>], a: usize, b: usize) -> (&mut Cluster, &mut Cluster) {
+    let (a, b) = if a < b {
+        let (lo, hi) = slots.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = slots.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    };
+    (
+        a.as_mut().expect("shard home"),
+        b.as_mut().expect("shard home"),
+    )
 }

@@ -32,7 +32,9 @@ pub mod scheme;
 pub mod sendrecv;
 
 pub use breakdown::Breakdown;
-pub use cluster::{Cluster, ClusterBuilder, RankId, RndvProtocol, RunReport};
+pub use cluster::{
+    Cluster, ClusterBuilder, CopyStats, PayloadHandle, RankId, RndvProtocol, RunReport,
+};
 pub use lifecycle::{LifecycleEvent, RequestLifecycle, RequeueLadder, Role, Stage};
 pub use program::{AppOp, BufId, BufInit, Program, TypeSlot};
 pub use registry::{SchemeDescriptor, SchemeRegistry};

@@ -3,9 +3,10 @@
 //! Everything that crosses a link is a [`WireMsg`]: eager payloads,
 //! rendezvous control packets (RTS/CTS), and RDMA payload deliveries.
 //! Payloads carry real bytes in `DataMode::Full` runs so end-to-end
-//! correctness is testable; in `ModelOnly` runs they are empty.
+//! correctness is testable, held by the cluster's copy engine and named by
+//! a [`PayloadHandle`]; in `ModelOnly` runs they are empty.
 
-use crate::cluster::RankId;
+use crate::cluster::{PayloadHandle, RankId};
 use crate::sendrecv::{RecvId, SendId};
 
 /// Message kinds. `Eager` and `Rts` participate in tag matching; `Cts` and
@@ -48,16 +49,16 @@ pub enum WireKind {
 }
 
 /// A message in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct WireMsg {
     pub src: RankId,
     pub dst: RankId,
     /// MPI tag; meaningful for `Eager` and `Rts` (matching), zero otherwise.
     pub tag: u32,
     pub kind: WireKind,
-    /// Real payload bytes (empty in model-only mode and for control
-    /// packets).
-    pub payload: Vec<u8>,
+    /// The payload, held by the copy engine (empty in model-only mode and
+    /// for control packets).
+    pub payload: PayloadHandle,
 }
 
 impl WireMsg {
@@ -83,7 +84,7 @@ mod tests {
                 ipc_origin: None,
                 rget: false,
             },
-            payload: Vec::new(),
+            payload: PayloadHandle::default(),
         };
         assert!(base.is_matchable());
         let cts = WireMsg {
@@ -93,7 +94,7 @@ mod tests {
                 staging_addr: 0,
                 host_staging: false,
             },
-            ..base.clone()
+            ..base
         };
         assert!(!cts.is_matchable());
     }

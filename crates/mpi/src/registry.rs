@@ -153,17 +153,6 @@ impl SchemeKind {
         }
     }
 
-    /// Does this scheme keep a layout cache (Table I)?
-    pub fn has_layout_cache(&self) -> bool {
-        matches!(
-            self,
-            SchemeKind::CpuGpuHybrid
-                | SchemeKind::Fusion(_)
-                | SchemeKind::FusionAdaptive(_)
-                | SchemeKind::Adaptive
-        )
-    }
-
     /// The fusion configuration, for the two fusion variants.
     pub fn fusion_config(&self) -> Option<&FusionConfig> {
         match self {

@@ -75,7 +75,7 @@ impl SchemeKind {
     }
 }
 
-// `SchemeKind::label`, `has_layout_cache`, and `fusion_config` live in
+// `SchemeKind::label` and `fusion_config` live in
 // `crate::registry` beside the descriptor table — the one module allowed
 // to match on the variants.
 
@@ -129,14 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_cache_follows_table_i() {
-        assert!(!SchemeKind::GpuSync.has_layout_cache());
-        assert!(!SchemeKind::GpuAsync.has_layout_cache());
-        assert!(SchemeKind::CpuGpuHybrid.has_layout_cache());
-        assert!(SchemeKind::fusion_default().has_layout_cache());
-    }
-
-    #[test]
     fn hybrid_policy_wider_on_nvlink() {
         let nv = HybridPolicy::for_link(&HostLink::nvlink2_cpu(), false);
         let pcie = HybridPolicy::for_link(&HostLink::pcie_gen3(), false);
@@ -159,7 +151,6 @@ mod tests {
     fn adaptive_fusion_scheme_shape() {
         let s = SchemeKind::fusion_adaptive();
         assert_eq!(s.label(), "Proposed-Adaptive");
-        assert!(s.has_layout_cache(), "Table I: fusion caches layouts");
         let cfg = s.fusion_config().expect("adaptive fusion variant");
         assert_eq!(
             cfg.partition,

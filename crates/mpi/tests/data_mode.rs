@@ -2,7 +2,9 @@
 //! the model. Every registered scheme, run on the default cluster (the
 //! flat fabric), produces the identical `RunReport` in
 //! `DataMode::ModelOnly` and `DataMode::Full` — every lap, breakdown,
-//! scheduler counter, event count, hop-level and fault counter alike.
+//! scheduler counter, event count, hop-level and fault counter alike —
+//! apart from the copy-engine work (`RunReport::copy`), which only a
+//! byte-moving run does.
 //! Timing-only runs are what every figure reports, so this is the check
 //! that those figures describe the byte-moving system.
 //!
@@ -11,7 +13,7 @@
 //! one and two shards, with and without seeded hop faults.
 
 use fusedpack_gpu::DataMode;
-use fusedpack_mpi::{ClusterBuilder, RunReport, SchemeKind, SchemeRegistry};
+use fusedpack_mpi::{ClusterBuilder, CopyStats, RunReport, SchemeKind, SchemeRegistry};
 use fusedpack_net::{Hierarchy, Platform};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::bulk::bulk_exchange_programs;
@@ -47,6 +49,12 @@ fn model_only_and_full_runs_report_identically_for_every_scheme() {
                 let model = exchange(descriptor.name, workload, nodes, DataMode::ModelOnly);
                 let full = exchange(descriptor.name, workload, nodes, DataMode::Full);
                 assert_eq!(model.lap_count(), 2, "{} {wname}", descriptor.name);
+                assert_eq!(model.copy, CopyStats::default(), "{}", descriptor.name);
+                assert!(full.copy.jobs() > 0, "{} {wname}", descriptor.name);
+                let full = RunReport {
+                    copy: CopyStats::default(),
+                    ..full
+                };
                 assert_eq!(
                     format!("{model:?}"),
                     format!("{full:?}"),

@@ -6,7 +6,7 @@
 //! distinct descriptor once, and `RunReport::layout_compiles` counts those
 //! compiles. Both counts are exact, so these gates carry no timing noise.
 
-use fusedpack_datatype::{CompiledLayout, TypeBuilder};
+use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
 use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{
     AppOp, BufInit, ClusterBuilder, Program, RankId, RunReport, SchemeKind, TypeSlot,
@@ -18,8 +18,10 @@ use fusedpack_workloads::HaloGrid;
 use std::sync::Arc;
 
 /// One lap of a 4³ torus halo (64 ranks, 16 Lassen-like nodes), timing
-/// only, every rank committing the same specfem3D_cm type.
-fn halo_report(shards: u32) -> RunReport {
+/// only, every rank committing the same specfem3D_cm type: one shared
+/// descriptor `Arc`, or with `own_arcs` an equal tree in an `Arc` of its
+/// own per rank.
+fn halo_report_with(shards: u32, own_arcs: bool) -> RunReport {
     let grid = HaloGrid::new_3d(4, 4, 4);
     let platform = Platform::lassen();
     let gpus_per_node = platform.gpus_per_node;
@@ -28,13 +30,39 @@ fn halo_report(shards: u32) -> RunReport {
         .data_mode(DataMode::ModelOnly)
         .shards(shards)
         .topology(Arc::new(Hierarchy::lassen_like(nodes)));
-    for (rank, (program, _)) in halo_programs(&grid, &specfem3d_cm(64), 1, 1, 7)
+    for (rank, (mut program, _)) in halo_programs(&grid, &specfem3d_cm(64), 1, 1, 7)
         .into_iter()
         .enumerate()
     {
+        for op in &mut program.ops {
+            if let AppOp::Commit { desc, .. } = op {
+                if own_arcs {
+                    *desc = Arc::new(TypeDesc::clone(desc));
+                }
+            }
+        }
         builder = builder.add_rank(rank as u32 / gpus_per_node, program);
     }
     builder.build().run()
+}
+
+fn halo_report(shards: u32) -> RunReport {
+    halo_report_with(shards, false)
+}
+
+/// The table finds a descriptor `Arc` it has seen by its address, and an
+/// equal tree in another `Arc` by its structure: ranks that each commit
+/// their own copy still share one compile, and the model counts exactly
+/// what it counts when they share one `Arc`.
+#[test]
+fn equal_trees_in_distinct_arcs_share_one_layout() {
+    for shards in [1, 2] {
+        let shared = halo_report_with(shards, false);
+        let own = halo_report_with(shards, true);
+        assert_eq!(own.layout_compiles, 1, "shards {shards}");
+        assert_eq!(own.layout_cache, shared.layout_cache, "shards {shards}");
+        assert_eq!(own.laps, shared.laps, "shards {shards}");
+    }
 }
 
 #[test]

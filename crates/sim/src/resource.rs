@@ -15,8 +15,6 @@ pub struct FifoResource {
     busy_until: Time,
     /// Total time the resource has spent occupied (for utilization stats).
     busy_time: Duration,
-    /// Number of requests served.
-    served: u64,
 }
 
 impl FifoResource {
@@ -32,32 +30,13 @@ impl FifoResource {
         let end = start + dur;
         self.busy_until = end;
         self.busy_time += dur;
-        self.served += 1;
         (start, end)
-    }
-
-    /// The instant at which all currently submitted work completes.
-    #[inline]
-    pub fn busy_until(&self) -> Time {
-        self.busy_until
-    }
-
-    /// Whether the resource is idle at `now`.
-    #[inline]
-    pub fn is_idle_at(&self, now: Time) -> bool {
-        self.busy_until <= now
     }
 
     /// Total occupied time across all requests.
     #[inline]
     pub fn busy_time(&self) -> Duration {
         self.busy_time
-    }
-
-    /// Number of requests served.
-    #[inline]
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Reset to idle (e.g. between benchmark iterations).
@@ -83,30 +62,26 @@ mod tests {
         r.acquire(Time(0), Duration(100));
         let (s, e) = r.acquire(Time(10), Duration(20));
         assert_eq!((s, e), (Time(100), Time(120)));
-        assert_eq!(r.busy_until(), Time(120));
     }
 
     #[test]
     fn gap_leaves_resource_idle() {
         let mut r = FifoResource::new();
         r.acquire(Time(0), Duration(10));
-        assert!(r.is_idle_at(Time(10)));
-        assert!(!r.is_idle_at(Time(5)));
         let (s, _) = r.acquire(Time(500), Duration(10));
         assert_eq!(s, Time(500));
     }
 
     #[test]
-    fn accounting_tracks_busy_time_and_count() {
+    fn accounting_tracks_busy_time() {
         let mut r = FifoResource::new();
         r.acquire(Time(0), Duration(10));
         r.acquire(Time(0), Duration(30));
         assert_eq!(r.busy_time(), Duration(40));
-        assert_eq!(r.served(), 2);
         r.reset();
         assert_eq!(r.busy_time(), Duration::ZERO);
-        assert_eq!(r.served(), 0);
-        assert_eq!(r.busy_until(), Time::ZERO);
+        let (s, _) = r.acquire(Time(0), Duration(5));
+        assert_eq!(s, Time::ZERO, "reset leaves the resource idle");
     }
 
     #[test]
@@ -114,6 +89,6 @@ mod tests {
         let mut r = FifoResource::new();
         let (s, e) = r.acquire(Time(5), Duration::ZERO);
         assert_eq!(s, e);
-        assert!(r.is_idle_at(Time(5)));
+        assert_eq!(r.acquire(Time(5), Duration(1)).0, Time(5));
     }
 }
