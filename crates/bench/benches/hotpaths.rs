@@ -1,15 +1,15 @@
 //! Microbenches of the data-plane fast paths introduced for the parallel
 //! sweep executor: host pack/unpack across layout shapes (sparse indexed,
 //! strided dense, fully contiguous — the last hitting the single-memcpy
-//! fast path, benchmarked against the generic gather loop), raw event-queue
-//! churn, and the staging [`BufferPool`] against fresh allocation.
+//! fast path, benchmarked against the generic gather loop) and raw
+//! event-queue churn.
 //!
 //! Baseline numbers live in `BENCH_hotpaths.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
-use fusedpack_gpu::{BufferPool, DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
+use fusedpack_gpu::{DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
 use fusedpack_workloads::{run_exchange, ExchangeConfig};
@@ -82,80 +82,6 @@ fn bench_event_queue(c: &mut Criterion) {
             sum
         })
     });
-}
-
-fn bench_staging_pool(c: &mut Criterion) {
-    // Rendezvous-sized staging buffer, fully written each acquisition —
-    // past the allocator's mmap threshold, so a fresh allocation pays the
-    // page faults the pool's warm buffers avoid.
-    const LEN: usize = 2 * 1024 * 1024;
-    let payload = vec![0x5Au8; LEN];
-    let mut g = c.benchmark_group("hotpaths/staging");
-    g.throughput(Throughput::Bytes(LEN as u64));
-    g.bench_function("pool_acquire_release", |b| {
-        let pool = BufferPool::new();
-        // Warm the freelist so the steady state is all hits.
-        pool.put(Vec::with_capacity(LEN));
-        b.iter(|| {
-            let mut buf = pool.take(LEN);
-            buf.extend_from_slice(black_box(&payload));
-            pool.put(buf);
-        })
-    });
-    g.bench_function("fresh_alloc_baseline", |b| {
-        b.iter(|| {
-            let mut buf: Vec<u8> = Vec::with_capacity(LEN);
-            buf.extend_from_slice(black_box(&payload));
-            black_box(&buf);
-        })
-    });
-    g.finish();
-}
-
-/// The staging pool under a *mixed* message-size stream — the shape the
-/// uniform-size `hotpaths/staging` group cannot see. Cycling eager- and
-/// rendezvous-sized buffers makes a fresh-alloc strategy bounce between
-/// allocator size classes (and across the mmap threshold) every call,
-/// while the pool's largest-first freelist keeps serving warm buffers.
-fn bench_staging_pool_mixed(c: &mut Criterion) {
-    // 64KB..4MB, deliberately unordered so consecutive requests never
-    // match the previous buffer's size.
-    const SIZES: [usize; 8] = [
-        64 << 10,
-        2 << 20,
-        256 << 10,
-        4 << 20,
-        128 << 10,
-        1 << 20,
-        512 << 10,
-        192 << 10,
-    ];
-    let total: usize = SIZES.iter().sum();
-    let payload = vec![0xA5u8; 4 << 20];
-    let mut g = c.benchmark_group("hotpaths/staging_mixed");
-    g.throughput(Throughput::Bytes(total as u64));
-    g.bench_function("pool_mixed_sizes", |b| {
-        let pool = BufferPool::new();
-        // Warm one max-size buffer; steady state recycles it across sizes.
-        pool.put(Vec::with_capacity(4 << 20));
-        b.iter(|| {
-            for &len in &SIZES {
-                let mut buf = pool.take(len);
-                buf.extend_from_slice(black_box(&payload[..len]));
-                pool.put(buf);
-            }
-        })
-    });
-    g.bench_function("fresh_alloc_mixed_sizes", |b| {
-        b.iter(|| {
-            for &len in &SIZES {
-                let mut buf: Vec<u8> = Vec::with_capacity(len);
-                buf.extend_from_slice(black_box(&payload[..len]));
-                black_box(&buf);
-            }
-        })
-    });
-    g.finish();
 }
 
 /// The small-run copy tier against the generic per-segment loop on a
@@ -668,8 +594,6 @@ criterion_group!(
     bench_pack_shapes,
     bench_unpack_shapes,
     bench_event_queue,
-    bench_staging_pool,
-    bench_staging_pool_mixed,
     bench_gather_tier,
     bench_indexed_runs,
     bench_block_uniform_tier,

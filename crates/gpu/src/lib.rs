@@ -40,5 +40,5 @@ pub use fused::{FusedLaunch, FusedTiming, FusedWork, PartitionPolicy};
 pub use gdr::GdrWindow;
 pub use kernel::SegmentStats;
 pub use mem::{DataMode, DevPtr, Elements, MemPool};
-pub use staging::{BufferPool, PoolStats};
+pub use staging::PoolStats;
 pub use stream::{Stream, StreamId};

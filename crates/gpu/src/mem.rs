@@ -26,8 +26,8 @@
 //!   allocating gigabytes per iteration (timing is independent of the
 //!   data). A cluster's staging pools are always `ModelOnly`: they are
 //!   address allocators only (the addresses a CTS advertises, and the
-//!   capacity check), while packed bytes travel in owned buffers from the
-//!   [`crate::BufferPool`].
+//!   capacity check), while packed bytes travel in owned, recycled
+//!   buffers (see [`crate::PoolStats`]).
 //!
 //! Copies are driven by a datatype's [`CompiledLayout`]: one gather and one
 //! scatter, each within one pool or between a pool and an outside buffer,

@@ -36,8 +36,8 @@ use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub(crate) use copy::{CopyQueue, JobSender};
-pub use copy::{CopyStats, PayloadHandle};
+pub(crate) use copy::CopyQueue;
+pub use copy::{CopyStats, LaneStats, PayloadHandle};
 pub(crate) use ranged::Ranged;
 pub(crate) use rank::RankState;
 pub(crate) use schemes::SchemeEngine;
@@ -492,8 +492,8 @@ impl Cluster {
     }
 
     fn run_single(&mut self) -> RunReport {
-        self.with_copy_worker(|cl, jobs| {
-            cl.drain_queue(jobs);
+        self.with_copy_worker(|cl| {
+            cl.drain_queue();
             cl.recycle_unexpected();
         });
         let end_time = self.events.now();
@@ -510,14 +510,14 @@ impl Cluster {
         )
     }
 
-    /// The single-queue event loop: dispatch every event in order, and
-    /// after each dispatch send its copy jobs to the worker. Stops early
-    /// only when the worker has stopped, whose panic the caller re-raises.
-    fn drain_queue(&mut self, jobs: JobSender) {
+    /// The single-queue event loop: dispatch every event in order. Stops
+    /// early only when the copy worker has stopped, whose panic the caller
+    /// re-raises.
+    fn drain_queue(&mut self) {
         let mut clamps_seen = self.events.clamp_stats();
         while let Some((t, ev)) = self.events.pop() {
             self.dispatch(t, ev);
-            if jobs.is_some_and(|tx| !self.copies.flush(tx)) {
+            if !self.copies.running() {
                 return;
             }
             // Surface any past-event clamp the dispatch just caused: it
@@ -797,9 +797,11 @@ impl Cluster {
         self.fault_stats
     }
 
-    /// Acquire/release counters of the copy engine's payload-buffer pool
-    /// (diagnostics: steady-state traffic should be all hits). After a
-    /// sharded run this is the merged total over every shard's engine.
+    /// Take/put counters of the copy engines' payload-buffer freelists
+    /// (diagnostics: steady-state traffic should be all hits), summed over
+    /// both lanes, or over every shard's engine after a sharded run. The
+    /// event loop counts them in job order, so one input gives the same
+    /// counts on every run.
     pub fn staging_pool_stats(&self) -> fusedpack_gpu::PoolStats {
         self.copies.pool_stats()
     }

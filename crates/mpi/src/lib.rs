@@ -33,7 +33,7 @@ pub mod sendrecv;
 
 pub use breakdown::Breakdown;
 pub use cluster::{
-    Cluster, ClusterBuilder, CopyStats, PayloadHandle, RankId, RndvProtocol, RunReport,
+    Cluster, ClusterBuilder, CopyStats, LaneStats, PayloadHandle, RankId, RndvProtocol, RunReport,
 };
 pub use lifecycle::{LifecycleEvent, RequestLifecycle, RequeueLadder, Role, Stage};
 pub use program::{AppOp, BufId, BufInit, Program, TypeSlot};

@@ -9,7 +9,9 @@
 //!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
 //!   2 GPUs — so both the wire and, for the fused schemes, DirectIPC run —
 //!   through every registered scheme, under RPUT and RGET, with and
-//!   without a fault plan, at 1 and 2 shards. Every receive buffer, gap
+//!   without a fault plan, at 1 and 2 shards, on the flat fabric and on a
+//!   routed Lassen-like one. The two nodes are the two copy lanes, so
+//!   every off-node payload crosses lanes. Every receive buffer, gap
 //!   bytes included, must equal host `pack` → `unpack` of the send buffer
 //!   into zeros. The cluster itself asserts at run end that no operation
 //!   still owns a payload and that the pool's takes balance its releases;
@@ -40,7 +42,7 @@ use fusedpack_mpi::{
     AppOp, BufId, BufInit, Cluster, ClusterBuilder, Program, RankId, RndvProtocol, SchemeRegistry,
     TypeSlot,
 };
-use fusedpack_net::Platform;
+use fusedpack_net::{Hierarchy, Platform};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::halo::halo_programs;
 use fusedpack_workloads::specfem::specfem3d_cm;
@@ -242,9 +244,10 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
         for scheme in SchemeRegistry::global().all() {
             for rndv in [RndvProtocol::Rput, RndvProtocol::Rget] {
                 for faults in [false, true] {
-                    for shards in [1, 2] {
+                    for (shards, routed) in [(1, false), (2, false), (1, true), (2, true)] {
                         let label = format!(
-                            "case {case} ({desc:?}) {} {rndv:?} faults={faults} shards={shards}",
+                            "case {case} ({desc:?}) {} {rndv:?} faults={faults} shards={shards} \
+                             routed={routed}",
                             scheme.name
                         );
                         let programs = all_to_all(&desc, &desc, &counts(&layout));
@@ -253,6 +256,9 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                             .shards(shards);
                         if faults {
                             builder = builder.fault_plan(fault_plan(case + 7));
+                        }
+                        if routed {
+                            builder = builder.topology(Arc::new(Hierarchy::lassen_like(NODES)));
                         }
                         let mut msgs = Vec::new();
                         for (r, (program, m)) in programs.into_iter().enumerate() {
@@ -264,6 +270,14 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         assert_eq!(report.lap_count(), LAPS, "{label}");
                         assert_eq!(report.shard.shards.max(1), shards, "{label}");
                         assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
+                        // Node 0 is the event loop's copy lane and node 1
+                        // the worker's: every scheme's off-node payloads
+                        // cross between them.
+                        let copy = report.copy;
+                        assert!(
+                            copy.lanes.iter().all(|lane| lane.handoffs > 0),
+                            "{label}: {copy:?}"
+                        );
                         let pool = cluster.staging_pool_stats();
                         assert_eq!(pool.outstanding(), 0, "{label}: {pool:?}");
                         assert_delivered(&cluster, &msgs, &layout, &layout, &label);
