@@ -25,11 +25,13 @@
 //! --jobs N:         run sweep cells on N worker threads (default: all
 //!                   available cores). Tables and CSVs are byte-identical
 //!                   for every N.
-//! --shards N:       split each simulation's event loop over N worker
-//!                   shards (time-window synchronized; clamped per
-//!                   cluster). Simulation results are byte-identical for
-//!                   every N; only host-process diagnostics (queue-health
-//!                   peaks) may differ.
+//! --shards N:       split each timing-only simulation's event loop over
+//!                   N worker shards (time-window synchronized; clamped
+//!                   per cluster). Simulations that move bytes (chaos,
+//!                   chaos-topo) keep one event queue, with their copies
+//!                   in two lanes beside it, at any N. Simulation results
+//!                   are byte-identical for every N; only host-process
+//!                   diagnostics (queue-health peaks) may differ.
 //! --timings:        after each experiment, print the per-cell wall-clock
 //!                   timing report from the sweep executor
 //! --trace-out FILE: run the Fig. 11 fusion cell with the typed-event

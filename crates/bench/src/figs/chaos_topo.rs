@@ -13,10 +13,13 @@
 //! behind live traffic on the same hops).
 //!
 //! Every plan is derived from the master `--seed` and the cell's grid
-//! coordinates (never from execution order), and the per-rank/keyed fault
-//! streams shard cleanly, so the table is byte-identical across runs,
-//! `--jobs` counts, and `--shards` counts — the CI `chaos-topo` job diffs
-//! all three.
+//! coordinates (never from execution order), so the table is
+//! byte-identical across runs and `--jobs` counts. The cells move real
+//! bytes, so they run on one event queue with two copy lanes whatever
+//! `--shards` asks for, and the table is the same at any `--shards` too;
+//! the CI `chaos-topo` job diffs all three. The sharded loop's replay of
+//! hop faults at barriers is covered by the timing-only twin of a cell in
+//! the tests below.
 
 use crate::exec::{self, Cell};
 use crate::figs::RunConfig;
@@ -67,9 +70,14 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
 }
 
 /// One grid cell: the torus halo with real bytes on the Lassen-like fat
-/// tree with an optional fabric fault plan, at `grid`^3 ranks on `shards`
-/// event-loop shards.
+/// tree with an optional fabric fault plan, at `grid`^3 ranks, asking for
+/// `shards` event-loop shards (a byte-moving run keeps one).
 pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u32) -> HaloOutcome {
+    run_halo(&cell_config(grid, scheme, plan, shards))
+}
+
+/// The configuration of a [`measure`] cell.
+fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u32) -> HaloConfig {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
     let mut cfg = HaloConfig::new(
@@ -83,7 +91,7 @@ pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u
     .with_shards(shards);
     cfg.mode = DataMode::Full;
     cfg.fault_plan = plan;
-    run_halo(&cfg)
+    cfg
 }
 
 pub fn run(cfg: &RunConfig) -> Table {
@@ -210,22 +218,54 @@ mod tests {
         assert!(out.latency >= base.latency, "faults cannot speed a run up");
     }
 
-    /// The same cell is byte-identical single-queue vs 4-way sharded —
-    /// the in-process version of the CI `chaos-topo` `--shards` diff.
+    /// The configuration of a flapping, hop-killing cell on the 4^3 torus.
+    fn faulted_config(shards: u32) -> HaloConfig {
+        let plan = FaultPlan::new(cell_seed(42, 0, 0))
+            .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))
+            .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
+        cell_config(4, SchemeKind::fusion_default(), Some(plan), shards)
+    }
+
+    /// The same cell is byte-identical when it asks for 4 shards — the
+    /// in-process version of the CI `chaos-topo` `--shards` diff. It moves
+    /// bytes, so it keeps one event queue and both copy lanes run.
     #[test]
     fn faulted_cell_is_identical_across_shards() {
+        let single = run_halo(&faulted_config(1));
+        let asked = run_halo(&faulted_config(4));
+        assert_eq!(
+            asked.report.shard.shards, 1,
+            "a byte-moving run keeps one queue"
+        );
+        assert_eq!(asked.report.shard.barriers, 0);
+        let copy = asked.report.copy;
+        assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
+        assert_eq!(single.latency, asked.latency);
+        assert_eq!(single.report.fault_summary, asked.report.fault_summary);
+        assert_eq!(single.report.fabric, asked.report.fabric);
+        assert_eq!(single.checksum, asked.checksum);
+    }
+
+    /// The timing-only twin of that cell runs the sharded loop, replaying
+    /// its hop faults at the barriers, and reports the byte-moving single
+    /// queue's latency and fabric counters exactly.
+    #[test]
+    fn faulted_cell_timing_only_is_identical_across_shards() {
+        let full = run_halo(&faulted_config(1));
         let cell = |shards| {
-            let plan = FaultPlan::new(cell_seed(42, 0, 0))
-                .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))
-                .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
-            measure(4, SchemeKind::fusion_default(), Some(plan), shards)
+            let mut cfg = faulted_config(shards);
+            cfg.mode = DataMode::ModelOnly;
+            run_halo(&cfg)
         };
         let single = cell(1);
         let sharded = cell(4);
+        assert_eq!(sharded.report.shard.shards, 4);
         assert!(sharded.report.shard.barriers > 0, "sharding engaged");
-        assert_eq!(single.latency, sharded.latency);
-        assert_eq!(single.report.fault_summary, sharded.report.fault_summary);
-        assert_eq!(single.report.fabric, sharded.report.fabric);
-        assert_eq!(single.checksum, sharded.checksum);
+        assert!(sharded.report.fabric.injected() > 0, "faults fired");
+        for out in [&single, &sharded] {
+            assert_eq!(out.latency, full.latency);
+            assert_eq!(out.report.fault_summary, full.report.fault_summary);
+            assert_eq!(out.report.fabric, full.report.fabric);
+        }
     }
 }

@@ -60,7 +60,8 @@ pub struct RunConfig {
     pub serve_requests: u64,
     /// Event-loop worker shards per simulation for the cluster-scale
     /// experiments (`--shards`). Each cluster clamps the request to what
-    /// its layout supports; reports are byte-identical at any value.
+    /// its layout supports, and a byte-moving one to a single queue;
+    /// reports are byte-identical at any value.
     pub shards: u32,
     /// Per-cell wall-clock timings of this run's sweeps, in cell-index
     /// order per sweep (drained by `reproduce --timings`).

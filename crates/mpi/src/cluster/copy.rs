@@ -15,15 +15,15 @@
 //!
 //! # Lanes
 //!
-//! A single-queue `Full` run splits its jobs into two *lanes* by node
-//! ([`loop_nodes`]): each lane is one engine that exclusively owns the
-//! pools of its nodes' ranks. The loop's lane runs each job on the event
-//! loop thread as it is submitted; the worker's lane runs on one scoped
-//! thread beside the loop ([`Cluster::with_copy_worker`]). The worker's
-//! jobs collect in an outbox and go to it, in order, in batches of
-//! [`BATCH`] through a channel of [`QUEUE_BATCHES`] batches. A job runs on
-//! the lane of the pool it names; a DirectIPC copy names two pools of one
-//! node, so it never crosses lanes.
+//! A `Full` run splits its jobs into two *lanes* by node ([`loop_nodes`]):
+//! each lane is one engine that exclusively owns the pools of its nodes'
+//! ranks. The loop's lane runs each job on the event loop thread as it is
+//! submitted; the worker's lane runs on one scoped thread beside the loop
+//! ([`Cluster::with_copy_worker`]). The worker's jobs collect in an outbox
+//! and go to it, in order, in batches of [`BATCH`] through a channel of
+//! [`QUEUE_BATCHES`] batches. A job runs on the lane of the pool it names;
+//! a DirectIPC copy names two pools of one node, so it never crosses
+//! lanes.
 //!
 //! A payload produced on one lane and consumed on the other (a staged
 //! message between the two halves of the cluster) moves with its consuming
@@ -50,13 +50,11 @@
 //! of every channel, so the loop's next send or wait fails, the loop stops
 //! submitting and ends the run, and the panic is re-raised from the join.
 //!
-//! A cluster on one node has no worker's lane and starts no thread. Each
-//! shard of a sharded run runs all of its jobs at submit on one engine; a
-//! payload bound for another shard moves from one shard's engine to the
-//! other's during barrier replay ([`CopyQueue::hand_over`]). Its
-//! [`CopyStats`] still count each job on the lane its node's rule names,
-//! so the counts are the same at any shard count. A timing-only run moves
-//! no bytes, submits nothing and carries only empty handles.
+//! A cluster on one node has no worker's lane and starts no thread. A
+//! `Full` run always runs on one event queue, whatever shard count it
+//! asks for (`Cluster::effective_shards`), so no shard holds an engine.
+//! A timing-only run moves no bytes, submits nothing and carries only
+//! empty handles.
 //!
 //! The loop hands out payload slots itself and takes a slot back when it
 //! submits the job that consumes the payload; a reused slot is only ever
@@ -125,9 +123,9 @@ impl PayloadHandle {
     }
 }
 
-/// The jobs one lane ran in a run. The counts are deterministic and
-/// identical at any shard count; the busy time is host wall-clock, like
-/// the times in `ShardStats`, and excluded from that identity.
+/// The jobs one lane ran in a run. The counts are deterministic: the same
+/// on every run of one input. The busy time is host wall-clock, like the
+/// times in `ShardStats`, and excluded from that identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Staged sends gathered into a payload.
@@ -182,8 +180,8 @@ impl LaneStats {
 }
 
 /// Copy-engine work in one run, by lane. The job and handoff counts are
-/// deterministic and identical at any shard count; the times are host
-/// wall-clock and excluded from that identity.
+/// deterministic; the times are host wall-clock and excluded from that
+/// identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CopyStats {
     /// The event loop's lane (index 0) and the copy worker's (index 1).
@@ -207,15 +205,6 @@ impl CopyStats {
     /// Jobs executed, of every kind, on both lanes.
     pub fn jobs(&self) -> u64 {
         self.total().jobs()
-    }
-
-    /// Fold another queue's counters into these.
-    fn absorb(&mut self, other: &CopyStats) {
-        for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
-            mine.absorb(theirs);
-        }
-        self.blocked_wall_ns += other.blocked_wall_ns;
-        self.fetch_wall_ns += other.fetch_wall_ns;
     }
 }
 
@@ -476,9 +465,9 @@ impl CopyEngine {
 /// each buffer in it, last returned on top, the payloads the engine holds,
 /// and the take/put counters.
 ///
-/// A payload taken from one engine's freelist may be consumed on another
-/// (a message crossing lanes or shards), and its buffer then goes back to
-/// the consumer's freelist. So that one-way traffic cannot grow a
+/// A payload taken from one engine's freelist may be consumed on the other
+/// (a message crossing lanes), and its buffer then goes back to the
+/// consumer's freelist. So that one-way traffic cannot grow a
 /// freelist without bound, a freelist keeps a returned buffer only while
 /// it holds fewer buffers than the most payloads its engine has held at
 /// once (`peak`), and frees it otherwise. An engine's resting and live
@@ -573,20 +562,19 @@ struct Slot {
 pub(crate) struct CopyQueue {
     /// Global rank → its lane by the node rule ([`loop_nodes`]).
     lanes: Vec<u8>,
-    /// The engine that runs jobs as they are submitted: the loop's lane,
-    /// or all of a shard's ranks.
+    /// The loop's lane, whose engine runs jobs as they are submitted.
     inline: Option<Box<CopyEngine>>,
-    /// The worker's lane, on a single-queue run that has one.
+    /// The worker's lane, on a run that has one.
     worker: Option<WorkerLink>,
     /// Slots taken back from consumed payloads, reused last-in first-out.
     free: Vec<u32>,
     /// Every slot handed out so far, free or not.
     slots: Vec<Slot>,
-    /// Per engine (inline, worker): address of each layout it holds → its
-    /// index in its list. The engine's `Arc` keeps the address from being
+    /// Per lane: address of each layout its engine holds → its index in
+    /// the engine's list. The engine's `Arc` keeps the address from being
     /// reused while the run lasts.
     layouts: [IntMap<usize, u32>; 2],
-    /// Per engine (inline, worker): its freelist accounting.
+    /// Per lane: its engine's freelist accounting.
     buffers: [Freelist; 2],
     stats: CopyStats,
     pool: PoolStats,
@@ -605,22 +593,6 @@ impl CopyQueue {
             pool.absorb(&list.stats);
         }
         pool
-    }
-
-    /// Fold a finished shard's counters into these.
-    pub(crate) fn absorb(&mut self, other: &CopyQueue) {
-        self.stats.absorb(&other.stats);
-        self.pool.absorb(&other.pool_stats());
-    }
-
-    /// The engine that runs a job of lane `lane`: the worker's only on a
-    /// run that has one.
-    fn engine(&self, lane: usize) -> usize {
-        if self.worker.is_some() {
-            lane
-        } else {
-            LOOP
-        }
     }
 
     /// Run `job`, of lane `lane`, on its engine: at once inline, or on the
@@ -667,8 +639,7 @@ impl CopyQueue {
         count: u64,
     ) -> Elems {
         let lane = self.lane(rank);
-        let engine = self.engine(lane);
-        let known = &mut self.layouts[engine];
+        let known = &mut self.layouts[lane];
         let key = Arc::as_ptr(layout) as usize;
         let layout = match known.get(&key) {
             Some(&index) => index,
@@ -700,8 +671,7 @@ impl CopyQueue {
     /// A handle for a new payload of `len` bytes on `lane`, in a free
     /// slot, and the buffer a miss on that lane's freelist uses.
     fn alloc(&mut self, lane: usize, len: u64) -> (PayloadHandle, Option<Vec<u8>>) {
-        let engine = self.engine(lane);
-        let (cap, fresh) = self.buffers[engine].take(len);
+        let (cap, fresh) = self.buffers[lane].take(len);
         let slot = self.slot(cap);
         let lane = lane as u8;
         (PayloadHandle { slot, lane, len }, fresh)
@@ -709,7 +679,7 @@ impl CopyQueue {
 
     /// Record that the job just submitted on `lane` names `slot`.
     fn named(&mut self, slot: u32, lane: usize, submitted: u64) {
-        if self.engine(lane) == WORKER {
+        if lane == WORKER {
             self.slots[slot as usize].after = submitted;
         }
     }
@@ -725,14 +695,11 @@ impl CopyQueue {
         let from = usize::from(payload.lane);
         if from != lane {
             self.stats.lanes[lane].handoffs += 1;
-        }
-        let (from, to) = (self.engine(from), self.engine(lane));
-        if from != to {
             self.move_payload(slot, lane);
             self.buffers[from].lend();
-            self.buffers[to].hold();
+            self.buffers[lane].hold();
         }
-        let keep = self.buffers[to].put(self.slots[slot as usize].cap);
+        let keep = self.buffers[lane].put(self.slots[slot as usize].cap);
         (slot, keep)
     }
 
@@ -899,40 +866,6 @@ impl CopyQueue {
         }
     }
 
-    /// Move `payload` from this queue's engine into `to`'s: a message
-    /// crossing shards at a barrier. Both run their jobs at submit, so
-    /// every job naming the payload so far has run. The payload keeps its
-    /// lane, and its buffer goes back to the freelist of the shard that
-    /// consumes it.
-    pub(crate) fn hand_over(
-        &mut self,
-        payload: PayloadHandle,
-        to: &mut CopyQueue,
-    ) -> PayloadHandle {
-        if payload.is_empty() {
-            return payload;
-        }
-        let PayloadHandle { slot, lane, len } = payload;
-        self.free.push(slot);
-        self.buffers[LOOP].lend();
-        to.buffers[LOOP].hold();
-        let bytes = self.inline_engine().take(slot);
-        let out = to.slot(self.slots[slot as usize].cap);
-        to.inline_engine().put(out, bytes);
-        PayloadHandle {
-            slot: out,
-            lane,
-            len,
-        }
-    }
-
-    fn inline_engine(&mut self) -> &mut CopyEngine {
-        match (&mut self.inline, &self.worker) {
-            (Some(engine), None) => engine,
-            _ => unreachable!("payloads change shards only between inline engines"),
-        }
-    }
-
     /// Send the worker jobs not yet sent as one batch, timing any wait for
     /// room. Returns `false` when the worker has stopped (it panicked): the
     /// run must end and join it.
@@ -995,16 +928,15 @@ impl Cluster {
             .collect();
     }
 
-    /// Move the GPU pool of every local rank on `lane` (every local rank
-    /// for `None`) into a new engine.
-    fn lend_pools(&mut self, lane: Option<usize>) -> CopyEngine {
+    /// Move the GPU pool of every rank on `lane` into a new engine.
+    fn lend_pools(&mut self, lane: usize) -> CopyEngine {
         let ranks = self.gpus.indices();
         let lanes = &self.copies.lanes;
         let pools = ranks
             .clone()
             .zip(self.gpus.iter_mut())
             .map(|(r, gpu)| {
-                lane.is_none_or(|lane| usize::from(lanes[r]) == lane)
+                (usize::from(lanes[r]) == lane)
                     .then(|| std::mem::replace(&mut gpu.mem, MemPool::new(0, DataMode::Full)))
             })
             .collect();
@@ -1030,7 +962,7 @@ impl Cluster {
             return event_loop(self);
         }
         self.assign_lanes();
-        let inline = self.lend_pools(Some(LOOP));
+        let inline = self.lend_pools(LOOP);
         self.copies.inline = Some(Box::new(inline));
         if self
             .copies
@@ -1040,7 +972,7 @@ impl Cluster {
         {
             event_loop(self);
         } else {
-            let engine = self.lend_pools(Some(WORKER));
+            let engine = self.lend_pools(WORKER);
             let engine = std::thread::scope(|scope| {
                 let (jobs, job_rx) = mpsc::sync_channel(QUEUE_BATCHES);
                 let (wants, want_rx) = mpsc::channel();
@@ -1069,24 +1001,9 @@ impl Cluster {
             self.copies.stats.lanes[WORKER].busy_wall_ns += engine.busy_wall_ns;
             self.return_pools(engine);
         }
-        self.stop_inline_copies();
-    }
-
-    /// Give this shard an engine that runs each of its jobs at submit.
-    pub(crate) fn start_inline_copies(&mut self) {
-        if self.data_mode == DataMode::Full {
-            self.assign_lanes();
-            let engine = self.lend_pools(None);
-            self.copies.inline = Some(Box::new(engine));
-        }
-    }
-
-    /// Stop the inline engine and give its pools back.
-    pub(crate) fn stop_inline_copies(&mut self) {
-        if let Some(engine) = self.copies.inline.take() {
-            self.return_pools(*engine);
-            self.copies.finish();
-        }
+        let inline = self.copies.inline.take().expect("the loop's lane ran");
+        self.return_pools(*inline);
+        self.copies.finish();
     }
 }
 

@@ -123,9 +123,10 @@ impl ClusterBuilder {
     /// quantity — armed fault plans included, since every fault decision is
     /// drawn from a per-rank stream or a stateless keyed hash; only
     /// wall-clock and queue-health diagnostics differ. The request is
-    /// clamped at run time (to the node count, and to 1 when ranks are not
-    /// node-contiguous or there is no lookahead) — `RunReport::shard.shards`
-    /// echoes the effective value.
+    /// clamped at run time (to the node count, and to 1 for a
+    /// [`DataMode::Full`] run, whose copies run in two lanes beside one
+    /// queue, or when ranks are not node-contiguous or there is no
+    /// lookahead) — `RunReport::shard.shards` echoes the effective value.
     pub fn shards(mut self, n: u32) -> Self {
         self.shards = n.max(1);
         self
@@ -388,7 +389,8 @@ pub struct Cluster {
     pub(crate) pending_seq: u64,
     /// Global rank → owning shard (empty outside sharded runs).
     pub(crate) rank_shard: Vec<u32>,
-    /// Barrier/stall counters (all-zero for single-queue runs).
+    /// Barrier/stall counters (one shard and nothing else for
+    /// single-queue runs).
     pub(crate) shard_stats: ShardStats,
     /// The compile-once layout table every rank's cache shares.
     pub(crate) layout_table: Arc<LayoutTable>,
@@ -431,7 +433,7 @@ pub struct RunReport {
     pub fabric: FabricHealth,
     /// Sharded-execution health: effective shard count, barriers crossed,
     /// admitted/deferred message counts, and wall-clock barrier/stall
-    /// time. All-zero for single-queue runs.
+    /// time. A single-queue run reports one shard and zero elsewhere.
     pub shard: ShardStats,
     /// Layout-compiler cache health, aggregated over every rank's cache:
     /// commit/acquire hit counts, first-commit misses, and resident
@@ -484,6 +486,7 @@ impl Cluster {
     /// produce byte-identical reports for every virtual-time quantity.
     pub fn run(&mut self) -> RunReport {
         let shards = self.effective_shards();
+        self.shard_stats.shards = shards;
         if shards > 1 {
             self.run_sharded(shards)
         } else {
@@ -578,10 +581,9 @@ impl Cluster {
                 rank.sched.as_ref().map(Scheduler::ring_occupied),
             );
         }
-        // Every payload buffer the copy engine took went back: no
+        // Every payload buffer the copy engines took went back: no
         // operation still owns one, no message is still on the wire, and
-        // the engine's pool takes balance its releases (summed over
-        // shard-local engines).
+        // the pool takes balance the releases (summed over both lanes).
         for rank in self.ranks.iter() {
             assert!(
                 rank.packed.is_empty() && rank.landed.is_empty(),
@@ -799,9 +801,8 @@ impl Cluster {
 
     /// Take/put counters of the copy engines' payload-buffer freelists
     /// (diagnostics: steady-state traffic should be all hits), summed over
-    /// both lanes, or over every shard's engine after a sharded run. The
-    /// event loop counts them in job order, so one input gives the same
-    /// counts on every run.
+    /// both lanes. The event loop counts them in job order, so one input
+    /// gives the same counts on every run.
     pub fn staging_pool_stats(&self) -> fusedpack_gpu::PoolStats {
         self.copies.pool_stats()
     }

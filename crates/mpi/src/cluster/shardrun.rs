@@ -54,17 +54,22 @@
 //!
 //! ## What disqualifies a run
 //!
-//! `effective_shards` clamps to 1 when ranks are not grouped contiguously
-//! by node, when there are fewer than two nodes, when the lookahead is
-//! zero, or when the fault plan arms [`FaultSite::IpcMapFail`] and ranks
-//! share a node: the staged DirectIPC fallback bounces the payload over
-//! the crossbar *synchronously*, inside the dispatch, and a worker has no
-//! network to time that on.
+//! `effective_shards` clamps to 1 when the run moves bytes
+//! ([`DataMode::Full`]): its copies run in two lanes beside one event
+//! queue (see the `copy` module), which beat two shards on a byte-moving
+//! 512-rank halo by 1.56x on a 2-vCPU host, so no shard ever holds a copy
+//! engine. The sharded loop is for timing-only runs. It also clamps to 1
+//! when ranks are not grouped contiguously by node, when there are fewer
+//! than two nodes, when the lookahead is zero, or when the fault plan arms
+//! [`FaultSite::IpcMapFail`] and ranks share a node: the staged DirectIPC
+//! fallback bounces the payload over the crossbar *synchronously*, inside
+//! the dispatch, and a worker has no network to time that on.
 
 use super::handoff::recv_soon;
 use super::{Cluster, CopyQueue, Event, Ranged, RankId};
 use crate::message::WireMsg;
 use crate::sendrecv::SendId;
+use fusedpack_gpu::DataMode;
 use fusedpack_net::TopoNet;
 use fusedpack_sim::{
     ClampStats, Duration, EventQueue, FaultSite, FaultSummary, ShardStats, Slab, Time, WheelStats,
@@ -117,7 +122,7 @@ impl Cluster {
     /// Clamp the requested shard count to what this run supports.
     pub(crate) fn effective_shards(&self) -> u32 {
         let req = self.shards_requested;
-        if req <= 1 {
+        if req <= 1 || self.data_mode == DataMode::Full {
             return 1;
         }
         let num_nodes = self.nics.len() as u32;
@@ -281,9 +286,6 @@ impl Cluster {
             });
         }
         out.reverse();
-        for shard in &mut out {
-            shard.start_inline_copies();
-        }
         out
     }
 
@@ -298,7 +300,6 @@ impl Cluster {
         for cl in states {
             debug_assert!(cl.wire_slab.is_empty(), "shard leaked wire messages");
             debug_assert!(cl.pending.is_empty(), "shard leaked deferred transmits");
-            self.copies.absorb(&cl.copies);
             self.fault_stats.merge(&cl.fault_stats);
             self.shard_stats.merge(&cl.shard_stats);
             ranks.extend(cl.ranks.into_vec());
@@ -402,7 +403,6 @@ impl Cluster {
         let mut states: Vec<Cluster> = slots.into_iter().map(|c| c.expect("shard home")).collect();
         for cl in &mut states {
             cl.recycle_unexpected();
-            cl.stop_inline_copies();
         }
         // Queue aggregates across shards, gathered before recompose.
         let mut end_time = Time::ZERO;
@@ -476,19 +476,15 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
     batch.sort_by_key(|p| (p.t_e, p.k_e, p.seq));
     let applied = batch.len() as u64;
     let mut admitted = 0;
-    for mut p in batch {
+    for p in batch {
+        // Only timing-only runs shard, and they carry no bytes.
+        debug_assert!(p.msg.payload.is_empty(), "a sharded run moved bytes");
         let dst = p.msg.dst.0 as usize;
         let (src_shard, dst_shard) = {
             let map = &slots[0].as_ref().expect("shard home").rank_shard;
             (map[p.src] as usize, map[dst] as usize)
         };
-        if src_shard != dst_shard {
-            admitted += 1;
-            // The payload moves to the engine of the shard it lands in.
-            let payload = std::mem::take(&mut p.msg.payload);
-            let (from, to) = pair_mut(slots, src_shard, dst_shard);
-            p.msg.payload = from.copies.hand_over(payload, &mut to.copies);
-        }
+        admitted += u64::from(src_shard != dst_shard);
         let (delivered, completion) = {
             let cl = slots[src_shard].as_mut().expect("shard home");
             debug_assert!(cl.topo.is_none(), "shards never own a network");
@@ -528,17 +524,61 @@ fn apply_pending(slots: &mut [Option<Cluster>], net_slot: &mut Option<TopoNet>) 
     (applied, admitted)
 }
 
-/// Two distinct shards at once, both home.
-fn pair_mut(slots: &mut [Option<Cluster>], a: usize, b: usize) -> (&mut Cluster, &mut Cluster) {
-    let (a, b) = if a < b {
-        let (lo, hi) = slots.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = slots.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    };
-    (
-        a.as_mut().expect("shard home"),
-        b.as_mut().expect("shard home"),
-    )
+#[cfg(test)]
+mod tests {
+    use crate::{ClusterBuilder, Program, SchemeKind};
+    use fusedpack_gpu::DataMode;
+    use fusedpack_net::Platform;
+    use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
+
+    /// The shard count a run of `mode` asking for `requested` shards gets,
+    /// with one empty rank on each entry's node of `nodes`, and
+    /// `IpcMapFail` armed or not.
+    fn effective(mode: DataMode, requested: u32, nodes: &[u32], ipc_faults: bool) -> u32 {
+        let mut builder = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
+            .data_mode(mode)
+            .shards(requested);
+        if ipc_faults {
+            builder = builder.fault_plan(
+                FaultPlan::new(1).with(FaultSite::IpcMapFail, FaultSpec::with_probability(0.5)),
+            );
+        }
+        for &node in nodes {
+            builder = builder.add_rank(node, Program::new());
+        }
+        builder.build().effective_shards()
+    }
+
+    #[test]
+    fn effective_shards_follows_the_rules() {
+        use DataMode::{Full, ModelOnly};
+        let (four_nodes, shared, one_node) = (&[0, 1, 2, 3][..], &[0, 0, 1, 1][..], &[0, 0][..]);
+        #[rustfmt::skip]
+        let table: &[(DataMode, u32, &[u32], bool, u32)] = &[
+            // A byte-moving run keeps one queue and its two copy lanes.
+            (Full, 1, four_nodes, false, 1),
+            (Full, 2, four_nodes, false, 1),
+            (Full, 4, four_nodes, false, 1),
+            (Full, 8, shared, false, 1),
+            // A timing-only run gets one shard per node at most.
+            (ModelOnly, 1, four_nodes, false, 1),
+            (ModelOnly, 2, four_nodes, false, 2),
+            (ModelOnly, 4, four_nodes, false, 4),
+            (ModelOnly, 8, four_nodes, false, 4),
+            (ModelOnly, 4, shared, false, 2),
+            // Armed IpcMapFail clamps only where ranks share a node.
+            (ModelOnly, 2, shared, true, 1),
+            (ModelOnly, 2, four_nodes, true, 2),
+            // One node has nothing to split.
+            (ModelOnly, 2, one_node, false, 1),
+            (Full, 2, one_node, false, 1),
+        ];
+        for &(mode, requested, nodes, ipc_faults, want) in table {
+            assert_eq!(
+                effective(mode, requested, nodes, ipc_faults),
+                want,
+                "{mode:?} asking for {requested} on nodes {nodes:?}, IpcMapFail armed: {ipc_faults}"
+            );
+        }
+    }
 }

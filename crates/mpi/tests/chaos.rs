@@ -5,6 +5,7 @@
 
 use fusedpack_core::FusionConfig;
 use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
+use fusedpack_gpu::DataMode;
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{
     AppOp, BufId, ClusterBuilder, Program, RankId, RunReport, SchemeKind, TypeSlot,
@@ -97,14 +98,14 @@ fn verify_received(desc: &Arc<TypeDesc>, received: &[Vec<u8>], len: u64) {
 
 /// Four ranks, one per node, exchanging `n` messages around a ring over a
 /// routed topology — the smallest shape where hop faults, reroutes, and
-/// multi-shard execution all engage at once. Returns the report and every
-/// rank's receive buffers.
+/// multi-shard execution (timing only) all engage at once. Returns the
+/// report and every rank's receive buffers (empty when timing only).
 fn run_chaos_ring(
     desc: &Arc<TypeDesc>,
     n: usize,
     topo: TopologyHandle,
     plan: Option<FaultPlan>,
-    shards: u32,
+    (mode, shards): (DataMode, u32),
 ) -> (RunReport, Vec<Vec<Vec<u8>>>) {
     const RANKS: u32 = 4;
     let layout = CompiledLayout::of(desc);
@@ -112,6 +113,7 @@ fn run_chaos_ring(
     let len = layout.footprint(count).max(1);
 
     let mut builder = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
+        .data_mode(mode)
         .topology(topo)
         .shards(shards);
     if let Some(plan) = plan {
@@ -344,31 +346,59 @@ fn injected_ring_exhaustion_stays_live_with_a_tiny_ring() {
     }
 }
 
+/// Asserts that two runs of one routed chaos ring report the same
+/// virtual-time results and fault accounting.
+fn assert_same_run(base: &RunReport, other: &RunReport, label: &str) {
+    assert_eq!(base.laps, other.laps, "{label}");
+    assert_eq!(base.end_time, other.end_time, "{label}");
+    assert_eq!(base.events_processed, other.events_processed, "{label}");
+    assert_eq!(base.fault_summary, other.fault_summary, "{label}");
+    assert_eq!(base.fabric, other.fabric, "{label}");
+}
+
 #[test]
 fn fabric_chaos_is_byte_identical_at_any_shard_count() {
-    // The tentpole claim: with the per-rank/keyed fault streams there is
-    // no armed-plan shard clamp, and a routed chaos run's report and
+    // A routed chaos run moves bytes, so it keeps one event queue and its
+    // two copy lanes whatever shard count it asks for: its report and
     // received bytes are bit-identical at --shards 1, 2, and 4.
     let desc = sparse_type(700);
     let plan = || FaultPlan::uniform(4242, 0.08);
     let topo = || -> TopologyHandle { Arc::new(Hierarchy::lassen_like(4)) };
-    let (base, base_rx) = run_chaos_ring(&desc, 5, topo(), Some(plan()), 1);
+    let full = |shards| run_chaos_ring(&desc, 5, topo(), Some(plan()), (DataMode::Full, shards));
+    let (base, base_rx) = full(1);
     assert!(base.fault_summary.injected > 0, "{:?}", base.fault_summary);
     for shards in [2u32, 4] {
-        let (sharded, rx) = run_chaos_ring(&desc, 5, topo(), Some(plan()), shards);
-        assert!(sharded.shard.barriers > 0, "sharding engaged ({shards})");
-        assert_eq!(base.laps, sharded.laps, "--shards {shards}");
-        assert_eq!(base.end_time, sharded.end_time, "--shards {shards}");
-        assert_eq!(
-            base.events_processed, sharded.events_processed,
-            "--shards {shards}"
+        let (asked, rx) = full(shards);
+        let label = format!("--shards {shards}");
+        assert_eq!(asked.shard.shards, 1, "one queue: {label}");
+        assert_eq!(asked.shard.barriers, 0, "{label}");
+        let copy = asked.copy;
+        assert!(
+            copy.lanes.iter().all(|lane| lane.jobs() > 0),
+            "{label}: {copy:?}"
         );
-        assert_eq!(
-            base.fault_summary, sharded.fault_summary,
-            "--shards {shards}"
-        );
-        assert_eq!(base.fabric, sharded.fabric, "--shards {shards}");
-        assert_eq!(base_rx, rx, "received bytes at --shards {shards}");
+        assert_same_run(&base, &asked, &label);
+        assert_eq!(base_rx, rx, "received bytes at {label}");
+    }
+}
+
+#[test]
+fn fabric_chaos_timing_only_is_identical_at_any_shard_count() {
+    // The timing-only twin runs the sharded loop: with the per-rank/keyed
+    // fault streams there is no armed-plan shard clamp, the barriers
+    // replay every hop fault in single-queue order, and the report is
+    // bit-identical to the byte-moving run's at --shards 1, 2, and 4.
+    let desc = sparse_type(700);
+    let plan = || FaultPlan::uniform(4242, 0.08);
+    let topo = || -> TopologyHandle { Arc::new(Hierarchy::lassen_like(4)) };
+    let run = |mode, shards| run_chaos_ring(&desc, 5, topo(), Some(plan()), (mode, shards)).0;
+    let full = run(DataMode::Full, 1);
+    for shards in [1u32, 2, 4] {
+        let sharded = run(DataMode::ModelOnly, shards);
+        let label = format!("timing only, --shards {shards}");
+        assert_eq!(sharded.shard.shards, shards, "{label}");
+        assert_eq!(sharded.shard.barriers > 0, shards > 1, "{label}");
+        assert_same_run(&full, &sharded, &label);
     }
 }
 
@@ -379,10 +409,10 @@ fn hop_down_reroutes_around_dead_hops_and_preserves_bytes() {
     // buffer still matches the fault-free baseline byte for byte.
     let desc = sparse_type(700);
     let topo = || -> TopologyHandle { Arc::new(Hierarchy::lassen_like(4)) };
-    let (clean, clean_rx) = run_chaos_ring(&desc, 8, topo(), None, 1);
+    let (clean, clean_rx) = run_chaos_ring(&desc, 8, topo(), None, (DataMode::Full, 1));
     assert!(clean.fabric.injected() == 0 && clean.fabric.reroutes == 0);
     let plan = FaultPlan::new(17).with(FaultSite::HopDown, FaultSpec::with_probability(0.15));
-    let (faulty, rx) = run_chaos_ring(&desc, 8, topo(), Some(plan), 1);
+    let (faulty, rx) = run_chaos_ring(&desc, 8, topo(), Some(plan), (DataMode::Full, 1));
     assert!(faulty.fabric.downs > 0, "{}", faulty.fabric);
     assert!(faulty.fabric.reroutes > 0, "{}", faulty.fabric);
     assert!(faulty.fabric.route_epoch > 0, "{}", faulty.fabric);
@@ -396,9 +426,9 @@ fn severed_fabric_forces_delivery_and_never_wedges() {
     // over the pair's pre-fault route — degraded and counted, never wedged.
     let desc = sparse_type(700);
     let topo = || -> TopologyHandle { Arc::new(Hierarchy::lassen_like(4)) };
-    let (clean, clean_rx) = run_chaos_ring(&desc, 6, topo(), None, 1);
+    let (clean, clean_rx) = run_chaos_ring(&desc, 6, topo(), None, (DataMode::Full, 1));
     let plan = FaultPlan::new(29).with(FaultSite::HopDown, FaultSpec::with_probability(1.0));
-    let (faulty, rx) = run_chaos_ring(&desc, 6, topo(), Some(plan), 1);
+    let (faulty, rx) = run_chaos_ring(&desc, 6, topo(), Some(plan), (DataMode::Full, 1));
     assert!(faulty.fabric.downs > 0, "{}", faulty.fabric);
     assert!(faulty.fabric.disconnects > 0, "{}", faulty.fabric);
     // Each forced send counts once as a disconnect and once as a

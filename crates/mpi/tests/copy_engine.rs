@@ -1,19 +1,20 @@
 //! The copy engines own every byte a `DataMode::Full` run moves.
 //!
-//! A single-queue `Full` run splits its copy jobs into two lanes by node:
-//! the event loop runs one lane's at submit, a worker thread beside it the
-//! other's. Each shard of a sharded run runs all of its jobs at submit; a
-//! timing-only run submits none. These checks guard that:
+//! A `Full` run splits its copy jobs into two lanes by node: the event
+//! loop runs one lane's at submit, a worker thread beside it the other's.
+//! It keeps one event queue whatever shard count it asks for; a
+//! timing-only run submits no job. These checks guard that:
 //!
 //! * a deterministic work counter: a `Full` halo on a 4³ torus runs
 //!   exactly one pack and one unpack per staged message and one
 //!   layout-to-layout copy per DirectIPC message, with the same jobs and
-//!   lane handoffs on each lane in the two-lane run (`shards(1)`) as in
-//!   the inline one (`shards(2)`), and none when timing only;
+//!   lane handoffs on each lane when it asks for two shards (and gets
+//!   one queue), and none when timing only, sharded or not;
 //! * a byte-verified lane run: two laps of that halo across 16 nodes,
 //!   where both lanes run jobs and payloads cross between them, deliver
 //!   host `pack` of every matched send into every receive, the same bytes
-//!   as the inline run, with the same payload-buffer counters every time;
+//!   when the run asks for two shards, with the same payload-buffer
+//!   counters every time;
 //! * one-way traffic between the lanes keeps every freelist within its
 //!   lane's peak in flight;
 //! * a job that panics on either lane surfaces from `Cluster::run` with its
@@ -140,8 +141,18 @@ fn jobs_only(stats: CopyStats) -> CopyStats {
     }
 }
 
+/// A run that asked for two shards ran on one queue, with both lanes.
+fn assert_one_queue_two_lanes(report: &RunReport) {
+    assert_eq!(report.shard.shards, 1, "a byte-moving run keeps one queue");
+    assert_eq!(report.shard.barriers, 0);
+    let copy = report.copy;
+    for (i, lane) in copy.lanes.iter().enumerate() {
+        assert!(lane.jobs() > 0, "lane {i} ran jobs: {copy:?}");
+    }
+}
+
 #[test]
-fn a_full_halo_runs_one_job_per_data_movement_on_its_lane_or_inline() {
+fn a_full_halo_runs_one_job_per_data_movement_on_its_lane() {
     let lanes = halo(DataMode::Full, 1, 1);
     let (staged, direct) = (lanes.staged, lanes.direct);
     assert!(staged > 0 && direct > 0);
@@ -157,34 +168,31 @@ fn a_full_halo_runs_one_job_per_data_movement_on_its_lane_or_inline() {
     assert_eq!(total, want);
     assert_eq!(lanes.report.copy.jobs(), 2 * staged + direct);
 
-    let inline = halo(DataMode::Full, 2, 1);
-    assert_eq!(inline.report.shard.shards, 2, "the sharded loop ran");
+    let asked = halo(DataMode::Full, 2, 1);
+    assert_one_queue_two_lanes(&asked.report);
     assert_eq!(
-        jobs_only(inline.report.copy),
+        jobs_only(asked.report.copy),
         jobs_only(lanes.report.copy),
-        "each lane's jobs and handoffs are the same at any shard count"
+        "each lane's jobs and handoffs are the same at any requested shard count"
     );
-    assert_eq!(
-        inline.report.copy.blocked_wall_ns, 0,
-        "inline jobs never queue"
-    );
-    assert_eq!(
-        inline.report.copy.fetch_wall_ns, 0,
-        "nor wait for a payload"
-    );
-    assert_eq!(inline.report.laps, lanes.report.laps);
+    assert_eq!(asked.report.laps, lanes.report.laps);
 
-    let model = halo(DataMode::ModelOnly, 1, 1);
-    assert_eq!(
-        model.report.copy,
-        CopyStats::default(),
-        "timing-only runs copy nothing"
-    );
-    assert_eq!(model.report.laps, lanes.report.laps);
+    // The timing-only twin runs the sharded loop and times every lap the
+    // same.
+    for shards in [1, 2] {
+        let model = halo(DataMode::ModelOnly, shards, 1);
+        assert_eq!(model.report.shard.barriers > 0, shards > 1);
+        assert_eq!(
+            model.report.copy,
+            CopyStats::default(),
+            "timing-only runs copy nothing"
+        );
+        assert_eq!(model.report.laps, lanes.report.laps);
+    }
 }
 
 #[test]
-fn a_two_lane_halo_delivers_the_sent_bytes_and_the_inline_runs_bytes() {
+fn a_two_lane_halo_delivers_the_sent_bytes_at_any_requested_shard_count() {
     let lanes = halo(DataMode::Full, 1, 2);
     let copy = lanes.report.copy;
     for (i, lane) in copy.lanes.iter().enumerate() {
@@ -201,11 +209,11 @@ fn a_two_lane_halo_delivers_the_sent_bytes_and_the_inline_runs_bytes() {
     );
     lanes.assert_delivered();
 
-    let inline = halo(DataMode::Full, 2, 2);
-    assert_eq!(inline.report.shard.shards, 2, "the sharded loop ran");
+    let asked = halo(DataMode::Full, 2, 2);
+    assert_one_queue_two_lanes(&asked.report);
     assert!(
-        lanes.received() == inline.received(),
-        "the same bytes inline"
+        lanes.received() == asked.received(),
+        "the same bytes when asking for two shards"
     );
 
     // The loop keeps each engine's freelist accounting in job order, so

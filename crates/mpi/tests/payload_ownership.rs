@@ -9,11 +9,13 @@
 //!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
 //!   2 GPUs — so both the wire and, for the fused schemes, DirectIPC run —
 //!   through every registered scheme, under RPUT and RGET, with and
-//!   without a fault plan, at 1 and 2 shards, on the flat fabric and on a
-//!   routed Lassen-like one. The two nodes are the two copy lanes, so
-//!   every off-node payload crosses lanes. Every receive buffer, gap
-//!   bytes included, must equal host `pack` → `unpack` of the send buffer
-//!   into zeros. The cluster itself asserts at run end that no operation
+//!   without a fault plan, asking for 1 and 2 shards, on the flat fabric
+//!   and on a routed Lassen-like one. The two nodes are the two copy
+//!   lanes, so every off-node payload crosses lanes. Every receive buffer,
+//!   gap bytes included, must equal host `pack` → `unpack` of the send
+//!   buffer into zeros. A byte-moving run keeps one event queue, so each
+//!   2-shard cell also runs timing only, on the sharded loop, and must
+//!   time every lap the same. The cluster itself asserts at run end that no operation
 //!   still owns a payload and that the pool's takes balance its releases;
 //! * independent send and receive types: two random trees of one packed
 //!   size, exchanged all-to-all through every scheme with the 4 ranks on
@@ -250,29 +252,36 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                              routed={routed}",
                             scheme.name
                         );
-                        let programs = all_to_all(&desc, &desc, &counts(&layout));
-                        let mut builder = ClusterBuilder::new(Platform::lassen(), scheme.make())
-                            .rendezvous(rndv)
-                            .shards(shards);
-                        if faults {
-                            builder = builder.fault_plan(fault_plan(case + 7));
-                        }
-                        if routed {
-                            builder = builder.topology(Arc::new(Hierarchy::lassen_like(NODES)));
-                        }
-                        let mut msgs = Vec::new();
-                        for (r, (program, m)) in programs.into_iter().enumerate() {
-                            builder = builder.add_rank(r as u32 / GPUS, program);
-                            msgs.push(m);
-                        }
-                        let mut cluster = builder.build();
+                        let build = |mode| {
+                            let programs = all_to_all(&desc, &desc, &counts(&layout));
+                            let mut builder =
+                                ClusterBuilder::new(Platform::lassen(), scheme.make())
+                                    .data_mode(mode)
+                                    .rendezvous(rndv)
+                                    .shards(shards);
+                            if faults {
+                                builder = builder.fault_plan(fault_plan(case + 7));
+                            }
+                            if routed {
+                                builder = builder.topology(Arc::new(Hierarchy::lassen_like(NODES)));
+                            }
+                            let mut msgs = Vec::new();
+                            for (r, (program, m)) in programs.into_iter().enumerate() {
+                                builder = builder.add_rank(r as u32 / GPUS, program);
+                                msgs.push(m);
+                            }
+                            (builder.build(), msgs)
+                        };
+                        let (mut cluster, msgs) = build(DataMode::Full);
                         let report = cluster.run();
                         assert_eq!(report.lap_count(), LAPS, "{label}");
-                        assert_eq!(report.shard.shards.max(1), shards, "{label}");
                         assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
-                        // Node 0 is the event loop's copy lane and node 1
-                        // the worker's: every scheme's off-node payloads
-                        // cross between them.
+                        // A byte-moving run keeps one queue at any
+                        // requested shard count. Node 0 is the event
+                        // loop's copy lane and node 1 the worker's: every
+                        // scheme's off-node payloads cross between them.
+                        assert_eq!(report.shard.shards, 1, "{label}");
+                        assert_eq!(report.shard.barriers, 0, "{label}");
                         let copy = report.copy;
                         assert!(
                             copy.lanes.iter().all(|lane| lane.handoffs > 0),
@@ -281,6 +290,16 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         let pool = cluster.staging_pool_stats();
                         assert_eq!(pool.outstanding(), 0, "{label}: {pool:?}");
                         assert_delivered(&cluster, &msgs, &layout, &layout, &label);
+                        if shards > 1 {
+                            // The timing-only twin runs the sharded loop,
+                            // fault replay at its barriers included, and
+                            // times every lap as the byte-moving run did.
+                            let model = build(DataMode::ModelOnly).0.run();
+                            assert_eq!(model.shard.shards, shards, "{label}");
+                            assert!(model.shard.barriers > 0, "{label}");
+                            assert_eq!(model.laps, report.laps, "{label}");
+                            assert_eq!(model.fault_summary, report.fault_summary, "{label}");
+                        }
                     }
                 }
             }

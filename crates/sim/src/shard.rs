@@ -8,7 +8,7 @@
 //! counters aggregated into run reports.
 
 /// Health counters for a sharded run, merged across shards into the run
-/// report. All-zero for single-queue runs.
+/// report. A single-queue run reports one shard and zero elsewhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Worker shards the run actually executed with (after clamping).

@@ -425,6 +425,10 @@ mod tests {
         }
     }
 
+    /// A byte-moving halo keeps one event queue and both copy lanes when
+    /// it asks for two shards, with the same checksum and lap times. Its
+    /// timing-only twin runs the sharded loop in
+    /// `sharded_halo_matches_single_queue_exactly`.
     #[test]
     fn full_mode_checksum_is_equal_at_one_and_two_shards() {
         let mut cfg = HaloConfig::new(
@@ -434,13 +438,18 @@ mod tests {
             HaloGrid::new_3d(2, 2, 2),
             2,
         );
-        assert_eq!(run_halo(&cfg).checksum, None, "ModelOnly moves no bytes");
+        let model = run_halo(&cfg);
+        assert_eq!(model.checksum, None, "ModelOnly moves no bytes");
         cfg.mode = DataMode::Full;
         let single = run_halo(&cfg);
-        let sharded = run_halo(&cfg.clone().with_shards(2));
-        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
+        let asked = run_halo(&cfg.clone().with_shards(2));
+        let shard = asked.report.shard;
+        assert_eq!((shard.shards, shard.barriers), (1, 0), "one queue");
+        let copy = asked.report.copy;
+        assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
         assert!(single.checksum.is_some());
-        assert_eq!(single.checksum, sharded.checksum);
-        assert_eq!(single.lap_latencies, sharded.lap_latencies);
+        assert_eq!(single.checksum, asked.checksum);
+        assert_eq!(single.lap_latencies, asked.lap_latencies);
+        assert_eq!(model.lap_latencies, asked.lap_latencies);
     }
 }
