@@ -537,58 +537,6 @@ fn bench_topology(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sharded event loop's per-window coordination, isolated from any
-/// simulation: computing the next window (min `peek_time` over every
-/// shard queue), ordering the round's deferred transmits canonically by
-/// `(time, key, seq)`, and admitting their deliveries into the
-/// destination wheels. One iteration is one barrier over 4 shards with 64
-/// deferred transmits — the fixed cost a window barrier adds on top of the
-/// workers' useful event processing and the transmits' own network time.
-fn bench_shard_barrier(c: &mut Criterion) {
-    const SHARDS: usize = 4;
-    const MSGS: usize = 64;
-    let mut g = c.benchmark_group("hotpaths/shard");
-    g.bench_function("shard_barrier_overhead_4x64", |b| {
-        let mut queues: Vec<EventQueue<u64>> = (0..SHARDS).map(|_| EventQueue::new()).collect();
-        for (s, q) in queues.iter_mut().enumerate() {
-            for i in 0..256u64 {
-                q.push_at(Time(s as u64 * 977 + i * 6151 % 65_536), i);
-            }
-        }
-        // (event time, event key, seq, destination shard), recorded by the
-        // shards in their own order.
-        let mut batch: Vec<(Time, u64, u64, usize)> = Vec::with_capacity(MSGS);
-        b.iter(|| {
-            // Window computation: min next-event time across all shards.
-            let window = queues
-                .iter_mut()
-                .filter_map(|q| q.peek_time())
-                .min()
-                .unwrap_or(Time(u64::MAX));
-            // Each shard's transmits arrive in its own order; the barrier
-            // interleaves them canonically.
-            for i in 0..MSGS as u64 {
-                let shard = i as usize % SHARDS;
-                let key = ((shard as u64) << 42) | (MSGS as u64 - i);
-                batch.push((window, key, i, (shard + 1) % SHARDS));
-            }
-            batch.sort_by_key(|&(t, key, seq, _)| (t, key, seq));
-            let admitted = batch.len() as u64;
-            for (at, key, payload, dst) in batch.drain(..) {
-                queues[dst].push_at_key(at, key, payload);
-            }
-            // Keep the queues bounded: drain what the round added.
-            for q in &mut queues {
-                for _ in 0..MSGS / SHARDS {
-                    let _ = q.pop();
-                }
-            }
-            black_box(admitted)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     bench_hotpaths,
     bench_pack_shapes,
@@ -599,7 +547,6 @@ criterion_group!(
     bench_block_uniform_tier,
     bench_scheduler,
     bench_fault_hooks,
-    bench_topology,
-    bench_shard_barrier
+    bench_topology
 );
 criterion_main!(bench_hotpaths);

@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [EXPERIMENT...] [--csv DIR] [--trace-out FILE] [--jobs N]
 //!           [--threshold auto|BYTES] [--seed N] [--requests N[k|m]]
-//!           [--shards N] [--timings]
+//!           [--timings]
 //!
 //! EXPERIMENT:       table2 fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!                   ablation adapt ipc approaches chaos chaos-topo topo
@@ -21,17 +21,11 @@
 //!                   (default 42). Per-cell plans derive from this and the
 //!                   cell's grid coordinates, and fault decisions ride
 //!                   per-rank/keyed streams, so the chaos reports are
-//!                   byte-identical across runs, --jobs, and --shards.
+//!                   byte-identical across runs and --jobs.
 //! --jobs N:         run sweep cells on N worker threads (default: all
-//!                   available cores). Tables and CSVs are byte-identical
-//!                   for every N.
-//! --shards N:       split each timing-only simulation's event loop over
-//!                   N worker shards (time-window synchronized; clamped
-//!                   per cluster). Simulations that move bytes (chaos,
-//!                   chaos-topo) keep one event queue, with their copies
-//!                   in two lanes beside it, at any N. Simulation results
-//!                   are byte-identical for every N; only host-process
-//!                   diagnostics (queue-health peaks) may differ.
+//!                   available cores). Each simulation drains one event
+//!                   queue on one thread; tables and CSVs are
+//!                   byte-identical for every N.
 //! --timings:        after each experiment, print the per-cell wall-clock
 //!                   timing report from the sweep executor
 //! --trace-out FILE: run the Fig. 11 fusion cell with the typed-event
@@ -112,28 +106,21 @@ fn main() {
                     });
                 cfg.serve_requests = n;
             }
-            "--shards" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards requires a positive integer");
-                        std::process::exit(2);
-                    });
-                cfg.shards = n;
-            }
             "--timings" => timings = true,
             "--help" | "-h" => {
                 println!(
                     "usage: reproduce [EXPERIMENT...] [--csv DIR] [--trace-out FILE] \
                      [--jobs N] [--threshold auto|BYTES] [--seed N] [--requests N[k|m]] \
-                     [--shards N] [--timings]"
+                     [--timings]"
                 );
                 println!("experiments: {}", EXPERIMENTS.join(" "));
                 return;
             }
             "all" => selected.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag {flag:?}; see --help");
+                std::process::exit(2);
+            }
             name => {
                 if !EXPERIMENTS.contains(&name) {
                     eprintln!(

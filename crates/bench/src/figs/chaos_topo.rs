@@ -14,12 +14,8 @@
 //!
 //! Every plan is derived from the master `--seed` and the cell's grid
 //! coordinates (never from execution order), so the table is
-//! byte-identical across runs and `--jobs` counts. The cells move real
-//! bytes, so they run on one event queue with two copy lanes whatever
-//! `--shards` asks for, and the table is the same at any `--shards` too;
-//! the CI `chaos-topo` job diffs all three. The sharded loop's replay of
-//! hop faults at barriers is covered by the timing-only twin of a cell in
-//! the tests below.
+//! byte-identical across runs and `--jobs` counts; the CI `chaos-topo` job
+//! diffs both.
 
 use crate::exec::{self, Cell};
 use crate::figs::RunConfig;
@@ -70,14 +66,13 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
 }
 
 /// One grid cell: the torus halo with real bytes on the Lassen-like fat
-/// tree with an optional fabric fault plan, at `grid`^3 ranks, asking for
-/// `shards` event-loop shards (a byte-moving run keeps one).
-pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u32) -> HaloOutcome {
-    run_halo(&cell_config(grid, scheme, plan, shards))
+/// tree with an optional fabric fault plan, at `grid`^3 ranks.
+pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloOutcome {
+    run_halo(&cell_config(grid, scheme, plan))
 }
 
 /// The configuration of a [`measure`] cell.
-fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u32) -> HaloConfig {
+fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloConfig {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
     let mut cfg = HaloConfig::new(
@@ -87,8 +82,7 @@ fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u
         HaloGrid::new_3d(grid, grid, grid),
         N_MSGS,
     )
-    .with_topology(topo)
-    .with_shards(shards);
+    .with_topology(topo);
     cfg.mode = DataMode::Full;
     cfg.fault_plan = plan;
     cfg
@@ -96,7 +90,6 @@ fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>, shards: u
 
 pub fn run(cfg: &RunConfig) -> Table {
     let master = cfg.chaos_seed;
-    let shards = cfg.shards;
     let mut t = Table::new(
         format!(
             "Chaos-topo: per-hop fault profiles on the {GRID}^3 torus halo, \
@@ -127,14 +120,14 @@ pub fn run(cfg: &RunConfig) -> Table {
     for (si, (sname, scheme)) in schemes().into_iter().enumerate() {
         let s = scheme.clone();
         cells.push(Cell::new(format!("{sname}/baseline"), move || {
-            measure(GRID, s.clone(), None, shards)
+            measure(GRID, s.clone(), None)
         }));
         for (pi, &(pname, site, rate)) in PROFILES.iter().enumerate() {
             let plan = FaultPlan::new(cell_seed(master, si, pi))
                 .with(site, FaultSpec::with_probability(rate));
             let s = scheme.clone();
             cells.push(Cell::new(format!("{sname}/{pname}"), move || {
-                measure(GRID, s.clone(), Some(plan.clone()), shards)
+                measure(GRID, s.clone(), Some(plan.clone()))
             }));
         }
     }
@@ -203,14 +196,14 @@ mod tests {
     /// around them, and reproduce the fault-free checksum.
     #[test]
     fn hop_down_cell_reroutes_and_preserves_bytes() {
-        let base = measure(4, SchemeKind::fusion_default(), None, 1);
+        let base = measure(4, SchemeKind::fusion_default(), None);
         let report = &base.report;
         assert_eq!(report.event_clamps.count, 0, "{:?}", report.event_clamps);
         assert!(report.fault_summary.is_clean() && report.fabric.injected() == 0);
         assert!(base.checksum.is_some(), "the chaos grid moves real bytes");
         let plan = FaultPlan::new(cell_seed(42, 0, 2))
             .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
-        let out = measure(4, SchemeKind::fusion_default(), Some(plan), 1);
+        let out = measure(4, SchemeKind::fusion_default(), Some(plan));
         let fabric = &out.report.fabric;
         assert!(fabric.downs > 0, "{fabric}");
         assert!(fabric.reroutes > 0, "{fabric}");
@@ -219,53 +212,38 @@ mod tests {
     }
 
     /// The configuration of a flapping, hop-killing cell on the 4^3 torus.
-    fn faulted_config(shards: u32) -> HaloConfig {
+    fn faulted_config() -> HaloConfig {
         let plan = FaultPlan::new(cell_seed(42, 0, 0))
             .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))
             .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
-        cell_config(4, SchemeKind::fusion_default(), Some(plan), shards)
+        cell_config(4, SchemeKind::fusion_default(), Some(plan))
     }
 
-    /// The same cell is byte-identical when it asks for 4 shards — the
-    /// in-process version of the CI `chaos-topo` `--shards` diff. It moves
-    /// bytes, so it keeps one event queue and both copy lanes run.
+    /// The same seeded cell replays exactly from run to run: its latency,
+    /// fault counters and delivered bytes, with both copy lanes working.
     #[test]
-    fn faulted_cell_is_identical_across_shards() {
-        let single = run_halo(&faulted_config(1));
-        let asked = run_halo(&faulted_config(4));
-        assert_eq!(
-            asked.report.shard.shards, 1,
-            "a byte-moving run keeps one queue"
-        );
-        assert_eq!(asked.report.shard.barriers, 0);
-        let copy = asked.report.copy;
+    fn faulted_cell_replays_exactly() {
+        let (a, b) = (run_halo(&faulted_config()), run_halo(&faulted_config()));
+        assert!(a.report.fabric.injected() > 0, "faults fired");
+        let copy = a.report.copy;
         assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
-        assert_eq!(single.latency, asked.latency);
-        assert_eq!(single.report.fault_summary, asked.report.fault_summary);
-        assert_eq!(single.report.fabric, asked.report.fabric);
-        assert_eq!(single.checksum, asked.checksum);
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.report.fault_summary, b.report.fault_summary);
+        assert_eq!(a.report.fabric, b.report.fabric);
+        assert_eq!(a.checksum, b.checksum);
     }
 
-    /// The timing-only twin of that cell runs the sharded loop, replaying
-    /// its hop faults at the barriers, and reports the byte-moving single
-    /// queue's latency and fabric counters exactly.
+    /// The timing-only twin of that cell draws the same hop faults and
+    /// reports the byte-moving run's latency and fabric counters exactly.
     #[test]
-    fn faulted_cell_timing_only_is_identical_across_shards() {
-        let full = run_halo(&faulted_config(1));
-        let cell = |shards| {
-            let mut cfg = faulted_config(shards);
-            cfg.mode = DataMode::ModelOnly;
-            run_halo(&cfg)
-        };
-        let single = cell(1);
-        let sharded = cell(4);
-        assert_eq!(sharded.report.shard.shards, 4);
-        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
-        assert!(sharded.report.fabric.injected() > 0, "faults fired");
-        for out in [&single, &sharded] {
-            assert_eq!(out.latency, full.latency);
-            assert_eq!(out.report.fault_summary, full.report.fault_summary);
-            assert_eq!(out.report.fabric, full.report.fabric);
-        }
+    fn faulted_cell_timing_only_matches_full() {
+        let full = run_halo(&faulted_config());
+        let mut cfg = faulted_config();
+        cfg.mode = DataMode::ModelOnly;
+        let model = run_halo(&cfg);
+        assert!(model.report.fabric.injected() > 0, "faults fired");
+        assert_eq!(model.latency, full.latency);
+        assert_eq!(model.report.fault_summary, full.report.fault_summary);
+        assert_eq!(model.report.fabric, full.report.fabric);
     }
 }

@@ -58,11 +58,6 @@ pub struct RunConfig {
     pub chaos_seed: u64,
     /// Requests the serve experiment replays per cell (`--requests`).
     pub serve_requests: u64,
-    /// Event-loop worker shards per simulation for the cluster-scale
-    /// experiments (`--shards`). Each cluster clamps the request to what
-    /// its layout supports, and a byte-moving one to a single queue;
-    /// reports are byte-identical at any value.
-    pub shards: u32,
     /// Per-cell wall-clock timings of this run's sweeps, in cell-index
     /// order per sweep (drained by `reproduce --timings`).
     pub(crate) timings: Mutex<Vec<CellTiming>>,
@@ -71,14 +66,13 @@ pub struct RunConfig {
 impl Default for RunConfig {
     /// All available cores, the 512 KB threshold, seed 42, 200k serve
     /// requests (enough steady-state laps for a stable p999 without making
-    /// `reproduce all` crawl) and one shard.
+    /// `reproduce all` crawl).
     fn default() -> Self {
         RunConfig {
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threshold: ThresholdMode::Default,
             chaos_seed: 42,
             serve_requests: 200_000,
-            shards: 1,
             timings: Mutex::default(),
         }
     }

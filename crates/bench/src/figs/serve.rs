@@ -46,25 +46,19 @@ pub fn gaps() -> Vec<(&'static str, u64)> {
     vec![("saturating", 0), ("2us", 2_000), ("20us", 20_000)]
 }
 
-/// Run one (scheme, gap) cell replaying `requests` requests on `shards`
-/// event-loop shards.
-pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64, shards: u32) -> ServeOutcome {
+/// Run one (scheme, gap) cell replaying `requests` requests.
+pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64) -> ServeOutcome {
     run_serve(
         &ServeConfig::new(Platform::lassen(), scheme, specfem3d_oc(POINTS), requests)
             .with_gap_ns(gap_ns)
-            .with_size_mix(SIZE_MIX.to_vec())
-            .with_shards(shards),
+            .with_size_mix(SIZE_MIX.to_vec()),
     )
 }
 
-/// The main service table plus the queue-health companion. The main table
-/// reports only virtual-time results, so it is byte-identical across
-/// `--jobs` *and* `--shards`; the queue-health peaks describe the process
-/// that ran the simulation (per-shard slabs sum/max differently than one
-/// global queue), so they live in their own non-diffed table.
+/// The main service table plus the queue-health and layout-cache
+/// companions. Every table is byte-identical across runs and `--jobs`.
 pub fn run(cfg: &RunConfig) -> Vec<Table> {
     let requests = cfg.serve_requests;
-    let shards = cfg.shards;
     let mut t = Table::new(
         format!(
             "Serve: sustained load, {requests} requests through a long-lived cluster \
@@ -82,7 +76,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     )
     .with_note(
         "latency percentiles are per-batch service time (think time excluded); \
-         byte-identical across --jobs and --shards",
+         byte-identical across --jobs",
     );
     let mut health = Table::new(
         format!("Serve queue health: in-flight high-water marks ({requests} requests)"),
@@ -94,10 +88,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             "overflow hits",
         ],
     )
-    .with_note(
-        "host-process diagnostics: peaks must not scale with request count, but their \
-         exact values depend on the --shards decomposition (excluded from the CI diff)",
-    );
+    .with_note("host-process diagnostics: peaks must not scale with request count");
 
     let mut cache = Table::new(
         format!("Serve layout cache: compile-once amortization ({requests} requests)"),
@@ -112,7 +103,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     )
     .with_note(
         "commit and acquire counters of each rank's layout cache, merged over ranks; \
-         cost-free in virtual time and byte-identical across --jobs and --shards",
+         cost-free in virtual time and byte-identical across --jobs",
     );
 
     let mut cells: Vec<Cell<ServeOutcome>> = Vec::new();
@@ -120,7 +111,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
         for (glabel, gap) in gaps() {
             let scheme = scheme.clone();
             cells.push(Cell::new(format!("{slabel}/{glabel}"), move || {
-                measure(scheme, gap, requests, shards)
+                measure(scheme, gap, requests)
             }));
         }
     }
@@ -183,35 +174,11 @@ mod tests {
         }
     }
 
-    /// The main service table is byte-identical across shard counts —
-    /// the in-process version of the CI `--shards 1` vs `--shards 4`
-    /// CSV diff (the queue-health companion is deliberately excluded:
-    /// its peaks describe the host process, not the simulation).
-    #[test]
-    fn report_is_identical_across_shards() {
-        let single = run(&RunConfig {
-            shards: 1,
-            serve_requests: 2_000,
-            ..RunConfig::default()
-        });
-        let sharded = run(&RunConfig {
-            shards: 4,
-            serve_requests: 2_000,
-            ..RunConfig::default()
-        });
-        assert_eq!(single[0].render(), sharded[0].render());
-        assert_eq!(single[0].to_csv(), sharded[0].to_csv());
-        // The layout-cache table is pure merged-counter bookkeeping, so it
-        // too must be byte-identical at any shard decomposition.
-        assert_eq!(single[2].render(), sharded[2].render());
-        assert_eq!(single[2].to_csv(), sharded[2].to_csv());
-    }
-
     /// Steady state amortizes layout compilation: the cache table's hit
     /// rate is ≥ 99% once warmup's single compile per rank is behind it.
     #[test]
     fn layout_cache_hit_rate_exceeds_99_percent() {
-        let out = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
+        let out = measure(SchemeKind::fusion_default(), 0, 2_000);
         let lc = &out.report.layout_cache;
         assert!(lc.hit_rate() >= 0.99, "hit rate {}", lc.hit_rate());
     }
@@ -219,8 +186,8 @@ mod tests {
     /// Fusion's throughput advantage survives sustained load.
     #[test]
     fn fusion_sustains_higher_throughput_when_saturated() {
-        let fused = measure(SchemeKind::fusion_default(), 0, 2_000, 1);
-        let gpu = measure(SchemeKind::GpuSync, 0, 2_000, 1);
+        let fused = measure(SchemeKind::fusion_default(), 0, 2_000);
+        let gpu = measure(SchemeKind::GpuSync, 0, 2_000);
         assert!(
             fused.throughput_rps > gpu.throughput_rps,
             "fused {:.0} req/s should beat GPU-based {:.0} req/s",
@@ -234,7 +201,7 @@ mod tests {
     /// 2048-point batches must show up above the median.
     #[test]
     fn mixed_sizes_produce_a_latency_tail() {
-        let out = measure(SchemeKind::fusion_default(), 0, 4_000, 1);
+        let out = measure(SchemeKind::fusion_default(), 0, 4_000);
         assert!(
             out.p999 > out.p50,
             "mixed sizes should spread the tail: p50 {} vs p999 {}",

@@ -68,9 +68,8 @@ pub fn schemes() -> Vec<(&'static str, SchemeKind)> {
     ]
 }
 
-/// Run the 512-rank halo for one machine × scheme cell on `shards`
-/// event-loop shards.
-pub fn measure(machine: &Machine, scheme: SchemeKind, shards: u32) -> HaloOutcome {
+/// Run the 512-rank halo for one machine × scheme cell.
+pub fn measure(machine: &Machine, scheme: SchemeKind) -> HaloOutcome {
     run_halo(
         &HaloConfig::new(
             machine.platform.clone(),
@@ -79,8 +78,7 @@ pub fn measure(machine: &Machine, scheme: SchemeKind, shards: u32) -> HaloOutcom
             HaloGrid::new_3d(GRID, GRID, GRID),
             N_MSGS,
         )
-        .with_topology(machine.topology.clone())
-        .with_shards(shards),
+        .with_topology(machine.topology.clone()),
     )
 }
 
@@ -105,14 +103,13 @@ pub fn run(cfg: &RunConfig) -> Table {
          contrast is the larger fused-design win on the ABCI-like machine",
     );
 
-    let shards = cfg.shards;
     let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
     for machine in machines() {
         let machine = Arc::new(machine);
         for (label, scheme) in schemes() {
             let machine = machine.clone();
             cells.push(Cell::new(format!("{}/{label}", machine.label), move || {
-                measure(&machine, scheme, shards)
+                measure(&machine, scheme)
             }));
         }
     }
@@ -150,8 +147,8 @@ mod tests {
     fn fusion_wins_on_both_machines_and_wins_bigger_on_abci() {
         let mut speedups = Vec::new();
         for machine in machines() {
-            let fused = measure(&machine, SchemeKind::fusion_default(), 1);
-            let gpu = measure(&machine, SchemeKind::GpuSync, 1);
+            let fused = measure(&machine, SchemeKind::fusion_default());
+            let gpu = measure(&machine, SchemeKind::GpuSync);
             assert!(
                 fused.latency < gpu.latency,
                 "{}: Proposed {} should beat GPU-based {}",
@@ -185,22 +182,5 @@ mod tests {
             ..RunConfig::default()
         });
         assert_eq!(sequential.render(), parallel.render());
-    }
-
-    /// Sharding the event loop must not perturb a single digit of the
-    /// report — the in-process version of the CI `--shards 1` vs
-    /// `--shards 4` CSV diff.
-    #[test]
-    fn report_is_identical_across_shards() {
-        let single = run(&RunConfig {
-            shards: 1,
-            ..RunConfig::default()
-        });
-        let sharded = run(&RunConfig {
-            shards: 4,
-            ..RunConfig::default()
-        });
-        assert_eq!(single.render(), sharded.render());
-        assert_eq!(single.to_csv(), sharded.to_csv());
     }
 }

@@ -45,7 +45,7 @@ mod tests {
     #[test]
     fn outstanding_balances_across_pools() {
         // A buffer taken from one freelist and returned to another (a
-        // message crossing copy lanes or shards) balances only in the sum.
+        // message crossing copy lanes) balances only in the sum.
         let a = PoolStats {
             misses: 1,
             ..PoolStats::default()

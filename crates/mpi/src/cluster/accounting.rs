@@ -6,8 +6,7 @@
 //! equal the bytes delivered to receives. Each rank keeps one wrapping sum
 //! (a completed send adds `key(src → dst) · bytes`, a delivery subtracts
 //! `key(src → dst) · bytes`), so counting is O(1) per message, needs no
-//! per-pair table, and does not depend on event order or on which shard a
-//! rank ran in. At run end the ranks' sums must add to zero. Keys are odd,
+//! per-pair table, and does not depend on event order. At run end the ranks' sums must add to zero. Keys are odd,
 //! so a byte difference on any one pair never vanishes from the total
 //! (differences on several pairs cancel only by a hash coincidence).
 

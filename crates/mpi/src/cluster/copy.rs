@@ -51,10 +51,8 @@
 //! submitting and ends the run, and the panic is re-raised from the join.
 //!
 //! A cluster on one node has no worker's lane and starts no thread. A
-//! `Full` run always runs on one event queue, whatever shard count it
-//! asks for (`Cluster::effective_shards`), so no shard holds an engine.
-//! A timing-only run moves no bytes, submits nothing and carries only
-//! empty handles.
+//! timing-only run moves no bytes, submits nothing and carries only empty
+//! handles.
 //!
 //! The loop hands out payload slots itself and takes a slot back when it
 //! submits the job that consumes the payload; a reused slot is only ever
@@ -62,7 +60,7 @@
 //! slot in use twice.
 
 use super::handoff::{recv_soon, send_soon};
-use super::{Cluster, Ranged};
+use super::Cluster;
 use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::{DataMode, DevPtr, Elements, MemPool, PoolStats};
 use fusedpack_sim::IntMap;
@@ -124,8 +122,8 @@ impl PayloadHandle {
 }
 
 /// The jobs one lane ran in a run. The counts are deterministic: the same
-/// on every run of one input. The busy time is host wall-clock, like the
-/// times in `ShardStats`, and excluded from that identity.
+/// on every run of one input. The busy time is host wall-clock, and
+/// excluded from that identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Staged sends gathered into a payload.
@@ -274,8 +272,8 @@ pub(crate) enum Job {
 /// The owner of one lane's bytes: its ranks' GPU pools, the payloads it
 /// produced, and the buffers they recycle through.
 pub(crate) struct CopyEngine {
-    /// Global rank → its pool, `None` for a rank of the other lane.
-    pools: Ranged<Option<MemPool>>,
+    /// Rank → its pool, `None` for a rank of the other lane.
+    pools: Vec<Option<MemPool>>,
     /// Every layout a job has named, in first-use order. Jobs name a
     /// layout by index rather than each carrying an `Arc`, whose
     /// reference count the event loop and the worker would otherwise
@@ -294,14 +292,28 @@ pub(crate) struct CopyEngine {
 }
 
 /// The mutable pool of `rank`, which this engine must own.
-fn pool(pools: &mut Ranged<Option<MemPool>>, rank: usize) -> &mut MemPool {
+fn pool(pools: &mut [Option<MemPool>], rank: usize) -> &mut MemPool {
     pools[rank]
         .as_mut()
         .expect("a job ran on the lane that owns its pool")
 }
 
+/// The mutable pools of two distinct ranks, `a`'s first, which this
+/// engine must both own.
+fn pool_pair(pools: &mut [Option<MemPool>], a: usize, b: usize) -> (&mut MemPool, &mut MemPool) {
+    assert_ne!(a, b, "a copy names two distinct ranks");
+    let (lo, hi) = pools.split_at_mut(a.max(b));
+    let (low, high) = (lo[a.min(b)].as_mut(), hi[0].as_mut());
+    let (low, high) = low.zip(high).expect("a copy stays on one lane");
+    if a < b {
+        (low, high)
+    } else {
+        (high, low)
+    }
+}
+
 impl CopyEngine {
-    fn new(pools: Ranged<Option<MemPool>>) -> Self {
+    fn new(pools: Vec<Option<MemPool>>) -> Self {
         CopyEngine {
             pools,
             layouts: Vec::new(),
@@ -373,9 +385,7 @@ impl CopyEngine {
             }
             Job::Copy { from, to } => {
                 let view = |e: &Elems| Elements::new(&layouts[e.layout as usize], e.base, e.count);
-                let (src, dst) = pools.pair_mut(from.rank, to.rank);
-                let (src, dst) = (src.as_mut(), dst.as_mut());
-                let (src, dst) = src.zip(dst).expect("a copy stays on one lane");
+                let (src, dst) = pool_pair(pools, from.rank, to.rank);
                 src.copy_to(view(&from), dst, view(&to), &mut self.scratch);
             }
             Job::Read {
@@ -930,22 +940,22 @@ impl Cluster {
 
     /// Move the GPU pool of every rank on `lane` into a new engine.
     fn lend_pools(&mut self, lane: usize) -> CopyEngine {
-        let ranks = self.gpus.indices();
         let lanes = &self.copies.lanes;
-        let pools = ranks
-            .clone()
-            .zip(self.gpus.iter_mut())
-            .map(|(r, gpu)| {
-                (usize::from(lanes[r]) == lane)
+        let pools = self
+            .gpus
+            .iter_mut()
+            .zip(lanes)
+            .map(|(gpu, &own)| {
+                (usize::from(own) == lane)
                     .then(|| std::mem::replace(&mut gpu.mem, MemPool::new(0, DataMode::Full)))
             })
             .collect();
-        CopyEngine::new(Ranged::with_base(ranks.start, pools))
+        CopyEngine::new(pools)
     }
 
     /// Give a stopped engine's pools back to their GPUs.
     fn return_pools(&mut self, engine: CopyEngine) {
-        for (gpu, pool) in self.gpus.iter_mut().zip(engine.pools.into_vec()) {
+        for (gpu, pool) in self.gpus.iter_mut().zip(engine.pools) {
             if let Some(pool) = pool {
                 gpu.mem = pool;
             }
@@ -1027,7 +1037,7 @@ mod tests {
 
     impl Lanes {
         fn new() -> Self {
-            let engine = || CopyEngine::new(Ranged::default());
+            let engine = || CopyEngine::new(Vec::new());
             Lanes {
                 engines: [engine(), engine()],
                 lists: Default::default(),

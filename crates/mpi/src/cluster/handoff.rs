@@ -1,13 +1,11 @@
 //! Channel handoffs that poll briefly before they park.
 //!
-//! The sharded loop hands shard states to its workers every round, the
-//! copy worker takes a batch of jobs every few hundred microseconds, and
-//! the event loop waits for a payload the copy worker is about to hand
+//! The copy worker takes a batch of jobs every few hundred microseconds,
+//! and the event loop waits for a payload the copy worker is about to hand
 //! back. The other side is usually about to send (or to make room), so
-//! each wait polls,
-//! yielding the CPU, for up to [`HANDOFF_POLL`] before it blocks: parking
-//! instead makes every handoff pay a futex wake-up, whose cost on a
-//! virtualised host is both large and erratic.
+//! each wait polls, yielding the CPU, for up to [`HANDOFF_POLL`] before it
+//! blocks: parking instead makes every handoff pay a futex wake-up, whose
+//! cost on a virtualised host is both large and erratic.
 
 use std::sync::mpsc::{Receiver, RecvError, SendError, SyncSender, TryRecvError, TrySendError};
 use std::time::{Duration, Instant};

@@ -12,10 +12,8 @@ mod copy;
 mod exec;
 mod handoff;
 mod protocol;
-mod ranged;
 mod rank;
 pub(crate) mod schemes;
-mod shardrun;
 mod topo;
 
 use crate::message::{WireKind, WireMsg};
@@ -29,8 +27,8 @@ use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint};
 use fusedpack_net::{FabricHealth, FlatLink, Nic, TopoNet, TopologyHandle};
 use fusedpack_sim::{
-    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, ShardStats, Slab,
-    Time, WheelStats,
+    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, Slab, Time,
+    WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use std::collections::HashMap;
@@ -38,16 +36,14 @@ use std::sync::Arc;
 
 pub(crate) use copy::CopyQueue;
 pub use copy::{CopyStats, LaneStats, PayloadHandle};
-pub(crate) use ranged::Ranged;
 pub(crate) use rank::RankState;
 pub(crate) use schemes::SchemeEngine;
-pub(crate) use shardrun::PendingTransmit;
 
 /// Bit position of the originating rank in a canonical event key: the low
 /// 42 bits count events the rank originated, the high bits name the rank.
-/// Keys are globally unique and identical across shard counts, so the
-/// timing wheel's (time, key) pop order — and therefore the entire run —
-/// is byte-identical whether one queue or many drain it.
+/// Keys are globally unique and drawn in each rank's program order, so
+/// they break ties between same-time events the same way on every run and
+/// key the fault draws (see [`Cluster::next_key`]).
 pub(crate) const KEY_RANK_SHIFT: u32 = 42;
 
 /// Rendezvous sub-protocol for large messages (§IV-B1).
@@ -97,7 +93,6 @@ pub struct ClusterBuilder {
     rndv: RndvProtocol,
     faults: Option<FaultPlan>,
     topology: Option<TopologyHandle>,
-    shards: u32,
     ranks: Vec<(u32, Program)>,
 }
 
@@ -112,23 +107,14 @@ impl ClusterBuilder {
             rndv: RndvProtocol::default(),
             faults: None,
             topology: None,
-            shards: 1,
             ranks: Vec::new(),
         }
     }
 
-    /// Partition the event loop across `n` worker shards synchronized by
-    /// conservative time windows (see the `shardrun` module). Reports are
-    /// byte-identical to the single-queue run for every virtual-time
-    /// quantity — armed fault plans included, since every fault decision is
-    /// drawn from a per-rank stream or a stateless keyed hash; only
-    /// wall-clock and queue-health diagnostics differ. The request is
-    /// clamped at run time (to the node count, and to 1 for a
-    /// [`DataMode::Full`] run, whose copies run in two lanes beside one
-    /// queue, or when ranks are not node-contiguous or there is no
-    /// lookahead) — `RunReport::shard.shards` echoes the effective value.
-    pub fn shards(mut self, n: u32) -> Self {
-        self.shards = n.max(1);
+    /// Accepted and ignored: every run drains one event queue. It stays
+    /// only because the `fpbench` benchmark package compiles against it
+    /// and changes only with the benchmark.
+    pub fn shards(self, _n: u32) -> Self {
         self
     }
 
@@ -306,25 +292,19 @@ impl ClusterBuilder {
             engine,
             data_mode: self.data_mode,
             events,
-            ranks: Ranged::from_vec(ranks),
-            gpus: Ranged::from_vec(gpus),
-            staging_mems: Ranged::from_vec(staging_mems),
-            host_mems: Ranged::from_vec(host_mems),
-            nics: Ranged::from_vec(nics),
+            ranks,
+            gpus,
+            staging_mems,
+            host_mems,
+            nics,
             rndv: self.rndv,
-            topo: Some(net),
+            topo: net,
             endpoints,
             copies: CopyQueue::default(),
             wire_slab: Slab::new(),
             telemetry,
             faults,
             fault_stats: FaultSummary::default(),
-            shards_requested: self.shards,
-            cur_event: (Time::ZERO, 0),
-            pending: Vec::new(),
-            pending_seq: 0,
-            rank_shard: Vec::new(),
-            shard_stats: ShardStats::default(),
             layout_table,
         }
     }
@@ -338,26 +318,22 @@ pub struct Cluster {
     pub(crate) engine: Arc<dyn SchemeEngine>,
     pub(crate) data_mode: DataMode,
     pub(crate) events: EventQueue<Event>,
-    /// Per-rank state, indexed by *global* rank id. In a sharded run each
-    /// worker's cluster owns a contiguous sub-range; the `Ranged` wrapper
-    /// translates the global indices every protocol path uses.
-    pub(crate) ranks: Ranged<RankState>,
-    pub(crate) gpus: Ranged<Gpu>,
+    /// Per-rank state, indexed by rank id.
+    pub(crate) ranks: Vec<RankState>,
+    pub(crate) gpus: Vec<Gpu>,
     /// Device staging address spaces, reset at each Waitall exit. They
     /// hand out the addresses a CTS advertises and enforce the capacity;
     /// they hold no bytes.
-    pub(crate) staging_mems: Ranged<MemPool>,
+    pub(crate) staging_mems: Vec<MemPool>,
     /// Host staging address spaces (hybrid CPU path, naive libraries),
     /// reset with the device ones.
-    pub(crate) host_mems: Ranged<MemPool>,
-    /// One NIC per node, indexed by global node id.
-    pub(crate) nics: Ranged<Nic>,
+    pub(crate) host_mems: Vec<MemPool>,
+    /// One NIC per node, indexed by node id.
+    pub(crate) nics: Vec<Nic>,
     /// Rendezvous sub-protocol.
     pub(crate) rndv: RndvProtocol,
-    /// Live network state every transfer crosses. `None` only in a
-    /// sharded run's workers: the coordinator keeps the one network and
-    /// replays their transmits against it at window barriers.
-    pub(crate) topo: Option<TopoNet>,
+    /// Live network state every transfer crosses.
+    pub(crate) topo: TopoNet,
     /// Per-rank (node, gpu-slot) endpoints, validated against the
     /// topology at build time.
     pub(crate) endpoints: Vec<Endpoint>,
@@ -376,22 +352,6 @@ pub struct Cluster {
     pub(crate) faults: Option<FaultPlan>,
     /// Injection/recovery accounting for the final [`RunReport`].
     pub(crate) fault_stats: FaultSummary,
-    /// Worker shards requested via [`ClusterBuilder::shards`] (clamped at
-    /// run time; 1 = the single-queue loop).
-    pub(crate) shards_requested: u32,
-    /// (time, key) of the event currently being dispatched. Sharded runs
-    /// use it to order deferred transmits exactly as the single queue
-    /// would have executed them.
-    pub(crate) cur_event: (Time, u64),
-    /// Deferred transmits for the current round (sharded workers only).
-    pub(crate) pending: Vec<PendingTransmit>,
-    /// Monotone sequence disambiguating transmits within one dispatch.
-    pub(crate) pending_seq: u64,
-    /// Global rank → owning shard (empty outside sharded runs).
-    pub(crate) rank_shard: Vec<u32>,
-    /// Barrier/stall counters (one shard and nothing else for
-    /// single-queue runs).
-    pub(crate) shard_stats: ShardStats,
     /// The compile-once layout table every rank's cache shares.
     pub(crate) layout_table: Arc<LayoutTable>,
 }
@@ -431,9 +391,9 @@ pub struct RunReport {
     /// transitions, reroutes, rail failovers, forced deliveries). All-zero
     /// unless the fabric's fault domain is armed.
     pub fabric: FabricHealth,
-    /// Sharded-execution health: effective shard count, barriers crossed,
-    /// admitted/deferred message counts, and wall-clock barrier/stall
-    /// time. A single-queue run reports one shard and zero elsewhere.
+    /// Always `shards: 1` and zero elsewhere: every run drains one event
+    /// queue. The field stays only because the `fpbench` benchmark
+    /// package reads it and changes only with the benchmark.
     pub shard: ShardStats,
     /// Layout-compiler cache health, aggregated over every rank's cache:
     /// commit/acquire hit counts, first-commit misses, and resident
@@ -450,6 +410,19 @@ pub struct RunReport {
     /// runs), the engine's busy host time, and the time the event loop
     /// waited for room in its job queue.
     pub copy: CopyStats,
+}
+
+/// Event-loop shard counters. Every run drains one event queue, so every
+/// run reports one shard and zero barriers, transfers and wall-clock time.
+/// The type stays only for [`RunReport::shard`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    pub shards: u32,
+    pub barriers: u64,
+    pub admitted_msgs: u64,
+    pub deferred_transmits: u64,
+    pub barrier_wall_ns: u64,
+    pub stall_wall_ns: u64,
 }
 
 impl RunReport {
@@ -480,40 +453,16 @@ impl RunReport {
 }
 
 impl Cluster {
-    /// Run every rank's program to completion — on the single event
-    /// queue, or partitioned across worker shards when the builder asked
-    /// for them and the run qualifies (see `shardrun`). Both paths
-    /// produce byte-identical reports for every virtual-time quantity.
+    /// Run every rank's program to completion on the event queue.
     pub fn run(&mut self) -> RunReport {
-        let shards = self.effective_shards();
-        self.shard_stats.shards = shards;
-        if shards > 1 {
-            self.run_sharded(shards)
-        } else {
-            self.run_single()
-        }
-    }
-
-    fn run_single(&mut self) -> RunReport {
         self.with_copy_worker(|cl| {
             cl.drain_queue();
             cl.recycle_unexpected();
         });
-        let end_time = self.events.now();
-        let events_processed = self.events.processed();
-        let event_clamps = self.events.clamp_stats();
-        let wheel = self.events.wheel_stats();
-        let wire_high_water = self.wire_slab.high_water();
-        self.finish_report(
-            end_time,
-            events_processed,
-            event_clamps,
-            wheel,
-            wire_high_water,
-        )
+        self.finish_report()
     }
 
-    /// The single-queue event loop: dispatch every event in order. Stops
+    /// The event loop: dispatch every event in (time, key) order. Stops
     /// early only when the copy worker has stopped, whose panic the caller
     /// re-raises.
     fn drain_queue(&mut self) {
@@ -542,7 +491,7 @@ impl Cluster {
     /// leak) still holds its payload: recycle it, before the copy engine
     /// stops. An unmatched eager message's send completed, and its bytes
     /// did reach the destination: count them as delivered there.
-    pub(crate) fn recycle_unexpected(&mut self) {
+    fn recycle_unexpected(&mut self) {
         for rank in self.ranks.iter_mut() {
             for msg in std::mem::take(&mut rank.unexpected) {
                 if let WireKind::Eager { packed_bytes, .. } = msg.kind {
@@ -554,16 +503,13 @@ impl Cluster {
     }
 
     /// Post-run assertions, the end-of-run health snapshot, and report
-    /// assembly. `run_single` feeds its own queue's counters; sharded
-    /// runs feed aggregates merged across shard queues.
-    pub(crate) fn finish_report(
-        &mut self,
-        end_time: Time,
-        events_processed: u64,
-        event_clamps: ClampStats,
-        wheel: WheelStats,
-        wire_high_water: u32,
-    ) -> RunReport {
+    /// assembly.
+    fn finish_report(&mut self) -> RunReport {
+        let end_time = self.events.now();
+        let events_processed = self.events.processed();
+        let event_clamps = self.events.clamp_stats();
+        let wheel = self.events.wheel_stats();
+        let wire_high_water = self.wire_slab.high_water();
         // A clean chaos run must not clamp: fold the queue counter into the
         // fault summary so `FaultSummary::is_clean` covers timeline repairs.
         self.fault_stats.event_clamps += event_clamps.count;
@@ -617,9 +563,7 @@ impl Cluster {
                 slots_drained: wheel.slots_drained,
                 events: events_processed,
             });
-        // Layout-compiler cache health, merged across ranks. Sharded runs
-        // recompose every rank (cache included) before reaching here, so
-        // the aggregate is identical at any shard count.
+        // Layout-compiler cache health, merged across ranks.
         let mut layout_cache = fusedpack_datatype::LayoutCacheStats::default();
         for rank in self.ranks.iter() {
             layout_cache.absorb(&rank.ddt_cache.layout_stats());
@@ -657,12 +601,11 @@ impl Cluster {
             wheel,
             wire_high_water,
             fault_summary: self.fault_stats,
-            fabric: self
-                .topo
-                .as_ref()
-                .map(|net| net.fabric_health())
-                .unwrap_or_default(),
-            shard: self.shard_stats,
+            fabric: self.topo.fabric_health(),
+            shard: ShardStats {
+                shards: 1,
+                ..ShardStats::default()
+            },
             layout_cache,
             layout_compiles: self.layout_table.compiles(),
             copy: self.copies.stats(),
@@ -702,9 +645,10 @@ impl Cluster {
 
     /// Draw the next canonical event key for an event rank `r`
     /// originates: `(rank << 42) | counter`, advancing the rank's
-    /// counter. Each rank draws in its own program order, so the sequence
-    /// of keys is identical no matter how ranks are interleaved across
-    /// shards — the determinism anchor of the sharded loop.
+    /// counter. Each rank draws in its own program order, so a rank's
+    /// keys do not depend on how its events interleave with other ranks'.
+    /// The queue breaks same-time ties by key, and the fault plan keys its
+    /// wire and hop draws by it.
     #[inline]
     pub(crate) fn next_key(&mut self, r: usize) -> u64 {
         let rank = &mut self.ranks[r];
@@ -722,9 +666,8 @@ impl Cluster {
     // to the pre-fault code (enforced by tests).
 
     /// Should a fault fire at `site` right now for rank `r`? Draws from
-    /// the rank's own decision stream (shard-safe: a rank's events execute
-    /// in the same relative order at any shard count), counts the
-    /// injection, and marks the rank's timeline when it fires.
+    /// the rank's own decision stream, counts the injection, and marks the
+    /// rank's timeline when it fires.
     pub(crate) fn fault_fires(&mut self, r: usize, site: FaultSite, at: Time) -> bool {
         let Some(plan) = self.faults.as_mut() else {
             return false;
@@ -808,10 +751,10 @@ impl Cluster {
     }
 
     /// Per-hop FIFO order violations observed by the network (always
-    /// zero; asserted by the shard-window property tests). `Some` on every
-    /// built cluster.
+    /// zero). Always `Some`: the `Option` stays only because the `fpbench`
+    /// benchmark package unwraps it and changes only with the benchmark.
     pub fn topo_order_violations(&self) -> Option<u64> {
-        self.topo.as_ref().map(|net| net.order_violations())
+        Some(self.topo.order_violations())
     }
 
     /// The telemetry handle this cluster records into (disabled unless the

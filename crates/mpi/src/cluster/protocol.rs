@@ -29,12 +29,9 @@ impl Cluster {
     /// The single chokepoint for asynchronous wire traffic: transport the
     /// payload and schedule the arrival (and, when `complete` is set, the
     /// initiator-side CQE). The canonical keys for both events are drawn
-    /// from the sender *before* any timing is computed, so the per-rank
-    /// draw order is identical whether the transmit executes now
-    /// (single-queue runs) or, in a sharded worker that holds no network,
-    /// is recorded as a [`super::PendingTransmit`] for the coordinator to
-    /// apply at the window barrier. Returns the `(delivered, completion)`
-    /// times, or `None` when deferred.
+    /// from the sender *before* any timing is computed: the Deliver key
+    /// keys the transfer's fault draws. Returns the `(delivered,
+    /// completion)` times.
     pub(crate) fn wire_transmit(
         &mut self,
         src: usize,
@@ -43,28 +40,9 @@ impl Cluster {
         gdr: bool,
         msg: WireMsg,
         complete: Option<SendId>,
-    ) -> Option<(Time, Time)> {
+    ) -> (Time, Time) {
         let deliver_key = self.next_key(src);
         let complete_key = complete.map(|sid| (sid, self.next_key(src)));
-        if self.topo.is_none() {
-            let (t_e, k_e) = self.cur_event;
-            let seq = self.pending_seq;
-            self.pending_seq += 1;
-            self.pending.push(super::PendingTransmit {
-                t_e,
-                k_e,
-                seq,
-                src,
-                at,
-                bytes,
-                gdr,
-                msg,
-                deliver_key,
-                complete: complete_key,
-                dup: None,
-            });
-            return None;
-        }
         let dst = msg.dst.0 as usize;
         let (delivered, completion) =
             self.transport_reliable(src, dst, at, bytes, gdr, deliver_key);
@@ -82,7 +60,7 @@ impl Cluster {
                 Event::SendComplete(rid, sid),
             );
         }
-        Some((delivered, completion))
+        (delivered, completion)
     }
 
     /// [`Cluster::transport`] behind the retry protocol.
@@ -100,10 +78,8 @@ impl Cluster {
     /// seed.
     ///
     /// `event_key` is the transfer's pre-drawn Deliver key: unique per
-    /// transfer and identical across shard counts, it keys both the backoff
-    /// jitter and the fabric's per-hop draws, which is what lets the
-    /// sharded loop replay deferred transmits at window barriers and still
-    /// produce byte-identical chaos reports.
+    /// transfer, it keys both the backoff jitter and the fabric's per-hop
+    /// draws, so a seeded chaos run replays the same faults.
     pub(crate) fn transport_reliable(
         &mut self,
         src: usize,
@@ -338,35 +314,17 @@ impl Cluster {
                 },
                 payload,
             };
-            let result = self.wire_transmit(r, at, bytes, gdr, msg, Some(sid));
-            // The dup-CQE decision (and its event key) is drawn in program
-            // order whether the transmit executed inline or was deferred to
-            // a window barrier, so the rank's per-site stream and key
-            // sequence stay aligned across shard counts. The NIC replays
-            // the CQE; the progress engine's guard in `on_send_complete`
-            // absorbs the duplicate.
-            let dup = self
-                .fault_fires(r, FaultSite::NicDupCompletion, at)
-                .then(|| self.next_key(r));
-            match (result, dup) {
-                (Some((_, completion)), Some(key)) => {
-                    let dup_at = completion + self.platform.progress_poll;
-                    self.events.push_at_key(
-                        dup_at.max(self.events.now()),
-                        key,
-                        Event::SendComplete(src_id, sid),
-                    );
-                }
-                (None, Some(key)) => {
-                    // Deferred: carry the pre-drawn key in the pending
-                    // record; the coordinator schedules the duplicate once
-                    // the real completion time is known.
-                    self.pending
-                        .last_mut()
-                        .expect("deferred transmit just pushed")
-                        .dup = Some(key);
-                }
-                _ => {}
+            let (_, completion) = self.wire_transmit(r, at, bytes, gdr, msg, Some(sid));
+            // The NIC replays the CQE; the progress engine's guard in
+            // `on_send_complete` absorbs the duplicate.
+            if self.fault_fires(r, FaultSite::NicDupCompletion, at) {
+                let key = self.next_key(r);
+                let dup_at = completion + self.platform.progress_poll;
+                self.events.push_at_key(
+                    dup_at.max(self.events.now()),
+                    key,
+                    Event::SendComplete(src_id, sid),
+                );
             }
         }
     }
@@ -686,8 +644,7 @@ impl Cluster {
     /// into the local user buffer (the receive's), in one pass with no
     /// bounce buffer. The layouts may differ: MPI matches type signatures,
     /// not layouts. The send is reached through the receive's
-    /// `ipc_send_id`; same-node ranks share a shard, so its state is local,
-    /// and a rank never routes to itself. Timing-only runs submit nothing.
+    /// `ipc_send_id`, and a rank never routes to itself. Timing-only runs submit nothing.
     /// The packed byte count is the delivery the run-end conservation
     /// check counts.
     pub(crate) fn apply_ipc_movement(&mut self, r: usize, rid: RecvId, src: usize, origin: u64) {

@@ -159,7 +159,8 @@ impl PathCtx<'_> {
     }
 
     /// Schedule an event at `at` (clamped to the event loop's now), keyed
-    /// by the path's rank so the tiebreak order is shard-invariant.
+    /// by the path's rank so same-time ties break in the rank's program
+    /// order.
     pub(crate) fn schedule(&mut self, at: Time, ev: Event) {
         let key = self.cl.next_key(self.r);
         let t = at.max(self.cl.events.now());
@@ -189,7 +190,6 @@ impl Cluster {
             self.send_rts_or_issue(r, sid, eager);
             return;
         }
-        // Endpoint table, not rank state: `dst` may live on another shard.
         if self.engine.direct_ipc() && self.endpoints[r].node == self.endpoints[dst.0 as usize].node
         {
             // DirectIPC (the zero-copy scheme of [24], fused as a third

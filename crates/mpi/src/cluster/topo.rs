@@ -10,10 +10,6 @@
 //! delivery. Route errors are impossible for endpoints validated at build
 //! time, so one is a bug and panics with the pair and the typed error.
 //!
-//! A sharded run's worker clusters hold no network: their transmits are
-//! recorded and replayed by the coordinator against the one master
-//! network (see `shardrun`).
-//!
 //! [`FlatLink`]: fusedpack_net::FlatLink
 
 use super::Cluster;
@@ -45,15 +41,12 @@ impl Cluster {
         // Disjoint field borrows: the network and the rank state are used
         // side by side without moving the network out of its slot.
         let Cluster {
-            topo,
+            topo: net,
             nics,
             ranks,
             fault_stats,
             ..
         } = self;
-        let net = topo
-            .as_mut()
-            .expect("transmits run where the network lives");
         let tele = &ranks[src].tele;
         let on_hop = |hop, start, wire_done| {
             tele.span(Lane::Nic, start, wire_done, || Payload::HopTransfer {
@@ -105,11 +98,11 @@ impl Cluster {
     ) -> (Time, Duration) {
         let key = self.route_key(src, dst);
         let Cluster {
-            topo, nics, ranks, ..
+            topo: net,
+            nics,
+            ranks,
+            ..
         } = self;
-        let net = topo
-            .as_mut()
-            .expect("transmits run where the network lives");
         let tele = &ranks[src].tele;
         let on_hop = |hop, start, wire_done| {
             tele.span(Lane::Nic, start, wire_done, || Payload::HopTransfer {
@@ -137,9 +130,11 @@ impl Cluster {
     }
 
     /// Per-hop congestion counters of the cluster's network (reports,
-    /// reconciliation tests). `Some` on every built cluster.
+    /// reconciliation tests). Always `Some`: the `Option` stays only
+    /// because the `fpbench` benchmark package unwraps it and changes only
+    /// with the benchmark.
     pub fn topo_hop_stats(&self) -> Option<Vec<HopStats>> {
-        self.topo.as_ref().map(TopoNet::hop_stats)
+        Some(self.topo.hop_stats())
     }
 
     /// The (node, gpu-slot) endpoint of a rank (tests and diagnostics).

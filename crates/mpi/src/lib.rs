@@ -34,6 +34,7 @@ pub mod sendrecv;
 pub use breakdown::Breakdown;
 pub use cluster::{
     Cluster, ClusterBuilder, CopyStats, LaneStats, PayloadHandle, RankId, RndvProtocol, RunReport,
+    ShardStats,
 };
 pub use lifecycle::{LifecycleEvent, RequestLifecycle, RequeueLadder, Role, Stage};
 pub use program::{AppOp, BufId, BufInit, Program, TypeSlot};

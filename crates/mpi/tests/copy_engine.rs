@@ -2,19 +2,16 @@
 //!
 //! A `Full` run splits its copy jobs into two lanes by node: the event
 //! loop runs one lane's at submit, a worker thread beside it the other's.
-//! It keeps one event queue whatever shard count it asks for; a
-//! timing-only run submits no job. These checks guard that:
+//! A timing-only run submits no job. These checks guard that:
 //!
 //! * a deterministic work counter: a `Full` halo on a 4³ torus runs
 //!   exactly one pack and one unpack per staged message and one
-//!   layout-to-layout copy per DirectIPC message, with the same jobs and
-//!   lane handoffs on each lane when it asks for two shards (and gets
-//!   one queue), and none when timing only, sharded or not;
+//!   layout-to-layout copy per DirectIPC message, and none when timing
+//!   only;
 //! * a byte-verified lane run: two laps of that halo across 16 nodes,
 //!   where both lanes run jobs and payloads cross between them, deliver
-//!   host `pack` of every matched send into every receive, the same bytes
-//!   when the run asks for two shards, with the same payload-buffer
-//!   counters every time;
+//!   host `pack` of every matched send into every receive, with the same
+//!   payload-buffer counters every time;
 //! * one-way traffic between the lanes keeps every freelist within its
 //!   lane's peak in flight;
 //! * a job that panics on either lane surfaces from `Cluster::run` with its
@@ -42,7 +39,7 @@ use std::sync::Arc;
 /// through the fused scheme, run for `laps` laps: the cluster, its report,
 /// each rank's buffers, and its count of staged (off-node) and DirectIPC
 /// (on-node) messages.
-fn halo(mode: DataMode, shards: u32, laps: usize) -> Halo {
+fn halo(mode: DataMode, laps: usize) -> Halo {
     let grid = HaloGrid::new_3d(4, 4, 4);
     let platform = Platform::lassen();
     let gpus_per_node = platform.gpus_per_node;
@@ -50,7 +47,6 @@ fn halo(mode: DataMode, shards: u32, laps: usize) -> Halo {
     let node = |rank: u32| rank / gpus_per_node;
     let mut builder = ClusterBuilder::new(platform, SchemeKind::fusion_default())
         .data_mode(mode)
-        .shards(shards)
         .topology(Arc::new(Hierarchy::lassen_like(nodes)));
     let (mut staged, mut direct, mut bufs) = (0, 0, Vec::new());
     for (rank, (program, rank_bufs)) in halo_programs(&grid, &specfem3d_cm(64), 1, laps, 7)
@@ -92,17 +88,6 @@ struct Halo {
 }
 
 impl Halo {
-    /// Every receive buffer, rank by rank.
-    fn received(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for (rank, bufs) in self.bufs.iter().enumerate() {
-            for &buf in bufs.recv.iter().flatten() {
-                out.push(self.cluster.rank_buffer(RankId(rank as u32), buf));
-            }
-        }
-        out
-    }
-
     /// Every receive equals host `pack` of its matched send (the peer's
     /// send in the opposite direction) → `unpack` into zeros.
     fn assert_delivered(&self) {
@@ -130,30 +115,9 @@ impl Halo {
     }
 }
 
-/// The deterministic part of a run's copy counters.
-fn jobs_only(stats: CopyStats) -> CopyStats {
-    CopyStats {
-        lanes: stats.lanes.map(|lane| LaneStats {
-            busy_wall_ns: 0,
-            ..lane
-        }),
-        ..CopyStats::default()
-    }
-}
-
-/// A run that asked for two shards ran on one queue, with both lanes.
-fn assert_one_queue_two_lanes(report: &RunReport) {
-    assert_eq!(report.shard.shards, 1, "a byte-moving run keeps one queue");
-    assert_eq!(report.shard.barriers, 0);
-    let copy = report.copy;
-    for (i, lane) in copy.lanes.iter().enumerate() {
-        assert!(lane.jobs() > 0, "lane {i} ran jobs: {copy:?}");
-    }
-}
-
 #[test]
 fn a_full_halo_runs_one_job_per_data_movement_on_its_lane() {
-    let lanes = halo(DataMode::Full, 1, 1);
+    let lanes = halo(DataMode::Full, 1);
     let (staged, direct) = (lanes.staged, lanes.direct);
     assert!(staged > 0 && direct > 0);
     let total = lanes.report.copy.total();
@@ -168,32 +132,19 @@ fn a_full_halo_runs_one_job_per_data_movement_on_its_lane() {
     assert_eq!(total, want);
     assert_eq!(lanes.report.copy.jobs(), 2 * staged + direct);
 
-    let asked = halo(DataMode::Full, 2, 1);
-    assert_one_queue_two_lanes(&asked.report);
+    // The timing-only twin copies nothing and times every lap the same.
+    let model = halo(DataMode::ModelOnly, 1);
     assert_eq!(
-        jobs_only(asked.report.copy),
-        jobs_only(lanes.report.copy),
-        "each lane's jobs and handoffs are the same at any requested shard count"
+        model.report.copy,
+        CopyStats::default(),
+        "timing-only runs copy nothing"
     );
-    assert_eq!(asked.report.laps, lanes.report.laps);
-
-    // The timing-only twin runs the sharded loop and times every lap the
-    // same.
-    for shards in [1, 2] {
-        let model = halo(DataMode::ModelOnly, shards, 1);
-        assert_eq!(model.report.shard.barriers > 0, shards > 1);
-        assert_eq!(
-            model.report.copy,
-            CopyStats::default(),
-            "timing-only runs copy nothing"
-        );
-        assert_eq!(model.report.laps, lanes.report.laps);
-    }
+    assert_eq!(model.report.laps, lanes.report.laps);
 }
 
 #[test]
-fn a_two_lane_halo_delivers_the_sent_bytes_at_any_requested_shard_count() {
-    let lanes = halo(DataMode::Full, 1, 2);
+fn a_two_lane_halo_delivers_the_sent_bytes() {
+    let lanes = halo(DataMode::Full, 2);
     let copy = lanes.report.copy;
     for (i, lane) in copy.lanes.iter().enumerate() {
         assert!(lane.jobs() > 0, "lane {i} ran jobs: {copy:?}");
@@ -209,13 +160,6 @@ fn a_two_lane_halo_delivers_the_sent_bytes_at_any_requested_shard_count() {
     );
     lanes.assert_delivered();
 
-    let asked = halo(DataMode::Full, 2, 2);
-    assert_one_queue_two_lanes(&asked.report);
-    assert!(
-        lanes.received() == asked.received(),
-        "the same bytes when asking for two shards"
-    );
-
     // The loop keeps each engine's freelist accounting in job order, so
     // the counters repeat exactly. Every staged message takes one buffer,
     // and each lane allocates only in the first lap.
@@ -230,10 +174,7 @@ fn a_two_lane_halo_delivers_the_sent_bytes_at_any_requested_shard_count() {
             dropped: 0,
         }
     );
-    assert_eq!(
-        halo(DataMode::Full, 1, 2).cluster.staging_pool_stats(),
-        pool
-    );
+    assert_eq!(halo(DataMode::Full, 2).cluster.staging_pool_stats(), pool);
 }
 
 /// `laps` laps of `per_lap` strided messages (16 ints, 64 packed bytes)

@@ -21,14 +21,13 @@ use std::sync::Arc;
 /// only, every rank committing the same specfem3D_cm type: one shared
 /// descriptor `Arc`, or with `own_arcs` an equal tree in an `Arc` of its
 /// own per rank.
-fn halo_report_with(shards: u32, own_arcs: bool) -> RunReport {
+fn halo_report_with(own_arcs: bool) -> RunReport {
     let grid = HaloGrid::new_3d(4, 4, 4);
     let platform = Platform::lassen();
     let gpus_per_node = platform.gpus_per_node;
     let nodes = grid.ranks().div_ceil(gpus_per_node);
     let mut builder = ClusterBuilder::new(platform, SchemeKind::fusion_default())
         .data_mode(DataMode::ModelOnly)
-        .shards(shards)
         .topology(Arc::new(Hierarchy::lassen_like(nodes)));
     for (rank, (mut program, _)) in halo_programs(&grid, &specfem3d_cm(64), 1, 1, 7)
         .into_iter()
@@ -46,8 +45,8 @@ fn halo_report_with(shards: u32, own_arcs: bool) -> RunReport {
     builder.build().run()
 }
 
-fn halo_report(shards: u32) -> RunReport {
-    halo_report_with(shards, false)
+fn halo_report() -> RunReport {
+    halo_report_with(false)
 }
 
 /// The table finds a descriptor `Arc` it has seen by its address, and an
@@ -56,40 +55,31 @@ fn halo_report(shards: u32) -> RunReport {
 /// what it counts when they share one `Arc`.
 #[test]
 fn equal_trees_in_distinct_arcs_share_one_layout() {
-    for shards in [1, 2] {
-        let shared = halo_report_with(shards, false);
-        let own = halo_report_with(shards, true);
-        assert_eq!(own.layout_compiles, 1, "shards {shards}");
-        assert_eq!(own.layout_cache, shared.layout_cache, "shards {shards}");
-        assert_eq!(own.laps, shared.laps, "shards {shards}");
-    }
+    let shared = halo_report_with(false);
+    let own = halo_report_with(true);
+    assert_eq!(own.layout_compiles, 1);
+    assert_eq!(own.layout_cache, shared.layout_cache);
+    assert_eq!(own.laps, shared.laps);
 }
 
 #[test]
 fn halo_compiles_its_type_once_per_cluster() {
-    for shards in [1, 2] {
-        let report = halo_report(shards);
-        if shards > 1 {
-            assert_eq!(report.shard.shards, shards, "the sharded loop ran");
-        }
-        assert_eq!(report.layout_compiles, 1, "shards {shards}");
-        assert_eq!(report.layout_cache.misses(), 64, "shards {shards}");
-    }
+    let report = halo_report();
+    assert_eq!(report.layout_compiles, 1);
+    assert_eq!(report.layout_cache.misses(), 64);
 }
 
 /// The 4³ halo's merged cache counters, pinned: one miss and one
 /// commit-time lookup hit per rank, one acquire hit per message (12 per
 /// rank), and one specfem3D_cm(64) layout resident per rank. These are the
-/// values the earlier sharded LRU cache reported, at either shard count.
+/// values the earlier sharded LRU cache reported.
 #[test]
-fn halo_cache_counters_are_pinned_at_any_shard_count() {
-    for shards in [1, 2] {
-        let lc = halo_report(shards).layout_cache;
-        assert_eq!(lc.hits(), 832, "shards {shards}");
-        assert_eq!(lc.misses(), 64, "shards {shards}");
-        assert_eq!(lc.resident_bytes(), 302_080, "shards {shards}");
-        assert_eq!((lc.commits(), lc.lookups()), (64, 64), "shards {shards}");
-    }
+fn halo_cache_counters_are_pinned() {
+    let lc = halo_report().layout_cache;
+    assert_eq!(lc.hits(), 832);
+    assert_eq!(lc.misses(), 64);
+    assert_eq!(lc.resident_bytes(), 302_080);
+    assert_eq!((lc.commits(), lc.lookups()), (64, 64));
 }
 
 /// A 2-rank request/response loop in the shape of `reproduce serve`:

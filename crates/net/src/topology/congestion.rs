@@ -21,8 +21,8 @@
 //! When a [`FaultPlan`] with fabric sites is armed
 //! ([`TopoNet::arm_faults`]), every hop of a keyed transmit
 //! ([`TopoNet::transmit_keyed`]) consults three *stateless* per-hop draws
-//! (`hash(seed, site, hop, event_key)` — order-independent, so identical
-//! at any event-loop shard count):
+//! (`hash(seed, site, hop, event_key)` — order-independent, so a
+//! transfer's draws do not depend on which transfers came before it):
 //!
 //! * [`FaultSite::HopFlap`] — a transient error: the head is delayed by a
 //!   spike and the hop's health streak deepens. [`FLAP_DOWN_STREAK`]
@@ -359,8 +359,8 @@ pub struct TopoNet {
     last_hops: Vec<(u32, Time, Time)>,
     /// Most recent transmit *start* per hop. Hops are FIFO resources, so
     /// starts must be non-decreasing per hop no matter how callers
-    /// interleave — the invariant the sharded event loop's window barriers
-    /// preserve, checked cheaply here so tests can assert it end to end.
+    /// interleave — checked cheaply here so tests can assert it end to
+    /// end.
     last_starts: Vec<Time>,
     /// Transmits whose start on some hop preceded the previous start on
     /// that hop. Always zero unless the per-hop FIFO contract is broken.
@@ -413,17 +413,6 @@ impl TopoNet {
             .unwrap_or(HopState::Up)
     }
 
-    /// Route-cache epoch: bumps every time a hop transition invalidates
-    /// the cache. The sharded cluster loop carries this through its window
-    /// barriers so all shards observe transitions at the same virtual
-    /// time.
-    pub fn route_epoch(&self) -> u64 {
-        self.faults
-            .as_ref()
-            .map(|f| f.health.route_epoch)
-            .unwrap_or(0)
-    }
-
     /// Drain fabric state transitions accumulated since the last drain
     /// (for telemetry emission by the cluster layer).
     #[inline]
@@ -472,28 +461,6 @@ impl TopoNet {
             f.health.degrades += 1;
             f.health.hops_degraded += 1;
         }
-    }
-
-    /// A lower bound on the latency of any route between two endpoints:
-    /// the smallest first-byte latency over the hops that can carry one.
-    /// A cross-node route crosses at least one fabric hop (every
-    /// [`HopKind`] but the node-local `NvlinkXbar` and `HostPath`); an
-    /// intra-node route crosses exactly one `NvlinkXbar` hop, so those
-    /// count only when `intra_node` routes are in use. Fault spikes and
-    /// degradation only ever *add* delay, so the bound holds under chaos —
-    /// the conservative lookahead `δ` of time-window sharding.
-    pub fn min_route_latency(&self, intra_node: bool) -> Duration {
-        self.topo
-            .hops()
-            .iter()
-            .filter(|h| match h.kind {
-                HopKind::NvlinkXbar => intra_node,
-                HopKind::HostPath => false,
-                _ => true,
-            })
-            .map(|h| h.latency)
-            .min()
-            .unwrap_or(Duration(0))
     }
 
     /// How many transmits started on some hop *earlier* than the previous
@@ -664,8 +631,7 @@ impl TopoNet {
     /// [`TopoNet::transmit`] with the transfer's canonical event key, the
     /// coordinate fabric fault draws are keyed by. The draws are pure
     /// hashes of `(plan seed, site, hop, event_key)`, so replaying the
-    /// same transfers in any order — in particular the sharded loop's
-    /// barrier replay — injects the identical fault timeline.
+    /// same transfers in any order injects the identical fault timeline.
     pub fn transmit_keyed(
         &mut self,
         now: Time,
@@ -870,7 +836,6 @@ impl TopoNet {
 mod tests {
     use super::*;
     use crate::link::LinkSpec;
-    use crate::platform::Platform;
     use crate::topology::{Endpoint, FlatLink, Hierarchy};
     use fusedpack_sim::FaultSpec;
     use std::sync::Arc;
@@ -997,37 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn min_route_latency_bounds_every_route() {
-        for topo in [
-            Arc::new(Hierarchy::lassen_like(32)) as TopologyHandle,
-            Arc::new(Hierarchy::abci_like(32)),
-            Arc::new(FlatLink::for_platform(&Platform::lassen(), 32)),
-        ] {
-            let mut net = TopoNet::new(topo);
-            let cross = net.min_route_latency(false);
-            let any = net.min_route_latency(true);
-            assert!(any > Duration(0) && any <= cross);
-            for key in [
-                (Endpoint::new(0, 0), Endpoint::new(31, 1)),
-                (Endpoint::new(3, 2), Endpoint::new(4, 2)),
-                (Endpoint::new(5, 0), Endpoint::new(5, 3)),
-            ] {
-                let one_way = net.route_rtt(key).unwrap() / 2;
-                let bound = if key.0.node == key.1.node { any } else { cross };
-                assert!(one_way >= bound, "{key:?}: {one_way} < {bound}");
-            }
-        }
-        // The flat fabric keeps the NIC wire's window: 1.3 us across
-        // nodes, the 0.7 us crossbar only once ranks share a node.
-        let flat = TopoNet::new(Arc::new(FlatLink::for_platform(&Platform::lassen(), 2)));
-        assert_eq!(
-            flat.min_route_latency(false),
-            LinkSpec::ib_edr_dual().latency
-        );
-        assert_eq!(flat.min_route_latency(true), LinkSpec::nvlink2_75().latency);
-    }
-
-    #[test]
     fn route_errors_surface_not_panic() {
         let mut net = flat_net();
         let err = net
@@ -1066,7 +1000,6 @@ mod tests {
             .unwrap();
         assert_eq!(ta, tb, "event keys are inert without an armed domain");
         assert_eq!(a.fabric_health(), FabricHealth::default());
-        assert_eq!(a.route_epoch(), 0);
     }
 
     #[test]
@@ -1081,7 +1014,7 @@ mod tests {
             .expect("fat-tree route rides a rail");
         net.force_hop_down(rail, Time(100));
         assert_eq!(net.hop_state(rail), HopState::Down);
-        assert_eq!(net.route_epoch(), 1);
+        assert_eq!(net.fabric_health().route_epoch, 1);
         assert_eq!(net.route_arena_len(), 0, "arena discarded on transition");
         let t = net.transmit_keyed(Time(200), key, 4096, None, 1).unwrap();
         assert!(t.delivered > t.start);
@@ -1244,9 +1177,9 @@ mod tests {
     #[test]
     fn keyed_fault_draws_are_replay_invariant() {
         // Two nets replaying the same (event_key, transfer) set in
-        // different orders end with identical health state — the property
-        // the sharded barrier replay relies on. Keys come from disjoint
-        // pairs so FIFO occupancy cannot couple the timelines.
+        // different orders end with identical health state. Keys come
+        // from disjoint pairs so FIFO occupancy cannot couple the
+        // timelines.
         let mk = || {
             let mut n = TopoNet::new(Arc::new(Hierarchy::lassen_like(8)));
             n.arm_faults(

@@ -16,9 +16,8 @@
 //!   surviving path report `Disconnected`); byte and busy counters still
 //!   reconcile exactly across fail/reroute cycles; and the keyed fault
 //!   draws the fabric sites ride are pure functions of their coordinates,
-//!   independent of evaluation order — the foundation of the end-to-end
-//!   `--shards N` byte-identity checks in `mpi/tests/chaos.rs` and the
-//!   bench chaos-topo grid.
+//!   independent of evaluation order, so a seeded chaos run replays
+//!   exactly (`mpi/tests/chaos.rs` and the bench chaos-topo grid).
 //! * **Forced delivery never beats a healthy fabric** — once hops die
 //!   until a pair is severed, its forced transfer completes no sooner than
 //!   the same transfer on the healthy route over the same occupancy.
@@ -286,8 +285,7 @@ proptest! {
     /// Keyed fault draws are pure functions of `(plan seed, site, salt,
     /// key)`: evaluating the same coordinates in any order — forward,
     /// reversed, or interleaved across two plan instances — produces the
-    /// identical decision sequence. This is what lets the sharded event
-    /// loop replay fabric faults in barrier order without divergence.
+    /// identical decision sequence.
     #[test]
     fn keyed_fault_draws_are_order_independent(
         seed in 0u64..u64::MAX,

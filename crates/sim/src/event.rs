@@ -269,11 +269,11 @@ impl<E> EventQueue<E> {
     /// Schedule `payload` at `at` under a caller-supplied ordering key.
     ///
     /// Ties in time break on the key exactly as they break on the internal
-    /// sequence number under [`push_at`](Self::push_at). The sharded
-    /// cluster loop uses this to give every event a *canonical* key derived
-    /// from its origin rank, so the pop order — and therefore the whole
-    /// simulation — is identical no matter which shard's queue an event
-    /// lands in. A queue must use one discipline or the other: mixing
+    /// sequence number under [`push_at`](Self::push_at). The cluster loop
+    /// uses this to give every event a *canonical* key derived from its
+    /// origin rank, drawn in that rank's program order, so same-time ties
+    /// break the same way on every run and the fault plan can key its
+    /// draws by event. A queue must use one discipline or the other: mixing
     /// auto-sequence and canonical keys would interleave two unrelated tie
     /// orders.
     #[inline]
@@ -455,7 +455,7 @@ impl<E> EventQueue<E> {
     /// timestamp. Under [`push_at_key`](Self::push_at_key) the key is the
     /// caller's canonical key; under [`push_at`](Self::push_at) it is the
     /// internal sequence number.
-    pub fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
+    fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
         if self.ready.is_empty() && !self.refill_ready() {
             return None;
         }
@@ -464,29 +464,6 @@ impl<E> EventQueue<E> {
         self.now = time;
         self.popped += 1;
         Some((time, key, payload))
-    }
-
-    /// Timestamp of the next event without popping it.
-    ///
-    /// Non-mutating, so for a not-yet-drained higher-level slot this walks
-    /// the slot's node list for its minimum — O(slot population), which is
-    /// fine for its observability/test uses (the hot path pops directly).
-    pub fn peek_time(&self) -> Option<Time> {
-        if let Some(front) = self.ready.front() {
-            return Some(front.0);
-        }
-        if let Some(level) = self.occupied.iter().position(|&bits| bits != 0) {
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let mut key = self.levels[level][slot].head;
-            let mut min = None;
-            while key != NIL {
-                let node = self.nodes.get(key).expect("slot entries are live");
-                min = Some(min.map_or(node.time, |m: Time| m.min(node.time)));
-                key = self.next[key as usize];
-            }
-            return min;
-        }
-        self.overflow.peek().map(|far| far.time)
     }
 
     /// Past-event clamp statistics (always zero in debug builds, where a
@@ -606,15 +583,6 @@ mod tests {
         // Both events were rewritten to fire at `now`.
         assert_eq!(q.pop(), Some((Time(100), 1u8)));
         assert_eq!(q.pop(), Some((Time(100), 2u8)));
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push_at(Time(7), ());
-        q.push_at(Time(3), ());
-        assert_eq!(q.peek_time(), Some(Time(3)));
     }
 
     /// Events beyond the 48-bit wheel horizon take the overflow calendar

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a set of per-site [`FaultSpec`]s (probability, burst
 //! length, latency-spike magnitude) whose decisions derive entirely from
 //! one seed, so a chaos run is reproducible bit-for-bit: the same seed
-//! yields the same injection decisions no matter how many times — or on
-//! how many worker threads or event-loop shards — it is replayed.
+//! yields the same injection decisions no matter how many times it is
+//! replayed, or how many sweep workers run beside it.
 //!
 //! Sites are named after the injection points they arm in the higher
 //! layers: NIC completion behaviour, wire transmission, per-hop fabric
@@ -19,16 +19,14 @@
 //!   fire inside one rank's own event execution (kernel launches, IPC
 //!   mapping, ring capacity) draw from a lazily created [`Pcg32`] stream
 //!   per `(site, rank)`, derived with [`splitmix64`] from the plan seed.
-//!   A rank's events execute in the same relative order at any shard
-//!   count, so these streams are shard-safe by construction.
+//!   A rank's stream does not depend on how often other ranks draw.
 //! * **Keyed draws** ([`FaultPlan::fires_keyed`]): sites attached to a
 //!   transfer or a fabric hop are *stateless* — the decision is a pure
 //!   hash of `(seed, site, salt, key)` where `key` is the transfer's
-//!   canonical event key and `salt` distinguishes hops. The sharded event
-//!   loop replays deferred transmits at window barriers, in an order that
-//!   interleaves differently from the single-queue loop; a stateless draw
-//!   cannot observe that difference, which is what lets chaos reports stay
-//!   byte-identical at any `--shards N`.
+//!   canonical event key and `salt` distinguishes hops. A stateless draw
+//!   does not depend on the order in which transfers are evaluated, so a
+//!   retry ladder or a hop's health never shifts another transfer's
+//!   decisions.
 //!
 //! Two properties the rest of the workspace relies on:
 //!
@@ -248,7 +246,7 @@ struct SiteState {
 /// One plan belongs to one simulated cluster. Rank-scoped decisions are
 /// consumed in each rank's own event order and keyed decisions are pure
 /// hashes of canonical event keys, which together make chaos runs
-/// reproducible at any worker-thread or event-loop-shard count.
+/// reproducible from the seed alone.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
@@ -313,11 +311,6 @@ impl FaultPlan {
         FaultSite::ALL
             .iter()
             .any(|&s| s.is_fabric() && self.sites[s.index()].spec.probability > 0.0)
-    }
-
-    /// The spec currently armed at `site`.
-    pub fn spec(&self, site: FaultSite) -> FaultSpec {
-        self.sites[site.index()].spec
     }
 
     /// Decide whether `site` fires now for `rank`, drawing from the
@@ -387,8 +380,7 @@ impl FaultPlan {
     /// Decide whether `site` fires for the decision identified by
     /// `(salt, key)` — a *stateless* draw: the answer is a pure hash of
     /// the plan seed, the site, `salt` (e.g. a hop id) and `key` (a
-    /// canonical event key), so it is independent of evaluation order and
-    /// therefore identical at any shard count.
+    /// canonical event key), so it is independent of evaluation order.
     ///
     /// Burst is expressed statelessly: a decision fires if its own draw
     /// fires *or* any of the `burst` immediately preceding keys from the
@@ -473,18 +465,6 @@ impl FaultSummary {
     pub fn is_clean(&self) -> bool {
         *self == FaultSummary::default()
     }
-
-    /// Fold another summary into this one.
-    pub fn merge(&mut self, other: &FaultSummary) {
-        self.injected += other.injected;
-        self.retried += other.retried;
-        self.degraded += other.degraded;
-        self.recovered += other.recovered;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.spurious += other.spurious;
-        self.event_clamps += other.event_clamps;
-        self.added_latency += other.added_latency;
-    }
 }
 
 impl fmt::Display for FaultSummary {
@@ -554,8 +534,8 @@ impl RetryPolicy {
     /// growth capped at `backoff_max`, with deterministic jitter mapping
     /// the nominal value to `[1/2, 3/2)` of itself. The jitter derives
     /// from `(seed, key, attempt)` via [`splitmix64`], not a shared RNG
-    /// stream, so concurrent retry ladders on different event-loop shards
-    /// draw identical backoffs to the single-queue loop.
+    /// stream, so one transfer's backoffs do not depend on how many other
+    /// transfers are retrying.
     pub fn backoff_keyed(&self, attempt: u32, seed: u64, key: u64) -> Duration {
         let nominal = self.nominal(attempt);
         if nominal == 0 {
@@ -668,8 +648,7 @@ mod tests {
     #[test]
     fn ranks_are_independent_streams() {
         // Rank 5's decision sequence must not depend on how often other
-        // ranks consulted the same site — the property that makes the
-        // streams shard-safe.
+        // ranks consulted the same site.
         let alone = {
             let mut p =
                 FaultPlan::new(31).with(FaultSite::LinkDrop, FaultSpec::with_probability(0.4));
@@ -697,7 +676,7 @@ mod tests {
     #[test]
     fn keyed_draws_are_order_independent() {
         // The same (salt, key) set evaluated in any order gives the same
-        // fire set — the property the sharded barrier replay relies on.
+        // fire set.
         let mut p = FaultPlan::new(11).with(FaultSite::HopFlap, FaultSpec::with_probability(0.3));
         let forward: Vec<bool> = (0..200u64)
             .map(|k| p.fires_keyed(FaultSite::HopFlap, 9, k))
@@ -811,32 +790,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_and_clean() {
-        let mut a = FaultSummary::default();
-        assert!(a.is_clean());
-        let b = FaultSummary {
-            injected: 2,
-            retried: 3,
-            degraded: 1,
-            recovered: 2,
-            deadline_exceeded: 0,
-            spurious: 1,
-            event_clamps: 0,
-            added_latency: Duration::from_micros(5),
-        };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.injected, 4);
-        assert_eq!(a.retried, 6);
-        assert_eq!(a.added_latency, Duration::from_micros(10));
-        assert!(!a.is_clean());
-    }
-
-    #[test]
     fn event_clamps_break_cleanliness() {
         // The chaos baseline hard-fail relies on clamps folding into
         // is_clean(): a run that schedules into the past is not clean even
         // if nothing was injected.
+        assert!(FaultSummary::default().is_clean());
         let summary = FaultSummary {
             event_clamps: 1,
             ..FaultSummary::default()

@@ -22,7 +22,6 @@ pub mod fault;
 pub mod hash;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod slab;
 
 pub use clock::{Duration, Time};
@@ -31,5 +30,4 @@ pub use fault::{splitmix64, FaultPlan, FaultSite, FaultSpec, FaultSummary, Retry
 pub use hash::{digest, IntHasher, IntMap};
 pub use resource::FifoResource;
 pub use rng::Pcg32;
-pub use shard::ShardStats;
 pub use slab::Slab;

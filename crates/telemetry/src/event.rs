@@ -234,24 +234,11 @@ pub enum Payload {
         misses: u64,
         resident_bytes: u64,
     },
-    /// A sharded run crossed a conservative window barrier: the
-    /// coordinator admitted cross-shard messages and applied deferred
-    /// routed transmits before opening the next window. Recorded as an
-    /// instant at the barrier's virtual time, so barrier cadence and
-    /// per-barrier work are visible in Perfetto.
-    ShardBarrier {
-        /// Exclusive end of the window just executed (virtual ns).
-        window_ns: u64,
-        /// Cross-shard messages admitted into destination queues here.
-        admitted: u64,
-        /// Deferred transmits applied against the shared fabric.
-        applied: u64,
-        /// Route-cache epoch of the shared fabric after this barrier's
-        /// transmits were applied (0 without an armed fault domain).
-        /// Every shard observes a hop-state transition at the same barrier,
-        /// so the epoch sequence is identical across shard counts.
-        route_epoch: u64,
-    },
+    /// Never emitted: every run drains one event queue, so no run
+    /// crosses a shard barrier. The variant stays only because the
+    /// `fpbench` benchmark package matches on it and changes only with
+    /// the benchmark.
+    ShardBarrier,
     /// One cell of a parallel experiment sweep executed by the bench
     /// driver; `index` is the cell's position in the deterministic cell
     /// list, `worker` the pool thread that ran it.
@@ -307,7 +294,7 @@ impl Payload {
             Payload::ClampedEvent { .. } => "past-event-clamp",
             Payload::QueueHealth { .. } => "queue-health",
             Payload::LayoutCacheHealth { .. } => "layout-cache-health",
-            Payload::ShardBarrier { .. } => "shard-barrier",
+            Payload::ShardBarrier => "shard-barrier",
             Payload::SweepCell { .. } => "sweep-cell",
             Payload::FaultInjected { .. } => "fault-injected",
             Payload::Retry { .. } => "retry",
@@ -344,7 +331,7 @@ impl Payload {
             Payload::ClampedEvent { .. }
             | Payload::QueueHealth { .. }
             | Payload::LayoutCacheHealth { .. }
-            | Payload::ShardBarrier { .. } => "sim",
+            | Payload::ShardBarrier => "sim",
             Payload::SweepCell { .. } => "sweep",
             Payload::FaultInjected { .. }
             | Payload::Retry { .. }
@@ -445,7 +432,7 @@ impl Payload {
             Payload::BucketCharge { bucket, .. } => {
                 vec![("bucket", ArgValue::Str(bucket.label()))]
             }
-            Payload::Marker { .. } => vec![],
+            Payload::Marker { .. } | Payload::ShardBarrier => vec![],
             Payload::ClampedEvent { skew_ns } => vec![("skew_ns", ArgValue::U64(skew_ns))],
             Payload::QueueHealth {
                 event_slab_high_water,
@@ -481,17 +468,6 @@ impl Payload {
                 ("hits", ArgValue::U64(hits)),
                 ("misses", ArgValue::U64(misses)),
                 ("resident_bytes", ArgValue::U64(resident_bytes)),
-            ],
-            Payload::ShardBarrier {
-                window_ns,
-                admitted,
-                applied,
-                route_epoch,
-            } => vec![
-                ("window_ns", ArgValue::U64(window_ns)),
-                ("admitted", ArgValue::U64(admitted)),
-                ("applied", ArgValue::U64(applied)),
-                ("route_epoch", ArgValue::U64(route_epoch)),
             ],
             Payload::SweepCell { index, worker } => vec![
                 ("index", ArgValue::U64(index)),

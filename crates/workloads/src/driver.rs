@@ -5,7 +5,7 @@
 //! it derives — lap latencies and their mean, averaged breakdowns,
 //! percentiles, hop totals, the receive digest — and carries the run's
 //! [`RunReport`] for everything else (events, scheduler statistics,
-//! faults, clamps, fabric health, shard barriers, per-rank breakdowns).
+//! faults, clamps, fabric health, per-rank breakdowns).
 
 use crate::bulk::{bulk_exchange_programs, phase_shift_programs};
 use crate::Workload;

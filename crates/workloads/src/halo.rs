@@ -208,10 +208,6 @@ pub struct HaloConfig {
     /// Route transfers through a topology; `None` runs the cluster's
     /// default flat fabric ([`fusedpack_net::FlatLink`]).
     pub topology: Option<TopologyHandle>,
-    /// Worker shards for the event loop (clamped by the cluster; 1 =
-    /// single-queue). Reports are byte-identical at any shard count —
-    /// armed fault plans included.
-    pub shards: u32,
     /// Fault plan armed on the cluster (the chaos harness). `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
@@ -222,7 +218,7 @@ pub struct HaloConfig {
 
 impl HaloConfig {
     /// One warm-up and one measured lap, timing-only memory on the flat
-    /// fabric, single-queue, no faults, no recorder.
+    /// fabric, no faults, no recorder.
     pub fn new(
         platform: Platform,
         scheme: SchemeKind,
@@ -240,7 +236,6 @@ impl HaloConfig {
             measured_laps: 1,
             mode: DataMode::ModelOnly,
             topology: None,
-            shards: 1,
             fault_plan: None,
             telemetry: None,
         }
@@ -248,11 +243,6 @@ impl HaloConfig {
 
     pub fn with_topology(mut self, topo: TopologyHandle) -> Self {
         self.topology = Some(topo);
-        self
-    }
-
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -269,7 +259,7 @@ pub struct HaloOutcome {
     /// topology is attached).
     pub hop_bytes: u64,
     /// Hop-level start-time order violations observed by the network
-    /// (must stay zero under sharding).
+    /// (must stay zero).
     pub order_violations: u64,
     /// Digest of every rank's receive buffers in (rank, neighbor, message)
     /// order; `Some` only in `DataMode::Full`. A faulty run recovered
@@ -290,8 +280,7 @@ pub fn run_halo(cfg: &HaloConfig) -> HaloOutcome {
         cfg.mode,
         cfg.fault_plan.as_ref(),
         cfg.telemetry.as_ref(),
-    )
-    .shards(cfg.shards);
+    );
     if let Some(topo) = &cfg.topology {
         builder = builder.topology(topo.clone());
     }
@@ -391,8 +380,11 @@ mod tests {
         assert!(out.busiest_hop_busy.as_nanos() > 0);
     }
 
+    /// Two runs of one halo agree on every timing and hop counter, on the
+    /// flat fabric and a routed one, and no hop ever starts a transmit
+    /// before the one it queued behind.
     #[test]
-    fn sharded_halo_matches_single_queue_exactly() {
+    fn halo_repeats_exactly_with_no_order_violations() {
         for topo in [false, true] {
             let mut cfg = HaloConfig::new(
                 Platform::lassen(),
@@ -404,33 +396,22 @@ mod tests {
             if topo {
                 cfg = cfg.with_topology(Arc::new(Hierarchy::lassen_like(2)));
             }
-            let single = run_halo(&cfg);
-            let sharded = run_halo(&cfg.clone().with_shards(2));
-            assert!(
-                sharded.report.shard.barriers > 0,
-                "sharding engaged (topo={topo})"
-            );
-            assert_eq!(single.latency, sharded.latency, "topo={topo}");
-            assert_eq!(single.lap_latencies, sharded.lap_latencies, "topo={topo}");
+            let (a, b) = (run_halo(&cfg), run_halo(&cfg));
+            assert_eq!(a.lap_latencies, b.lap_latencies, "topo={topo}");
             assert_eq!(
-                single.report.events_processed, sharded.report.events_processed,
+                a.report.events_processed, b.report.events_processed,
                 "topo={topo}"
             );
-            assert_eq!(single.hop_bytes, sharded.hop_bytes, "topo={topo}");
-            assert_eq!(
-                single.busiest_hop_busy, sharded.busiest_hop_busy,
-                "topo={topo}"
-            );
-            assert_eq!(sharded.order_violations, 0, "topo={topo}");
+            assert_eq!(a.hop_bytes, b.hop_bytes, "topo={topo}");
+            assert_eq!(a.busiest_hop_busy, b.busiest_hop_busy, "topo={topo}");
+            assert_eq!(a.order_violations, 0, "topo={topo}");
         }
     }
 
-    /// A byte-moving halo keeps one event queue and both copy lanes when
-    /// it asks for two shards, with the same checksum and lap times. Its
-    /// timing-only twin runs the sharded loop in
-    /// `sharded_halo_matches_single_queue_exactly`.
+    /// A byte-moving halo runs its copies in both lanes and has the lap
+    /// times of its timing-only twin.
     #[test]
-    fn full_mode_checksum_is_equal_at_one_and_two_shards() {
+    fn full_mode_checksum_moves_bytes_at_model_only_timing() {
         let mut cfg = HaloConfig::new(
             Platform::lassen(),
             SchemeKind::fusion_default(),
@@ -441,15 +422,43 @@ mod tests {
         let model = run_halo(&cfg);
         assert_eq!(model.checksum, None, "ModelOnly moves no bytes");
         cfg.mode = DataMode::Full;
-        let single = run_halo(&cfg);
-        let asked = run_halo(&cfg.clone().with_shards(2));
-        let shard = asked.report.shard;
-        assert_eq!((shard.shards, shard.barriers), (1, 0), "one queue");
-        let copy = asked.report.copy;
+        let full = run_halo(&cfg);
+        let copy = full.report.copy;
         assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
-        assert!(single.checksum.is_some());
-        assert_eq!(single.checksum, asked.checksum);
-        assert_eq!(single.lap_latencies, asked.lap_latencies);
-        assert_eq!(model.lap_latencies, asked.lap_latencies);
+        assert!(full.checksum.is_some());
+        assert_eq!(model.lap_latencies, full.lap_latencies);
+    }
+
+    /// `ClusterBuilder::shards` is accepted and ignored: a timing-only
+    /// halo on two nodes reports the same run with and without it, on one
+    /// event queue.
+    #[test]
+    fn shards_request_changes_nothing() {
+        let grid = HaloGrid::new_3d(2, 2, 2);
+        let run = |shards: Option<u32>| {
+            let mut builder = fusedpack_mpi::ClusterBuilder::new(
+                Platform::lassen(),
+                SchemeKind::fusion_default(),
+            )
+            .data_mode(DataMode::ModelOnly);
+            if let Some(n) = shards {
+                builder = builder.shards(n);
+            }
+            let programs = halo_programs(&grid, &specfem3d_cm(200), 2, 2, 7);
+            for (rank, (program, _)) in programs.into_iter().enumerate() {
+                builder = builder.add_rank(rank as u32 / 4, program);
+            }
+            builder.build().run()
+        };
+        let (plain, asked) = (run(None), run(Some(4)));
+        assert_eq!(
+            asked.shard,
+            fusedpack_mpi::ShardStats {
+                shards: 1,
+                ..Default::default()
+            }
+        );
+        assert_eq!(format!("{plain:?}"), format!("{asked:?}"));
+        assert!(plain.events_processed > 0);
     }
 }

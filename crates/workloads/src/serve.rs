@@ -47,9 +47,6 @@ pub struct ServeConfig {
     pub size_mix: Vec<u64>,
     /// Route transfers through a topology; `None` runs the flat model.
     pub topology: Option<TopologyHandle>,
-    /// Worker shards for the event loop (clamped by the cluster; 1 =
-    /// single-queue). Outcomes are byte-identical at any shard count.
-    pub shards: u32,
 }
 
 impl ServeConfig {
@@ -64,13 +61,7 @@ impl ServeConfig {
             warmup_laps: 2,
             size_mix: Vec::new(),
             topology: None,
-            shards: 1,
         }
-    }
-
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     pub fn with_gap_ns(mut self, gap_ns: u64) -> Self {
@@ -194,7 +185,6 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeOutcome {
     let p0 = serve_program(cfg, 7, RankId(1));
     let p1 = serve_program(cfg, 1007, RankId(0));
     let mut builder = driver::builder(&cfg.platform, &cfg.scheme, DataMode::ModelOnly, None, None)
-        .shards(cfg.shards)
         .add_rank(0, p0)
         .add_rank(1, p1);
     if let Some(topo) = &cfg.topology {
@@ -304,33 +294,7 @@ mod tests {
             b.report.wheel.slab_high_water
         );
         assert_eq!(a.report.events_processed, b.report.events_processed);
-    }
-
-    #[test]
-    fn sharded_serve_matches_single_queue_exactly() {
-        let cfg = ServeConfig::new(
-            Platform::lassen(),
-            SchemeKind::fusion_default(),
-            specfem3d_oc(200),
-            1_000,
-        )
-        .with_gap_ns(2_000);
-        let single = run_serve(&cfg);
-        let sharded = run_serve(&cfg.clone().with_shards(2));
-        assert!(sharded.report.shard.barriers > 0, "sharding engaged");
-        assert_eq!(single.report.end_time, sharded.report.end_time);
-        assert_eq!(single.p50, sharded.p50);
-        assert_eq!(single.p99, sharded.p99);
-        assert_eq!(single.p999, sharded.p999);
-        assert_eq!(single.max, sharded.max);
-        assert_eq!(
-            single.report.events_processed,
-            sharded.report.events_processed
-        );
-        assert_eq!(single.requests, sharded.requests);
-        // Cache counters are virtual-time-free bookkeeping, but they must
-        // still merge to the same totals at any shard count.
-        let (a, b) = (&single.report.layout_cache, &sharded.report.layout_cache);
+        let (a, b) = (&a.report.layout_cache, &b.report.layout_cache);
         assert_eq!(a.hits(), b.hits());
         assert_eq!(a.misses(), b.misses());
         assert_eq!(a.resident_bytes(), b.resident_bytes());
