@@ -19,8 +19,8 @@
 //! sweeps.
 
 use crate::figs::RunConfig;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One unit of sweep work: a label (for timing reports) and a closure
@@ -65,7 +65,7 @@ type Finished<T> = (usize, T, String, usize, Duration);
 /// Run `cells` and return their results in cell-index order.
 ///
 /// With `cfg.jobs == 1` (or a single cell) the cells run inline,
-/// sequentially, on the calling thread. Otherwise a crossbeam scope
+/// sequentially, on the calling thread. Otherwise a scoped thread pool
 /// spawns `min(jobs, cells)` workers that claim cells from a shared
 /// atomic cursor; results are reassembled by index afterwards, so the
 /// output is identical either way.
@@ -86,7 +86,7 @@ pub fn sweep<T: Send + 'static>(cfg: &RunConfig, experiment: &str, cells: Vec<Ce
             let t0 = Instant::now();
             out.push((cell.job)());
             let timing = record(index, cell.label, 0, t0.elapsed());
-            cfg.timings.lock().push(timing);
+            cfg.timings.lock().expect("timing log").push(timing);
         }
         return out;
     }
@@ -98,38 +98,35 @@ pub fn sweep<T: Send + 'static>(cfg: &RunConfig, experiment: &str, cells: Vec<Ce
     let cursor = AtomicUsize::new(0);
     let done: Mutex<Vec<Finished<T>>> = Mutex::new(Vec::with_capacity(n));
 
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let slots = &slots;
-                let cursor = &cursor;
-                let done = &done;
-                s.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let cell = slots[index].lock().take().expect("cell claimed once");
-                    let t0 = Instant::now();
-                    let value = (cell.job)();
-                    let wall = t0.elapsed();
-                    done.lock().push((index, value, cell.label, worker, wall));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("sweep worker panicked");
+    std::thread::scope(|s| {
+        for worker in 0..workers {
+            let (slots, cursor, done) = (&slots, &cursor, &done);
+            s.spawn(move || loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                if index >= n {
+                    break;
+                }
+                let cell = slots[index]
+                    .lock()
+                    .expect("cell slot")
+                    .take()
+                    .expect("cell claimed once");
+                let t0 = Instant::now();
+                let value = (cell.job)();
+                let wall = t0.elapsed();
+                let finished = (index, value, cell.label, worker, wall);
+                done.lock().expect("finished cells").push(finished);
+            });
         }
-    })
-    .expect("sweep scope");
+    });
 
-    let mut finished = done.into_inner();
+    let mut finished = done.into_inner().expect("finished cells");
     finished.sort_by_key(|&(index, ..)| index);
     debug_assert_eq!(finished.len(), n);
     // Record timings in cell-index order so the --timings report is as
     // deterministic in shape as the tables themselves.
     let mut out = Vec::with_capacity(n);
-    let mut timings = cfg.timings.lock();
+    let mut timings = cfg.timings.lock().expect("timing log");
     for (index, value, label, worker, wall) in finished {
         timings.push(record(index, label, worker, wall));
         out.push(value);

@@ -18,7 +18,7 @@ use fusedpack_net::Platform;
 use fusedpack_sim::Duration;
 use fusedpack_workloads::nas::nas_mg_y;
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_phase_shift, PhaseShiftOutcome, Workload};
+use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome, Workload};
 
 /// Buffers exchanged each way per iteration.
 pub const N_MSGS: usize = 16;
@@ -39,23 +39,23 @@ pub fn phase_b() -> Workload {
     nas_mg_y(384)
 }
 
-/// Run the phase-shift scenario under one scheme.
-pub fn measure(scheme: SchemeKind) -> PhaseShiftOutcome {
-    run_phase_shift(
-        Platform::lassen(),
-        scheme,
-        &phase_a(),
-        &phase_b(),
-        N_MSGS,
-        LAPS_PER_PHASE,
-        None,
-    )
+/// The phase-shift scenario under one scheme.
+pub fn config(scheme: SchemeKind) -> ExchangeConfig {
+    ExchangeConfig::new(Platform::lassen(), scheme, phase_a(), N_MSGS)
+        .phase_shift(phase_b(), LAPS_PER_PHASE)
 }
 
-fn phase_totals(out: &PhaseShiftOutcome) -> (Duration, Duration) {
-    let p1: Duration = out.lap_latencies[..LAPS_PER_PHASE].iter().copied().sum();
-    let p2: Duration = out.lap_latencies[LAPS_PER_PHASE..].iter().copied().sum();
-    (p1, p2)
+/// Run the phase-shift scenario under one scheme.
+pub fn measure(scheme: SchemeKind) -> ExchangeOutcome {
+    run_exchange(&config(scheme))
+}
+
+/// The end-to-end cost of the whole run and of each phase: the sums of
+/// their laps' makespans.
+fn phase_totals(out: &ExchangeOutcome) -> [Duration; 3] {
+    let sum = |laps: &[Duration]| laps.iter().copied().sum::<Duration>();
+    let (p1, p2) = out.lap_latencies.split_at(LAPS_PER_PHASE);
+    [sum(&out.lap_latencies), sum(p1), sum(p2)]
 }
 
 pub fn run(cfg: &RunConfig) -> Table {
@@ -75,7 +75,7 @@ pub fn run(cfg: &RunConfig) -> Table {
          it should match the best static row without a sweep",
     );
 
-    let mut cells: Vec<Cell<PhaseShiftOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for &threshold in &thresholds {
         cells.push(Cell::new(
             format!("static/{}KB", threshold / 1024),
@@ -88,20 +88,20 @@ pub fn run(cfg: &RunConfig) -> Table {
     let outcomes = exec::sweep(cfg, "adapt", cells);
 
     for (out, &threshold) in outcomes.iter().zip(&thresholds) {
-        let (p1, p2) = phase_totals(out);
+        let [total, p1, p2] = phase_totals(out);
         t.push_row(vec![
             format!("{}KB", threshold / 1024),
-            us(out.total),
+            us(total),
             us(p1),
             us(p2),
             "-".into(),
         ]);
     }
     let adaptive = outcomes.last().expect("adaptive row");
-    let (p1, p2) = phase_totals(adaptive);
+    let [total, p1, p2] = phase_totals(adaptive);
     t.push_row(vec![
         "adaptive".into(),
-        us(adaptive.total),
+        us(total),
         us(p1),
         us(p2),
         adaptive.report.sched_stats[0]
@@ -121,9 +121,9 @@ mod tests {
         let grid = ThresholdTuner::default_grid();
         let statics: Vec<Duration> = grid
             .iter()
-            .map(|&b| measure(SchemeKind::fusion_with_threshold(b)).total)
+            .map(|&b| phase_totals(&measure(SchemeKind::fusion_with_threshold(b)))[0])
             .collect();
-        let adaptive = measure(SchemeKind::fusion_adaptive()).total;
+        let adaptive = phase_totals(&measure(SchemeKind::fusion_adaptive()))[0];
 
         let best = statics.iter().copied().min().expect("grid");
         assert!(
@@ -142,15 +142,10 @@ mod tests {
     #[test]
     fn threshold_adjust_instants_reconcile_with_sched_stats() {
         let telemetry = Telemetry::enabled();
-        let out = run_phase_shift(
-            Platform::lassen(),
-            SchemeKind::fusion_adaptive(),
-            &phase_a(),
-            &phase_b(),
-            N_MSGS,
-            LAPS_PER_PHASE,
-            Some(&telemetry),
-        );
+        let out = run_exchange(&ExchangeConfig {
+            telemetry: Some(telemetry.clone()),
+            ..config(SchemeKind::fusion_adaptive())
+        });
         let stats = out.report.sched_stats[0].expect("adaptive sched stats");
         let snap = telemetry.snapshot();
         let rank0_adjusts = snap

@@ -117,22 +117,14 @@ pub fn run(cfg: &RunConfig) -> Table {
     // then every (profile, rate) cell. The sweep executor reassembles in
     // this order regardless of --jobs.
     let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
-    for (wname, w) in &workloads {
-        for (sname, scheme) in &schemes {
+    for (wi, (wname, w)) in workloads.iter().enumerate() {
+        for (si, (sname, scheme)) in schemes.iter().enumerate() {
             let exchange = config(scheme.clone(), w.clone(), None);
             cells.push(Cell::new(format!("{wname}/{sname}/baseline"), move || {
                 run_exchange(&exchange)
             }));
             for (pi, (pname, sites)) in PROFILES.iter().enumerate() {
                 for (ri, &rate) in RATES.iter().enumerate() {
-                    let wi = workloads
-                        .iter()
-                        .position(|(n, _)| n == wname)
-                        .expect("workload in grid");
-                    let si = schemes
-                        .iter()
-                        .position(|(n, _)| n == sname)
-                        .expect("scheme in grid");
                     let seed = cell_seed(master, wi, si, pi, ri);
                     let mut plan = FaultPlan::new(seed);
                     for &site in *sites {

@@ -25,7 +25,7 @@ use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
+use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome, HaloGrid};
 use std::sync::Arc;
 
 /// Torus extent per dimension (matches `reproduce topo`).
@@ -67,22 +67,17 @@ fn cell_seed(master: u64, scheme: usize, profile: usize) -> u64 {
 
 /// One grid cell: the torus halo with real bytes on the Lassen-like fat
 /// tree with an optional fabric fault plan, at `grid`^3 ranks.
-pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloOutcome {
-    run_halo(&cell_config(grid, scheme, plan))
+pub fn measure(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> ExchangeOutcome {
+    run_exchange(&cell_config(grid, scheme, plan))
 }
 
 /// The configuration of a [`measure`] cell.
-fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> HaloConfig {
+fn cell_config(grid: u32, scheme: SchemeKind, plan: Option<FaultPlan>) -> ExchangeConfig {
     let nodes = grid * grid * grid / 4;
     let topo: TopologyHandle = Arc::new(Hierarchy::lassen_like(nodes));
-    let mut cfg = HaloConfig::new(
-        Platform::lassen(),
-        scheme,
-        specfem3d_cm(POINTS),
-        HaloGrid::new_3d(grid, grid, grid),
-        N_MSGS,
-    )
-    .with_topology(topo);
+    let mut cfg = ExchangeConfig::new(Platform::lassen(), scheme, specfem3d_cm(POINTS), N_MSGS)
+        .with_grid(HaloGrid::new_3d(grid, grid, grid))
+        .with_topology(topo);
     cfg.mode = DataMode::Full;
     cfg.fault_plan = plan;
     cfg
@@ -116,7 +111,7 @@ pub fn run(cfg: &RunConfig) -> Table {
          surviving route died, forced over their pre-fault route",
     );
 
-    let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for (si, (sname, scheme)) in schemes().into_iter().enumerate() {
         let s = scheme.clone();
         cells.push(Cell::new(format!("{sname}/baseline"), move || {
@@ -212,7 +207,7 @@ mod tests {
     }
 
     /// The configuration of a flapping, hop-killing cell on the 4^3 torus.
-    fn faulted_config() -> HaloConfig {
+    fn faulted_config() -> ExchangeConfig {
         let plan = FaultPlan::new(cell_seed(42, 0, 0))
             .with(FaultSite::HopFlap, FaultSpec::with_probability(0.05))
             .with(FaultSite::HopDown, FaultSpec::with_probability(0.02));
@@ -223,7 +218,10 @@ mod tests {
     /// fault counters and delivered bytes, with both copy lanes working.
     #[test]
     fn faulted_cell_replays_exactly() {
-        let (a, b) = (run_halo(&faulted_config()), run_halo(&faulted_config()));
+        let (a, b) = (
+            run_exchange(&faulted_config()),
+            run_exchange(&faulted_config()),
+        );
         assert!(a.report.fabric.injected() > 0, "faults fired");
         let copy = a.report.copy;
         assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
@@ -237,10 +235,10 @@ mod tests {
     /// reports the byte-moving run's latency and fabric counters exactly.
     #[test]
     fn faulted_cell_timing_only_matches_full() {
-        let full = run_halo(&faulted_config());
+        let full = run_exchange(&faulted_config());
         let mut cfg = faulted_config();
         cfg.mode = DataMode::ModelOnly;
-        let model = run_halo(&cfg);
+        let model = run_exchange(&cfg);
         assert!(model.report.fabric.injected() > 0, "faults fired");
         assert_eq!(model.latency, full.latency);
         assert_eq!(model.report.fault_summary, full.report.fault_summary);

@@ -68,8 +68,8 @@ pub fn run_on(cfg: &RunConfig, platform: &Platform, fig_name: &str) -> Vec<Table
             let w = w.clone();
             cells.push(Cell::new(format!("{panel}/{label}"), move || {
                 let mut row = vec![label, format!("{}KB", w.packed_bytes() / 1024)];
-                let (tuned, _threshold) = tuned_fusion(&platform, &w, HALO_MSGS);
-                row.push(us(latency(&platform, tuned, &w, HALO_MSGS)));
+                let (_threshold, tuned) = tuned_fusion(&platform, &w, HALO_MSGS);
+                row.push(us(tuned));
                 for s in &schemes {
                     row.push(us(latency(&platform, s.clone(), &w, HALO_MSGS)));
                 }
@@ -144,8 +144,13 @@ mod tests {
     fn tuned_is_no_worse_than_default() {
         let platform = Platform::lassen();
         let w = specfem3d_cm(2048);
-        let (tuned, _) = tuned_fusion(&platform, &w, HALO_MSGS);
-        let t = latency(&platform, tuned, &w, HALO_MSGS);
+        let (threshold, t) = tuned_fusion(&platform, &w, HALO_MSGS);
+        let tuned = SchemeKind::fusion_with_threshold(threshold);
+        assert_eq!(
+            t,
+            latency(&platform, tuned, &w, HALO_MSGS),
+            "the sweep's own point"
+        );
         let d = latency(&platform, SchemeKind::fusion_default(), &w, HALO_MSGS);
         assert!(t <= d, "tuned {t} must be <= default {d}");
     }

@@ -23,7 +23,7 @@ use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 use fusedpack_sim::Duration;
 use fusedpack_workloads::{run_exchange, ExchangeConfig, Workload};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// The paper's §V-C stress level: 16 buffers each way = 32 non-blocking
 /// operations per rank.
@@ -81,7 +81,7 @@ impl Default for RunConfig {
 impl RunConfig {
     /// Drain and return every cell timing recorded since the last call.
     pub fn take_timings(&self) -> Vec<CellTiming> {
-        std::mem::take(&mut *self.timings.lock())
+        std::mem::take(&mut *self.timings.lock().expect("timing log"))
     }
 }
 
@@ -128,8 +128,9 @@ pub fn gpu_driven_schemes() -> Vec<SchemeKind> {
 
 /// Tune the fusion threshold for one workload on one platform by sweeping
 /// the Fig. 8 grid and keeping the argmin — the evaluation's
-/// *Proposed-Tuned* configuration.
-pub fn tuned_fusion(platform: &Platform, workload: &Workload, n_msgs: usize) -> (SchemeKind, u64) {
+/// *Proposed-Tuned* configuration. Returns the chosen threshold and the
+/// latency the sweep measured at it.
+pub fn tuned_fusion(platform: &Platform, workload: &Workload, n_msgs: usize) -> (u64, Duration) {
     let mut tuner = fusedpack_core::ThresholdTuner::new();
     for threshold in fusedpack_core::ThresholdTuner::default_grid() {
         let lat = latency(
@@ -141,7 +142,12 @@ pub fn tuned_fusion(platform: &Platform, workload: &Workload, n_msgs: usize) -> 
         tuner.record(threshold, lat);
     }
     let best = tuner.best().expect("grid is non-empty");
-    (SchemeKind::fusion_with_threshold(best), best)
+    let &(_, lat) = tuner
+        .samples()
+        .iter()
+        .find(|&&(threshold, _)| threshold == best)
+        .expect("the best threshold was sampled");
+    (best, lat)
 }
 
 /// Standard size sweeps per workload family (the x-axes of Figs. 12/13).

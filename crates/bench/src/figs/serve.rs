@@ -17,7 +17,7 @@ use crate::table::{us, Table};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::Platform;
 use fusedpack_workloads::specfem::specfem3d_oc;
-use fusedpack_workloads::{run_serve, ServeConfig, ServeOutcome};
+use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome};
 
 /// specfem3D_oc boundary points per request — sparse, the regime where
 /// fusion's launch-overhead savings dominate.
@@ -47,11 +47,10 @@ pub fn gaps() -> Vec<(&'static str, u64)> {
 }
 
 /// Run one (scheme, gap) cell replaying `requests` requests.
-pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64) -> ServeOutcome {
-    run_serve(
-        &ServeConfig::new(Platform::lassen(), scheme, specfem3d_oc(POINTS), requests)
-            .with_gap_ns(gap_ns)
-            .with_size_mix(SIZE_MIX.to_vec()),
+pub fn measure(scheme: SchemeKind, gap_ns: u64, requests: u64) -> ExchangeOutcome {
+    run_exchange(
+        &ExchangeConfig::new(Platform::lassen(), scheme, specfem3d_oc(POINTS), BATCH)
+            .serve(requests, &SIZE_MIX, gap_ns),
     )
 }
 
@@ -106,7 +105,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
          cost-free in virtual time and byte-identical across --jobs",
     );
 
-    let mut cells: Vec<Cell<ServeOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for (slabel, scheme) in schemes() {
         for (glabel, gap) in gaps() {
             let scheme = scheme.clone();
@@ -123,11 +122,12 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             t.push_row(vec![
                 (*slabel).into(),
                 (*glabel).into(),
-                format!("{:.0}", out.throughput_rps),
-                us(out.p50),
-                us(out.p99),
-                us(out.p999),
-                us(out.max),
+                format!("{:.0}", out.throughput(2 * BATCH as u64)),
+                us(out.percentile(50, 100)),
+                us(out.percentile(99, 100)),
+                us(out.percentile(999, 1000)),
+                // The 100th nearest-rank percentile is the slowest batch.
+                us(out.percentile(100, 100)),
             ]);
             health.push_row(vec![
                 (*slabel).into(),
@@ -188,13 +188,15 @@ mod tests {
     fn fusion_sustains_higher_throughput_when_saturated() {
         let fused = measure(SchemeKind::fusion_default(), 0, 2_000);
         let gpu = measure(SchemeKind::GpuSync, 0, 2_000);
-        assert!(
-            fused.throughput_rps > gpu.throughput_rps,
-            "fused {:.0} req/s should beat GPU-based {:.0} req/s",
-            fused.throughput_rps,
-            gpu.throughput_rps
+        let (fused_rps, gpu_rps) = (
+            fused.throughput(2 * BATCH as u64),
+            gpu.throughput(2 * BATCH as u64),
         );
-        assert!(fused.p99 < gpu.p99);
+        assert!(
+            fused_rps > gpu_rps,
+            "fused {fused_rps:.0} req/s should beat GPU-based {gpu_rps:.0} req/s"
+        );
+        assert!(fused.percentile(99, 100) < gpu.percentile(99, 100));
     }
 
     /// The size mix gives the latency distribution a real spread: the big
@@ -202,12 +204,11 @@ mod tests {
     #[test]
     fn mixed_sizes_produce_a_latency_tail() {
         let out = measure(SchemeKind::fusion_default(), 0, 4_000);
+        let (p50, p999) = (out.percentile(50, 100), out.percentile(999, 1000));
         assert!(
-            out.p999 > out.p50,
-            "mixed sizes should spread the tail: p50 {} vs p999 {}",
-            out.p50,
-            out.p999
+            p999 > p50,
+            "mixed sizes should spread the tail: p50 {p50} vs p999 {p999}"
         );
-        assert!(out.max >= out.p999);
+        assert!(out.percentile(100, 100) >= p999);
     }
 }

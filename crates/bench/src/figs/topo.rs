@@ -18,7 +18,7 @@ use crate::table::{us, Table};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
+use fusedpack_workloads::{run_exchange, ExchangeConfig, ExchangeOutcome, HaloGrid};
 use std::sync::Arc;
 
 /// Torus extent per dimension: 8×8×8 = 512 ranks.
@@ -69,15 +69,15 @@ pub fn schemes() -> Vec<(&'static str, SchemeKind)> {
 }
 
 /// Run the 512-rank halo for one machine × scheme cell.
-pub fn measure(machine: &Machine, scheme: SchemeKind) -> HaloOutcome {
-    run_halo(
-        &HaloConfig::new(
+pub fn measure(machine: &Machine, scheme: SchemeKind) -> ExchangeOutcome {
+    run_exchange(
+        &ExchangeConfig::new(
             machine.platform.clone(),
             scheme,
             specfem3d_cm(POINTS),
-            HaloGrid::new_3d(GRID, GRID, GRID),
             N_MSGS,
         )
+        .with_grid(HaloGrid::new_3d(GRID, GRID, GRID))
         .with_topology(machine.topology.clone()),
     )
 }
@@ -103,7 +103,7 @@ pub fn run(cfg: &RunConfig) -> Table {
          contrast is the larger fused-design win on the ABCI-like machine",
     );
 
-    let mut cells: Vec<Cell<HaloOutcome>> = Vec::new();
+    let mut cells: Vec<Cell<ExchangeOutcome>> = Vec::new();
     for machine in machines() {
         let machine = Arc::new(machine);
         for (label, scheme) in schemes() {

@@ -17,7 +17,7 @@ use fusedpack_bench::{run_experiment, RunConfig};
 use fusedpack_mpi::SchemeKind;
 use fusedpack_net::{FlatLink, Platform};
 use fusedpack_workloads::specfem::specfem3d_cm;
-use fusedpack_workloads::{run_halo, HaloConfig, HaloGrid};
+use fusedpack_workloads::{run_exchange, ExchangeConfig, HaloGrid};
 use std::sync::Arc;
 
 /// Path of a committed golden CSV.
@@ -86,21 +86,21 @@ fn explicit_flat_topology_is_bit_identical_to_default() {
     let cfg = |topo: bool| {
         let platform = Platform::lassen();
         let grid = HaloGrid::new_3d(2, 2, 2);
-        let mut c = HaloConfig::new(
+        let mut c = ExchangeConfig::new(
             platform.clone(),
             SchemeKind::fusion_default(),
             specfem3d_cm(1024),
-            grid,
             4,
-        );
+        )
+        .with_grid(grid);
         if topo {
             let nodes = grid.ranks().div_ceil(platform.gpus_per_node);
             c = c.with_topology(Arc::new(FlatLink::for_platform(&platform, nodes)));
         }
         c
     };
-    let default = run_halo(&cfg(false));
-    let flat = run_halo(&cfg(true));
+    let default = run_exchange(&cfg(false));
+    let flat = run_exchange(&cfg(true));
     assert_eq!(
         default.latency, flat.latency,
         "FlatLink must not move timing"

@@ -1,36 +1,49 @@
-//! The benchmark drivers: one call per (platform, scheme, workload) cell.
+//! The benchmark driver: one call per (platform, scheme, workload) cell.
 //!
-//! Every driver takes the same path: build a cluster from its config, run
-//! it, and measure the run through one helper. An outcome keeps only what
-//! it derives — lap latencies and their mean, averaged breakdowns,
-//! percentiles, hop totals, the receive digest — and carries the run's
+//! Every experiment runs one pattern — post the receives and the sends to
+//! each neighbor, `Waitall`, repeat — so one config describes every run:
+//! a two-rank exchange of any lap schedule (a bulk exchange, the adapt
+//! figure's phase shift, serve's size-mixed replay), or, given a
+//! [`HaloGrid`], a halo over every rank of the grid. [`run_exchange`]
+//! builds the cluster, runs it and measures it. Its outcome keeps only
+//! what it derives — lap latencies and their mean, the averaged
+//! breakdown, hop totals, the receive digest — and carries the run's
 //! [`RunReport`] for everything else (events, scheduler statistics,
 //! faults, clamps, fabric health, per-rank breakdowns).
 
-use crate::bulk::{bulk_exchange_programs, phase_shift_programs};
+use crate::bulk::{pair_programs, Lap};
+use crate::halo::{halo_programs, HaloGrid};
 use crate::Workload;
 use fusedpack_gpu::DataMode;
-use fusedpack_mpi::{Breakdown, BufId, Cluster, ClusterBuilder, RankId, RunReport, SchemeKind};
-use fusedpack_net::Platform;
+use fusedpack_mpi::{Breakdown, ClusterBuilder, RankId, RunReport, SchemeKind};
+use fusedpack_net::{Platform, TopologyHandle};
 use fusedpack_sim::{digest, Duration, FaultPlan};
 use fusedpack_telemetry::Telemetry;
-use std::ops::Range;
 
 /// Configuration of one exchange measurement.
 #[derive(Clone)]
 pub struct ExchangeConfig {
     pub platform: Platform,
     pub scheme: SchemeKind,
-    pub workload: Workload,
-    /// Buffers exchanged each way per iteration.
+    /// The committed types, in slot order; each lap names one by index.
+    pub workloads: Vec<Workload>,
+    /// Buffers exchanged each way per neighbor per lap.
     pub n_msgs: usize,
-    /// Iterations discarded for warm-up (layout caches, allocator).
+    /// The lap schedule, warm-up laps first.
+    pub laps: Vec<Lap>,
+    /// Leading laps left out of the latency, the lap latencies and the
+    /// breakdown (cold layout caches, allocator).
     pub warmup_laps: usize,
-    /// Iterations measured.
-    pub measured_laps: usize,
     /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
     /// outcome's checksum covers them).
     pub mode: DataMode,
+    /// Run a halo over every rank of this grid, `gpus_per_node` ranks to a
+    /// node, through [`halo_programs`]; its schedule must repeat one lap of
+    /// the first workload. `None` runs two ranks on nodes 0 and 1.
+    pub grid: Option<HaloGrid>,
+    /// Route transfers through a topology; `None` runs the cluster's
+    /// default flat fabric ([`fusedpack_net::FlatLink`]).
+    pub topology: Option<TopologyHandle>,
     /// Fault plan armed on the cluster (the chaos harness). `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
@@ -40,163 +53,120 @@ pub struct ExchangeConfig {
 }
 
 impl ExchangeConfig {
-    /// The defaults used by the figure harnesses: one warm-up iteration,
-    /// one measured iteration (the simulation is deterministic, so the
-    /// paper's 500-iteration averaging collapses to a single warm lap),
-    /// timing-only memory, no faults, no recorder.
+    /// The defaults used by the figure harnesses: two ranks, one warm-up
+    /// lap and one measured lap of `workload` (the simulation is
+    /// deterministic, so the paper's 500-iteration averaging collapses to a
+    /// single warm lap), timing-only memory on the flat fabric, no faults,
+    /// no recorder.
     pub fn new(platform: Platform, scheme: SchemeKind, workload: Workload, n_msgs: usize) -> Self {
         ExchangeConfig {
             platform,
             scheme,
-            workload,
+            laps: vec![Lap::of(0, &workload); 2],
+            workloads: vec![workload],
             n_msgs,
             warmup_laps: 1,
-            measured_laps: 1,
             mode: DataMode::ModelOnly,
+            grid: None,
+            topology: None,
             fault_plan: None,
             telemetry: None,
         }
+    }
+
+    /// Run the schedule as a halo over every rank of `grid`.
+    pub fn with_grid(mut self, grid: HaloGrid) -> Self {
+        self.grid = Some(grid);
+        self
+    }
+
+    pub fn with_topology(mut self, topo: TopologyHandle) -> Self {
+        self.topology = Some(topo);
+        self
+    }
+
+    /// Shift the datatype mid-run: `laps_per_phase` laps of the first
+    /// workload, then as many of `b` (e.g. a sparse seismic halo followed
+    /// by a dense stencil face). This is the stress case for the online
+    /// adaptive threshold controller — a single static threshold cannot be
+    /// right for both phases. Every lap is measured: adapting through the
+    /// cold start and the phase change is exactly what is being measured.
+    pub fn phase_shift(mut self, b: Workload, laps_per_phase: usize) -> Self {
+        let a = Lap::of(0, &self.workloads[0]);
+        self.laps = vec![a; laps_per_phase];
+        self.laps.extend(vec![Lap::of(1, &b); laps_per_phase]);
+        self.workloads.truncate(1);
+        self.workloads.push(b);
+        self.warmup_laps = 0;
+        self
     }
 }
 
 /// Results of one exchange measurement.
 #[derive(Debug, Clone)]
 pub struct ExchangeOutcome {
-    /// Mean makespan of the measured iterations — the paper's reported
-    /// latency.
+    /// Mean makespan of the measured laps — the paper's reported latency.
     pub latency: Duration,
-    /// Individual measured-iteration makespans.
+    /// Makespans of the measured laps, in order, each the maximum over
+    /// ranks.
     pub lap_latencies: Vec<Duration>,
-    /// Per-iteration cost buckets, summed over both ranks and averaged
-    /// over measured iterations (Fig. 11).
+    /// Per-lap cost buckets, summed over every rank and averaged over the
+    /// measured laps (Fig. 11).
     pub breakdown: Breakdown,
-    /// Digest of both ranks' receive buffers (rank 0's first); `Some` only
-    /// in `DataMode::Full`. A faulty run recovered correctly iff its
-    /// checksum equals the fault-free run's.
+    /// Digest of every rank's receive buffers in (rank, neighbor, message)
+    /// order; `Some` only in `DataMode::Full`. A faulty run recovered
+    /// correctly iff its checksum equals the fault-free run's.
     pub checksum: Option<u64>,
+    /// Busiest hop's total occupancy.
+    pub busiest_hop_busy: Duration,
+    /// Bytes summed over every hop of the fabric (the flat one when no
+    /// topology is attached).
+    pub hop_bytes: u64,
+    /// Hop-level start-time order violations observed by the network
+    /// (must stay zero).
+    pub order_violations: u64,
     /// The whole run's report.
     pub report: RunReport,
 }
 
-/// Run one bulk-exchange measurement.
+/// Run one exchange measurement.
 pub fn run_exchange(cfg: &ExchangeConfig) -> ExchangeOutcome {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let ((p0, b0), (p1, b1)) = bulk_exchange_programs(&cfg.workload, cfg.n_msgs, laps, 7);
-    let mut cluster = builder(
-        &cfg.platform,
-        &cfg.scheme,
-        cfg.mode,
-        cfg.fault_plan.as_ref(),
-        cfg.telemetry.as_ref(),
-    )
-    .add_rank(0, p0)
-    .add_rank(1, p1)
-    .build();
-    let recv = [(RankId(0), b0.recv), (RankId(1), b1.recv)]
-        .into_iter()
-        .flat_map(|(rank, bufs)| bufs.into_iter().map(move |buf| (rank, buf)));
-    let m = measure(&mut cluster, cfg.warmup_laps..laps, recv);
-
-    // Sum both ranks' per-lap breakdowns over the measured laps, averaged.
-    let mut sum = Breakdown::default();
-    for rank_laps in &m.report.lap_breakdowns {
-        for lap in rank_laps.iter().skip(cfg.warmup_laps) {
-            sum += *lap;
-        }
-    }
-    let div = cfg.measured_laps.max(1) as u64;
-    let breakdown = Breakdown {
-        pack: sum.pack / div,
-        launch: sum.launch / div,
-        scheduling: sum.scheduling / div,
-        sync: sum.sync / div,
-        comm: sum.comm / div,
-    };
-    ExchangeOutcome {
-        latency: m.latency,
-        lap_latencies: m.laps,
-        breakdown,
-        checksum: m.checksum,
-        report: m.report,
-    }
-}
-
-/// Results of one phase-changing measurement ([`run_phase_shift`]).
-#[derive(Debug, Clone)]
-pub struct PhaseShiftOutcome {
-    /// Sum of every lap's makespan — the end-to-end cost of the whole
-    /// phase-changing run (no warm-up discard: adapting through the cold
-    /// start and the phase change is exactly what is being measured).
-    pub total: Duration,
-    /// Per-lap makespans, phase 1 laps first.
-    pub lap_latencies: Vec<Duration>,
-    /// The whole run's report.
-    pub report: RunReport,
-}
-
-/// Run a bulk exchange whose datatype shifts from workload `a` to workload
-/// `b` after `laps_per_phase` iterations (see
-/// [`crate::bulk::phase_shift_programs`]), recording into `telemetry` when
-/// one is given.
-pub fn run_phase_shift(
-    platform: Platform,
-    scheme: SchemeKind,
-    a: &Workload,
-    b: &Workload,
-    n_msgs: usize,
-    laps_per_phase: usize,
-    telemetry: Option<&Telemetry>,
-) -> PhaseShiftOutcome {
-    let (p0, p1) = phase_shift_programs(a, b, n_msgs, laps_per_phase, 7);
-    let mut cluster = builder(&platform, &scheme, DataMode::ModelOnly, None, telemetry)
-        .add_rank(0, p0)
-        .add_rank(1, p1)
-        .build();
-    let m = measure(&mut cluster, 0..2 * laps_per_phase, []);
-    PhaseShiftOutcome {
-        total: m.laps.iter().copied().sum(),
-        lap_latencies: m.laps,
-        report: m.report,
-    }
-}
-
-/// A cluster builder armed with the settings the driver configs share.
-pub(crate) fn builder(
-    platform: &Platform,
-    scheme: &SchemeKind,
-    mode: DataMode,
-    fault_plan: Option<&FaultPlan>,
-    telemetry: Option<&Telemetry>,
-) -> ClusterBuilder {
-    let mut builder = ClusterBuilder::new(platform.clone(), scheme.clone()).data_mode(mode);
-    if let Some(plan) = fault_plan {
+    let laps = cfg.laps.len();
+    let mut builder =
+        ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone()).data_mode(cfg.mode);
+    if let Some(plan) = &cfg.fault_plan {
         builder = builder.fault_plan(plan.clone());
     }
-    if let Some(t) = telemetry {
+    if let Some(t) = &cfg.telemetry {
         builder = builder.telemetry(t.clone());
     }
-    builder
-}
-
-/// What [`measure`] reads off one run.
-pub(crate) struct Measured {
-    /// Mean of `laps`.
-    pub latency: Duration,
-    /// Makespans of the measured laps, in order.
-    pub laps: Vec<Duration>,
-    /// Digest of the receive buffers; `None` in `DataMode::ModelOnly`.
-    pub checksum: Option<u64>,
-    pub report: RunReport,
-}
-
-/// Run `cluster` and measure it: the makespans of the laps in `measured`
-/// and their mean, and in `DataMode::Full` the digest of the `recv`
-/// buffers, read in place in the order given.
-pub(crate) fn measure(
-    cluster: &mut Cluster,
-    measured: Range<usize>,
-    recv: impl IntoIterator<Item = (RankId, BufId)>,
-) -> Measured {
+    if let Some(topo) = &cfg.topology {
+        builder = builder.topology(topo.clone());
+    }
+    let mut recv = Vec::new();
+    match &cfg.grid {
+        None => {
+            let ((p0, b0), (p1, b1)) = pair_programs(&cfg.workloads, &cfg.laps, cfg.n_msgs, 7);
+            builder = builder.add_rank(0, p0).add_rank(1, p1);
+            recv.extend(b0.recv.into_iter().map(|b| (RankId(0), b)));
+            recv.extend(b1.recv.into_iter().map(|b| (RankId(1), b)));
+        }
+        Some(grid) => {
+            let workload = &cfg.workloads[0];
+            assert!(
+                cfg.laps.iter().all(|&lap| lap == Lap::of(0, workload)),
+                "a halo grid repeats one lap of its first workload"
+            );
+            let gpus_per_node = cfg.platform.gpus_per_node.max(1);
+            let programs = halo_programs(grid, workload, cfg.n_msgs, laps, 7);
+            for (rank, (program, bufs)) in programs.into_iter().enumerate() {
+                let rank = rank as u32;
+                builder = builder.add_rank(rank / gpus_per_node, program);
+                recv.extend(bufs.recv.into_iter().flatten().map(|b| (RankId(rank), b)));
+            }
+        }
+    }
+    let mut cluster = builder.build();
     let report = cluster.run();
     if report.event_clamps.count > 0 {
         // A clamp means the simulator rewrote a computed timestamp —
@@ -207,23 +177,41 @@ pub(crate) fn measure(
             report.event_clamps.count, report.event_clamps.total_skew
         );
     }
-    let laps: Vec<Duration> = measured.map(|i| report.lap_makespan(i)).collect();
-    let latency = if laps.is_empty() {
-        Duration::ZERO
-    } else {
-        laps.iter().copied().sum::<Duration>() / laps.len() as u64
+
+    let lap_latencies: Vec<Duration> = (cfg.warmup_laps..laps)
+        .map(|i| report.lap_makespan(i))
+        .collect();
+    let div = lap_latencies.len().max(1) as u64;
+    let latency = lap_latencies.iter().copied().sum::<Duration>() / div;
+    // Sum every rank's per-lap breakdowns over the measured laps, averaged.
+    let mut sum = Breakdown::default();
+    for rank_laps in &report.lap_breakdowns {
+        for lap in rank_laps.iter().skip(cfg.warmup_laps) {
+            sum += *lap;
+        }
+    }
+    let breakdown = Breakdown {
+        pack: sum.pack / div,
+        launch: sum.launch / div,
+        scheduling: sum.scheduling / div,
+        sync: sum.sync / div,
+        comm: sum.comm / div,
     };
-    let checksum = (cluster.mode() == DataMode::Full).then(|| {
-        let cluster = &*cluster;
+    let checksum = (cfg.mode == DataMode::Full).then(|| {
         digest(
-            recv.into_iter()
-                .map(|(rank, buf)| cluster.rank_bytes(rank, buf)),
+            recv.iter()
+                .map(|&(rank, buf)| cluster.rank_bytes(rank, buf)),
         )
     });
-    Measured {
+    let hops = cluster.topo_hop_stats().unwrap_or_default();
+    ExchangeOutcome {
         latency,
-        laps,
+        lap_latencies,
+        breakdown,
         checksum,
+        busiest_hop_busy: hops.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
+        hop_bytes: hops.iter().map(|h| h.bytes).sum(),
+        order_violations: cluster.topo_order_violations().unwrap_or(0),
         report,
     }
 }
@@ -234,6 +222,8 @@ mod tests {
     use crate::milc::milc_su3_zdown;
     use crate::nas::nas_mg_y;
     use crate::specfem::{specfem3d_cm, specfem3d_oc};
+    use fusedpack_datatype::pack::{pack, unpack};
+    use fusedpack_datatype::CompiledLayout;
 
     fn run(scheme: SchemeKind, workload: Workload, n: usize) -> ExchangeOutcome {
         run_exchange(&ExchangeConfig::new(
@@ -242,6 +232,13 @@ mod tests {
             workload,
             n,
         ))
+    }
+
+    fn phase_shift(scheme: SchemeKind, n_msgs: usize, laps_per_phase: usize) -> ExchangeOutcome {
+        run_exchange(
+            &ExchangeConfig::new(Platform::lassen(), scheme, specfem3d_cm(1200), n_msgs)
+                .phase_shift(nas_mg_y(384), laps_per_phase),
+        )
     }
 
     #[test]
@@ -293,15 +290,7 @@ mod tests {
 
     #[test]
     fn adaptive_scheme_runs_and_adjusts_on_phase_shift() {
-        let out = run_phase_shift(
-            Platform::lassen(),
-            SchemeKind::fusion_adaptive(),
-            &specfem3d_cm(1200),
-            &nas_mg_y(384),
-            16,
-            6,
-            None,
-        );
+        let out = phase_shift(SchemeKind::fusion_adaptive(), 16, 6);
         let stats = out.report.sched_stats[0].expect("adaptive fusion keeps sched stats");
         assert!(stats.kernels_launched > 0);
         assert!(
@@ -317,15 +306,7 @@ mod tests {
 
     #[test]
     fn static_fusion_never_adjusts() {
-        let out = run_phase_shift(
-            Platform::lassen(),
-            SchemeKind::fusion_default(),
-            &specfem3d_cm(1200),
-            &nas_mg_y(384),
-            8,
-            2,
-            None,
-        );
+        let out = phase_shift(SchemeKind::fusion_default(), 8, 2);
         assert_eq!(
             out.report.sched_stats[0]
                 .expect("fusion stats")
@@ -341,6 +322,8 @@ mod tests {
         assert!(stats.enqueued >= 16, "8 packs + 8 unpacks per rank");
         assert!(out.report.kernels_launched.iter().sum::<u64>() > 0);
         assert!(out.breakdown.total().as_nanos() > 0);
+        assert!(out.hop_bytes > 0, "the default flat fabric accounts hops");
+        assert_eq!(out.order_violations, 0);
     }
 
     #[test]
@@ -360,5 +343,51 @@ mod tests {
         let full = run_exchange(&cfg);
         assert!(full.checksum.is_some());
         assert_eq!(full.checksum, run_exchange(&cfg).checksum, "deterministic");
+    }
+
+    /// A size-mixed, gapped two-rank schedule moves real bytes: after the
+    /// run each receive buffer, gaps included, holds host `pack` →
+    /// `unpack` of its peer's send at the last lap's count (the largest,
+    /// so it covers what every earlier lap wrote), and the driver's
+    /// checksum is the digest of exactly those bytes.
+    #[test]
+    fn mixed_gapped_schedule_delivers_host_pack_unpack_bytes() {
+        let workload = specfem3d_oc(64);
+        let mix = [1, 3, 2, 1, 4];
+        let mut cfg = ExchangeConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            workload.clone(),
+            3,
+        )
+        // 18 requests are 3 batches of 3 each way, after 2 warm-up laps.
+        .serve(18, &mix, 1_500);
+        cfg.mode = DataMode::Full;
+        let last = cfg.laps.last().expect("laps").count;
+        assert_eq!(cfg.laps.len(), mix.len());
+        assert_eq!(last, 4, "the last lap has the largest count");
+        assert!(cfg.laps.iter().all(|lap| lap.think_ns == 1_500));
+
+        let ((p0, b0), (p1, b1)) = pair_programs(&cfg.workloads, &cfg.laps, cfg.n_msgs, 7);
+        let mut cluster = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
+            .data_mode(DataMode::Full)
+            .add_rank(0, p0)
+            .add_rank(1, p1)
+            .build();
+        cluster.run();
+        let layout = CompiledLayout::of(&workload.desc);
+        let mut want = Vec::new();
+        for (rank, bufs, peer, peer_bufs) in [(0, &b0, 1, &b1), (1, &b1, 0, &b0)] {
+            for (&recv, &send) in bufs.recv.iter().zip(&peer_bufs.send) {
+                let packed = pack(cluster.rank_bytes(RankId(peer), send), &layout, last);
+                let got = cluster.rank_bytes(RankId(rank), recv);
+                let mut expect = vec![0u8; got.len()];
+                unpack(&packed, &layout, last, &mut expect);
+                assert!(got == expect, "rank {rank} buffer {}", recv.0);
+                want.push(expect);
+            }
+        }
+        let out = run_exchange(&cfg);
+        assert_eq!(out.checksum, Some(digest(want.iter().map(Vec::as_slice))));
     }
 }

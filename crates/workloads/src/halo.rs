@@ -14,13 +14,9 @@
 //! size 2 the +/- neighbors are the same rank, and the opposite-direction
 //! tags are exactly what keeps those two streams apart.
 
-use crate::{driver, Workload};
-use fusedpack_gpu::DataMode;
+use crate::Workload;
 use fusedpack_mpi::program::BufInit;
-use fusedpack_mpi::{AppOp, BufId, Program, RankId, RunReport, SchemeKind, TypeSlot};
-use fusedpack_net::{Platform, TopologyHandle};
-use fusedpack_sim::{Duration, FaultPlan};
-use fusedpack_telemetry::Telemetry;
+use fusedpack_mpi::{AppOp, BufId, Program, RankId, TypeSlot};
 
 /// A Cartesian process grid. Dimensions of size 1 are inactive (a 2-D
 /// grid is `[x, y, 1]`).
@@ -191,126 +187,27 @@ pub fn halo_programs(
         .collect()
 }
 
-/// Configuration of one halo-exchange measurement.
-#[derive(Clone)]
-pub struct HaloConfig {
-    pub platform: Platform,
-    pub scheme: SchemeKind,
-    pub workload: Workload,
-    pub grid: HaloGrid,
-    /// Buffers per neighbor per iteration.
-    pub n_msgs: usize,
-    pub warmup_laps: usize,
-    pub measured_laps: usize,
-    /// `ModelOnly` for timing sweeps, `Full` when bytes must be real (the
-    /// outcome's checksum covers them).
-    pub mode: DataMode,
-    /// Route transfers through a topology; `None` runs the cluster's
-    /// default flat fabric ([`fusedpack_net::FlatLink`]).
-    pub topology: Option<TopologyHandle>,
-    /// Fault plan armed on the cluster (the chaos harness). `None` runs
-    /// fault-free.
-    pub fault_plan: Option<FaultPlan>,
-    /// Live recorder the cluster's events land in (tagged per rank);
-    /// `None` records nothing.
-    pub telemetry: Option<Telemetry>,
-}
-
-impl HaloConfig {
-    /// One warm-up and one measured lap, timing-only memory on the flat
-    /// fabric, no faults, no recorder.
-    pub fn new(
-        platform: Platform,
-        scheme: SchemeKind,
-        workload: Workload,
-        grid: HaloGrid,
-        n_msgs: usize,
-    ) -> Self {
-        HaloConfig {
-            platform,
-            scheme,
-            workload,
-            grid,
-            n_msgs,
-            warmup_laps: 1,
-            measured_laps: 1,
-            mode: DataMode::ModelOnly,
-            topology: None,
-            fault_plan: None,
-            telemetry: None,
-        }
-    }
-
-    pub fn with_topology(mut self, topo: TopologyHandle) -> Self {
-        self.topology = Some(topo);
-        self
-    }
-}
-
-/// Results of one halo measurement.
-#[derive(Debug, Clone)]
-pub struct HaloOutcome {
-    /// Mean makespan of the measured iterations across all ranks.
-    pub latency: Duration,
-    pub lap_latencies: Vec<Duration>,
-    /// Busiest hop's total occupancy.
-    pub busiest_hop_busy: Duration,
-    /// Bytes summed over every hop of the fabric (the flat one when no
-    /// topology is attached).
-    pub hop_bytes: u64,
-    /// Hop-level start-time order violations observed by the network
-    /// (must stay zero).
-    pub order_violations: u64,
-    /// Digest of every rank's receive buffers in (rank, neighbor, message)
-    /// order; `Some` only in `DataMode::Full`. A faulty run recovered
-    /// correctly iff its checksum equals the fault-free run's.
-    pub checksum: Option<u64>,
-    /// The whole run's report.
-    pub report: RunReport,
-}
-
-/// Run one halo-exchange measurement.
-pub fn run_halo(cfg: &HaloConfig) -> HaloOutcome {
-    let laps = cfg.warmup_laps + cfg.measured_laps;
-    let programs = halo_programs(&cfg.grid, &cfg.workload, cfg.n_msgs, laps, 7);
-    let gpus_per_node = cfg.platform.gpus_per_node.max(1);
-    let mut builder = driver::builder(
-        &cfg.platform,
-        &cfg.scheme,
-        cfg.mode,
-        cfg.fault_plan.as_ref(),
-        cfg.telemetry.as_ref(),
-    );
-    if let Some(topo) = &cfg.topology {
-        builder = builder.topology(topo.clone());
-    }
-    let mut recv = Vec::new();
-    for (rank, (program, bufs)) in programs.into_iter().enumerate() {
-        let rank = rank as u32;
-        builder = builder.add_rank(rank / gpus_per_node, program);
-        recv.extend(bufs.recv.into_iter().flatten().map(|b| (RankId(rank), b)));
-    }
-    let mut cluster = builder.build();
-    let m = driver::measure(&mut cluster, cfg.warmup_laps..laps, recv);
-
-    let hops = cluster.topo_hop_stats().unwrap_or_default();
-    HaloOutcome {
-        latency: m.latency,
-        lap_latencies: m.laps,
-        busiest_hop_busy: hops.iter().map(|h| h.busy).max().unwrap_or(Duration::ZERO),
-        hop_bytes: hops.iter().map(|h| h.bytes).sum(),
-        order_violations: cluster.topo_order_violations().unwrap_or(0),
-        checksum: m.checksum,
-        report: m.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{run_exchange, ExchangeConfig};
     use crate::specfem::specfem3d_cm;
-    use fusedpack_net::Hierarchy;
+    use fusedpack_gpu::DataMode;
+    use fusedpack_mpi::SchemeKind;
+    use fusedpack_net::{Hierarchy, Platform};
     use std::sync::Arc;
+
+    /// A halo of specfem3D_cm(200) on the 2×2×2 torus, `n_msgs` per
+    /// neighbor, on the flat fabric.
+    fn small_halo(n_msgs: usize) -> ExchangeConfig {
+        ExchangeConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_cm(200),
+            n_msgs,
+        )
+        .with_grid(HaloGrid::new_3d(2, 2, 2))
+    }
 
     #[test]
     fn torus_neighbors_are_complete_and_never_self() {
@@ -352,14 +249,7 @@ mod tests {
 
     #[test]
     fn halo_runs_on_a_small_torus_and_matches_all_messages() {
-        let cfg = HaloConfig::new(
-            Platform::lassen(),
-            SchemeKind::fusion_default(),
-            specfem3d_cm(200),
-            HaloGrid::new_3d(2, 2, 2),
-            2,
-        );
-        let out = run_halo(&cfg);
+        let out = run_exchange(&small_halo(2));
         assert_eq!(out.report.laps.len(), 8);
         assert!(out.latency.as_nanos() > 0);
         assert!(out.hop_bytes > 0, "the default flat fabric accounts hops");
@@ -367,15 +257,8 @@ mod tests {
 
     #[test]
     fn topology_attached_halo_accounts_hop_traffic() {
-        let cfg = HaloConfig::new(
-            Platform::lassen(),
-            SchemeKind::fusion_default(),
-            specfem3d_cm(200),
-            HaloGrid::new_3d(2, 2, 2),
-            1,
-        )
-        .with_topology(Arc::new(Hierarchy::lassen_like(2)));
-        let out = run_halo(&cfg);
+        let cfg = small_halo(1).with_topology(Arc::new(Hierarchy::lassen_like(2)));
+        let out = run_exchange(&cfg);
         assert!(out.hop_bytes > 0);
         assert!(out.busiest_hop_busy.as_nanos() > 0);
     }
@@ -386,17 +269,11 @@ mod tests {
     #[test]
     fn halo_repeats_exactly_with_no_order_violations() {
         for topo in [false, true] {
-            let mut cfg = HaloConfig::new(
-                Platform::lassen(),
-                SchemeKind::fusion_default(),
-                specfem3d_cm(200),
-                HaloGrid::new_3d(2, 2, 2),
-                2,
-            );
+            let mut cfg = small_halo(2);
             if topo {
                 cfg = cfg.with_topology(Arc::new(Hierarchy::lassen_like(2)));
             }
-            let (a, b) = (run_halo(&cfg), run_halo(&cfg));
+            let (a, b) = (run_exchange(&cfg), run_exchange(&cfg));
             assert_eq!(a.lap_latencies, b.lap_latencies, "topo={topo}");
             assert_eq!(
                 a.report.events_processed, b.report.events_processed,
@@ -412,17 +289,11 @@ mod tests {
     /// times of its timing-only twin.
     #[test]
     fn full_mode_checksum_moves_bytes_at_model_only_timing() {
-        let mut cfg = HaloConfig::new(
-            Platform::lassen(),
-            SchemeKind::fusion_default(),
-            specfem3d_cm(200),
-            HaloGrid::new_3d(2, 2, 2),
-            2,
-        );
-        let model = run_halo(&cfg);
+        let mut cfg = small_halo(2);
+        let model = run_exchange(&cfg);
         assert_eq!(model.checksum, None, "ModelOnly moves no bytes");
         cfg.mode = DataMode::Full;
-        let full = run_halo(&cfg);
+        let full = run_exchange(&cfg);
         let copy = full.report.copy;
         assert!(copy.lanes.iter().all(|lane| lane.jobs() > 0), "{copy:?}");
         assert!(full.checksum.is_some());
@@ -460,5 +331,33 @@ mod tests {
         );
         assert_eq!(format!("{plain:?}"), format!("{asked:?}"));
         assert!(plain.events_processed > 0);
+    }
+
+    /// A grid run is `halo_programs` with its ranks packed
+    /// `gpus_per_node` to a node: the driver reports, by `Debug`, the run
+    /// of that cluster built by hand.
+    #[test]
+    fn grid_runs_pack_ranks_gpus_per_node_to_a_node() {
+        let mut builder =
+            fusedpack_mpi::ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
+                .data_mode(DataMode::ModelOnly);
+        let grid = HaloGrid::new_3d(2, 2, 2);
+        for (rank, (program, _)) in halo_programs(&grid, &specfem3d_cm(200), 2, 2, 7)
+            .into_iter()
+            .enumerate()
+        {
+            builder = builder.add_rank(rank as u32 / 4, program);
+        }
+        let by_hand = builder.build().run();
+        let out = run_exchange(&small_halo(2));
+        assert_eq!(format!("{:?}", out.report), format!("{by_hand:?}"));
+    }
+
+    /// `halo_programs` runs one lap shape, so a grid refuses a mixed
+    /// schedule instead of running some other one.
+    #[test]
+    #[should_panic(expected = "a halo grid repeats one lap")]
+    fn grid_refuses_a_mixed_schedule() {
+        run_exchange(&small_halo(2).serve(64, &[1, 2], 0));
     }
 }

@@ -11,12 +11,12 @@
 //! * [`nas::nas_mg_y`] (and x/z faces) — vectors, *dense* (large blocks),
 //!   Fluid Dynamics.
 //!
-//! Plus the communication drivers: [`bulk::bulk_exchange_programs`] (N buffers per
-//! neighbor, Figs. 9/10), the 3-D halo exchange with 32 non-blocking
-//! operations (Figs. 12/13), and one entry point per shape the benchmark
-//! harness runs: [`run_exchange`], [`run_halo`], [`run_phase_shift`] and
-//! [`run_serve`]. Each outcome carries the run's
-//! [`fusedpack_mpi::RunReport`].
+//! Plus the communication drivers: [`pair_programs`], two ranks exchanging
+//! N buffers each way per lap of a lap schedule (Figs. 9/10, the adapt
+//! phase shift, the serve replay), [`halo::halo_programs`], the halo over a
+//! Cartesian grid (`reproduce topo`), and one entry point for every run the
+//! benchmark harness makes: [`run_exchange`] of an [`ExchangeConfig`]. Its
+//! outcome carries the run's [`fusedpack_mpi::RunReport`].
 
 pub mod approaches;
 pub mod bulk;
@@ -28,12 +28,9 @@ pub mod nas;
 pub mod serve;
 pub mod specfem;
 
-pub use bulk::{bulk_exchange_programs, phase_shift_programs};
-pub use driver::{
-    run_exchange, run_phase_shift, ExchangeConfig, ExchangeOutcome, PhaseShiftOutcome,
-};
-pub use halo::{run_halo, HaloConfig, HaloGrid, HaloOutcome};
-pub use serve::{run_serve, ServeConfig, ServeOutcome};
+pub use bulk::{bulk_exchange_programs, pair_programs, Lap};
+pub use driver::{run_exchange, ExchangeConfig, ExchangeOutcome};
+pub use halo::HaloGrid;
 
 use fusedpack_datatype::TypeDesc;
 use std::sync::Arc;

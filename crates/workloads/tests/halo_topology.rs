@@ -6,9 +6,9 @@ use fusedpack_gpu::DataMode;
 use fusedpack_mpi::{ClusterBuilder, SchemeKind};
 use fusedpack_net::{Hierarchy, Platform, TopologyHandle};
 use fusedpack_telemetry::{Payload, Telemetry};
-use fusedpack_workloads::halo::{halo_programs, HaloConfig, HaloGrid};
-use fusedpack_workloads::run_halo;
+use fusedpack_workloads::halo::{halo_programs, HaloGrid};
 use fusedpack_workloads::specfem::specfem3d_cm;
+use fusedpack_workloads::{run_exchange, ExchangeConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -20,14 +20,14 @@ fn abci_topo(nodes: u32) -> TopologyHandle {
     Arc::new(Hierarchy::abci_like(nodes))
 }
 
-fn small_cfg(topo: Option<TopologyHandle>) -> HaloConfig {
-    let mut cfg = HaloConfig::new(
+fn small_cfg(topo: Option<TopologyHandle>) -> ExchangeConfig {
+    let mut cfg = ExchangeConfig::new(
         Platform::lassen(),
         SchemeKind::fusion_default(),
         specfem3d_cm(400),
-        HaloGrid::new_3d(2, 2, 2),
         2,
-    );
+    )
+    .with_grid(HaloGrid::new_3d(2, 2, 2));
     cfg.topology = topo;
     cfg
 }
@@ -87,7 +87,7 @@ fn driver_hop_totals_match_telemetry() {
     let tele = Telemetry::enabled();
     let mut cfg = small_cfg(Some(lassen_topo(2)));
     cfg.telemetry = Some(tele.clone());
-    let out = run_halo(&cfg);
+    let out = run_exchange(&cfg);
     let tele_total: u64 = hop_bytes_from_telemetry(&tele).values().sum();
     assert!(out.hop_bytes > 0);
     assert_eq!(out.hop_bytes, tele_total);
@@ -97,8 +97,8 @@ fn driver_hop_totals_match_telemetry() {
 /// event count, and hop accounting on every run.
 #[test]
 fn topology_runs_are_deterministic() {
-    let a = run_halo(&small_cfg(Some(abci_topo(2))));
-    let b = run_halo(&small_cfg(Some(abci_topo(2))));
+    let a = run_exchange(&small_cfg(Some(abci_topo(2))));
+    let b = run_exchange(&small_cfg(Some(abci_topo(2))));
     assert_eq!(a.latency, b.latency);
     assert_eq!(a.report.events_processed, b.report.events_processed);
     assert_eq!(a.hop_bytes, b.hop_bytes);
@@ -110,8 +110,8 @@ fn topology_runs_are_deterministic() {
 /// different hop accounting and timing.
 #[test]
 fn machines_shape_the_same_exchange_differently() {
-    let lassen = run_halo(&small_cfg(Some(lassen_topo(2))));
-    let abci = run_halo(&small_cfg(Some(abci_topo(2))));
+    let lassen = run_exchange(&small_cfg(Some(lassen_topo(2))));
+    let abci = run_exchange(&small_cfg(Some(abci_topo(2))));
     // ABCI's inter-node routes bounce through the host complex, so the
     // same traffic crosses more hops and the exchange runs slower.
     assert!(abci.hop_bytes > lassen.hop_bytes);
@@ -123,8 +123,8 @@ fn machines_shape_the_same_exchange_differently() {
 /// crosses fewer of them than either machine model.
 #[test]
 fn flat_runs_account_one_hop_per_transfer() {
-    let flat = run_halo(&small_cfg(None));
-    let lassen = run_halo(&small_cfg(Some(lassen_topo(2))));
+    let flat = run_exchange(&small_cfg(None));
+    let lassen = run_exchange(&small_cfg(Some(lassen_topo(2))));
     assert!(flat.hop_bytes > 0);
     assert!(flat.hop_bytes < lassen.hop_bytes);
     assert!(flat.latency.as_nanos() > 0);

@@ -21,8 +21,9 @@
 //!   (`fusedpack-gpu`);
 //! * [`net`] — links, NICs, RDMA, and the Lassen/ABCI platforms
 //!   (`fusedpack-net`);
-//! * [`workloads`] — specfem3D / MILC / NAS_MG generators and the exchange
-//!   driver (`fusedpack-workloads`);
+//! * [`workloads`] — specfem3D / MILC / NAS_MG generators and the one
+//!   exchange driver, whose config runs a two-rank lap schedule or a halo
+//!   over a process grid (`fusedpack-workloads`);
 //! * [`sim`] — the deterministic discrete-event engine (`fusedpack-sim`);
 //! * [`telemetry`] — the typed event timeline, metrics aggregation, and
 //!   Chrome-trace / Perfetto export (`fusedpack-telemetry`).
