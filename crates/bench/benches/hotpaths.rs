@@ -128,7 +128,7 @@ fn bench_gather_tier(c: &mut Criterion) {
     // runs), the per-message copy every ModelOnly serve request makes: the
     // plan answers with `total_bytes` and reads neither the segment table
     // nor the offset table.
-    let oc = CompiledLayout::of(&specfem3d_oc(512).desc);
+    let oc = specfem3d_oc(512).layout().clone();
     let mut model = MemPool::new(1 << 30, DataMode::ModelOnly);
     let user = model.alloc(oc.footprint(1), 64);
     let staged = model.alloc(oc.total_bytes(1), 64);
@@ -147,7 +147,7 @@ fn bench_gather_tier(c: &mut Criterion) {
 /// pool memory.
 fn bench_indexed_runs(c: &mut Criterion) {
     use fusedpack_datatype::CopyPlan;
-    let layout = CompiledLayout::of(&specfem3d_cm(512).desc);
+    let layout = specfem3d_cm(512).layout().clone();
     let count = 1u64;
     assert_eq!(layout.plan_for(count), CopyPlan::IndexedRuns { width: 4 });
     let (span, total) = (layout.footprint(count), layout.total_bytes(count));

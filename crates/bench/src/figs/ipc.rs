@@ -59,6 +59,7 @@ pub fn intra_node_latency(scheme: SchemeKind, workload: &Workload, n_msgs: usize
     };
     let mut cluster = ClusterBuilder::new(Platform::lassen(), scheme)
         .data_mode(DataMode::ModelOnly)
+        .layouts([workload.committed()])
         .add_rank(0, build(11, RankId(1)))
         .add_rank(0, build(22, RankId(0))) // same node!
         .build();

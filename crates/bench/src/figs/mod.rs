@@ -187,4 +187,27 @@ mod tests {
             }
         }
     }
+
+    /// A fig12 cell runs the tuned-threshold grid and the four scheme
+    /// columns, 13 exchanges, on one workload. Every cluster reuses the
+    /// layout the workload compiled, so the cell compiles nothing more.
+    #[test]
+    fn a_fig12_cell_compiles_its_type_only_in_the_workload() {
+        let platform = Platform::lassen();
+        let w = fusedpack_workloads::specfem::specfem3d_oc(512);
+        let schemes: Vec<SchemeKind> = fusedpack_core::ThresholdTuner::default_grid()
+            .into_iter()
+            .map(SchemeKind::fusion_with_threshold)
+            .chain(gpu_driven_schemes())
+            .collect();
+        assert_eq!(schemes.len(), 13);
+        let compiles: u64 = schemes
+            .into_iter()
+            .map(|s| {
+                let cfg = ExchangeConfig::new(platform.clone(), s, w.clone(), HALO_MSGS);
+                run_exchange(&cfg).report.layout_compiles
+            })
+            .sum();
+        assert_eq!(compiles, 0);
+    }
 }

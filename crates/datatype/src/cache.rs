@@ -8,11 +8,15 @@
 //! * [`LayoutTable`] is the only place that interns descriptors. A cluster
 //!   shares one across all its ranks. It keys each descriptor by the
 //!   structural hash of its type tree, checks equality on a collision, and
-//!   compiles each distinct descriptor once, however many ranks commit it.
-//!   It hands out that one `Arc<CompiledLayout>` with a dense id. A
-//!   descriptor `Arc` the table has seen before is found by its address,
-//!   with no hash of the tree: ranks built from one program generator
-//!   commit the same `Arc`.
+//!   holds one `Arc<CompiledLayout>` per distinct descriptor, which it
+//!   hands out with a dense id. A descriptor `Arc` the table has seen
+//!   before is found by its address, with no hash of the tree: ranks built
+//!   from one program generator commit the same `Arc`.
+//!
+//!   A type is compiled where it is committed by the application: a
+//!   workload compiles its descriptor once and hands the pair to each
+//!   cluster it runs on ([`LayoutTable::insert`]). The table compiles only
+//!   a descriptor it was not handed, once however many ranks commit it.
 //! * [`LayoutCache`] is one rank's *modelled* cache: the set of ids that
 //!   rank has committed, plus its counters. A rank's first commit of a
 //!   type is a miss and pays [`flatten_cost`]; a re-commit is a hit and
@@ -132,6 +136,8 @@ struct TableInner {
     by_key: HashMap<u64, Vec<usize>>,
     /// id → descriptor and its compiled layout.
     entries: Vec<(Arc<TypeDesc>, Arc<CompiledLayout>)>,
+    /// Entries the table compiled itself rather than was handed.
+    compiles: u64,
 }
 
 impl LayoutTable {
@@ -164,6 +170,22 @@ impl LayoutTable {
     /// compiles it under the lock, so concurrent ranks never compile the
     /// same type twice.
     pub(crate) fn intern(&self, desc: &Arc<TypeDesc>) -> (usize, Arc<CompiledLayout>) {
+        self.resolve(desc, None)
+    }
+
+    /// Hand the table `desc`'s layout, compiled by its owner: a later
+    /// intern of that `Arc`, or of an equal tree, gets `layout` and
+    /// compiles nothing. Like any intern, a descriptor the table already
+    /// holds keeps its entry.
+    pub fn insert(&self, desc: &Arc<TypeDesc>, layout: &Arc<CompiledLayout>) {
+        self.resolve(desc, Some(layout));
+    }
+
+    fn resolve(
+        &self,
+        desc: &Arc<TypeDesc>,
+        compiled: Option<&Arc<CompiledLayout>>,
+    ) -> (usize, Arc<CompiledLayout>) {
         let addr = Arc::as_ptr(desc) as usize;
         let mut inner = self.lock();
         if let Some(&(_, id)) = inner.by_addr.get(&addr) {
@@ -174,15 +196,19 @@ impl LayoutTable {
             by_addr,
             by_key,
             entries,
+            compiles,
         } = &mut *inner;
         let ids = by_key.entry(key).or_default();
         let id = match ids.iter().find(|&&id| *entries[id].0 == **desc) {
             Some(&id) => id,
             None => {
-                let id = entries.len();
-                entries.push((Arc::clone(desc), Arc::new(CompiledLayout::of(desc))));
-                ids.push(id);
-                id
+                let layout = compiled.map(Arc::clone).unwrap_or_else(|| {
+                    *compiles += 1;
+                    Arc::new(CompiledLayout::of(desc))
+                });
+                entries.push((Arc::clone(desc), layout));
+                ids.push(entries.len() - 1);
+                entries.len() - 1
             }
         };
         by_addr.insert(addr, (Arc::clone(desc), id));
@@ -190,9 +216,10 @@ impl LayoutTable {
     }
 
     /// Calls to [`CompiledLayout::of`] this table has made: one per
-    /// distinct descriptor, however many caches committed it.
+    /// distinct descriptor it was not handed, however many caches
+    /// committed it.
     pub fn compiles(&self) -> u64 {
-        self.lock().entries.len() as u64
+        self.lock().compiles
     }
 }
 
@@ -351,6 +378,24 @@ mod tests {
         FORCED_KEY.with(|k| k.set(Some(9)));
         assert_eq!(table.intern(&copy).0, id, "and its address is kept");
         FORCED_KEY.with(|k| k.set(None));
+        assert_eq!(table.compiles(), 1);
+    }
+
+    #[test]
+    fn a_handed_layout_is_interned_without_a_compile() {
+        let table = LayoutTable::new();
+        let t = distinct_type(0);
+        let handed = Arc::new(CompiledLayout::of(&t));
+        table.insert(&t, &handed);
+        let (id, layout) = table.intern(&t);
+        assert!(Arc::ptr_eq(&layout, &handed));
+        // An equal tree in another `Arc` finds the handed entry too.
+        let copy = Arc::new((*t).clone());
+        assert_eq!(table.intern(&copy).0, id);
+        assert_eq!(table.compiles(), 0);
+        // A descriptor it was not handed is still compiled, once.
+        table.intern(&distinct_type(1));
+        table.intern(&distinct_type(1));
         assert_eq!(table.compiles(), 1);
     }
 

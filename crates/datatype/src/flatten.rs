@@ -7,22 +7,16 @@
 //! be contiguous in memory are coalesced as they are emitted, so a
 //! `vector(count, blocklen=stride, ...)` collapses to a single segment.
 //!
-//! [`flatten`] routes through the canonical IR ([`crate::ir`]): the tree is
-//! normalized once (which already coalesces everything the rewrite rules
-//! can see) and the leaf runs are emitted through the coalescing
-//! [`Emitter`], which mops up any cross-node adjacency the node-local
-//! rules could not. The pre-IR direct tree walk lives on in the crate's
-//! property tests as the independent ground truth they compare against.
+//! [`CompiledLayout::of`](crate::CompiledLayout::of) routes through the
+//! canonical IR ([`crate::ir`]): the tree is normalized once (which
+//! already coalesces everything the rewrite rules can see) and the leaf
+//! runs are emitted here through the coalescing [`Emitter`], which mops up
+//! any cross-node adjacency the node-local rules could not. The pre-IR
+//! direct tree walk lives on in the crate's property tests as the
+//! independent ground truth they compare against.
 
 use crate::ir::LayoutIr;
 use crate::layout::Segment;
-use crate::typedesc::TypeDesc;
-
-/// Flatten one element of `desc` into segments via the canonical IR.
-/// Offsets are relative to the element base.
-pub fn flatten(desc: &TypeDesc) -> Vec<Segment> {
-    emit_ir_segments(&LayoutIr::normalize(desc))
-}
 
 /// Emit the coalesced segment list of a normalized IR. The IR's exact
 /// post-rewrite run count sizes the buffer precisely (coalescing can only
@@ -59,9 +53,15 @@ impl Emitter<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::TypeBuilder;
     use crate::layout::Segment;
+    use crate::typedesc::TypeDesc;
+    use crate::CompiledLayout;
+
+    /// One element's segments, as the layout compiler emits them.
+    fn flatten(desc: &TypeDesc) -> Vec<Segment> {
+        CompiledLayout::of(desc).segments().to_vec()
+    }
 
     fn segs(v: &[(u64, u64)]) -> Vec<Segment> {
         v.iter()

@@ -27,7 +27,7 @@
 pub mod builder;
 pub mod cache;
 pub mod compile;
-pub mod flatten;
+mod flatten;
 pub mod ir;
 pub mod layout;
 pub mod pack;

@@ -14,7 +14,6 @@ mod common;
 
 use common::{arb_type, flatten_reference, leaf_block_upper_bound};
 use fusedpack_datatype::cache::{LayoutCache, LayoutTable};
-use fusedpack_datatype::flatten::flatten;
 use fusedpack_datatype::ir::LayoutIr;
 use fusedpack_datatype::pack::{pack_into, pack_into_generic, unpack, unpack_generic};
 use fusedpack_datatype::{CompiledLayout, TypeBuilder, TypeDesc};
@@ -32,11 +31,12 @@ fn leaf_block_bound_counts_blocks() {
 }
 
 proptest! {
-    /// The IR-routed flatten and the legacy tree walk emit identical
+    /// The IR-routed compile and the legacy tree walk emit identical
     /// segment lists on arbitrary nested trees.
     #[test]
     fn ir_flatten_matches_reference(t in arb_type(2)) {
-        prop_assert_eq!(flatten(&t), flatten_reference(&t));
+        let compiled = CompiledLayout::of(&t);
+        prop_assert_eq!(compiled.segments(), &flatten_reference(&t)[..]);
     }
 
     /// normalize → compile → execute produces byte-identical packed
@@ -79,8 +79,8 @@ proptest! {
     #[test]
     fn run_count_is_tight(t in arb_type(2)) {
         let ir = LayoutIr::normalize(&t);
-        let segs = flatten(&t);
-        prop_assert!(ir.run_count() >= segs.len() as u64);
+        let segs = CompiledLayout::of(&t).segments().len();
+        prop_assert!(ir.run_count() >= segs as u64);
         prop_assert!(ir.run_count() <= leaf_block_upper_bound(&t));
         let mut bytes = 0u64;
         ir.for_each_run(|_, len| bytes += len);

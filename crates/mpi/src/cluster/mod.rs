@@ -21,7 +21,7 @@ use crate::program::{BufInit, Program};
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Scheduler, Uid};
-use fusedpack_datatype::LayoutTable;
+use fusedpack_datatype::{CompiledLayout, LayoutTable, TypeDesc};
 use fusedpack_gpu::{DataMode, Gpu, MemPool};
 use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint};
@@ -94,6 +94,8 @@ pub struct ClusterBuilder {
     faults: Option<FaultPlan>,
     topology: Option<TopologyHandle>,
     ranks: Vec<(u32, Program)>,
+    /// The cluster's one layout table, shared by every rank's cache.
+    layout_table: Arc<LayoutTable>,
 }
 
 impl ClusterBuilder {
@@ -108,6 +110,7 @@ impl ClusterBuilder {
             faults: None,
             topology: None,
             ranks: Vec::new(),
+            layout_table: Arc::default(),
         }
     }
 
@@ -168,6 +171,20 @@ impl ClusterBuilder {
         self
     }
 
+    /// Hand the cluster types compiled before it was built: a rank that
+    /// commits one of these descriptors, or an equal tree, reuses its
+    /// layout. Modelled costs and counters stay as they are; only
+    /// [`RunReport::layout_compiles`], the host compiles, drops.
+    pub fn layouts(
+        self,
+        compiled: impl IntoIterator<Item = (Arc<TypeDesc>, Arc<CompiledLayout>)>,
+    ) -> Self {
+        for (desc, layout) in compiled {
+            self.layout_table.insert(&desc, &layout);
+        }
+        self
+    }
+
     /// Add a rank running `program` on `node`.
     pub fn add_rank(mut self, node: u32, program: Program) -> Self {
         self.ranks.push((node, program));
@@ -190,10 +207,7 @@ impl ClusterBuilder {
         // Each rank occupies the next GPU slot on its node, in add order.
         let mut endpoints = Vec::new();
         let mut node_slots: HashMap<u32, u32> = HashMap::new();
-        // One compile-once table for the whole cluster: ranks committing
-        // the same descriptor share its host compile, while each rank's
-        // cache keeps its own modelled state.
-        let layout_table = Arc::new(LayoutTable::new());
+        let layout_table = self.layout_table;
 
         for (idx, (node, program)) in self.ranks.into_iter().enumerate() {
             let slot = node_slots.entry(node).or_insert(0);
@@ -403,7 +417,8 @@ pub struct RunReport {
     pub layout_cache: fusedpack_datatype::LayoutCacheStats,
     /// Host compiles behind those caches: `CompiledLayout::of` calls made
     /// by the cluster's shared layout table, one per distinct committed
-    /// descriptor. Unlike `layout_cache.misses()`, which the model counts
+    /// descriptor that [`ClusterBuilder::layouts`] did not hand it
+    /// compiled. Unlike `layout_cache.misses()`, which the model counts
     /// per rank, this is real host work; no report renders it.
     pub layout_compiles: u64,
     /// Copy-engine work: jobs run by kind (all zero in timing-only

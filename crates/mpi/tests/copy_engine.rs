@@ -22,7 +22,7 @@
 //!   for more.
 
 use fusedpack_datatype::pack::{pack, unpack};
-use fusedpack_datatype::{CompiledLayout, TypeBuilder};
+use fusedpack_datatype::TypeBuilder;
 use fusedpack_gpu::{DataMode, PoolStats};
 use fusedpack_mpi::{
     AppOp, BufId, BufInit, Cluster, ClusterBuilder, CopyStats, LaneStats, Program, RankId,
@@ -92,7 +92,7 @@ impl Halo {
     /// send in the opposite direction) → `unpack` into zeros.
     fn assert_delivered(&self) {
         let workload = specfem3d_cm(64);
-        let layout = CompiledLayout::of(&workload.desc);
+        let layout = workload.layout();
         for (rank, bufs) in self.bufs.iter().enumerate() {
             let rank = rank as u32;
             for (k, (dir, peer)) in self.grid.neighbors(rank).into_iter().enumerate() {
@@ -107,8 +107,8 @@ impl Halo {
                     .rank_bytes(RankId(peer), self.bufs[peer as usize].send[back][0]);
                 let got = self.cluster.rank_bytes(RankId(rank), bufs.recv[k][0]);
                 let mut want = vec![0; got.len()];
-                let packed = pack(sent, &layout, workload.count);
-                unpack(&packed, &layout, workload.count, &mut want);
+                let packed = pack(sent, layout, workload.count);
+                unpack(&packed, layout, workload.count, &mut want);
                 assert!(got == want, "rank {rank} from {peer}");
             }
         }

@@ -23,32 +23,27 @@ pub struct ApproachBuffers {
     pub recv_user: Vec<BufId>,
 }
 
-fn declare_bufs(
-    p: &mut Program,
-    workload: &Workload,
-    n_msgs: usize,
-    seed: u64,
-    explicit: bool,
-) -> (Vec<BufId>, Vec<BufId>, Vec<BufId>, Vec<BufId>) {
+/// Declare an explicit approach's buffers: user send buffers seeded from
+/// `seed`, zeroed user receive buffers and packed staging buffers, in that
+/// order. Then commit the workload's type at slot 0 and its packed image,
+/// a contiguous byte run, at slot 1.
+fn declare(p: &mut Program, workload: &Workload, n_msgs: usize, seed: u64) -> [Vec<BufId>; 4] {
     let len = workload.footprint().max(1);
     let packed = workload.packed_bytes().max(1);
-    let send_user: Vec<BufId> = (0..n_msgs)
+    let send_user = (0..n_msgs)
         .map(|i| p.buffer(len, BufInit::Random(seed + i as u64)))
         .collect();
-    let recv_user: Vec<BufId> = (0..n_msgs).map(|_| p.buffer(len, BufInit::Zero)).collect();
-    let (send_packed, recv_packed) = if explicit {
-        (
-            (0..n_msgs)
-                .map(|_| p.buffer(packed, BufInit::Zero))
-                .collect(),
-            (0..n_msgs)
-                .map(|_| p.buffer(packed, BufInit::Zero))
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    (send_user, recv_user, send_packed, recv_packed)
+    let mut zeroed = |len| (0..n_msgs).map(|_| p.buffer(len, BufInit::Zero)).collect();
+    let bufs = [send_user, zeroed(len), zeroed(packed), zeroed(packed)];
+    p.push(AppOp::Commit {
+        slot: TypeSlot(0),
+        desc: workload.desc.clone(),
+    });
+    p.push(AppOp::Commit {
+        slot: TypeSlot(1),
+        desc: TypeBuilder::contiguous(packed, TypeBuilder::byte()),
+    });
+    bufs
 }
 
 /// Algorithm 1: MPI-level explicit pack/unpack.
@@ -59,16 +54,8 @@ pub fn algorithm1_programs(
 ) -> (Program, Program, ApproachBuffers) {
     let build = |seed: u64, peer: RankId| {
         let mut p = Program::new();
-        let (send_user, recv_user, send_packed, recv_packed) =
-            declare_bufs(&mut p, workload, n_msgs, seed, true);
-        p.push(AppOp::Commit {
-            slot: TypeSlot(0),
-            desc: workload.desc.clone(),
-        });
-        p.push(AppOp::Commit {
-            slot: TypeSlot(1),
-            desc: TypeBuilder::contiguous(workload.packed_bytes().max(1), TypeBuilder::byte()),
-        });
+        let [send_user, recv_user, send_packed, recv_packed] =
+            declare(&mut p, workload, n_msgs, seed);
         p.push(AppOp::ResetTimer);
         for (i, &b) in recv_packed.iter().enumerate() {
             p.push(AppOp::Irecv {
@@ -120,16 +107,8 @@ pub fn algorithm2_programs(
 ) -> (Program, Program, ApproachBuffers) {
     let build = |seed: u64, peer: RankId| {
         let mut p = Program::new();
-        let (send_user, recv_user, send_packed, recv_packed) =
-            declare_bufs(&mut p, workload, n_msgs, seed, true);
-        p.push(AppOp::Commit {
-            slot: TypeSlot(0),
-            desc: workload.desc.clone(),
-        });
-        p.push(AppOp::Commit {
-            slot: TypeSlot(1),
-            desc: TypeBuilder::contiguous(workload.packed_bytes().max(1), TypeBuilder::byte()),
-        });
+        let [send_user, recv_user, send_packed, recv_packed] =
+            declare(&mut p, workload, n_msgs, seed);
         p.push(AppOp::ResetTimer);
         // Launch every packing kernel asynchronously...
         for i in 0..n_msgs {
@@ -183,7 +162,6 @@ pub fn algorithm2_programs(
 mod tests {
     use super::*;
     use crate::specfem::specfem3d_cm;
-    use fusedpack_datatype::CompiledLayout;
     use fusedpack_gpu::DataMode;
     use fusedpack_mpi::{ClusterBuilder, SchemeKind};
     use fusedpack_net::Platform;
@@ -203,7 +181,7 @@ mod tests {
             .build();
         let report = cluster.run();
         // Verify rank 1 received rank 0's data.
-        let layout = CompiledLayout::of(&workload.desc);
+        let layout = workload.layout();
         let len = workload.footprint().max(1);
         for (i, &rbuf) in bufs1.recv_user.iter().enumerate() {
             let got = cluster.rank_buffer(fusedpack_mpi::RankId(1), rbuf);

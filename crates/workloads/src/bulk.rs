@@ -10,7 +10,6 @@
 //! mid-run; serve replays a size-mixed, gapped stream.
 
 use crate::Workload;
-use fusedpack_datatype::CompiledLayout;
 use fusedpack_mpi::program::BufInit;
 use fusedpack_mpi::{AppOp, BufId, Program, RankId, TypeSlot};
 
@@ -65,7 +64,7 @@ pub fn pair_programs(
 ) -> ((Program, ExchangeBuffers), (Program, ExchangeBuffers)) {
     assert!(n_msgs >= 1 && !laps.is_empty());
     // Footprints grow with the count, so each type's largest count sizes
-    // it, and each type compiles once however many laps it runs.
+    // the buffers.
     let mut max_count = vec![0; types.len()];
     for lap in laps {
         max_count[lap.ty] = max_count[lap.ty].max(lap.count);
@@ -73,7 +72,7 @@ pub fn pair_programs(
     let buf_len = types
         .iter()
         .zip(max_count)
-        .map(|(w, count)| CompiledLayout::of(&w.desc).footprint(count))
+        .map(|(w, count)| w.layout().footprint(count))
         .max()
         .unwrap_or(0)
         .max(1);
@@ -241,9 +240,7 @@ mod tests {
         ];
         let n = 3;
         let ((p0, b0), (p1, b1)) = pair_programs(&[a.clone(), b.clone()], &laps, n, 7);
-        let buf_len = CompiledLayout::of(&a.desc)
-            .footprint(5)
-            .max(CompiledLayout::of(&b.desc).footprint(3));
+        let buf_len = a.layout().footprint(5).max(b.layout().footprint(3));
         for (rank, p, bufs, seed, peer) in [(0, &p0, &b0, 7, 1), (1, &p1, &b1, 1007, 0)] {
             let sends: Vec<BufId> = (0..n).map(BufId).collect();
             let recvs: Vec<BufId> = (n..2 * n).map(BufId).collect();

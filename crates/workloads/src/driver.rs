@@ -5,11 +5,12 @@
 //! a two-rank exchange of any lap schedule (a bulk exchange, the adapt
 //! figure's phase shift, serve's size-mixed replay), or, given a
 //! [`HaloGrid`], a halo over every rank of the grid. [`run_exchange`]
-//! builds the cluster, runs it and measures it. Its outcome keeps only
-//! what it derives — lap latencies and their mean, the averaged
-//! breakdown, hop totals, the receive digest — and carries the run's
-//! [`RunReport`] for everything else (events, scheduler statistics,
-//! faults, clamps, fabric health, per-rank breakdowns).
+//! builds the cluster, handing it the workloads' compiled layouts, runs
+//! it and measures it. Its outcome keeps only what it derives — lap
+//! latencies and their mean, the averaged breakdown, hop totals, the
+//! receive digest — and carries the run's [`RunReport`] for everything
+//! else (events, scheduler statistics, faults, clamps, fabric health,
+//! per-rank breakdowns).
 
 use crate::bulk::{pair_programs, Lap};
 use crate::halo::{halo_programs, HaloGrid};
@@ -132,8 +133,9 @@ pub struct ExchangeOutcome {
 /// Run one exchange measurement.
 pub fn run_exchange(cfg: &ExchangeConfig) -> ExchangeOutcome {
     let laps = cfg.laps.len();
-    let mut builder =
-        ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone()).data_mode(cfg.mode);
+    let mut builder = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
+        .data_mode(cfg.mode)
+        .layouts(cfg.workloads.iter().map(Workload::committed));
     if let Some(plan) = &cfg.fault_plan {
         builder = builder.fault_plan(plan.clone());
     }
@@ -223,7 +225,6 @@ mod tests {
     use crate::nas::nas_mg_y;
     use crate::specfem::{specfem3d_cm, specfem3d_oc};
     use fusedpack_datatype::pack::{pack, unpack};
-    use fusedpack_datatype::CompiledLayout;
 
     fn run(scheme: SchemeKind, workload: Workload, n: usize) -> ExchangeOutcome {
         run_exchange(&ExchangeConfig::new(
@@ -375,19 +376,47 @@ mod tests {
             .add_rank(1, p1)
             .build();
         cluster.run();
-        let layout = CompiledLayout::of(&workload.desc);
+        let layout = workload.layout();
         let mut want = Vec::new();
         for (rank, bufs, peer, peer_bufs) in [(0, &b0, 1, &b1), (1, &b1, 0, &b0)] {
             for (&recv, &send) in bufs.recv.iter().zip(&peer_bufs.send) {
-                let packed = pack(cluster.rank_bytes(RankId(peer), send), &layout, last);
+                let packed = pack(cluster.rank_bytes(RankId(peer), send), layout, last);
                 let got = cluster.rank_bytes(RankId(rank), recv);
                 let mut expect = vec![0u8; got.len()];
-                unpack(&packed, &layout, last, &mut expect);
+                unpack(&packed, layout, last, &mut expect);
                 assert!(got == expect, "rank {rank} buffer {}", recv.0);
                 want.push(expect);
             }
         }
         let out = run_exchange(&cfg);
         assert_eq!(out.checksum, Some(digest(want.iter().map(Vec::as_slice))));
+    }
+
+    /// Handing the cluster the workloads' layouts changes only the host
+    /// compile count. A plain build of the same programs commits bare
+    /// descriptors: two equal trees in distinct `Arc`s, compiled once,
+    /// model the same laps and cache counters, a miss then a hit per rank.
+    #[test]
+    fn handed_layouts_change_only_the_compile_count() {
+        let cfg = ExchangeConfig::new(
+            Platform::lassen(),
+            SchemeKind::fusion_default(),
+            specfem3d_cm(300),
+            4,
+        )
+        .phase_shift(specfem3d_cm(300), 2);
+        let handed = run_exchange(&cfg).report;
+        let ((p0, _), (p1, _)) = pair_programs(&cfg.workloads, &cfg.laps, cfg.n_msgs, 7);
+        let bare = ClusterBuilder::new(cfg.platform.clone(), cfg.scheme.clone())
+            .data_mode(cfg.mode)
+            .add_rank(0, p0)
+            .add_rank(1, p1)
+            .build()
+            .run();
+        assert_eq!(handed.laps, bare.laps);
+        assert_eq!(handed.layout_cache, bare.layout_cache);
+        let lc = bare.layout_cache;
+        assert_eq!((lc.commits(), lc.misses()), (4, 2));
+        assert_eq!((handed.layout_compiles, bare.layout_compiles), (0, 1));
     }
 }

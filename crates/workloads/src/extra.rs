@@ -6,7 +6,7 @@
 //! * **LAMMPS** (molecular dynamics): per-atom property exchange gathered
 //!   through index lists — sparse-ish with small fixed-size blocks.
 
-use crate::{LayoutClass, Workload};
+use crate::Workload;
 use fusedpack_datatype::TypeBuilder;
 use fusedpack_sim::Pcg32;
 
@@ -15,24 +15,22 @@ use fusedpack_sim::Pcg32;
 /// contiguous, so blocks are `n` doubles long.
 pub fn wrf_x_slab(n: u64, halo: u64) -> Workload {
     assert!(n >= 2 && halo >= 1 && halo < n);
-    Workload {
-        name: "WRF_x",
-        class: LayoutClass::Dense,
-        desc: TypeBuilder::subarray(&[n, n, n], &[halo, n, n], &[0, 0, 0], TypeBuilder::double()),
-        count: 1,
-    }
+    Workload::new(
+        "WRF_x",
+        TypeBuilder::subarray(&[n, n, n], &[halo, n, n], &[0, 0, 0], TypeBuilder::double()),
+        1,
+    )
 }
 
 /// WRF y-direction halo: interior slab along the middle dimension —
 /// `n·halo` blocks of `n` contiguous doubles.
 pub fn wrf_y_slab(n: u64, halo: u64) -> Workload {
     assert!(n >= 2 && halo >= 1 && halo < n);
-    Workload {
-        name: "WRF_y",
-        class: LayoutClass::Dense,
-        desc: TypeBuilder::subarray(&[n, n, n], &[n, halo, n], &[0, 0, 0], TypeBuilder::double()),
-        count: 1,
-    }
+    Workload::new(
+        "WRF_y",
+        TypeBuilder::subarray(&[n, n, n], &[n, halo, n], &[0, 0, 0], TypeBuilder::double()),
+        1,
+    )
 }
 
 /// LAMMPS-style atom exchange: `atoms` boundary atoms, each contributing a
@@ -53,12 +51,11 @@ pub fn lammps_full(atoms: u64) -> Workload {
         })
         .collect();
     let atom = TypeBuilder::contiguous(DOUBLES_PER_ATOM, TypeBuilder::double());
-    Workload {
-        name: "LAMMPS_full",
-        class: LayoutClass::Sparse,
-        desc: TypeBuilder::indexed_block(&disps, 1, atom),
-        count: 1,
-    }
+    Workload::new(
+        "LAMMPS_full",
+        TypeBuilder::indexed_block(&disps, 1, atom),
+        1,
+    )
 }
 
 #[cfg(test)]

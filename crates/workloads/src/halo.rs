@@ -335,14 +335,16 @@ mod tests {
 
     /// A grid run is `halo_programs` with its ranks packed
     /// `gpus_per_node` to a node: the driver reports, by `Debug`, the run
-    /// of that cluster built by hand.
+    /// of that cluster built by hand and handed the workload's layout.
     #[test]
     fn grid_runs_pack_ranks_gpus_per_node_to_a_node() {
+        let workload = specfem3d_cm(200);
         let mut builder =
             fusedpack_mpi::ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
-                .data_mode(DataMode::ModelOnly);
+                .data_mode(DataMode::ModelOnly)
+                .layouts([workload.committed()]);
         let grid = HaloGrid::new_3d(2, 2, 2);
-        for (rank, (program, _)) in halo_programs(&grid, &specfem3d_cm(200), 2, 2, 7)
+        for (rank, (program, _)) in halo_programs(&grid, &workload, 2, 2, 7)
             .into_iter()
             .enumerate()
         {

@@ -17,6 +17,10 @@
 //! Cartesian grid (`reproduce topo`), and one entry point for every run the
 //! benchmark harness makes: [`run_exchange`] of an [`ExchangeConfig`]. Its
 //! outcome carries the run's [`fusedpack_mpi::RunReport`].
+//!
+//! A [`Workload`] is a committed type: [`Workload::new`] compiles it once,
+//! and the program builders and every cluster [`run_exchange`] builds
+//! reuse that layout, so a run compiles nothing.
 
 pub mod approaches;
 pub mod bulk;
@@ -32,28 +36,43 @@ pub use bulk::{bulk_exchange_programs, pair_programs, Lap};
 pub use driver::{run_exchange, ExchangeConfig, ExchangeOutcome};
 pub use halo::HaloGrid;
 
-use fusedpack_datatype::TypeDesc;
+use fusedpack_datatype::{CompiledLayout, TypeDesc};
 use std::sync::Arc;
 
-/// Sparse vs. dense, as the paper classifies its workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutClass {
-    /// "more than thousands of small blocks" (indexed, struct-on-indexed).
-    Sparse,
-    /// "less than thousand of blocks" (vector, nested vector).
-    Dense,
-}
-
-/// One benchmark workload: a datatype, an element count, and metadata.
+/// One benchmark workload: a committed type and an element count.
 #[derive(Debug, Clone)]
 pub struct Workload {
     pub name: &'static str,
-    pub class: LayoutClass,
+    /// The type tree; [`Workload::layout`] is its compiled form, so the
+    /// tree must not be replaced after construction.
     pub desc: Arc<TypeDesc>,
     pub count: u64,
+    layout: Arc<CompiledLayout>,
 }
 
 impl Workload {
+    /// Commit `desc`: compile it once and keep the layout beside it.
+    pub fn new(name: &'static str, desc: Arc<TypeDesc>, count: u64) -> Self {
+        let layout = Arc::new(CompiledLayout::of(&desc));
+        Workload {
+            name,
+            desc,
+            count,
+            layout,
+        }
+    }
+
+    /// The compiled layout of [`Workload::desc`].
+    pub fn layout(&self) -> &Arc<CompiledLayout> {
+        &self.layout
+    }
+
+    /// The committed type as [`fusedpack_mpi::ClusterBuilder::layouts`]
+    /// takes it, so a cluster reuses this compile.
+    pub fn committed(&self) -> (Arc<TypeDesc>, Arc<CompiledLayout>) {
+        (Arc::clone(&self.desc), Arc::clone(&self.layout))
+    }
+
     /// Packed payload bytes per message.
     pub fn packed_bytes(&self) -> u64 {
         self.desc.size() * self.count
@@ -61,12 +80,12 @@ impl Workload {
 
     /// Contiguous blocks per message (before coalescing).
     pub fn blocks(&self) -> u64 {
-        fusedpack_datatype::CompiledLayout::of(&self.desc).total_blocks(self.count)
+        self.layout.total_blocks(self.count)
     }
 
     /// Memory footprint of one message's user buffer.
     pub fn footprint(&self) -> u64 {
-        fusedpack_datatype::CompiledLayout::of(&self.desc).footprint(self.count)
+        self.layout.footprint(self.count)
     }
 
     /// Average contiguous-block size in bytes — the input of
@@ -84,19 +103,15 @@ mod tests {
     fn workload_classes_match_paper_taxonomy() {
         // Sparse workloads: thousands of blocks; dense: under a thousand.
         let oc = specfem::specfem3d_oc(4000);
-        assert_eq!(oc.class, LayoutClass::Sparse);
         assert!(oc.blocks() >= 1000, "{} blocks", oc.blocks());
 
         let cm = specfem::specfem3d_cm(2000);
-        assert_eq!(cm.class, LayoutClass::Sparse);
         assert!(cm.blocks() >= 1000);
 
         let milc = milc::milc_su3_zdown(8);
-        assert_eq!(milc.class, LayoutClass::Dense);
         assert!(milc.blocks() < 1000, "{} blocks", milc.blocks());
 
         let nas = nas::nas_mg_y(128);
-        assert_eq!(nas.class, LayoutClass::Dense);
         assert!(nas.blocks() < 1000);
     }
 

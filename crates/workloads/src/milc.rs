@@ -8,7 +8,7 @@
 //! class with small messages (the Fig. 10/12(c) regime where the
 //! CPU-GPU-Hybrid GDRCopy path shines on Lassen).
 
-use crate::{LayoutClass, Workload};
+use crate::Workload;
 use fusedpack_datatype::TypeBuilder;
 
 /// Bytes of one su3 "site" worth of data on the face: a 3×3 complex-double
@@ -30,12 +30,7 @@ pub fn milc_su3_zdown(l: u64) -> Workload {
     // t-slices: l planes, each one z-extent (l*l sites) apart in bytes.
     let site_bytes = su3.extent();
     let desc = TypeBuilder::hvector(l, 1, l * l * site_bytes, plane);
-    Workload {
-        name: "MILC",
-        class: LayoutClass::Dense,
-        desc,
-        count: 1,
-    }
+    Workload::new("MILC", desc, 1)
 }
 
 #[cfg(test)]

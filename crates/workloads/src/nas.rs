@@ -10,41 +10,38 @@
 //! * **z face** (`k = const`): `n²` blocks of a single double, stride `n` —
 //!   the pathological fine-grained vector.
 
-use crate::{LayoutClass, Workload};
+use crate::Workload;
 use fusedpack_datatype::TypeBuilder;
 
 /// Contiguous x-face of an `n³` grid of doubles.
 pub fn nas_mg_x(n: u64) -> Workload {
     assert!(n >= 2);
-    Workload {
-        name: "NAS_MG_x",
-        class: LayoutClass::Dense,
-        desc: TypeBuilder::contiguous(n * n, TypeBuilder::double()),
-        count: 1,
-    }
+    Workload::new(
+        "NAS_MG_x",
+        TypeBuilder::contiguous(n * n, TypeBuilder::double()),
+        1,
+    )
 }
 
 /// Strided y-face: `n` blocks of `n` contiguous doubles, stride `n²` —
 /// the paper's headline NAS workload (Fig. 12(d)/13(d)).
 pub fn nas_mg_y(n: u64) -> Workload {
     assert!(n >= 2);
-    Workload {
-        name: "NAS_MG",
-        class: LayoutClass::Dense,
-        desc: TypeBuilder::vector(n, n, n * n, TypeBuilder::double()),
-        count: 1,
-    }
+    Workload::new(
+        "NAS_MG",
+        TypeBuilder::vector(n, n, n * n, TypeBuilder::double()),
+        1,
+    )
 }
 
 /// Fine-grained z-face: `n²` single-double blocks with stride `n`.
 pub fn nas_mg_z(n: u64) -> Workload {
     assert!(n >= 2);
-    Workload {
-        name: "NAS_MG_z",
-        class: LayoutClass::Dense,
-        desc: TypeBuilder::vector(n * n, 1, n, TypeBuilder::double()),
-        count: 1,
-    }
+    Workload::new(
+        "NAS_MG_z",
+        TypeBuilder::vector(n * n, 1, n, TypeBuilder::double()),
+        1,
+    )
 }
 
 #[cfg(test)]

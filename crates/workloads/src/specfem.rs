@@ -11,7 +11,7 @@
 //!   (three displacement components per boundary point, gathered from
 //!   separate field arrays).
 
-use crate::{LayoutClass, Workload};
+use crate::Workload;
 use fusedpack_datatype::TypeBuilder;
 use fusedpack_sim::Pcg32;
 
@@ -41,12 +41,7 @@ pub fn specfem3d_oc(points: u64) -> Workload {
     assert!(points >= 1);
     let disps = boundary_displacements(points, 0x0c);
     let desc = TypeBuilder::indexed_block(&disps, 1, TypeBuilder::float());
-    Workload {
-        name: "specfem3D_oc",
-        class: LayoutClass::Sparse,
-        desc,
-        count: 1,
-    }
+    Workload::new("specfem3D_oc", desc, 1)
 }
 
 /// `specfem3D_cm`: struct of three indexed fields (x/y/z displacement
@@ -64,12 +59,7 @@ pub fn specfem3d_cm(points: u64) -> Workload {
         (stride, 1, field.clone()),
         (2 * stride, 1, field),
     ]);
-    Workload {
-        name: "specfem3D_cm",
-        class: LayoutClass::Sparse,
-        desc,
-        count: 1,
-    }
+    Workload::new("specfem3D_cm", desc, 1)
 }
 
 #[cfg(test)]
@@ -108,11 +98,10 @@ mod tests {
 
     #[test]
     fn both_variants_take_the_indexed_copy_rung() {
-        use fusedpack_datatype::{CompiledLayout, CopyPlan};
+        use fusedpack_datatype::CopyPlan;
         for w in [specfem3d_oc(512), specfem3d_cm(512)] {
-            let l = CompiledLayout::of(&w.desc);
             assert_eq!(
-                l.plan_for(w.count),
+                w.layout().plan_for(w.count),
                 CopyPlan::IndexedRuns { width: 4 },
                 "{}",
                 w.name

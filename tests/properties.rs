@@ -139,12 +139,7 @@ proptest! {
         n_msgs in 1usize..5,
     ) {
         let run = || {
-            let w = Workload {
-                name: "prop",
-                class: fusedpack::workloads::LayoutClass::Sparse,
-                desc: desc.clone(),
-                count,
-            };
+            let w = Workload::new("prop", desc.clone(), count);
             run_exchange(&ExchangeConfig::new(
                 Platform::lassen(),
                 SchemeKind::fusion_default(),
@@ -163,12 +158,7 @@ proptest! {
         desc in arb_type(),
         count in 1u64..3,
     ) {
-        let w = Workload {
-            name: "prop",
-            class: fusedpack::workloads::LayoutClass::Sparse,
-            desc,
-            count,
-        };
+        let w = Workload::new("prop", desc, count);
         let lat = |n: usize| {
             run_exchange(&ExchangeConfig::new(
                 Platform::lassen(),
@@ -187,12 +177,7 @@ proptest! {
     /// the paper's core claim, across arbitrary layouts.
     #[test]
     fn fusion_never_loses_bulk(desc in arb_type(), count in 1u64..3) {
-        let w = Workload {
-            name: "prop",
-            class: fusedpack::workloads::LayoutClass::Sparse,
-            desc,
-            count,
-        };
+        let w = Workload::new("prop", desc, count);
         let f = run_exchange(&ExchangeConfig::new(
             Platform::lassen(), SchemeKind::fusion_default(), w.clone(), 16,
         )).latency;
