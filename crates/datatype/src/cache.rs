@@ -146,11 +146,8 @@ impl LayoutTable {
     }
 
     fn structural_key(desc: &TypeDesc) -> u64 {
-        #[cfg(test)]
-        {
-            if let Some(key) = tests::FORCED_KEY.with(std::cell::Cell::get) {
-                return key;
-            }
+        if let Some(key) = forced_key() {
+            return key;
         }
         let mut hasher = DefaultHasher::new();
         desc.hash(&mut hasher);
@@ -285,6 +282,16 @@ impl LayoutCache {
     }
 }
 
+/// Outside tests every structural key is the descriptor's hash.
+#[cfg(not(test))]
+#[inline(always)]
+fn forced_key() -> Option<u64> {
+    None
+}
+
+#[cfg(test)]
+use tests::forced_key;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +301,11 @@ mod tests {
     thread_local! {
         /// Replaces every structural key computed on this thread, so a
         /// test can force a hash collision.
-        pub(super) static FORCED_KEY: Cell<Option<u64>> = const { Cell::new(None) };
+        static FORCED_KEY: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn forced_key() -> Option<u64> {
+        FORCED_KEY.with(Cell::get)
     }
 
     fn distinct_type(i: u64) -> Arc<TypeDesc> {

@@ -147,6 +147,14 @@ impl MemPool {
         self.peak
     }
 
+    /// Bytes of host memory the backing holds room for (0 in `ModelOnly`
+    /// mode): what [`Self::reserve_for`] reserved, until an allocation
+    /// past it grows the backing.
+    #[inline]
+    pub fn backing_capacity(&self) -> u64 {
+        self.bytes.capacity() as u64
+    }
+
     /// Reserve backing, in one allocation, for allocations of `lens` bytes
     /// at `align` made in order from the current cursor (capped at the
     /// capacity), so making them never reallocates the pool. Nothing is

@@ -10,6 +10,7 @@
 mod accounting;
 mod copy;
 mod exec;
+mod fill;
 mod handoff;
 mod protocol;
 mod rank;
@@ -17,7 +18,7 @@ pub(crate) mod schemes;
 mod topo;
 
 use crate::message::{WireKind, WireMsg};
-use crate::program::{BufInit, Program};
+use crate::program::Program;
 use crate::scheme::SchemeKind;
 use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{SchedStats, Scheduler, Uid};
@@ -27,8 +28,7 @@ use fusedpack_net::platform::Platform;
 use fusedpack_net::topology::{validate_endpoint, Endpoint};
 use fusedpack_net::{FabricHealth, FlatLink, Nic, TopoNet, TopologyHandle};
 use fusedpack_sim::{
-    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Pcg32, Slab, Time,
-    WheelStats,
+    ClampStats, Duration, EventQueue, FaultPlan, FaultSite, FaultSummary, Slab, Time, WheelStats,
 };
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 use std::collections::HashMap;
@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 pub(crate) use copy::CopyQueue;
 pub use copy::{CopyStats, LaneStats, PayloadHandle};
+use fill::RankFill;
 pub(crate) use rank::RankState;
 pub(crate) use schemes::SchemeEngine;
 
@@ -193,6 +194,20 @@ impl ClusterBuilder {
 
     /// Instantiate the cluster: allocate GPU/host pools sized from the
     /// programs' declarations, initialize buffers, and seed the event loop.
+    ///
+    /// The build runs in two phases. The calling thread first makes every
+    /// allocation: each rank's GPU, its state, and one reservation of its
+    /// pool's backing for all of its declared buffers
+    /// ([`MemPool::reserve_for`]). Then every declared buffer is
+    /// initialised, random bytes from `Pcg32::new(seed, rank)` and zero
+    /// buffers zero-filled, with the ranks split into contiguous chunks of
+    /// about equal declared bytes, one chunk per core that
+    /// [`std::thread::available_parallelism`] reports: the calling thread
+    /// fills the first chunk and scoped threads the others. The fill
+    /// threads allocate nothing, and each rank's bytes depend only on its
+    /// seeds and its index, so every split writes the same bytes. A
+    /// `ModelOnly` build, or one that declares less than 1 MiB per extra
+    /// thread, starts no thread.
     pub fn build(self) -> Cluster {
         assert!(!self.ranks.is_empty(), "need at least one rank");
         let num_nodes = self.ranks.iter().map(|&(n, _)| n).max().expect("ranks") + 1;
@@ -225,23 +240,11 @@ impl ClusterBuilder {
             }
             let mut rank =
                 RankState::new(RankId(idx as u32), node, program, Arc::clone(&layout_table));
-            // Allocate and initialize declared buffers in one reservation
-            // of the pool, writing each byte once: random bytes go straight
-            // from the generator into the pool, and only zero buffers and
-            // padding are zero-filled (timing-only pools skip both).
+            // Reserve every buffer's backing in one allocation, and room
+            // for its address; the fill below allocates nothing.
             gpu.mem
                 .reserve_for(rank.program.buffers.iter().map(|decl| decl.len), 64);
-            for decl in &rank.program.buffers {
-                let ptr = match decl.init {
-                    BufInit::Random(seed) => {
-                        let mut rng = Pcg32::new(seed, idx as u64);
-                        gpu.mem
-                            .alloc_with(decl.len, 64, |piece| rng.fill_bytes(piece))
-                    }
-                    BufInit::Zero => gpu.mem.alloc(decl.len, 64),
-                };
-                rank.bufs.push(ptr);
-            }
+            rank.bufs.reserve_exact(rank.program.buffers.len());
             let tele_r = telemetry.for_rank(idx as u32);
             gpu.set_telemetry(tele_r.clone());
             if let Some(sched) = engine.make_scheduler(&gpu, tele_r.clone()) {
@@ -256,6 +259,22 @@ impl ClusterBuilder {
             staging_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
             host_mems.push(MemPool::new(staging_bytes, DataMode::ModelOnly));
         }
+
+        // Initialise every declared buffer, on every core (the `fill`
+        // module).
+        let mut fills: Vec<RankFill<'_>> = ranks
+            .iter_mut()
+            .zip(&mut gpus)
+            .enumerate()
+            .map(|(idx, (rank, gpu))| RankFill {
+                rank: idx as u64,
+                mem: &mut gpu.mem,
+                decls: &rank.program.buffers,
+                bufs: &mut rank.bufs,
+            })
+            .collect();
+        let threads = fill::fill_threads(self.data_mode, &fills);
+        fill::fill(&mut fills, threads);
 
         // NIC events are tagged with the lowest rank on the NIC's node so
         // they appear under that rank's process in the Perfetto view.
