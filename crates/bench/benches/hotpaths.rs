@@ -533,6 +533,28 @@ fn bench_topology(c: &mut Criterion) {
         g.bench_function("reroute_resolve_unrestricted_baseline", |b| {
             b.iter(|| black_box(topo.route(black_box(a), b_).expect("routable")))
         });
+        // The same re-resolution with 100 hops dead, as a faulted halo's
+        // dead set reaches by the end of its run: the dead rail, one rail
+        // of each other node (each keeps its sibling), and crossbar
+        // segments. A table keyed by the dead set hashes all of it.
+        let mut dead: Vec<u32> = (0..topo.hops().len() as u32)
+            .filter(|&h| topo.hops()[h as usize].kind == HopKind::Rail)
+            .skip(2)
+            .step_by(2)
+            .take(62)
+            .chain(0..37)
+            .chain(dead)
+            .collect();
+        dead.sort_unstable();
+        assert_eq!(dead.len(), 100);
+        g.bench_function("reroute_resolve_avoiding_100_dead", |b| {
+            b.iter(|| {
+                black_box(
+                    topo.route_avoiding(black_box(a), b_, black_box(&dead))
+                        .expect("every node keeps a rail"),
+                )
+            })
+        });
     }
     g.finish();
 }

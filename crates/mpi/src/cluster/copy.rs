@@ -329,6 +329,10 @@ impl CopyEngine {
     /// payload (`(slot, after)`: the slot, and how many jobs must have run
     /// once its last job has) as soon as that job has run. An empty batch
     /// only wakes the worker to look for a request.
+    ///
+    /// The clock is read at the ends of each unbroken run of jobs, not
+    /// around every job: a run ends when the batch does or when a request
+    /// is answered, so `busy_wall_ns` still counts job time alone.
     fn serve(
         mut self,
         jobs: Receiver<Vec<Job>>,
@@ -337,10 +341,13 @@ impl CopyEngine {
     ) -> Self {
         let (mut done, mut want) = (0u64, None);
         let mut batch = Vec::new().into_iter();
+        // Start of the run of jobs not yet added to `busy_wall_ns`.
+        let mut running: Option<Instant> = None;
         loop {
             want = want.or_else(|| wants.try_recv().ok());
             if let Some((slot, after)) = want {
                 if done >= after {
+                    self.clock_out(&mut running);
                     // The loop waits for the answer; if it has gone, so
                     // has the run.
                     let _ = back.send(self.take(slot));
@@ -348,16 +355,24 @@ impl CopyEngine {
                 }
             }
             let Some(job) = batch.next() else {
+                self.clock_out(&mut running);
                 match recv_soon(&jobs) {
                     Ok(next) => batch = next.into_iter(),
                     Err(_) => return self,
                 }
                 continue;
             };
-            let start = Instant::now();
+            running.get_or_insert_with(Instant::now);
             self.run(job);
-            self.busy_wall_ns += start.elapsed().as_nanos() as u64;
             done += 1;
+        }
+    }
+
+    /// Add the run of jobs that started at `running`, if any, to
+    /// `busy_wall_ns`.
+    fn clock_out(&mut self, running: &mut Option<Instant>) {
+        if let Some(start) = running.take() {
+            self.busy_wall_ns += start.elapsed().as_nanos() as u64;
         }
     }
 

@@ -63,6 +63,7 @@ use super::{HopId, HopKind, RouteKey, Topology, TopologyHandle};
 use crate::error::NetError;
 use crate::link::Link;
 use fusedpack_sim::{Duration, FaultPlan, FaultSite, IntMap, Time};
+use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 
 /// Consecutive flapped traversals that mark a hop down.
@@ -343,6 +344,10 @@ pub struct TopoNet {
     /// current route epoch only: a hop going down clears the cache and the
     /// arena wholesale.
     routes: IntMap<PairKey, RouteRef>,
+    /// Each pair's unrestricted route ([`Topology::route`]), stored on its
+    /// first re-resolution around dead hops and kept for the whole run: it
+    /// never changes, and reroute detection and forced sends read it.
+    unrestricted: IntMap<PairKey, Vec<HopId>>,
     /// In front of `routes`: the route each source endpoint (indexed
     /// `node * gpus_per_node + gpu`) resolved last, with its packed
     /// destination. A sender talking to one peer at a time — a
@@ -384,6 +389,7 @@ impl TopoNet {
             topo,
             links,
             routes: IntMap::default(),
+            unrestricted: IntMap::default(),
             route_arena: Vec::new(),
             last_hops: Vec::new(),
             last_starts,
@@ -505,10 +511,9 @@ impl TopoNet {
     /// borrow of the cache.
     ///
     /// With dead hops present, cache misses re-resolve via
-    /// [`Topology::route_avoiding`] and compare against the unrestricted
-    /// route to detect (and count) reroutes and rail failovers. A pair
-    /// with no surviving route caches its unrestricted route, flagged
-    /// forced.
+    /// [`Topology::route_avoiding`] and check the pair's unrestricted route
+    /// to detect (and count) reroutes and rail failovers. A pair with no
+    /// surviving route caches its unrestricted route, flagged forced.
     #[inline]
     fn resolve_ref(&mut self, key: RouteKey, now: Time) -> Result<RouteRef, NetError> {
         let pair = PairKey::of(key);
@@ -532,6 +537,13 @@ impl TopoNet {
     }
 
     /// Resolve a pair the cache does not hold, and cache it.
+    ///
+    /// On a fabric with dead hops this runs once per pair and route epoch:
+    /// every epoch clears the cache, since a new dead hop can move the ECMP
+    /// pick of a route that never crossed it. The pair's unrestricted route
+    /// is resolved once per run and kept in `unrestricted`; a re-resolution
+    /// counts a reroute iff that route crosses a dead hop, and a rail
+    /// failover for each dead NIC rail it crosses.
     #[cold]
     fn resolve_miss(
         &mut self,
@@ -540,45 +552,39 @@ impl TopoNet {
         now: Time,
     ) -> Result<RouteRef, NetError> {
         let mut forced = false;
-        let dead_empty = self.faults.as_ref().is_none_or(|f| f.dead.is_empty());
-        let hops = if dead_empty {
-            self.topo.route(key.0, key.1)?
-        } else {
-            let f = self.faults.as_mut().expect("dead set implies armed");
-            match self.topo.route_avoiding(key.0, key.1, &f.dead) {
-                Ok(hops) => {
-                    // A reroute happened iff the unrestricted route would
-                    // have crossed a dead hop; a failover iff that dead hop
-                    // is a NIC rail (the dual-rail machines' sibling-rail
-                    // path).
-                    if let Ok(unrestricted) = self.topo.route(key.0, key.1) {
-                        let crossed: Vec<u32> = unrestricted
-                            .iter()
-                            .map(|h| h.0)
-                            .filter(|h| f.dead.binary_search(h).is_ok())
-                            .collect();
-                        if !crossed.is_empty() {
+        let hops = match self.faults.as_deref_mut().filter(|f| !f.dead.is_empty()) {
+            None => self.topo.route(key.0, key.1)?,
+            Some(f) => {
+                let unrestricted = match self.unrestricted.entry(pair) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(self.topo.route(key.0, key.1)?),
+                };
+                match self.topo.route_avoiding(key.0, key.1, &f.dead) {
+                    Ok(hops) => {
+                        let down = |h: &HopId| f.hops[h.0 as usize].state == HopState::Down;
+                        if unrestricted.iter().any(down) {
                             f.health.reroutes += 1;
                             f.events.push(FabricEvent::Rerouted {
                                 src: key.0.node,
                                 dst: key.1.node,
                                 at: now,
                             });
-                            for h in crossed {
-                                if self.topo.hops()[h as usize].kind == HopKind::Rail {
+                            for h in unrestricted.iter().filter(|h| down(h)) {
+                                if self.topo.hops()[h.0 as usize].kind == HopKind::Rail {
                                     f.health.rail_failovers += 1;
-                                    f.events.push(FabricEvent::RailFailover { hop: h, at: now });
+                                    f.events
+                                        .push(FabricEvent::RailFailover { hop: h.0, at: now });
                                 }
                             }
                         }
+                        hops
                     }
-                    hops
+                    Err(NetError::Disconnected { .. }) => {
+                        forced = true;
+                        unrestricted.clone()
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(NetError::Disconnected { .. }) => {
-                    forced = true;
-                    self.topo.route(key.0, key.1)?
-                }
-                Err(e) => return Err(e),
             }
         };
         let off = u32::try_from(self.route_arena.len()).expect("route arena fits u32 offsets");

@@ -186,6 +186,8 @@ pub struct Hierarchy {
     router: Router,
     /// Hop-table offset of the per-node host-path hops, if modelled.
     host_base: Option<u32>,
+    /// Hop-table offset of the fabric hops, the last block of the table.
+    fabric_base: u32,
 }
 
 impl Hierarchy {
@@ -220,6 +222,7 @@ impl Hierarchy {
             bw: internode.bw / rails as f64,
             latency: internode.latency,
         };
+        let fabric_base = hops.len() as u32;
         let graph = match &fabric {
             Fabric::FatTree(ft) => ft.build(num_nodes, rails, &rail_spec, &mut hops),
             Fabric::Dragonfly(df) => df.build(num_nodes, rails, &rail_spec, &mut hops),
@@ -231,6 +234,7 @@ impl Hierarchy {
             hops,
             router: Router::new(graph),
             host_base,
+            fabric_base,
         }
     }
 
@@ -275,6 +279,10 @@ impl Hierarchy {
     }
 }
 
+/// Room for an inter-node route on either preset without a regrow: the
+/// host bracket plus a fabric path of up to four hops.
+const ROUTE_CAPACITY: usize = 6;
+
 /// Unordered GPU pairs in an island of `g`.
 fn gpu_pairs(g: u32) -> u32 {
     g * (g - 1) / 2
@@ -298,22 +306,7 @@ impl Topology for Hierarchy {
     }
 
     fn route(&self, src: Endpoint, dst: Endpoint) -> Result<Vec<HopId>, NetError> {
-        super::validate_endpoint(self, src)?;
-        super::validate_endpoint(self, dst)?;
-        if src == dst {
-            return Err(NetError::SelfRoute { node: src.node });
-        }
-        if src.node == dst.node {
-            return Ok(vec![self.xbar(src.node, src.gpu, dst.gpu)]);
-        }
-        let fabric = self.router.path(src.node, dst.node)?;
-        let mut hops = Vec::with_capacity(fabric.len() + 2);
-        // PCIe-attached NICs bounce through the host complex on both ends;
-        // the bracket keeps routes symmetric (reverse(A→B) == B→A).
-        hops.extend(self.host(src.node));
-        hops.extend(fabric);
-        hops.extend(self.host(dst.node));
-        Ok(hops)
+        self.route_avoiding(src, dst, &[])
     }
 
     fn route_avoiding(
@@ -350,13 +343,17 @@ impl Topology for Hierarchy {
             }
         }
         // Fabric hops carry the path diversity (multi-rail ECMP, multiple
-        // spines/routers): re-resolve a surviving shortest path. Non-fabric
-        // hop ids in `dead` never match a graph edge, so the full sorted
-        // set passes straight through.
-        let fabric = self.router.path_avoiding(src.node, dst.node, dead)?;
-        let mut hops = Vec::with_capacity(fabric.len() + 2);
+        // spines/routers): resolve a surviving shortest path. The router
+        // sees only the fabric tail of the sorted set, so dead crossbars
+        // and host paths leave its tables in use (the healthy ones while
+        // no fabric hop is dead). PCIe-attached NICs bounce through the
+        // host complex on both ends; the bracket keeps routes symmetric
+        // (reverse(A→B) == B→A).
+        let fabric_dead = &dead[dead.partition_point(|&h| h < self.fabric_base)..];
+        let mut hops = Vec::with_capacity(ROUTE_CAPACITY);
         hops.extend(self.host(src.node));
-        hops.extend(fabric);
+        self.router
+            .append_path(src.node, dst.node, fabric_dead, &mut hops)?;
         hops.extend(self.host(dst.node));
         Ok(hops)
     }

@@ -12,8 +12,7 @@
 
 use super::HopId;
 use crate::error::NetError;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, OnceLock};
 
 /// Index of a vertex in a [`FabricGraph`] (nodes first, then switches).
 pub type Vertex = u32;
@@ -23,7 +22,8 @@ pub type Vertex = u32;
 pub struct FabricGraph {
     /// Number of leading vertices that are compute nodes.
     num_nodes: u32,
-    /// Adjacency: per vertex, `(neighbor, hop)` in insertion order.
+    /// Adjacency: per vertex, `(neighbor, hop)` in insertion order until a
+    /// [`Router`] sorts it.
     adj: Vec<Vec<(Vertex, HopId)>>,
 }
 
@@ -33,10 +33,6 @@ impl FabricGraph {
             num_nodes,
             adj: vec![Vec::new(); num_nodes as usize],
         }
-    }
-
-    pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
     }
 
     /// Add a switch/router vertex, returning its index.
@@ -54,64 +50,101 @@ impl FabricGraph {
         self.adj[b as usize].push((a, hop));
     }
 
-    /// BFS distance-to-`root` table, treating every hop in the sorted
-    /// `dead` list as cut. An empty list is the fault-free fabric.
-    fn bfs_from(&self, root: Vertex, dead: &[u32]) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.adj.len()];
+    /// Fill `dist` with the BFS distance to `root` of every vertex,
+    /// crossing only edges whose hop is `alive`. Distances do not depend
+    /// on the order in which a vertex's edges are visited.
+    fn bfs_into(&self, root: Vertex, alive: impl Fn(HopId) -> bool, dist: &mut Vec<u32>) {
+        dist.clear();
+        dist.resize(self.adj.len(), u32::MAX);
         let mut queue = std::collections::VecDeque::new();
         dist[root as usize] = 0;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
             let d = dist[v as usize];
             for &(n, h) in &self.adj[v as usize] {
-                if dead.binary_search(&h.0).is_ok() {
-                    continue;
-                }
-                if dist[n as usize] == u32::MAX {
+                if dist[n as usize] == u32::MAX && alive(h) {
                     dist[n as usize] = d + 1;
                     queue.push_back(n);
                 }
             }
         }
-        dist
     }
 }
 
-/// Key of one cached BFS table: (destination node, sorted dead-hop set).
-/// The fault-free fabric is the empty dead set, so healthy routing costs
-/// one small-key lookup.
-type TableKey = (Vertex, Vec<u32>);
+/// Distance tables that avoid one set of dead hops, the *cut*, indexed
+/// by destination node.
+#[derive(Debug)]
+struct DeadTables {
+    /// The sorted cut.
+    cut: Vec<u32>,
+    /// Per hop id on the graph: whether it is in the cut.
+    mask: Vec<bool>,
+    /// Per destination node, its table; empty until first used.
+    dist: Vec<Vec<u32>>,
+}
 
-/// Shortest-path resolver with cached per-destination BFS tables.
+impl DeadTables {
+    /// Make `cut` the set the tables avoid. A different set drops every
+    /// table of the old one (keeping the buffers) and resets the mask.
+    fn retarget(&mut self, cut: &[u32]) {
+        if self.cut == cut {
+            return;
+        }
+        for &h in &self.cut {
+            self.mask[h as usize] = false;
+        }
+        for &h in cut {
+            self.mask[h as usize] = true;
+        }
+        self.cut.clear();
+        self.cut.extend_from_slice(cut);
+        for table in &mut self.dist {
+            table.clear();
+        }
+    }
+}
+
+/// Shortest-path resolver over one fabric graph.
+///
+/// A resolution neither hashes nor allocates beyond the path it returns.
+/// Healthy-fabric tables are built once per destination on first use and
+/// read without a lock. Tables that avoid dead hops exist for one dead set
+/// at a time, the one last asked for: a fabric's dead set only grows
+/// during a run, so a new set replaces the old tables rather than joining
+/// them, and memory stays at one table per destination.
 #[derive(Debug)]
 pub struct Router {
+    /// The fabric, each adjacency list sorted by `(neighbor, hop)`: the
+    /// order in which the walk's ECMP pick indexes candidates.
     graph: FabricGraph,
-    /// [`TableKey`] → distance-to-destination per vertex. Built lazily;
-    /// the mutex only guards table construction, lookups clone the `Arc`.
-    tables: Mutex<HashMap<TableKey, Arc<Vec<u32>>>>,
+    /// Per destination node, its distance table on the healthy fabric.
+    healthy: Box<[OnceLock<Box<[u32]>>]>,
+    /// The tables of the dead set last asked for. The lock is held for a
+    /// whole resolution, table build included.
+    faulted: Mutex<DeadTables>,
 }
 
 impl Router {
-    pub fn new(graph: FabricGraph) -> Self {
+    pub fn new(mut graph: FabricGraph) -> Self {
+        for edges in &mut graph.adj {
+            edges.sort_unstable();
+        }
+        let hop_span = graph
+            .adj
+            .iter()
+            .flatten()
+            .map(|&(_, h)| h.0 as usize + 1)
+            .max();
+        let nodes = graph.num_nodes as usize;
         Router {
             graph,
-            tables: Mutex::new(HashMap::new()),
+            healthy: (0..nodes).map(|_| OnceLock::new()).collect(),
+            faulted: Mutex::new(DeadTables {
+                cut: Vec::new(),
+                mask: vec![false; hop_span.unwrap_or(0)],
+                dist: vec![Vec::new(); nodes],
+            }),
         }
-    }
-
-    pub fn graph(&self) -> &FabricGraph {
-        &self.graph
-    }
-
-    fn table_for(&self, dst: Vertex, dead: &[u32]) -> Arc<Vec<u32>> {
-        let mut tables = self.tables.lock().expect("router table lock");
-        if let Some(t) = tables.get(&(dst, Vec::new())).filter(|_| dead.is_empty()) {
-            return t.clone();
-        }
-        tables
-            .entry((dst, dead.to_vec()))
-            .or_insert_with(|| Arc::new(self.graph.bfs_from(dst, dead)))
-            .clone()
     }
 
     /// Hop sequence of a shortest path from node `a` to node `b`.
@@ -120,21 +153,31 @@ impl Router {
     /// reversed when `a > b`, which makes symmetry structural rather than
     /// a property to hope for.
     pub fn path(&self, a: Vertex, b: Vertex) -> Result<Vec<HopId>, NetError> {
-        self.path_avoiding(a, b, &[])
+        let mut hops = Vec::new();
+        self.append_path(a, b, &[], &mut hops)?;
+        Ok(hops)
     }
 
-    /// Like [`path`](Self::path) but never traversing a hop in the sorted
-    /// `dead` list. The surviving-shortest-path tables are keyed by the
-    /// dead set, so each distinct failure pattern pays one BFS per
-    /// destination and is cached after that; paths stay symmetric because
-    /// both directions share the canonical `(lo, hi)` walk. Returns
-    /// [`NetError::Disconnected`] when the failures partition the fabric.
-    pub fn path_avoiding(
+    /// Append to `out` the hops of a shortest path from node `a` to node
+    /// `b` that never traverses a hop in the sorted `dead` list (the
+    /// [`path`](Self::path) for an empty one), so a caller bracketing the
+    /// fabric path with hops of its own builds the route in one
+    /// allocation. Returns [`NetError::Disconnected`] when the failures
+    /// partition the fabric.
+    ///
+    /// An empty `dead` walks the healthy table of the destination. Any
+    /// other set walks the tables of that set; when it differs from the
+    /// set last asked for, those tables are dropped, and the destination's
+    /// table is rebuilt by a BFS that skips dead hops through a per-hop
+    /// mask. Both directions share the canonical `(lo, hi)` walk, so paths
+    /// stay symmetric under any dead set.
+    pub fn append_path(
         &self,
         a: Vertex,
         b: Vertex,
         dead: &[u32],
-    ) -> Result<Vec<HopId>, NetError> {
+        out: &mut Vec<HopId>,
+    ) -> Result<(), NetError> {
         debug_assert!(dead.windows(2).all(|w| w[0] < w[1]), "dead set is sorted");
         let nodes = self.graph.num_nodes;
         for v in [a, b] {
@@ -149,16 +192,44 @@ impl Router {
             return Err(NetError::SelfRoute { node: a });
         }
         let (lo, hi) = (a.min(b), a.max(b));
-        let mut hops = self.canonical_path(lo, hi, dead)?;
-        if a > b {
-            hops.reverse();
+        let from = out.len();
+        if dead.is_empty() {
+            let dist = self.healthy[hi as usize].get_or_init(|| {
+                let mut dist = Vec::new();
+                self.graph.bfs_into(hi, |_| true, &mut dist);
+                dist.into_boxed_slice()
+            });
+            self.walk(lo, hi, dist, |_| true, out)?;
+        } else {
+            let mut set = self.faulted.lock().expect("router table lock");
+            // Ids past every edge's cut nothing.
+            let cut = dead.partition_point(|&h| (h as usize) < set.mask.len());
+            set.retarget(&dead[..cut]);
+            let DeadTables { mask, dist, .. } = &mut *set;
+            let mask = &*mask;
+            let alive = |h: HopId| !mask[h.0 as usize];
+            let table = &mut dist[hi as usize];
+            if table.is_empty() {
+                self.graph.bfs_into(hi, alive, table);
+            }
+            self.walk(lo, hi, table, alive, out)?;
         }
-        Ok(hops)
+        if a > b {
+            out[from..].reverse();
+        }
+        Ok(())
     }
 
-    /// Walk downhill from `lo` toward `hi` using `hi`'s distance table.
-    fn canonical_path(&self, lo: Vertex, hi: Vertex, dead: &[u32]) -> Result<Vec<HopId>, NetError> {
-        let dist = self.table_for(hi, dead);
+    /// Walk downhill from `lo` toward `hi` over `hi`'s distance table
+    /// `dist`, crossing only `alive` hops, appending each hop to `out`.
+    fn walk(
+        &self,
+        lo: Vertex,
+        hi: Vertex,
+        dist: &[u32],
+        alive: impl Fn(HopId) -> bool,
+        out: &mut Vec<HopId>,
+    ) -> Result<(), NetError> {
         if dist[lo as usize] == u32::MAX {
             return Err(NetError::Disconnected { src: lo, dst: hi });
         }
@@ -168,38 +239,41 @@ impl Router {
         let spread = (lo as u64)
             .wrapping_mul(0x9e37_79b9)
             .wrapping_add(hi as u64);
-        let mut hops = Vec::with_capacity(dist[lo as usize] as usize);
         let mut at = lo;
-        let mut candidates: Vec<(Vertex, HopId)> = Vec::new();
         while at != hi {
+            // `at` is reachable and is not `hi`, so `d >= 1`.
             let d = dist[at as usize];
-            candidates.clear();
-            candidates.extend(
-                self.graph.adj[at as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&(n, h)| {
-                        dist[n as usize] != u32::MAX
-                            && dist[n as usize] + 1 == d
-                            && dead.binary_search(&h.0).is_err()
-                    }),
-            );
-            debug_assert!(!candidates.is_empty(), "BFS table admits a next hop");
-            if candidates.is_empty() {
+            let downhill = |&&(n, h): &&(Vertex, HopId)| dist[n as usize] == d - 1 && alive(h);
+            let edges = &self.graph.adj[at as usize];
+            let candidates = edges.iter().filter(downhill).count();
+            debug_assert!(candidates > 0, "BFS table admits a next hop");
+            let Some(&(next, hop)) = edges
+                .iter()
+                .filter(downhill)
+                .nth((spread % candidates.max(1) as u64) as usize)
+            else {
                 return Err(NetError::Disconnected { src: lo, dst: hi });
-            }
-            candidates.sort_unstable_by_key(|&(n, h)| (n, h));
-            let pick = candidates[(spread % candidates.len() as u64) as usize];
-            hops.push(pick.1);
-            at = pick.0;
+            };
+            out.push(hop);
+            at = next;
         }
-        Ok(hops)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn path_avoiding(
+        r: &Router,
+        a: Vertex,
+        b: Vertex,
+        dead: &[u32],
+    ) -> Result<Vec<HopId>, NetError> {
+        let mut hops = Vec::new();
+        r.append_path(a, b, dead, &mut hops).map(|()| hops)
+    }
 
     /// 4 nodes on 2 leaf switches, 2 spines — a miniature fat tree.
     fn mini_fat_tree() -> Router {
@@ -270,8 +344,8 @@ mod tests {
         // Kill the spine uplink the healthy path picked: the reroute must
         // avoid it and still connect, symmetrically.
         let dead = vec![healthy[1].0];
-        let fwd = r.path_avoiding(0, 3, &dead).unwrap();
-        let mut rev = r.path_avoiding(3, 0, &dead).unwrap();
+        let fwd = path_avoiding(&r, 0, 3, &dead).unwrap();
+        let mut rev = path_avoiding(&r, 3, 0, &dead).unwrap();
         rev.reverse();
         assert_eq!(fwd, rev);
         assert_eq!(fwd.len(), 4, "reroute stays shortest");
@@ -284,7 +358,7 @@ mod tests {
         // Hops 0..4 are the node->leaf rails; cutting node 0's only rail
         // (hop 0) severs it from everything.
         assert!(matches!(
-            r.path_avoiding(0, 3, &[0]),
+            path_avoiding(&r, 0, 3, &[0]),
             Err(NetError::Disconnected { .. })
         ));
         // The fault-free path is unaffected by the cached avoiding table.

@@ -21,9 +21,14 @@
 //! * **Forced delivery never beats a healthy fabric** — once hops die
 //!   until a pair is severed, its forced transfer completes no sooner than
 //!   the same transfer on the healthy route over the same occupancy.
+//! * **Re-resolution is exact** — a topology that has already served other
+//!   dead sets, on one thread or two at once, answers every pair as a
+//!   freshly built one does, and both agree with a reference resolver
+//!   written here from the routing rule (BFS from the destination, sorted
+//!   downhill candidates, pick by the unordered pair).
 
 use fusedpack_net::topology::route::{FabricGraph, Router};
-use fusedpack_net::{Endpoint, Hierarchy, HopId, HopState, NetError, TopoNet, Topology};
+use fusedpack_net::{Endpoint, Hierarchy, HopId, HopKind, HopState, NetError, TopoNet, Topology};
 use fusedpack_sim::{Duration, FaultPlan, FaultSite, Time};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -361,6 +366,252 @@ proptest! {
                 forced.delivered, fair.delivered, a, b
             );
             prop_assert_eq!(severed.fabric_health().disconnects, 1);
+        }
+    }
+}
+
+const EXACT_NODES: u32 = 32; // 2 leaves / 2 groups of 16
+
+/// The routing rule stated plainly, over a preset's fabric rebuilt here
+/// edge by edge: a BFS from the destination per query, and at every step
+/// the downhill candidates collected, sorted by `(neighbor, hop)` and
+/// picked by the unordered pair.
+struct Reference {
+    /// Per vertex (nodes first, then switches): `(neighbor, hop)`.
+    adj: Vec<Vec<(u32, u32)>>,
+    /// Hop id of node 0's host-path hop, on machines that model it.
+    host_base: Option<u32>,
+}
+
+impl Reference {
+    /// The fabric `Hierarchy::lassen_like` / `abci_like` build: per-pair
+    /// crossbars, then host paths (abci-like), then two rails per node in
+    /// node order, then leaf-spine links (4 spines) or the global links
+    /// between group routers, pods of 16 nodes.
+    fn of(t: &Hierarchy) -> Self {
+        let n = t.num_nodes();
+        let gpus = t.gpus_per_node();
+        let dragonfly = t.name() == "abci-like";
+        let xbars = n * gpus * (gpus - 1) / 2;
+        let pods = n.div_ceil(16);
+        let switches = if dragonfly { pods } else { pods + 4 };
+        let mut adj = vec![Vec::new(); (n + switches) as usize];
+        let mut next = xbars + if dragonfly { n } else { 0 };
+        let mut edge = |a: u32, b: u32, kind: HopKind| {
+            assert_eq!(t.hops()[next as usize].kind, kind, "hop {next}");
+            adj[a as usize].push((b, next));
+            adj[b as usize].push((a, next));
+            next += 1;
+        };
+        for node in 0..n {
+            for _rail in 0..2 {
+                edge(node, n + node / 16, HopKind::Rail);
+            }
+        }
+        if dragonfly {
+            for i in 0..pods {
+                for j in i + 1..pods {
+                    edge(n + i, n + j, HopKind::Global);
+                }
+            }
+        } else {
+            for leaf in 0..pods {
+                for spine in 0..4 {
+                    edge(n + leaf, n + pods + spine, HopKind::LeafSpine);
+                }
+            }
+        }
+        assert_eq!(next as usize, t.hops().len(), "every hop rebuilt");
+        Reference {
+            adj,
+            host_base: dragonfly.then_some(xbars),
+        }
+    }
+
+    /// Hop ids of the fabric (the hops a reroute can avoid).
+    fn fabric_hops(&self) -> Vec<u32> {
+        let mut hops: Vec<u32> = self.adj.iter().flatten().map(|&(_, h)| h).collect();
+        hops.sort_unstable();
+        hops.dedup();
+        hops
+    }
+
+    /// The route between two distinct nodes avoiding the sorted `dead`
+    /// set, or `None` when it is severed.
+    fn route(&self, a: u32, b: u32, dead: &[u32]) -> Option<Vec<HopId>> {
+        let is_dead = |h: u32| dead.binary_search(&h).is_ok();
+        let hosts: Vec<u32> = self
+            .host_base
+            .map(|base| vec![base + a, base + b])
+            .unwrap_or_default();
+        if hosts.iter().any(|&h| is_dead(h)) {
+            return None;
+        }
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut dist = vec![u32::MAX; self.adj.len()];
+        let mut queue = std::collections::VecDeque::from([hi]);
+        dist[hi as usize] = 0;
+        while let Some(v) = queue.pop_front() {
+            for &(n, h) in &self.adj[v as usize] {
+                if !is_dead(h) && dist[n as usize] == u32::MAX {
+                    dist[n as usize] = dist[v as usize] + 1;
+                    queue.push_back(n);
+                }
+            }
+        }
+        if dist[lo as usize] == u32::MAX {
+            return None;
+        }
+        let spread = (lo as u64)
+            .wrapping_mul(0x9e37_79b9)
+            .wrapping_add(hi as u64);
+        let mut fabric = Vec::new();
+        let mut at = lo;
+        while at != hi {
+            let d = dist[at as usize];
+            let mut candidates: Vec<(u32, u32)> = self.adj[at as usize]
+                .iter()
+                .copied()
+                .filter(|&(n, h)| !is_dead(h) && dist[n as usize].wrapping_add(1) == d)
+                .collect();
+            candidates.sort_unstable();
+            let (n, h) = candidates[(spread % candidates.len() as u64) as usize];
+            fabric.push(HopId(h));
+            at = n;
+        }
+        if a > b {
+            fabric.reverse();
+        }
+        let mut hops: Vec<HopId> = hosts.first().map(|&h| HopId(h)).into_iter().collect();
+        hops.extend(fabric);
+        hops.extend(hosts.last().map(|&h| HopId(h)));
+        Some(hops)
+    }
+}
+
+/// Every ordered pair of distinct nodes, on GPU 0 at one end and GPU 1 at
+/// the other.
+fn node_pairs() -> Vec<(Endpoint, Endpoint)> {
+    (0..EXACT_NODES)
+        .flat_map(|a| (0..EXACT_NODES).map(move |b| (a, b)))
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (Endpoint::new(a, 0), Endpoint::new(b, 1)))
+        .collect()
+}
+
+/// `t`'s answer for every pair under `dead`, with a severed pair as `None`.
+fn answers(t: &Hierarchy, pairs: &[(Endpoint, Endpoint)], dead: &[u32]) -> Vec<Option<Vec<HopId>>> {
+    pairs
+        .iter()
+        .map(|&(a, b)| match t.route_avoiding(a, b, dead) {
+            Ok(route) => Some(route),
+            Err(NetError::Disconnected { .. }) => None,
+            Err(e) => panic!("{a:?} -> {b:?}: unexpected error {e}"),
+        })
+        .collect()
+}
+
+/// The growing dead sets of a kill sequence on `t`: after one kill, two,
+/// ..., each sorted. An even draw kills a fabric hop, an odd one any hop
+/// (a crossbar, a host path or a fabric hop).
+fn dead_sets(t: &Hierarchy, kills: &[usize]) -> Vec<Vec<u32>> {
+    let fabric = Reference::of(t).fabric_hops();
+    let all = t.hops().len();
+    let mut dead = Vec::new();
+    kills
+        .iter()
+        .map(|&k| {
+            let hop = if k % 2 == 0 {
+                fabric[k / 2 % fabric.len()]
+            } else {
+                (k / 2 % all) as u32
+            };
+            if let Err(at) = dead.binary_search(&hop) {
+                dead.insert(at, hop);
+            }
+            dead.clone()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One topology serves a growing dead set, going back to the previous
+    /// set and to the healthy fabric between steps; at every step each
+    /// pair's answer equals a freshly built topology's and the reference
+    /// resolver's, and routes stay symmetric.
+    #[test]
+    fn re_resolution_matches_a_fresh_topology(kills in proptest::collection::vec(0usize..4096, 1..10)) {
+        let pairs = node_pairs();
+        for build in [Hierarchy::lassen_like as fn(u32) -> Hierarchy, Hierarchy::abci_like] {
+            let served = build(EXACT_NODES);
+            let reference = Reference::of(&served);
+            let sets = dead_sets(&served, &kills);
+            let mut previous: Vec<u32> = Vec::new();
+            for dead in &sets {
+                let fresh = answers(&build(EXACT_NODES), &pairs, dead);
+                // The new set, back to the last one and to the healthy
+                // fabric, each on a third of the pairs, then the new set on
+                // all of them.
+                let third = pairs.len() / 3;
+                for (range, set) in [
+                    (0..third, &dead[..]),
+                    (third..2 * third, &previous[..]),
+                    (2 * third..pairs.len(), &[][..]),
+                ] {
+                    let got = answers(&served, &pairs[range.clone()], set);
+                    for (&(a, b), got) in pairs[range].iter().zip(&got) {
+                        let want = reference.route(a.node, b.node, set);
+                        prop_assert_eq!(got, &want, "{} {:?} -> {:?} dead {:?}", served.name(), a, b, set);
+                    }
+                }
+                let got = answers(&served, &pairs, dead);
+                for (i, &(a, b)) in pairs.iter().enumerate() {
+                    prop_assert_eq!(&got[i], &fresh[i], "{} {:?} -> {:?} dead {:?}", served.name(), a, b, dead);
+                    let want = reference.route(a.node, b.node, dead);
+                    prop_assert_eq!(&got[i], &want, "{} {:?} -> {:?} dead {:?}", served.name(), a, b, dead);
+                    let mut back = served.route_avoiding(b, a, dead).ok();
+                    if let Some(route) = back.as_mut() {
+                        route.reverse();
+                    }
+                    prop_assert_eq!(&back, &got[i], "asymmetric {:?} <-> {:?}", a, b);
+                }
+                previous = dead.clone();
+            }
+        }
+    }
+
+    /// Two threads share one topology and alternate between two dead sets,
+    /// each starting on a different one, so each resolution may find the
+    /// other set's tables in place: every answer equals a fresh topology's.
+    #[test]
+    fn re_resolution_is_exact_under_contention(
+        kills in proptest::collection::vec(0usize..4096, 2..10),
+        split in 1usize..9,
+    ) {
+        let pairs = node_pairs();
+        for build in [Hierarchy::lassen_like as fn(u32) -> Hierarchy, Hierarchy::abci_like] {
+            let shared = build(EXACT_NODES);
+            let sets = dead_sets(&shared, &kills);
+            let first = &sets[split.min(sets.len() - 1) - 1];
+            let second = sets.last().expect("at least two kills");
+            let fresh = [first, second].map(|dead| answers(&build(EXACT_NODES), &pairs, dead));
+            let sides = [first.as_slice(), second.as_slice()];
+            std::thread::scope(|s| {
+                for worker in 0..2 {
+                    let (shared, pairs, fresh) = (&shared, &pairs, &fresh);
+                    s.spawn(move || {
+                        for round in 0..6 {
+                            let side = (round + worker) % 2;
+                            for (i, &(a, b)) in pairs.iter().enumerate() {
+                                let got = shared.route_avoiding(a, b, sides[side]).ok();
+                                assert_eq!(got, fresh[side][i], "{a:?} -> {b:?} under set {side}");
+                            }
+                        }
+                    });
+                }
+            });
         }
     }
 }
