@@ -32,7 +32,7 @@ pub fn breakdown_for(scheme: SchemeKind) -> Breakdown {
 ///
 /// Returns the recorder, whose timeline covers the whole run, together
 /// with each rank's whole-run [`Breakdown`] — the independent ledger the
-/// timeline can be reconciled against with [`fusedpack_telemetry::reconcile`].
+/// timeline can be reconciled against with [`fusedpack_telemetry::reconcile`](fn@fusedpack_telemetry::reconcile).
 pub fn traced_run() -> (Telemetry, Vec<Breakdown>) {
     let telemetry = Telemetry::enabled();
     let mut cfg = config(SchemeKind::fusion_default());

@@ -22,6 +22,7 @@ use crate::message::{WireKind, WireMsg};
 use crate::sendrecv::{CtsInfo, PackState, RecvId, SendId, StagingLoc};
 use fusedpack_gpu::DataMode;
 use fusedpack_net::rdma::CTRL_BYTES;
+use fusedpack_net::Attempt;
 use fusedpack_sim::{FaultSite, RetryPolicy, Time};
 use fusedpack_telemetry::{Lane, Payload, RndvPhaseTag};
 
@@ -68,7 +69,7 @@ impl Cluster {
     /// Under an armed fault plan the wire may drop, corrupt, or delay the
     /// payload, and the NIC may stall its completion. Every lost attempt
     /// occupies every hop of the route for its full serialization time
-    /// ([`fusedpack_net::TopoNet::transmit_wasted`]); the sender detects the
+    /// ([`Attempt::Lost`]); the sender detects the
     /// loss — retransmission timeout for a drop, receiver NACK one RTT
     /// after delivery for a corruption — backs off with deterministic
     /// jitter, and retransmits. The attempt and deadline budgets of
@@ -90,7 +91,9 @@ impl Cluster {
         event_key: u64,
     ) -> (Time, Time) {
         if self.faults.is_none() {
-            return self.transport(src, dst, at, bytes, gdr, event_key);
+            let (timing, completion) =
+                self.transport(src, dst, at, bytes, gdr, Attempt::Delivered(event_key));
+            return (timing.delivered, completion);
         }
         let policy = RetryPolicy::default_transfer();
         let jitter_seed = self.faults.as_ref().map_or(0, |p| p.seed());
@@ -112,9 +115,14 @@ impl Cluster {
                     // is reported instead of retried.
                     self.fault_stats.deadline_exceeded += 1;
                 } else {
-                    let (wire_clear, rtt) = self.transport_wasted(src, dst, now, bytes, gdr);
+                    let (lost, _) = self.transport(src, dst, now, bytes, gdr, Attempt::Lost);
+                    let wire_clear = lost.wire_clear();
                     let detected = if site == FaultSite::LinkCorrupt {
-                        // Fully delivered, checksum-rejected, NACKed.
+                        // Fully delivered, checksum-rejected, NACKed. The
+                        // lost attempt just resolved the route, so its
+                        // round trip cannot fail.
+                        let key = self.route_key(src, dst);
+                        let rtt = self.topo.route_rtt(key).expect("route resolved");
                         wire_clear + rtt
                     } else {
                         wire_clear + policy.detect_timeout
@@ -126,8 +134,9 @@ impl Cluster {
                     continue;
                 }
             }
-            let (mut delivered, mut completion) =
-                self.transport(src, dst, now, bytes, gdr, event_key);
+            let (timing, mut completion) =
+                self.transport(src, dst, now, bytes, gdr, Attempt::Delivered(event_key));
+            let mut delivered = timing.delivered;
             if self.fault_fires(src, FaultSite::LinkDelay, now) {
                 let spike = self.fault_spike(src, FaultSite::LinkDelay);
                 self.fault_recovered(spike);

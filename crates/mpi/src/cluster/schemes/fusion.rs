@@ -14,6 +14,7 @@ use crate::sendrecv::{RecvId, SendId, StagingLoc};
 use fusedpack_core::{EnqueueError, FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::cache::lookup_cost;
 use fusedpack_gpu::{DevPtr, Gpu, SegmentStats, StreamId};
+use fusedpack_net::Attempt;
 use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Bucket, Telemetry};
 
@@ -380,7 +381,10 @@ impl SchemeEngine for FusionEngine {
         // scatter kernel lands it in the user buffer.
         let (bytes, _) = cx.recv_meta(rid);
         let at = cx.cl.ranks[r].cpu;
-        let (delivered, _) = cx.cl.transport(src, r, at, bytes, false, 0);
+        let (timing, _) = cx
+            .cl
+            .transport(src, r, at, bytes, false, Attempt::Delivered(0));
+        let delivered = timing.delivered;
         cx.cl
             .bucket_add_at(r, Bucket::Comm, at, delivered.since(at));
         cx.cl.ranks[r].cpu = cx.cl.ranks[r].cpu.max(delivered);

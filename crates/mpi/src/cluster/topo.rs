@@ -14,20 +14,22 @@
 
 use super::Cluster;
 use fusedpack_net::topology::{FabricEvent, RouteKey};
-use fusedpack_net::{HopStats, NetError, TopoNet};
-use fusedpack_sim::{Duration, FaultSite, Time};
+use fusedpack_net::{Attempt, HopStats, NetError, RouteTiming, TopoNet};
+use fusedpack_sim::{FaultSite, Time};
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 
 impl Cluster {
-    fn route_key(&self, src: usize, dst: usize) -> RouteKey {
+    pub(super) fn route_key(&self, src: usize, dst: usize) -> RouteKey {
         (self.endpoints[src], self.endpoints[dst])
     }
 
-    /// Transport `bytes` from rank `src` to rank `dst`. Returns
-    /// `(delivered, initiator_completion)`. `gdr` caps inter-node bandwidth
-    /// by the NIC↔GPU path; intra-node transfers ride the GPU↔GPU hop.
-    /// `event_key` is the transfer's canonical event key — the coordinate
-    /// an armed fabric fault domain keys its per-hop draws by.
+    /// Transport `bytes` from rank `src` to rank `dst`. Returns the route
+    /// timing and the initiator's completion time. `gdr` caps inter-node
+    /// bandwidth by the NIC↔GPU path; intra-node transfers ride the
+    /// GPU↔GPU hop. A delivered `attempt` carries the transfer's canonical
+    /// event key — the coordinate an armed fabric fault domain keys its
+    /// per-hop draws by; a lost one occupies every hop of the route and
+    /// delivers nothing, its wire span ending at wire clear.
     pub(crate) fn transport(
         &mut self,
         src: usize,
@@ -35,8 +37,8 @@ impl Cluster {
         at: Time,
         bytes: u64,
         gdr: bool,
-        event_key: u64,
-    ) -> (Time, Time) {
+        attempt: Attempt,
+    ) -> (RouteTiming, Time) {
         let key = self.route_key(src, dst);
         // Disjoint field borrows: the network and the rank state are used
         // side by side without moving the network out of its slot.
@@ -56,17 +58,20 @@ impl Cluster {
         };
         let (timing, completion) = if key.0.node == key.1.node {
             let t = net
-                .transmit_with(at, key, bytes, None, event_key, on_hop)
+                .transmit_with(at, key, bytes, None, attempt, on_hop)
                 .unwrap_or_else(|e| unroutable(src, dst, key, e));
             // The NIC emits the wire span for inter-node sends;
             // intra-node sends emit it here.
-            tele.span(Lane::Nic, t.start, t.delivered, || Payload::WireTransfer {
-                bytes,
-            });
+            let end = if attempt == Attempt::Lost {
+                t.wire_clear()
+            } else {
+                t.delivered
+            };
+            tele.span(Lane::Nic, t.start, end, || Payload::WireTransfer { bytes });
             (t, t.delivered)
         } else {
             let t = nics[key.0.node as usize]
-                .post_send_routed_keyed(net, key, at, bytes, gdr, event_key, on_hop)
+                .post_send(net, key, at, bytes, gdr, attempt, on_hop)
                 .unwrap_or_else(|e| unroutable(src, dst, key, e));
             (t, t.delivered + t.tail_latency)
         };
@@ -82,51 +87,7 @@ impl Cluster {
             });
         }
         emit_fabric_events(net, tele);
-        (timing.delivered, completion)
-    }
-
-    /// Occupy every hop of the route with a payload that is dropped
-    /// mid-flight. Returns `(wire_clear, rtt)` — the inputs to the retry
-    /// protocol's loss-detection timing.
-    pub(crate) fn transport_wasted(
-        &mut self,
-        src: usize,
-        dst: usize,
-        now: Time,
-        bytes: u64,
-        gdr: bool,
-    ) -> (Time, Duration) {
-        let key = self.route_key(src, dst);
-        let Cluster {
-            topo: net,
-            nics,
-            ranks,
-            ..
-        } = self;
-        let tele = &ranks[src].tele;
-        let on_hop = |hop, start, wire_done| {
-            tele.span(Lane::Nic, start, wire_done, || Payload::HopTransfer {
-                hop,
-                bytes,
-            })
-        };
-        let (_, wire_clear) = if key.0.node == key.1.node {
-            let (start, clear) = net
-                .transmit_wasted_with(now, key, bytes, None, on_hop)
-                .unwrap_or_else(|e| unroutable(src, dst, key, e));
-            tele.span(Lane::Nic, start, clear, || Payload::WireTransfer { bytes });
-            (start, clear)
-        } else {
-            nics[key.0.node as usize]
-                .post_send_routed_wasted(net, key, now, bytes, gdr, on_hop)
-                .unwrap_or_else(|e| unroutable(src, dst, key, e))
-        };
-        // The transmit above cached the route, so this cannot fail.
-        let rtt = net
-            .route_rtt(key)
-            .unwrap_or_else(|e| unroutable(src, dst, key, e));
-        emit_fabric_events(net, tele);
-        (wire_clear, rtt)
+        (timing, completion)
     }
 
     /// Per-hop congestion counters of the cluster's network (reports,
@@ -135,11 +96,6 @@ impl Cluster {
     /// with the benchmark.
     pub fn topo_hop_stats(&self) -> Option<Vec<HopStats>> {
         Some(self.topo.hop_stats())
-    }
-
-    /// The (node, gpu-slot) endpoint of a rank (tests and diagnostics).
-    pub fn endpoint_of(&self, rank: super::RankId) -> Option<fusedpack_net::Endpoint> {
-        self.endpoints.get(rank.0 as usize).copied()
     }
 }
 
@@ -173,7 +129,7 @@ fn unroutable(src: usize, dst: usize, key: RouteKey, e: NetError) -> ! {
 #[cfg(test)]
 mod tests {
     use crate::{ClusterBuilder, Program, SchemeKind};
-    use fusedpack_net::Platform;
+    use fusedpack_net::{Attempt, Platform};
     use fusedpack_sim::Time;
 
     #[test]
@@ -185,6 +141,6 @@ mod tests {
             .add_rank(0, Program::new())
             .add_rank(1, Program::new())
             .build();
-        cluster.transport(1, 1, Time::ZERO, 64, false, 0);
+        cluster.transport(1, 1, Time::ZERO, 64, false, Attempt::Delivered(0));
     }
 }

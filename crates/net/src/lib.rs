@@ -19,7 +19,7 @@ pub use link::{Link, LinkSpec};
 pub use nic::{Nic, NodeId};
 pub use platform::Platform;
 pub use topology::{
-    Dragonfly, Endpoint, FabricEvent, FabricHealth, FatTree, FlatLink, Hierarchy, HopId, HopKind,
-    HopSpec, HopState, HopStats, NvlinkIsland, RouteKey, RouteTiming, TopoNet, Topology,
+    Attempt, Dragonfly, Endpoint, FabricEvent, FabricHealth, FatTree, FlatLink, Hierarchy, HopId,
+    HopKind, HopSpec, HopState, HopStats, NvlinkIsland, RouteKey, RouteTiming, TopoNet, Topology,
     TopologyHandle,
 };

@@ -94,42 +94,28 @@ impl Link {
         &self.spec
     }
 
-    /// Submit a transfer at `now`; returns `(first_byte_sent, delivered)`.
+    /// Submit a transfer at `now`, its stream capped at `bw_cap` below the
+    /// link's nominal rate (e.g. GPUDirect reads limited by the PCIe path
+    /// to the GPU; `f64::INFINITY` for none). Returns `(first_byte_sent,
+    /// delivered)`.
     ///
     /// The wire is occupied for the serialization time only; latency is
     /// pipelined (a second message can start serializing while the first's
-    /// tail is still in flight).
-    pub fn transmit(&mut self, now: Time, bytes: u64) -> (Time, Time) {
-        let ser = Duration::from_secs_f64(bytes as f64 / self.spec.bw);
-        let (start, wire_done) = self.fifo.acquire(now, ser);
-        self.bytes_carried += bytes;
-        (start, wire_done + self.spec.latency)
-    }
-
-    /// Transmit with an effective bandwidth cap below the link's nominal
-    /// rate (e.g. GPUDirect reads limited by the PCIe path to the GPU).
+    /// tail is still in flight), so the wire clears at `delivered` less
+    /// the latency. A `lost` transfer — a payload dropped (or corrupted)
+    /// mid-flight in a fault-injection run — occupies the wire the same
+    /// way and later traffic queues behind it, but it never arrives: its
+    /// bytes also count as wasted.
     #[inline]
-    pub fn transmit_capped(&mut self, now: Time, bytes: u64, bw_cap: f64) -> (Time, Time) {
+    pub fn transmit(&mut self, now: Time, bytes: u64, bw_cap: f64, lost: bool) -> (Time, Time) {
         let bw = self.spec.bw.min(bw_cap);
         let ser = Duration::from_secs_f64(bytes as f64 / bw);
         let (start, wire_done) = self.fifo.acquire(now, ser);
         self.bytes_carried += bytes;
+        if lost {
+            self.bytes_wasted += bytes;
+        }
         (start, wire_done + self.spec.latency)
-    }
-
-    /// Occupy the wire with a transmission that never delivers — a payload
-    /// dropped (or corrupted) mid-flight in a fault-injection run. Later
-    /// traffic still queues behind it; the sender only learns of the loss
-    /// via its retransmission timeout (or the receiver's NACK).
-    /// Returns `(first_byte_sent, wire_clear)` — there is no delivery.
-    #[inline]
-    pub fn transmit_wasted(&mut self, now: Time, bytes: u64, bw_cap: Option<f64>) -> (Time, Time) {
-        let bw = bw_cap.map_or(self.spec.bw, |cap| self.spec.bw.min(cap));
-        let ser = Duration::from_secs_f64(bytes as f64 / bw);
-        let (start, wire_done) = self.fifo.acquire(now, ser);
-        self.bytes_carried += bytes;
-        self.bytes_wasted += bytes;
-        (start, wire_done)
     }
 
     pub fn bytes_carried(&self) -> u64 {
@@ -170,8 +156,8 @@ mod tests {
             bw: 1e9, // 1 GB/s -> 1 ns per byte
             latency: Duration(500),
         });
-        let (s1, d1) = link.transmit(Time(0), 1000);
-        let (s2, d2) = link.transmit(Time(0), 1000);
+        let (s1, d1) = link.transmit(Time(0), 1000, f64::INFINITY, false);
+        let (s2, d2) = link.transmit(Time(0), 1000, f64::INFINITY, false);
         assert_eq!((s1, d1), (Time(0), Time(1500)));
         // Second message starts serializing when the first's tail leaves.
         assert_eq!((s2, d2), (Time(1000), Time(2500)));
@@ -181,16 +167,16 @@ mod tests {
     fn capped_transmit_is_slower() {
         let mut a = Link::new(LinkSpec::ib_edr_dual());
         let mut b = Link::new(LinkSpec::ib_edr_dual());
-        let (_, full) = a.transmit(Time(0), 1 << 20);
-        let (_, capped) = b.transmit_capped(Time(0), 1 << 20, 12.0e9);
+        let (_, full) = a.transmit(Time(0), 1 << 20, f64::INFINITY, false);
+        let (_, capped) = b.transmit(Time(0), 1 << 20, 12.0e9, false);
         assert!(capped > full);
     }
 
     #[test]
     fn accounting() {
         let mut link = Link::new(LinkSpec::nvlink2_75());
-        link.transmit(Time(0), 100);
-        link.transmit(Time(0), 200);
+        link.transmit(Time(0), 100, f64::INFINITY, false);
+        link.transmit(Time(0), 200, f64::INFINITY, false);
         assert_eq!(link.bytes_carried(), 300);
         link.reset();
         assert_eq!(link.bytes_carried(), 0);
@@ -203,11 +189,12 @@ mod tests {
             bw: 1e9,
             latency: Duration(500),
         });
-        let (s1, clear) = link.transmit_wasted(Time(0), 1000, None);
-        // Full serialization, no latency tail: the payload never arrives.
-        assert_eq!((s1, clear), (Time(0), Time(1000)));
+        let (s1, d1) = link.transmit(Time(0), 1000, f64::INFINITY, true);
+        // Full serialization: the wire clears one latency before the
+        // payload would have arrived.
+        assert_eq!((s1, d1 - link.spec().latency), (Time(0), Time(1000)));
         // A follow-up real transmission queues behind the doomed one.
-        let (s2, d2) = link.transmit(Time(0), 1000);
+        let (s2, d2) = link.transmit(Time(0), 1000, f64::INFINITY, false);
         assert_eq!((s2, d2), (Time(1000), Time(2500)));
         assert_eq!(link.bytes_wasted(), 1000);
         assert_eq!(link.bytes_carried(), 2000);

@@ -8,7 +8,7 @@
 
 use crate::error::NetError;
 use crate::link::LinkSpec;
-use crate::topology::{RouteKey, RouteTiming, TopoNet};
+use crate::topology::{Attempt, RouteKey, RouteTiming, TopoNet};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{Lane, Payload, Telemetry};
 
@@ -49,58 +49,36 @@ impl Nic {
     /// Post a send through `net`: the injection overhead delays the
     /// head, GPUDirect sources (`gdr`) cap the stream at the NIC↔GPU
     /// path, and occupancy lands on every hop of `key`'s route. Each
-    /// hop's span goes to `on_hop` (see [`TopoNet::transmit_with`]).
-    /// `event_key` is the transfer's canonical event key, the coordinate
-    /// an armed fabric fault domain draws its per-hop decisions from.
-    /// The work request is only counted as posted if the route resolves.
+    /// hop's span goes to `on_hop` (see [`TopoNet::transmit_with`]). The
+    /// wire span ends at delivery, or at wire clear for a lost `attempt`,
+    /// which delivers nothing. The work request is only counted as posted
+    /// if the route resolves.
     #[allow(clippy::too_many_arguments)]
-    pub fn post_send_routed_keyed(
+    pub fn post_send(
         &mut self,
         net: &mut TopoNet,
         key: RouteKey,
         now: Time,
         bytes: u64,
         gdr: bool,
-        event_key: u64,
+        attempt: Attempt,
         on_hop: impl FnMut(u32, Time, Time),
     ) -> Result<RouteTiming, NetError> {
         let cap = gdr.then_some(self.gdr_bw_cap);
-        let timing = net.transmit_with(now + self.injection, key, bytes, cap, event_key, on_hop)?;
+        let timing = net.transmit_with(now + self.injection, key, bytes, cap, attempt, on_hop)?;
         self.posted += 1;
         self.telemetry
             .instant(Lane::Nic, now, || Payload::RdmaPost { bytes, gdr });
+        let end = if attempt == Attempt::Lost {
+            timing.wire_clear()
+        } else {
+            timing.delivered
+        };
         self.telemetry
-            .span(Lane::Nic, timing.start, timing.delivered, || {
-                Payload::WireTransfer { bytes }
-            });
-        Ok(timing)
-    }
-
-    /// A routed send whose payload is dropped (or corrupted) on the wire:
-    /// charges the injection overhead and occupies every hop of the route
-    /// but delivers nothing. Returns `(wire_start, last_hop_clear)` — the
-    /// retry protocol schedules the retransmission after its
-    /// loss-detection timeout.
-    pub fn post_send_routed_wasted(
-        &mut self,
-        net: &mut TopoNet,
-        key: RouteKey,
-        now: Time,
-        bytes: u64,
-        gdr: bool,
-        on_hop: impl FnMut(u32, Time, Time),
-    ) -> Result<(Time, Time), NetError> {
-        let cap = gdr.then_some(self.gdr_bw_cap);
-        let (start, wire_clear) =
-            net.transmit_wasted_with(now + self.injection, key, bytes, cap, on_hop)?;
-        self.posted += 1;
-        self.telemetry
-            .instant(Lane::Nic, now, || Payload::RdmaPost { bytes, gdr });
-        self.telemetry
-            .span(Lane::Nic, start, wire_clear, || Payload::WireTransfer {
+            .span(Lane::Nic, timing.start, end, || Payload::WireTransfer {
                 bytes,
             });
-        Ok((start, wire_clear))
+        Ok(timing)
     }
 
     /// Injection overhead per work request.
@@ -141,8 +119,16 @@ mod tests {
     const KEY: RouteKey = (Endpoint { node: 0, gpu: 0 }, Endpoint { node: 1, gpu: 0 });
 
     fn send(n: &mut Nic, net: &mut TopoNet, now: Time, bytes: u64, gdr: bool) -> RouteTiming {
-        n.post_send_routed_keyed(net, KEY, now, bytes, gdr, 0, |_, _, _| {})
-            .unwrap()
+        n.post_send(
+            net,
+            KEY,
+            now,
+            bytes,
+            gdr,
+            Attempt::Delivered(0),
+            |_, _, _| {},
+        )
+        .unwrap()
     }
 
     #[test]
@@ -153,7 +139,7 @@ mod tests {
         // On the flat fabric a send is one α–β crossing of the node's
         // wire, started after the injection overhead.
         let (start, delivered) =
-            Link::new(LinkSpec::ib_edr_dual()).transmit_capped(Time(400), 1 << 20, 21.0e9);
+            Link::new(LinkSpec::ib_edr_dual()).transmit(Time(400), 1 << 20, 21.0e9, false);
         assert_eq!((t.start, t.delivered), (start, delivered));
         assert_eq!(t.tail_latency, LinkSpec::ib_edr_dual().latency);
         let host = send(&mut nic(), &mut flat_net(), Time(0), 64 << 20, false);
@@ -180,9 +166,18 @@ mod tests {
     fn wasted_post_charges_wire_but_counts_separately() {
         let mut n = nic();
         let mut net = flat_net();
-        let (start, clear) = n
-            .post_send_routed_wasted(&mut net, KEY, Time(0), 25_000_000, false, |_, _, _| {})
+        let lost = n
+            .post_send(
+                &mut net,
+                KEY,
+                Time(0),
+                25_000_000,
+                false,
+                Attempt::Lost,
+                |_, _, _| {},
+            )
             .unwrap();
+        let (start, clear) = (lost.start, lost.wire_clear());
         assert_eq!(start, Time(400));
         assert!(clear > start);
         // A real send afterwards queues behind the doomed occupancy.
@@ -199,7 +194,15 @@ mod tests {
         let mut net = flat_net();
         let bad = (Endpoint::new(9, 0), Endpoint::new(0, 0));
         assert!(n
-            .post_send_routed_keyed(&mut net, bad, Time(0), 1, false, 0, |_, _, _| {})
+            .post_send(
+                &mut net,
+                bad,
+                Time(0),
+                1,
+                false,
+                Attempt::Delivered(0),
+                |_, _, _| {}
+            )
             .is_err());
         assert_eq!(n.posted(), 0);
     }

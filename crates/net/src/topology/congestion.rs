@@ -12,15 +12,21 @@
 //! randomness, no fair-share fluid approximation, just event-ordered
 //! occupancy.
 //!
-//! A single-hop route degenerates to exactly `Link::transmit` /
-//! `transmit_capped`: on [`super::FlatLink`], the default fabric of every
-//! cluster, a send costs one α–β link crossing.
+//! A single-hop route degenerates to exactly one [`Link::transmit`]: on
+//! [`super::FlatLink`], the default fabric of every cluster, a send costs
+//! one α–β link crossing.
+//!
+//! A transfer lost on the wire ([`Attempt::Lost`]: dropped or corrupted
+//! mid-flight under fault injection) runs the same hop loop: it occupies
+//! every hop for its full serialization time, so later traffic queues
+//! behind it, but it delivers nothing — its bytes count as wasted and its
+//! wire clears at [`RouteTiming::wire_clear`].
 //!
 //! ## Fabric fault domain
 //!
 //! When a [`FaultPlan`] with fabric sites is armed
-//! ([`TopoNet::arm_faults`]), every hop of a keyed transmit
-//! ([`TopoNet::transmit_keyed`]) consults three *stateless* per-hop draws
+//! ([`TopoNet::arm_faults`]), every hop of a delivered attempt
+//! ([`Attempt::Delivered`]) consults three *stateless* per-hop draws
 //! (`hash(seed, site, hop, event_key)` — order-independent, so a
 //! transfer's draws do not depend on which transfers came before it):
 //!
@@ -51,7 +57,7 @@
 //! unrestricted pre-fault route ([`Topology::route`]) instead: through the
 //! same per-hop FIFO links, so they queue behind live traffic, at the
 //! degraded caps of the hops they cross, drawing no fault decisions (like
-//! [`TopoNet::transmit_wasted`]). Each forced send counts one
+//! a lost attempt). Each forced send counts one
 //! [`FabricHealth::disconnects`] and is flagged in
 //! [`RouteTiming::forced`]. A forced transfer therefore costs at least what
 //! the same transfer would on a healthy fabric in the same occupancy
@@ -76,20 +82,42 @@ pub const HEAL_STREAK: i32 = 8;
 /// Fraction of nominal bandwidth a degraded hop retains.
 pub const DEGRADE_BW_FACTOR: f64 = 0.25;
 
+/// One transmit attempt over a route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attempt {
+    /// The payload arrives. The value is the transfer's canonical event
+    /// key, the coordinate fabric fault draws are keyed by: pure hashes of
+    /// `(plan seed, site, hop, event_key)`, so replaying the same transfers
+    /// in any order injects the identical fault timeline.
+    Delivered(u64),
+    /// The payload is dropped (or corrupted) mid-flight: it occupies every
+    /// hop of the route but never arrives. It draws no fault decisions (it
+    /// *is* the fault path) and counts no disconnect.
+    Lost,
+}
+
 /// When a routed transfer started and finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteTiming {
     /// First byte left the source (head of message won the first hop).
     pub start: Time,
     /// Last byte arrived at the destination (includes the final hop's
-    /// latency tail).
+    /// latency tail). For a lost attempt, when it would have arrived.
     pub delivered: Time,
-    /// The final hop's first-byte latency — the piece a caller subtracts
-    /// to recover "wire clear" from `delivered`.
+    /// The final hop's first-byte latency — the piece
+    /// [`RouteTiming::wire_clear`] subtracts from `delivered`.
     pub tail_latency: Duration,
     /// The pair had no surviving route: the transfer was forced over its
-    /// pre-fault route (see the module docs).
+    /// pre-fault route (see the module docs). A lost attempt rides the
+    /// same route but delivers nothing, so it is never flagged.
     pub forced: bool,
+}
+
+impl RouteTiming {
+    /// When the last byte cleared the final hop's wire.
+    pub fn wire_clear(&self) -> Time {
+        self.delivered - self.tail_latency
+    }
 }
 
 /// Aggregate per-hop counters for reports and reconciliation tests.
@@ -238,19 +266,18 @@ impl FabricFaults {
         true
     }
 
-    /// One keyed transmit's head crosses `hop`: draw the hop's fault
-    /// decisions (none for a forced send, which only pays the state the
-    /// fabric is already in), delay the head by any flap spike, queue a
-    /// down transition, and return the hop's bandwidth factor.
+    /// One transmit's head crosses `hop`: if `draw`, draw the hop's fault
+    /// decisions, delay the head by any flap spike and queue a down
+    /// transition; return the hop's bandwidth factor.
     fn cross(
         &mut self,
         hop: u32,
         head: &mut Time,
         event_key: u64,
-        forced: bool,
+        draw: bool,
         pending_down: &mut Vec<(u32, Time)>,
     ) -> f64 {
-        if !forced {
+        if draw {
             let salt = u64::from(hop);
             if self.plan.fires_keyed(FaultSite::HopDown, salt, event_key)
                 && self.hops[hop as usize].state != HopState::Down
@@ -358,10 +385,6 @@ pub struct TopoNet {
     /// Entries are referenced by offset, so the arena growing (and
     /// reallocating) never invalidates a cached route.
     route_arena: Vec<HopId>,
-    /// Per-hop spans `(hop, start, wire_done)` of the most recent
-    /// [`TopoNet::transmit_keyed`] / [`TopoNet::transmit_wasted`] (the
-    /// `_with` variants hand them to a callback instead).
-    last_hops: Vec<(u32, Time, Time)>,
     /// Most recent transmit *start* per hop. Hops are FIFO resources, so
     /// starts must be non-decreasing per hop no matter how callers
     /// interleave — checked cheaply here so tests can assert it end to
@@ -391,7 +414,6 @@ impl TopoNet {
             routes: IntMap::default(),
             unrestricted: IntMap::default(),
             route_arena: Vec::new(),
-            last_hops: Vec::new(),
             last_starts,
             order_violations: 0,
             faults: None,
@@ -617,13 +639,8 @@ impl TopoNet {
         Ok(one_way * 2)
     }
 
-    /// Transmit `bytes` from `key.0` to `key.1` starting no earlier than
-    /// `now`, optionally capped at `bw_cap` (e.g. the GPUDirect ceiling).
-    ///
-    /// Per-hop spans are left in [`TopoNet::last_hops`]. Equivalent to
-    /// [`TopoNet::transmit_keyed`] with event key 0 — callers with an
-    /// armed fault domain should use the keyed variant so per-hop draws
-    /// decorrelate across transfers.
+    /// A delivered transmit with event key 0 that reports no hop spans
+    /// (benches and tests).
     pub fn transmit(
         &mut self,
         now: Time,
@@ -631,35 +648,17 @@ impl TopoNet {
         bytes: u64,
         bw_cap: Option<f64>,
     ) -> Result<RouteTiming, NetError> {
-        self.transmit_keyed(now, key, bytes, bw_cap, 0)
+        self.transmit_with(now, key, bytes, bw_cap, Attempt::Delivered(0), |_, _, _| {})
     }
 
-    /// [`TopoNet::transmit`] with the transfer's canonical event key, the
-    /// coordinate fabric fault draws are keyed by. The draws are pure
-    /// hashes of `(plan seed, site, hop, event_key)`, so replaying the
-    /// same transfers in any order injects the identical fault timeline.
-    pub fn transmit_keyed(
-        &mut self,
-        now: Time,
-        key: RouteKey,
-        bytes: u64,
-        bw_cap: Option<f64>,
-        event_key: u64,
-    ) -> Result<RouteTiming, NetError> {
-        let mut spans = std::mem::take(&mut self.last_hops);
-        spans.clear();
-        let out = self.transmit_with(now, key, bytes, bw_cap, event_key, |hop, start, done| {
-            spans.push((hop, start, done))
-        });
-        self.last_hops = spans;
-        out
-    }
-
-    /// [`TopoNet::transmit_keyed`] handing each hop's span `(hop, start,
-    /// wire_done)` to `on_hop` as it is timed instead of recording it —
-    /// the per-send path of the cluster, which turns spans straight into
-    /// telemetry (a no-op when telemetry is off).
+    /// Transmit `bytes` from `key.0` to `key.1` starting no earlier than
+    /// `now`, optionally capped at `bw_cap` (e.g. the GPUDirect ceiling),
+    /// handing each hop's span `(hop, start, wire_done)` to `on_hop` as it
+    /// is timed — the per-send path of the cluster, which turns spans
+    /// straight into telemetry (a no-op when telemetry is off).
     ///
+    /// A forced send pays only the state the fabric is already in and a
+    /// lost attempt is the fault itself, so neither draws fault decisions.
     /// Only endpoint errors surface ([`NetError::NodeOutOfRange`],
     /// [`NetError::GpuOutOfRange`], [`NetError::SelfRoute`]); a severed
     /// pair is forced over its pre-fault route and flagged in
@@ -670,11 +669,16 @@ impl TopoNet {
         key: RouteKey,
         bytes: u64,
         bw_cap: Option<f64>,
-        event_key: u64,
+        attempt: Attempt,
         mut on_hop: impl FnMut(u32, Time, Time),
     ) -> Result<RouteTiming, NetError> {
         let route = self.resolve_ref(key, now)?;
         debug_assert!(route.len > 0, "routes have at least one hop");
+        let (event_key, lost) = match attempt {
+            Attempt::Delivered(event_key) => (event_key, false),
+            Attempt::Lost => (0, true),
+        };
+        let draw = !route.forced && !lost;
         let mut head = now;
         let mut stream_bw = bw_cap.unwrap_or(f64::INFINITY);
         let mut first_start = now;
@@ -688,12 +692,12 @@ impl TopoNet {
             let hop = self.route_arena[(route.off + i) as usize];
             let mut hop_bw = self.links[hop.0 as usize].spec().bw;
             if let Some(f) = self.faults.as_deref_mut() {
-                hop_bw *= f.cross(hop.0, &mut head, event_key, route.forced, &mut pending_down);
+                hop_bw *= f.cross(hop.0, &mut head, event_key, draw, &mut pending_down);
             }
             let link = &mut self.links[hop.0 as usize];
             // The body can never stream faster than the narrowest hop the
             // head has already crossed (cut-through, no re-compression).
-            let (start, done) = link.transmit_capped(head, bytes, stream_bw.min(hop_bw));
+            let (start, done) = link.transmit(head, bytes, stream_bw.min(hop_bw), lost);
             let latency = link.spec().latency;
             Self::note_start(
                 &mut self.last_starts,
@@ -711,7 +715,8 @@ impl TopoNet {
             delivered = done;
             tail_latency = latency;
         }
-        if route.forced {
+        let forced = route.forced && !lost;
+        if forced {
             let f = self.faults.as_deref_mut().expect("forced implies armed");
             f.health.disconnects += 1;
         }
@@ -730,79 +735,8 @@ impl TopoNet {
             start: first_start,
             delivered,
             tail_latency,
-            forced: route.forced,
+            forced,
         })
-    }
-
-    /// Occupy the route with a transfer that never delivers (dropped
-    /// mid-flight under fault injection). Returns `(first_byte_sent,
-    /// last_wire_clear)`; later traffic on the same hops queues behind it.
-    /// Wasted occupancy rides the surviving route (a severed pair's forced
-    /// one) and respects degraded bandwidth caps, but draws no hop faults
-    /// of its own (it *is* the fault path). Per-hop spans are left in
-    /// [`TopoNet::last_hops`].
-    pub fn transmit_wasted(
-        &mut self,
-        now: Time,
-        key: RouteKey,
-        bytes: u64,
-        bw_cap: Option<f64>,
-    ) -> Result<(Time, Time), NetError> {
-        let mut spans = std::mem::take(&mut self.last_hops);
-        spans.clear();
-        let out = self.transmit_wasted_with(now, key, bytes, bw_cap, |hop, start, clear| {
-            spans.push((hop, start, clear))
-        });
-        self.last_hops = spans;
-        out
-    }
-
-    /// [`TopoNet::transmit_wasted`] handing each hop's span to `on_hop`
-    /// instead of recording it.
-    pub fn transmit_wasted_with(
-        &mut self,
-        now: Time,
-        key: RouteKey,
-        bytes: u64,
-        bw_cap: Option<f64>,
-        mut on_hop: impl FnMut(u32, Time, Time),
-    ) -> Result<(Time, Time), NetError> {
-        let route = self.resolve_ref(key, now)?;
-        let mut head = now;
-        let mut stream_bw = bw_cap.unwrap_or(f64::INFINITY);
-        let mut first_start = now;
-        let mut wire_clear = now;
-        for i in 0..route.len {
-            let hop = self.route_arena[(route.off + i) as usize];
-            let mut hop_bw = self.links[hop.0 as usize].spec().bw;
-            if let Some(f) = self.faults.as_deref() {
-                if f.hops[hop.0 as usize].state == HopState::Degraded {
-                    hop_bw *= DEGRADE_BW_FACTOR;
-                }
-            }
-            let link = &mut self.links[hop.0 as usize];
-            let (start, clear) = link.transmit_wasted(head, bytes, Some(stream_bw.min(hop_bw)));
-            Self::note_start(
-                &mut self.last_starts,
-                &mut self.order_violations,
-                hop.0,
-                start,
-            );
-            on_hop(hop.0, start, clear);
-            if i == 0 {
-                first_start = start;
-            }
-            stream_bw = stream_bw.min(hop_bw);
-            head = start + link.spec().latency;
-            wire_clear = clear;
-        }
-        Ok((first_start, wire_clear))
-    }
-
-    /// Per-hop spans `(hop index, start, wire_done)` of the most recent
-    /// transmit.
-    pub fn last_hops(&self) -> &[(u32, Time, Time)] {
-        &self.last_hops
     }
 
     /// Bytes carried by one hop (tests, reconciliation).
@@ -832,7 +766,6 @@ impl TopoNet {
         for link in &mut self.links {
             link.reset();
         }
-        self.last_hops.clear();
         self.last_starts.fill(Time::ZERO);
         self.order_violations = 0;
     }
@@ -845,6 +778,24 @@ mod tests {
     use crate::topology::{Endpoint, FlatLink, Hierarchy};
     use fusedpack_sim::FaultSpec;
     use std::sync::Arc;
+
+    /// One attempt with no bandwidth cap, and the per-hop spans it
+    /// handed to `on_hop`.
+    fn send(
+        net: &mut TopoNet,
+        now: Time,
+        key: RouteKey,
+        bytes: u64,
+        attempt: Attempt,
+    ) -> (RouteTiming, Vec<(u32, Time, Time)>) {
+        let mut spans = Vec::new();
+        let t = net
+            .transmit_with(now, key, bytes, None, attempt, |hop, start, done| {
+                spans.push((hop, start, done))
+            })
+            .unwrap();
+        (t, spans)
+    }
 
     fn flat_net() -> TopoNet {
         TopoNet::new(Arc::new(FlatLink::new(
@@ -861,7 +812,7 @@ mod tests {
         let mut raw = Link::new(LinkSpec::ib_edr_dual());
         let key = (Endpoint::new(0, 0), Endpoint::new(1, 0));
         let t = net.transmit(Time(0), key, 1 << 20, None).unwrap();
-        let (rs, rd) = raw.transmit(Time(0), 1 << 20);
+        let (rs, rd) = raw.transmit(Time(0), 1 << 20, f64::INFINITY, false);
         assert_eq!((t.start, t.delivered), (rs, rd));
         assert_eq!(t.tail_latency, LinkSpec::ib_edr_dual().latency);
 
@@ -870,7 +821,7 @@ mod tests {
         let t = capped_net
             .transmit(Time(0), key, 1 << 20, Some(11.0e9))
             .unwrap();
-        let (rs, rd) = capped_raw.transmit_capped(Time(0), 1 << 20, 11.0e9);
+        let (rs, rd) = capped_raw.transmit(Time(0), 1 << 20, 11.0e9, false);
         assert_eq!((t.start, t.delivered), (rs, rd));
     }
 
@@ -891,8 +842,7 @@ mod tests {
         let mut net = TopoNet::new(Arc::new(Hierarchy::lassen_like(32)));
         let key = (Endpoint::new(0, 0), Endpoint::new(31, 0));
         let bytes = 1u64 << 24;
-        let t = net.transmit(Time(0), key, bytes, None).unwrap();
-        let hops = net.last_hops().to_vec();
+        let (t, hops) = send(&mut net, Time(0), key, bytes, Attempt::Delivered(0));
         assert_eq!(hops.len(), 4, "cross-leaf fat-tree route");
         // Head progression: hop i+1 starts one hop-latency after hop i.
         for w in hops.windows(2) {
@@ -912,11 +862,29 @@ mod tests {
     fn wasted_routes_occupy_hops_and_count() {
         let mut net = TopoNet::new(Arc::new(Hierarchy::abci_like(8)));
         let key = (Endpoint::new(0, 0), Endpoint::new(7, 1));
-        let (start, clear) = net.transmit_wasted(Time(0), key, 4096, None).unwrap();
-        assert!(clear > start);
+        let (t, _) = send(&mut net, Time(0), key, 4096, Attempt::Lost);
+        assert!(t.wire_clear() > t.start);
         let wasted: u64 = net.hop_stats().iter().map(|h| h.wasted).sum();
         let route_len = net.resolve(key).unwrap().len() as u64;
         assert_eq!(wasted, 4096 * route_len, "every hop on the route counts");
+        // A lost attempt is the fault itself: it draws nothing, even with
+        // every fabric site certain to fire.
+        net.arm_faults(
+            FaultPlan::new(5)
+                .with(FaultSite::HopFlap, FaultSpec::with_probability(1.0))
+                .with(FaultSite::RailDegrade, FaultSpec::with_probability(1.0))
+                .with(FaultSite::HopDown, FaultSpec::with_probability(1.0)),
+        );
+        send(&mut net, Time(0), key, 4096, Attempt::Lost);
+        let plan = &net.faults.as_ref().unwrap().plan;
+        for site in [
+            FaultSite::HopFlap,
+            FaultSite::RailDegrade,
+            FaultSite::HopDown,
+        ] {
+            assert_eq!(plan.decisions(site), 0, "{site:?} consulted");
+        }
+        assert_eq!(net.fabric_health(), FabricHealth::default());
     }
 
     #[test]
@@ -962,8 +930,8 @@ mod tests {
         assert_eq!(net.resolve(k2).unwrap(), &r2[..]);
         assert_eq!(net.route_arena_len(), r1.len() + r2.len());
         // The cached windows drive transmits identically to fresh routes.
-        let t = net.transmit(Time(0), k1, 4096, None).unwrap();
-        assert_eq!(net.last_hops().len(), r1.len());
+        let (t, hops) = send(&mut net, Time(0), k1, 4096, Attempt::Delivered(0));
+        assert_eq!(hops.len(), r1.len());
         assert!(t.delivered > t.start);
     }
 
@@ -1001,9 +969,7 @@ mod tests {
         let mut a = TopoNet::new(Arc::new(Hierarchy::lassen_like(32)));
         let mut b = TopoNet::new(Arc::new(Hierarchy::lassen_like(32)));
         let ta = a.transmit(Time(0), key, 1 << 20, None).unwrap();
-        let tb = b
-            .transmit_keyed(Time(0), key, 1 << 20, None, 12345)
-            .unwrap();
+        let tb = send(&mut b, Time(0), key, 1 << 20, Attempt::Delivered(12345)).0;
         assert_eq!(ta, tb, "event keys are inert without an armed domain");
         assert_eq!(a.fabric_health(), FabricHealth::default());
     }
@@ -1022,7 +988,7 @@ mod tests {
         assert_eq!(net.hop_state(rail), HopState::Down);
         assert_eq!(net.fabric_health().route_epoch, 1);
         assert_eq!(net.route_arena_len(), 0, "arena discarded on transition");
-        let t = net.transmit_keyed(Time(200), key, 4096, None, 1).unwrap();
+        let t = send(&mut net, Time(200), key, 4096, Attempt::Delivered(1)).0;
         assert!(t.delivered > t.start);
         let rerouted = net.resolve(key).unwrap().to_vec();
         assert!(rerouted.iter().all(|h| *h != rail), "dead hop avoided");
@@ -1062,14 +1028,14 @@ mod tests {
             .unwrap();
         net.force_hop_degrade(rail);
         assert_eq!(net.hop_state(rail), HopState::Degraded);
-        let slow = net.transmit_keyed(Time(0), key, 1 << 24, None, 0).unwrap();
+        let slow = send(&mut net, Time(0), key, 1 << 24, Attempt::Delivered(0)).0;
         assert!(
             slow.delivered - slow.start > base.delivered - base.start,
             "degraded rail must stretch the transfer"
         );
         // Clean traversals heal it back to nominal bandwidth.
         for k in 1..=HEAL_STREAK as u64 {
-            net.transmit_keyed(Time(0), key, 4096, None, k).unwrap();
+            send(&mut net, Time(0), key, 4096, Attempt::Delivered(k));
         }
         assert_eq!(net.hop_state(rail), HopState::Up);
         assert_eq!(net.fabric_health().hops_degraded, 0);
@@ -1089,7 +1055,7 @@ mod tests {
         // from then on sends are forced, never refused.
         let mut forced = false;
         for k in 0..32u64 {
-            let t = net.transmit_keyed(Time(0), key, 4096, None, k).unwrap();
+            let t = send(&mut net, Time(0), key, 4096, Attempt::Delivered(k)).0;
             assert!(t.delivered > t.start);
             if t.forced {
                 forced = true;
@@ -1134,10 +1100,10 @@ mod tests {
             .with(FaultSite::HopDown, FaultSpec::with_probability(1.0));
         let (mut net, key, pre_fault) = severed_lassen(every_site);
         let health = net.fabric_health();
-        let t = net.transmit_keyed(Time(0), key, 1000, None, 9).unwrap();
+        let (t, hops) = send(&mut net, Time(0), key, 1000, Attempt::Delivered(9));
         assert!(t.forced);
-        assert_eq!(net.last_hops().len(), pre_fault.len());
-        for (hop, &(crossed, _, _)) in pre_fault.iter().zip(net.last_hops()) {
+        assert_eq!(hops.len(), pre_fault.len());
+        for (hop, &(crossed, _, _)) in pre_fault.iter().zip(&hops) {
             assert_eq!(hop.0, crossed);
             assert_eq!(net.bytes_on_hop(*hop), 1000, "hop {hop:?} carried it");
         }
@@ -1162,7 +1128,8 @@ mod tests {
         );
         // Wasted occupancy of a severed pair rides the same route and
         // counts no disconnect: only forced *sends* do.
-        net.transmit_wasted(Time(0), key, 500, None).unwrap();
+        let (lost, _) = send(&mut net, Time(0), key, 500, Attempt::Lost);
+        assert!(!lost.forced, "a lost attempt is no forced delivery");
         assert_eq!(net.bytes_on_hop(pre_fault[0]), 1500);
         assert_eq!(net.fabric_health().disconnects, after.disconnects);
     }
@@ -1172,10 +1139,8 @@ mod tests {
         let (mut clean, key, pre_fault) = severed_lassen(FaultPlan::new(0));
         let (mut slow, _, _) = severed_lassen(FaultPlan::new(0));
         slow.force_hop_degrade(pre_fault[1]);
-        let fast = clean
-            .transmit_keyed(Time(0), key, 1 << 24, None, 1)
-            .unwrap();
-        let capped = slow.transmit_keyed(Time(0), key, 1 << 24, None, 1).unwrap();
+        let fast = send(&mut clean, Time(0), key, 1 << 24, Attempt::Delivered(1)).0;
+        let capped = send(&mut slow, Time(0), key, 1 << 24, Attempt::Delivered(1)).0;
         assert!(fast.forced && capped.forced);
         assert!(capped.delivered > fast.delivered);
     }
@@ -1201,11 +1166,11 @@ mod tests {
         ];
         let mut fwd = mk();
         for &(key, k) in &pairs {
-            fwd.transmit_keyed(Time(0), key, 1 << 16, None, k).unwrap();
+            send(&mut fwd, Time(0), key, 1 << 16, Attempt::Delivered(k));
         }
         let mut rev = mk();
         for &(key, k) in pairs.iter().rev() {
-            rev.transmit_keyed(Time(0), key, 1 << 16, None, k).unwrap();
+            send(&mut rev, Time(0), key, 1 << 16, Attempt::Delivered(k));
         }
         assert_eq!(fwd.fabric_health(), rev.fabric_health());
     }
@@ -1222,7 +1187,7 @@ mod tests {
             .find(|h| net.topology().hops()[h.0 as usize].kind == HopKind::Rail)
             .unwrap();
         net.force_hop_down(rail, Time(0));
-        net.transmit_keyed(Time(0), key, 500, None, 1).unwrap();
+        send(&mut net, Time(0), key, 500, Attempt::Delivered(1));
         let rerouted = net.resolve(key).unwrap().to_vec();
         // Bytes land on exactly the hops each transfer rode: the shared
         // suffix carries both, the dead rail only the first.

@@ -32,8 +32,8 @@ mod hierarchy;
 pub mod route;
 
 pub use congestion::{
-    FabricEvent, FabricHealth, HopState, HopStats, RouteTiming, TopoNet, DEGRADE_BW_FACTOR,
-    FLAP_DOWN_STREAK, HEAL_STREAK,
+    Attempt, FabricEvent, FabricHealth, HopState, HopStats, RouteTiming, TopoNet,
+    DEGRADE_BW_FACTOR, FLAP_DOWN_STREAK, HEAL_STREAK,
 };
 pub use flat::FlatLink;
 pub use hierarchy::{Dragonfly, Fabric, FatTree, Hierarchy, NvlinkIsland};

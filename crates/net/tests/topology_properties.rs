@@ -18,6 +18,10 @@
 //!   draws the fabric sites ride are pure functions of their coordinates,
 //!   independent of evaluation order, so a seeded chaos run replays
 //!   exactly (`mpi/tests/chaos.rs` and the bench chaos-topo grid).
+//! * **A lost attempt is a transfer that delivers nothing** — unarmed,
+//!   across a degraded hop, or forced over a severed pair's pre-fault
+//!   route, it crosses the same hops at the same times as a delivered
+//!   transfer, and its bytes count as carried and as wasted.
 //! * **Forced delivery never beats a healthy fabric** — once hops die
 //!   until a pair is severed, its forced transfer completes no sooner than
 //!   the same transfer on the healthy route over the same occupancy.
@@ -28,7 +32,10 @@
 //!   downhill candidates, pick by the unordered pair).
 
 use fusedpack_net::topology::route::{FabricGraph, Router};
-use fusedpack_net::{Endpoint, Hierarchy, HopId, HopKind, HopState, NetError, TopoNet, Topology};
+use fusedpack_net::{
+    Attempt, Endpoint, Hierarchy, HopId, HopKind, HopState, NetError, RouteKey, RouteTiming,
+    TopoNet, Topology,
+};
 use fusedpack_sim::{Duration, FaultPlan, FaultSite, Time};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -36,6 +43,38 @@ use std::sync::Arc;
 
 const NODES: u32 = 48; // 3 leaves / 3 groups of 16
 const GPUS: u32 = 4;
+
+/// Per-hop spans `(hop, start, wire_done)` of one transmit.
+type Spans = Vec<(u32, Time, Time)>;
+
+/// One attempt at `now` with no bandwidth cap, and the per-hop spans it
+/// handed to `on_hop`.
+fn send(
+    net: &mut TopoNet,
+    now: Time,
+    key: RouteKey,
+    bytes: u64,
+    attempt: Attempt,
+) -> Result<(RouteTiming, Spans), NetError> {
+    let mut spans = Vec::new();
+    let t = net.transmit_with(now, key, bytes, None, attempt, |hop, start, done| {
+        spans.push((hop, start, done))
+    })?;
+    Ok((t, spans))
+}
+
+/// Kill the first hop of whatever route the pair would take next until
+/// none survives (both rails of a fat-tree node, a dragonfly host
+/// complex, a crossbar segment).
+fn sever(net: &mut TopoNet, (a, b): RouteKey) {
+    let mut kills = 0;
+    while let Ok(route) = net.resolve((a, b)) {
+        let victim = route[0];
+        net.force_hop_down(victim, Time(0));
+        kills += 1;
+        assert!(kills <= 8, "pair {a:?}/{b:?} never severed");
+    }
+}
 
 fn presets() -> [Hierarchy; 2] {
     [Hierarchy::lassen_like(NODES), Hierarchy::abci_like(NODES)]
@@ -249,20 +288,20 @@ proptest! {
             let mut bytes_by_hop: HashMap<u32, u64> = HashMap::new();
             let mut busy_by_hop: HashMap<u32, Duration> = HashMap::new();
             for (i, &((a, b), bytes)) in transfers.iter().enumerate() {
-                match net.transmit(Time(0), (a, b), bytes, None) {
-                    Ok(timing) => {
+                match send(&mut net, Time(0), (a, b), bytes, Attempt::Delivered(0)) {
+                    Ok((timing, spans)) => {
                         prop_assert!(timing.delivered > timing.start);
                         // Routes change under us, so the ground truth is
                         // the hop spans of *this* transmit, not a
                         // resolve-once route table.
-                        for &(hop, start, wire_done) in net.last_hops() {
+                        for &(hop, start, wire_done) in &spans {
                             *bytes_by_hop.entry(hop).or_default() += bytes;
                             *busy_by_hop.entry(hop).or_default() += wire_done - start;
                         }
                         if i % kill_every == kill_every - 1 {
                             // Kill the first hop this transfer crossed;
                             // later transfers must reroute around it.
-                            let victim = net.last_hops().first().map(|&(h, _, _)| h);
+                            let victim = spans.first().map(|&(h, _, _)| h);
                             if let Some(h) = victim {
                                 net.force_hop_down(HopId(h), Time(0));
                             }
@@ -347,16 +386,7 @@ proptest! {
                 healthy.transmit(t, pair, n, None).unwrap();
                 severed.transmit(t, pair, n, None).unwrap();
             }
-            // Kill the first hop of whatever route the pair would take
-            // next until none survives (both rails of a fat-tree node, a
-            // dragonfly host complex, a crossbar segment).
-            let mut kills = 0;
-            while let Ok(route) = severed.resolve((a, b)) {
-                let victim = route[0];
-                severed.force_hop_down(victim, Time(0));
-                kills += 1;
-                prop_assert!(kills <= 8, "pair {a:?}/{b:?} never severed");
-            }
+            sever(&mut severed, (a, b));
             let forced = severed.transmit(Time(at), (a, b), bytes, None).unwrap();
             let fair = healthy.transmit(Time(at), (a, b), bytes, None).unwrap();
             prop_assert!(forced.forced && !fair.forced);
@@ -366,6 +396,62 @@ proptest! {
                 forced.delivered, fair.delivered, a, b
             );
             prop_assert_eq!(severed.fabric_health().disconnects, 1);
+        }
+    }
+
+    /// A lost attempt runs the delivered hop loop. On two fresh nets in
+    /// the same state — unarmed, with one hop of the pair's route
+    /// degraded, or with the pair severed so both ride its forced
+    /// pre-fault route — a lost attempt and a delivered transfer cross the
+    /// same hops with the same spans, the lost wire clears at the
+    /// delivered transfer's `delivered - tail_latency`, every hop counts
+    /// the lost bytes both as carried and as wasted, and only the
+    /// delivered transfer is a forced delivery.
+    #[test]
+    fn a_lost_attempt_crosses_the_route_like_a_delivered_one(
+        (a, b) in distinct_pair(),
+        bytes in 1u64..4_000_000,
+        at in 0u64..200_000,
+        degrade in 0usize..8,
+    ) {
+        for build in [Hierarchy::lassen_like as fn(u32) -> Hierarchy, Hierarchy::abci_like] {
+            for state in ["unarmed", "degraded", "severed"] {
+                let fresh = || {
+                    let mut net = TopoNet::new(Arc::new(build(NODES)));
+                    match state {
+                        "degraded" => {
+                            let route = net.resolve((a, b)).unwrap().to_vec();
+                            net.force_hop_degrade(route[degrade % route.len()]);
+                        }
+                        "severed" => sever(&mut net, (a, b)),
+                        _ => {}
+                    }
+                    net
+                };
+                let (mut delivered_net, mut lost_net) = (fresh(), fresh());
+                let (delivered, delivered_spans) =
+                    send(&mut delivered_net, Time(at), (a, b), bytes, Attempt::Delivered(0)).unwrap();
+                let (lost, lost_spans) =
+                    send(&mut lost_net, Time(at), (a, b), bytes, Attempt::Lost).unwrap();
+                prop_assert_eq!(&lost_spans, &delivered_spans, "{} spans", state);
+                prop_assert_eq!(lost.start, delivered.start);
+                prop_assert_eq!(lost.wire_clear(), delivered.delivered - delivered.tail_latency);
+                prop_assert_eq!(
+                    lost_spans.last().map(|&(_, _, clear)| clear),
+                    Some(lost.wire_clear())
+                );
+                prop_assert_eq!(delivered.forced, state == "severed");
+                prop_assert!(!lost.forced);
+                prop_assert_eq!(lost_net.fabric_health().disconnects, 0);
+                for (l, d) in lost_net.hop_stats().iter().zip(&delivered_net.hop_stats()) {
+                    prop_assert_eq!(l.bytes, d.bytes);
+                    prop_assert_eq!(l.wasted, d.bytes);
+                    prop_assert_eq!(d.wasted, 0u64);
+                    prop_assert_eq!(l.busy, d.busy);
+                }
+                let wasted: u64 = lost_net.hop_stats().iter().map(|h| h.wasted).sum();
+                prop_assert_eq!(wasted, bytes * lost_spans.len() as u64);
+            }
         }
     }
 }

@@ -521,10 +521,6 @@ pub struct Event {
 }
 
 impl Event {
-    pub fn is_span(&self) -> bool {
-        self.dur.is_some()
-    }
-
     pub fn end(&self) -> Time {
         match self.dur {
             Some(d) => self.start + d,

@@ -25,7 +25,7 @@
 //!
 //! ## Reconciliation
 //!
-//! [`reconcile`] cross-checks telemetry-derived per-bucket time against
+//! [`reconcile`](fn@reconcile) cross-checks telemetry-derived per-bucket time against
 //! the independent `mpi::breakdown` accounting (the paper's Fig. 11
 //! buckets), so the two systems validate each other; `reproduce
 //! --trace-out` runs this check on every traced experiment.
