@@ -139,6 +139,10 @@ pub struct CompiledLayout {
     size: u64,
     /// Extent (tiling stride) per element.
     extent: u64,
+    /// End of one element's last byte (its furthest segment end), at least
+    /// the extent: what [`Self::footprint`] adds to the elements before
+    /// the last.
+    reach: u64,
     /// Fixed-stride classification, computed once at compile time: `Some`
     /// when every segment has the same length and consecutive segments sit
     /// a constant stride apart (vectors, subarray rows, regular indexed
@@ -270,7 +274,9 @@ impl CompiledLayout {
         let uniform = classify_uniform(&segments, extent);
         let runs = run_table(&segments);
         let class = classify(&segments, size, &uniform, &runs);
+        let reach = segments.iter().map(|s| s.offset + s.len).max();
         CompiledLayout {
+            reach: reach.unwrap_or(0).max(extent),
             packed_off: prefix_sums(&segments),
             uniform,
             runs,
@@ -412,18 +418,13 @@ impl CompiledLayout {
     }
 
     /// The footprint in bytes that `count` elements occupy in memory
-    /// (`(count-1)*extent + last element's reach`).
+    /// (`(count-1)*extent + last element's reach`), in O(1): the reach is
+    /// found once, at compile time.
     pub fn footprint(&self, count: u64) -> u64 {
-        if count == 0 {
-            return 0;
+        match count {
+            0 => 0,
+            _ => (count - 1) * self.extent + self.reach,
         }
-        let reach = self
-            .segments
-            .iter()
-            .map(|s| s.offset + s.len)
-            .max()
-            .unwrap_or(0);
-        (count - 1) * self.extent + reach.max(self.extent)
     }
 }
 

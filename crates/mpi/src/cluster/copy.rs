@@ -43,6 +43,29 @@
 //! buffer itself, and the pool counters are the same on every run of one
 //! input.
 //!
+//! # Deferred packs
+//!
+//! A staged message between two ranks of one lane needs no payload
+//! buffer: the lane that would pack it also unpacks it. So its pack runs
+//! no job. The loop records the send's elements in the payload's slot and
+//! in its rank's list of deferred payloads, and the unpack submits one
+//! [`Job::Copy`] from the send's elements to the receive's, the DirectIPC
+//! copy: half the memory traffic of a pack and an unpack, and no freelist
+//! take or put. [`LaneStats::fused`] counts these messages; `packs` and
+//! `unpacks` count only payloads that went through a buffer. A recycle
+//! of a deferred payload just forgets it.
+//!
+//! Every other consumer *materializes* the payload first: it submits the
+//! deferred pack on the sender's lane, then proceeds as for any payload.
+//! That is a duplicate for an RDMA read answer, a write into a contiguous
+//! receive, and an unpack on the other lane or into the sending rank. A
+//! deferred pack must also read its elements as they were when it was
+//! sent, and an eager send completes at injection, so its rank may write
+//! the send buffer before the peer unpacks. So before any job that writes
+//! a rank's pool (an unpack, copy, write or explicit pack/unpack), the
+//! loop materializes that rank's deferred payloads whose elements
+//! (`[base, base + footprint)`) overlap the span the job writes.
+//!
 //! The run joins the worker before it checks its run-end invariants, and a
 //! panic on either lane surfaces from `Cluster::run` with its own message:
 //! a loop-lane job panics on the loop thread, which hangs up on the worker
@@ -55,9 +78,9 @@
 //! handles.
 //!
 //! The loop hands out payload slots itself and takes a slot back when it
-//! submits the job that consumes the payload; a reused slot is only ever
-//! named by a later job, so an engine, running jobs in order, never sees a
-//! slot in use twice.
+//! submits the job that consumes the payload (or forgets a deferred one);
+//! a reused slot is only ever named by a later job, so an engine, running
+//! jobs in order, never sees a slot in use twice.
 
 use super::handoff::{recv_soon, send_soon};
 use super::Cluster;
@@ -99,7 +122,8 @@ fn loop_nodes(nodes: u32) -> u32 {
 }
 
 /// A payload held by a copy engine: its slot in the engine's payload
-/// table, the lane whose job produced it, and its length in bytes. The
+/// table, the lane whose job produced it (or will, for a deferred pack),
+/// and its length in bytes. The
 /// default handle is empty: it names no slot and carries no bytes
 /// (timing-only runs, control packets, empty messages).
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -126,10 +150,15 @@ impl PayloadHandle {
 /// excluded from that identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
-    /// Staged sends gathered into a payload.
+    /// Staged sends gathered into a payload buffer: every staged send
+    /// whose payload is not fused.
     pub packs: u64,
-    /// Staged receives scattered from their payload.
+    /// Staged receives scattered from their payload buffer.
     pub unpacks: u64,
+    /// Staged messages fused: the sender's elements copied straight into
+    /// the receive's, with no payload buffer (a deferred pack consumed by
+    /// its unpack on this lane).
+    pub fused: u64,
     /// Layout-to-layout copies (DirectIPC, and its mapping-failure
     /// fallback).
     pub copies: u64,
@@ -155,6 +184,7 @@ impl LaneStats {
     pub fn jobs(&self) -> u64 {
         self.packs
             + self.unpacks
+            + self.fused
             + self.copies
             + self.reads
             + self.writes
@@ -166,6 +196,7 @@ impl LaneStats {
     fn absorb(&mut self, other: &LaneStats) {
         self.packs += other.packs;
         self.unpacks += other.unpacks;
+        self.fused += other.fused;
         self.copies += other.copies;
         self.reads += other.reads;
         self.writes += other.writes;
@@ -208,12 +239,15 @@ impl CopyStats {
 
 /// `count` elements of a layout based at `base` in one rank's pool: one
 /// side of a job. The layout is named by its index in the layout list of
-/// the engine that owns the pool ([`CopyQueue::elems`]).
+/// the engine that owns the pool ([`CopyQueue::elems`]). The elements lie
+/// in `[base, end)`.
+#[derive(Clone, Copy)]
 pub(crate) struct Elems {
     rank: usize,
     layout: u32,
     base: u64,
     count: u64,
+    end: u64,
 }
 
 /// One unit of byte movement. Payloads are named by slot.
@@ -578,6 +612,9 @@ struct Slot {
     cap: u64,
     /// The worker jobs submitted up to the last one naming the slot.
     after: u64,
+    /// A deferred payload's elements and length: no job has gathered it
+    /// yet, and no buffer holds it.
+    deferred: Option<(Elems, u64)>,
 }
 
 /// The event loop's side of the copy engines: which lane runs each rank's
@@ -595,6 +632,8 @@ pub(crate) struct CopyQueue {
     free: Vec<u32>,
     /// Every slot handed out so far, free or not.
     slots: Vec<Slot>,
+    /// Global rank → the slots of its deferred payloads.
+    deferred: Vec<Vec<u32>>,
     /// Per lane: address of each layout its engine holds → its index in
     /// the engine's list. The engine's `Arc` keeps the address from being
     /// reused while the run lasts.
@@ -666,7 +705,7 @@ impl CopyQueue {
         let lane = self.lane(rank);
         let known = &mut self.layouts[lane];
         let key = Arc::as_ptr(layout) as usize;
-        let layout = match known.get(&key) {
+        let index = match known.get(&key) {
             Some(&index) => index,
             None => {
                 let index = known.len() as u32;
@@ -677,27 +716,34 @@ impl CopyQueue {
         };
         Elems {
             rank,
-            layout,
+            layout: index,
             base,
             count,
+            end: base + layout.footprint(count),
         }
     }
 
-    /// A free slot for a payload in a buffer of capacity `cap`.
-    fn slot(&mut self, cap: u64) -> u32 {
-        let slot = self.free.pop().unwrap_or_else(|| {
+    /// A free slot.
+    fn slot(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
             self.slots.push(Slot::default());
             self.slots.len() as u32 - 1
-        });
+        })
+    }
+
+    /// Take a buffer of `len` bytes off `lane`'s freelist for the payload
+    /// in `slot`: the buffer a miss uses.
+    fn take_buffer(&mut self, slot: u32, lane: usize, len: u64) -> Option<Vec<u8>> {
+        let (cap, fresh) = self.buffers[lane].take(len);
         self.slots[slot as usize].cap = cap;
-        slot
+        fresh
     }
 
     /// A handle for a new payload of `len` bytes on `lane`, in a free
     /// slot, and the buffer a miss on that lane's freelist uses.
     fn alloc(&mut self, lane: usize, len: u64) -> (PayloadHandle, Option<Vec<u8>>) {
-        let (cap, fresh) = self.buffers[lane].take(len);
-        let slot = self.slot(cap);
+        let slot = self.slot();
+        let fresh = self.take_buffer(slot, lane, len);
         let lane = lane as u8;
         (PayloadHandle { slot, lane, len }, fresh)
     }
@@ -767,13 +813,28 @@ impl CopyQueue {
         }
     }
 
-    /// Gather `from` into a new payload of `len` bytes (at least the
-    /// elements' packed size).
-    pub(crate) fn pack(&mut self, from: Elems, len: u64) -> PayloadHandle {
+    /// A payload of `from` gathered into `len` bytes (at least the
+    /// elements' packed size), for a message to rank `dst`. One for
+    /// another rank of the sender's lane is deferred: no job runs until
+    /// it is consumed or materialized (see the module docs).
+    pub(crate) fn pack(&mut self, from: Elems, len: u64, dst: usize) -> PayloadHandle {
+        let lane = self.lane(from.rank);
+        let slot = self.slot();
+        if dst != from.rank && self.lane(dst) == lane {
+            self.slots[slot as usize].deferred = Some((from, len));
+            self.deferred[from.rank].push(slot);
+        } else {
+            self.gather(slot, from, len);
+        }
+        let lane = lane as u8;
+        PayloadHandle { slot, lane, len }
+    }
+
+    /// Submit the pack of `from` into `len` bytes in `slot`.
+    fn gather(&mut self, slot: u32, from: Elems, len: u64) {
         let lane = self.lane(from.rank);
         self.stats.lanes[lane].packs += 1;
-        let (out, fresh) = self.alloc(lane, len);
-        let slot = out.slot;
+        let fresh = self.take_buffer(slot, lane, len);
         let submitted = self.submit(
             lane,
             Job::Pack {
@@ -784,12 +845,55 @@ impl CopyQueue {
             },
         );
         self.named(slot, lane, submitted);
-        out
     }
 
-    /// Scatter `payload` out to `to`, and recycle it.
+    /// Forget the deferred payload in `slot`, if it is one: its elements
+    /// and length.
+    fn undefer(&mut self, slot: u32) -> Option<(Elems, u64)> {
+        let (from, len) = self.slots[slot as usize].deferred.take()?;
+        let pending = &mut self.deferred[from.rank];
+        let at = pending.iter().position(|&s| s == slot);
+        pending.swap_remove(at.expect("a deferred payload is pending on its rank"));
+        Some((from, len))
+    }
+
+    /// Gather the deferred payload in `slot`, if it is one, now.
+    fn materialize(&mut self, slot: u32) {
+        if let Some((from, len)) = self.undefer(slot) {
+            self.gather(slot, from, len);
+        }
+    }
+
+    /// Before a job writes `[lo, hi)` of `rank`'s pool, gather the rank's
+    /// deferred payloads whose elements overlap it: each must read its
+    /// elements as they were when it was sent.
+    fn guard(&mut self, rank: usize, lo: u64, hi: u64) {
+        let mut i = 0;
+        while let Some(&slot) = self.deferred[rank].get(i) {
+            match self.slots[slot as usize].deferred {
+                Some((from, _)) if from.base < hi && lo < from.end => self.materialize(slot),
+                _ => i += 1,
+            }
+        }
+    }
+
+    /// Scatter `payload` out to `to`, and recycle it. A deferred payload
+    /// from another rank of this lane moves in one copy from its
+    /// elements instead.
     pub(crate) fn unpack(&mut self, payload: PayloadHandle, to: Elems) {
         let lane = self.lane(to.rank);
+        self.guard(to.rank, to.base, to.end);
+        let slot = payload.slot;
+        match self.undefer(slot) {
+            Some((from, _)) if from.rank != to.rank && usize::from(payload.lane) == lane => {
+                self.free.push(slot);
+                self.stats.lanes[lane].fused += 1;
+                self.submit(lane, Job::Copy { from, to });
+                return;
+            }
+            Some((from, len)) => self.gather(slot, from, len),
+            None => {}
+        }
         self.stats.lanes[lane].unpacks += 1;
         let (slot, keep) = self.release(payload, lane);
         self.submit(lane, Job::Unpack { slot, to, keep });
@@ -800,6 +904,7 @@ impl CopyQueue {
     pub(crate) fn copy(&mut self, from: Elems, to: Elems) {
         let lane = self.lane(to.rank);
         debug_assert_eq!(lane, self.lane(from.rank), "a copy stays on one node");
+        self.guard(to.rank, to.base, to.end);
         self.stats.lanes[lane].copies += 1;
         self.submit(lane, Job::Copy { from, to });
     }
@@ -830,6 +935,8 @@ impl CopyQueue {
     /// and recycle it.
     pub(crate) fn write(&mut self, payload: PayloadHandle, rank: usize, ptr: DevPtr) {
         let lane = self.lane(rank);
+        self.guard(rank, ptr.addr, ptr.end());
+        self.materialize(payload.slot);
         self.stats.lanes[lane].writes += 1;
         let (slot, keep) = self.release(payload, lane);
         self.submit(
@@ -848,6 +955,7 @@ impl CopyQueue {
         if src.is_empty() {
             return PayloadHandle::default();
         }
+        self.materialize(src.slot);
         let lane = usize::from(src.lane);
         self.stats.lanes[lane].dups += 1;
         let (out, fresh) = self.alloc(lane, src.len);
@@ -865,11 +973,17 @@ impl CopyQueue {
         out
     }
 
-    /// Gather `elems` into the packed region at `packed` of the same pool
-    /// (`pack`), or scatter that region out to them.
-    pub(crate) fn explicit(&mut self, elems: Elems, packed: u64, pack: bool) {
+    /// Gather `elems` into the packed buffer `packed` of the same pool
+    /// (`pack`), or scatter that buffer out to them.
+    pub(crate) fn explicit(&mut self, elems: Elems, packed: DevPtr, pack: bool) {
         let lane = self.lane(elems.rank);
+        if pack {
+            self.guard(elems.rank, packed.addr, packed.end());
+        } else {
+            self.guard(elems.rank, elems.base, elems.end);
+        }
         self.stats.lanes[lane].explicit += 1;
+        let packed = packed.addr;
         self.submit(
             lane,
             Job::Explicit {
@@ -881,14 +995,19 @@ impl CopyQueue {
     }
 
     /// Recycle `payload` unread, on the lane that holds it. An empty
-    /// payload needs nothing.
+    /// payload, or a deferred one, needs no job.
     pub(crate) fn recycle(&mut self, payload: PayloadHandle) {
-        if !payload.is_empty() {
-            let lane = usize::from(payload.lane);
-            self.stats.lanes[lane].recycles += 1;
-            let (slot, keep) = self.release(payload, lane);
-            self.submit(lane, Job::Recycle { slot, keep });
+        if payload.is_empty() {
+            return;
         }
+        if self.undefer(payload.slot).is_some() {
+            self.free.push(payload.slot);
+            return;
+        }
+        let lane = usize::from(payload.lane);
+        self.stats.lanes[lane].recycles += 1;
+        let (slot, keep) = self.release(payload, lane);
+        self.submit(lane, Job::Recycle { slot, keep });
     }
 
     /// Send the worker jobs not yet sent as one batch, timing any wait for
@@ -933,6 +1052,7 @@ impl CopyQueue {
             self.pool.absorb(&std::mem::take(list).stats);
         }
         self.lanes.clear();
+        self.deferred.clear();
     }
 }
 
@@ -951,6 +1071,7 @@ impl Cluster {
             .iter()
             .map(|ep| (if ep.node < split { LOOP } else { WORKER }) as u8)
             .collect();
+        self.copies.deferred = vec![Vec::new(); self.endpoints.len()];
     }
 
     /// Move the GPU pool of every rank on `lane` into a new engine.

@@ -227,9 +227,9 @@ impl Cluster {
         // `src` of a pack and `dst` of an unpack.
         if self.data_mode == DataMode::Full {
             let (elems, packed) = if pack {
-                (src_ptr.addr, dst_ptr.addr)
+                (src_ptr.addr, dst_ptr)
             } else {
-                (dst_ptr.addr, src_ptr.addr)
+                (dst_ptr.addr, src_ptr)
             };
             let elems = self.copies.elems(r, &layout, elems, count);
             self.copies.explicit(elems, packed, pack);

@@ -628,7 +628,7 @@ impl Cluster {
             return;
         }
         let from = self.copies.elems(r, &s.layout, s.user_buf.addr, s.count);
-        let packed = self.copies.pack(from, len);
+        let packed = self.copies.pack(from, len, s.dst.0 as usize);
         self.ranks[r].packed.insert(sid, packed);
     }
 

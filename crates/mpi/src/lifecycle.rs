@@ -233,7 +233,7 @@ impl RequestLifecycle {
     }
 
     /// Apply `event`, asserting legality in debug builds. Release builds
-    /// fall back to the raw flag semantics ([`RequestLifecycle::force`])
+    /// fall back to the raw flag semantics (`RequestLifecycle::force`)
     /// so a fault-replayed event stream degrades exactly as the pre-machine
     /// flag writes did instead of panicking mid-exchange.
     pub fn apply(&mut self, event: LifecycleEvent) {

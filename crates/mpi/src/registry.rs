@@ -8,9 +8,8 @@
 //! descriptor — zero dispatch sites.
 //!
 //! This module is also, together with engine construction, the *only*
-//! place allowed to match on [`SchemeKind`]: [`engine_for`] maps each
-//! variant to its [`SchemeEngine`](crate::cluster::schemes::SchemeEngine)
-//! strategy object, and the label/cache accessors live here beside it.
+//! place allowed to match on [`SchemeKind`]: `engine_for` maps each
+//! variant to its `SchemeEngine` strategy object, and the label/cache accessors live here beside it.
 
 use crate::cluster::schemes::{
     FusionEngine, GpuAsyncEngine, GpuSyncEngine, HybridEngine, NaiveEngine, SchemeEngine,

@@ -1,7 +1,7 @@
 //! Send/receive operation state.
 //!
 //! Each operation's protocol progress lives in a
-//! [`RequestLifecycle`](crate::lifecycle::RequestLifecycle) — see that
+//! [`RequestLifecycle`] — see that
 //! module for the stage diagram. A send walks: pack initiated → (RTS out,
 //! CTS in, pack complete) → payload issued → locally complete. A receive
 //! walks: posted → matched/CTS sent → data arrived → unpack initiated →

@@ -22,6 +22,16 @@
 //! reports one core has nothing to fill in parallel, so the guard skips
 //! there.
 //!
+//! A host that reports two cores may still lend the second to another
+//! tenant for a whole trial: the fill threads then take turns on one core,
+//! and the guard read 0.97–1.03x four runs in a row with no code change.
+//! So each trial also reads the process's CPU time (`/proc/self/stat`)
+//! around every build. Builds whose CPU time is under [`CLEAN`] times their
+//! wall time had no second core, and such a trial is taken again, up to
+//! [`TRIALS`] trials. The first clean trial decides; if none is clean the
+//! guard fails as before. A build that fills on one thread is never
+//! clean, so it still fails.
+//!
 //! Debug builds skip the guard — unoptimised timing proves nothing.
 
 #![cfg(not(debug_assertions))]
@@ -38,6 +48,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const ROUNDS: usize = 15;
+/// Trials taken before the guard gives up on finding a second core.
+const TRIALS: usize = 4;
+/// Process CPU time over wall time, summed over a trial's builds, at or
+/// above which the build had its second core.
+const CLEAN: f64 = 1.2;
+
+/// The process's CPU time so far, user and system, every thread's (the
+/// exited fill threads' included), in seconds: fields 14 and 15 of
+/// `/proc/self/stat`, in clock ticks of 1/100 s.
+fn cpu_s() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
+    // The command name, field 2, is parenthesised and may hold spaces;
+    // field 3 is the first after it.
+    let after = &stat[stat.rfind(')').expect("a command name") + 1..];
+    let field = |n: usize| -> f64 {
+        let text = after.split_whitespace().nth(n - 3).expect("a stat field");
+        text.parse().expect("a tick count")
+    };
+    (field(14) + field(15)) / 100.0
+}
 
 /// The halo's programs and nodes, as fpbench's halo-bytes workload makes
 /// them (one lap: the laps do not change the buffers).
@@ -52,18 +82,18 @@ fn halo() -> (Vec<(u32, Program)>, u32) {
     (ranks, grid.ranks().div_ceil(gpus))
 }
 
-/// Seconds for one `build` of the halo; the builder is made and the
-/// cluster dropped outside the timed span.
-fn build_s(ranks: &[(u32, Program)], nodes: u32) -> f64 {
+/// Wall and CPU seconds for one `build` of the halo; the builder is made
+/// and the cluster dropped outside the timed span.
+fn build_s(ranks: &[(u32, Program)], nodes: u32) -> (f64, f64) {
     let builder = ranks.iter().fold(
         ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
             .data_mode(DataMode::Full)
             .topology(Arc::new(Hierarchy::lassen_like(nodes))),
         |builder, (node, program)| builder.add_rank(*node, program.clone()),
     );
-    let start = Instant::now();
+    let (start, cpu) = (Instant::now(), cpu_s());
     let cluster = black_box(builder.build());
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = (start.elapsed().as_secs_f64(), cpu_s() - cpu);
     drop(cluster);
     elapsed
 }
@@ -102,6 +132,19 @@ fn fastest(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
+/// One trial of [`ROUNDS`] interleaved samples: the fastest build, the
+/// fastest reference fill, and the builds' CPU time over their wall time.
+fn trial(ranks: &[(u32, Program)], nodes: u32) -> (f64, f64, f64) {
+    let (mut build, mut reference, mut wall, mut cpu) = (Vec::new(), Vec::new(), 0.0, 0.0);
+    for _ in 0..ROUNDS {
+        let (w, c) = build_s(ranks, nodes);
+        build.push(w);
+        (wall, cpu) = (wall + w, cpu + c);
+        reference.push(reference_s(ranks));
+    }
+    (fastest(&build), fastest(&reference), cpu / wall)
+}
+
 #[test]
 fn a_full_build_fills_faster_than_one_thread() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -115,22 +158,24 @@ fn a_full_build_fills_faster_than_one_thread() {
         build_s(&ranks, nodes);
         reference_s(&ranks);
     }
-    let (mut build, mut reference) = (Vec::new(), Vec::new());
-    for _ in 0..ROUNDS {
-        build.push(build_s(&ranks, nodes));
-        reference.push(reference_s(&ranks));
+    let (mut build, mut reference, mut parallel) = (0.0, 0.0, 0.0);
+    for n in 1..=TRIALS {
+        (build, reference, parallel) = trial(&ranks, nodes);
+        eprintln!(
+            "trial {n}: build {:.1} ms, serial reference fill {:.1} ms: {:.2}x, \
+             build CPU {parallel:.2}x its wall time",
+            build * 1e3,
+            reference * 1e3,
+            reference / build
+        );
+        if build * 1.3 <= reference || parallel >= CLEAN {
+            break;
+        }
     }
-    let (build, reference) = (fastest(&build), fastest(&reference));
-    eprintln!(
-        "build {:.1} ms, serial reference fill {:.1} ms: {:.2}x",
-        build * 1e3,
-        reference * 1e3,
-        reference / build
-    );
     assert!(
         build * 1.3 <= reference,
-        "the 512-rank Full build ({:.1} ms at best) must beat a serial fill of \
-         its buffers ({:.1} ms) by >= 1.3x on {cores} cores",
+        "the 512-rank Full build ({:.1} ms at best, CPU {parallel:.2}x its wall time) must \
+         beat a serial fill of its buffers ({:.1} ms) by >= 1.3x on {cores} cores",
         build * 1e3,
         reference * 1e3
     );

@@ -5,9 +5,10 @@
 //! A timing-only run submits no job. These checks guard that:
 //!
 //! * a deterministic work counter: a `Full` halo on a 4³ torus runs
-//!   exactly one pack and one unpack per staged message and one
-//!   layout-to-layout copy per DirectIPC message, and none when timing
-//!   only;
+//!   exactly one pack and one unpack per staged message that crosses
+//!   lanes, one fused copy per staged message between two ranks of one
+//!   lane and one layout-to-layout copy per DirectIPC message, and none
+//!   when timing only;
 //! * a byte-verified lane run: two laps of that halo across 16 nodes,
 //!   where both lanes run jobs and payloads cross between them, deliver
 //!   host `pack` of every matched send into every receive, with the same
@@ -121,16 +122,22 @@ fn a_full_halo_runs_one_job_per_data_movement_on_its_lane() {
     let (staged, direct) = (lanes.staged, lanes.direct);
     assert!(staged > 0 && direct > 0);
     let total = lanes.report.copy.total();
+    // A staged message that crosses lanes is the one handoff its payload
+    // makes; every other staged message stays on one lane and is fused.
+    let crossing = total.handoffs;
+    let fused = staged - crossing;
+    assert!(crossing > 0 && fused > 0, "{total:?}");
     let want = LaneStats {
-        packs: staged,
-        unpacks: staged,
+        packs: crossing,
+        unpacks: crossing,
+        fused,
         copies: direct,
-        handoffs: total.handoffs,
+        handoffs: crossing,
         busy_wall_ns: total.busy_wall_ns,
         ..LaneStats::default()
     };
     assert_eq!(total, want);
-    assert_eq!(lanes.report.copy.jobs(), 2 * staged + direct);
+    assert_eq!(lanes.report.copy.jobs(), 2 * crossing + fused + direct);
 
     // The timing-only twin copies nothing and times every lap the same.
     let model = halo(DataMode::ModelOnly, 1);
@@ -161,16 +168,18 @@ fn a_two_lane_halo_delivers_the_sent_bytes() {
     lanes.assert_delivered();
 
     // The loop keeps each engine's freelist accounting in job order, so
-    // the counters repeat exactly. Every staged message takes one buffer,
-    // and each lane allocates only in the first lap.
+    // the counters repeat exactly. Every packed payload takes one buffer,
+    // a fused message none, and each lane allocates only in the first lap.
     let pool = lanes.cluster.staging_pool_stats();
-    assert_eq!(pool.hits + pool.misses, lanes.staged, "{pool:?}");
+    let total = copy.total();
+    assert_eq!(total.packs + total.fused, lanes.staged, "{copy:?}");
+    assert_eq!(pool.hits + pool.misses, total.packs, "{pool:?}");
     assert_eq!(
         pool,
         PoolStats {
-            hits: 256,
-            misses: 256,
-            released: 512,
+            hits: 80,
+            misses: 80,
+            released: 160,
             dropped: 0,
         }
     );

@@ -24,8 +24,13 @@
 //!   the same signature, through every scheme, with the ranks on one node
 //!   (DirectIPC for the fused schemes) and on two;
 //! * a deterministic work counter: a Full-mode halo on a 4³ torus takes
-//!   exactly one pooled buffer per staged send and none per DirectIPC
+//!   exactly one pooled buffer per staged send that crosses copy lanes,
+//!   none per staged send fused within a lane and none per DirectIPC
 //!   message, and allocates none after its first lap;
+//! * the paths that gather a deferred pack before its unpack, with both
+//!   ranks on one copy lane: a rank that receives into its own send
+//!   buffer before its peer unpacks, an RGET read answer and a contiguous
+//!   receive each deliver the bytes the send had when it was sent;
 //! * a size check: a message whose packed size differs from its
 //!   receive's panics when it is matched, over the wire and DirectIPC, in
 //!   either data mode, instead of truncating or overrunning the unpack.
@@ -39,8 +44,8 @@ use fusedpack_datatype::{CompiledLayout, TypeDesc};
 use fusedpack_gpu::DataMode;
 use fusedpack_gpu::PoolStats;
 use fusedpack_mpi::{
-    AppOp, BufId, BufInit, Cluster, ClusterBuilder, Program, RankId, RndvProtocol, SchemeRegistry,
-    TypeSlot,
+    AppOp, BufId, BufInit, Cluster, ClusterBuilder, CopyStats, LaneStats, Program, RankId,
+    RndvProtocol, SchemeRegistry, TypeSlot,
 };
 use fusedpack_net::{Hierarchy, Platform};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
@@ -379,9 +384,9 @@ fn mixed_send_and_receive_layouts_deliver_the_sent_bytes() {
 }
 
 /// Run a Full-mode `proposed` halo of `laps` laps on a 4³ torus: its pool
-/// counters, and how many of its sends go off-node (staged) and on-node
-/// (DirectIPC).
-fn halo_pool(laps: usize) -> (PoolStats, u64, u64) {
+/// and copy counters, and how many of its sends go off-node (staged) and
+/// on-node (DirectIPC).
+fn halo_pool(laps: usize) -> (PoolStats, CopyStats, u64, u64) {
     let grid = HaloGrid::new_3d(4, 4, 4);
     let gpus = Platform::lassen().gpus_per_node;
     let programs = halo_programs(&grid, &specfem3d_cm(64), 1, laps, 42);
@@ -407,24 +412,249 @@ fn halo_pool(laps: usize) -> (PoolStats, u64, u64) {
         builder = builder.add_rank(node(r as u32), program);
     }
     let mut cluster = builder.build();
-    cluster.run();
-    (cluster.staging_pool_stats(), staged, direct)
+    let copy = cluster.run().copy;
+    (cluster.staging_pool_stats(), copy, staged, direct)
 }
 
 #[test]
 fn a_full_mode_halo_takes_one_pooled_buffer_per_message() {
-    // Off-node sends pack into a pooled buffer; on-node ones go DirectIPC,
-    // which copies layout to layout and takes none.
-    let (two, staged, direct) = halo_pool(2);
+    // Off-node sends that cross copy lanes pack into a pooled buffer; those
+    // between two ranks of one lane are fused, and on-node ones go
+    // DirectIPC: both copy layout to layout and take none.
+    let (two, copy, staged, direct) = halo_pool(2);
+    let total = copy.total();
     assert!(staged > 0 && direct > 0);
-    assert_eq!(two.hits + two.misses, staged, "{two:?}");
-    assert_eq!(two.released, staged, "{two:?}");
+    assert!(total.fused > 0 && total.packs > 0, "{copy:?}");
+    assert_eq!(total.packs + total.fused, staged, "{copy:?}");
+    assert_eq!(total.packs, total.handoffs, "{copy:?}");
+    assert_eq!(two.hits + two.misses, total.packs, "{two:?}");
+    assert_eq!(two.released, total.packs, "{two:?}");
     // Every buffer the first lap allocates serves the later laps: twice
     // the laps, twice the takes, and not one more allocation.
-    let (four, staged4, _) = halo_pool(4);
+    let (four, copy4, staged4, _) = halo_pool(4);
     assert_eq!(staged4, 2 * staged);
-    assert_eq!(four.hits + four.misses, staged4, "{four:?}");
+    assert_eq!(copy4.total().packs, 2 * total.packs, "{copy4:?}");
+    assert_eq!(four.hits + four.misses, copy4.total().packs, "{four:?}");
     assert_eq!(four.misses, two.misses, "{four:?} vs {two:?}");
+}
+
+/// 64 doubles, one in every four: 512 packed bytes over a 2,024-byte
+/// footprint.
+fn strided() -> Arc<TypeDesc> {
+    let double = fusedpack_datatype::TypeBuilder::double;
+    fusedpack_datatype::TypeBuilder::vector(64, 1, 4, double())
+}
+
+/// The bytes `count` elements of `from` read from `sent` leave in a
+/// buffer of `to`'s `count_to` elements over `base`.
+fn delivered(
+    sent: &[u8],
+    from: &Arc<TypeDesc>,
+    count: u64,
+    to: &Arc<TypeDesc>,
+    count_to: u64,
+    base: &[u8],
+) -> Vec<u8> {
+    let packed = pack(sent, &CompiledLayout::of(from), count);
+    let mut want = base.to_vec();
+    unpack(&packed, &CompiledLayout::of(to), count_to, &mut want);
+    want
+}
+
+#[test]
+fn a_rank_that_receives_into_its_own_send_buffer_sends_the_bytes_it_had() {
+    // Two ranks of one node, so of one copy lane, under a scheme that
+    // stages every message: each message's pack is deferred to its
+    // unpack. Rank 0's eager send completes at injection, and rank 0 then
+    // receives rank 1's message into the same buffer, while its own
+    // message waits unexpected at rank 1 until rank 0 says it is done.
+    // Rank 1 must still get the elements as they were sent.
+    let ty = strided();
+    let len = CompiledLayout::of(&ty).footprint(1);
+    let (mut p0, mut p1) = (Program::new(), Program::new());
+    let mine = p0.buffer(len, BufInit::Random(11));
+    // The same seed on the same rank fills the same bytes: a copy of
+    // `mine` as it was sent.
+    let twin = p0.buffer(len, BufInit::Random(11));
+    let done = p0.buffer(len, BufInit::Random(13));
+    let theirs = p1.buffer(len, BufInit::Random(12));
+    let got = p1.buffer(len, BufInit::Zero);
+    let heard = p1.buffer(len, BufInit::Zero);
+    for p in [&mut p0, &mut p1] {
+        p.push(AppOp::Commit {
+            slot: TypeSlot(0),
+            desc: ty.clone(),
+        });
+    }
+    let (ty_slot, count) = (TypeSlot(0), 1);
+    p0.push(AppOp::Isend {
+        buf: mine,
+        ty: ty_slot,
+        count,
+        dst: RankId(1),
+        tag: 0,
+    });
+    p0.push(AppOp::Waitall);
+    p0.push(AppOp::Irecv {
+        buf: mine,
+        ty: ty_slot,
+        count,
+        src: RankId(1),
+        tag: 1,
+    });
+    p0.push(AppOp::Waitall);
+    p0.push(AppOp::Isend {
+        buf: done,
+        ty: ty_slot,
+        count,
+        dst: RankId(1),
+        tag: 2,
+    });
+    p0.push(AppOp::Waitall);
+    p1.push(AppOp::Isend {
+        buf: theirs,
+        ty: ty_slot,
+        count,
+        dst: RankId(0),
+        tag: 1,
+    });
+    p1.push(AppOp::Irecv {
+        buf: heard,
+        ty: ty_slot,
+        count,
+        src: RankId(0),
+        tag: 2,
+    });
+    p1.push(AppOp::Waitall);
+    p1.push(AppOp::Irecv {
+        buf: got,
+        ty: ty_slot,
+        count,
+        src: RankId(0),
+        tag: 0,
+    });
+    p1.push(AppOp::Waitall);
+    let mut cluster = ClusterBuilder::new(
+        Platform::lassen(),
+        SchemeRegistry::global().create("gpu-sync"),
+    )
+    .add_rank(0, p0)
+    .add_rank(0, p1)
+    .build();
+    assert!(cluster.rank_bytes(RankId(0), mine) == cluster.rank_bytes(RankId(0), twin));
+    let copy = cluster.run().copy;
+    // Rank 1's message and rank 0's last are fused; rank 0's first is
+    // gathered before the receive overwrites its elements.
+    let total = copy.total();
+    assert_eq!(
+        (total.fused, total.packs, total.unpacks),
+        (2, 1, 1),
+        "{copy:?}"
+    );
+    let (sent, zeros) = (cluster.rank_bytes(RankId(0), twin), vec![0; len as usize]);
+    let want = delivered(sent, &ty, 1, &ty, 1, &zeros);
+    assert!(
+        cluster.rank_bytes(RankId(1), got) == want,
+        "rank 1 got the overwritten bytes"
+    );
+    let theirs = cluster.rank_bytes(RankId(1), theirs);
+    let want = delivered(theirs, &ty, 1, &ty, 1, sent);
+    assert!(
+        cluster.rank_bytes(RankId(0), mine) == want,
+        "rank 0 got rank 1's elements"
+    );
+}
+
+/// Rank 0 sends `count` elements of `send_ty` to rank 1, on the same node
+/// (and so the same copy lane), which receives `recv_count` of
+/// `recv_ty`, under a scheme that stages every message: the run's copy
+/// counters, once rank 1's buffer is checked against host `pack` →
+/// `unpack`.
+fn one_lane_message(
+    rndv: RndvProtocol,
+    send_ty: &Arc<TypeDesc>,
+    count: u64,
+    recv_ty: &Arc<TypeDesc>,
+    recv_count: u64,
+) -> LaneStats {
+    let program = |desc: &Arc<TypeDesc>, count: u64, init: BufInit| {
+        let mut p = Program::new();
+        let buf = p.buffer(CompiledLayout::of(desc).footprint(count), init);
+        p.push(AppOp::Commit {
+            slot: TypeSlot(0),
+            desc: desc.clone(),
+        });
+        (p, buf)
+    };
+    let (mut p0, sent) = program(send_ty, count, BufInit::Random(21));
+    let (mut p1, got) = program(recv_ty, recv_count, BufInit::Zero);
+    p0.push(AppOp::Isend {
+        buf: sent,
+        ty: TypeSlot(0),
+        count,
+        dst: RankId(1),
+        tag: 3,
+    });
+    p1.push(AppOp::Irecv {
+        buf: got,
+        ty: TypeSlot(0),
+        count: recv_count,
+        src: RankId(0),
+        tag: 3,
+    });
+    for p in [&mut p0, &mut p1] {
+        p.push(AppOp::Waitall);
+    }
+    let mut cluster = ClusterBuilder::new(
+        Platform::lassen(),
+        SchemeRegistry::global().create("gpu-sync"),
+    )
+    .rendezvous(rndv)
+    .add_rank(0, p0)
+    .add_rank(0, p1)
+    .build();
+    let copy = cluster.run().copy;
+    let got = cluster.rank_bytes(RankId(1), got);
+    let zeros = vec![0; got.len()];
+    let sent = cluster.rank_bytes(RankId(0), sent);
+    let want = delivered(sent, send_ty, count, recv_ty, recv_count, &zeros);
+    assert!(
+        got == want,
+        "{rndv:?}, {count} sent as {recv_count}: {copy:?}"
+    );
+    copy.total()
+}
+
+#[test]
+fn an_rget_answer_gathers_a_deferred_pack() {
+    // 17 elements are 8,704 packed bytes, past the eager limit: the
+    // receiver reads the send's payload, which the sender duplicates.
+    let ty = strided();
+    let total = one_lane_message(RndvProtocol::Rget, &ty, 17, &ty, 17);
+    assert_eq!(
+        (total.packs, total.dups, total.fused),
+        (1, 1, 0),
+        "{total:?}"
+    );
+}
+
+#[test]
+fn a_contiguous_receive_gathers_a_deferred_pack() {
+    // A strided send received as contiguous doubles lands by a write into
+    // the user buffer, eager and rendezvous.
+    let double = fusedpack_datatype::TypeBuilder::double;
+    let (send, recv) = (
+        strided(),
+        fusedpack_datatype::TypeBuilder::contiguous(64, double()),
+    );
+    for count in [1, 17] {
+        let total = one_lane_message(RndvProtocol::Rput, &send, count, &recv, count);
+        assert_eq!(
+            (total.packs, total.writes, total.fused),
+            (1, 1, 0),
+            "{total:?}"
+        );
+    }
 }
 
 #[test]

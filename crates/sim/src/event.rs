@@ -14,12 +14,12 @@
 //!
 //! # Wheel layout
 //!
-//! [`LEVELS`] levels of 64 slots each; a slot at level `k` spans
+//! `LEVELS` (7) levels of 64 slots each; a slot at level `k` spans
 //! `2^(SUB + 6k)` ns, so bottom-level slots are 64 ns wide and the whole
 //! wheel covers 48 bits of horizon (~78 hours at 7 levels). An event at
 //! absolute time `t` lives at the level of the highest 6-bit group where
 //! `t` differs from the wheel's internal `cursor` (with the bottom level
-//! absorbing the lowest [`SUB`]` + 6` bits); per-level occupancy bitmaps
+//! absorbing the lowest `SUB + 6` bits); per-level occupancy bitmaps
 //! make "find the earliest slot" a trailing-zeros instruction. Draining a
 //! level-`k>0` slot advances the cursor to the slot's start and *cascades*
 //! its events down to lower levels; draining a bottom-level slot dumps its

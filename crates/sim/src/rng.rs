@@ -93,7 +93,7 @@ impl Pcg32 {
     /// many scalar draws leave it, so fills split at multiples of 4 bytes
     /// equal one fill of the whole.
     ///
-    /// Whole 32-byte blocks step [`LANES`] interleaved states at once: the
+    /// Whole 32-byte blocks step `LANES` (8) interleaved states at once: the
     /// scalar recurrence is one serial multiply-add per draw, while the
     /// lanes' multiplies are independent. Each lane jumps `LANES` draws
     /// per block by the composed map `s ↦ a⁸·s + c·(a⁷ + … + a + 1)`.
