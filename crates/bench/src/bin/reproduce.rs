@@ -245,10 +245,9 @@ fn write_trace(path: &str) {
         std::process::exit(1);
     }
     println!(
-        "wrote {path}: {} events ({} dropped) from the Fig. 11 fusion cell \
+        "wrote {path}: {} events from the Fig. 11 fusion cell \
          (MILC su3_zdown x{}, ABCI) in {:.2}s",
         snap.events.len(),
-        snap.dropped,
         fig11::N_MSGS,
         start.elapsed().as_secs_f64()
     );

@@ -104,7 +104,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
             (*label).into(),
             us(out.latency),
             format!("{}", stats.batch_min),
-            format!("{:.2}", stats.batch_mean()),
+            format!("{:.2}", stats.fusion_degree()),
             format!("{}", stats.batch_max),
         ]);
     }

@@ -3,6 +3,15 @@
 use fusedpack_gpu::PartitionPolicy;
 use fusedpack_sim::Duration;
 
+/// CPU cost of enqueueing one request (create the request object, fill the
+/// entry, bump Tail). Together with `COMPLETE_COST` this is the
+/// "scheduling" bucket of Fig. 11 — ~2 µs per message in the paper.
+pub(crate) const ENQUEUE_COST: Duration = Duration::from_nanos(1_200);
+/// CPU cost of completing/retiring one request on the host side.
+pub(crate) const COMPLETE_COST: Duration = Duration::from_nanos(700);
+/// CPU cost of one status query (compare request vs response status).
+pub(crate) const QUERY_COST: Duration = Duration::from_nanos(120);
+
 /// Tunables of the fusion scheduler.
 #[derive(Debug, Clone)]
 pub struct FusionConfig {
@@ -15,14 +24,6 @@ pub struct FusionConfig {
     /// Maximum requests fused into a single kernel (bounds the kernel's
     /// argument array).
     pub max_fused: usize,
-    /// CPU cost of enqueueing one request (create the request object, fill
-    /// the entry, bump Tail). Together with completion handling this is the
-    /// "scheduling" bucket of Fig. 11 — ~2 µs per message in the paper.
-    pub enqueue_cost: Duration,
-    /// CPU cost of completing/retiring one request on the host side.
-    pub complete_cost: Duration,
-    /// CPU cost of one status query (compare request vs response status).
-    pub query_cost: Duration,
     /// Use fused DirectIPC requests (zero-copy load/store over NVLink/PCIe,
     /// the scheme of \[24\]) for intra-node peers instead of
     /// pack-transfer-unpack.
@@ -40,9 +41,6 @@ impl Default for FusionConfig {
             threshold_bytes: 512 * 1024,
             ring_capacity: 256,
             max_fused: 64,
-            enqueue_cost: Duration::from_nanos(1_200),
-            complete_cost: Duration::from_nanos(700),
-            query_cost: Duration::from_nanos(120),
             enable_direct_ipc: true,
             partition: PartitionPolicy::default(),
         }
@@ -57,14 +55,6 @@ impl FusionConfig {
             ..Self::default()
         }
     }
-
-    /// A config whose threshold comes from the model-based prediction the
-    /// paper sketches as future work (§IV-C): invert the kernel cost model
-    /// so the fused kernel always outlives one launch overhead. See
-    /// [`crate::tuner::predict_threshold`].
-    pub fn predicted(arch: &fusedpack_gpu::GpuArch, avg_block_bytes: f64) -> Self {
-        Self::with_threshold(crate::tuner::predict_threshold(arch, avg_block_bytes))
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +66,7 @@ mod tests {
         let c = FusionConfig::default();
         assert_eq!(c.threshold_bytes, 512 * 1024);
         // Scheduling cost per message (enqueue + complete) ~ 2us (Fig. 11).
-        let per_msg = c.enqueue_cost + c.complete_cost;
+        let per_msg = ENQUEUE_COST + COMPLETE_COST;
         assert!((1.5..=2.5).contains(&per_msg.as_micros_f64()));
     }
 
@@ -85,14 +75,5 @@ mod tests {
         let c = FusionConfig::with_threshold(16 * 1024);
         assert_eq!(c.threshold_bytes, 16 * 1024);
         assert_eq!(c.ring_capacity, FusionConfig::default().ring_capacity);
-    }
-
-    #[test]
-    fn predicted_config_uses_the_cost_model() {
-        let arch = fusedpack_gpu::GpuArch::v100();
-        let sparse = FusionConfig::predicted(&arch, 4.0);
-        let dense = FusionConfig::predicted(&arch, 64.0 * 1024.0);
-        assert!(sparse.threshold_bytes < dense.threshold_bytes);
-        assert!(sparse.threshold_bytes.is_power_of_two());
     }
 }

@@ -1,6 +1,6 @@
 //! Fusion request objects — the entries of the request list (§IV-A1).
 
-use fusedpack_datatype::{CompiledLayout, LayoutClass};
+use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::{DevPtr, FusedWork, SegmentStats};
 use std::sync::Arc;
 
@@ -58,8 +58,6 @@ pub struct FusionRequest {
     /// Shape summary, resolved once at enqueue from the compiled layout
     /// (the cost model and work descriptor read it on every query/flush).
     pub stats: SegmentStats,
-    /// Count-resolved copy-plan class, memoized at enqueue.
-    pub class: LayoutClass,
     /// External bandwidth ceiling for this request's kernel (set for
     /// DirectIPC requests to the peer-link bandwidth; `None` for local
     /// pack/unpack).
@@ -71,14 +69,11 @@ pub struct FusionRequest {
 }
 
 impl FusionRequest {
-    /// Resolve the memoized shape and class for `(layout, count)` — the
-    /// single construction-time classification every later read reuses.
-    pub fn classify(layout: &CompiledLayout, count: u64) -> (SegmentStats, LayoutClass) {
+    /// Resolve the memoized shape for `(layout, count)` — the single
+    /// construction-time classification every later read reuses.
+    pub fn classify(layout: &CompiledLayout, count: u64) -> SegmentStats {
         let (bytes, blocks) = layout.shape(count);
-        (
-            SegmentStats::new(bytes, blocks),
-            layout.plan_for(count).class(),
-        )
+        SegmentStats::new(bytes, blocks)
     }
 
     /// Payload bytes this request moves.
@@ -89,12 +84,6 @@ impl FusionRequest {
     /// Shape summary for the GPU kernel cost model (memoized at enqueue).
     pub fn stats(&self) -> SegmentStats {
         self.stats
-    }
-
-    /// The copy-plan class the layout compiler resolved for this request
-    /// (memoized at enqueue).
-    pub fn class(&self) -> LayoutClass {
-        self.class
     }
 
     /// The fused-kernel work descriptor for this request.
@@ -124,7 +113,7 @@ mod tests {
             5,
             TypeBuilder::double(),
         )));
-        let (stats, class) = FusionRequest::classify(&layout, 3);
+        let stats = FusionRequest::classify(&layout, 3);
         FusionRequest {
             uid: Uid(7),
             op: FusionOp::Pack,
@@ -136,7 +125,6 @@ mod tests {
             layout,
             count: 3,
             stats,
-            class,
             bw_cap: None,
             request_status: Status::Pending,
             response_status: Status::Idle,
@@ -150,12 +138,8 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.total_bytes, 192);
         assert_eq!(s.num_blocks, 12);
-        // Equal 16-byte runs: the offset table tiles by extent, so the
-        // count-resolved plan is the indexed rung for 3 elements and 1.
-        assert_eq!(r.class(), LayoutClass::IndexedRuns);
-        let (stats, class) = FusionRequest::classify(&r.layout, 1);
+        let stats = FusionRequest::classify(&r.layout, 1);
         assert_eq!(stats.num_blocks, 4);
-        assert_eq!(class, LayoutClass::IndexedRuns);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl RequestRing {
         }
         let uid = Uid(self.next_uid);
         self.next_uid += 1;
-        let (stats, class) = FusionRequest::classify(&layout, count);
+        let stats = FusionRequest::classify(&layout, count);
         let key = self.slots.insert(FusionRequest {
             uid,
             op,
@@ -105,7 +105,6 @@ impl RequestRing {
             layout,
             count,
             stats,
-            class,
             bw_cap,
             request_status: Status::Pending,
             response_status: Status::Idle,

@@ -18,10 +18,10 @@
 //!   happens.
 
 use crate::adapt::{AdaptiveThreshold, FlushFeedback};
-use crate::config::FusionConfig;
+use crate::config::{FusionConfig, COMPLETE_COST, ENQUEUE_COST, QUERY_COST};
 use crate::request::{FusionOp, Uid};
 use crate::ring::{EnqueueError, RequestRing};
-use fusedpack_datatype::{CompiledLayout, LayoutClass};
+use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::{DevPtr, FusedLaunch, FusedWork, Gpu, GpuArch, StreamId};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{FlushReasonTag, Lane, Payload, Telemetry};
@@ -82,10 +82,6 @@ pub struct SchedStats {
     /// Flushes that degraded to per-request (non-fused) kernels because the
     /// cooperative launch failed. Zero on fault-free runs.
     pub degraded_flushes: u64,
-    /// Accepted enqueues per copy-plan class, indexed by
-    /// [`LayoutClass::index`] in ladder order (contiguous, block-uniform,
-    /// indexed-runs, generic). Sums to `enqueued`.
-    pub class_counts: [u64; LayoutClass::COUNT],
 }
 
 impl SchedStats {
@@ -96,17 +92,6 @@ impl SchedStats {
         } else {
             self.requests_fused as f64 / self.kernels_launched as f64
         }
-    }
-
-    /// Mean fused-batch size (alias of [`SchedStats::fusion_degree`], named
-    /// for the ablation tables).
-    pub fn batch_mean(&self) -> f64 {
-        self.fusion_degree()
-    }
-
-    /// Accepted enqueues whose plan resolved to `class`.
-    pub fn class_count(&self, class: LayoutClass) -> u64 {
-        self.class_counts[class.index()]
     }
 }
 
@@ -190,12 +175,10 @@ impl Scheduler {
         bw_cap: Option<f64>,
     ) -> (Result<Uid, EnqueueError>, Duration) {
         let bytes = layout.total_bytes(count);
-        let class = layout.plan_for(count).class();
         let res = self.ring.enqueue(op, origin, target, layout, count, bw_cap);
         match res {
             Ok(uid) => {
                 self.stats.enqueued += 1;
-                self.stats.class_counts[class.index()] += 1;
                 let occupancy = self.ring.occupied() as u32;
                 self.tele.instant(Lane::Host, now, || Payload::Enqueue {
                     uid: uid.0,
@@ -211,7 +194,7 @@ impl Scheduler {
                     .instant(Lane::Host, now, || Payload::EnqueueRejected { bytes });
             }
         }
-        (res, self.config.enqueue_cost)
+        (res, ENQUEUE_COST)
     }
 
     /// Are there pending (not yet fused) requests?
@@ -412,7 +395,7 @@ impl Scheduler {
             uid: uid.0,
             ready: complete,
         });
-        (complete, self.config.query_cost)
+        (complete, QUERY_COST)
     }
 
     /// Consume a completed request at `now`, freeing its ring slot. Returns
@@ -428,7 +411,7 @@ impl Scheduler {
             ring_occupancy: occupancy,
         });
         self.tele.counter(now, "ring_occupancy", occupancy as f64);
-        self.config.complete_cost
+        COMPLETE_COST
     }
 }
 
@@ -722,7 +705,7 @@ mod tests {
         for _ in 0..16 {
             let uid = enqueue(&mut s, 16 * 1024);
             let (_, cost) = s.query(cpu, uid); // a poll per enqueue, pessimistic
-            cpu = cpu + s.config().enqueue_cost + cost;
+            cpu = cpu + ENQUEUE_COST + cost;
         }
         let batch = s
             .flush(cpu, &mut g, StreamId(0), FlushReason::SyncPoint)

@@ -21,11 +21,9 @@
 //!                     Done                 Done ◀──Completed──────┘
 //! ```
 //!
-//! `Failed` is reachable from any non-terminal stage via
-//! [`LifecycleEvent::Failed`] — the terminal rung for a request whose
-//! degradation ladder runs out. The fault paths today always recover
-//! (retry, degrade, or absorb), so production runs never produce it, but
-//! the state machine — and the property tests — account for it.
+//! `Done` is the only terminal stage and absorbs every event that would
+//! move the stage. The fault paths always recover (retry, degrade, or
+//! absorb), so no request ever fails terminally.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -59,8 +57,6 @@ pub enum Stage {
     Active,
     /// Terminal: locally complete (send) / data in the user buffer (recv).
     Done,
-    /// Terminal: the request's degradation ladder ran out.
-    Failed,
 }
 
 /// One legal-or-rejected step of a [`RequestLifecycle`].
@@ -83,8 +79,6 @@ pub enum LifecycleEvent {
     IssueRetracted,
     /// The request completed (CQE / Fin / unpack landed).
     Completed,
-    /// The request failed terminally.
-    Failed,
 }
 
 /// A rejected [`LifecycleEvent`]: the transition is not in the legal
@@ -159,11 +153,6 @@ impl RequestLifecycle {
         self.stage == Stage::Done
     }
 
-    /// Reached a terminal stage (`Done` or `Failed`).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.stage, Stage::Done | Stage::Failed)
-    }
-
     /// Posted receive not yet matched to an RTS/eager message (also true
     /// for a send that has not issued).
     pub fn is_unmatched(&self) -> bool {
@@ -218,7 +207,6 @@ impl RequestLifecycle {
                 Role::Send => matches!(self.stage, Stage::Pending | Stage::Active),
                 Role::Recv => self.stage == Stage::Active,
             },
-            LifecycleEvent::Failed => !self.is_terminal(),
         };
         if !legal {
             return Err(IllegalTransition {
@@ -255,7 +243,6 @@ impl RequestLifecycle {
             LifecycleEvent::Issued => self.stage = Stage::Active,
             LifecycleEvent::IssueRetracted => self.stage = Stage::Pending,
             LifecycleEvent::Completed => self.stage = Stage::Done,
-            LifecycleEvent::Failed => self.stage = Stage::Failed,
         }
     }
 }
@@ -338,7 +325,7 @@ mod tests {
         lc.apply(LifecycleEvent::PackStarted);
         lc.apply(LifecycleEvent::PackFinished);
         lc.apply(LifecycleEvent::Completed);
-        assert!(lc.is_done() && lc.is_terminal());
+        assert!(lc.is_done());
     }
 
     #[test]
@@ -369,12 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn terminal_stages_absorb() {
+    fn done_absorbs() {
         let mut lc = RequestLifecycle::send();
-        lc.apply(LifecycleEvent::Failed);
-        assert!(lc.is_terminal());
+        lc.apply(LifecycleEvent::PackFinished);
+        lc.apply(LifecycleEvent::Completed);
+        assert!(lc.is_done());
         assert!(lc.try_apply(LifecycleEvent::Completed).is_err());
-        assert!(lc.try_apply(LifecycleEvent::Failed).is_err());
+        assert!(lc.try_apply(LifecycleEvent::Issued).is_err());
+        assert!(lc.try_apply(LifecycleEvent::IssueRetracted).is_err());
     }
 
     #[test]

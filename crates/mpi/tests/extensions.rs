@@ -217,7 +217,7 @@ fn trace_records_fusion_and_wire_events() {
         p
     };
     let mut cluster = ClusterBuilder::new(Platform::lassen(), SchemeKind::fusion_default())
-        .telemetry(Telemetry::with_capacity(256))
+        .telemetry(Telemetry::enabled())
         .add_rank(0, build(RankId(1)))
         .add_rank(1, build(RankId(0)))
         .build();

@@ -8,7 +8,7 @@ use fusedpack_mpi::lifecycle::{
 };
 use proptest::prelude::*;
 
-const EVENTS: [LifecycleEvent; 9] = [
+const EVENTS: [LifecycleEvent; 8] = [
     LifecycleEvent::PackStarted,
     LifecycleEvent::PackFinished,
     LifecycleEvent::RtsSent,
@@ -17,7 +17,6 @@ const EVENTS: [LifecycleEvent; 9] = [
     LifecycleEvent::Issued,
     LifecycleEvent::IssueRetracted,
     LifecycleEvent::Completed,
-    LifecycleEvent::Failed,
 ];
 
 fn arb_event() -> impl Strategy<Value = LifecycleEvent> {
@@ -72,17 +71,12 @@ fn check_stream(
         if role == Role::Send && lc.stage() == Stage::Active {
             prop_assert_eq!(lc.pack(), PackState::Done, "issued with an unfinished pack");
         }
-        // Terminal stages absorb: once `Done`/`Failed`, the stage never
-        // moves again. The orthogonal pack/RTS facts may still latch (a
-        // chaos-replayed Fin can complete a send whose pack kernel is
-        // still in flight; its PackFinished lands after `Done`).
-        if before.is_terminal() {
-            prop_assert_eq!(
-                lc.stage(),
-                before.stage(),
-                "{:?} moved a terminal stage",
-                ev
-            );
+        // `Done` absorbs: once there, the stage never moves again. The
+        // orthogonal pack/RTS facts may still latch (a chaos-replayed Fin
+        // can complete a send whose pack kernel is still in flight; its
+        // PackFinished lands after `Done`).
+        if before.is_done() {
+            prop_assert_eq!(lc.stage(), before.stage(), "{:?} moved a done stage", ev);
         }
         // The convenience predicates agree with the stage they summarize.
         prop_assert_eq!(lc.is_done(), lc.stage() == Stage::Done);
@@ -96,9 +90,9 @@ fn check_stream(
     Ok(())
 }
 
-/// Greedily drive a lifecycle to a terminal stage using only legal,
-/// non-`Failed` events, proving liveness: every reachable state has a path
-/// to `Done`. Returns the number of steps taken.
+/// Greedily drive a lifecycle to `Done` using only legal events, proving
+/// liveness: every reachable state has a path to `Done`. Returns the
+/// number of steps taken.
 fn drive_to_done(lc: &mut RequestLifecycle) -> usize {
     // Preference order: finish packing, land the data, complete. Retract is
     // deliberately last — it is the only backward edge and never required.
@@ -110,7 +104,7 @@ fn drive_to_done(lc: &mut RequestLifecycle) -> usize {
         LifecycleEvent::Completed,
     ];
     let mut steps = 0;
-    while !lc.is_terminal() {
+    while !lc.is_done() {
         let progressed = forward.iter().any(|&ev| lc.try_apply(ev).is_ok());
         assert!(progressed, "stuck in non-terminal state {lc:?}");
         steps += 1;
@@ -123,7 +117,7 @@ proptest! {
     /// Under any event stream, `try_apply` only ever takes edges of the
     /// documented relation: pack progress is monotone, the RTS latch is
     /// send-only and one-way, send/recv never enter each other's stages, an
-    /// issued payload always has a finished pack, terminal stages absorb,
+    /// issued payload always has a finished pack, `Done` absorbs,
     /// and a rejection leaves the machine bit-identical.
     #[test]
     fn send_streams_stay_in_the_legal_relation(
@@ -154,12 +148,7 @@ proptest! {
             RequestLifecycle::recv()
         };
         for ev in prefix {
-            // Reachable states only: failure injection is excluded here
-            // because `Failed` is itself terminal (absorption is covered
-            // by the relation properties above).
-            if ev != LifecycleEvent::Failed {
-                let _ = lc.try_apply(ev);
-            }
+            let _ = lc.try_apply(ev);
         }
         drive_to_done(&mut lc);
         prop_assert!(lc.is_done());

@@ -9,10 +9,12 @@
 //!   `datatype/tests/common` generators) exchanged all-to-all by 2 nodes ×
 //!   2 GPUs — so both the wire and, for the fused schemes, DirectIPC run —
 //!   through every registered scheme, under RPUT and RGET, with and
-//!   without a fault plan, on the flat fabric and on a routed Lassen-like
-//!   one. The two nodes are the two copy lanes, so every off-node payload
-//!   crosses lanes. Every receive buffer, gap bytes included, must equal
-//!   host `pack` → `unpack` of the send buffer into zeros. The cluster
+//!   without a fault plan, on the flat fabric and on routed Lassen-like
+//!   and ABCI-like ones; a faulted routed run also arms the fabric's
+//!   per-hop sites (flaps, rail degradation, dead hops). The two nodes
+//!   are the two copy lanes, so every off-node payload crosses lanes.
+//!   Every receive buffer, gap bytes included, must equal host `pack` →
+//!   `unpack` of the send buffer into zeros. The cluster
 //!   itself asserts at run end that no operation still owns a payload and
 //!   that the pool's takes balance its releases;
 //! * independent send and receive types: two random trees of one packed
@@ -47,7 +49,7 @@ use fusedpack_mpi::{
     AppOp, BufId, BufInit, Cluster, ClusterBuilder, CopyStats, LaneStats, Program, RankId,
     RndvProtocol, SchemeRegistry, TypeSlot,
 };
-use fusedpack_net::{Hierarchy, Platform};
+use fusedpack_net::{Hierarchy, Platform, Topology};
 use fusedpack_sim::{FaultPlan, FaultSite, FaultSpec};
 use fusedpack_workloads::halo::halo_programs;
 use fusedpack_workloads::specfem::specfem3d_cm;
@@ -240,6 +242,21 @@ fn fault_plan(seed: u64) -> FaultPlan {
     })
 }
 
+/// `plan` with the routed fabric's per-hop sites armed too: latency
+/// flaps, degraded rails and dead hops, which reroute, fail over, or
+/// force delivery past a severed route.
+fn with_fabric_faults(plan: FaultPlan) -> FaultPlan {
+    [
+        (FaultSite::HopFlap, 0.1),
+        (FaultSite::RailDegrade, 0.1),
+        (FaultSite::HopDown, 0.02),
+    ]
+    .into_iter()
+    .fold(plan, |plan, (site, p)| {
+        plan.with(site, FaultSpec::with_probability(p))
+    })
+}
+
 #[test]
 fn every_scheme_delivers_host_pack_unpack_bytes() {
     let mut rng = TestRng::new(0x0b1e_c7ed);
@@ -249,19 +266,30 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
         for scheme in SchemeRegistry::global().all() {
             for rndv in [RndvProtocol::Rput, RndvProtocol::Rget] {
                 for faults in [false, true] {
-                    for routed in [false, true] {
+                    for routed in [
+                        None,
+                        Some(Hierarchy::lassen_like(NODES)),
+                        Some(Hierarchy::abci_like(NODES)),
+                    ] {
+                        let fabric = routed.as_ref().map_or("flat", |h| h.name());
+                        let fabric_faults = faults && routed.is_some();
                         let label = format!(
-                            "case {case} ({desc:?}) {} {rndv:?} faults={faults} routed={routed}",
+                            "case {case} ({desc:?}) {} {rndv:?} faults={faults} {fabric}",
                             scheme.name
                         );
                         let programs = all_to_all(&desc, &desc, &counts(&layout));
                         let mut builder =
                             ClusterBuilder::new(Platform::lassen(), scheme.make()).rendezvous(rndv);
                         if faults {
-                            builder = builder.fault_plan(fault_plan(case + 7));
+                            let plan = fault_plan(case + 7);
+                            builder = builder.fault_plan(if fabric_faults {
+                                with_fabric_faults(plan)
+                            } else {
+                                plan
+                            });
                         }
-                        if routed {
-                            builder = builder.topology(Arc::new(Hierarchy::lassen_like(NODES)));
+                        if let Some(machine) = routed {
+                            builder = builder.topology(Arc::new(machine));
                         }
                         let mut msgs = Vec::new();
                         for (r, (program, m)) in programs.into_iter().enumerate() {
@@ -272,6 +300,7 @@ fn every_scheme_delivers_host_pack_unpack_bytes() {
                         let report = cluster.run();
                         assert_eq!(report.lap_count(), LAPS, "{label}");
                         assert_eq!(report.fault_summary.injected > 0, faults, "{label}");
+                        assert_eq!(report.fabric.injected() > 0, fabric_faults, "{label}");
                         // Node 0 is the event loop's copy lane and node 1
                         // the worker's: every scheme's off-node payloads
                         // cross between them.

@@ -1045,10 +1045,9 @@ mod tests {
     #[test]
     fn sustained_flaps_take_hops_down_until_disconnected() {
         let mut net = TopoNet::new(Arc::new(Hierarchy::lassen_like(8)));
-        net.arm_faults(FaultPlan::new(7).with(
-            FaultSite::HopFlap,
-            FaultSpec::with_probability(1.0).delay_ns(5_000),
-        ));
+        net.arm_faults(
+            FaultPlan::new(7).with(FaultSite::HopFlap, FaultSpec::with_probability(1.0)),
+        );
         let key = (Endpoint::new(0, 0), Endpoint::new(7, 0));
         // Every traversal flaps every hop, so streaks hit -FLAP_DOWN_STREAK
         // together and hops die route by route until node 0 is severed;

@@ -1,10 +1,11 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] is a set of per-site [`FaultSpec`]s (probability, burst
-//! length, latency-spike magnitude) whose decisions derive entirely from
-//! one seed, so a chaos run is reproducible bit-for-bit: the same seed
-//! yields the same injection decisions no matter how many times it is
-//! replayed, or how many sweep workers run beside it.
+//! A [`FaultPlan`] is a set of per-site [`FaultSpec`]s (a firing
+//! probability) whose decisions derive entirely from one seed, so a chaos
+//! run is reproducible bit-for-bit: the same seed yields the same injection
+//! decisions no matter how many times it is replayed, or how many sweep
+//! workers run beside it. A site that fires and charges time draws a
+//! latency spike around one fixed mean of 20 µs (`SPIKE_MEAN_NS`).
 //!
 //! Sites are named after the injection points they arm in the higher
 //! layers: NIC completion behaviour, wire transmission, per-hop fabric
@@ -156,51 +157,25 @@ impl fmt::Display for FaultSite {
     }
 }
 
+/// Mean magnitude of the latency spike or timeout a fired site charges,
+/// in nanoseconds. [`FaultPlan::spike`] and [`FaultPlan::spike_keyed`]
+/// sample uniformly from `[mean/2, 3·mean/2)`.
+pub(crate) const SPIKE_MEAN_NS: u64 = 20_000;
+
 /// Per-site injection parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Probability that a decision at this site fires, in `[0, 1]`.
     pub probability: f64,
-    /// After a probabilistic trigger, the next `burst` decisions at this
-    /// site fire unconditionally (models correlated failures: a flapping
-    /// link, a NIC stalled for several completions in a row). For keyed
-    /// sites the burst window is the `burst` next canonical keys from the
-    /// same source, which is the same "consecutive decisions" notion
-    /// expressed statelessly.
-    pub burst: u32,
-    /// Mean magnitude of the latency spike / timeout this site charges,
-    /// in nanoseconds. Sampled uniformly from `[d/2, 3d/2)` by
-    /// [`FaultPlan::spike`] / [`FaultPlan::spike_keyed`].
-    pub delay_ns: u64,
 }
 
 impl FaultSpec {
     /// A disarmed site: never fires, draws nothing.
-    pub const OFF: FaultSpec = FaultSpec {
-        probability: 0.0,
-        burst: 0,
-        delay_ns: 0,
-    };
+    pub const OFF: FaultSpec = FaultSpec { probability: 0.0 };
 
-    /// A spec firing with probability `p`, no burst, default 20 µs spike.
+    /// A spec firing with probability `p`.
     pub fn with_probability(p: f64) -> FaultSpec {
-        FaultSpec {
-            probability: p,
-            burst: 0,
-            delay_ns: 20_000,
-        }
-    }
-
-    /// Builder: set the burst length.
-    pub fn burst(mut self, burst: u32) -> FaultSpec {
-        self.burst = burst;
-        self
-    }
-
-    /// Builder: set the mean spike magnitude in nanoseconds.
-    pub fn delay_ns(mut self, ns: u64) -> FaultSpec {
-        self.delay_ns = ns;
-        self
+        FaultSpec { probability: p }
     }
 }
 
@@ -222,13 +197,6 @@ fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// One rank's lazily created decision stream at one site.
-#[derive(Debug, Clone)]
-struct RankStream {
-    rng: Pcg32,
-    burst_left: u32,
-}
-
 #[derive(Debug, Clone)]
 struct SiteState {
     spec: FaultSpec,
@@ -236,9 +204,8 @@ struct SiteState {
     keyed_base: u64,
     /// Per-rank streams for rank-scoped decisions, created on first armed
     /// draw (so an unarmed plan allocates nothing).
-    ranks: HashMap<u32, RankStream>,
+    ranks: HashMap<u32, Pcg32>,
     decisions: u64,
-    fired: u64,
 }
 
 /// A seeded, deterministic fault-injection plan.
@@ -270,7 +237,6 @@ impl FaultPlan {
                 keyed_base: splitmix64(seed ^ (FAULT_STREAM_TAG << 16) ^ s.index() as u64),
                 ranks: HashMap::new(),
                 decisions: 0,
-                fired: 0,
             })
             .collect();
         FaultPlan { seed, sites }
@@ -282,8 +248,7 @@ impl FaultPlan {
         self
     }
 
-    /// A plan arming *every* site at probability `p` (spike defaults from
-    /// [`FaultSpec::with_probability`]).
+    /// A plan arming *every* site at probability `p`.
     pub fn uniform(seed: u64, p: f64) -> FaultPlan {
         let mut plan = FaultPlan::new(seed);
         for s in FaultSite::ALL {
@@ -309,117 +274,57 @@ impl FaultPlan {
     /// per-`(site, rank)` stream. Zero-probability sites return `false`
     /// without creating or advancing any stream.
     pub fn fires(&mut self, site: FaultSite, rank: u32) -> bool {
-        let seed = self.seed;
         let s = &mut self.sites[site.index()];
         s.decisions += 1;
-        if s.spec.probability <= 0.0 {
-            // A burst tail keeps firing even if the probability was
-            // zeroed after the trigger.
-            if let Some(rs) = s.ranks.get_mut(&rank) {
-                if rs.burst_left > 0 {
-                    rs.burst_left -= 1;
-                    s.fired += 1;
-                    return true;
-                }
-            }
-            return false;
-        }
-        let site_idx = site.index() as u64;
-        let rs = s.ranks.entry(rank).or_insert_with(|| RankStream {
-            rng: Pcg32::new(
-                splitmix64(seed ^ (FAULT_STREAM_TAG << 24) ^ site_idx),
-                FAULT_STREAM_TAG + u64::from(rank),
-            ),
-            burst_left: 0,
-        });
-        if rs.burst_left > 0 {
-            rs.burst_left -= 1;
-            s.fired += 1;
-            return true;
-        }
-        if rs.rng.next_f64() < s.spec.probability {
-            rs.burst_left = s.spec.burst;
-            s.fired += 1;
-            true
-        } else {
-            false
-        }
+        let p = s.spec.probability;
+        p > 0.0 && self.stream(site, rank).next_f64() < p
     }
 
     /// Sample a latency spike for `site` from `rank`'s stream: uniform in
-    /// `[d/2, 3d/2)` around the spec's mean `delay_ns` (or exactly zero if
-    /// the mean is zero).
+    /// `[10, 30)` µs around `SPIKE_MEAN_NS`.
     pub fn spike(&mut self, site: FaultSite, rank: u32) -> Duration {
+        let draw = self.stream(site, rank).next_u64();
+        Duration::from_nanos(SPIKE_MEAN_NS / 2 + draw % SPIKE_MEAN_NS)
+    }
+
+    /// `rank`'s decision stream at `site`, created on first use.
+    fn stream(&mut self, site: FaultSite, rank: u32) -> &mut Pcg32 {
         let seed = self.seed;
-        let s = &mut self.sites[site.index()];
-        let mean = s.spec.delay_ns;
-        if mean == 0 {
-            return Duration::ZERO;
-        }
         let site_idx = site.index() as u64;
-        let rs = s.ranks.entry(rank).or_insert_with(|| RankStream {
-            rng: Pcg32::new(
-                splitmix64(seed ^ (FAULT_STREAM_TAG << 24) ^ site_idx),
-                FAULT_STREAM_TAG + u64::from(rank),
-            ),
-            burst_left: 0,
-        });
-        let lo = mean / 2;
-        let span = mean.max(1);
-        Duration::from_nanos(lo + rs.rng.next_u64() % span)
+        self.sites[site.index()]
+            .ranks
+            .entry(rank)
+            .or_insert_with(|| {
+                Pcg32::new(
+                    splitmix64(seed ^ (FAULT_STREAM_TAG << 24) ^ site_idx),
+                    FAULT_STREAM_TAG + u64::from(rank),
+                )
+            })
     }
 
     /// Decide whether `site` fires for the decision identified by
     /// `(salt, key)` — a *stateless* draw: the answer is a pure hash of
     /// the plan seed, the site, `salt` (e.g. a hop id) and `key` (a
     /// canonical event key), so it is independent of evaluation order.
-    ///
-    /// Burst is expressed statelessly: a decision fires if its own draw
-    /// fires *or* any of the `burst` immediately preceding keys from the
-    /// same source fired (canonical keys from one rank are consecutive,
-    /// so this is "the next `burst` decisions fire unconditionally").
     pub fn fires_keyed(&mut self, site: FaultSite, salt: u64, key: u64) -> bool {
         let s = &mut self.sites[site.index()];
         s.decisions += 1;
         let p = s.spec.probability;
-        if p <= 0.0 {
-            return false;
-        }
-        let base = splitmix64(s.keyed_base ^ salt);
-        let lookback = u64::from(s.spec.burst);
-        let fired = (0..=lookback).any(|j| unit_f64(splitmix64(base ^ key.wrapping_sub(j))) < p);
-        if fired {
-            s.fired += 1;
-        }
-        fired
+        p > 0.0 && unit_f64(splitmix64(splitmix64(s.keyed_base ^ salt) ^ key)) < p
     }
 
-    /// Stateless spike for a keyed decision: uniform in `[d/2, 3d/2)`
-    /// around the spec's mean, derived from `(salt, key)` with a phase
+    /// Stateless spike for a keyed decision: uniform in `[10, 30)` µs
+    /// around `SPIKE_MEAN_NS`, derived from `(salt, key)` with a phase
     /// salt so it never correlates with the fire/no-fire hash.
     pub fn spike_keyed(&self, site: FaultSite, salt: u64, key: u64) -> Duration {
-        let s = &self.sites[site.index()];
-        let mean = s.spec.delay_ns;
-        if mean == 0 {
-            return Duration::ZERO;
-        }
-        let h = splitmix64(splitmix64(s.keyed_base ^ SPIKE_PHASE ^ salt) ^ key);
-        Duration::from_nanos(mean / 2 + h % mean.max(1))
-    }
-
-    /// How many times `site` has fired so far.
-    pub fn fired(&self, site: FaultSite) -> u64 {
-        self.sites[site.index()].fired
+        let base = self.sites[site.index()].keyed_base;
+        let h = splitmix64(splitmix64(base ^ SPIKE_PHASE ^ salt) ^ key);
+        Duration::from_nanos(SPIKE_MEAN_NS / 2 + h % SPIKE_MEAN_NS)
     }
 
     /// Total decisions consulted at `site` (fired or not).
     pub fn decisions(&self, site: FaultSite) -> u64 {
         self.sites[site.index()].decisions
-    }
-
-    /// Total fires across all sites.
-    pub fn fired_total(&self) -> u64 {
-        self.sites.iter().map(|s| s.fired).sum()
     }
 }
 
@@ -557,7 +462,6 @@ mod tests {
                 assert!(!plan.fires_keyed(s, 0, 7));
             }
         }
-        assert_eq!(plan.fired_total(), 0);
         // No streams may have been created or advanced: a fresh plan's
         // spikes match the exercised plan's exactly.
         let mut fresh = FaultPlan::uniform(42, 1.0);
@@ -584,14 +488,16 @@ mod tests {
         let mk = || FaultPlan::uniform(7, 0.3);
         let mut a = mk();
         let mut b = mk();
+        let mut fired = 0;
         for i in 0..500u64 {
             for s in FaultSite::ALL {
-                assert_eq!(a.fires(s, 3), b.fires(s, 3));
-                assert_eq!(a.fires_keyed(s, 2, i), b.fires_keyed(s, 2, i));
+                let (ranked, keyed) = (a.fires(s, 3), a.fires_keyed(s, 2, i));
+                assert_eq!(ranked, b.fires(s, 3));
+                assert_eq!(keyed, b.fires_keyed(s, 2, i));
+                fired += usize::from(ranked) + usize::from(keyed);
             }
         }
-        assert!(a.fired_total() > 0, "p=0.3 over 12k decisions must fire");
-        assert_eq!(a.fired_total(), b.fired_total());
+        assert!(fired > 0, "p=0.3 over 12k decisions must fire");
     }
 
     #[test]
@@ -691,51 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn burst_fires_consecutively() {
-        let mut p = FaultPlan::new(5).with(
-            FaultSite::RingExhausted,
-            FaultSpec {
-                probability: 0.05,
-                burst: 3,
-                delay_ns: 1000,
-            },
-        );
-        // Find the first probabilistic trigger, then expect 3 more fires.
-        let mut i = 0;
-        while !p.fires(FaultSite::RingExhausted, 2) {
-            i += 1;
-            assert!(i < 10_000, "p=0.05 should trigger well before 10k");
-        }
-        for _ in 0..3 {
-            assert!(p.fires(FaultSite::RingExhausted, 2), "burst continues");
-        }
-    }
-
-    #[test]
-    fn keyed_burst_extends_over_consecutive_keys() {
-        let spec = FaultSpec {
-            probability: 0.05,
-            burst: 3,
-            delay_ns: 1000,
-        };
-        let mut p = FaultPlan::new(5).with(FaultSite::LinkDrop, spec);
-        // Find a key whose own (no-lookback) draw fires, then the next
-        // `burst` keys must fire through the lookback window.
-        let mut bare = FaultPlan::new(5).with(FaultSite::LinkDrop, spec.burst(0));
-        let mut k = 0u64;
-        while !bare.fires_keyed(FaultSite::LinkDrop, 0, k) {
-            k += 1;
-            assert!(k < 10_000, "p=0.05 should trigger well before 10k");
-        }
-        for j in 1..=3u64 {
-            assert!(
-                p.fires_keyed(FaultSite::LinkDrop, 0, k + j),
-                "burst covers key {k}+{j}"
-            );
-        }
-    }
-
-    #[test]
     fn spike_is_bounded_around_mean() {
         let mut p = FaultPlan::new(3).with(FaultSite::LinkDelay, FaultSpec::with_probability(1.0));
         for i in 0..1000u64 {
@@ -747,11 +608,6 @@ mod tests {
                 "keyed spike {dk} out of range"
             );
         }
-        assert_eq!(
-            p.spike(FaultSite::LinkDrop, 0),
-            Duration::ZERO,
-            "mean 0 => 0"
-        );
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! `Option<Arc<Mutex<Recorder>>>`. A disabled handle is `None`: every
 //! record call is one branch, and payload closures are never evaluated
 //! (verified by `disabled_recorder_never_evaluates_payloads` in the test
-//! suite).
+//! suite). A live recorder has no cap: it keeps every event, so
+//! [`TimelineSnapshot::dropped`] always reads 0.
 //!
 //! ## Reconciliation
 //!
@@ -42,4 +43,4 @@ pub use event::{
 };
 pub use metrics::{Histogram, MetricsSummary};
 pub use reconcile::{reconcile, RankDelta, ReconcileReport};
-pub use recorder::{Recorder, Telemetry, TimelineSnapshot};
+pub use recorder::{Telemetry, TimelineSnapshot};

@@ -95,7 +95,6 @@ impl Histogram {
 #[derive(Debug, Clone)]
 pub struct MetricsSummary {
     pub events: u64,
-    pub dropped: u64,
     pub kernels: u64,
     pub fused_launches: u64,
     pub requests_fused: u64,
@@ -116,7 +115,6 @@ impl MetricsSummary {
     pub fn from_snapshot(snap: &TimelineSnapshot) -> Self {
         let mut m = MetricsSummary {
             events: snap.events.len() as u64,
-            dropped: snap.dropped,
             kernels: 0,
             fused_launches: 0,
             requests_fused: 0,
@@ -173,9 +171,8 @@ impl MetricsSummary {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "## telemetry metrics");
-        let counters: [(&str, u64); 12] = [
+        let counters: [(&str, u64); 11] = [
             ("events", self.events),
-            ("events dropped", self.dropped),
             ("single kernels", self.kernels),
             ("fused launches", self.fused_launches),
             ("requests fused", self.requests_fused),
@@ -229,7 +226,6 @@ impl MetricsSummary {
         let mut out = String::from("metric,count,min,mean,p50,max\n");
         let scalar = |name: &str, v: u64| format!("{name},{v},,,,\n");
         out.push_str(&scalar("events", self.events));
-        out.push_str(&scalar("events_dropped", self.dropped));
         out.push_str(&scalar("single_kernels", self.kernels));
         out.push_str(&scalar("fused_launches", self.fused_launches));
         out.push_str(&scalar("requests_fused", self.requests_fused));

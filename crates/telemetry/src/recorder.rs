@@ -7,28 +7,13 @@ use std::sync::{Arc, Mutex};
 /// Collected timeline state. Owned behind the [`Telemetry`] handle; use
 /// [`Telemetry::snapshot`] to extract it for export.
 #[derive(Debug, Default)]
-pub struct Recorder {
+pub(crate) struct Recorder {
     events: Vec<Event>,
     counters: Vec<CounterSample>,
     /// Open spans: (id, index into `events`). Spans are recorded at open
     /// time with `dur == None` and patched on close.
     open: Vec<(SpanId, usize)>,
     next_span: u64,
-    /// Events discarded because the capacity cap was hit.
-    dropped: u64,
-    capacity: Option<usize>,
-}
-
-impl Recorder {
-    fn has_room(&mut self) -> bool {
-        match self.capacity {
-            Some(cap) if self.events.len() >= cap => {
-                self.dropped += 1;
-                false
-            }
-            _ => true,
-        }
-    }
 }
 
 /// Everything a run recorded, detached from the live recorder.
@@ -36,6 +21,8 @@ impl Recorder {
 pub struct TimelineSnapshot {
     pub events: Vec<Event>,
     pub counters: Vec<CounterSample>,
+    /// Always 0: the recorder is unbounded and drops nothing. Kept for
+    /// readers that report it.
     pub dropped: u64,
     /// Spans opened but never closed (should be 0 after a clean run).
     pub unclosed_spans: usize,
@@ -64,15 +51,6 @@ impl Telemetry {
         }
     }
 
-    /// A live recorder that keeps at most `cap` events and counts drops.
-    pub fn with_capacity(cap: usize) -> Self {
-        let t = Telemetry::enabled();
-        if let Some(r) = &t.inner {
-            r.lock().expect("telemetry lock").capacity = Some(cap);
-        }
-        t
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -93,17 +71,14 @@ impl Telemetry {
     /// the recorder is live.
     pub fn instant(&self, lane: Lane, at: Time, payload: impl FnOnce() -> Payload) {
         if let Some(inner) = &self.inner {
-            let mut r = inner.lock().expect("telemetry lock");
-            if r.has_room() {
-                let ev = Event {
-                    rank: self.rank,
-                    lane,
-                    start: at,
-                    dur: None,
-                    payload: payload(),
-                };
-                r.events.push(ev);
-            }
+            let ev = Event {
+                rank: self.rank,
+                lane,
+                start: at,
+                dur: None,
+                payload: payload(),
+            };
+            inner.lock().expect("telemetry lock").events.push(ev);
         }
     }
 
@@ -112,17 +87,14 @@ impl Telemetry {
     /// the common span API. `end < start` is clamped to an empty span.
     pub fn span(&self, lane: Lane, start: Time, end: Time, payload: impl FnOnce() -> Payload) {
         if let Some(inner) = &self.inner {
-            let mut r = inner.lock().expect("telemetry lock");
-            if r.has_room() {
-                let ev = Event {
-                    rank: self.rank,
-                    lane,
-                    start,
-                    dur: Some(end.since(start)),
-                    payload: payload(),
-                };
-                r.events.push(ev);
-            }
+            let ev = Event {
+                rank: self.rank,
+                lane,
+                start,
+                dur: Some(end.since(start)),
+                payload: payload(),
+            };
+            inner.lock().expect("telemetry lock").events.push(ev);
         }
     }
 
@@ -133,9 +105,6 @@ impl Telemetry {
     pub fn open(&self, lane: Lane, at: Time, payload: impl FnOnce() -> Payload) -> Option<SpanId> {
         let inner = self.inner.as_ref()?;
         let mut r = inner.lock().expect("telemetry lock");
-        if !r.has_room() {
-            return None;
-        }
         let id = SpanId(r.next_span);
         r.next_span += 1;
         let idx = r.events.len();
@@ -190,7 +159,7 @@ impl Telemetry {
                 TimelineSnapshot {
                     events: r.events.clone(),
                     counters: r.counters.clone(),
-                    dropped: r.dropped,
+                    dropped: 0,
                     unclosed_spans: r.open.len(),
                 }
             }
@@ -212,7 +181,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Bucket;
     use fusedpack_sim::Duration;
 
     #[test]
@@ -275,19 +243,5 @@ mod tests {
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.events[0].rank, 0);
         assert_eq!(snap.events[1].rank, 1);
-    }
-
-    #[test]
-    fn capacity_cap_counts_drops() {
-        let t = Telemetry::with_capacity(2);
-        for i in 0..5 {
-            t.instant(Lane::Host, Time(i), || Payload::BucketCharge {
-                bucket: Bucket::Pack,
-                label: "p",
-            });
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.dropped, 3);
     }
 }
