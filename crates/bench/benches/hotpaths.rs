@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fusedpack_core::{FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
-use fusedpack_gpu::{DataMode, DevPtr, Gpu, GpuArch, HostLink, MemPool, StreamId};
+use fusedpack_gpu::{DataMode, DevPtr, Elements, Gpu, GpuArch, HostLink, MemPool, StreamId};
 use fusedpack_sim::{EventQueue, FaultPlan, FaultSite, Time};
 use fusedpack_workloads::specfem::{specfem3d_cm, specfem3d_oc};
 use fusedpack_workloads::{run_exchange, ExchangeConfig};
@@ -90,7 +90,7 @@ fn bench_event_queue(c: &mut Criterion) {
 /// the indexed rung, whose const-width 16-byte moves walk the offset table
 /// (the rows keep the names of the fixed-stride tier it replaced);
 /// `pack_generic_loop` walks the segment table. The `mempool_*` rows run
-/// the plan-driven pool gather.
+/// the plan-driven pool gather ([`bench_pool_gather`]).
 fn bench_gather_tier(c: &mut Criterion) {
     use fusedpack_datatype::CopyPlan;
     let layout = CompiledLayout::of(&TypeBuilder::vector(4096, 2, 3, TypeBuilder::double()));
@@ -112,31 +112,48 @@ fn bench_gather_tier(c: &mut Criterion) {
         b.iter(|| pack::unpack(black_box(&packed), &layout, count, &mut out))
     });
 
-    // The same tier inside the device pools (what the cluster's staged
-    // copies hit): gather 4096 runs into a contiguous region of one pool,
-    // through the plan-driven gather that shares the host kernels above.
-    let span = layout.footprint(count).max(1);
-    let total = layout.total_bytes(count);
-    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
-    let region = pool.alloc(span, 64);
-    let packed = pool.alloc(total, 64);
-    g.bench_function("mempool_gather", |b| {
-        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
-    });
+    // The same tier inside the device pools: gather 4096 runs into a
+    // contiguous region of one pool, through the plan-driven copy that
+    // shares the host kernels above.
+    bench_pool_gather(&mut g, &layout, count);
 
     // A timing-only gather of one specfem3D_oc(512) element (512 4-byte
-    // runs), the per-message copy every ModelOnly serve request makes: the
-    // plan answers with `total_bytes` and reads neither the segment table
-    // nor the offset table.
+    // runs): the plan answers with `total_bytes` and reads neither the
+    // segment table nor the offset table.
     let oc = specfem3d_oc(512).layout().clone();
     let mut model = MemPool::new(1 << 30, DataMode::ModelOnly);
     let user = model.alloc(oc.footprint(1), 64);
     let staged = model.alloc(oc.total_bytes(1), 64);
+    let bytes = CompiledLayout::of(&TypeBuilder::byte());
+    let to = Elements::new(&bytes, staged.addr, oc.total_bytes(1));
+    let mut scratch = Vec::new();
     g.throughput(Throughput::Bytes(oc.total_bytes(1)));
     g.bench_function("mempool_gather_model_only_specfem3d_oc", |b| {
-        b.iter(|| black_box(model.gather(black_box(&oc), user.addr, 1, staged.addr)))
+        b.iter(|| {
+            let from = Elements::new(black_box(&oc), user.addr, 1);
+            black_box(model.copy_within(from, to, &mut scratch))
+        })
     });
     g.finish();
+}
+
+/// The `mempool_gather` row of group `g`: `count` elements of `layout`
+/// copied into a packed image in the same pool, as an explicit `Pack` op
+/// does ([`MemPool::copy_within`] into one-byte elements).
+fn bench_pool_gather(g: &mut criterion::BenchmarkGroup<'_>, layout: &CompiledLayout, count: u64) {
+    let (span, total) = (layout.footprint(count).max(1), layout.total_bytes(count));
+    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
+    let region = pool.alloc(span, 64);
+    let packed = pool.alloc(total, 64);
+    let bytes = CompiledLayout::of(&TypeBuilder::byte());
+    let to = Elements::new(&bytes, packed.addr, total);
+    let mut scratch = Vec::new();
+    g.bench_function("mempool_gather", |b| {
+        b.iter(|| {
+            let from = Elements::new(layout, black_box(region.addr), count);
+            black_box(pool.copy_within(from, to, &mut scratch))
+        })
+    });
 }
 
 /// The indexed rung on the paper's sparse case: one specfem3D_cm(512)
@@ -166,12 +183,7 @@ fn bench_indexed_runs(c: &mut Criterion) {
         let mut out = vec![0u8; span as usize];
         b.iter(|| pack::unpack(black_box(&packed), &layout, count, &mut out))
     });
-    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
-    let region = pool.alloc(span, 64);
-    let packed = pool.alloc(total, 64);
-    g.bench_function("mempool_gather", |b| {
-        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
-    });
+    bench_pool_gather(&mut g, &layout, count);
     g.finish();
 }
 
@@ -209,14 +221,7 @@ fn bench_block_uniform_tier(c: &mut Criterion) {
     // The same tier inside the device pools: the plan-driven gather runs
     // the chunked block kernel above on pool memory (what the cluster's
     // staged copies hit for BlockUniform plans).
-    let span = layout.footprint(count).max(1);
-    let total = layout.total_bytes(count);
-    let mut pool = MemPool::new(span + total + 64, DataMode::Full);
-    let region = pool.alloc(span, 64);
-    let packed = pool.alloc(total, 64);
-    g.bench_function("mempool_gather", |b| {
-        b.iter(|| black_box(pool.gather(&layout, black_box(region.addr), count, packed.addr)))
-    });
+    bench_pool_gather(&mut g, &layout, count);
     g.finish();
 }
 

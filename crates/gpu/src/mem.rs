@@ -29,14 +29,16 @@
 //!   capacity check), while packed bytes travel in owned, recycled
 //!   buffers (see [`crate::PoolStats`]).
 //!
-//! Copies are driven by a datatype's [`CompiledLayout`]: one gather and one
-//! scatter, each within one pool or between a pool and an outside buffer,
-//! executing the layout's copy plan through the host
+//! Copies are driven by a datatype's [`CompiledLayout`]: one gather into
+//! and one scatter from a buffer outside the pool (a payload), executing
+//! the layout's copy plan through the host
 //! [`pack::pack_into`]/[`pack::unpack`] kernels, and one layout-to-layout
-//! copy from one pool into another ([`MemPool::copy_to`], the DirectIPC
-//! load) through [`pack::copy`], with no packed image between the two
-//! when a side is contiguous or both are indexed runs of one width (any
-//! other pair packs through a scratch buffer the caller keeps).
+//! copy through [`pack::copy`], from one pool into another
+//! ([`MemPool::copy_to`], the DirectIPC load) or within one
+//! ([`MemPool::copy_within`], where a contiguous buffer is the packed
+//! side of an explicit pack or unpack). A layout-to-layout copy makes no
+//! packed image when a side is contiguous or both are indexed runs of one
+//! width (any other pair packs through a scratch buffer the caller keeps).
 
 use fusedpack_datatype::{pack, CompiledLayout};
 
@@ -303,39 +305,10 @@ impl MemPool {
         fill(&mut self.bytes[range]);
     }
 
-    /// Gather `count` elements of `layout` based at `base` into the
-    /// contiguous region at `dst` of this pool — the data movement a
-    /// packing kernel performs. Returns the packed byte count.
-    ///
-    /// Panics if the source elements and the destination overlap.
-    pub fn gather(&mut self, layout: &CompiledLayout, base: u64, count: u64, dst: u64) -> u64 {
-        let total = layout.total_bytes(count);
-        if self.mode == DataMode::ModelOnly {
-            return total;
-        }
-        let (src, out) = split(&mut self.bytes, base, dst);
-        pack::pack_into(src, layout, count, &mut out[..total as usize]);
-        total
-    }
-
-    /// Scatter the contiguous region at `src` of this pool out to `count`
-    /// elements of `layout` based at `base` — the data movement an
-    /// unpacking kernel performs. Bytes in the layout's gaps are untouched.
-    /// Returns the packed byte count.
-    ///
-    /// Panics if the packed region and the destination elements overlap.
-    pub fn scatter(&mut self, src: u64, layout: &CompiledLayout, base: u64, count: u64) -> u64 {
-        let total = layout.total_bytes(count);
-        if self.mode == DataMode::ModelOnly {
-            return total;
-        }
-        let (packed, out) = split(&mut self.bytes, src, base);
-        pack::unpack(&packed[..total as usize], layout, count, out);
-        total
-    }
-
-    /// [`Self::gather`] into a buffer outside this pool (a pooled payload
-    /// buffer). Fills the first `layout.total_bytes(count)` bytes of `out`.
+    /// Gather `count` elements of `layout` based at `base` into a buffer
+    /// outside this pool (a pooled payload buffer) — the data movement a
+    /// packing kernel performs. Fills the first `layout.total_bytes(count)`
+    /// bytes of `out`; returns that count.
     pub fn gather_into(
         &self,
         layout: &CompiledLayout,
@@ -386,8 +359,38 @@ impl MemPool {
         total
     }
 
-    /// [`Self::scatter`] from a buffer outside this pool: reads the first
-    /// `layout.total_bytes(count)` bytes of `data`.
+    /// [`Self::copy_to`] within this pool: an explicit pack (`to` a
+    /// contiguous layout) or unpack (`from` one) between two buffers of
+    /// one device. Returns the packed byte count.
+    ///
+    /// Panics if the two sides overlap.
+    pub fn copy_within(
+        &mut self,
+        from: Elements<'_>,
+        to: Elements<'_>,
+        scratch: &mut Vec<u8>,
+    ) -> u64 {
+        let total = from.layout.total_bytes(from.count);
+        if self.mode == DataMode::ModelOnly {
+            return total;
+        }
+        let (src, dst) = split(&mut self.bytes, from.base, to.base);
+        pack::copy(
+            src,
+            from.layout,
+            from.count,
+            dst,
+            to.layout,
+            to.count,
+            scratch,
+        );
+        total
+    }
+
+    /// Scatter the first `layout.total_bytes(count)` bytes of `data`, a
+    /// buffer outside this pool, out to `count` elements of `layout` based
+    /// at `base` — the data movement an unpacking kernel performs. Bytes
+    /// in the layout's gaps are untouched. Returns the packed byte count.
     pub fn scatter_from(
         &mut self,
         data: &[u8],
@@ -605,28 +608,38 @@ mod tests {
         CompiledLayout::from_segments(segments, extent)
     }
 
+    /// One element of `len` contiguous bytes: the packed side of an
+    /// explicit pack or unpack.
+    fn packed(len: u64) -> CompiledLayout {
+        layout(&[(0, len)], len)
+    }
+
     #[test]
-    fn gather_packs_segments_in_order() {
+    fn copy_within_packs_segments_in_order() {
         let mut p = MemPool::new(64, DataMode::Full);
         let src = p.alloc(16, 1);
         let dst = p.alloc(8, 1);
         p.write(src, &(0..16).collect::<Vec<u8>>());
         // Gather bytes at offsets 2..4, 8..10, 12..16.
         let l = layout(&[(2, 2), (8, 2), (12, 4)], 16);
-        assert_eq!(p.gather(&l, src.addr, 1, dst.addr), 8);
+        let (from, to) = (Elements::new(&l, src.addr, 1), packed(8));
+        let to = Elements::new(&to, dst.addr, 1);
+        assert_eq!(p.copy_within(from, to, &mut Vec::new()), 8);
         assert_eq!(p.read(dst), &[2, 3, 8, 9, 12, 13, 14, 15]);
     }
 
     #[test]
-    fn scatter_inverts_gather() {
+    fn copy_within_unpacks_what_it_packed() {
         let mut p = MemPool::new(128, DataMode::Full);
-        let packed = p.alloc(8, 1);
+        let image = p.alloc(8, 1);
         let orig = p.alloc(16, 1);
         let out = p.alloc(16, 1);
         p.write(orig, &(100..116).collect::<Vec<u8>>());
-        let l = layout(&[(1, 3), (10, 5)], 16);
-        p.gather(&l, orig.addr, 1, packed.addr);
-        assert_eq!(p.scatter(packed.addr, &l, out.addr, 1), 8);
+        let (l, flat) = (layout(&[(1, 3), (10, 5)], 16), packed(8));
+        let packed = Elements::new(&flat, image.addr, 1);
+        p.copy_within(Elements::new(&l, orig.addr, 1), packed, &mut Vec::new());
+        let n = p.copy_within(packed, Elements::new(&l, out.addr, 1), &mut Vec::new());
+        assert_eq!(n, 8);
         let o = p.read(out);
         assert_eq!(&o[1..4], &[101, 102, 103]);
         assert_eq!(&o[10..15], &[110, 111, 112, 113, 114]);
@@ -635,11 +648,13 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn overlapping_gather_panics() {
+    fn an_overlapping_copy_within_panics() {
         let mut p = MemPool::new(64, DataMode::Full);
         let src = p.alloc(16, 1);
         // The packed image would land on the element's second run.
-        p.gather(&layout(&[(0, 4), (8, 4)], 16), src.addr, 1, src.addr + 6);
+        let (l, flat) = (layout(&[(0, 4), (8, 4)], 16), packed(8));
+        let from = Elements::new(&l, src.addr, 1);
+        p.copy_within(from, Elements::new(&flat, src.addr + 6, 1), &mut Vec::new());
     }
 
     #[test]
@@ -649,12 +664,13 @@ mod tests {
         assert!(p.read(ptr).is_empty());
         p.write(ptr, &[]); // no-op, no panic
         let l = layout(&[(0, 100), (200, 50)], 256);
-        assert_eq!(p.gather(&l, 0, 4, 1 << 20), 600);
-        assert_eq!(p.scatter(1 << 20, &l, 0, 4), 600);
+        let (flat, elems) = (packed(600), Elements::new(&l, 0, 4));
+        let image = Elements::new(&flat, 1 << 20, 1);
+        assert_eq!(p.copy_within(elems, image, &mut Vec::new()), 600);
+        assert_eq!(p.copy_within(image, elems, &mut Vec::new()), 600);
         assert_eq!(p.gather_into(&l, 0, 4, &mut []), 600);
         assert_eq!(p.scatter_from(&[], &l, 0, 4), 600);
         let mut q = MemPool::new(1 << 40, DataMode::ModelOnly);
-        let elems = Elements::new(&l, 0, 4);
         assert_eq!(p.copy_to(elems, &mut q, elems, &mut Vec::new()), 600);
         assert!(p.bytes.is_empty(), "a ModelOnly pool never backs a byte");
         assert_eq!(p.bytes.capacity(), 0, "nor reserves one");

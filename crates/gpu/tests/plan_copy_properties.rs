@@ -1,8 +1,10 @@
 //! Differential test of the plan-driven pool copies.
 //!
-//! `MemPool`'s gather and scatter — within one pool and to or from a
-//! buffer outside it —
-//! execute a compiled layout's copy plan through the host pack kernels.
+//! `MemPool`'s copies between elements and a packed image — within one
+//! pool (`copy_within` to or from a contiguous run of bytes, the explicit
+//! pack and unpack) and to or from a buffer outside it (`gather_into`,
+//! `scatter_from`) — execute a compiled layout's copy plan through the
+//! host pack kernels.
 //! For random datatype trees at counts 1–3, and for equal-width run
 //! layouts (the indexed rung) of every width 1–32 at counts 1–4, they must
 //! produce exactly the bytes of the generic segment walk
@@ -15,8 +17,8 @@ mod common;
 
 use common::{arb_equal_width_runs, arb_type};
 use fusedpack_datatype::pack::{pack_into_generic, unpack_generic};
-use fusedpack_datatype::{CompiledLayout, CopyPlan};
-use fusedpack_gpu::{DataMode, DevPtr, MemPool};
+use fusedpack_datatype::{CompiledLayout, CopyPlan, TypeBuilder};
+use fusedpack_gpu::{DataMode, DevPtr, Elements, MemPool};
 use fusedpack_sim::Pcg32;
 use proptest::prelude::*;
 
@@ -68,11 +70,16 @@ fn assert_only_region_changed(before: &[u8], after: &[u8], region: DevPtr, want:
     assert_eq!(&after[hi..], &before[hi..], "bytes after the copy moved");
 }
 
-/// Gather then scatter `count` elements of `layout` within one pool, the
-/// packed region before or after the elements, against the generic walk.
+/// Copy `count` elements of `layout` into a packed image and back within
+/// one pool, the packed region before or after the elements, against the
+/// generic walk.
 fn check_pool_copies(layout: &CompiledLayout, count: u64, seed: u64, packed_first: bool) {
     let (fp, total) = (layout.footprint(count), layout.total_bytes(count));
     let mut rng = Pcg32::seeded(seed);
+    // The packed side: `total` elements of one byte, the contiguous
+    // layout the cluster gives every packed buffer.
+    let bytes = CompiledLayout::of(&TypeBuilder::byte());
+    let mut scratch = Vec::new();
 
     // Gather.
     let elements = random_bytes(&mut rng, fp);
@@ -81,7 +88,11 @@ fn check_pool_copies(layout: &CompiledLayout, count: u64, seed: u64, packed_firs
     let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
     pool.write(elems, &elements);
     let before = image(&pool);
-    assert_eq!(pool.gather(layout, elems.addr, count, packed.addr), total);
+    let (from, to) = (
+        Elements::new(layout, elems.addr, count),
+        Elements::new(&bytes, packed.addr, total),
+    );
+    assert_eq!(pool.copy_within(from, to, &mut scratch), total);
     assert_only_region_changed(&before, &image(&pool), packed, &packed_want);
 
     // Scatter a fresh packed image into sentinel-filled elements.
@@ -91,7 +102,11 @@ fn check_pool_copies(layout: &CompiledLayout, count: u64, seed: u64, packed_firs
     let (mut pool, elems, packed) = pool_with_regions(fp, total, packed_first);
     pool.write(packed, &payload);
     let before = image(&pool);
-    assert_eq!(pool.scatter(packed.addr, layout, elems.addr, count), total);
+    let (from, to) = (
+        Elements::new(&bytes, packed.addr, total),
+        Elements::new(layout, elems.addr, count),
+    );
+    assert_eq!(pool.copy_within(from, to, &mut scratch), total);
     assert_only_region_changed(&before, &image(&pool), elems, &elements_want);
 }
 
@@ -129,9 +144,9 @@ proptest! {
     // Cheap cases (small pools), so run more of them than the default.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Within one pool: gather equals the generic pack walk, scatter
-    /// equals the generic unpack walk (gap bytes keep their sentinel),
-    /// nothing else moves.
+    /// Within one pool: a copy into a packed image equals the generic
+    /// pack walk, one out of it equals the generic unpack walk (gap bytes
+    /// keep their sentinel), nothing else moves.
     #[test]
     fn pool_copies_match_host_pack(
         t in arb_type(2),
@@ -180,8 +195,13 @@ proptest! {
         let mut pool = MemPool::new(1 << 40, DataMode::ModelOnly);
         let elems = pool.alloc(layout.footprint(count), 64);
         let packed = pool.alloc(total, 64);
-        prop_assert_eq!(pool.gather(&layout, elems.addr, count, packed.addr), total);
-        prop_assert_eq!(pool.scatter(packed.addr, &layout, elems.addr, count), total);
+        let bytes = CompiledLayout::of(&TypeBuilder::byte());
+        let (at, image) = (
+            Elements::new(&layout, elems.addr, count),
+            Elements::new(&bytes, packed.addr, total),
+        );
+        prop_assert_eq!(pool.copy_within(at, image, &mut Vec::new()), total);
+        prop_assert_eq!(pool.copy_within(image, at, &mut Vec::new()), total);
         let mut out = vec![SENTINEL; total as usize];
         prop_assert_eq!(pool.gather_into(&layout, elems.addr, count, &mut out), total);
         prop_assert!(out.iter().all(|&b| b == SENTINEL), "ModelOnly gather wrote bytes");

@@ -8,10 +8,18 @@
 //! It submits [`Job`]s through the cluster's [`CopyQueue`] and carries
 //! [`PayloadHandle`]s — a slot in an engine's payload table, the lane that
 //! produced it and a length — where it used to carry `Vec<u8>`s: in a
-//! `WireMsg`, in `RankState::packed` and in `RankState::landed`. A handle is
-//! not `Clone`: the job that consumes a payload (an unpack, a write into a
-//! user buffer, a recycle) takes it by value, so the loop cannot name a
-//! payload twice.
+//! `WireMsg`, and in the send or receive that owns the payload. A handle
+//! is not `Clone`: the job that consumes a payload (an unpack, a recycle)
+//! takes it by value, so the loop cannot name a payload twice.
+//!
+//! Every job that moves bytes moves elements to elements: [`Elems`], a
+//! count of a compiled layout at a base address. A contiguous buffer (a
+//! contiguous send or receive, the packed side of an explicit
+//! `Pack`/`Unpack`) is elements of one shared one-byte layout
+//! ([`CopyQueue::contiguous`]), whose plan is one `memcpy`. So there are
+//! three movements: a pack of elements into a payload, an unpack of a
+//! payload out to elements, and a copy from elements to elements, between
+//! two pools of one node or within one.
 //!
 //! # Lanes
 //!
@@ -45,10 +53,10 @@
 //!
 //! # Deferred packs
 //!
-//! A staged message between two ranks of one lane needs no payload
-//! buffer: the lane that would pack it also unpacks it. So its pack runs
-//! no job. The loop records the send's elements in the payload's slot and
-//! in its rank's list of deferred payloads, and the unpack submits one
+//! A message between two ranks of one lane, staged or contiguous, needs
+//! no payload buffer: the lane that would pack it also unpacks it. So its
+//! pack runs no job. The loop records the send's elements in the payload's
+//! slot and in its rank's list of deferred payloads, and the unpack submits one
 //! [`Job::Copy`] from the send's elements to the receive's, the DirectIPC
 //! copy: half the memory traffic of a pack and an unpack, and no freelist
 //! take or put. [`LaneStats::fused`] counts these messages; `packs` and
@@ -57,14 +65,13 @@
 //!
 //! Every other consumer *materializes* the payload first: it submits the
 //! deferred pack on the sender's lane, then proceeds as for any payload.
-//! That is a duplicate for an RDMA read answer, a write into a contiguous
-//! receive, and an unpack on the other lane or into the sending rank. A
-//! deferred pack must also read its elements as they were when it was
-//! sent, and an eager send completes at injection, so its rank may write
-//! the send buffer before the peer unpacks. So before any job that writes
-//! a rank's pool (an unpack, copy, write or explicit pack/unpack), the
-//! loop materializes that rank's deferred payloads whose elements
-//! (`[base, base + footprint)`) overlap the span the job writes.
+//! That is a duplicate for an RDMA read answer, and an unpack on the other
+//! lane or into the sending rank. A deferred pack must also read its
+//! elements as they were when it was sent, and an eager send completes at
+//! injection, so its rank may write the send buffer before the peer
+//! unpacks. So before any job that writes a rank's pool (an unpack or a
+//! copy), the loop materializes that rank's deferred payloads whose
+//! elements (`[base, base + footprint)`) overlap the span the job writes.
 //!
 //! The run joins the worker before it checks its run-end invariants, and a
 //! panic on either lane surfaces from `Cluster::run` with its own message:
@@ -84,12 +91,12 @@
 
 use super::handoff::{recv_soon, send_soon};
 use super::Cluster;
-use fusedpack_datatype::CompiledLayout;
+use fusedpack_datatype::{CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{DataMode, DevPtr, Elements, MemPool, PoolStats};
 use fusedpack_sim::IntMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// Worker jobs the event loop collects before it sends them as one batch:
@@ -100,6 +107,12 @@ const BATCH: usize = 64;
 /// waits for room: 16,384 jobs, deep enough that the worker absorbs a
 /// halo lap's burst of packs without stalling the loop.
 const QUEUE_BATCHES: usize = 256;
+
+/// One byte per element: the layout of every contiguous buffer, `count`
+/// its length ([`CopyQueue::contiguous`]). Its plan is one `memcpy` at any
+/// count.
+static BYTES: LazyLock<Arc<CompiledLayout>> =
+    LazyLock::new(|| Arc::new(CompiledLayout::of(&TypeBuilder::byte())));
 
 /// The event loop's lane: its jobs run on the loop thread at submit.
 const LOOP: usize = 0;
@@ -150,26 +163,20 @@ impl PayloadHandle {
 /// excluded from that identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
-    /// Staged sends gathered into a payload buffer: every staged send
-    /// whose payload is not fused.
+    /// Sends gathered into a payload buffer: every send whose payload is
+    /// not fused, staged or contiguous.
     pub packs: u64,
-    /// Staged receives scattered from their payload buffer.
+    /// Receives scattered from their payload buffer, staged or contiguous.
     pub unpacks: u64,
-    /// Staged messages fused: the sender's elements copied straight into
-    /// the receive's, with no payload buffer (a deferred pack consumed by
-    /// its unpack on this lane).
+    /// Messages fused: the sender's elements copied straight into the
+    /// receive's, with no payload buffer (a deferred pack consumed by its
+    /// unpack on this lane).
     pub fused: u64,
-    /// Layout-to-layout copies (DirectIPC, and its mapping-failure
-    /// fallback).
+    /// Layout-to-layout copies: DirectIPC and its mapping-failure
+    /// fallback, and the explicit `Pack`/`Unpack` program operations.
     pub copies: u64,
-    /// Contiguous user buffers read into a payload.
-    pub reads: u64,
-    /// Payloads written into a contiguous user buffer.
-    pub writes: u64,
     /// Payloads duplicated for an RDMA read answer.
     pub dups: u64,
-    /// Explicit `Pack`/`Unpack` program operations.
-    pub explicit: u64,
     /// Payloads recycled unread (spurious deliveries, drained RGET
     /// buffers, unmatched messages).
     pub recycles: u64,
@@ -182,15 +189,7 @@ pub struct LaneStats {
 impl LaneStats {
     /// Jobs executed, of every kind.
     pub fn jobs(&self) -> u64 {
-        self.packs
-            + self.unpacks
-            + self.fused
-            + self.copies
-            + self.reads
-            + self.writes
-            + self.dups
-            + self.explicit
-            + self.recycles
+        self.packs + self.unpacks + self.fused + self.copies + self.dups + self.recycles
     }
 
     fn absorb(&mut self, other: &LaneStats) {
@@ -198,10 +197,7 @@ impl LaneStats {
         self.unpacks += other.unpacks;
         self.fused += other.fused;
         self.copies += other.copies;
-        self.reads += other.reads;
-        self.writes += other.writes;
         self.dups += other.dups;
-        self.explicit += other.explicit;
         self.recycles += other.recycles;
         self.handoffs += other.handoffs;
         self.busy_wall_ns += other.busy_wall_ns;
@@ -266,35 +262,14 @@ pub(crate) enum Job {
     /// Scatter the payload in `slot` out to elements, and recycle it
     /// (`keep`) or free it.
     Unpack { slot: u32, to: Elems, keep: bool },
-    /// Copy elements of one rank's pool into elements of another's.
+    /// Copy elements of one rank's pool into elements of another's, or
+    /// of the same pool.
     Copy { from: Elems, to: Elems },
-    /// Read a contiguous user buffer into a new payload in slot `out`.
-    Read {
-        rank: usize,
-        ptr: DevPtr,
-        out: u32,
-        fresh: Option<Vec<u8>>,
-    },
-    /// Write the payload in `slot` into a contiguous user buffer, and
-    /// recycle it (`keep`) or free it.
-    Write {
-        slot: u32,
-        rank: usize,
-        ptr: DevPtr,
-        keep: bool,
-    },
     /// Copy the payload in `src` into a new payload in slot `out`.
     Dup {
         src: u32,
         out: u32,
         fresh: Option<Vec<u8>>,
-    },
-    /// Gather elements into the packed region at `packed` of the same
-    /// pool (`pack`), or scatter that region out to them.
-    Explicit {
-        elems: Elems,
-        packed: u64,
-        pack: bool,
     },
     /// Recycle the payload in `slot` unread (`keep`), or free it.
     Recycle { slot: u32, keep: bool },
@@ -434,47 +409,18 @@ impl CopyEngine {
             }
             Job::Copy { from, to } => {
                 let view = |e: &Elems| Elements::new(&layouts[e.layout as usize], e.base, e.count);
-                let (src, dst) = pool_pair(pools, from.rank, to.rank);
-                src.copy_to(view(&from), dst, view(&to), &mut self.scratch);
-            }
-            Job::Read {
-                rank,
-                ptr,
-                out,
-                fresh,
-            } => {
-                let mut buf = self.buffer(ptr.len, fresh);
-                buf.copy_from_slice(pool(&mut self.pools, rank).read(ptr));
-                self.put(out, buf);
-            }
-            Job::Write {
-                slot,
-                rank,
-                ptr,
-                keep,
-            } => {
-                let buf = self.take(slot);
-                pool(&mut self.pools, rank).write(ptr, &buf);
-                self.retire(buf, keep);
+                if from.rank == to.rank {
+                    pool(pools, to.rank).copy_within(view(&from), view(&to), &mut self.scratch);
+                } else {
+                    let (src, dst) = pool_pair(pools, from.rank, to.rank);
+                    src.copy_to(view(&from), dst, view(&to), &mut self.scratch);
+                }
             }
             Job::Dup { src, out, fresh } => {
                 let len = self.payloads[src as usize].len() as u64;
                 let mut buf = self.buffer(len, fresh);
                 buf.copy_from_slice(&self.payloads[src as usize]);
                 self.put(out, buf);
-            }
-            Job::Explicit {
-                elems,
-                packed,
-                pack,
-            } => {
-                let layout = &layouts[elems.layout as usize];
-                let pool = pool(pools, elems.rank);
-                if pack {
-                    pool.gather(layout, elems.base, elems.count, packed);
-                } else {
-                    pool.scatter(packed, layout, elems.base, elems.count);
-                }
             }
             Job::Recycle { slot, keep } => {
                 let buf = self.take(slot);
@@ -723,6 +669,12 @@ impl CopyQueue {
         }
     }
 
+    /// The contiguous buffer `ptr` of `rank`'s pool as elements of the
+    /// one-byte layout, for a job.
+    pub(crate) fn contiguous(&mut self, rank: usize, ptr: DevPtr) -> Elems {
+        self.elems(rank, &BYTES, ptr.addr, ptr.len)
+    }
+
     /// A free slot.
     fn slot(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
@@ -899,55 +851,14 @@ impl CopyQueue {
         self.submit(lane, Job::Unpack { slot, to, keep });
     }
 
-    /// Copy `from` into `to`, which lies in another rank's pool on the
-    /// same node, and so on the same lane.
+    /// Copy `from` into `to`, which lies in the same pool or in another
+    /// rank's pool on the same node, and so on the same lane.
     pub(crate) fn copy(&mut self, from: Elems, to: Elems) {
         let lane = self.lane(to.rank);
         debug_assert_eq!(lane, self.lane(from.rank), "a copy stays on one node");
         self.guard(to.rank, to.base, to.end);
         self.stats.lanes[lane].copies += 1;
         self.submit(lane, Job::Copy { from, to });
-    }
-
-    /// A payload holding the contiguous user buffer `ptr` of `rank`.
-    pub(crate) fn read(&mut self, rank: usize, ptr: DevPtr) -> PayloadHandle {
-        if ptr.len == 0 {
-            return PayloadHandle::default();
-        }
-        let lane = self.lane(rank);
-        self.stats.lanes[lane].reads += 1;
-        let (out, fresh) = self.alloc(lane, ptr.len);
-        let slot = out.slot;
-        let submitted = self.submit(
-            lane,
-            Job::Read {
-                rank,
-                ptr,
-                out: slot,
-                fresh,
-            },
-        );
-        self.named(slot, lane, submitted);
-        out
-    }
-
-    /// Write `payload` into the contiguous user buffer `ptr` of `rank`,
-    /// and recycle it.
-    pub(crate) fn write(&mut self, payload: PayloadHandle, rank: usize, ptr: DevPtr) {
-        let lane = self.lane(rank);
-        self.guard(rank, ptr.addr, ptr.end());
-        self.materialize(payload.slot);
-        self.stats.lanes[lane].writes += 1;
-        let (slot, keep) = self.release(payload, lane);
-        self.submit(
-            lane,
-            Job::Write {
-                slot,
-                rank,
-                ptr,
-                keep,
-            },
-        );
     }
 
     /// A second payload with `src`'s bytes, on `src`'s lane.
@@ -971,27 +882,6 @@ impl CopyQueue {
         self.named(src, lane, submitted);
         self.named(slot, lane, submitted);
         out
-    }
-
-    /// Gather `elems` into the packed buffer `packed` of the same pool
-    /// (`pack`), or scatter that buffer out to them.
-    pub(crate) fn explicit(&mut self, elems: Elems, packed: DevPtr, pack: bool) {
-        let lane = self.lane(elems.rank);
-        if pack {
-            self.guard(elems.rank, packed.addr, packed.end());
-        } else {
-            self.guard(elems.rank, elems.base, elems.end);
-        }
-        self.stats.lanes[lane].explicit += 1;
-        let packed = packed.addr;
-        self.submit(
-            lane,
-            Job::Explicit {
-                elems,
-                packed,
-                pack,
-            },
-        );
     }
 
     /// Recycle `payload` unread, on the lane that holds it. An empty
@@ -1040,9 +930,11 @@ impl CopyQueue {
     }
 
     /// Fold the run's freelist counters into the totals and forget its
-    /// layouts. Every slot must be free again.
+    /// layouts. Every slot must be free again: a deferred payload holds no
+    /// buffer, so this is the one run-end check that sees one dropped
+    /// with the operation that owned it.
     fn finish(&mut self) {
-        debug_assert_eq!(
+        assert_eq!(
             self.free.len(),
             self.slots.len(),
             "payload slots outlived the run"

@@ -1,11 +1,11 @@
 //! Program execution: stepping ranks through their [`AppOp`] sequences.
 
 use super::schemes::PathCtx;
-use super::{Cluster, Event, RankId};
+use super::{Cluster, Event, PayloadHandle, RankId};
 use crate::lifecycle::RequestLifecycle;
 use crate::program::AppOp;
 use crate::sendrecv::{RecvId, RecvOp, SendId, SendOp, StagingLoc};
-use fusedpack_gpu::DataMode;
+use fusedpack_gpu::{DataMode, DevPtr};
 use fusedpack_sim::Time;
 use fusedpack_telemetry::{Bucket, Lane, Payload, WaitKindTag};
 
@@ -147,6 +147,7 @@ impl Cluster {
                 staging: StagingLoc::None,
                 lifecycle: RequestLifecycle::recv(),
                 ipc_send_id: None,
+                payload: PayloadHandle::default(),
             });
             rid
         };
@@ -192,6 +193,7 @@ impl Cluster {
                 staging: StagingLoc::None,
                 lifecycle: RequestLifecycle::send(),
                 cts: None,
+                payload: PayloadHandle::default(),
             });
             sid
         };
@@ -223,16 +225,25 @@ impl Cluster {
         };
         let stats = SegmentStats::new(layout.total_bytes(count), layout.total_blocks(count));
         // Data movement within device memory, dispatched on the copy plan
-        // the layout compiler classified at commit time: the elements are
-        // `src` of a pack and `dst` of an unpack.
+        // the layout compiler classified at commit time: a copy from the
+        // elements at `src` into the packed bytes at `dst` (a pack), or
+        // from the packed bytes at `src` out to the elements at `dst`.
         if self.data_mode == DataMode::Full {
+            let copies = &mut self.copies;
             let (elems, packed) = if pack {
-                (src_ptr.addr, dst_ptr)
+                (src_ptr, dst_ptr)
             } else {
-                (dst_ptr.addr, src_ptr)
+                (dst_ptr, src_ptr)
             };
-            let elems = self.copies.elems(r, &layout, elems, count);
-            self.copies.explicit(elems, packed, pack);
+            let elems = copies.elems(r, &layout, elems.addr, count);
+            let len = stats.total_bytes;
+            let packed = copies.contiguous(r, DevPtr { len, ..packed });
+            let (from, to) = if pack {
+                (elems, packed)
+            } else {
+                (packed, elems)
+            };
+            copies.copy(from, to);
         }
         if blocking {
             // MPI_Pack/MPI_Unpack: the library parses the datatype and
@@ -303,8 +314,9 @@ impl Cluster {
             "backpressure requeue leaked past Waitall"
         );
         debug_assert!(
-            rank.packed.is_empty() && rank.landed.is_empty(),
-            "payload buffers outlived their Waitall epoch"
+            rank.sends.iter().all(|s| s.payload.is_empty())
+                && rank.recvs.iter().all(|r| r.payload.is_empty()),
+            "payloads outlived their Waitall epoch"
         );
         rank.sends.clear();
         rank.recvs.clear();

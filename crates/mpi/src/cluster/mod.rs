@@ -566,11 +566,10 @@ impl Cluster {
         // the pool takes balance the releases (summed over both lanes).
         for rank in self.ranks.iter() {
             assert!(
-                rank.packed.is_empty() && rank.landed.is_empty(),
-                "rank {:?} leaked payload buffers: {} packed, {} landed",
+                rank.sends.iter().all(|s| s.payload.is_empty())
+                    && rank.recvs.iter().all(|r| r.payload.is_empty()),
+                "rank {:?} leaked payloads: an operation still owns one",
                 rank.id,
-                rank.packed.len(),
-                rank.landed.len(),
             );
         }
         assert!(self.wire_slab.is_empty(), "wire messages leaked");

@@ -6,14 +6,16 @@
 //! GPU pool and payload buffer for the run, and carries a
 //! [`PayloadHandle`] for each payload. A staged message's packed bytes are
 //! one payload that changes owner instead of being copied: the pack job
-//! fills a payload the send owns (`RankState::packed`), `try_issue` moves
+//! fills a payload the send owns (`SendOp::payload`), `try_issue` moves
 //! its handle into the [`WireMsg`], delivery moves it into the receive
-//! (`RankState::landed`), and the unpack job scatters from it and recycles
-//! it. Staging pools only hand out the addresses a CTS advertises.
-//! Contiguous sends and RGET reads (which a replayed request may repeat)
-//! send a copy made by a read or duplicate job, and DirectIPC copies
-//! layout to layout with no payload at all. Timing-only runs submit no
-//! job and carry empty handles.
+//! (`RecvOp::payload`), and the unpack job scatters from it and recycles
+//! it. Staging pools only hand out the addresses a CTS advertises. A
+//! contiguous send packs its user buffer, as one-byte elements, into a
+//! payload when it goes on the wire, and a contiguous receive unpacks its
+//! payload into its user buffer when it lands. RGET reads (which a
+//! replayed request may repeat) send a duplicate of a staged send's
+//! payload, and DirectIPC copies layout to layout with no payload at all.
+//! Timing-only runs submit no job and carry empty handles.
 
 use super::schemes::PathCtx;
 use super::{Cluster, Event, PayloadHandle, RankId, RndvProtocol};
@@ -189,29 +191,29 @@ impl Cluster {
     }
 
     /// A copy of send `sid`'s payload: the user buffer of a contiguous
-    /// send, the packed bytes of a staged one. Empty in timing-only runs
-    /// (and for an empty message), which submit no job.
+    /// send packed, the packed bytes of a staged one duplicated. Empty in
+    /// timing-only runs (and for an empty message), which submit no job.
     fn copy_payload(&mut self, r: usize, sid: SendId) -> PayloadHandle {
         if self.data_mode == DataMode::ModelOnly {
             return PayloadHandle::default();
         }
-        match self.ranks[r].sends[sid.0].staging {
-            StagingLoc::UserGpu(p) => self.copies.read(r, p),
-            StagingLoc::Gpu(_) | StagingLoc::Host(_) => match self.ranks[r].packed.get(&sid) {
-                Some(packed) => self.copies.dup(packed),
-                None => PayloadHandle::default(),
-            },
-            StagingLoc::None => PayloadHandle::default(),
+        let s = &self.ranks[r].sends[sid.0];
+        match s.staging {
+            StagingLoc::UserGpu(p) if p.len > 0 => {
+                let from = self.copies.contiguous(r, p);
+                self.copies.pack(from, p.len, s.dst.0 as usize)
+            }
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => self.copies.dup(&s.payload),
+            StagingLoc::UserGpu(_) | StagingLoc::None => PayloadHandle::default(),
         }
     }
 
     /// Send `sid`'s payload for the wire: a staged send hands over the
-    /// payload it packed into, a contiguous one copies its user buffer.
+    /// payload it packed into, a contiguous one packs its user buffer.
     fn take_payload(&mut self, r: usize, sid: SendId) -> PayloadHandle {
-        match self.ranks[r].sends[sid.0].staging {
-            StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
-                self.ranks[r].packed.remove(&sid).unwrap_or_default()
-            }
+        let s = &mut self.ranks[r].sends[sid.0];
+        match s.staging {
+            StagingLoc::Gpu(_) | StagingLoc::Host(_) => std::mem::take(&mut s.payload),
             StagingLoc::UserGpu(_) | StagingLoc::None => self.copy_payload(r, sid),
         }
     }
@@ -297,8 +299,8 @@ impl Cluster {
                     .apply(LifecycleEvent::IssueRetracted);
                 // Hand the payload back: a staged send still owns it.
                 match staging {
-                    StagingLoc::Gpu(_) | StagingLoc::Host(_) if !payload.is_empty() => {
-                        self.ranks[r].packed.insert(sid, payload);
+                    StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
+                        self.ranks[r].sends[sid.0].payload = payload;
                     }
                     _ => self.copies.recycle(payload),
                 }
@@ -440,9 +442,8 @@ impl Cluster {
                     Some(s) if !s.lifecycle.is_done() => {
                         self.complete_send(r, send_id);
                         // RGET: the read drained the packed payload.
-                        if let Some(packed) = self.ranks[r].packed.remove(&send_id) {
-                            self.copies.recycle(packed);
-                        }
+                        let packed = std::mem::take(&mut self.ranks[r].sends[send_id.0].payload);
+                        self.copies.recycle(packed);
                         let now = self.ranks[r].cpu;
                         self.check_unblock(r, now);
                     }
@@ -567,8 +568,8 @@ impl Cluster {
     }
 
     /// Land an arrived payload in receive `rid`: a contiguous receive
-    /// writes it into its user buffer and recycles it, a staged one owns it
-    /// until its unpack. A payload with no staging to land in (a spurious
+    /// unpacks it into its user buffer, a staged one owns it until its
+    /// unpack. A payload with no staging to land in (a spurious
     /// delivery replayed by a fault) is recycled and counted, not fatal.
     /// Every other delivery is counted for the run-end conservation check:
     /// the payload's bytes, or in a timing-only run (no payload moves) the
@@ -586,12 +587,16 @@ impl Cluster {
         if payload.is_empty() {
             return; // timing-only: nothing was taken
         }
-        match self.ranks[r].recvs[rid.0].staging {
+        let op = &mut self.ranks[r].recvs[rid.0];
+        match op.staging {
             StagingLoc::Gpu(_) | StagingLoc::Host(_) => {
-                let prev = self.ranks[r].landed.insert(rid, payload);
-                debug_assert!(prev.is_none(), "a receive landed two payloads");
+                let prev = std::mem::replace(&mut op.payload, payload);
+                debug_assert!(prev.is_empty(), "a receive landed two payloads");
             }
-            StagingLoc::UserGpu(p) => self.copies.write(payload, r, p),
+            StagingLoc::UserGpu(p) => {
+                let to = self.copies.contiguous(r, p);
+                self.copies.unpack(payload, to);
+            }
             StagingLoc::None => {
                 self.fault_stats.spurious += 1;
                 self.copies.recycle(payload);
@@ -629,7 +634,7 @@ impl Cluster {
         }
         let from = self.copies.elems(r, &s.layout, s.user_buf.addr, s.count);
         let packed = self.copies.pack(from, len, s.dst.0 as usize);
-        self.ranks[r].packed.insert(sid, packed);
+        self.ranks[r].sends[sid.0].payload = packed;
     }
 
     /// Submit an unpack's data movement: an unpack job scatters the
@@ -640,10 +645,11 @@ impl Cluster {
         if self.data_mode == DataMode::ModelOnly {
             return;
         }
-        let Some(payload) = self.ranks[r].landed.remove(&rid) else {
+        let op = &mut self.ranks[r].recvs[rid.0];
+        let payload = std::mem::take(&mut op.payload);
+        if payload.is_empty() {
             return; // an empty message: nothing was taken
-        };
-        let op = &self.ranks[r].recvs[rid.0];
+        }
         let to = self.copies.elems(r, &op.layout, op.user_buf.addr, op.count);
         self.copies.unpack(payload, to);
     }

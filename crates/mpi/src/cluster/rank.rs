@@ -1,11 +1,11 @@
 //! Per-rank runtime state.
 
 use crate::breakdown::Breakdown;
-use crate::cluster::{PayloadHandle, RankId};
+use crate::cluster::RankId;
 use crate::lifecycle::{RequeueLadder, Stage};
 use crate::message::WireMsg;
 use crate::program::{Program, TypeSlot};
-use crate::sendrecv::{PackState, RecvId, RecvOp, SendId, SendOp};
+use crate::sendrecv::{PackState, RecvOp, SendOp};
 use fusedpack_core::{Scheduler, Uid};
 use fusedpack_datatype::{CompiledLayout, LayoutCache, LayoutTable};
 use fusedpack_gpu::DevPtr;
@@ -52,14 +52,6 @@ pub(crate) struct RankState {
     pub ddt_cache: LayoutCache,
     pub sends: Vec<SendOp>,
     pub recvs: Vec<RecvOp>,
-    /// Packed payload a staged send owns, from its pack until the wire
-    /// takes it at issue (RGET: until the receiver's read drains it).
-    /// `DataMode::Full` only: timing-only runs never insert, so the map
-    /// costs them nothing.
-    pub packed: IntMap<SendId, PayloadHandle>,
-    /// Payload a staged receive owns, from delivery until its unpack job
-    /// scatters from it and recycles it. `DataMode::Full` only.
-    pub landed: IntMap<RecvId, PayloadHandle>,
     /// Unexpected-message queue (RTS/eager that arrived before the recv).
     pub unexpected: Vec<WireMsg>,
     /// Fusion UID → owning operation.
@@ -118,8 +110,6 @@ impl RankState {
             ddt_cache: LayoutCache::with_table(layouts),
             sends: Vec::new(),
             recvs: Vec::new(),
-            packed: IntMap::default(),
-            landed: IntMap::default(),
             unexpected: Vec::new(),
             uid_map: IntMap::default(),
             fusion_requeue: RequeueLadder::new(),

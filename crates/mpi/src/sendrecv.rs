@@ -13,7 +13,7 @@ use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::DevPtr;
 use std::sync::Arc;
 
-use crate::cluster::RankId;
+use crate::cluster::{PayloadHandle, RankId};
 use crate::lifecycle::RequestLifecycle;
 
 pub use crate::lifecycle::PackState;
@@ -66,7 +66,7 @@ pub struct CtsInfo {
 }
 
 /// One in-flight send.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SendOp {
     pub id: SendId,
     pub dst: RankId,
@@ -82,10 +82,14 @@ pub struct SendOp {
     /// `data_issued`/`completed` flag scatter).
     pub lifecycle: RequestLifecycle,
     pub cts: Option<CtsInfo>,
+    /// The packed payload a staged send owns, from its pack until the
+    /// wire takes it at issue (RGET: until the receiver's read drains it).
+    /// Empty otherwise, and always in timing-only runs.
+    pub payload: PayloadHandle,
 }
 
 /// One in-flight receive.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RecvOp {
     pub id: RecvId,
     pub src: RankId,
@@ -102,6 +106,10 @@ pub struct RecvOp {
     /// Set when this receive is served by a fused DirectIPC request; the
     /// receiver must notify this send with a `Fin` on completion.
     pub ipc_send_id: Option<SendId>,
+    /// The payload a staged receive owns, from delivery until its unpack
+    /// job scatters from it and recycles it. Empty otherwise, and always
+    /// in timing-only runs.
+    pub payload: PayloadHandle,
 }
 
 impl SendOp {
@@ -139,6 +147,7 @@ mod tests {
             staging: StagingLoc::None,
             lifecycle: RequestLifecycle::send(),
             cts: None,
+            payload: PayloadHandle::default(),
         }
     }
 

@@ -252,8 +252,9 @@ fn untraced_cluster_records_nothing() {
 #[test]
 fn explicit_pack_unpack_roundtrip_on_one_rank() {
     // Algorithm 1's primitives in isolation: MPI_Pack a non-contiguous
-    // buffer into a packed one and MPI_Unpack it into a third; the third
-    // must match the first on every layout segment.
+    // buffer into a packed one and MPI_Unpack it into a third. The packed
+    // buffer must be host `pack` of the first, and the third must match
+    // the first on every layout segment and stay zero in its gaps.
     let desc = sparse_type(120);
     let layout = CompiledLayout::of(&desc);
     let count = 2u64;
@@ -288,10 +289,25 @@ fn explicit_pack_unpack_roundtrip_on_one_rank() {
 
     let a = cluster.rank_buffer(RankId(0), src);
     let b = cluster.rank_buffer(RankId(0), out);
+    let want = fusedpack_datatype::pack::pack(&a, &layout, count);
+    assert_eq!(
+        cluster.rank_buffer(RankId(0), packed)[..want.len()],
+        want[..],
+        "the packed buffer is host pack of the source"
+    );
+    let mut in_segment = vec![false; b.len()];
     for (addr, seg_len) in layout.absolute_segments(0, count) {
         let (lo, hi) = (addr as usize, (addr + seg_len) as usize);
         assert_eq!(&a[lo..hi], &b[lo..hi], "segment {addr}");
+        in_segment[lo..hi].fill(true);
     }
+    let mut gaps = b
+        .iter()
+        .zip(&in_segment)
+        .filter(|(_, &seg)| !seg)
+        .peekable();
+    assert!(gaps.peek().is_some(), "the layout has gaps");
+    assert!(gaps.all(|(&byte, _)| byte == 0), "gap bytes stay zero");
 }
 
 #[test]

@@ -29,10 +29,12 @@
 //!   exactly one pooled buffer per staged send that crosses copy lanes,
 //!   none per staged send fused within a lane and none per DirectIPC
 //!   message, and allocates none after its first lap;
-//! * the paths that gather a deferred pack before its unpack, with both
-//!   ranks on one copy lane: a rank that receives into its own send
-//!   buffer before its peer unpacks, an RGET read answer and a contiguous
-//!   receive each deliver the bytes the send had when it was sent;
+//! * deferred packs with both ranks on one copy lane: a rank that
+//!   receives into its own send buffer before its peer unpacks, strided or
+//!   contiguous (a contiguous send is a deferred pack of one-byte
+//!   elements), and an RGET read answer each deliver the bytes the send
+//!   had when it was sent, and a contiguous receive fuses a deferred pack
+//!   into one copy;
 //! * a size check: a message whose packed size differs from its
 //!   receive's panics when it is matched, over the wire and DirectIPC, in
 //!   either data mode, instead of truncating or overrunning the unpack.
@@ -490,16 +492,29 @@ fn delivered(
     want
 }
 
+/// 64 doubles in a row: a contiguous type, sent from and received into
+/// the user buffer, with no staging.
+fn contiguous() -> Arc<TypeDesc> {
+    let double = fusedpack_datatype::TypeBuilder::double;
+    fusedpack_datatype::TypeBuilder::contiguous(64, double())
+}
+
 #[test]
 fn a_rank_that_receives_into_its_own_send_buffer_sends_the_bytes_it_had() {
-    // Two ranks of one node, so of one copy lane, under a scheme that
-    // stages every message: each message's pack is deferred to its
-    // unpack. Rank 0's eager send completes at injection, and rank 0 then
-    // receives rank 1's message into the same buffer, while its own
-    // message waits unexpected at rank 1 until rank 0 says it is done.
-    // Rank 1 must still get the elements as they were sent.
-    let ty = strided();
-    let len = CompiledLayout::of(&ty).footprint(1);
+    for ty in [strided(), contiguous()] {
+        receive_into_own_send_buffer(&ty);
+    }
+}
+
+/// Two ranks of one node, so of one copy lane, under a scheme that stages
+/// every non-contiguous message: each message's pack, staged or of a
+/// contiguous user buffer, is deferred to its unpack. Rank 0's eager send
+/// completes at injection, and rank 0 then receives rank 1's message into
+/// the same buffer, while its own message waits unexpected at rank 1
+/// until rank 0 says it is done. Rank 1 must still get the elements as
+/// they were sent.
+fn receive_into_own_send_buffer(ty: &Arc<TypeDesc>) {
+    let len = CompiledLayout::of(ty).footprint(1);
     let (mut p0, mut p1) = (Program::new(), Program::new());
     let mine = p0.buffer(len, BufInit::Random(11));
     // The same seed on the same rank fills the same bytes: a copy of
@@ -578,19 +593,19 @@ fn a_rank_that_receives_into_its_own_send_buffer_sends_the_bytes_it_had() {
     assert_eq!(
         (total.fused, total.packs, total.unpacks),
         (2, 1, 1),
-        "{copy:?}"
+        "{ty:?}: {copy:?}"
     );
     let (sent, zeros) = (cluster.rank_bytes(RankId(0), twin), vec![0; len as usize]);
-    let want = delivered(sent, &ty, 1, &ty, 1, &zeros);
+    let want = delivered(sent, ty, 1, ty, 1, &zeros);
     assert!(
         cluster.rank_bytes(RankId(1), got) == want,
-        "rank 1 got the overwritten bytes"
+        "{ty:?}: rank 1 got the overwritten bytes"
     );
     let theirs = cluster.rank_bytes(RankId(1), theirs);
-    let want = delivered(theirs, &ty, 1, &ty, 1, sent);
+    let want = delivered(theirs, ty, 1, ty, 1, sent);
     assert!(
         cluster.rank_bytes(RankId(0), mine) == want,
-        "rank 0 got rank 1's elements"
+        "{ty:?}: rank 0 got rank 1's elements"
     );
 }
 
@@ -668,19 +683,17 @@ fn an_rget_answer_gathers_a_deferred_pack() {
 }
 
 #[test]
-fn a_contiguous_receive_gathers_a_deferred_pack() {
-    // A strided send received as contiguous doubles lands by a write into
-    // the user buffer, eager and rendezvous.
-    let double = fusedpack_datatype::TypeBuilder::double;
-    let (send, recv) = (
-        strided(),
-        fusedpack_datatype::TypeBuilder::contiguous(64, double()),
-    );
+fn a_contiguous_receive_fuses_a_deferred_pack() {
+    // A strided send received as contiguous doubles is unpacked into the
+    // user buffer's one-byte elements, eager and rendezvous: like any
+    // unpack of a deferred pack on its lane, one copy from the send's
+    // elements, with no payload buffer.
+    let (send, recv) = (strided(), contiguous());
     for count in [1, 17] {
         let total = one_lane_message(RndvProtocol::Rput, &send, count, &recv, count);
         assert_eq!(
-            (total.packs, total.writes, total.fused),
-            (1, 1, 0),
+            (total.packs, total.unpacks, total.fused, total.jobs()),
+            (0, 0, 1, 1),
             "{total:?}"
         );
     }
