@@ -8,7 +8,6 @@ use fusedpack_datatype::{pack, CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{fused, DataMode, DevPtr, GpuArch, HostLink, SegmentStats};
 use fusedpack_sim::{EventQueue, Time};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_flatten(c: &mut Criterion) {
     let blocks: Vec<(u64, u64)> = (0..4000u64).map(|i| (i * 3, 1)).collect();
@@ -42,12 +41,7 @@ fn bench_fused_timing(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-        16,
-        8,
-        12,
-        TypeBuilder::double(),
-    )));
+    let layout = CompiledLayout::of(&TypeBuilder::vector(16, 8, 12, TypeBuilder::double()));
     c.bench_function("core/scheduler_enqueue_flush_retire_32", |b| {
         let mut gpu = fusedpack_gpu::Gpu::new(
             GpuArch::v100(),
@@ -67,7 +61,7 @@ fn bench_scheduler(c: &mut Criterion) {
                         addr: 8192,
                         len: 2048,
                     },
-                    layout.clone(),
+                    &layout,
                     1,
                     None,
                 );

@@ -229,7 +229,7 @@ fn bench_block_uniform_tier(c: &mut Criterion) {
 /// each (flushing whenever it fires), a final sync-point flush, then
 /// completion signalling and retirement for every request — the per-epoch
 /// hot path the fusion scheme adds on top of the progress engine.
-fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<CompiledLayout>) -> u64 {
+fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &CompiledLayout) -> u64 {
     let mut launches = 0u64;
     let mut t = Time(0);
     let mut uids: Vec<Uid> = Vec::with_capacity(64);
@@ -245,7 +245,7 @@ fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<CompiledLa
                 addr: 65536,
                 len: 65536,
             },
-            layout.clone(),
+            layout,
             1,
             None,
         );
@@ -276,12 +276,12 @@ fn scheduler_cycle(sched: &mut Scheduler, gpu: &mut Gpu, layout: &Arc<CompiledLa
 fn bench_scheduler(c: &mut Criterion) {
     // 16 KB packed per request across 2 blocks: 64 requests cross the
     // 512 KB default threshold twice per cycle.
-    let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
+    let layout = CompiledLayout::of(&TypeBuilder::vector(
         2,
         8 * 1024,
         8 * 1024 + 64,
         TypeBuilder::byte(),
-    )));
+    ));
     let mk_gpu = || {
         Gpu::new(
             GpuArch::v100(),

@@ -6,11 +6,13 @@
 //! Three pieces, mirroring the paper's framework (Fig. 5):
 //!
 //! 1. [`request::FusionRequest`] — one entry of the request list: UID,
-//!    requested operation (*Packing*, *Unpacking* or *DirectIPC*), origin
-//!    and target buffers, the cached data layout, and separate
-//!    *request status* / *response status* fields (the response side is
-//!    only ever advanced by kernel completions, standing in for the
-//!    GPU-written device flags of the CUDA implementation).
+//!    requested operation (*Packing*, *Unpacking* or *DirectIPC*), the
+//!    shape of its elements, resolved once from the cached data layout at
+//!    enqueue, and separate *request status* / *response status* fields
+//!    (the response side is only ever advanced by kernel completions,
+//!    standing in for the GPU-written device flags of the CUDA
+//!    implementation). The copy engine moves the bytes, so a request
+//!    holds no buffer pointers and no reference to the layout.
 //! 2. [`ring::RequestRing`] — the bounded request list, O(1) per request.
 //!    Enqueueing into a full ring is *rejected* (the paper returns a
 //!    negative UID) so the progress engine can fall back to a non-fused

@@ -1,8 +1,7 @@
 //! Fusion request objects — the entries of the request list (§IV-A1).
 
 use fusedpack_datatype::CompiledLayout;
-use fusedpack_gpu::{DevPtr, FusedWork, SegmentStats};
-use std::sync::Arc;
+use fusedpack_gpu::{FusedWork, SegmentStats};
 
 /// Unique request identifier handed back to the progress engine. The paper
 /// uses a negative UID to signal rejection; this engine uses
@@ -42,21 +41,17 @@ pub enum Status {
 }
 
 /// One entry of the request list.
+///
+/// A request carries what the fused kernel's cost model reads: its shape,
+/// resolved once from the cached layout (scheme of \[24\]) at enqueue. The
+/// bytes themselves move through the caller's copy engine, so the entry
+/// holds no buffer pointers and no reference to the layout.
 #[derive(Debug, Clone)]
 pub struct FusionRequest {
     pub uid: Uid,
     pub op: FusionOp,
-    /// Buffer read by the kernel (non-contiguous for Pack, contiguous for
-    /// Unpack).
-    pub origin: DevPtr,
-    /// Buffer written by the kernel.
-    pub target: DevPtr,
-    /// Cached data layout entry (scheme of \[24\]).
-    pub layout: Arc<CompiledLayout>,
-    /// Number of datatype elements.
-    pub count: u64,
-    /// Shape summary, resolved once at enqueue from the compiled layout
-    /// (the cost model and work descriptor read it on every query/flush).
+    /// Shape summary of `count` elements of the request's layout (the cost
+    /// model and work descriptor read it on every query/flush).
     pub stats: SegmentStats,
     /// External bandwidth ceiling for this request's kernel (set for
     /// DirectIPC requests to the peer-link bandwidth; `None` for local
@@ -106,25 +101,15 @@ mod tests {
     use super::*;
     use fusedpack_datatype::TypeBuilder;
 
+    fn layout() -> CompiledLayout {
+        CompiledLayout::of(&TypeBuilder::vector(4, 2, 5, TypeBuilder::double()))
+    }
+
     fn req() -> FusionRequest {
-        let layout = Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-            4,
-            2,
-            5,
-            TypeBuilder::double(),
-        )));
-        let stats = FusionRequest::classify(&layout, 3);
         FusionRequest {
             uid: Uid(7),
             op: FusionOp::Pack,
-            origin: DevPtr { addr: 0, len: 1024 },
-            target: DevPtr {
-                addr: 2048,
-                len: 256,
-            },
-            layout,
-            count: 3,
-            stats,
+            stats: FusionRequest::classify(&layout(), 3),
             bw_cap: None,
             request_status: Status::Pending,
             response_status: Status::Idle,
@@ -138,7 +123,7 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.total_bytes, 192);
         assert_eq!(s.num_blocks, 12);
-        let stats = FusionRequest::classify(&r.layout, 1);
+        let stats = FusionRequest::classify(&layout(), 1);
         assert_eq!(stats.num_blocks, 4);
     }
 

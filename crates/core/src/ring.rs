@@ -26,10 +26,8 @@
 
 use crate::request::{FusionOp, FusionRequest, Status, Uid};
 use fusedpack_datatype::CompiledLayout;
-use fusedpack_gpu::DevPtr;
 use fusedpack_sim::{IntMap, Slab};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Why an enqueue was refused (the paper's "negative UID" fallback signal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +78,13 @@ impl RequestRing {
         self.slots.capacity()
     }
 
-    /// Insert a new `Pending` request. Returns its UID, or
+    /// Insert a new `Pending` request for `count` elements of `layout`,
+    /// classified once here. Returns its UID, or
     /// [`EnqueueError::RingFull`].
     pub fn enqueue(
         &mut self,
         op: FusionOp,
-        origin: DevPtr,
-        target: DevPtr,
-        layout: Arc<CompiledLayout>,
+        layout: &CompiledLayout,
         count: u64,
         bw_cap: Option<f64>,
     ) -> Result<Uid, EnqueueError> {
@@ -96,14 +93,10 @@ impl RequestRing {
         }
         let uid = Uid(self.next_uid);
         self.next_uid += 1;
-        let stats = FusionRequest::classify(&layout, count);
+        let stats = FusionRequest::classify(layout, count);
         let key = self.slots.insert(FusionRequest {
             uid,
             op,
-            origin,
-            target,
-            layout,
-            count,
             stats,
             bw_cap,
             request_status: Status::Pending,
@@ -191,21 +184,12 @@ mod tests {
     use super::*;
     use fusedpack_datatype::TypeBuilder;
 
-    fn layout() -> Arc<CompiledLayout> {
-        Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-            2,
-            1,
-            2,
-            TypeBuilder::int(),
-        )))
-    }
-
-    fn ptr() -> DevPtr {
-        DevPtr { addr: 0, len: 64 }
+    fn layout() -> CompiledLayout {
+        CompiledLayout::of(&TypeBuilder::vector(2, 1, 2, TypeBuilder::int()))
     }
 
     fn enqueue_one(ring: &mut RequestRing) -> Uid {
-        ring.enqueue(FusionOp::Pack, ptr(), ptr(), layout(), 1, None)
+        ring.enqueue(FusionOp::Pack, &layout(), 1, None)
             .expect("ring has space")
     }
 
@@ -232,7 +216,7 @@ mod tests {
         enqueue_one(&mut ring);
         assert!(ring.is_full());
         let err = ring
-            .enqueue(FusionOp::Pack, ptr(), ptr(), layout(), 1, None)
+            .enqueue(FusionOp::Pack, &layout(), 1, None)
             .unwrap_err();
         assert_eq!(err, EnqueueError::RingFull);
     }

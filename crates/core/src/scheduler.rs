@@ -25,7 +25,7 @@ use fusedpack_datatype::CompiledLayout;
 use fusedpack_gpu::{DevPtr, FusedLaunch, FusedWork, Gpu, GpuArch, StreamId};
 use fusedpack_sim::{Duration, Time};
 use fusedpack_telemetry::{FlushReasonTag, Lane, Payload, Telemetry};
-use std::sync::Arc;
+use std::borrow::Borrow;
 
 /// Why a fused kernel was launched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +53,8 @@ impl FlushReason {
 #[derive(Debug, Clone)]
 pub struct FlushedBatch {
     pub reason: FlushReason,
-    /// UIDs in the batch, aligned with `launch.request_done`.
+    /// UIDs in the batch, aligned with `launch.request_done`: always a run
+    /// of consecutive UIDs, oldest first.
     pub uids: Vec<Uid>,
     pub launch: FusedLaunch,
 }
@@ -160,22 +161,29 @@ impl Scheduler {
         self.stats
     }
 
-    /// ① Enqueue a request at `now`. Returns the UID (or rejection) and the
-    /// CPU cost of the scheduling work, which the caller charges to its rank
-    /// clock.
+    /// ① Enqueue a request at `now` for `count` elements of `layout`.
+    /// Returns the UID (or rejection) and the CPU cost of the scheduling
+    /// work, which the caller charges to its rank clock.
+    ///
+    /// The request keeps only the layout's shape, so the layout is
+    /// borrowed. `_origin` and `_target` (the buffers the kernel reads and
+    /// writes) are accepted and ignored: the caller's copy engine moves the
+    /// bytes. They stay only because the `fpbench` benchmark package passes
+    /// them and changes only with the benchmark.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         &mut self,
         now: Time,
         op: FusionOp,
-        origin: DevPtr,
-        target: DevPtr,
-        layout: Arc<CompiledLayout>,
+        _origin: DevPtr,
+        _target: DevPtr,
+        layout: impl Borrow<CompiledLayout>,
         count: u64,
         bw_cap: Option<f64>,
     ) -> (Result<Uid, EnqueueError>, Duration) {
+        let layout = layout.borrow();
         let bytes = layout.total_bytes(count);
-        let res = self.ring.enqueue(op, origin, target, layout, count, bw_cap);
+        let res = self.ring.enqueue(op, layout, count, bw_cap);
         match res {
             Ok(uid) => {
                 self.stats.enqueued += 1;
@@ -283,6 +291,15 @@ impl Scheduler {
             unpacks.push(req.op == FusionOp::Unpack);
             works.push(req.work());
         }
+        // UIDs are issued in enqueue order and the ring launches its
+        // pending requests oldest first, so the pending queue always holds
+        // a consecutive run of UIDs and so does every batch. The cluster's
+        // completion path relies on it: it signals a run of same-instant
+        // completions as one event of `(first uid, count)`.
+        debug_assert!(
+            batch.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+            "a flushed batch's UIDs are consecutive: {batch:?}"
+        );
         let batch_bytes: u64 = works.iter().map(|w| w.stats.total_bytes).sum();
         let batch_blocks: u64 = works.iter().map(|w| w.stats.num_blocks).sum();
         let n = n as u64;
@@ -453,15 +470,10 @@ mod tests {
         )
     }
 
-    fn layout(bytes_per_elem: u64) -> Arc<CompiledLayout> {
+    fn layout(bytes_per_elem: u64) -> CompiledLayout {
         // bytes_per_elem across 2 blocks.
         let half = bytes_per_elem / 2;
-        Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-            2,
-            half,
-            half + 8,
-            TypeBuilder::byte(),
-        )))
+        CompiledLayout::of(&TypeBuilder::vector(2, half, half + 8, TypeBuilder::byte()))
     }
 
     fn sched(threshold: u64) -> Scheduler {

@@ -5,33 +5,47 @@
 //! the fault-injection paths exercise.
 
 use fusedpack_core::{
-    EnqueueError, FlushReason, FusionConfig, FusionOp, RequestRing, Scheduler, Uid,
+    EnqueueError, FlushReason, FlushedBatch, FusionConfig, FusionOp, RequestRing, Scheduler, Uid,
 };
 use fusedpack_datatype::{CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{DataMode, DevPtr, Gpu, GpuArch, HostLink, StreamId};
 use fusedpack_sim::Time;
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Payload bytes of one element of [`layout`].
 const ELEM_BYTES: u64 = 8;
 
-fn layout() -> Arc<CompiledLayout> {
-    Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-        2,
-        1,
-        2,
-        TypeBuilder::int(),
-    )))
+fn layout() -> CompiledLayout {
+    CompiledLayout::of(&TypeBuilder::vector(2, 1, 2, TypeBuilder::int()))
 }
 
 fn ptr() -> DevPtr {
     DevPtr { addr: 0, len: 64 }
 }
 
+fn gpu() -> Gpu {
+    Gpu::new(
+        GpuArch::v100(),
+        1 << 22,
+        DataMode::ModelOnly,
+        HostLink::nvlink2_cpu(),
+        2,
+    )
+}
+
 fn try_enqueue(ring: &mut RequestRing, count: u64) -> Result<Uid, EnqueueError> {
-    ring.enqueue(FusionOp::Pack, ptr(), ptr(), layout(), count, None)
+    ring.enqueue(FusionOp::Pack, &layout(), count, None)
+}
+
+fn sched_enqueue(sched: &mut Scheduler, count: u64) -> Result<Uid, EnqueueError> {
+    let (res, _) = sched.enqueue(Time(0), FusionOp::Pack, ptr(), ptr(), layout(), count, None);
+    res
+}
+
+/// Is `batch` a run of consecutive UIDs?
+fn consecutive(batch: &FlushedBatch) -> bool {
+    batch.uids.windows(2).all(|w| w[1].0 == w[0].0 + 1)
 }
 
 /// Launch pending requests oldest first until `uid` has launched, then
@@ -214,21 +228,12 @@ proptest! {
             ..FusionConfig::default()
         };
         let mut sched = Scheduler::new(cfg);
-        let mut gpu = Gpu::new(
-            GpuArch::v100(),
-            1 << 22,
-            DataMode::ModelOnly,
-            HostLink::nvlink2_cpu(),
-            2,
-        );
+        let mut gpu = gpu();
         let mut model = Model::default();
         for op in ops {
             match op {
                 Op::Enqueue { count } => {
-                    let (res, _) = sched.enqueue(
-                        Time(0), FusionOp::Pack, ptr(), ptr(), layout(), count, None,
-                    );
-                    match res {
+                    match sched_enqueue(&mut sched, count) {
                         Ok(uid) => model.pending.push_back((uid, count * ELEM_BYTES)),
                         Err(_) => prop_assert_eq!(model.live(), cap, "refused below capacity"),
                     }
@@ -257,6 +262,65 @@ proptest! {
             prop_assert_eq!(sched.has_pending(), !model.pending.is_empty());
             prop_assert_eq!(sched.threshold_reached(), model.pending_bytes() >= threshold);
         }
+    }
+
+    /// Every flushed batch is a run of consecutive UIDs, whatever mix of
+    /// enqueues (refused ones included), threshold, sync, pressure and
+    /// degraded flushes and out-of-order retirements came before it. The
+    /// cluster signals a batch's same-instant completions as one event of
+    /// `(first uid, count)`, which names the right requests only if this
+    /// holds.
+    #[test]
+    fn flushed_batches_are_consecutive_uid_runs(
+        cap in 1usize..9,
+        max_fused in 1usize..5,
+        threshold in 1u64..100,
+        ops in prop::collection::vec(arb_op(), 1..160),
+    ) {
+        let cfg = FusionConfig {
+            ring_capacity: cap,
+            max_fused,
+            threshold_bytes: threshold,
+            ..FusionConfig::default()
+        };
+        let mut sched = Scheduler::new(cfg);
+        let mut gpu = gpu();
+        let mut launched: Vec<Uid> = Vec::new();
+        let mut refused = 0u32;
+        for op in ops {
+            let batch = match op {
+                Op::Enqueue { count } => match sched_enqueue(&mut sched, count) {
+                    Ok(_) if sched.threshold_reached() => sched.flush(
+                        Time(0), &mut gpu, StreamId(0), FlushReason::ThresholdReached,
+                    ),
+                    Ok(_) => None,
+                    Err(EnqueueError::RingFull) => {
+                        refused += 1;
+                        sched.flush(Time(0), &mut gpu, StreamId(0), FlushReason::RingPressure)
+                    }
+                },
+                Op::Launch { n: 1 } => {
+                    sched.flush(Time(0), &mut gpu, StreamId(0), FlushReason::SyncPoint)
+                }
+                Op::Launch { .. } => {
+                    sched.flush_degraded(Time(0), &mut gpu, StreamId(0), FlushReason::SyncPoint)
+                }
+                Op::Retire { victim } => {
+                    if !launched.is_empty() {
+                        let uid = launched.remove(victim % launched.len());
+                        prop_assert!(sched.signal_completion(uid));
+                        sched.retire(Time(0), uid);
+                    }
+                    None
+                }
+            };
+            if let Some(batch) = batch {
+                prop_assert!(consecutive(&batch), "batch {:?} has a gap", batch.uids);
+                prop_assert_eq!(batch.uids.len(), batch.launch.request_done.len());
+                launched.extend(&batch.uids);
+            }
+        }
+        prop_assert_eq!(sched.stats().rejected, u64::from(refused));
     }
 
     /// The backpressure-requeue ladder: operations refused by a full ring

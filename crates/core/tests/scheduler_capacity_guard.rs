@@ -24,7 +24,6 @@ use fusedpack_datatype::{CompiledLayout, TypeBuilder};
 use fusedpack_gpu::{DataMode, DevPtr, Gpu, GpuArch, HostLink, StreamId};
 use fusedpack_sim::Time;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 const BATCH: usize = 16;
@@ -33,7 +32,7 @@ const CYCLES_PER_SAMPLE: usize = 200;
 struct Rig {
     sched: Scheduler,
     gpu: Gpu,
-    layout: Arc<CompiledLayout>,
+    layout: CompiledLayout,
     uids: Vec<Uid>,
     t: Time,
 }
@@ -53,12 +52,7 @@ impl Rig {
                 HostLink::nvlink2_cpu(),
                 2,
             ),
-            layout: Arc::new(CompiledLayout::of(&TypeBuilder::vector(
-                64,
-                4,
-                8,
-                TypeBuilder::float(),
-            ))),
+            layout: CompiledLayout::of(&TypeBuilder::vector(64, 4, 8, TypeBuilder::float())),
             uids: Vec::with_capacity(BATCH),
             t: Time(0),
         }
@@ -76,15 +70,9 @@ impl Rig {
     fn cycle(&mut self) {
         let ptr = DevPtr { addr: 0, len: 4096 };
         for _ in 0..BATCH {
-            let (uid, cost) = self.sched.enqueue(
-                self.t,
-                FusionOp::Pack,
-                ptr,
-                ptr,
-                Arc::clone(&self.layout),
-                1,
-                None,
-            );
+            let (uid, cost) =
+                self.sched
+                    .enqueue(self.t, FusionOp::Pack, ptr, ptr, &self.layout, 1, None);
             self.uids.push(uid.expect("a batch fits the ring"));
             self.t += cost;
             if black_box(self.sched.threshold_reached()) {

@@ -73,8 +73,10 @@ pub(crate) enum Event {
     PackDone(RankId, SendId),
     /// An asynchronous unpack finished on the receiver.
     UnpackDone(RankId, RecvId),
-    /// A fused-kernel cooperative group signalled one request's completion.
-    FusionDone(RankId, Uid),
+    /// Fused-kernel cooperative groups signalled the completion of `n`
+    /// requests with consecutive UIDs from the one given, all at this
+    /// instant.
+    FusionDone(RankId, Uid, u16),
     /// A wire message reached its destination. The key indexes
     /// [`Cluster::wire_slab`]: in-flight messages live in a slab and the
     /// event carries a `u32` instead of a boxed node, so steady-state
@@ -662,7 +664,7 @@ impl Cluster {
             Event::Wake(r) => self.step_rank(r.0 as usize, t),
             Event::PackDone(r, sid) => self.on_pack_done(r.0 as usize, sid, t),
             Event::UnpackDone(r, rid) => self.on_unpack_done(r.0 as usize, rid, t),
-            Event::FusionDone(r, uid) => self.on_fusion_done(r.0 as usize, uid, t),
+            Event::FusionDone(r, first, n) => self.on_fusion_done(r.0 as usize, first, n, t),
             Event::Deliver(key) => {
                 let msg = self.wire_slab.remove(key);
                 self.on_deliver(msg, t)

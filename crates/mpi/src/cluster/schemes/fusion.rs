@@ -10,7 +10,7 @@
 use super::super::rank::FusedOp;
 use super::{Event, PathCtx, SchemeEngine};
 use crate::lifecycle::LifecycleEvent;
-use crate::sendrecv::{RecvId, SendId, StagingLoc};
+use crate::sendrecv::{RecvId, SendId};
 use fusedpack_core::{EnqueueError, FlushReason, FusionConfig, FusionOp, Scheduler, Uid};
 use fusedpack_datatype::cache::lookup_cost;
 use fusedpack_gpu::{DevPtr, Gpu, SegmentStats, StreamId};
@@ -67,7 +67,22 @@ impl FusionEngine {
                 batch.launch.start,
                 batch.launch.done.since(batch.launch.start),
             );
-            let rank_id = cx.cl.ranks[r].id;
+            // Completions that land at one instant reach the progress
+            // engine as one event: it reads their response flags in one
+            // poll (§IV-A2 ④), and the event loop retires them in UID order.
+            // Each request still draws its own event key, in batch order,
+            // and the event takes the first key of its run, so the rank's
+            // later keys (which key the wire and hop fault draws) do not
+            // depend on how completions coalesce.
+            //
+            // Nor does the order of work. A run's keys are consecutive
+            // draws of rank r's counter for one time t, so no queued event
+            // sorts between them. Every event a completion pushes is keyed
+            // by rank r (each push takes the acting rank's key), drawn
+            // after the run's keys, so it sorts after the run. Retiring the
+            // run back to back is the order in which a queue holding one
+            // event per request would pop them.
+            let mut run: Option<DoneRun> = None;
             for (&uid, &done) in batch.uids.iter().zip(&batch.launch.request_done) {
                 let mut done = done;
                 if cx.cl.fault_fires(r, FaultSite::FusedFlagLost, done) {
@@ -79,7 +94,24 @@ impl FusionEngine {
                     cx.cl.fault_recovered(spike);
                     done += spike;
                 }
-                cx.schedule(done, Event::FusionDone(rank_id, uid));
+                let at = done.max(cx.cl.events.now());
+                let key = cx.cl.next_key(r);
+                match run.as_mut() {
+                    Some(run) if run.extends(at, uid) => run.n += 1,
+                    _ => {
+                        if let Some(prev) = run.replace(DoneRun {
+                            at,
+                            key,
+                            first: uid,
+                            n: 1,
+                        }) {
+                            prev.push(cx);
+                        }
+                    }
+                }
+            }
+            if let Some(run) = run {
+                run.push(cx);
             }
             // One batch per flush unless more than max_fused were pending.
             if !sched.has_pending() {
@@ -122,7 +154,9 @@ impl FusionEngine {
 
     /// Enqueue `op`'s fusion request: a pack reads the user buffer into
     /// GPU staging, an unpack the reverse, and a DirectIPC load reads the
-    /// peer's buffer over the GPU↔GPU link into the user buffer.
+    /// peer's buffer over the GPU↔GPU link into the user buffer. The copy
+    /// engine moves the bytes; the request carries only the shape the
+    /// kernel's cost model reads.
     fn enqueue(&self, cx: &mut PathCtx<'_>, op: FusedOp) -> Result<Uid, EnqueueError> {
         let r = cx.r;
         // Injected exhaustion reports `RingFull` without touching the ring;
@@ -132,32 +166,22 @@ impl FusionEngine {
         if cx.cl.fault_fires(r, FaultSite::RingExhausted, now) {
             return Err(EnqueueError::RingFull);
         }
-        let rank = &cx.cl.ranks[r];
-        let (layout, count, user_buf, staging) = match op {
-            FusedOp::Pack(i) => {
-                let s = &rank.sends[i];
-                (&s.layout, s.count, s.user_buf, s.staging)
-            }
+        let (kind, bw_cap) = match op {
+            FusedOp::Pack(_) => (FusionOp::Pack, None),
+            FusedOp::Unpack(_) => (FusionOp::Unpack, None),
+            FusedOp::DirectIpc { .. } => (FusionOp::DirectIpc, Some(cx.cl.platform.gpu_gpu.bw)),
+        };
+        let rank = &mut cx.cl.ranks[r];
+        let (layout, count) = match op {
+            FusedOp::Pack(i) => (&*rank.sends[i].layout, rank.sends[i].count),
             FusedOp::Unpack(i) | FusedOp::DirectIpc { rid: i, .. } => {
-                let o = &rank.recvs[i];
-                (&o.layout, o.count, o.user_buf, o.staging)
+                (&*rank.recvs[i].layout, rank.recvs[i].count)
             }
         };
-        let (kind, origin, target, bw_cap) = match op {
-            FusedOp::Pack(_) => (FusionOp::Pack, user_buf, gpu_staging(staging), None),
-            FusedOp::Unpack(_) => (FusionOp::Unpack, gpu_staging(staging), user_buf, None),
-            FusedOp::DirectIpc { origin, .. } => {
-                let origin = DevPtr {
-                    addr: origin,
-                    len: user_buf.len,
-                };
-                let link_bw = Some(cx.cl.platform.gpu_gpu.bw);
-                (FusionOp::DirectIpc, origin, user_buf, link_bw)
-            }
-        };
-        let layout = layout.clone();
-        let sched = cx.cl.ranks[r].sched.as_mut().expect("fusion scheme");
-        let (res, cost) = sched.enqueue(now, kind, origin, target, layout, count, bw_cap);
+        // The scheduler ignores the buffer pair (see `Scheduler::enqueue`).
+        let ignored = DevPtr { addr: 0, len: 0 };
+        let sched = rank.sched.as_mut().expect("fusion scheme");
+        let (res, cost) = sched.enqueue(now, kind, ignored, ignored, layout, count, bw_cap);
         cx.charge(cost, Bucket::Scheduling);
         res
     }
@@ -235,12 +259,25 @@ impl FusionEngine {
     }
 }
 
-/// The GPU staging buffer of a fused (un)pack.
-fn gpu_staging(staging: StagingLoc) -> DevPtr {
-    let StagingLoc::Gpu(p) = staging else {
-        panic!("fusion (un)pack staging must be on the GPU");
-    };
-    p
+/// Consecutive requests of one batch whose completions land at one
+/// instant, keyed by the first request's event key.
+struct DoneRun {
+    at: Time,
+    key: u64,
+    first: Uid,
+    n: u16,
+}
+
+impl DoneRun {
+    /// Does the request `uid`, done at `at`, continue this run?
+    fn extends(&self, at: Time, uid: Uid) -> bool {
+        at == self.at && uid.0 == self.first.0 + u64::from(self.n) && self.n < u16::MAX
+    }
+
+    fn push(self, cx: &mut PathCtx<'_>) {
+        let ev = Event::FusionDone(cx.cl.ranks[cx.r].id, self.first, self.n);
+        cx.cl.events.push_at_key(self.at, self.key, ev);
+    }
 }
 
 /// Occupied slots of the rank's ring: the backpressure ladder's liveness

@@ -263,10 +263,13 @@ impl Cluster {
         self.finish_unpack(r, rid);
     }
 
-    /// A fused-kernel cooperative group signalled a request's completion.
-    pub(crate) fn on_fusion_done(&mut self, r: usize, uid: Uid, t: Time) {
+    /// Fused-kernel cooperative groups signalled the completion of `n`
+    /// requests from UID `first` at one instant: handle each, in UID order.
+    pub(crate) fn on_fusion_done(&mut self, r: usize, first: Uid, n: u16, t: Time) {
         let engine = self.engine.clone();
-        engine.on_fusion_done(&mut PathCtx { cl: self, r }, uid, t);
+        for uid in first.0..first.0 + u64::from(n) {
+            engine.on_fusion_done(&mut PathCtx { cl: self, r }, Uid(uid), t);
+        }
     }
 
     /// Synchronous kernel execution: launch, then block the CPU until the

@@ -316,6 +316,44 @@ fn failed_cooperative_launches_degrade_to_serial_kernels() {
 }
 
 #[test]
+fn lost_completion_flags_complete_every_request_once() {
+    // Every fused request loses its completion flag and is rescued one
+    // random spike later, which splits each batch's same-instant
+    // completions into several events. Each request must still complete
+    // exactly once (one status query per enqueue, nothing spurious), the
+    // run-end invariants `Cluster::run` asserts must hold, and the bytes
+    // must arrive.
+    let desc = sparse_type(1500);
+    let (clean, _, _) = run_chaos_pair(SchemeKind::fusion_default(), &desc, 6, false, None);
+    let plan = FaultPlan::new(17).with(FaultSite::FusedFlagLost, FaultSpec::with_probability(1.0));
+    let (report, received, len) =
+        run_chaos_pair(SchemeKind::fusion_default(), &desc, 6, false, Some(plan));
+    verify_received(&desc, &received, len);
+    assert_eq!(report.lap_count(), 1);
+    let faults = report.fault_summary;
+    assert_eq!(faults.spurious, 0, "{faults:?}");
+    let stats: Vec<_> = report.sched_stats.iter().flatten().collect();
+    let fused: u64 = stats.iter().map(|s| s.requests_fused).sum();
+    assert_eq!(
+        faults.injected, fused,
+        "one lost flag per request: {faults:?}"
+    );
+    assert_eq!(
+        faults.recovered, fused,
+        "every lost flag rescued: {faults:?}"
+    );
+    for s in stats {
+        assert_eq!(s.queries, s.enqueued, "each request completes once: {s:?}");
+    }
+    assert!(
+        report.events_processed > clean.events_processed,
+        "split completions cost more events: {} vs {}",
+        report.events_processed,
+        clean.events_processed
+    );
+}
+
+#[test]
 fn injected_ring_exhaustion_stays_live_with_a_tiny_ring() {
     // Exhaustion injected on top of a 2-slot ring: the backpressure ladder
     // (forced flush + requeue + sync fallback when the ring is empty) must

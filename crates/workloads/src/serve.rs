@@ -229,6 +229,35 @@ mod tests {
     }
 
     #[test]
+    fn fused_completions_cost_one_event_per_launch() {
+        // A deterministic work counter for what the fusion path adds to
+        // the event loop: Proposed processes GPU-based's events plus one
+        // completion event per completion instant. Every request of a
+        // serve batch has one shape, so a fused launch finishes all of
+        // its requests at one instant and costs one event, however many
+        // requests it fused.
+        let run = |scheme| {
+            run_exchange(&serve(
+                Platform::lassen(),
+                scheme,
+                specfem3d_oc(200),
+                2_000,
+                0,
+            ))
+            .report
+        };
+        let (fused, gpu) = (run(SchemeKind::fusion_default()), run(SchemeKind::GpuSync));
+        let stats = fused.sched_stats.iter().flatten();
+        let launches: u64 = stats.clone().map(|s| s.kernels_launched).sum();
+        let requests: u64 = stats.map(|s| s.requests_fused).sum();
+        assert!(
+            requests >= 8 * launches,
+            "batches fuse many requests: {requests} in {launches} launches"
+        );
+        assert_eq!(fused.events_processed, gpu.events_processed + launches);
+    }
+
+    #[test]
     fn serve_amortizes_layout_compilation() {
         let out = run_exchange(&serve(
             Platform::lassen(),

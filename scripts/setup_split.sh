@@ -4,14 +4,17 @@
 # (`workloads.programs_s`) or on the cluster build (`mpi.build_s`).
 #
 # It builds fpbench in each checkout, restores each checkout's
-# `fpbench/Cargo.lock` (every fpbench build rewrites it), then runs
+# `fpbench/Cargo.lock` from a copy taken before the build (every fpbench
+# build rewrites it; the checkouts need not be git trees), then runs
 # `--seed 1 --seconds 2 --trace 1` processes in PAIRS interleaved pairs,
 # alternating which side runs first. It prints both parts of each run and
 # each side's medians.
 #
 # The placement of fpbench's loops depends on the checkout's path, so give
-# both checkouts paths of equal length. The numbers are host timings: use
-# them to diagnose, not as a gate.
+# both checkouts paths of equal length. For each build it also prints
+# where `fpbench::workload::Spec::inputs` starts, mod 64 (from `nm -C`):
+# at 0 its scan loop crosses a 64-byte line and halo `programs_s` runs
+# slow. The numbers are host timings: use them to diagnose, not as a gate.
 #
 # Usage: scripts/setup_split.sh PARENT_DIR CHANGE_DIR [WORKLOAD] [PAIRS]
 #        (WORKLOAD defaults to halo-model, PAIRS to 3)
@@ -25,15 +28,24 @@ change=$(cd "$2" && pwd)
 workload=${3:-halo-model}
 pairs=${4:-3}
 
-for dir in "$parent" "$change"; do
-    echo "building fpbench in $dir" >&2
-    cargo build --release --offline --quiet --manifest-path "$dir/fpbench/Cargo.toml" \
-        --target-dir "$dir/fpbench/target"
-    git -C "$dir" checkout --quiet -- fpbench/Cargo.lock
-done
-
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+for side in parent change; do
+    if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
+    echo "building fpbench in $dir" >&2
+    cp "$dir/fpbench/Cargo.lock" "$out/Cargo.lock"
+    cargo build --release --offline --quiet --manifest-path "$dir/fpbench/Cargo.toml" \
+        --target-dir "$dir/fpbench/target"
+    cp "$out/Cargo.lock" "$dir/fpbench/Cargo.lock"
+    addr=$(nm -C "$dir/fpbench/target/release/fpbench" |
+        awk '$3 == "fpbench::workload::Spec::inputs" { print $1; exit }')
+    if [ -n "$addr" ]; then
+        echo "$side: Spec::inputs at 0x$addr, $(( 0x$addr % 64 )) mod 64"
+    else
+        echo "$side: Spec::inputs not found (inlined?)"
+    fi
+done
+
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
